@@ -13,6 +13,20 @@ accept mass zero; those atoms may label leaves.  Good states are computed as
 the least fixpoint of "has a transition into only good states" seeded with
 the finals; the sweep index at which an atom joins is its distance to
 acceptance and drives witness extraction.
+
+No decision enumerates families.  Against a set of admissible children, the
+maximal family of an atom holds every profile whose candidate bucket keeps
+an admissible atom, and it alone decides whether the atom has a transition
+into the set, because three facts make every property needed here
+monotone in the family:
+
+- feasibility is upward-closed: an extra branch can take zero mass;
+- a larger family only has more positions that can refute the absent next
+  members, so a child tuple of a subfamily extends to one of the family;
+- adjoining variables never lowers the supremum of a branch mass.
+
+:meth:`TreeAutomaton.scenario_family` still lists every feasible family;
+it explains the construction and no decision procedure calls it.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .closure import Atom, ClosureSet, enumerate_atoms
-from .linsolve import LinearSystem, Rel, solve_feasibility
+from .linsolve import LinearSystem, Rel, maximize, solve_feasibility
 from .syntax import (
     And,
     FalseConst,
@@ -116,7 +130,8 @@ class TreeAutomaton:
 
         self._family_cache = {}
         self._cand_cache = {}
-        self._witness_cache = {}
+        self._point_cache = {}
+        self._max_cache = {}
         self._good = None
 
     def __len__(self) -> int:
@@ -171,12 +186,35 @@ class TreeAutomaton:
 
     def scenario_witness(self, aid: int, record: ScenarioRecord) -> dict:
         """Deterministic point of the scenario's branch system."""
-        key = (self._prob_sig[aid], record.qsets)
-        point = self._witness_cache.get(key)
-        if point is None:
-            point = solve_feasibility(record.system).witness
-            self._witness_cache[key] = point
-        return point
+        return self.family_point(aid, record.qsets)
+
+    def family_point(self, aid: int, qsets) -> Optional[dict]:
+        """Deterministic point of the family's branch system, or None when
+        the system is infeasible.
+
+        Results are shared across atoms with equal probability signatures.
+        Without probability pairs the only family is ``(0,)`` and its single
+        branch takes all the mass, so no LP is solved.
+        """
+        key = (self._prob_sig[aid], qsets)
+        if key not in self._point_cache:
+            if self._pairs:
+                point = solve_feasibility(self.build_system(aid, qsets)).witness
+            else:
+                point = {_qset_name(0, 0): Fraction(1)}
+            self._point_cache[key] = point
+        return self._point_cache[key]
+
+    def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
+        """Largest mass the family's branch system lets the subset
+        ``qmask`` absorb; the family must be feasible and contain it.
+        Results are shared across atoms with equal probability signatures."""
+        key = (self._prob_sig[aid], qsets, qmask)
+        if key not in self._max_cache:
+            system = self.build_system(aid, qsets)
+            name = _qset_name(qmask, len(self._pairs))
+            self._max_cache[key] = maximize(system, name).supremum
+        return self._max_cache[key]
 
     def _candidates(self, aid: int) -> dict:
         """Child candidates bucketed by their probability-argument profile.
@@ -200,18 +238,32 @@ class TreeAutomaton:
         self._cand_cache[aid] = result
         return result
 
-    def _positions(self, aid: int, qsets, restrict):
-        """Candidate lists per subset position, or None if one is empty."""
+    def _kept(self, aid: int, qsets, restrict) -> dict:
+        """Candidate lists of the given profiles (every profile when
+        ``qsets`` is None) limited to ``restrict``; profiles left without a
+        candidate are dropped."""
         buckets = self._candidates(aid)
-        positions = []
-        for q in qsets:
+        kept = {}
+        for q in buckets if qsets is None else qsets:
             cands = buckets.get(q, ())
             if restrict is not None:
                 cands = tuple(c for c in cands if c[0] in restrict)
-            if not cands:
-                return None
-            positions.append(cands)
-        return positions
+            if cands:
+                kept[q] = cands
+        return kept
+
+    def _positions(self, aid: int, qsets, restrict):
+        """Candidate lists per subset position, or None if one is empty."""
+        kept = self._kept(aid, qsets, restrict)
+        if len(kept) < len(qsets):
+            return None
+        return [kept[q] for q in qsets]
+
+    def maximal_family(self, aid: int, restrict) -> tuple:
+        """Sorted profiles whose candidate bucket keeps an atom of
+        ``restrict``: every family with a child tuple in ``restrict`` is a
+        subset of it."""
+        return tuple(sorted(self._kept(aid, None, restrict)))
 
     def transition_tuples(self, aid: int, qsets, restrict=None) -> Iterator[tuple]:
         """Child tuples for the scenario, one atom per subset, in order.
@@ -248,14 +300,17 @@ class TreeAutomaton:
         yield from rec(0, 0)
 
     def has_transition(self, aid: int, qsets, restrict) -> bool:
-        """Whether a full child tuple exists, without enumerating tuples.
+        """Whether a full child tuple exists, without enumerating tuples."""
+        positions = self._positions(aid, qsets, restrict)
+        return positions is not None and self._covers(aid, positions)
+
+    def _covers(self, aid: int, positions) -> bool:
+        """Whether one candidate per position can refute every absent next
+        member of the parent.
 
         Tracks the set of reachable obligation-cover masks position by
         position; a tuple exists iff the full obligation mask is reachable.
         """
-        positions = self._positions(aid, qsets, restrict)
-        if positions is None:
-            return False
         obl = self._all_next & ~self._next_present[aid]
         if obl == 0:
             return True
@@ -313,7 +368,9 @@ class TreeAutomaton:
 
         Each sweep evaluates against the previous sweep's set, so the sweep
         index of an atom strictly dominates those of some transition's
-        children.
+        children.  An atom joins when its maximal family against that set
+        is feasible and has a child tuple in it; by the monotonicity facts
+        in the module docstring this holds iff some feasible family does.
         """
         if self._good is not None:
             return self._good
@@ -326,10 +383,15 @@ class TreeAutomaton:
             for aid in range(len(self.atoms)):
                 if aid in good:
                     continue
-                for record in self.scenario_family(aid):
-                    if self.has_transition(aid, record.qsets, snapshot):
-                        added.append(aid)
-                        break
+                kept = self._kept(aid, None, snapshot)
+                if not kept:
+                    continue
+                family = tuple(sorted(kept))
+                if (
+                    self._covers(aid, [kept[q] for q in family])
+                    and self.family_point(aid, family) is not None
+                ):
+                    added.append(aid)
             if not added:
                 break
             sweep += 1
@@ -435,31 +497,44 @@ def witness_model(f: Formula) -> Optional[WitnessModel]:
     """A tree interpretation satisfying the formula, or None.
 
     Extraction descends distances to acceptance: at every non-final state
-    pick the first scenario and transition whose children all joined the
-    good set strictly earlier; child probabilities come from the scenario's
-    deterministic branch-system witness.
+    pick the first scenario, smallest families first, with a transition
+    whose children all joined the good set strictly earlier, and its first
+    such transition; child probabilities come from the scenario's
+    deterministic branch-system witness.  Only subsets of the maximal
+    family against the earlier atoms can have such a transition, so only
+    those are tried, in the order :meth:`TreeAutomaton.scenario_family`
+    lists them.
     """
     aut = TreeAutomaton(f)
     red = aut.reduce()
     if not red.initial:
         return None
     root = min(red.initial, key=lambda a: (red.distance[a], a))
+    width = len(aut._pairs)
+    earlier_than = [
+        frozenset(a for a in red.good if red.distance[a] < d)
+        for d in range(aut.good_states().sweeps + 1)
+    ]
 
     def build(aid: int, probability) -> WitnessModel:
         atom = aut.atoms[aid]
         if aut.final[aid]:
             return WitnessModel(atom.valuation(), probability, ())
-        d = red.distance[aid]
-        for record in aut.scenario_family(aid):
-            for tup in aut.transition_tuples(aid, record.qsets, red.good):
-                if all(red.distance[c] < d for c in tup):
-                    point = aut.scenario_witness(aid, record)
-                    width = len(aut._pairs)
-                    children = tuple(
-                        build(cid, point[_qset_name(q, width)])
-                        for q, cid in zip(record.qsets, tup)
-                    )
-                    return WitnessModel(atom.valuation(), probability, children)
+        earlier = earlier_than[red.distance[aid]]
+        offered = aut.maximal_family(aid, earlier)
+        for size in range(1, len(offered) + 1):
+            for chosen in combinations(offered, size):
+                if not aut.has_transition(aid, chosen, earlier):
+                    continue
+                point = aut.family_point(aid, chosen)
+                if point is None:
+                    continue
+                tup = next(aut.transition_tuples(aid, chosen, earlier))
+                children = tuple(
+                    build(cid, point[_qset_name(q, width)])
+                    for q, cid in zip(chosen, tup)
+                )
+                return WitnessModel(atom.valuation(), probability, children)
         raise AssertionError(f"good non-final atom {aid} lost its transitions")
 
     return build(root, None)

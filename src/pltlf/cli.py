@@ -4,7 +4,8 @@ Every subcommand (except the line-oriented monitor protocol) prints one
 JSON envelope with fixed key order: command, status, payload, timing_ms.
 Probabilities appear as exact "num/den" strings next to a decimal
 approximation field.  Exit codes: 0 success/yes, 1 no/unsat/violation,
-2 usage or input error.  timing_ms stays null unless --timings is given,
+2 usage or input error, or an internal error (reported on stderr without
+a traceback).  timing_ms stays null unless --timings is given,
 so outputs are byte-stable across runs.
 """
 
@@ -319,6 +320,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, InfeasibleSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means "no", so an internal failure must not reach it
+        log.debug("internal error", exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -256,19 +256,29 @@ def monitor_with_property(
     return best_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitorState:
     """One step of scenario monitoring; stepping returns a new state.
 
     ``entries`` pairs each live scenario index with its acceptor and the
     current subset-simulation state (None before the first valuation).
     Dead scenarios are dropped and never tested again.
+
+    The prefix is the first ``length`` valuations of a list shared with
+    the states stepped from this one.  Stepping the newest state appends to
+    the list; stepping an older one copies its part first, so no state's
+    prefix ever changes and a step costs no copy of the prefix.
     """
 
     table: ScenarioTable
-    prefix: Trace
     entries: tuple
     best_index: int
+    length: int = 0
+    _valuations: list = field(default_factory=list, repr=False)
+
+    @property
+    def prefix(self) -> Trace:
+        return tuple(self._valuations[: self.length])
 
     @property
     def alive(self) -> tuple:
@@ -313,7 +323,7 @@ def start_monitor(source, jobs: int = 1) -> MonitorState:
             continue
         entries.append((i, PrefixAcceptor(scenario.formulas), None))
     entries = tuple(entries)
-    return MonitorState(table, (), entries, _best_of(table, entries))
+    return MonitorState(table, entries, _best_of(table, entries))
 
 
 def monitor_step(monitor: MonitorState, valuation: frozenset) -> MonitorState:
@@ -327,11 +337,16 @@ def monitor_step(monitor: MonitorState, valuation: frozenset) -> MonitorState:
         if states:
             survivors.append((i, acceptor, states))
     survivors = tuple(survivors)
+    valuations = monitor._valuations
+    if len(valuations) != monitor.length:
+        valuations = valuations[: monitor.length]
+    valuations.append(valuation)
     return MonitorState(
         monitor.table,
-        monitor.prefix + (valuation,),
         survivors,
         _best_of(monitor.table, survivors),
+        monitor.length + 1,
+        valuations,
     )
 
 

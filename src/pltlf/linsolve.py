@@ -136,7 +136,12 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class Optimum:
-    """Supremum of an objective; ``attained`` respects strict rows."""
+    """Supremum of an objective; ``attained`` respects strict rows.
+
+    ``witness`` is a point of the system at which the objective equals the
+    supremum (an optimal simplex vertex when there are no strict rows), or
+    None when the supremum is not attained.
+    """
 
     supremum: Fraction
     attained: bool
@@ -329,48 +334,31 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     return FeasibilityResult(True, point)
 
 
-def _lex_polish(system: LinearSystem, fixed: dict) -> dict:
-    """Deterministic witness: lexicographically smallest point over the
-    declared variable order, subject to the (non-strict) system and fixes."""
-    current = system
-    for name, v in fixed.items():
-        current = current.with_rows([({name: 1}, Rel.EQ, v)])
-    point = dict(fixed)
-    for name in system.variables:
-        if name in point:
-            continue
-        status, value, _ = _solve(current, {name: -ONE}, with_eps=False)
-        if status != "optimal":
-            raise UnboundedObjectiveError(f"variable {name} unbounded below")
-        v = -value
-        point[name] = v
-        current = current.with_rows([({name: 1}, Rel.EQ, v)])
-    return point
-
-
 def maximize(system: LinearSystem, variable: str) -> Optimum:
     """Supremum of a variable over the system.
 
     The supremum is taken over the closure of the feasible region; whether
-    it is attained is decided against the strict rows.  Raises
-    :class:`InfeasibleSystemError` when the system itself is infeasible and
-    :class:`UnboundedObjectiveError` when the variable grows without bound.
+    it is attained is decided against the strict rows.  Without strict rows
+    the witness is the optimal vertex of that solve, deterministic under
+    Bland's rule; with them it is a point of the system with the variable
+    pinned to the supremum, or None when the supremum is not attained.
+
+    Raises :class:`InfeasibleSystemError` when the system itself is
+    infeasible and :class:`UnboundedObjectiveError` when the variable grows
+    without bound.
     """
     if variable not in system.variables:
         raise KeyError(f"unknown variable {variable!r}")
     if not solve_feasibility(system).feasible:
         raise InfeasibleSystemError("system is infeasible")
 
-    relaxed = system.relaxed()
-    status, value, _ = _solve(relaxed, {variable: ONE}, with_eps=False)
+    status, value, point = _solve(system.relaxed(), {variable: ONE}, with_eps=False)
     if status == "unbounded":
         raise UnboundedObjectiveError(f"variable {variable!r} unbounded above")
     assert status == "optimal"
 
-    has_strict = any(c.rel.strict for c in system.constraints)
-    if not has_strict:
-        witness = _lex_polish(relaxed, {variable: value})
-        return Optimum(value, True, witness)
+    if not any(c.rel.strict for c in system.constraints):
+        return Optimum(value, True, point)
 
     pinned = system.with_rows([({variable: 1}, Rel.EQ, value)])
     res = solve_feasibility(pinned)

@@ -116,7 +116,10 @@ def build_weighted(source) -> WeightedAutomaton:
     The weight of an edge from ``a`` to ``a'`` is the best mass any
     surviving scenario of ``a`` can give the subset position that ``a'``
     occupies; positions are pinned by which probability arguments hold in
-    ``a'``, so the maximum ranges over scenarios only.
+    ``a'``.  Every surviving scenario is a subset of ``a``'s maximal family
+    against the good set, a child tuple of a subset extends to one of the
+    maximal family, and adjoining variables never lowers a supremum, so one
+    maximisation over the maximal family's system gives each weight.
     """
     if isinstance(source, Formula):
         reduced = TreeAutomaton(source).reduce()
@@ -129,25 +132,15 @@ def build_weighted(source) -> WeightedAutomaton:
     aut = reduced.automaton
     states = tuple(sorted(reduced.good))
     weights = {}
-    mass_cache = {}
     for aid in states:
-        for record in reduced.scenario_records(aid):
-            by_position = aut.occupants(aid, record.qsets, reduced.good)
-            occupied = [
-                (qmask, child)
-                for qmask, fits in by_position.items()
-                for child in fits
-            ]
-            for qmask, child in sorted(occupied):
-                key = (record, qmask)
-                mass = mass_cache.get(key)
-                if mass is None:
-                    mass = scenario_max(aut, aid, record, qmask)
-                    mass_cache[key] = mass
-                if mass == 0:
-                    continue
-                prev = weights.get((aid, child), ZERO)
-                if mass > prev:
+        family = aut.maximal_family(aid, reduced.good)
+        by_position = aut.occupants(aid, family, reduced.good)
+        if not by_position or aut.family_point(aid, family) is None:
+            continue
+        for qmask, fits in by_position.items():
+            mass = aut.family_max(aid, family, qmask)
+            if mass > 0:
+                for child in fits:
                     weights[(aid, child)] = mass
     valuations = {aid: aut.atoms[aid].valuation() for aid in states}
     return WeightedAutomaton(states, reduced.initial, reduced.finals, weights, valuations)

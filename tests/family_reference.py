@@ -1,0 +1,91 @@
+"""Family-enumerating reference for the tree engine's decisions.
+
+The engine decides transitions, edge weights and witnesses from one maximal
+family per atom.  The functions here decide them the way the construction
+reads: by listing every feasible scenario with
+``TreeAutomaton.scenario_family``, smallest families first.  Tests compare
+the two paths on random formulas.
+"""
+
+from __future__ import annotations
+
+from pltlf.automaton import GoodStates, WitnessModel, _qset_name
+from pltlf.linsolve import solve_feasibility
+from pltlf.weighted import scenario_max
+
+
+def good_states(aut) -> GoodStates:
+    """Least fixpoint where an atom joins when some feasible family has a
+    child tuple in the previous sweep's set."""
+    good = set(aut.final_ids)
+    distance = {aid: 0 for aid in aut.final_ids}
+    sweep = 0
+    while True:
+        snapshot = frozenset(good)
+        added = [
+            aid
+            for aid in range(len(aut.atoms))
+            if aid not in good
+            and any(
+                aut.has_transition(aid, record.qsets, snapshot)
+                for record in aut.scenario_family(aid)
+            )
+        ]
+        if not added:
+            return GoodStates(frozenset(good), distance, sweep)
+        sweep += 1
+        for aid in added:
+            good.add(aid)
+            distance[aid] = sweep
+
+
+def edge_weights(aut, good) -> dict:
+    """Per edge, the best mass over every surviving family that puts the
+    child at some position, one ``scenario_max`` per family and position;
+    zero-mass edges are left out.  Families are shared by atoms with equal
+    probability signatures, so maxima are cached per family and position."""
+    weights = {}
+    maxima = {}
+    for aid in sorted(good):
+        for record in aut.scenario_family(aid):
+            if not aut.has_transition(aid, record.qsets, good):
+                continue
+            for qmask, fits in aut.occupants(aid, record.qsets, good).items():
+                if (record, qmask) not in maxima:
+                    maxima[(record, qmask)] = scenario_max(aut, aid, record, qmask)
+                mass = maxima[(record, qmask)]
+                if mass == 0:
+                    continue
+                for child in fits:
+                    if mass > weights.get((aid, child), 0):
+                        weights[(aid, child)] = mass
+    return weights
+
+
+def witness_model(aut):
+    """Witness descending distances: at each non-final atom the first
+    family, then the first child tuple over the good set, whose children
+    all have smaller distance; None when no initial atom is good."""
+    gs = good_states(aut)
+    initial = [aid for aid in aut.initial if aid in gs.good]
+    if not initial:
+        return None
+    width = len(aut.prob_members_of(0)) if aut.atoms else 0
+
+    def build(aid, probability):
+        atom = aut.atoms[aid]
+        if aut.final[aid]:
+            return WitnessModel(atom.valuation(), probability, ())
+        d = gs.distance[aid]
+        for record in aut.scenario_family(aid):
+            for tup in aut.transition_tuples(aid, record.qsets, gs.good):
+                if all(gs.distance[c] < d for c in tup):
+                    point = solve_feasibility(record.system).witness
+                    children = tuple(
+                        build(cid, point[_qset_name(q, width)])
+                        for q, cid in zip(record.qsets, tup)
+                    )
+                    return WitnessModel(atom.valuation(), probability, children)
+        raise AssertionError(f"good non-final atom {aid} has no descending transition")
+
+    return build(min(initial, key=lambda a: (gs.distance[a], a)), None)

@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+import family_reference
 import strategies as sts
 from oracles import bounded_satisfiable, formula_family, recheck_tuple
 from pltlf import (
@@ -310,6 +311,40 @@ class TestReduction:
         for edge in dump["edges"]:
             assert edge["source"] in ids
             assert set(edge["children"]) <= ids
+
+
+class TestMaximalFamily:
+    """One maximal family per atom decides exactly what enumerating every
+    feasible family decides."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P<=0.5[a] & P>=0.6[X b]",
+            "P>=0.5[a] & P>=0.6[!a]",
+            PSI_TEXT,
+            "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+            "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+        ],
+    )
+    def test_readme_formulas_match_enumeration(self, text):
+        self.check(parse_formula(text))
+
+    @settings(max_examples=40)
+    @given(sts.formulas(max_leaves=3))
+    def test_random_formulas_match_enumeration(self, f):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        self.check(f)
+
+    @staticmethod
+    def check(f):
+        aut = TreeAutomaton(f)
+        assert aut.good_states() == family_reference.good_states(aut)
+        model = witness_model(f)
+        expected = family_reference.witness_model(TreeAutomaton(f))
+        assert (model is None) == (expected is None)
+        if model is not None:
+            assert model.to_dict() == expected.to_dict()
 
 
 class TestSatisfiability:

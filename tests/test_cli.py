@@ -246,6 +246,14 @@ class TestErrors:
         assert code == 2
         assert "out of range" in err
 
+    def test_internal_error_exits_two_without_traceback(self, capsys):
+        # parsing 3000 stacked negations overflows the interpreter stack
+        code, out, err = run(capsys, "sat", "!" * 3000 + "a")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: RecursionError:")
+        assert "Traceback" not in err
+
     def test_usage_errors(self, capsys):
         assert run(capsys, )[0] == 2
         assert run(capsys, "sat")[0] == 2

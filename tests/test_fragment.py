@@ -249,6 +249,16 @@ class TestMonitor:
         assert "F a" in state.describe_best()
         assert state.prefix == parse_trace("-;a")
 
+    def test_stepping_one_state_twice_keeps_both_prefixes(self, psi1_flat):
+        state = monitor_step(start_monitor(psi1_flat), frozenset())
+        first = monitor_step(state, frozenset("a"))
+        second = monitor_step(state, frozenset("b"))
+        third = monitor_step(first, frozenset())
+        assert state.prefix == parse_trace("-")
+        assert first.prefix == parse_trace("-;a")
+        assert second.prefix == parse_trace("-;b")
+        assert third.prefix == parse_trace("-;a;-")
+
     def test_live_set_only_shrinks(self, psi1_flat):
         rng = random.Random(5)
         vals = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]

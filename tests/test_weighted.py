@@ -5,13 +5,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+import family_reference
 import strategies as sts
 from oracles import formula_family
 from pltlf import (
     TraceNFA,
     TreeAutomaton,
+    WeightedAutomaton,
     behaviour,
     build_weighted,
     enumerate_mlts,
@@ -72,6 +74,41 @@ class TestEdgeWeights:
     def test_weights_lie_in_the_unit_interval(self, wa_psi):
         for wt in wa_psi.weights.values():
             assert 0 < wt <= 1
+
+
+class TestMaximalFamilyWeights:
+    """One maximisation over the maximal family gives every edge weight
+    that the best of the per-family maxima gives."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P<=0.5[a] & P>=0.6[X b]",
+            "X !b & P<=0.7[a U b] & P<=0.6[X(!a & !b)]",
+        ],
+    )
+    def test_readme_formulas_match_enumeration(self, text):
+        self.check(parse_formula(text))
+
+    @settings(max_examples=25)
+    @given(sts.formulas(max_leaves=3))
+    def test_random_formulas_match_enumeration(self, f):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        self.check(f)
+
+    @staticmethod
+    def check(f):
+        aut = TreeAutomaton(f)
+        wa = build_weighted(aut)
+        gs = family_reference.good_states(aut)
+        expected = family_reference.edge_weights(aut, gs.good)
+        assert set(wa.states) == gs.good
+        assert wa.weights == expected
+        initial = [a for a in aut.initial if a in gs.good]
+        finals = [a for a in aut.final_ids if a in gs.good]
+        valuations = {a: aut.atoms[a].valuation() for a in gs.good}
+        reference = WeightedAutomaton(gs.good, initial, finals, expected, valuations)
+        assert behaviour(wa) == behaviour(reference)
 
 
 class TestBehaviour:
