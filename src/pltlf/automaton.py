@@ -37,9 +37,10 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .closure import Atom, ClosureSet, enumerate_atoms
-from .linsolve import LinearSystem, Rel, maximize, solve_feasibility
+from .linsolve import LinearSystem, maximize, solve_feasibility
 from .syntax import (
     And,
+    Comparison,
     FalseConst,
     Formula,
     Next,
@@ -153,10 +154,10 @@ class TreeAutomaton:
         rows = []
         for j, member in enumerate(self.prob_members_of(aid)):
             coeffs = {names[k]: 1 for k, q in enumerate(qsets) if q >> j & 1}
-            rows.append((coeffs, Rel.from_comparison(member.cmp), member.bound))
+            rows.append((coeffs, member.cmp, member.bound))
         for name in names:
-            rows.append(({name: 1}, Rel.GE, ZERO))
-        rows.append(({name: 1 for name in names}, Rel.EQ, Fraction(1)))
+            rows.append(({name: 1}, Comparison.GE, ZERO))
+        rows.append(({name: 1 for name in names}, Comparison.EQ, Fraction(1)))
         return LinearSystem.from_rows(names, rows)
 
     def scenario_family(self, aid: int) -> tuple:

@@ -22,13 +22,14 @@ from fractions import Fraction
 from .automaton import check_model, is_satisfiable, witness_model
 from .fragment import (
     build_lphi,
+    is_satisfiable0,
     most_likely_scenario,
     parse_pltlf0,
     scenario_maxima,
     start_monitor,
     monitor_step,
 )
-from .linsolve import InfeasibleSystemError, solve_feasibility
+from .linsolve import InfeasibleSystemError
 from .mining import default_catalog, load_log, mine_constraints, render_mined
 from .syntax import ParseError, formula_text, format_trace, parse_formula, parse_number, parse_trace
 from .weighted import (
@@ -61,17 +62,13 @@ def _emit(args, command: str, status: str, payload: dict, started: float) -> Non
     print(text)
 
 
-def _formula(text: str):
-    return parse_formula(text)
-
-
 def _load_p0(path: str):
     with open(path, encoding="utf-8") as handle:
         return parse_pltlf0(handle.read())
 
 
 def _cmd_sat(args, started) -> int:
-    f = _formula(args.formula)
+    f = parse_formula(args.formula)
     sat = is_satisfiable(f)
     _emit(args, "sat", "sat" if sat else "unsat",
           {"formula": formula_text(f), "satisfiable": sat}, started)
@@ -79,7 +76,7 @@ def _cmd_sat(args, started) -> int:
 
 
 def _cmd_model(args, started) -> int:
-    f = _formula(args.formula)
+    f = parse_formula(args.formula)
     model = witness_model(f)
     if model is None:
         _emit(args, "model", "unsat", {"formula": formula_text(f)}, started)
@@ -92,7 +89,7 @@ def _cmd_model(args, started) -> int:
 
 
 def _cmd_mlt(args, started) -> int:
-    f = _formula(args.formula)
+    f = parse_formula(args.formula)
     wa = build_weighted(f)
     value = behaviour(wa)
     acceptor = mlt_acceptor(wa)
@@ -108,7 +105,7 @@ def _cmd_mlt(args, started) -> int:
 
 
 def _cmd_prob(args, started) -> int:
-    f = _formula(args.formula)
+    f = parse_formula(args.formula)
     trace = parse_trace(args.trace)
     value = trace_probability(f, trace)
     _emit(args, "prob", "ok",
@@ -122,7 +119,7 @@ def _cmd_prob(args, started) -> int:
 
 
 def _cmd_prefix(args, started) -> int:
-    f = _formula(args.formula)
+    f = parse_formula(args.formula)
     prefix = parse_trace(args.prefix)
     value, acceptor = prefix_extension_query(f, prefix)
     extensions = enumerate_mlts(acceptor, args.count, args.max_len) if value > 0 else []
@@ -139,8 +136,7 @@ def _cmd_prefix(args, started) -> int:
 
 def _cmd_p0_sat(args, started) -> int:
     phi = _load_p0(args.file)
-    table = build_lphi(phi, jobs=args.jobs)
-    sat = solve_feasibility(table.system).feasible
+    sat = is_satisfiable0(phi)
     _emit(args, "p0-sat", "sat" if sat else "unsat",
           {"file": args.file, "constraints": len(phi), "satisfiable": sat}, started)
     return 0 if sat else 1
@@ -148,15 +144,15 @@ def _cmd_p0_sat(args, started) -> int:
 
 def _cmd_p0_scenarios(args, started) -> int:
     phi = _load_p0(args.file)
-    table = build_lphi(phi, jobs=args.jobs)
+    table = build_lphi(phi)
     scenarios = [
         {
             "index": s.index,
             "label": s.label,
             "members": s.describe(),
-            "satisfiable": table.satisfiable[i],
+            "satisfiable": acceptor.satisfiable,
         }
-        for i, s in enumerate(table.scenarios)
+        for s, acceptor in zip(table.scenarios, table.acceptors)
     ]
     payload = {
         "file": args.file,
@@ -165,7 +161,7 @@ def _cmd_p0_scenarios(args, started) -> int:
         "scenarios": scenarios,
     }
     try:
-        table = scenario_maxima(table)
+        scenario_maxima(table)
     except InfeasibleSystemError:
         _emit(args, "p0-scenarios", "unsat", payload, started)
         return 1
@@ -180,7 +176,7 @@ def _cmd_p0_scenarios(args, started) -> int:
 def _cmd_p0_monitor(args, started) -> int:
     phi = _load_p0(args.file)
     try:
-        state = start_monitor(phi, jobs=args.jobs)
+        state = start_monitor(phi)
     except InfeasibleSystemError:
         print(f"error: constraint set in {args.file} is unsatisfiable", file=sys.stderr)
         return 2
@@ -279,17 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("p0-sat", help="satisfiability of a constraint-set file")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=_cmd_p0_sat)
 
     p = sub.add_parser("p0-scenarios", help="scenario table and maxima of a constraint set")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=_cmd_p0_scenarios)
 
     p = sub.add_parser("p0-monitor", help="monitor a valuation stream against a constraint set")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=_cmd_p0_monitor)
 
     p = sub.add_parser("mine", help="discover constraints from an event log")

@@ -106,10 +106,6 @@ class ClosureSet:
         return 1 << len(self._free)
 
 
-def closure(f: Formula) -> ClosureSet:
-    return ClosureSet(f)
-
-
 @dataclass(frozen=True)
 class Atom:
     """Maximal locally consistent subset of a closure, as a bitmask."""

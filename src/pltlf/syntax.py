@@ -20,12 +20,17 @@ Trace = tuple
 
 
 class Comparison(enum.Enum):
-    """Comparison attached to a probability bound."""
+    """Comparison of a probability bound or of a linear row.
+
+    ``EQ`` appears only in linear rows: a bound's negation must be a bound
+    again, and ``=`` has no inverse comparison.
+    """
 
     LE = "<="
     GE = ">="
     LT = "<"
     GT = ">"
+    EQ = "="
 
     @property
     def inverse(self) -> "Comparison":
@@ -36,6 +41,11 @@ class Comparison(enum.Enum):
     def strict(self) -> bool:
         return self in (Comparison.LT, Comparison.GT)
 
+    @property
+    def relaxed(self) -> "Comparison":
+        """The non-strict closure: ``<`` becomes ``<=``, ``>`` becomes ``>=``."""
+        return _RELAXED.get(self, self)
+
     def holds(self, lhs: Fraction, rhs: Fraction) -> bool:
         if self is Comparison.LE:
             return lhs <= rhs
@@ -43,7 +53,9 @@ class Comparison(enum.Enum):
             return lhs >= rhs
         if self is Comparison.LT:
             return lhs < rhs
-        return lhs > rhs
+        if self is Comparison.GT:
+            return lhs > rhs
+        return lhs == rhs
 
 
 _INVERSE = {
@@ -52,6 +64,7 @@ _INVERSE = {
     Comparison.GE: Comparison.LT,
     Comparison.LT: Comparison.GE,
 }
+_RELAXED = {Comparison.LT: Comparison.LE, Comparison.GT: Comparison.GE}
 
 
 class Formula:
@@ -166,6 +179,8 @@ class Prob(Formula):
     operand: Formula
 
     def __post_init__(self):
+        if self.cmp is Comparison.EQ:
+            raise ValueError("a probability bound cannot use '=': it has no inverse")
         bound = self.bound
         if not isinstance(bound, Fraction):
             bound = Fraction(bound)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -285,3 +287,15 @@ def test_module_entry_point(data_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "sat"
+
+
+def test_walkthrough_runs():
+    # the tour imports the library's public entry points end to end
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "walkthrough.py")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "mined set satisfiable: True" in proc.stdout

@@ -13,6 +13,7 @@ from pltlf import (
     Not,
     Pltlf0Formula,
     ProbConstraint,
+    TreeAutomaton,
     accepts_prefix,
     build_lphi,
     format_pltlf0,
@@ -79,6 +80,8 @@ class TestParsing:
         with pytest.raises(ValueError):
             ProbConstraint(Comparison.LE, Fraction(3, 2), parse_formula("a"))
         with pytest.raises(ValueError):
+            ProbConstraint(Comparison.EQ, Fraction(1, 2), parse_formula("a"))
+        with pytest.raises(ValueError):
             ProbConstraint(Comparison.LE, Fraction(1, 2), parse_formula("P<=0.5[a]"))
 
     def test_empty_set_is_trivially_satisfiable(self):
@@ -116,11 +119,23 @@ class TestScenarios:
             "x01 + x11 <= 7/10",
         ]
 
-    def test_parallel_build_matches_serial(self, phi1_flat):
-        serial = build_lphi(phi1_flat)
-        parallel = build_lphi(phi1_flat, jobs=2)
-        assert parallel.satisfiable == serial.satisfiable
-        assert parallel.rows_text() == serial.rows_text()
+    def test_queries_reuse_the_compiled_table(self, psi1_flat, monkeypatch):
+        builds = []
+        original = TreeAutomaton.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TreeAutomaton, "__init__", counting)
+        table = build_lphi(psi1_flat)
+        assert len(builds) == len(table.scenarios)
+        builds.clear()
+        state = start_monitor(table)
+        state = monitor_step(state, frozenset())
+        state = monitor_step(state, frozenset("a"))
+        assert most_likely_scenario(table, state.prefix) == state.best_index == 2
+        assert builds == []
 
 
 class TestMaxima:
@@ -319,7 +334,7 @@ class TestCrossEngine:
             "a U b", "F b", "G !a", "X !b", "a & !b", "F(a & b)",
         ]
         bounds = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 5), Fraction(1)]
-        cmps = list(Comparison)
+        cmps = [c for c in Comparison if c is not Comparison.EQ]
         for _ in range(30):
             constraints = tuple(
                 ProbConstraint(

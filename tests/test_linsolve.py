@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from pltlf import (
+    Comparison,
     InfeasibleSystemError,
     LinearSystem,
-    Rel,
     UnboundedObjectiveError,
     maximize,
     solve_feasibility,
@@ -25,8 +25,8 @@ def branch_system(qsets_rows, names):
     total mass one."""
     rows = list(qsets_rows)
     for name in names:
-        rows.append(({name: 1}, Rel.GE, 0))
-    rows.append(({name: 1 for name in names}, Rel.EQ, 1))
+        rows.append(({name: 1}, Comparison.GE, 0))
+    rows.append(({name: 1 for name in names}, Comparison.EQ, 1))
     return LinearSystem.from_rows(names, rows)
 
 
@@ -37,8 +37,8 @@ def example_feasible():
     names = ("x1", "x2", "x12")
     return branch_system(
         [
-            ({"x1": 1, "x12": 1}, Rel.LE, HALF),
-            ({"x2": 1, "x12": 1}, Rel.GE, SIXTY),
+            ({"x1": 1, "x12": 1}, Comparison.LE, HALF),
+            ({"x2": 1, "x12": 1}, Comparison.GE, SIXTY),
         ],
         names,
     )
@@ -49,8 +49,8 @@ def example_infeasible():
     names = ("x0", "x1", "x12")
     return branch_system(
         [
-            ({"x1": 1, "x12": 1}, Rel.LE, HALF),
-            ({"x12": 1}, Rel.GE, SIXTY),
+            ({"x1": 1, "x12": 1}, Comparison.LE, HALF),
+            ({"x12": 1}, Comparison.GE, SIXTY),
         ],
         names,
     )
@@ -67,11 +67,11 @@ class TestFeasibility:
 
     def test_strict_boundary(self):
         sys1 = LinearSystem.from_rows(
-            ("x",), [({"x": 1}, Rel.LT, 1), ({"x": 1}, Rel.GE, 1)]
+            ("x",), [({"x": 1}, Comparison.LT, 1), ({"x": 1}, Comparison.GE, 1)]
         )
         assert not solve_feasibility(sys1).feasible
         sys2 = LinearSystem.from_rows(
-            ("x",), [({"x": 1}, Rel.LT, 1), ({"x": 1}, Rel.GT, 0)]
+            ("x",), [({"x": 1}, Comparison.LT, 1), ({"x": 1}, Comparison.GT, 0)]
         )
         res = solve_feasibility(sys2)
         assert res.feasible and 0 < res.witness["x"] < 1
@@ -87,8 +87,8 @@ class TestMaximize:
         names = ("x0", "x1", "x2", "x12")
         system = branch_system(
             [
-                ({"x1": 1, "x12": 1}, Rel.LE, HALF),
-                ({"x2": 1, "x12": 1}, Rel.GE, SIXTY),
+                ({"x1": 1, "x12": 1}, Comparison.LE, HALF),
+                ({"x2": 1, "x12": 1}, Comparison.GE, SIXTY),
             ],
             names,
         )
@@ -100,11 +100,11 @@ class TestMaximize:
         names = ("x00", "x01", "x10", "x11")
         system = branch_system(
             [
-                ({"x10": 1, "x11": 1}, Rel.LE, Fraction(4, 5)),
-                ({"x01": 1, "x11": 1}, Rel.LE, Fraction(7, 10)),
+                ({"x10": 1, "x11": 1}, Comparison.LE, Fraction(4, 5)),
+                ({"x01": 1, "x11": 1}, Comparison.LE, Fraction(7, 10)),
             ],
             names,
-        ).with_rows([({"x00": 1}, Rel.EQ, 0)])
+        ).with_rows([({"x00": 1}, Comparison.EQ, 0)])
         assert maximize(system, "x00").supremum == 0
         assert maximize(system, "x01").supremum == Fraction(7, 10)
         assert maximize(system, "x10").supremum == Fraction(4, 5)
@@ -118,7 +118,7 @@ class TestMaximize:
 
     def test_strict_supremum_not_attained(self):
         system = LinearSystem.from_rows(
-            ("x",), [({"x": 1}, Rel.LT, 1), ({"x": 1}, Rel.GE, 0)]
+            ("x",), [({"x": 1}, Comparison.LT, 1), ({"x": 1}, Comparison.GE, 0)]
         )
         opt = maximize(system, "x")
         assert opt.supremum == 1 and not opt.attained
@@ -127,8 +127,20 @@ class TestMaximize:
         with pytest.raises(InfeasibleSystemError):
             maximize(example_infeasible, "x12")
 
+    @pytest.mark.parametrize("rows", [
+        # relaxed, y = x with x free above: the objective is unbounded
+        [({"x": 1}, Comparison.GE, 0), ({"y": 1, "x": -1}, Comparison.GT, 0),
+         ({"y": 1, "x": -1}, Comparison.LT, 0)],
+        # relaxed, x = 0 is optimal but fails the strict row
+        [({"x": 1}, Comparison.GE, 0), ({"x": 1}, Comparison.LT, 0)],
+    ])
+    def test_strictly_infeasible_raises(self, rows):
+        system = LinearSystem.from_rows(("x", "y"), rows)
+        with pytest.raises(InfeasibleSystemError):
+            maximize(system, "x")
+
     def test_unbounded_raises(self):
-        system = LinearSystem.from_rows(("x",), [({"x": 1}, Rel.GE, 0)])
+        system = LinearSystem.from_rows(("x",), [({"x": 1}, Comparison.GE, 0)])
         with pytest.raises(UnboundedObjectiveError):
             maximize(system, "x")
 

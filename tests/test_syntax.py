@@ -58,6 +58,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_formula("P<=1.5[a]")
 
+    def test_bound_rejects_equality(self):
+        # "=" compares linear rows only: its negation is no single bound
+        with pytest.raises(ValueError):
+            Prob(Comparison.EQ, Fraction(1, 2), parse_formula("a"))
+
     def test_error_position(self):
         with pytest.raises(ParseError, match=r"1:8"):
             parse_formula("P<=0.5 a")
