@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Digest of the command line's output on a fixed list of commands.
+
+Runs every command in-process through ``pltlf.cli.main`` and prints, per
+command, a sha256 over its argv, exit code, stdout and stderr, then one
+total over all of them.  Two checkouts give the same total exactly when
+every command answers byte for byte the same, so comparing the last line
+checks that a change keeps the CLI output:
+
+    PYTHONPATH=src python3 scripts/cli_digest.py | tail -1
+
+The commands are ``sat``, ``model``, ``mlt``, ``prob`` and ``prefix`` on
+the formulas below, and ``p0-sat``, ``p0-scenarios`` and ``p0-monitor``
+(a fixed 300-event stream) on every ``data/*.p0`` file.  Data paths are
+printed relative to the repository root, so the digest does not depend
+on where the checkout lives.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import sys
+
+from pltlf.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+FORMULAS = (
+    # the README's formulas and the three-bound formula
+    "P<=0.5[a] & P>=0.6[X b]",
+    "X !b & P<=0.7[a U b] & P<=0.6[X(!a & !b)]",
+    "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]",
+    # the constraint sets of data/*.p0 as tree formulas, and an unsat pair
+    "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+    "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+    "P>=0.5[a & b] & P>=0.6[!a]",
+    # one bound
+    "P>=0.5[a U b]",
+    "P<1/2[X b] & a",
+    "P>0.3[F (a & b)]",
+    "P<=0[b] & F a",
+    "P>=1[X a] & G !b",
+    "P>=0.7[G a] | F b",
+    "X X b & P<=1/4[a]",
+    # two bounds
+    "P>0.5[a] & P>0.5[b]",
+    "P<0.5[a] & P<0.5[b]",
+    "P>=0.6[X a] & P>=0.6[X !b]",
+    "P>=0.6[X a] & P>=0.6[X !a]",
+    "P<=0.3[F b] & P>=0.2[a U b]",
+    "P>0[a & b] & P<1[a | b]",
+    "G(a -> X b) & P>=1/2[a] & P<=3/5[b]",
+    "(P<=0.5[a] | P>=0.9[b]) & X a",
+    "P>=0.25[!a] & P<0.75[X X b]",
+    "a U (b & P>=0.5[X a]) & P<=0.7[b]",
+    "P>=1/2[a] & P>=1/2[!a & b]",
+    "!(P<=0.5[a] & P<=0.5[b])",
+)
+
+TRACE = "-;a;b"
+PREFIX = "-;a"
+
+
+def stream(events: int = 300) -> str:
+    valuations = ("-", "a", "b", "a,b")
+    return "".join(valuations[(i * i + 3 * i) // 2 % 4] + "\n" for i in range(events))
+
+
+def commands():
+    for text in FORMULAS:
+        yield ("sat", text), ""
+        yield ("model", text), ""
+        yield ("mlt", text, "--count", "4"), ""
+        yield ("prob", text, f"--trace={TRACE}"), ""
+        yield ("prefix", text, f"--prefix={PREFIX}", "--count", "3"), ""
+    for path in sorted((ROOT / "data").glob("*.p0")):
+        name = str(path.relative_to(ROOT))
+        yield ("p0-sat", name), ""
+        yield ("p0-scenarios", name), ""
+        yield ("p0-monitor", name), stream()
+
+
+def run(argv, stdin_text: str):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv, code: int, out: str, err: str) -> str:
+    h = hashlib.sha256()
+    for part in ("\0".join(argv), str(code), out, err):
+        h.update(part.encode())
+        h.update(b"\1")
+    return h.hexdigest()
+
+
+def main_digest() -> int:
+    os.chdir(ROOT)
+    total = hashlib.sha256()
+    count = 0
+    for argv, stdin_text in commands():
+        line = digest(argv, *run(argv, stdin_text))
+        total.update(line.encode())
+        count += 1
+        print(f"{line}  {' '.join(argv)}")
+    print(f"{total.hexdigest()}  total over {count} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())

@@ -209,10 +209,12 @@ class TreeAutomaton:
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
         """Largest mass the family's branch system lets the subset
         ``qmask`` absorb; the family must be feasible and contain it.
-        Results are shared across atoms with equal probability signatures."""
+        A nonempty region's closure is its relaxed region, so the supremum
+        is a maximum over the relaxed system.  Results are shared across
+        atoms with equal probability signatures."""
         key = (self._prob_sig[aid], qsets, qmask)
         if key not in self._max_cache:
-            system = self.build_system(aid, qsets)
+            system = self.build_system(aid, qsets).relaxed()
             name = _qset_name(qmask, len(self._pairs))
             self._max_cache[key] = maximize(system, name).supremum
         return self._max_cache[key]

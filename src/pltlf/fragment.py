@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .automaton import TreeAutomaton
-from .linsolve import LinearSystem, maximize, solve_feasibility
+from .linsolve import InfeasibleSystemError, LinearSystem, maximize, solve_feasibility
 from .syntax import (
     Comparison,
     Formula,
@@ -176,14 +176,23 @@ class ScenarioTable:
         return tuple(a.satisfiable for a in self.acceptors)
 
     @cached_property
+    def feasible(self) -> bool:
+        """Whether the mass system, strict rows included, has a point."""
+        return solve_feasibility(self.system).feasible
+
+    @cached_property
     def maxima(self) -> tuple:
         """Each scenario's mass maximised on its own over the shared system.
 
-        Raises InfeasibleSystemError when the constraint set is
-        unsatisfiable.
+        The system is feasible, so the closure of its region is the
+        relaxed region, and each supremum is a maximum over that.  Raises
+        InfeasibleSystemError when the constraint set is unsatisfiable.
         """
+        if not self.feasible:
+            raise InfeasibleSystemError("system is infeasible")
+        relaxed = self.system.relaxed()
         return tuple(
-            maximize(self.system, self.variable(i)).supremum
+            maximize(relaxed, self.variable(i)).supremum
             for i in range(len(self.scenarios))
         )
 
@@ -223,7 +232,7 @@ def _compiled(source) -> ScenarioTable:
 
 
 def is_satisfiable0(source) -> bool:
-    return solve_feasibility(_compiled(source).system).feasible
+    return _compiled(source).feasible
 
 
 def scenario_maxima(source) -> ScenarioTable:

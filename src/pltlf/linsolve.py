@@ -1,6 +1,8 @@
 """Exact linear feasibility and optimization over the rationals.
 
-Systems mix non-strict, strict and equality rows over named variables.
+Systems mix non-strict, strict and equality rows over named variables,
+and every variable is nonnegative: the solver gives each one a single
+nonnegative tableau column, whether or not the system spells ``x >= 0``.
 Feasibility with strict rows is decided by adjoining a slack variable
 ``eps`` to every strict row and maximizing it (capped at 1): the system is
 feasible iff the optimum is positive, and the maximizing point satisfies the
@@ -41,6 +43,9 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """Rows over named variables, which are nonnegative whether or not a
+    row says so; ``x >= 0`` rows stay for display and for the oracles."""
+
     variables: tuple
     constraints: tuple = ()
 
@@ -69,7 +74,9 @@ class LinearSystem:
         )
 
     def holds(self, point: dict) -> bool:
-        """Exact membership test for a named point."""
+        """Exact membership test for a nonnegative named point."""
+        if any(point[name] < 0 for name in self.variables):
+            return False
         for c in self.constraints:
             lhs = sum(
                 (coeff * point[name] for coeff, name in zip(c.coeffs, self.variables)),
@@ -106,12 +113,8 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class Optimum:
-    """Supremum of an objective; ``attained`` respects strict rows.
-
-    ``witness`` is a point of the system at which the objective equals the
-    supremum (an optimal simplex vertex when there are no strict rows), or
-    None when the supremum is not attained.
-    """
+    """Supremum of an objective; ``attained`` respects strict rows, and
+    ``witness`` is a point attaining it, or None."""
 
     supremum: Fraction
     attained: bool
@@ -229,20 +232,31 @@ def _solve_standard(rows, rhs, n, objective):
 _EPS = "__eps__"
 
 
-def _solve(system: LinearSystem, objective: dict, with_eps: bool):
-    """Named-variable front end; free variables are split into differences.
+def _sign_row(c: LinearConstraint) -> bool:
+    """True for ``a x >= b`` with ``a > 0 >= b``, which nonnegativity implies."""
+    nonzero = [a for a in c.coeffs if a != 0]
+    return c.rel is Comparison.GE and c.rhs <= 0 and len(nonzero) == 1 and nonzero[0] > 0
 
-    ``objective`` maps variable names (or the eps pseudo-name) to
-    coefficients.  Returns (status, value, point) where point includes the
-    eps value when requested.
+
+def _solve(system: LinearSystem, objective: dict, with_eps: bool):
+    """Named-variable front end: one nonnegative column per variable.
+
+    A row implied by its variable's sign builds no tableau row.  Columns
+    run: variables without such a row, eps, then one column per row in
+    row order, a sign row's variable or an inequality's slack.  Bland's
+    rule thus meets each variable where its sign row's slack would stand,
+    and reaches the vertices, so the witnesses, of the tableau that keeps
+    sign rows.  Returns (status, value, point); point holds eps when
+    requested.
     """
     names = system.variables
-    n_named = len(names)
-    eps_col = 2 * n_named if with_eps else None
-
-    # Row specs: (dense named coeffs, eps coefficient, non-strict rel, rhs).
-    specs = []
+    specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
     for c in system.constraints:
+        if _sign_row(c):
+            name = next(v for a, v in zip(c.coeffs, names) if a != 0)
+            if name not in placed:
+                placed.append(name)
+            continue
         rel, eps_coeff = c.rel, ZERO
         if rel.strict:
             if not with_eps:
@@ -250,57 +264,41 @@ def _solve(system: LinearSystem, objective: dict, with_eps: bool):
             eps_coeff = ONE if rel is Comparison.LT else -ONE
             rel = rel.relaxed
         specs.append((c.coeffs, eps_coeff, rel, c.rhs))
-    if with_eps:
-        specs.append(((ZERO,) * n_named, ONE, Comparison.LE, ONE))
-
-    slack_count = sum(1 for _, _, rel, _ in specs if rel is not Comparison.EQ)
-    total = 2 * n_named + (1 if with_eps else 0) + slack_count
-    slack_base = 2 * n_named + (1 if with_eps else 0)
-
-    rows, rhs = [], []
-    slack_at = slack_base
-    for dense, eps_coeff, rel, b in specs:
-        row = [ZERO] * total
-        for j, coeff in enumerate(dense):
-            row[2 * j] = coeff
-            row[2 * j + 1] = -coeff
-        if with_eps:
-            row[eps_col] = eps_coeff
         if rel is not Comparison.EQ:
-            row[slack_at] = ONE if rel is Comparison.LE else -ONE
-            slack_at += 1
+            placed.append(("slack", len(specs) - 1))
+    if with_eps:
+        specs.append(((ZERO,) * len(names), ONE, Comparison.LE, ONE))
+        placed.append(("slack", len(specs) - 1))
+
+    columns = [v for v in names if v not in placed] + [_EPS] * with_eps + placed
+    col = {key: i for i, key in enumerate(columns)}
+    rows = []
+    for k, (coeffs, eps_coeff, rel, _) in enumerate(specs):
+        row = [ZERO] * len(columns)
+        for name, coeff in zip(names, coeffs):
+            row[col[name]] = coeff
+        if with_eps:
+            row[col[_EPS]] = eps_coeff
+        if rel is not Comparison.EQ:
+            row[col["slack", k]] = ONE if rel is Comparison.LE else -ONE
         rows.append(row)
-        rhs.append(b)
-
-    obj = [ZERO] * total
+    obj = [ZERO] * len(columns)
     for name, coeff in objective.items():
-        if name == _EPS:
-            obj[eps_col] = Fraction(coeff)
-        else:
-            j = names.index(name)
-            obj[2 * j] = Fraction(coeff)
-            obj[2 * j + 1] = -Fraction(coeff)
+        obj[col[name]] = Fraction(coeff)
 
-    status, value, y = _solve_standard(rows, rhs, total, obj)
+    status, value, y = _solve_standard(rows, [spec[3] for spec in specs], len(columns), obj)
     if status != "optimal":
         return status, None, None
-    point = {name: y[2 * j] - y[2 * j + 1] for j, name in enumerate(names)}
-    if with_eps:
-        point[_EPS] = y[eps_col]
-    return status, value, point
+    return status, value, {v: y[col[v]] for v in list(names) + [_EPS] * with_eps}
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility exactly; the witness satisfies strict rows strictly."""
-    if any(c.rel.strict for c in system.constraints):
-        status, value, point = _solve(system, {_EPS: ONE}, with_eps=True)
-        if status == "infeasible" or value <= 0:
-            return FeasibilityResult(False)
-        del point[_EPS]
-        return FeasibilityResult(True, point)
-    status, _, point = _solve(system, {}, with_eps=False)
-    if status == "infeasible":
+    strict = any(c.rel.strict for c in system.constraints)
+    status, value, point = _solve(system, {_EPS: ONE} if strict else {}, with_eps=strict)
+    if status == "infeasible" or (strict and value <= 0):
         return FeasibilityResult(False)
+    point.pop(_EPS, None)
     return FeasibilityResult(True, point)
 
 
@@ -312,11 +310,8 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     the witness is the optimal vertex of that solve, deterministic under
     Bland's rule; with them it is a point of the system with the variable
     pinned to the supremum, or None when the supremum is not attained.
-
-    Phase 1 of the relaxed solve decides feasibility of a system without
-    strict rows; with strict rows, a feasible pinned system proves it, and
-    only when that fails (or the relaxed objective is unbounded) is
-    feasibility solved on its own.
+    A caller that knows the system is feasible and reads only the supremum
+    can pass ``system.relaxed()``, which solves one LP.
 
     Raises :class:`InfeasibleSystemError` when the system itself is
     infeasible and :class:`UnboundedObjectiveError` when the variable grows
@@ -325,20 +320,14 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     if variable not in system.variables:
         raise KeyError(f"unknown variable {variable!r}")
     strict = any(c.rel.strict for c in system.constraints)
+    if strict and not solve_feasibility(system).feasible:
+        raise InfeasibleSystemError("system is infeasible")
     status, value, point = _solve(system.relaxed(), {variable: ONE}, with_eps=False)
-    if status == "infeasible" or (
-        strict and status == "unbounded" and not solve_feasibility(system).feasible
-    ):
+    if status == "infeasible":
         raise InfeasibleSystemError("system is infeasible")
     if status == "unbounded":
         raise UnboundedObjectiveError(f"variable {variable!r} unbounded above")
     if not strict:
         return Optimum(value, True, point)
-
-    pinned = system.with_rows([({variable: 1}, Comparison.EQ, value)])
-    res = solve_feasibility(pinned)
-    if res.feasible:
-        return Optimum(value, True, res.witness)
-    if not solve_feasibility(system).feasible:
-        raise InfeasibleSystemError("system is infeasible")
-    return Optimum(value, False, None)
+    res = solve_feasibility(system.with_rows([({variable: 1}, Comparison.EQ, value)]))
+    return Optimum(value, res.feasible, res.witness)

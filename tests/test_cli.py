@@ -15,6 +15,7 @@ from test_mining import RENDERED
 
 PHI0 = "P<=0.5[a] & P>=0.6[X b]"
 PHI1 = "P>=0.5[a] & P>=0.6[!a]"
+THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
 
 
 def run(capsys, *argv):
@@ -82,6 +83,34 @@ class TestModel:
         model = WitnessModel.from_dict(envelope["payload"]["model"])
         assert check_model(model, parse_formula(PHI0))
 
+    @pytest.mark.parametrize("text, model", [
+        (PHI0, {
+            "valuation": [], "probability": None, "children": [
+                {"valuation": [], "probability": "1", "children": [
+                    {"valuation": ["a", "b"], "probability": "1", "children": []},
+                ]},
+            ],
+        }),
+        (THREE_BOUNDS, {
+            "valuation": [], "probability": None, "children": [
+                {"valuation": [], "probability": "0", "children": [
+                    {"valuation": [], "probability": "0", "children": []},
+                    {"valuation": ["a", "c"], "probability": "1", "children": []},
+                ]},
+                {"valuation": ["c"], "probability": "1", "children": [
+                    {"valuation": ["b"], "probability": "0", "children": []},
+                    {"valuation": ["a", "b", "c"], "probability": "1", "children": []},
+                ]},
+            ],
+        }),
+    ])
+    def test_witness_payload_is_pinned(self, capsys, text, model):
+        # the witness is the solver's vertex, so a change of pivot order
+        # shows here even when the new witness is valid
+        code, out, _ = run(capsys, "model", text)
+        assert code == 0
+        assert json.loads(out)["payload"]["model"] == model
+
     def test_unsat_formula_has_no_model(self, capsys):
         code, out, _ = run(capsys, "model", PHI1)
         assert code == 1
@@ -116,6 +145,16 @@ class TestScenarioTable:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert [s["max"] for s in payload["scenarios"]] == ["0", "7/10", "4/5", "1/2"]
+        assert payload["most_likely"] == 2
+
+    def test_strict_bounds(self, capsys, tmp_path):
+        path = tmp_path / "strict.p0"
+        path.write_text("P>0.3 : a\nP<0.6 : X b\n")
+        code, out, _ = run(capsys, "p0-scenarios", str(path))
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["system"][-2:] == ["x10 + x11 > 3/10", "x01 + x11 < 3/5"]
+        assert [s["max"] for s in payload["scenarios"]] == ["7/10", "3/5", "1", "3/5"]
         assert payload["most_likely"] == 2
 
     def test_infeasible_set(self, capsys, tmp_path):
@@ -299,3 +338,18 @@ def test_walkthrough_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "mined set satisfiable: True" in proc.stdout
+
+
+def test_cli_digest_runs(tmp_path):
+    # the byte-identity check runs every listed command and prints a total
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_digest.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].endswith(f"total over {len(lines) - 1} commands")
+    assert any(line.endswith("p0-monitor data/psi1.p0") for line in lines)

@@ -31,6 +31,7 @@ from pltlf import (
     start_monitor,
     to_pltlf,
 )
+from pltlf import fragment, linsolve
 from pltlf.fragment import PrefixAcceptor
 
 
@@ -163,6 +164,25 @@ class TestMaxima:
         assert not is_satisfiable0(phi)
         with pytest.raises(InfeasibleSystemError):
             scenario_maxima(phi)
+
+    def test_feasibility_is_decided_once(self, monkeypatch):
+        # the maxima run over the relaxed system once the strict system is
+        # known feasible, so one feasibility LP serves the whole table
+        calls = []
+        original = linsolve.solve_feasibility
+
+        def counting(system):
+            calls.append(system)
+            return original(system)
+
+        monkeypatch.setattr(linsolve, "solve_feasibility", counting)
+        monkeypatch.setattr(fragment, "solve_feasibility", counting)
+        table = build_lphi(flat("P>0.3 : a", "P<0.6 : X b"))
+        assert table.maxima == (
+            Fraction(7, 10), Fraction(3, 5), Fraction(1), Fraction(3, 5),
+        )
+        assert is_satisfiable0(table)
+        assert len(calls) == 1
 
     @settings(max_examples=20)
     @given(

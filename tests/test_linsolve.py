@@ -186,6 +186,49 @@ class TestDifferential:
             assert maximize(system, system.variables[0]).supremum == expected
 
 
+def without_sign_rows(system):
+    """The system minus its ``x >= 0`` rows, which nonnegativity implies."""
+    def is_sign_row(c):
+        return (
+            c.rel is Comparison.GE
+            and c.rhs == 0
+            and sorted(c.coeffs) == [0] * (len(c.coeffs) - 1) + [1]
+        )
+
+    return LinearSystem(
+        system.variables, tuple(c for c in system.constraints if not is_sign_row(c))
+    )
+
+
+class TestNonnegativity:
+    """Every variable is nonnegative whether or not a row says so; the
+    Fourier-Motzkin oracle treats variables as free and so sees the sign
+    rows."""
+
+    @given(sts.linear_systems())
+    def test_feasibility_without_sign_rows(self, system):
+        assert solve_feasibility(without_sign_rows(system)).feasible == fm_feasible(system)
+
+    @given(sts.linear_systems(max_vars=3, max_rows=5))
+    @settings(max_examples=40)
+    def test_supremum_without_sign_rows(self, system):
+        stripped = without_sign_rows(system)
+        expected = fm_supremum(system, system.variables[0])
+        if expected is None:
+            with pytest.raises(InfeasibleSystemError):
+                maximize(stripped, system.variables[0])
+        else:
+            assert maximize(stripped, system.variables[0]).supremum == expected
+
+    def test_negative_upper_bound_is_infeasible(self):
+        system = LinearSystem.from_rows(("x",), [({"x": 1}, Comparison.LE, -1)])
+        assert not solve_feasibility(system).feasible
+
+    def test_holds_rejects_negative_coordinates(self):
+        assert not LinearSystem(("x",)).holds({"x": Fraction(-1)})
+        assert LinearSystem(("x",)).holds({"x": Fraction(0)})
+
+
 class TestRendering:
     def test_rows(self, example_feasible):
         rows = example_feasible.render_rows()

@@ -27,6 +27,7 @@ from pltlf import (
     product,
     trace_probability,
 )
+from pltlf import automaton
 from pltlf.weighted import scenario_max
 
 from test_automaton import PSI_ATOMS, atom_id
@@ -74,6 +75,22 @@ class TestEdgeWeights:
     def test_weights_lie_in_the_unit_interval(self, wa_psi):
         for wt in wa_psi.weights.values():
             assert 0 < wt <= 1
+
+    def test_weights_maximise_relaxed_systems(self, monkeypatch):
+        # every family reaching family_max is feasible, so its supremum is
+        # a maximum over the relaxed system and needs no strict row
+        systems = []
+        original = automaton.maximize
+
+        def recording(system, variable):
+            systems.append(system)
+            return original(system, variable)
+
+        monkeypatch.setattr(automaton, "maximize", recording)
+        wa = build_weighted(parse_formula("P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"))
+        assert behaviour(wa) == 1
+        assert systems
+        assert not any(c.rel.strict for s in systems for c in s.constraints)
 
 
 class TestMaximalFamilyWeights:
