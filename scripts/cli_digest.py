@@ -11,9 +11,12 @@ checks that a change keeps the CLI output:
 
 The commands are ``sat``, ``model``, ``mlt``, ``prob`` and ``prefix`` on
 the formulas below, and ``p0-sat``, ``p0-scenarios`` and ``p0-monitor``
-(a fixed 300-event stream) on every ``data/*.p0`` file.  Data paths are
-printed relative to the repository root, so the digest does not depend
-on where the checkout lives.
+(a fixed 300-event stream) on every ``data/*.p0`` file and on two more
+sets: the existence/response set mined from ``data/sample_log.csv`` and
+the fixed set ``SHAPES``.  Data paths are printed relative to the
+repository root, and the two extra sets are written to a temporary
+directory and named relative to it, so the digest does not depend on
+where the checkout lives.
 """
 
 import contextlib
@@ -22,8 +25,11 @@ import io
 import os
 import pathlib
 import sys
+import tempfile
+from fractions import Fraction
 
 from pltlf.cli import main
+from pltlf.mining import default_catalog, load_log, mine_constraints, render_mined
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -59,6 +65,17 @@ FORMULAS = (
     "!(P<=0.5[a] & P<=0.5[b])",
 )
 
+# a conjunction, both constants, a duplicate formula and a formula next
+# to its negation
+SHAPES = (
+    "P>=1/5 : a & X b\n"
+    "P>=9/10 : true\n"
+    "P>1/10 : F a\n"
+    "P<4/5 : F a\n"
+    "P<=1/2 : !F a\n"
+    "P<=2/5 : false\n"
+)
+
 TRACE = "-;a;b"
 PREFIX = "-;a"
 
@@ -66,6 +83,20 @@ PREFIX = "-;a"
 def stream(events: int = 300) -> str:
     valuations = ("-", "a", "b", "a,b")
     return "".join(valuations[(i * i + 3 * i) // 2 % 4] + "\n" for i in range(events))
+
+
+def mined_set() -> str:
+    """The existence/response set mined from the sample log, as ``mine``
+    with ``--min-support 0.8 --templates existence,response`` writes it."""
+    catalog = tuple(t for t in default_catalog() if t.name in ("existence", "response"))
+    log = load_log(ROOT / "data" / "sample_log.csv")
+    return render_mined(mine_constraints(log, Fraction(4, 5), catalog))
+
+
+def p0_commands(name: str):
+    yield ("p0-sat", name), ""
+    yield ("p0-scenarios", name), ""
+    yield ("p0-monitor", name), stream()
 
 
 def commands():
@@ -76,10 +107,16 @@ def commands():
         yield ("prob", text, f"--trace={TRACE}"), ""
         yield ("prefix", text, f"--prefix={PREFIX}", "--count", "3"), ""
     for path in sorted((ROOT / "data").glob("*.p0")):
-        name = str(path.relative_to(ROOT))
-        yield ("p0-sat", name), ""
-        yield ("p0-scenarios", name), ""
-        yield ("p0-monitor", name), stream()
+        yield from p0_commands(str(path.relative_to(ROOT)))
+    # each command runs before the next is drawn, so these run in tmp
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in (("mined.p0", mined_set()), ("shapes.p0", SHAPES)):
+                pathlib.Path(name).write_text(text, encoding="utf-8")
+                yield from p0_commands(name)
+        finally:
+            os.chdir(ROOT)
 
 
 def run(argv, stdin_text: str):

@@ -5,13 +5,16 @@ formulas.  Semantically, mass is distributed over the 2^n scenarios (sign
 patterns choosing which constraint formulas hold), so satisfiability,
 per-scenario maxima, most-likely-scenario selection, and prefix
 monitoring all reduce to one shared linear system plus one plain
-automaton per scenario.
+automaton.
 
 :func:`build_lphi` compiles a constraint set once into a
-:class:`ScenarioTable`: one prefix acceptor per scenario (whose emptiness
-gives the scenario's satisfiability flag) and the mass system.  The
-maxima are computed on first use and kept on the table, and every query
-and the monitor reuse the table's acceptors and maxima; a query given a
+:class:`ScenarioTable`: one reduced automaton over the conjunction of the
+distinct constraint formulas, one prefix acceptor per scenario read off
+it (whose emptiness gives the scenario's satisfiability flag), and the
+mass system.  The maxima are computed on first use and kept on the table,
+each over the live variables only: an unsatisfiable scenario's variable is
+pinned to zero and its column is dropped.  Every query and the monitor
+reuse the table's acceptors and maxima; a query given a
 :class:`Pltlf0Formula` compiles it first.
 """
 
@@ -34,6 +37,7 @@ from .syntax import (
     conj,
     formula_text,
     has_prob,
+    normalize,
     parse_formula,
     parse_number,
 )
@@ -118,26 +122,16 @@ def scenarios_of(phi: Pltlf0Formula) -> tuple:
 
 
 class PrefixAcceptor:
-    """Subset simulation deciding whether a prefix extends to a trace
-    satisfying a set of probability-free formulas."""
+    """Subset simulation over the good atoms of a reduced automaton,
+    started from a set of them: whether a prefix extends to a trace that
+    one of those atoms accepts.  The successor and valuation maps are
+    shared by every acceptor read off the same automaton."""
 
-    def __init__(self, formulas: tuple):
-        reduced = TreeAutomaton(conj(*formulas)).reduce()
-        aut = reduced.automaton
-        self.satisfiable = bool(reduced.initial)
-        self.initial = frozenset(reduced.initial)
-        good = reduced.good
-        # a table keeps every acceptor, so each state number and each
-        # distinct valuation is held as one shared object
-        shared = {aid: aid for aid in good}
-        self._succ = {
-            aid: tuple(shared[c] for c in aut.successors(aid) if c in good)
-            for aid in good
-        }
-        self._val = {}
-        for aid in good:
-            valuation = aut.atoms[aid].valuation()
-            self._val[aid] = shared.setdefault(valuation, valuation)
+    def __init__(self, initial: frozenset, successors: dict, valuations: dict):
+        self.initial = initial
+        self.satisfiable = bool(initial)
+        self._succ = successors
+        self._val = valuations
 
     def start(self, valuation: frozenset) -> frozenset:
         return frozenset(q for q in self.initial if self._val[q] == valuation)
@@ -160,11 +154,57 @@ class PrefixAcceptor:
         return bool(states)
 
 
+def _holds(closure, bits: int, f: Formula) -> bool:
+    """Truth of a normalised formula on an atom.  A formula that is not a
+    closure member is a conjunction the shared conjunction flattened into
+    its conjuncts, which are members."""
+    i = closure.index.get(f)
+    if i is not None:
+        return bool(bits >> i & 1)
+    return all(_holds(closure, bits, g) for g in f.operands)
+
+
+def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
+    """One prefix acceptor per sign pattern over ``formulas``, in scenario
+    index order, all read off one reduced automaton.
+
+    The automaton is built for the conjunction of the distinct normalised
+    formulas and ``required``.  Its closure holds each formula and its
+    negation, the conjunction of any sign pattern is a derived member, and
+    without probability bounds goodness does not depend on the root, so
+    the automaton of every sign pattern has these atoms, good states and
+    successors.  Pattern s starts from the good atoms whose truth values on
+    ``formulas`` spell s and where every ``required`` formula holds.
+    """
+    formulas = tuple(normalize(f) for f in formulas)
+    required = tuple(normalize(f) for f in required)
+    aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
+    good = aut.good_states().good
+    successors = {
+        aid: tuple(c for c in aut.successors(aid) if c in good) for aid in good
+    }
+    valuations = {}
+    shared = {}
+    initial = [[] for _ in range(1 << len(formulas))]
+    for aid in good:
+        valuation = aut.atoms[aid].valuation()
+        valuations[aid] = shared.setdefault(valuation, valuation)
+        bits = aut.atoms[aid].bits
+        if all(_holds(aut.closure, bits, g) for g in required):
+            index = 0
+            for f in formulas:
+                index = index << 1 | _holds(aut.closure, bits, f)
+            initial[index].append(aid)
+    return tuple(
+        PrefixAcceptor(frozenset(states), successors, valuations) for states in initial
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioTable:
     """One constraint set compiled once: its scenarios, one prefix
-    acceptor per scenario, and the mass system.  The per-scenario maxima
-    are computed on first use and kept."""
+    acceptor per scenario, all read off one automaton, and the mass
+    system.  The per-scenario maxima are computed on first use and kept."""
 
     formula: Pltlf0Formula
     scenarios: tuple
@@ -176,24 +216,43 @@ class ScenarioTable:
         return tuple(a.satisfiable for a in self.acceptors)
 
     @cached_property
+    def live_system(self) -> LinearSystem:
+        """The mass system over the satisfiable scenarios' variables.
+
+        An unsatisfiable scenario's variable is pinned to zero, so dropping
+        its column keeps every point of the system.  A row left without a
+        live coefficient reads ``0 <cmp> rhs`` and is dropped when that
+        holds; a failing one stays and keeps the system infeasible.
+        """
+        live = [i for i, sat in enumerate(self.satisfiable) if sat]
+        rows = []
+        for c in self.system.constraints:
+            coeffs = {self.variable(i): c.coeffs[i] for i in live if c.coeffs[i]}
+            if coeffs or not c.rel.holds(ZERO, c.rhs):
+                rows.append((coeffs, c.rel, c.rhs))
+        return LinearSystem.from_rows([self.variable(i) for i in live], rows)
+
+    @cached_property
     def feasible(self) -> bool:
         """Whether the mass system, strict rows included, has a point."""
-        return solve_feasibility(self.system).feasible
+        return solve_feasibility(self.live_system).feasible
 
     @cached_property
     def maxima(self) -> tuple:
         """Each scenario's mass maximised on its own over the shared system.
 
         The system is feasible, so the closure of its region is the
-        relaxed region, and each supremum is a maximum over that.  Raises
-        InfeasibleSystemError when the constraint set is unsatisfiable.
+        relaxed region, and each supremum is a maximum over that.  Only the
+        live variables are maximised; a pinned one's maximum is zero.
+        Raises InfeasibleSystemError when the constraint set is
+        unsatisfiable.
         """
         if not self.feasible:
             raise InfeasibleSystemError("system is infeasible")
-        relaxed = self.system.relaxed()
+        relaxed = self.live_system.relaxed()
         return tuple(
-            maximize(relaxed, self.variable(i)).supremum
-            for i in range(len(self.scenarios))
+            maximize(relaxed, self.variable(i)).supremum if sat else ZERO
+            for i, sat in enumerate(self.satisfiable)
         )
 
     def variable(self, index: int) -> str:
@@ -204,8 +263,8 @@ class ScenarioTable:
 
 
 def build_lphi(phi: Pltlf0Formula) -> ScenarioTable:
-    """Compile the constraint set: one acceptor per scenario and the
-    scenario mass system.
+    """Compile the constraint set: one automaton, one acceptor per
+    scenario read off it, and the scenario mass system.
 
     Row order: one row per scenario in index order (pinned to zero when
     the scenario's conjunction is unsatisfiable, nonnegative otherwise),
@@ -213,7 +272,7 @@ def build_lphi(phi: Pltlf0Formula) -> ScenarioTable:
     summing the scenarios that keep the constraint's formula.
     """
     scenarios = scenarios_of(phi)
-    acceptors = tuple(PrefixAcceptor(s.formulas) for s in scenarios)
+    acceptors = scenario_acceptors(tuple(c.formula for c in phi.constraints))
     names = tuple("x" + s.label for s in scenarios)
     rows = []
     for name, acceptor in zip(names, acceptors):
@@ -246,7 +305,7 @@ def scenario_maxima(source) -> ScenarioTable:
 
 
 def accepts_prefix(scenario: Scenario, trace: Trace) -> bool:
-    return PrefixAcceptor(scenario.formulas).accepts(trace)
+    return scenario_acceptors((), scenario.formulas)[0].accepts(trace)
 
 
 def _best_accepting(table: ScenarioTable, accepts) -> int:
@@ -275,10 +334,9 @@ def monitor_with_property(source, prop: Formula, trace: Trace) -> int:
     if has_prob(prop):
         raise ValueError("the monitored property must be probability-free")
     table = scenario_maxima(source)
-    return _best_accepting(
-        table,
-        lambda i: PrefixAcceptor(table.scenarios[i].formulas + (prop,)).accepts(trace),
-    )
+    formulas = tuple(c.formula for c in table.formula.constraints)
+    acceptors = scenario_acceptors(formulas, (prop,))
+    return _best_accepting(table, lambda i: acceptors[i].accepts(trace))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,8 +344,9 @@ class MonitorState:
     """One step of scenario monitoring; stepping returns a new state.
 
     ``entries`` pairs each live scenario index with the current state of
-    the table's acceptor for it (None before the first valuation).  Dead
-    scenarios are dropped and never tested again.
+    the table's acceptor for it (None before the first valuation); every
+    acceptor steps over the successor map of the table's one automaton.
+    Dead scenarios are dropped and never tested again.
 
     The prefix is the first ``length`` valuations of a list shared with
     the states stepped from this one.  Stepping the newest state appends to

@@ -473,10 +473,18 @@ def parse_number(text: str) -> Fraction:
     return Fraction(text)
 
 
+# Deepest subformula nesting the parser accepts.  Normalisation, the
+# closure, printing and hashing recurse at least once per level, and a
+# bracketed level costs the parser eight frames, so at this depth every
+# shape still leaves callers over 150 of the interpreter's default 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -497,6 +505,15 @@ class _Parser:
             self.error(f"expected {text!r}")
         return self.advance()
 
+    def nested(self, parse) -> Formula:
+        """Parse a subformula one nesting level down."""
+        if self.depth == MAX_NESTING:
+            self.error(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
     def parse(self) -> Formula:
         f = self.implies()
         if self.current.kind != "end":
@@ -507,7 +524,7 @@ class _Parser:
         left = self.disjunction()
         if self.current.kind == "arrow":
             self.advance()
-            return Implies(left, self.implies())
+            return Implies(left, self.nested(self.implies))
         return left
 
     def disjunction(self) -> Formula:
@@ -528,30 +545,30 @@ class _Parser:
         left = self.unary()
         if self.current.text == "U":
             self.advance()
-            return Until(left, self.until())
+            return Until(left, self.nested(self.until))
         return left
 
     def unary(self) -> Formula:
         tok = self.current
         if tok.text == "!":
             self.advance()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok.text == "X":
             self.advance()
-            return Next(self.unary())
+            return Next(self.nested(self.unary))
         if tok.text == "F":
             self.advance()
-            return Eventually(self.unary())
+            return Eventually(self.nested(self.unary))
         if tok.text == "G":
             self.advance()
-            return Always(self.unary())
+            return Always(self.nested(self.unary))
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.current
         if tok.text == "(":
             self.advance()
-            f = self.implies()
+            f = self.nested(self.implies)
             self.expect(")")
             return f
         if tok.text == "true":
@@ -582,13 +599,14 @@ class _Parser:
         if not 0 <= bound <= 1:
             raise ParseError(f"probability bound {tok.text} outside [0, 1]", tok.line, tok.col)
         self.expect("[")
-        operand = self.implies()
+        operand = self.nested(self.implies)
         self.expect("]")
         return Prob(cmp, bound, operand)
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse surface syntax.  Raises :class:`ParseError` with a position."""
+    """Parse surface syntax.  Raises :class:`ParseError` with a position,
+    also for subformulas nested deeper than :data:`MAX_NESTING` levels."""
     return _Parser(text).parse()
 
 

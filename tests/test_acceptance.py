@@ -27,6 +27,7 @@ from pltlf import (
     TreeAutomaton,
     accepts_prefix,
     behaviour,
+    build_lphi,
     build_weighted,
     check_model,
     enumerate_atoms,
@@ -40,14 +41,12 @@ from pltlf import (
     parse_trace,
     prefix_extension_query,
     scenario_maxima,
-    scenarios_of,
     solve_feasibility,
     start_monitor,
     to_pltlf,
     trace_probability,
     witness_model,
 )
-from pltlf.fragment import PrefixAcceptor
 from pltlf.mining import constraint_support, load_log, mine_constraints, to_pltlf0
 from pltlf.weighted import scenario_max
 
@@ -332,8 +331,8 @@ def test_criterion_11_property_suites(phi0, psi1_flat):
     vals = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
     traces = [(v,) for v in vals] + [(v, w) for v in vals for w in vals]
     ok = True
-    for scenario in scenarios_of(psi1_flat):
-        acceptor = PrefixAcceptor(scenario.formulas)
+    table = build_lphi(psi1_flat)
+    for scenario, acceptor in zip(table.scenarios, table.acceptors):
         for trace in traces:
             alive = True
             for k in range(len(trace) + 1):

@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from pltlf import WitnessModel, check_model, parse_formula
+from pltlf import WitnessModel, check_model, cli, parse_formula
 from pltlf.cli import main
+from pltlf.syntax import MAX_NESTING
 from test_mining import RENDERED
 
 PHI0 = "P<=0.5[a] & P>=0.6[X b]"
@@ -287,13 +288,42 @@ class TestErrors:
         assert code == 2
         assert "out of range" in err
 
-    def test_internal_error_exits_two_without_traceback(self, capsys):
-        # parsing 3000 stacked negations overflows the interpreter stack
-        code, out, err = run(capsys, "sat", "!" * 3000 + "a")
+    def test_internal_error_exits_two_without_traceback(self, capsys, monkeypatch):
+        def broken(formula):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "is_satisfiable", broken)
+        code, out, err = run(capsys, "sat", "a")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: RecursionError:")
-        assert "Traceback" not in err
+        assert err == "error: RecursionError: maximum recursion depth exceeded\n"
+
+    @pytest.mark.parametrize("depth", [101, 600, 2000])
+    def test_deep_formula_is_a_parse_error(self, capsys, depth):
+        code, out, err = run(capsys, "sat", "X " * depth + "a")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"parse error: 1:{2 * MAX_NESTING + 3}: formula nested deeper than"
+            f" {MAX_NESTING} levels"
+        )
+
+    @pytest.mark.parametrize("depth", [101, 2000])
+    def test_deep_constraint_line_is_an_input_error(self, capsys, tmp_path, depth):
+        path = tmp_path / "deep.p0"
+        path.write_text("P<=0.5 : F a\nP>=0.2 : " + "!" * depth + "a\n")
+        code, out, err = run(capsys, "p0-sat", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"error: line 2: 1:{MAX_NESTING + 2}: formula nested deeper than"
+            f" {MAX_NESTING} levels"
+        )
+
+    def test_deepest_accepted_nesting_answers(self, capsys):
+        code, out, _ = run(capsys, "sat", "(" * MAX_NESTING + "a" + ")" * MAX_NESTING)
+        assert code == 0
+        assert json.loads(out)["payload"] == {"formula": "a", "satisfiable": True}
 
     def test_usage_errors(self, capsys):
         assert run(capsys, )[0] == 2

@@ -1,13 +1,24 @@
 """Flat constraint sets: scenario systems, maxima, monitoring, cross-checks."""
 
+import contextlib
+import io
+import json
+import pathlib
 import random
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
+from scenario_reference import ReferenceTable
 from pltlf import (
+    FALSE,
+    TRUE,
+    And,
     Comparison,
     InfeasibleSystemError,
     Not,
@@ -17,6 +28,7 @@ from pltlf import (
     accepts_prefix,
     build_lphi,
     format_pltlf0,
+    format_trace,
     formula_text,
     is_satisfiable,
     is_satisfiable0,
@@ -31,8 +43,7 @@ from pltlf import (
     start_monitor,
     to_pltlf,
 )
-from pltlf import fragment, linsolve
-from pltlf.fragment import PrefixAcceptor
+from pltlf import cli, fragment, linsolve
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +139,24 @@ class TestScenarios:
             builds.append(args)
             original(self, *args, **kwargs)
 
+        maximized = []
+        original_maximize = linsolve.maximize
+
+        def counting_maximize(system, objective):
+            maximized.append(objective)
+            return original_maximize(system, objective)
+
         monkeypatch.setattr(TreeAutomaton, "__init__", counting)
+        monkeypatch.setattr(fragment, "maximize", counting_maximize)
         table = build_lphi(psi1_flat)
-        assert len(builds) == len(table.scenarios)
+        assert len(builds) == 1
         builds.clear()
         state = start_monitor(table)
         state = monitor_step(state, frozenset())
         state = monitor_step(state, frozenset("a"))
         assert most_likely_scenario(table, state.prefix) == state.best_index == 2
         assert builds == []
+        assert len(maximized) == sum(table.satisfiable) == 3
 
 
 class TestMaxima:
@@ -164,6 +184,21 @@ class TestMaxima:
         assert not is_satisfiable0(phi)
         with pytest.raises(InfeasibleSystemError):
             scenario_maxima(phi)
+
+    def test_only_live_scenarios_are_maximised(self, monkeypatch):
+        # x00 and x11 are pinned to zero: a and !a cannot both hold or fail
+        calls = []
+        original = linsolve.maximize
+
+        def counting(system, objective):
+            calls.append(system.variables)
+            return original(system, objective)
+
+        monkeypatch.setattr(fragment, "maximize", counting)
+        table = build_lphi(flat("P<=0.5 : a", "P<=0.5 : !a"))
+        assert table.satisfiable == (False, True, True, False)
+        assert table.maxima == (0, Fraction(1, 2), Fraction(1, 2), 0)
+        assert calls == [("x01", "x10")] * 2
 
     def test_feasibility_is_decided_once(self, monkeypatch):
         # the maxima run over the relaxed system once the strict system is
@@ -225,10 +260,9 @@ class TestPrefixes:
 
     @settings(max_examples=25)
     @given(sts.traces(max_size=4))
-    def test_acceptance_is_prefix_monotone(self, psi1_flat, trace):
+    def test_acceptance_is_prefix_monotone(self, psi1_table, trace):
         # once a scenario rejects a prefix it rejects every extension
-        for scenario in scenarios_of(psi1_flat):
-            acceptor = PrefixAcceptor(scenario.formulas)
+        for acceptor in psi1_table.acceptors:
             alive = True
             for k in range(len(trace) + 1):
                 now = acceptor.accepts(trace[:k])
@@ -366,3 +400,90 @@ class TestCrossEngine:
             flat_answer = is_satisfiable0(phi)
             full_answer = is_satisfiable(to_pltlf(phi))
             assert flat_answer == full_answer, format_pltlf0(phi)
+
+
+@st.composite
+def constraint_sets(draw):
+    """Random constraint sets whose formulas come from a pool of one to
+    three: a pool formula, its negation, the conjunction of two, or a
+    constant, so duplicates, negated pairs, top-level conjunctions,
+    ``true`` and ``false`` all occur."""
+    pool = st.sampled_from(
+        draw(st.lists(sts.formulas(max_leaves=3, prob_free=True), min_size=1, max_size=3))
+    )
+    member = st.one_of(
+        pool,
+        pool.map(Not),
+        st.builds(lambda f, g: And((f, g)), pool, pool),
+        st.sampled_from([TRUE, FALSE]),
+    )
+    formulas = draw(st.lists(member, min_size=1, max_size=4))
+    return Pltlf0Formula(tuple(
+        ProbConstraint(draw(sts.comparisons), draw(sts.bounds), f) for f in formulas
+    ))
+
+
+def monitor_records(phi, trace) -> list:
+    """The JSON records ``p0-monitor`` prints for the trace."""
+    out = io.StringIO()
+    saved = sys.stdin
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "set.p0"
+        path.write_text(format_pltlf0(phi))
+        sys.stdin = io.StringIO("".join(format_trace((v,)) + "\n" for v in trace))
+        try:
+            with contextlib.redirect_stdout(out):
+                cli.main(["p0-monitor", str(path)])
+        finally:
+            sys.stdin = saved
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+class TestSharedAutomaton:
+    """The table reads every scenario off one automaton and maximises the
+    live variables only; ``scenario_reference`` builds one automaton per
+    scenario and maximises every variable over the whole system."""
+
+    @settings(max_examples=40)
+    @example(
+        flat("P>=1/5 : a & X b", "P<=9/10 : true", "P>1/10 : F a",
+             "P<4/5 : F a", "P<=1/2 : !F a"),
+        [parse_trace("a;b;-"), parse_trace("-;a")],
+        parse_formula("G !b"),
+    )
+    @example(
+        flat("P<=1/2 : false", "P>=1/4 : G(a -> X b)",
+             "P<=3/5 : !G(a -> X b)", "P<1 : a U b"),
+        [parse_trace("a;b;a"), parse_trace("b")],
+        parse_formula("F a"),
+    )
+    @given(
+        constraint_sets(),
+        st.lists(sts.traces(max_size=4), min_size=1, max_size=3),
+        sts.formulas(max_leaves=3, prob_free=True),
+    )
+    def test_matches_per_scenario_reference(self, phi, traces, prop):
+        ref = ReferenceTable(phi)
+        table = build_lphi(phi)
+        assert table.satisfiable == ref.satisfiable
+        assert table.rows_text() == list(ref.system.render_rows())
+        for trace in traces:
+            for k in range(len(trace) + 1):
+                assert [a.accepts(trace[:k]) for a in table.acceptors] == [
+                    a.accepts(trace[:k]) for a in ref.acceptors
+                ]
+        assert [accepts_prefix(s, traces[0]) for s in table.scenarios] == [
+            a.accepts(traces[0]) for a in ref.acceptors
+        ]
+        assert is_satisfiable0(table) == (ref.maxima is not None)
+        if ref.maxima is None:
+            with pytest.raises(InfeasibleSystemError):
+                scenario_maxima(table)
+            return
+        assert table.maxima == ref.maxima
+        for trace in traces:
+            assert most_likely_scenario(table, trace) == ref.most_likely_scenario(trace)
+            assert monitor_with_property(table, prop, trace) == (
+                ref.monitor_with_property(prop, trace)
+            )
+        assert monitor_records(phi, traces[-1]) == ref.monitor_records(traces[-1])
