@@ -11,12 +11,15 @@ checks that a change keeps the CLI output:
 
 The commands are ``sat``, ``model``, ``mlt``, ``prob`` and ``prefix`` on
 the formulas below, and ``p0-sat``, ``p0-scenarios`` and ``p0-monitor``
-(a fixed 300-event stream) on every ``data/*.p0`` file and on two more
-sets: the existence/response set mined from ``data/sample_log.csv`` and
-the fixed set ``SHAPES``.  Data paths are printed relative to the
-repository root, and the two extra sets are written to a temporary
-directory and named relative to it, so the digest does not depend on
-where the checkout lives.
+(a fixed 300-event stream) on every ``data/*.p0`` file and on three more
+sets: the existence/response set mined from ``data/sample_log.csv``, the
+fixed set ``SHAPES`` and the fixed set ``LADDER``.  The mined set and
+``LADDER`` are also monitored on a fixed 2 000-event stream with repeated
+lines, blank lines and whitespace variants; the mined set's stream names
+an unknown proposition halfway, so every scenario dies there.  Data paths
+are printed relative to the repository root, and the extra sets are
+written to a temporary directory and named relative to it, so the digest
+does not depend on where the checkout lives.
 """
 
 import contextlib
@@ -76,6 +79,14 @@ SHAPES = (
     "P<=2/5 : false\n"
 )
 
+# the first four formulas of the benchmark's ladder sets
+LADDER = (
+    "P<=2/5 : F a\n"
+    "P<=9/10 : G(a -> F b)\n"
+    "P>1/10 : X b\n"
+    "P<=9/10 : a U c\n"
+)
+
 TRACE = "-;a;b"
 PREFIX = "-;a"
 
@@ -83,6 +94,28 @@ PREFIX = "-;a"
 def stream(events: int = 300) -> str:
     valuations = ("-", "a", "b", "a,b")
     return "".join(valuations[(i * i + 3 * i) // 2 % 4] + "\n" for i in range(events))
+
+
+def long_stream(names, events: int = 2000, death=None) -> str:
+    """Every valuation over ``names``, in a fixed irregular order, written
+    in several spellings, with blank lines between some events; event
+    number ``death`` (if given) is ``z``, which no constraint mentions."""
+    valuations = [
+        ",".join(n for k, n in enumerate(names) if mask >> k & 1) or "-"
+        for mask in range(1 << len(names))
+    ]
+    lines = []
+    for i in range(events):
+        text = "z" if i == death else valuations[(i * i // 3 + i // 5) % len(valuations)]
+        spelling = i % 5
+        if spelling == 1:
+            text = f"  {text}\t"
+        elif spelling == 3:
+            text = text.replace(",", " , ")
+        lines.append(text + "\n")
+        if i % 9 == 4:
+            lines.append("\n" if i % 2 else "   \n")
+    return "".join(lines)
 
 
 def mined_set() -> str:
@@ -115,6 +148,10 @@ def commands():
             for name, text in (("mined.p0", mined_set()), ("shapes.p0", SHAPES)):
                 pathlib.Path(name).write_text(text, encoding="utf-8")
                 yield from p0_commands(name)
+            pathlib.Path("ladder.p0").write_text(LADDER, encoding="utf-8")
+            yield from p0_commands("ladder.p0")
+            yield ("p0-monitor", "mined.p0"), long_stream(("a", "b"), death=1000)
+            yield ("p0-monitor", "ladder.p0"), long_stream(("a", "b", "c"))
         finally:
             os.chdir(ROOT)
 

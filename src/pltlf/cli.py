@@ -180,25 +180,42 @@ def _cmd_p0_monitor(args, started) -> int:
     except InfeasibleSystemError:
         print(f"error: constraint set in {args.file} is unsatisfiable", file=sys.stderr)
         return 2
+    # each distinct input line is parsed once (None for a blank one), and a
+    # record's text after "step" is rendered once per best index
+    valuations = {}
+    records = {}
     step = 0
     for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
+        try:
+            valuation = valuations[raw]
+        except KeyError:
+            valuation = valuations[raw] = _monitor_valuation(raw)
+        if valuation is None:
             continue
-        positions = parse_trace(line)
-        if len(positions) != 1:
-            raise ValueError(f"monitor input must be one valuation per line, got {line!r}")
-        state = monitor_step(state, positions[0])
+        state = monitor_step(state, valuation)
         step += 1
-        record = {
-            "step": step,
-            "scenario_index": state.best_index,
-            "scenario_description": state.describe_best(),
-            "probability": _rational(state.probability),
-            "violated": state.violated,
-        }
-        print(json.dumps(record, separators=(",", ":")), flush=True)
+        rest = records.get(state.best_index)
+        if rest is None:
+            record = {
+                "scenario_index": state.best_index,
+                "scenario_description": state.describe_best(),
+                "probability": _rational(state.probability),
+                "violated": state.violated,
+            }
+            rest = records[state.best_index] = json.dumps(record, separators=(",", ":"))[1:]
+        print(f'{{"step":{step},{rest}', flush=True)
     return 1 if state.violated else 0
+
+
+def _monitor_valuation(raw: str):
+    """The one valuation on a monitor input line, or None for a blank line."""
+    line = raw.strip()
+    if not line:
+        return None
+    positions = parse_trace(line)
+    if len(positions) != 1:
+        raise ValueError(f"monitor input must be one valuation per line, got {line!r}")
+    return positions[0]
 
 
 def _cmd_mine(args, started) -> int:

@@ -16,6 +16,15 @@ each over the live variables only: an unsatisfiable scenario's variable is
 pinned to zero and its column is dropped.  Every query and the monitor
 reuse the table's acceptors and maxima; a query given a
 :class:`Pltlf0Formula` compiles it first.
+
+The monitor is a deterministic automaton over valuations, built lazily on
+the table.  Its states are *configurations*: the live scenarios with their
+acceptor state sets, and the best index among them.  A configuration's
+successor on a valuation is computed once, by stepping the acceptors, and
+kept on the table, so every later step on that valuation is one lookup.
+The table keeps one configuration per distinct live set reached and at
+most one successor entry per event stepped; scenario descriptions are
+rendered once per scenario.
 """
 
 from __future__ import annotations
@@ -201,15 +210,30 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
+class Configuration:
+    """One state of the determinised monitor: each live scenario index
+    paired with its acceptor's state set (None before the first
+    valuation), the best index among them, and the successor per
+    valuation, filled in on first use."""
+
+    entries: tuple
+    best_index: int
+    successors: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioTable:
     """One constraint set compiled once: its scenarios, one prefix
     acceptor per scenario, all read off one automaton, and the mass
-    system.  The per-scenario maxima are computed on first use and kept."""
+    system.  The per-scenario maxima, the monitor's configurations and the
+    scenario descriptions are computed on first use and kept."""
 
     formula: Pltlf0Formula
     scenarios: tuple
     acceptors: tuple
     system: LinearSystem
+    _configurations: dict = field(default_factory=dict, repr=False)
+    _descriptions: dict = field(default_factory=dict, repr=False)
 
     @property
     def satisfiable(self) -> tuple:
@@ -257,6 +281,47 @@ class ScenarioTable:
 
     def variable(self, index: int) -> str:
         return "x" + self.scenarios[index].label
+
+    def description(self, index: int) -> str:
+        """The scenario's members as text, rendered once."""
+        text = self._descriptions.get(index)
+        if text is None:
+            text = self._descriptions[index] = self.scenarios[index].describe()
+        return text
+
+    def configuration(self, entries: tuple) -> Configuration:
+        """The monitor configuration with these entries, made once."""
+        config = self._configurations.get(entries)
+        if config is None:
+            best = ZERO
+            best_index = -1
+            for i, _ in entries:
+                if self.maxima[i] > best:
+                    best = self.maxima[i]
+                    best_index = i
+            config = self._configurations[entries] = Configuration(entries, best_index)
+        return config
+
+    def successor(self, config: Configuration, valuation: frozenset) -> Configuration:
+        """The configuration after ``valuation``: every live scenario's
+        acceptor steps once, and the dead ones are dropped.  Computed on
+        the first call for the pair and kept on ``config``."""
+        successor = config.successors.get(valuation)
+        if successor is None:
+            survivors = []
+            for i, states in config.entries:
+                acceptor = self.acceptors[i]
+                states = (
+                    acceptor.start(valuation)
+                    if states is None
+                    else acceptor.advance(states, valuation)
+                )
+                if states:
+                    survivors.append((i, states))
+            successor = config.successors[valuation] = self.configuration(
+                tuple(survivors)
+            )
+        return successor
 
     def rows_text(self) -> list:
         return list(self.system.render_rows())
@@ -343,10 +408,12 @@ def monitor_with_property(source, prop: Formula, trace: Trace) -> int:
 class MonitorState:
     """One step of scenario monitoring; stepping returns a new state.
 
-    ``entries`` pairs each live scenario index with the current state of
-    the table's acceptor for it (None before the first valuation); every
-    acceptor steps over the successor map of the table's one automaton.
-    Dead scenarios are dropped and never tested again.
+    The state is a configuration of the table's determinised monitor plus
+    the prefix read so far.  ``entries`` pairs each live scenario index
+    with the current state of the table's acceptor for it (None before the
+    first valuation).  Dead scenarios are dropped and never tested again.
+    A step looks up the configuration's successor on the table, so the
+    acceptors step only the first time a configuration meets a valuation.
 
     The prefix is the first ``length`` valuations of a list shared with
     the states stepped from this one.  Stepping the newest state appends to
@@ -355,10 +422,17 @@ class MonitorState:
     """
 
     table: ScenarioTable
-    entries: tuple
-    best_index: int
+    configuration: Configuration
     length: int = 0
     _valuations: list = field(default_factory=list, repr=False)
+
+    @property
+    def entries(self) -> tuple:
+        return self.configuration.entries
+
+    @property
+    def best_index(self) -> int:
+        return self.configuration.best_index
 
     @property
     def prefix(self) -> Trace:
@@ -381,17 +455,7 @@ class MonitorState:
     def describe_best(self) -> str:
         if self.best_index == -1:
             return "none"
-        return self.table.scenarios[self.best_index].describe()
-
-
-def _best_of(table: ScenarioTable, entries: tuple) -> int:
-    best = ZERO
-    best_index = -1
-    for i, _ in entries:
-        if table.maxima[i] > best:
-            best = table.maxima[i]
-            best_index = i
-    return best_index
+        return self.table.description(self.best_index)
 
 
 def start_monitor(source) -> MonitorState:
@@ -402,33 +466,16 @@ def start_monitor(source) -> MonitorState:
     """
     table = scenario_maxima(source)
     entries = tuple((i, None) for i, value in enumerate(table.maxima) if value > 0)
-    return MonitorState(table, entries, _best_of(table, entries))
+    return MonitorState(table, table.configuration(entries))
 
 
 def monitor_step(monitor: MonitorState, valuation: frozenset) -> MonitorState:
-    acceptors = monitor.table.acceptors
-    survivors = []
-    for i, states in monitor.entries:
-        acceptor = acceptors[i]
-        states = (
-            acceptor.start(valuation)
-            if states is None
-            else acceptor.advance(states, valuation)
-        )
-        if states:
-            survivors.append((i, states))
-    survivors = tuple(survivors)
+    config = monitor.table.successor(monitor.configuration, valuation)
     valuations = monitor._valuations
     if len(valuations) != monitor.length:
         valuations = valuations[: monitor.length]
     valuations.append(valuation)
-    return MonitorState(
-        monitor.table,
-        survivors,
-        _best_of(monitor.table, survivors),
-        monitor.length + 1,
-        valuations,
-    )
+    return MonitorState(monitor.table, config, monitor.length + 1, valuations)
 
 
 def to_pltlf(phi: Pltlf0Formula) -> Formula:

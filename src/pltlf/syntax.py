@@ -294,35 +294,70 @@ def conj(*parts: Formula) -> Formula:
     return _conjunction(parts)
 
 
+# Deepest formula tree, before and after normalisation, that normalize
+# accepts.  Comparing, hashing, printing and the closure recurse up to
+# three and a half frames per level, so at this depth they still leave
+# callers over 100 of the interpreter's default 1000.  A parsed formula
+# within MAX_NESTING can still go deeper when connectives alternate
+# without parentheses, as in ``a & (b | a & (b | ...))``.
+MAX_DEPTH = 250
+
+
+def check_depth(f: Formula) -> None:
+    """Raise ValueError when the tree of ``f`` is deeper than
+    :data:`MAX_DEPTH`.  Iterative, so any depth is safe to check."""
+    stack = [(f, 1)]
+    while stack:
+        g, level = stack.pop()
+        if level > MAX_DEPTH:
+            raise ValueError(f"formula tree deeper than {MAX_DEPTH} levels")
+        match g:
+            case Not(x) | Next(x) | Eventually(x) | Always(x) | Prob(_, _, x):
+                stack.append((x, level + 1))
+            case And(ops) | Or(ops):
+                stack.extend((o, level + 1) for o in ops)
+            case Implies(l, r) | Until(l, r):
+                stack.append((l, level + 1))
+                stack.append((r, level + 1))
+
+
 def normalize(f: Formula) -> Formula:
     """Rewrite into the core fragment.  Idempotent.
 
     F x becomes true U x, G x becomes !(true U !x), disjunction and
     implication are pushed into conjunction and negation, and negations are
     reduced so that they never wrap another negation, a constant or a
-    probability bound.
+    probability bound.  Raises ValueError when the formula or its normal
+    form is deeper than :data:`MAX_DEPTH`.
     """
+    check_depth(f)
+    g = _normalize(f)
+    check_depth(g)
+    return g
+
+
+def _normalize(f: Formula) -> Formula:
     match f:
         case TrueConst() | FalseConst() | Prop():
             return f
         case Not(x):
-            return negate(normalize(x))
+            return negate(_normalize(x))
         case And(ops):
-            return _conjunction(tuple(normalize(o) for o in ops))
+            return _conjunction(tuple(_normalize(o) for o in ops))
         case Or(ops):
-            return negate(_conjunction(tuple(negate(normalize(o)) for o in ops)))
+            return negate(_conjunction(tuple(negate(_normalize(o)) for o in ops)))
         case Implies(l, r):
-            return negate(_conjunction((normalize(l), negate(normalize(r)))))
+            return negate(_conjunction((_normalize(l), negate(_normalize(r)))))
         case Next(x):
-            return Next(normalize(x))
+            return Next(_normalize(x))
         case Eventually(x):
-            return Until(TRUE, normalize(x))
+            return Until(TRUE, _normalize(x))
         case Always(x):
-            return negate(Until(TRUE, negate(normalize(x))))
+            return negate(Until(TRUE, negate(_normalize(x))))
         case Until(l, r):
-            return Until(normalize(l), normalize(r))
+            return Until(_normalize(l), _normalize(r))
         case Prob(cmp, bound, x):
-            return Prob(cmp, bound, normalize(x))
+            return Prob(cmp, bound, _normalize(x))
     raise TypeError(f"not a formula: {f!r}")
 
 

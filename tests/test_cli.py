@@ -11,7 +11,7 @@ import pytest
 
 from pltlf import WitnessModel, check_model, cli, parse_formula
 from pltlf.cli import main
-from pltlf.syntax import MAX_NESTING
+from pltlf.syntax import MAX_DEPTH, MAX_NESTING
 from test_mining import RENDERED
 
 PHI0 = "P<=0.5[a] & P>=0.6[X b]"
@@ -218,6 +218,52 @@ class TestMonitorProtocol:
         assert code == 2
         assert "one valuation per line" in err
 
+    def test_malformed_line_after_repeated_lines_keeps_the_records(
+        self, capsys, monkeypatch, data_dir
+    ):
+        code, out, err = self.feed(
+            capsys, monkeypatch, "-\na\n\n" * 40 + "a,,b\n-\n",
+            "p0-monitor", str(data_dir / "psi1.p0"),
+        )
+        assert code == 2
+        assert err == "error: invalid variable name '' in trace step 'a,,b'\n"
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["step"] for r in records] == list(range(1, 81))
+        assert records[-1]["scenario_index"] == 2
+
+    def test_multi_position_line_is_rejected_after_its_first_step(
+        self, capsys, monkeypatch, data_dir
+    ):
+        code, out, err = self.feed(
+            capsys, monkeypatch, "a\na\na;b\n", "p0-monitor", str(data_dir / "psi1.p0")
+        )
+        assert code == 2
+        assert out.count("\n") == 2
+        assert err == "error: monitor input must be one valuation per line, got 'a;b'\n"
+
+    def test_whitespace_variants_give_identical_records(
+        self, capsys, monkeypatch, data_dir
+    ):
+        path = str(data_dir / "psi1.p0")
+        _, plain, _ = self.feed(capsys, monkeypatch, "-\na\na,b\n", "p0-monitor", path)
+        code, padded, _ = self.feed(
+            capsys, monkeypatch, " - \n\ta\n a , b \n", "p0-monitor", path
+        )
+        assert code == 0
+        assert padded == plain
+
+    def test_stream_that_kills_every_scenario_exits_one(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "quiet.p0"
+        path.write_text("P>=1 : G !a\n")
+        code, out, _ = self.feed(
+            capsys, monkeypatch, "-\n-\na\n-\n-\n", "p0-monitor", str(path)
+        )
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["violated"] for r in records] == [False, False, True, True, True]
+
 
 class TestMine:
     def test_envelope_and_rendered_constraints(self, capsys, data_dir):
@@ -319,6 +365,14 @@ class TestErrors:
             f"error: line 2: 1:{MAX_NESTING + 2}: formula nested deeper than"
             f" {MAX_NESTING} levels"
         )
+
+    def test_parsed_formula_with_a_too_deep_normal_form_is_an_input_error(self, capsys):
+        # 100 levels parse, but each Or normalises to three tree levels
+        text = "a & (b | " * MAX_NESTING + "c" + ")" * MAX_NESTING
+        code, out, err = run(capsys, "sat", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: formula tree deeper than {MAX_DEPTH} levels\n"
 
     def test_deepest_accepted_nesting_answers(self, capsys):
         code, out, _ = run(capsys, "sat", "(" * MAX_NESTING + "a" + ")" * MAX_NESTING)

@@ -42,6 +42,7 @@ from pltlf import (
     scenarios_of,
     start_monitor,
     to_pltlf,
+    vars_of,
 )
 from pltlf import cli, fragment, linsolve
 
@@ -403,7 +404,7 @@ class TestCrossEngine:
 
 
 @st.composite
-def constraint_sets(draw):
+def constraint_sets(draw, max_size=4):
     """Random constraint sets whose formulas come from a pool of one to
     three: a pool formula, its negation, the conjunction of two, or a
     constant, so duplicates, negated pairs, top-level conjunctions,
@@ -417,7 +418,7 @@ def constraint_sets(draw):
         st.builds(lambda f, g: And((f, g)), pool, pool),
         st.sampled_from([TRUE, FALSE]),
     )
-    formulas = draw(st.lists(member, min_size=1, max_size=4))
+    formulas = draw(st.lists(member, min_size=1, max_size=max_size))
     return Pltlf0Formula(tuple(
         ProbConstraint(draw(sts.comparisons), draw(sts.bounds), f) for f in formulas
     ))
@@ -487,3 +488,118 @@ class TestSharedAutomaton:
                 ref.monitor_with_property(prop, trace)
             )
         assert monitor_records(phi, traces[-1]) == ref.monitor_records(traces[-1])
+
+
+# bounds that every distribution with some mass on each side meets, so
+# most sets drawn with them are satisfiable and keep many scenarios live
+LOOSE_BOUNDS = st.sampled_from([
+    (Comparison.GE, Fraction(0)), (Comparison.GT, Fraction(0)),
+    (Comparison.GE, Fraction(1, 10)), (Comparison.LE, Fraction(9, 10)),
+    (Comparison.LT, Fraction(1)), (Comparison.LE, Fraction(1)),
+])
+
+
+@st.composite
+def long_streams(draw):
+    """A constraint set and a stream of 50 to 200 events drawn from a pool
+    of a few valuations, so that the monitor meets the same configuration
+    and valuation many times.  The valuations range over the names the
+    formulas mention: ``a`` and ``b``, and ``c`` when one more constraint
+    is drawn on it.  Half the sets take loose bounds."""
+    three = draw(st.booleans())
+    formulas = [c.formula for c in draw(constraint_sets(max_size=3 - three))]
+    if three:
+        extra = draw(st.sampled_from(["F c", "G(c -> F a)", "b U c", "X !c"]))
+        formulas.append(parse_formula(extra))
+    bounds = LOOSE_BOUNDS if draw(st.booleans()) else st.tuples(sts.comparisons, sts.bounds)
+    phi = Pltlf0Formula(tuple(ProbConstraint(*draw(bounds), f) for f in formulas))
+    names = sorted(set().union(*(vars_of(f) for f in formulas)))
+    valuation = st.sets(st.sampled_from(names)).map(frozenset) if names else st.just(frozenset())
+    pool = draw(st.lists(valuation, min_size=1, max_size=4, unique=True))
+    stream = tuple(draw(st.lists(st.sampled_from(pool), min_size=50, max_size=200)))
+    # an older state to step again, and the valuations to step it with
+    k = draw(st.integers(0, len(stream) - 1))
+    tail = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+    return phi, stream, k, tail
+
+
+class TestDeterminisedMonitor:
+    """The monitor keeps each configuration's successors on the table; the
+    records and states must be those decided from scratch on the prefix."""
+
+    @settings(max_examples=30)
+    @example((  # the best scenario changes at the first a
+        flat("P<=1/2 : F a", "P<=3/5 : G(a -> F b)", "P>=1/10 : X b"),
+        parse_trace(";".join(["-;b"] * 30 + ["a"] * 20 + ["b;a,b"] * 20)), 40, parse_trace("b;a"),
+    ))
+    @example((  # every scenario dies halfway
+        flat("P>=1 : G !a", "P<=1/2 : F b"),
+        parse_trace(";".join(["-;b"] * 30 + ["a"] + ["-"] * 30)), 59, parse_trace("b"),
+    ))
+    @given(long_streams())
+    def test_long_streams_match_the_reference(self, case):
+        phi, stream, k, tail = case
+        ref = ReferenceTable(phi)
+        if ref.maxima is None:
+            return
+        assert monitor_records(phi, stream) == ref.monitor_records(stream)
+        table = build_lphi(phi)
+        states = [start_monitor(table)]
+        for valuation in stream:
+            states.append(monitor_step(states[-1], valuation))
+        # step an older state once the transition map is warm
+        state = states[k]
+        for valuation in tail:
+            state = monitor_step(state, valuation)
+        prefix = stream[:k] + tail
+        assert state.prefix == prefix
+        assert state.alive == tuple(
+            i for i, value in enumerate(ref.maxima)
+            if value > 0 and ref.acceptors[i].accepts(prefix)
+        )
+        assert state.best_index == ref.most_likely_scenario(prefix)
+        assert states[-1].prefix == stream
+
+    def test_each_step_and_description_is_computed_once(self, monkeypatch, tmp_path):
+        text = "P<=2/5 : F a\nP<=9/10 : G(a -> F b)\nP>1/10 : X b\nP<=9/10 : a U c\n"
+        rng = random.Random(3)
+        names = ("a", "b", "c")
+        pool = [frozenset(n for n in names if rng.random() < 0.5) for _ in range(6)]
+        stream = [rng.choice(pool) for _ in range(2000)]
+        # the distinct (configuration, valuation) pairs, on a table of its own
+        state = start_monitor(parse_pltlf0(text))
+        pairs = set()
+        best = set()
+        for valuation in stream:
+            pairs.add((state.entries, valuation))
+            state = monitor_step(state, valuation)
+            best.add(state.best_index)
+        steps = []
+        rendered = []
+        for name in ("start", "advance"):
+            original = getattr(fragment.PrefixAcceptor, name)
+
+            def counting(self, *args, original=original):
+                steps.append(args)
+                return original(self, *args)
+
+            monkeypatch.setattr(fragment.PrefixAcceptor, name, counting)
+        original_text = fragment.formula_text
+
+        def counting_text(f):
+            rendered.append(f)
+            return original_text(f)
+
+        monkeypatch.setattr(fragment, "formula_text", counting_text)
+        path = tmp_path / "ladder.p0"
+        path.write_text(text)
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO("".join(format_trace((v,)) + "\n" for v in stream))
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["p0-monitor", str(path)])
+        assert out.getvalue().count("\n") == len(stream)
+        assert code == (1 if state.violated else 0)
+        assert 0 < len(steps) <= sum(len(entries) for entries, _ in pairs)
+        assert len(rendered) <= 4 * len(best - {-1})

@@ -21,7 +21,17 @@ from pltlf import (
     parse_trace,
     vars_of,
 )
-from pltlf.syntax import all_valuations, formula_size, has_prob, is_normalized, normalize
+from pltlf import ClosureSet, Pltlf0Formula, ProbConstraint, build_lphi, is_satisfiable
+from pltlf.syntax import (
+    MAX_DEPTH,
+    Implies,
+    all_valuations,
+    check_depth,
+    formula_size,
+    has_prob,
+    is_normalized,
+    normalize,
+)
 
 import strategies as sts
 
@@ -134,6 +144,39 @@ class TestNormalize:
             assert eval_trace(f, trace) == eval_trace(g, trace)
             if len(trace) < 3:
                 stack.extend(trace + (v,) for v in vals)
+
+
+    def test_deep_formula_built_in_code_is_rejected(self):
+        f = Prop("a")
+        for _ in range(495):
+            f = Next(f)
+        too_deep = f"formula tree deeper than {MAX_DEPTH} levels"
+        with pytest.raises(ValueError, match=too_deep):
+            normalize(f)
+        with pytest.raises(ValueError, match=too_deep):
+            ClosureSet(f)
+        with pytest.raises(ValueError, match=too_deep):
+            is_satisfiable(f)
+        phi = Pltlf0Formula((ProbConstraint(Comparison.LE, Fraction(1, 2), f),))
+        with pytest.raises(ValueError, match=too_deep):
+            build_lphi(phi)
+
+    def test_deepest_accepted_tree_has_a_closure(self):
+        f = Prop("a")
+        for _ in range(MAX_DEPTH - 1):
+            f = Next(f)
+        assert len(ClosureSet(f)) == 2 * MAX_DEPTH
+        with pytest.raises(ValueError):
+            normalize(Next(f))
+
+    def test_normal_form_depth_is_checked(self):
+        # each implication normalises to a negated conjunction, two levels
+        f = Prop("a")
+        for _ in range(MAX_DEPTH // 2 + 1):
+            f = Implies(f, Prop("b"))
+        check_depth(f)  # the formula itself is shallow enough
+        with pytest.raises(ValueError, match="deeper than"):
+            normalize(f)
 
 
 class TestStructure:
