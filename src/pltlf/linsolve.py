@@ -10,14 +10,20 @@ strict rows with margin.  :func:`maximize` reports the supremum over the
 topological closure (strict rows relaxed to non-strict) together with an
 attainment flag checked against the strict rows.
 
-The pivoting core is a dense two-phase simplex on ``fractions.Fraction``
-with Bland's rule, which cannot cycle.
+The pivoting core is a dense two-phase simplex with Bland's rule, which
+cannot cycle, on a fraction-free integer tableau: each row is held as
+Python ints with a positive entry in its basic column and read as its
+entries divided by that entry, pivots cross-multiply and divide by the
+row's gcd, and ``Fraction`` values are built only for the answer.  It
+makes exactly the pivots the same simplex makes on ``Fraction`` entries,
+so every status, value and witness is the one that simplex gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .syntax import Comparison
@@ -27,7 +33,7 @@ ONE = Fraction(1)
 
 
 # Rows and probability bounds share one comparison type.  ``Rel`` stays
-# bound to it because the benchmark's checks and the test oracles spell
+# bound to it only because the benchmark's checks (bench/checks.py) spell
 # ``Rel.GE``, ``Rel.EQ`` and ``Rel("<=")``.
 Rel = Comparison
 
@@ -129,20 +135,33 @@ class UnboundedObjectiveError(RuntimeError):
     pass
 
 
+def _eliminate(row, col, prow, piv):
+    """``row * piv - row[col] * prow`` divided by its gcd: a positive
+    multiple of the row with ``prow``'s basic column cleared from ``col``."""
+    f = row[col]
+    out = [a * piv - f * b for a, b in zip(row, prow)]
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            factor = tab[r][col]
-            tab[r] = [a - factor * b for a, b in zip(tab[r], tab[row])]
+    prow = tab[row]
+    piv = prow[col]
+    if piv < 0:  # a zero-level artificial driven out on a negative entry
+        prow = tab[row] = [-v for v in prow]
+        piv = -piv
+    for r, other in enumerate(tab):
+        if r != row and other[col] != 0:
+            tab[r] = _eliminate(other, col, prow, piv)
     basis[row] = col
 
 
 def _optimize(tab, basis, m):
     """Run Bland pivots until the reduced-cost row (last) is non-positive.
 
-    Returns False if an entering column proves the objective unbounded.
+    The ratio test compares ``rhs / entry`` by cross-multiplication and
+    breaks ties on the smaller basic column.  Returns False if an entering
+    column proves the objective unbounded.
     """
     rc = tab[m]
     width = len(rc) - 1
@@ -150,17 +169,17 @@ def _optimize(tab, basis, m):
         col = next((j for j in range(width) if rc[j] > 0), None)
         if col is None:
             return True
-        best_row, best_ratio = None, None
+        best_row = None
         for r in range(m):
             a = tab[r][col]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
-                ):
-                    best_row, best_ratio = r, ratio
+                b = tab[r][-1]
+                if best_row is None:
+                    best_row, best_b, best_a = r, b, a
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
+                    best_row, best_b, best_a = r, b, a
         if best_row is None:
             return False
         _pivot(tab, basis, best_row, col)
@@ -168,37 +187,44 @@ def _optimize(tab, basis, m):
 
 
 def _reduced_costs(tab, basis, m, objective):
-    """Install the reduced-cost row for the given column objective."""
-    rc = list(objective) + [ZERO]
+    """Install a positive multiple of the reduced-cost row for the given
+    column objective: the scaled objective with each basic row eliminated."""
+    scale = lcm(*(c.denominator for c in objective))
+    rc = [c.numerator * (scale // c.denominator) for c in objective] + [0]
     for r in range(m):
-        c_b = objective[basis[r]]
-        if c_b != 0:
-            rc = [a - c_b * b for a, b in zip(rc, tab[r])]
+        row = tab[r]
+        if rc[basis[r]] != 0:
+            rc = _eliminate(rc, basis[r], row, row[basis[r]])
     tab[m] = rc
 
 
 def _solve_standard(rows, rhs, n, objective):
     """max objective . y  s.t.  rows y = rhs, y >= 0.
 
-    Returns (status, value, y) with status in optimal/infeasible/unbounded.
+    Fraction-free: row i is scaled to integers by the lcm of its
+    denominators, its artificial column holds that scale, and every row is
+    kept with a positive entry in its basic column and read as its entries
+    divided by that entry.  The pivots are the ones the same simplex makes
+    on Fractions.  Returns (status, value, y) with status in
+    optimal/infeasible/unbounded.
     """
     m = len(rows)
     tab = []
     for i in range(m):
-        row, b = list(rows[i]), rhs[i]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        art = [ZERO] * m
-        art[i] = ONE
-        tab.append(row + art + [b])
+        row = [*rows[i], rhs[i]]
+        scale = lcm(*(v.denominator for v in row))
+        sign = -1 if rhs[i] < 0 else 1
+        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
+        art = [0] * m
+        art[i] = scale
+        tab.append(ints[:n] + art + ints[n:])
     basis = list(range(n, n + m))
     tab.append([])
 
-    phase1 = [ZERO] * n + [-ONE] * m
+    phase1 = [0] * n + [-1] * m
     _reduced_costs(tab, basis, m, phase1)
     _optimize(tab, basis, m)
-    if sum((tab[r][-1] for r in range(m) if basis[r] >= n), start=ZERO) > 0:
+    if any(tab[r][-1] > 0 for r in range(m) if basis[r] >= n):
         return "infeasible", None, None
 
     # Drive leftover zero-value artificials out of the basis; rows that have
@@ -224,7 +250,7 @@ def _solve_standard(rows, rhs, n, objective):
     y = [ZERO] * n
     for r in range(m):
         if basis[r] < n:
-            y[basis[r]] = tab[r][-1]
+            y[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
     value = sum((c * v for c, v in zip(full_obj, y)), start=ZERO)
     return "optimal", value, y
 

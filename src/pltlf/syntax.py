@@ -207,53 +207,72 @@ def formula_size(f: Formula) -> int:
 _P_IMPLIES, _P_OR, _P_AND, _P_UNTIL, _P_UNARY, _P_ATOM = range(1, 7)
 
 
+_PRECEDENCE = {
+    Implies: _P_IMPLIES,
+    Or: _P_OR,
+    And: _P_AND,
+    Until: _P_UNTIL,
+    Not: _P_UNARY,
+    Next: _P_UNARY,
+    Eventually: _P_UNARY,
+    Always: _P_UNARY,
+}
+
+
 def _precedence(f: Formula) -> int:
+    return _PRECEDENCE.get(type(f), _P_ATOM)
+
+
+def _text_pieces(f: Formula) -> list:
+    """A non-proposition node's text in order: literal strings, and
+    (subformula, least precedence it shows without parentheses) pairs still
+    to render."""
     match f:
-        case Implies():
-            return _P_IMPLIES
-        case Or():
-            return _P_OR
-        case And():
-            return _P_AND
-        case Until():
-            return _P_UNTIL
-        case Not() | Next() | Eventually() | Always():
-            return _P_UNARY
-        case _:
-            return _P_ATOM
+        case TrueConst():
+            return ["true"]
+        case FalseConst():
+            return ["false"]
+        case Not(x):
+            return ["!", (x, _P_UNARY)]
+        case Next(x) | Eventually(x) | Always(x):
+            op = {Next: "X", Eventually: "F", Always: "G"}[type(f)]
+            # a parenthesized operand follows the operator directly
+            return [op if _precedence(x) < _P_UNARY else op + " ", (x, _P_UNARY)]
+        case Until(l, r):
+            return [(l, _P_UNARY), " U ", (r, _P_UNTIL)]
+        case And(ops) | Or(ops):
+            sep, minimum = (" & ", _P_UNTIL) if isinstance(f, And) else (" | ", _P_AND)
+            pieces = []
+            for o in ops:
+                pieces += [sep, (o, minimum)]
+            return pieces[1:]
+        case Implies(l, r):
+            return [(l, _P_OR), " -> ", (r, _P_IMPLIES)]
+        case Prob(cmp, bound, x):
+            return [f"P{cmp.value}{bound}[", (x, 0), "]"]
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_text(f: Formula) -> str:
-    """Render with minimal parentheses; reparsing yields an equal formula."""
+    """Render with minimal parentheses; reparsing yields an equal formula.
 
-    def sub(g: Formula, minimum: int) -> str:
-        text = formula_text(g)
-        return f"({text})" if _precedence(g) < minimum else text
-
-    match f:
-        case TrueConst():
-            return "true"
-        case FalseConst():
-            return "false"
-        case Prop(name):
-            return name
-        case Not(x):
-            return "!" + sub(x, _P_UNARY)
-        case Next(x) | Eventually(x) | Always(x):
-            op = {Next: "X", Eventually: "F", Always: "G"}[type(f)]
-            inner = sub(x, _P_UNARY)
-            return op + ("" if inner.startswith("(") else " ") + inner
-        case Until(l, r):
-            return f"{sub(l, _P_UNARY)} U {sub(r, _P_UNTIL)}"
-        case And(ops):
-            return " & ".join(sub(o, _P_UNTIL) for o in ops)
-        case Or(ops):
-            return " | ".join(sub(o, _P_AND) for o in ops)
-        case Implies(l, r):
-            return f"{sub(l, _P_OR)} -> {sub(r, _P_IMPLIES)}"
-        case Prob(cmp, bound, x):
-            return f"P{cmp.value}{bound}[{formula_text(x)}]"
-    raise TypeError(f"not a formula: {f!r}")
+    Iterative over an explicit stack of pending pieces, so a formula of
+    any depth renders."""
+    out = []
+    stack = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, minimum = item
+        if type(g) is Prop:
+            out.append(g.name)
+        elif _precedence(g) < minimum:
+            stack += [")", (g, 0), "("]
+        else:
+            stack += reversed(_text_pieces(g))
+    return "".join(out)
 
 
 def negate(f: Formula) -> Formula:
@@ -295,11 +314,11 @@ def conj(*parts: Formula) -> Formula:
 
 
 # Deepest formula tree, before and after normalisation, that normalize
-# accepts.  Comparing, hashing, printing and the closure recurse up to
-# three and a half frames per level, so at this depth they still leave
-# callers over 100 of the interpreter's default 1000.  A parsed formula
-# within MAX_NESTING can still go deeper when connectives alternate
-# without parentheses, as in ``a & (b | a & (b | ...))``.
+# accepts.  Comparing, hashing and the closure recurse up to three and a
+# half frames per level, so at this depth they still leave callers over
+# 100 of the interpreter's default 1000; printing is iterative.  A parsed
+# formula within MAX_NESTING can still go deeper when connectives
+# alternate without parentheses, as in ``a & (b | a & (b | ...))``.
 MAX_DEPTH = 250
 
 
@@ -509,7 +528,7 @@ def parse_number(text: str) -> Fraction:
 
 
 # Deepest subformula nesting the parser accepts.  Normalisation, the
-# closure, printing and hashing recurse at least once per level, and a
+# closure and hashing recurse at least once per level, and a
 # bracketed level costs the parser eight frames, so at this depth every
 # shape still leaves callers over 150 of the interpreter's default 1000.
 MAX_NESTING = 100

@@ -11,10 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from pltlf.linsolve import LinearSystem, Rel
+from pltlf.linsolve import LinearSystem
 from pltlf.syntax import (
     Always,
     And,
+    Comparison,
     Eventually,
     FalseConst,
     Formula,
@@ -43,9 +44,9 @@ def _rows_of(system: LinearSystem) -> list:
     """Rows as (coeff tuple, rel, rhs); equalities split into two bounds."""
     rows = []
     for c in system.constraints:
-        if c.rel is Rel.EQ:
-            rows.append((c.coeffs, Rel.LE, c.rhs))
-            rows.append((c.coeffs, Rel.GE, c.rhs))
+        if c.rel is Comparison.EQ:
+            rows.append((c.coeffs, Comparison.LE, c.rhs))
+            rows.append((c.coeffs, Comparison.GE, c.rhs))
         else:
             rows.append((c.coeffs, c.rel, c.rhs))
     return rows
@@ -56,12 +57,12 @@ def _as_upper(row, k: int):
     strict) with kind 'upper'/'lower'/'free'."""
     coeffs, rel, rhs = row
     a = coeffs[k]
-    if rel in (Rel.GE, Rel.GT):
+    if rel in (Comparison.GE, Comparison.GT):
         coeffs = tuple(-c for c in coeffs)
         rhs = -rhs
-        rel = Rel.LT if rel is Rel.GT else Rel.LE
+        rel = Comparison.LT if rel is Comparison.GT else Comparison.LE
         a = -a
-    strict = rel is Rel.LT
+    strict = rel is Comparison.LT
     if a == 0:
         return "free", coeffs, rhs, strict
     rest = tuple(c / a for i, c in enumerate(coeffs) if i != k)
@@ -77,7 +78,7 @@ def _eliminate(rows: list, k: int) -> list:
         kind, rest, rhs, strict = _as_upper(row, k)
         if kind == "free":
             coeffs = tuple(c for i, c in enumerate(row[0]) if i != k)
-            keep.append((coeffs, Rel.LT if strict else Rel.LE, rhs))
+            keep.append((coeffs, Comparison.LT if strict else Comparison.LE, rhs))
         elif kind == "upper":
             uppers.append((rest, rhs, strict))
         else:
@@ -86,7 +87,7 @@ def _eliminate(rows: list, k: int) -> list:
     for urest, urhs, ustrict in uppers:
         for lrest, lrhs, lstrict in lowers:
             coeffs = tuple(u - l for u, l in zip(urest, lrest))
-            rel = Rel.LT if (ustrict or lstrict) else Rel.LE
+            rel = Comparison.LT if (ustrict or lstrict) else Comparison.LE
             keep.append((coeffs, rel, urhs - lrhs))
     return keep
 
@@ -95,10 +96,10 @@ def fm_feasible(system: LinearSystem) -> bool:
     """Feasibility by full variable elimination."""
     rows = []
     for coeffs, rel, rhs in _rows_of(system):
-        if rel in (Rel.GE, Rel.GT):
+        if rel in (Comparison.GE, Comparison.GT):
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs
-            rel = Rel.LT if rel is Rel.GT else Rel.LE
+            rel = Comparison.LT if rel is Comparison.GT else Comparison.LE
         rows.append((coeffs, rel, rhs))
     n = len(system.variables)
     for k in range(n - 1, -1, -1):
@@ -118,11 +119,11 @@ def fm_supremum(system: LinearSystem, variable: str):
     k = system.variables.index(variable)
     rows = []
     for coeffs, rel, rhs in _rows_of(system):
-        if rel in (Rel.GE, Rel.GT):
+        if rel in (Comparison.GE, Comparison.GT):
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs
-            rel = Rel.LE
-        rows.append((coeffs, Rel.LE, rhs))
+            rel = Comparison.LE
+        rows.append((coeffs, Comparison.LE, rhs))
 
     # move the objective variable to the front, then eliminate the rest
     order = [k] + [i for i in range(len(system.variables)) if i != k]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pltlf.linsolve import LinearSystem, Rel
+from pltlf.linsolve import LinearSystem
 from pltlf.syntax import (
     Always,
     And,
@@ -68,11 +68,13 @@ def linear_systems(draw, max_vars: int = 4, max_rows: int = 7):
     n = draw(st.integers(1, max_vars))
     names = tuple(f"x{i}" for i in range(n))
     coeff = st.integers(-3, 3).map(Fraction)
-    rel = st.sampled_from([Rel.LE, Rel.GE, Rel.LT, Rel.GT, Rel.EQ])
+    rel = st.sampled_from(
+        [Comparison.LE, Comparison.GE, Comparison.LT, Comparison.GT, Comparison.EQ]
+    )
     rows = []
     for name in names:
-        rows.append(({name: 1}, Rel.GE, Fraction(0)))
-        rows.append(({name: 1}, Rel.LE, Fraction(2)))
+        rows.append(({name: 1}, Comparison.GE, Fraction(0)))
+        rows.append(({name: 1}, Comparison.LE, Fraction(2)))
     extra = draw(st.integers(0, max_rows))
     for _ in range(extra):
         coeffs = {name: draw(coeff) for name in names}

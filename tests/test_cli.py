@@ -424,6 +424,14 @@ def test_walkthrough_runs():
     assert "mined set satisfiable: True" in proc.stdout
 
 
+# Total that scripts/cli_digest.py prints when every listed command
+# answers byte for byte as pinned; a change to CLI output changes it.
+CLI_DIGEST_TOTAL = (
+    "ed76a8e41766932935e347d73bea2b75524769ee3895e8ad60acd83dd102538b"
+    "  total over 145 commands"
+)
+
+
 def test_cli_digest_runs(tmp_path):
     # the byte-identity check runs every listed command and prints a total
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -437,3 +445,4 @@ def test_cli_digest_runs(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[-1].endswith(f"total over {len(lines) - 1} commands")
     assert any(line.endswith("p0-monitor data/psi1.p0") for line in lines)
+    assert lines[-1] == CLI_DIGEST_TOTAL

@@ -1,19 +1,26 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pltlf import (
     Comparison,
     InfeasibleSystemError,
     LinearSystem,
+    TreeAutomaton,
     UnboundedObjectiveError,
+    linsolve,
     maximize,
+    parse_formula,
     solve_feasibility,
 )
 
+import simplex_reference
 import strategies as sts
+from conftest import PSI_TEXT
 from oracles import fm_feasible, fm_supremum
 
 HALF = Fraction(1, 2)
@@ -235,3 +242,98 @@ class TestRendering:
         assert rows[0] == "x1 + x12 <= 1/2"
         assert rows[1] == "x2 + x12 >= 3/5"
         assert rows[-1] == "x1 + x2 + x12 = 1"
+
+
+def standard_forms(system, maxima=True):
+    """The standard-form inputs ``_solve`` hands the kernel when the system
+    is decided and, with ``maxima``, each of its variables maximized."""
+    forms = []
+    solve = linsolve._solve_standard
+
+    def capture(rows, rhs, n, objective):
+        forms.append(([list(row) for row in rows], list(rhs), n, list(objective)))
+        return solve(rows, rhs, n, objective)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "_solve_standard", capture)
+        solve_feasibility(system)
+        for name in system.variables if maxima else ():
+            try:
+                maximize(system, name)
+            except (InfeasibleSystemError, UnboundedObjectiveError):
+                pass
+    return forms
+
+
+def traced(kernel, form):
+    """``kernel._solve_standard`` on a copy of the form, with its final
+    basis and its (row, col) pivots in order."""
+    pivots, bases = [], []
+    pivot, reduced_costs = kernel._pivot, kernel._reduced_costs
+
+    def traced_pivot(tab, basis, row, col):
+        pivots.append((row, col))
+        pivot(tab, basis, row, col)
+
+    def traced_reduced_costs(tab, basis, m, objective):
+        bases.append(basis)
+        reduced_costs(tab, basis, m, objective)
+
+    rows, rhs, n, objective = form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_pivot", traced_pivot)
+        mp.setattr(kernel, "_reduced_costs", traced_reduced_costs)
+        result = kernel._solve_standard([list(row) for row in rows], list(rhs), n, list(objective))
+    return result, list(bases[-1]), pivots
+
+
+def assert_same_kernel(system, maxima=True):
+    forms = standard_forms(system, maxima)
+    assert forms
+    for form in forms:
+        assert traced(linsolve, form) == traced(simplex_reference, form)
+
+
+def branch_systems(text):
+    """Every family's branch system, once per probability signature."""
+    aut = TreeAutomaton(parse_formula(text))
+    seen = set()
+    for aid in range(len(aut.atoms)):
+        members = aut.prob_members_of(aid)
+        if members in seen:
+            continue
+        seen.add(members)
+        subsets = range(1 << len(members))
+        for size in range(1, len(subsets) + 1):
+            for chosen in combinations(subsets, size):
+                yield aut.build_system(aid, chosen)
+
+
+class TestIntegerKernel:
+    """The integer tableau makes the pivots the Fraction simplex makes, and
+    reads out the same status, value, point and basis."""
+
+    @given(sts.linear_systems(), st.booleans())
+    @settings(max_examples=150)
+    def test_random_systems_match_the_fraction_kernel(self, system, keep_sign_rows):
+        assert_same_kernel(system if keep_sign_rows else without_sign_rows(system))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P<=0.5[a] & P>=0.6[X b]",
+            "P>=0.5[a] & P>=0.6[!a]",
+            PSI_TEXT,
+            "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+            "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+        ],
+    )
+    def test_branch_systems_match_the_fraction_kernel(self, text):
+        for system in branch_systems(text):
+            assert_same_kernel(system)
+
+    def test_three_bound_family_systems_match_the_fraction_kernel(self):
+        # 255 families per signature: their feasibility LPs, as the
+        # family enumeration solves them
+        for system in branch_systems("P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"):
+            assert_same_kernel(system, maxima=False)

@@ -24,7 +24,9 @@ from pltlf import (
 from pltlf import ClosureSet, Pltlf0Formula, ProbConstraint, build_lphi, is_satisfiable
 from pltlf.syntax import (
     MAX_DEPTH,
+    MAX_NESTING,
     Implies,
+    Or,
     all_valuations,
     check_depth,
     formula_size,
@@ -177,6 +179,27 @@ class TestNormalize:
         check_depth(f)  # the formula itself is shallow enough
         with pytest.raises(ValueError, match="deeper than"):
             normalize(f)
+
+    @staticmethod
+    def or_chain(levels):
+        f = Prop("a")
+        for _ in range(levels):
+            f = Or((Prop("b"), f))
+        return f
+
+    def test_deepest_accepted_disjunction_chain_renders(self):
+        f = self.or_chain(MAX_DEPTH - 1)
+        normalize(f)  # within the depth limit
+        text = "b | (" * (MAX_DEPTH - 2) + "b | a" + ")" * (MAX_DEPTH - 2)
+        assert formula_text(f) == text
+        phi = Pltlf0Formula((ProbConstraint(Comparison.LE, Fraction(1, 2), f),))
+        assert build_lphi(phi).scenarios[1].describe() == text
+
+    def test_disjunction_chain_text_round_trips_within_the_nesting_limit(self):
+        f = self.or_chain(MAX_NESTING)
+        assert parse_formula(formula_text(f)) == f
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_formula(formula_text(self.or_chain(MAX_DEPTH - 1)))
 
 
 class TestStructure:
