@@ -224,11 +224,13 @@ class TreeAutomaton:
 
         A candidate must contain the argument of every next member of the
         parent; its cover mask records which absent next members it refutes.
+        Both depend only on the parent's next mask, so parents with equal
+        masks share one scan of the atoms.
         """
-        cached = self._cand_cache.get(aid)
+        req = self._next_present[aid]
+        cached = self._cand_cache.get(req)
         if cached is not None:
             return cached
-        req = self._next_present[aid]
         obl = self._all_next & ~req
         buckets = {}
         for cid in range(len(self.atoms)):
@@ -238,7 +240,7 @@ class TreeAutomaton:
             cover = obl & ~args
             buckets.setdefault(self._parg[cid], []).append((cid, cover))
         result = {q: tuple(v) for q, v in buckets.items()}
-        self._cand_cache[aid] = result
+        self._cand_cache[req] = result
         return result
 
     def _kept(self, aid: int, qsets, restrict) -> dict:

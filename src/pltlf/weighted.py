@@ -8,17 +8,28 @@ final one) is the probability of the most likely trace.  An unweighted
 acceptor carved out of the weighted automaton recognizes exactly the
 traces attaining that probability, and products with ordinary finite
 automata answer probability queries for whole trace languages.
+
+Every child at one position of a source gets that position's weight, so
+edges are stored in groups: one weight per (source, position), pointing at
+an interned tuple of children that all sources with the same occupants
+share.  A child's probability arguments pin its position, so the groups of
+a source partition its children.  Weights are positive, so a group's best
+edge leads to its best child: each fixpoint sweep takes one maximum per
+child set and one product per group, and a group is tight exactly when
+its weight times that maximum is the source's value.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
-from .automaton import ReducedAutomaton, ScenarioRecord, TreeAutomaton, _qset_name
-from .linsolve import maximize
+from .automaton import ReducedAutomaton, TreeAutomaton
 from .syntax import Formula, Trace, all_valuations, format_trace, parse_trace, vars_of
 
 ZERO = Fraction(0)
@@ -36,22 +47,38 @@ class WeightedAutomaton:
     a final state; its weight is the product of the edge weights (1 for a
     single-state run) and the trace it spells is the sequence of state
     valuations.  Absent edges have weight zero.
+
+    Edges are grouped: ``groups[q]`` is a tuple of ``(weight, k)`` pairs,
+    and ``q`` reaches every state of ``children[k]`` with that positive
+    weight.  Child tuples are nonempty and shared between sources, and no
+    state lies in two groups of one source.
     """
 
-    def __init__(self, states, initial, finals, weights, valuations):
+    def __init__(self, states, initial, finals, groups, children, valuations):
         self.states = tuple(states)
         self.initial = frozenset(initial)
         self.finals = frozenset(finals)
-        self.weights = dict(weights)
+        self.groups = {q: tuple(groups.get(q, ())) for q in self.states}
+        self.children = tuple(children)
         self.valuations = dict(valuations)
-        succ = {q: [] for q in self.states}
-        for src, dst in self.weights:
-            succ[src].append(dst)
-        self.succ = {q: tuple(sorted(targets, key=str)) for q, targets in succ.items()}
         self._table: Optional[BehaviourTable] = None
 
+    @cached_property
+    def weights(self) -> Mapping:
+        """Read-only dense view, one entry per (source, child) edge; built
+        on first access, and no query reads it."""
+        return MappingProxyType({
+            (q, child): wt
+            for q in self.states
+            for wt, k in self.groups[q]
+            for child in self.children[k]
+        })
+
     def weight(self, src, dst) -> Fraction:
-        return self.weights.get((src, dst), ZERO)
+        for wt, k in self.groups.get(src, ()):
+            if dst in self.children[k]:
+                return wt
+        return ZERO
 
     def behaviour_table(self) -> "BehaviourTable":
         if self._table is None:
@@ -69,45 +96,35 @@ class BehaviourTable:
     value: Fraction
 
 
+def _best_children(wa: WeightedAutomaton, values: dict) -> list:
+    """Largest value in each child tuple, indexed like ``wa.children``."""
+    return [max(values[c] for c in kids) for kids in wa.children]
+
+
 def _fixpoint(wa: WeightedAutomaton) -> BehaviourTable:
     # Finals start at one (the empty run); everything else grows
     # monotonically, one edge per sweep, so simple runs suffice and the
-    # iteration stabilizes within |states| sweeps.
+    # iteration stabilizes within |states| sweeps.  Weights are positive,
+    # so a group's best edge leads to its best child.
     base = {q: ONE if q in wa.finals else ZERO for q in wa.states}
     current = dict(base)
     sweeps = 0
     while True:
+        best = _best_children(wa, current)
         updated = {}
         for q in wa.states:
-            best = base[q]
-            for dst in wa.succ[q]:
-                cand = wa.weights[(q, dst)] * current[dst]
-                if cand > best:
-                    best = cand
-            updated[q] = best
+            value = base[q]
+            for wt, k in wa.groups[q]:
+                cand = wt * best[k]
+                if cand > value:
+                    value = cand
+            updated[q] = value
         if updated == current:
             break
         current = updated
         sweeps += 1
     value = max((current[q] for q in wa.initial), default=ZERO)
     return BehaviourTable(current, sweeps, value)
-
-
-def scenario_max(
-    automaton: TreeAutomaton, aid: int, record: ScenarioRecord, qmask: int
-) -> Fraction:
-    """Largest mass the scenario can place on the child subset ``qmask``.
-
-    When the subset is not part of the scenario its variable is adjoined
-    to the branch system first (the extra branch takes no mass away from
-    any probability row, so feasibility is preserved).
-    """
-    width = len(automaton.prob_members_of(aid))
-    qsets = record.qsets
-    if qmask not in qsets:
-        qsets = tuple(sorted(qsets + (qmask,)))
-    system = automaton.build_system(aid, qsets)
-    return maximize(system, _qset_name(qmask, width)).supremum
 
 
 def build_weighted(source) -> WeightedAutomaton:
@@ -119,7 +136,8 @@ def build_weighted(source) -> WeightedAutomaton:
     ``a'``.  Every surviving scenario is a subset of ``a``'s maximal family
     against the good set, a child tuple of a subset extends to one of the
     maximal family, and adjoining variables never lowers a supremum, so one
-    maximisation over the maximal family's system gives each weight.
+    maximisation over the maximal family's system gives each weight.  Each
+    position with positive mass becomes one group over its occupants.
     """
     if isinstance(source, Formula):
         reduced = TreeAutomaton(source).reduce()
@@ -131,19 +149,23 @@ def build_weighted(source) -> WeightedAutomaton:
         raise TypeError(f"cannot build a weighted automaton from {type(source).__name__}")
     aut = reduced.automaton
     states = tuple(sorted(reduced.good))
-    weights = {}
+    groups = {}
+    interned = {}
     for aid in states:
         family = aut.maximal_family(aid, reduced.good)
         by_position = aut.occupants(aid, family, reduced.good)
         if not by_position or aut.family_point(aid, family) is None:
             continue
+        out = []
         for qmask, fits in by_position.items():
             mass = aut.family_max(aid, family, qmask)
             if mass > 0:
-                for child in fits:
-                    weights[(aid, child)] = mass
+                out.append((mass, interned.setdefault(fits, len(interned))))
+        groups[aid] = tuple(out)
     valuations = {aid: aut.atoms[aid].valuation() for aid in states}
-    return WeightedAutomaton(states, reduced.initial, reduced.finals, weights, valuations)
+    return WeightedAutomaton(
+        states, reduced.initial, reduced.finals, groups, tuple(interned), valuations
+    )
 
 
 def behaviour(wa: WeightedAutomaton) -> Fraction:
@@ -198,10 +220,16 @@ def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
     kept = frozenset(states)
     initial = frozenset(q for q in wa.initial if w[q] == table.value)
     finals = frozenset(q for q in wa.finals if q in kept)
+    # a tight edge from a kept source leads to a best child of its group,
+    # and that child is kept because its value is w[src] / wt > 0
+    best = _best_children(wa, w)
     edges = frozenset(
-        (src, dst)
-        for (src, dst), wt in wa.weights.items()
-        if src in kept and dst in kept and wt * w[dst] == w[src]
+        (src, child)
+        for src in states
+        for wt, k in wa.groups[src]
+        if wt * best[k] == w[src]
+        for child in wa.children[k]
+        if w[child] == best[k]
     )
     valuations = {q: wa.valuations[q] for q in states}
     return MltAcceptor(states, initial, finals, edges, valuations, table.value)
@@ -337,7 +365,10 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
 
     A product state is a weighted state together with an NFA state
     reached after reading that state's valuation, so runs of the product
-    are exactly the weighted runs whose traces the NFA accepts.
+    are exactly the weighted runs whose traces the NFA accepts.  A group
+    of ``b`` read from NFA state ``s`` keeps its weight; its children
+    depend only on the child tuple and ``s``, so they are built, and
+    queued for the search, once per such pair.
     """
     seeds = []
     for b in sorted(wa.initial, key=str):
@@ -346,7 +377,9 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
     states = []
     seen = set()
     queue = deque(seeds)
-    weights = {}
+    groups = {}
+    children = []
+    interned = {}
     while queue:
         state = queue.popleft()
         if state in seen:
@@ -354,16 +387,27 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
         seen.add(state)
         states.append(state)
         b, s = state
-        for b2 in wa.succ[b]:
-            for s2 in sorted(nfa.step((s,), wa.valuations[b2]), key=str):
-                weights[(state, (b2, s2))] = wa.weights[(b, b2)]
-                if (b2, s2) not in seen:
-                    queue.append((b2, s2))
+        out = []
+        for wt, k in wa.groups[b]:
+            key = (k, s)
+            if key not in interned:
+                kids = tuple(
+                    (b2, s2)
+                    for b2 in wa.children[k]
+                    for s2 in sorted(nfa.step((s,), wa.valuations[b2]), key=str)
+                )
+                interned[key] = len(children) if kids else None
+                if kids:
+                    children.append(kids)
+                    queue.extend(kids)
+            if interned[key] is not None:
+                out.append((wt, interned[key]))
+        groups[state] = tuple(out)
     finals = frozenset(
         (b, s) for b, s in states if b in wa.finals and s in nfa.finals
     )
     valuations = {(b, s): wa.valuations[b] for b, s in states}
-    return WeightedAutomaton(states, frozenset(seeds), finals, weights, valuations)
+    return WeightedAutomaton(states, frozenset(seeds), finals, groups, children, valuations)
 
 
 def _check_vars(f: Formula, valuations) -> None:

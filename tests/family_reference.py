@@ -9,9 +9,27 @@ the two paths on random formulas.
 
 from __future__ import annotations
 
-from pltlf.automaton import GoodStates, WitnessModel, _qset_name
-from pltlf.linsolve import solve_feasibility
-from pltlf.weighted import scenario_max
+from fractions import Fraction
+
+from pltlf.automaton import GoodStates, ScenarioRecord, TreeAutomaton, WitnessModel, _qset_name
+from pltlf.linsolve import maximize, solve_feasibility
+
+
+def scenario_max(
+    automaton: TreeAutomaton, aid: int, record: ScenarioRecord, qmask: int
+) -> Fraction:
+    """Largest mass the scenario can place on the child subset ``qmask``.
+
+    When the subset is not part of the scenario its variable is adjoined
+    to the branch system first (the extra branch takes no mass away from
+    any probability row, so feasibility is preserved).
+    """
+    width = len(automaton.prob_members_of(aid))
+    qsets = record.qsets
+    if qmask not in qsets:
+        qsets = tuple(sorted(qsets + (qmask,)))
+    system = automaton.build_system(aid, qsets)
+    return maximize(system, _qset_name(qmask, width)).supremum
 
 
 def good_states(aut) -> GoodStates:

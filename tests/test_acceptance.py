@@ -48,8 +48,8 @@ from pltlf import (
     witness_model,
 )
 from pltlf.mining import constraint_support, load_log, mine_constraints, to_pltlf0
-from pltlf.weighted import scenario_max
 
+from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
 from test_weighted import fixpoint_history, naive_fixpoint
 

@@ -13,6 +13,7 @@ from pltlf import (
     TreeAutomaton,
     WitnessModel,
     atom_of_members,
+    build_weighted,
     check_model,
     is_satisfiable,
     maximize,
@@ -250,6 +251,28 @@ class TestTransitions:
     def test_successors_refuses_probability_closures(self, aut0):
         with pytest.raises(ValueError):
             aut0.successors(0)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize(
+        "text", ["P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]", "X X a & F b", "G(a -> X b)"]
+    )
+    def test_atoms_are_scanned_once_per_next_mask(self, text, monkeypatch):
+        # candidates depend only on the parent's next mask, and each scan
+        # reads every atom's next-argument mask once
+        aut = TreeAutomaton(parse_formula(text))
+        reads = []
+
+        class CountingList(list):
+            def __getitem__(self, index):
+                reads.append(index)
+                return super().__getitem__(index)
+
+        monkeypatch.setattr(aut, "_next_args", CountingList(aut._next_args))
+        build_weighted(aut)
+        masks = {aut._next_present[aid] for aid in range(len(aut.atoms))}
+        assert reads
+        assert len(reads) <= len(masks) * len(aut.atoms)
 
 
 class TestReduction:

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 
 import family_reference
 import strategies as sts
+import weighted_reference
 from oracles import formula_family
 from pltlf import (
     TraceNFA,
     TreeAutomaton,
-    WeightedAutomaton,
     behaviour,
     build_weighted,
     enumerate_mlts,
@@ -26,10 +26,11 @@ from pltlf import (
     prefix_extension_query,
     product,
     trace_probability,
+    vars_of,
 )
 from pltlf import automaton
-from pltlf.weighted import scenario_max
 
+from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
 
 ALL_VALS = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
@@ -124,8 +125,96 @@ class TestMaximalFamilyWeights:
         initial = [a for a in aut.initial if a in gs.good]
         finals = [a for a in aut.final_ids if a in gs.good]
         valuations = {a: aut.atoms[a].valuation() for a in gs.good}
-        reference = WeightedAutomaton(gs.good, initial, finals, expected, valuations)
-        assert behaviour(wa) == behaviour(reference)
+        reference = weighted_reference.WeightedAutomaton(
+            gs.good, initial, finals, expected, valuations
+        )
+        assert behaviour(wa) == reference.behaviour_table().value
+
+
+THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
+# the formulas of the README quick start, as the tree-queries workload runs them
+QUERY_FORMULAS = (
+    "P<=0.5[a] & P>=0.6[X b]",
+    "X !b & P<=0.7[a U b] & P<=0.6[X(!a & !b)]",
+    "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+    "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+    "P>=0.5[a] & P>=0.6[!a]",
+)
+
+
+def assert_groups_partition_children(wa):
+    for q in wa.states:
+        reached = [c for _, k in wa.groups[q] for c in wa.children[k]]
+        assert len(reached) == len(set(reached)), q
+        assert all(wt > 0 for wt, _ in wa.groups[q])
+
+
+def assert_same_answers(wa, dense):
+    """Behaviour table, mlt acceptor and listed traces agree with the dense
+    reference; product searches may list states in another order."""
+    table, expected = wa.behaviour_table(), dense.behaviour_table()
+    assert table.values == expected.values
+    assert table.sweeps == expected.sweeps
+    assert table.value == expected.value
+    acc, ref = mlt_acceptor(wa), weighted_reference.mlt_acceptor(dense)
+    assert set(acc.states) == set(ref.states)
+    assert acc.initial == ref.initial
+    assert acc.finals == ref.finals
+    assert acc.edges == ref.edges
+    assert acc.value == ref.value
+    assert acc.valuations == ref.valuations
+    assert enumerate_mlts(acc, 4, 6) == enumerate_mlts(ref, 4, 6)
+
+
+def check_against_dense(f, traces):
+    wa = build_weighted(f)
+    assert_groups_partition_children(wa)
+    dense = weighted_reference.WeightedAutomaton(
+        wa.states, wa.initial, wa.finals, wa.weights, wa.valuations
+    )
+    assert_same_answers(wa, dense)
+    names = sorted(vars_of(f))
+    nfas = [TraceNFA.universal(names)]
+    for trace in traces:
+        nfas += [TraceNFA.from_trace(trace), TraceNFA.extends_prefix(trace, names)]
+    for nfa in nfas:
+        prod = product(nfa, wa)
+        reference = weighted_reference.product(nfa, dense)
+        assert_groups_partition_children(prod)
+        assert set(prod.states) == set(reference.states)
+        assert prod.initial == reference.initial
+        assert prod.finals == reference.finals
+        assert prod.weights == reference.weights
+        assert_same_answers(prod, reference)
+
+
+class TestGroupedEdges:
+    """Grouped edges give the answers of one dense entry per edge."""
+
+    def test_three_bound_groups(self):
+        wa = build_weighted(parse_formula(THREE_BOUNDS))
+        assert sum(len(groups) for groups in wa.groups.values()) == 1280
+        assert len(wa.children) == 16
+        assert len(wa.weights) == 24576
+        assert_groups_partition_children(wa)
+
+    def test_dense_view_matches_weight_lookup(self, wa_psi):
+        for (src, dst), wt in wa_psi.weights.items():
+            assert wa_psi.weight(src, dst) == wt
+        assert wa_psi.weight(wa_psi.states[0], "absent") == 0
+
+    @pytest.mark.parametrize("text", QUERY_FORMULAS + (THREE_BOUNDS,))
+    def test_named_formulas_match_dense_reference(self, text):
+        f = parse_formula(text)
+        acc = mlt_acceptor(build_weighted(f))
+        traces = enumerate_mlts(acc, 2, 4) if acc.value > 0 else []
+        check_against_dense(f, traces + [parse_trace("-;a")])
+
+    @settings(max_examples=40)
+    @given(sts.formulas(), sts.traces(max_size=3))
+    def test_random_formulas_match_dense_reference(self, f, trace):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        check_against_dense(f, [trace])
 
 
 class TestBehaviour:
