@@ -1,4 +1,4 @@
-"""Tree automaton over atoms: satisfiability and witness models.
+"""Tree automaton over atoms: the compiled form of a formula.
 
 States are the atoms of the closure.  A transition out of an atom picks a
 scenario: a family S of subsets of the atom's probability members whose
@@ -27,6 +27,9 @@ monotone in the family:
 
 :meth:`TreeAutomaton.scenario_family` still lists every feasible family;
 it explains the construction and no decision procedure calls it.
+
+Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
+which keeps its good states, LP results and weighted automaton.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .syntax import (
     Prop,
     TrueConst,
     Until,
-    formula_text,
     normalize,
 )
 
@@ -70,7 +72,8 @@ class ScenarioRecord:
 
 
 class TreeAutomaton:
-    """Automaton for one formula; construction enumerates all atoms."""
+    """Compiled automaton of one formula: construction enumerates all atoms,
+    and good states, scenario LPs and the weighted automaton are kept."""
 
     def __init__(self, formula: Formula):
         self.formula = normalize(formula)
@@ -99,7 +102,8 @@ class TreeAutomaton:
         self._next_present = [0] * n
         self._next_args = [0] * n
         self._parg = [0] * n
-        self._prob_sig = [None] * n
+        self._prob_sig = [0] * n
+        sig_ids = {}
         self.final = [False] * n
         for aid, atom in enumerate(self.atoms):
             bits = atom.bits
@@ -122,7 +126,7 @@ class TreeAutomaton:
                 if not present.cmp.holds(ZERO, present.bound):
                     ok_empty = False
             self._parg[aid] = parg
-            self._prob_sig[aid] = tuple(sig)
+            self._prob_sig[aid] = sig_ids.setdefault(tuple(sig), len(sig_ids))
             self.final[aid] = np_mask == 0 and ok_empty
 
         root = clo.index[self.formula]
@@ -134,6 +138,7 @@ class TreeAutomaton:
         self._point_cache = {}
         self._max_cache = {}
         self._good = None
+        self._weighted = None
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -184,10 +189,6 @@ class TreeAutomaton:
         result = tuple(records)
         self._family_cache[sig] = result
         return result
-
-    def scenario_witness(self, aid: int, record: ScenarioRecord) -> dict:
-        """Deterministic point of the scenario's branch system."""
-        return self.family_point(aid, record.qsets)
 
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
@@ -406,8 +407,16 @@ class TreeAutomaton:
         self._good = GoodStates(frozenset(good), distance, sweep)
         return self._good
 
-    def reduce(self) -> "ReducedAutomaton":
-        return ReducedAutomaton(self)
+    def good_initial(self) -> tuple:
+        """Good initial atoms; empty iff the formula is unsatisfiable."""
+        good = self.good_states().good
+        return tuple(aid for aid in self.initial if aid in good)
+
+    @property
+    def weighted(self):
+        """The weighted trace automaton, built on first use and kept."""
+        from .weighted import build_weighted
+        return build_weighted(self) if self._weighted is None else self._weighted
 
 
 @dataclass(frozen=True)
@@ -417,59 +426,13 @@ class GoodStates:
     sweeps: int
 
 
-class ReducedAutomaton:
-    """View of the automaton restricted to good states."""
-
-    def __init__(self, automaton: TreeAutomaton):
-        self.automaton = automaton
-        gs = automaton.good_states()
-        self.good = gs.good
-        self.distance = gs.distance
-        self.initial = tuple(a for a in automaton.initial if a in gs.good)
-        self.finals = tuple(a for a in automaton.final_ids if a in gs.good)
-
-    def scenario_records(self, aid: int) -> tuple:
-        """Scenarios that still have a transition after reduction."""
-        return tuple(
-            record
-            for record in self.automaton.scenario_family(aid)
-            if self.automaton.has_transition(aid, record.qsets, self.good)
-        )
-
-    def transition_tuples(self, aid: int, qsets) -> Iterator[tuple]:
-        return self.automaton.transition_tuples(aid, qsets, self.good)
-
-    def dump(self) -> dict:
-        """Adjacency listing of the reduced automaton (duplicate child
-        tuples across scenarios are collapsed)."""
-        aut = self.automaton
-        states = []
-        for aid in sorted(self.good):
-            atom = aut.atoms[aid]
-            states.append(
-                {
-                    "id": aid,
-                    "members": [formula_text(g) for g in atom.members()],
-                    "valuation": sorted(atom.valuation()),
-                    "initial": aid in self.initial,
-                    "final": aut.final[aid],
-                    "distance": self.distance[aid],
-                }
-            )
-        edges = []
-        for aid in sorted(self.good):
-            seen = set()
-            for record in self.scenario_records(aid):
-                for tup in self.transition_tuples(aid, record.qsets):
-                    if (aid, tup) in seen:
-                        continue
-                    seen.add((aid, tup))
-                    edges.append({"source": aid, "children": list(tup)})
-        return {"states": states, "edges": edges}
+def _compiled(source) -> TreeAutomaton:
+    """The compiled automaton given, or a new one for a formula."""
+    return source if isinstance(source, TreeAutomaton) else TreeAutomaton(source)
 
 
-def is_satisfiable(f: Formula) -> bool:
-    return bool(TreeAutomaton(f).reduce().initial)
+def is_satisfiable(source) -> bool:
+    return bool(_compiled(source).good_initial())
 
 
 @dataclass(frozen=True)
@@ -498,7 +461,7 @@ class WitnessModel:
         )
 
 
-def witness_model(f: Formula) -> Optional[WitnessModel]:
+def witness_model(source) -> Optional[WitnessModel]:
     """A tree interpretation satisfying the formula, or None.
 
     Extraction descends distances to acceptance: at every non-final state
@@ -510,22 +473,23 @@ def witness_model(f: Formula) -> Optional[WitnessModel]:
     those are tried, in the order :meth:`TreeAutomaton.scenario_family`
     lists them.
     """
-    aut = TreeAutomaton(f)
-    red = aut.reduce()
-    if not red.initial:
+    aut = _compiled(source)
+    initial = aut.good_initial()
+    if not initial:
         return None
-    root = min(red.initial, key=lambda a: (red.distance[a], a))
+    gs = aut.good_states()
+    root = min(initial, key=lambda a: (gs.distance[a], a))
     width = len(aut._pairs)
     earlier_than = [
-        frozenset(a for a in red.good if red.distance[a] < d)
-        for d in range(aut.good_states().sweeps + 1)
+        frozenset(a for a in gs.good if gs.distance[a] < d)
+        for d in range(gs.sweeps + 1)
     ]
 
     def build(aid: int, probability) -> WitnessModel:
         atom = aut.atoms[aid]
         if aut.final[aid]:
             return WitnessModel(atom.valuation(), probability, ())
-        earlier = earlier_than[red.distance[aid]]
+        earlier = earlier_than[gs.distance[aid]]
         offered = aut.maximal_family(aid, earlier)
         for size in range(1, len(offered) + 1):
             for chosen in combinations(offered, size):

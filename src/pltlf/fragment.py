@@ -8,7 +8,7 @@ monitoring all reduce to one shared linear system plus one plain
 automaton.
 
 :func:`build_lphi` compiles a constraint set once into a
-:class:`ScenarioTable`: one reduced automaton over the conjunction of the
+:class:`ScenarioTable`: one tree automaton over the conjunction of the
 distinct constraint formulas, one prefix acceptor per scenario read off
 it (whose emptiness gives the scenario's satisfiability flag), and the
 mass system.  The maxima are computed on first use and kept on the table,
@@ -131,7 +131,7 @@ def scenarios_of(phi: Pltlf0Formula) -> tuple:
 
 
 class PrefixAcceptor:
-    """Subset simulation over the good atoms of a reduced automaton,
+    """Subset simulation over the good atoms of a tree automaton,
     started from a set of them: whether a prefix extends to a trace that
     one of those atoms accepts.  The successor and valuation maps are
     shared by every acceptor read off the same automaton."""
@@ -175,7 +175,7 @@ def _holds(closure, bits: int, f: Formula) -> bool:
 
 def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     """One prefix acceptor per sign pattern over ``formulas``, in scenario
-    index order, all read off one reduced automaton.
+    index order, all read off the good atoms of one tree automaton.
 
     The automaton is built for the conjunction of the distinct normalised
     formulas and ``required``.  Its closure holds each formula and its

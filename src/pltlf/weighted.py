@@ -1,13 +1,15 @@
 """Most likely traces and probability queries over trace languages.
 
-The reduced tree automaton is flattened into a max-times weighted
-automaton whose runs are traces: states keep their atom's valuation, an
-edge carries the largest mass any branch system lets the child subset
-absorb, and the behaviour (maximum run weight from an initial state to a
-final one) is the probability of the most likely trace.  An unweighted
-acceptor carved out of the weighted automaton recognizes exactly the
-traces attaining that probability, and products with ordinary finite
-automata answer probability queries for whole trace languages.
+The good part of a tree automaton is flattened into a max-times weighted
+automaton whose runs are traces: states are the good atoms and keep their
+valuation, an edge carries the largest mass any branch system lets the
+child subset absorb, and the behaviour (maximum run weight from a good
+initial atom to a final one) is the probability of the most likely trace.
+An unweighted acceptor carved out of the weighted automaton recognizes
+exactly the traces attaining that probability, and products with ordinary
+finite automata answer probability queries for whole trace languages.
+Every query takes a formula or a compiled tree automaton, which keeps its
+weighted automaton.
 
 Every child at one position of a source gets that position's weight, so
 edges are stored in groups: one weight per (source, position), pointing at
@@ -29,8 +31,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
-from .automaton import ReducedAutomaton, TreeAutomaton
-from .syntax import Formula, Trace, all_valuations, format_trace, parse_trace, vars_of
+from .automaton import TreeAutomaton, _compiled
+from .syntax import Trace, all_valuations, format_trace, parse_trace, vars_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -128,7 +130,7 @@ def _fixpoint(wa: WeightedAutomaton) -> BehaviourTable:
 
 
 def build_weighted(source) -> WeightedAutomaton:
-    """Flatten a reduced tree automaton into a weighted trace automaton.
+    """Flatten an automaton's good atoms into a weighted trace automaton it keeps.
 
     The weight of an edge from ``a`` to ``a'`` is the best mass any
     surviving scenario of ``a`` can give the subset position that ``a'``
@@ -139,21 +141,16 @@ def build_weighted(source) -> WeightedAutomaton:
     maximisation over the maximal family's system gives each weight.  Each
     position with positive mass becomes one group over its occupants.
     """
-    if isinstance(source, Formula):
-        reduced = TreeAutomaton(source).reduce()
-    elif isinstance(source, TreeAutomaton):
-        reduced = source.reduce()
-    elif isinstance(source, ReducedAutomaton):
-        reduced = source
-    else:
-        raise TypeError(f"cannot build a weighted automaton from {type(source).__name__}")
-    aut = reduced.automaton
-    states = tuple(sorted(reduced.good))
+    aut = _compiled(source)
+    if aut._weighted is not None:
+        return aut._weighted
+    good = aut.good_states().good
+    states = tuple(sorted(good))
     groups = {}
     interned = {}
     for aid in states:
-        family = aut.maximal_family(aid, reduced.good)
-        by_position = aut.occupants(aid, family, reduced.good)
+        family = aut.maximal_family(aid, good)
+        by_position = aut.occupants(aid, family, good)
         if not by_position or aut.family_point(aid, family) is None:
             continue
         out = []
@@ -163,9 +160,10 @@ def build_weighted(source) -> WeightedAutomaton:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups[aid] = tuple(out)
     valuations = {aid: aut.atoms[aid].valuation() for aid in states}
-    return WeightedAutomaton(
-        states, reduced.initial, reduced.finals, groups, tuple(interned), valuations
+    aut._weighted = WeightedAutomaton(
+        states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations
     )
+    return aut._weighted
 
 
 def behaviour(wa: WeightedAutomaton) -> Fraction:
@@ -410,8 +408,9 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
     return WeightedAutomaton(states, frozenset(seeds), finals, groups, children, valuations)
 
 
-def _check_vars(f: Formula, valuations) -> None:
-    known = vars_of(f)
+def _check_vars(source, valuations) -> frozenset:
+    """Propositions of the source's formula; any other raises ValueError."""
+    known = vars_of(source.formula if isinstance(source, TreeAutomaton) else source)
     for valuation in valuations:
         unknown = valuation - known
         if unknown:
@@ -419,30 +418,29 @@ def _check_vars(f: Formula, valuations) -> None:
                 f"query mentions propositions the formula does not use: "
                 f"{', '.join(sorted(unknown))}"
             )
+    return known
 
 
-def trace_probability(f: Formula, trace: Trace) -> Fraction:
+def trace_probability(source, trace: Trace) -> Fraction:
     """Largest probability any satisfying interpretation gives the trace."""
     if not trace:
         raise ValueError("traces are nonempty")
-    _check_vars(f, trace)
-    wa = build_weighted(f)
-    return behaviour(product(TraceNFA.from_trace(trace), wa))
+    _check_vars(source, trace)
+    return behaviour(product(TraceNFA.from_trace(trace), _compiled(source).weighted))
 
 
-def language_probability(f: Formula, nfa: TraceNFA) -> tuple:
+def language_probability(source, nfa: TraceNFA) -> tuple:
     """Probability of the likeliest accepted trace, with its acceptor."""
-    _check_vars(f, nfa.labels())
-    wa = build_weighted(f)
-    prod = product(nfa, wa)
+    _check_vars(source, nfa.labels())
+    prod = product(nfa, _compiled(source).weighted)
     return behaviour(prod), mlt_acceptor(prod)
 
 
-def prefix_extension_query(f: Formula, prefix: Trace) -> tuple:
+def prefix_extension_query(source, prefix: Trace) -> tuple:
     """Probability that a trace starts with ``prefix``, with the acceptor
     of the likeliest such traces."""
     if not prefix:
         raise ValueError("the prefix must be nonempty")
-    _check_vars(f, prefix)
-    nfa = TraceNFA.extends_prefix(prefix, sorted(vars_of(f)))
-    return language_probability(f, nfa)
+    known = _check_vars(source, prefix)
+    nfa = TraceNFA.extends_prefix(prefix, sorted(known))
+    return language_probability(source, nfa)

@@ -2,7 +2,7 @@
 
 The engine reads every scenario's acceptor off one automaton over the
 distinct constraint formulas and maximises only the live variables.  The
-code here does it the way the construction reads: one reduced automaton
+code here does it the way the construction reads: one good-state automaton
 per sign pattern (and per tested scenario plus property), and every
 variable maximised over the whole relaxed mass system, pinned columns
 included.  Tests compare the two paths on random constraint sets.
@@ -26,11 +26,10 @@ class PrefixAcceptor:
     their conjunction."""
 
     def __init__(self, formulas: tuple):
-        reduced = TreeAutomaton(conj(*formulas)).reduce()
-        aut = reduced.automaton
-        self.satisfiable = bool(reduced.initial)
-        self.initial = frozenset(reduced.initial)
-        good = reduced.good
+        aut = TreeAutomaton(conj(*formulas))
+        good = aut.good_states().good
+        self.initial = frozenset(a for a in aut.initial if a in good)
+        self.satisfiable = bool(self.initial)
         self._succ = {
             aid: tuple(c for c in aut.successors(aid) if c in good) for aid in good
         }

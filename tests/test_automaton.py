@@ -1,4 +1,4 @@
-"""Tree automaton: scenarios, transitions, reduction, witness models."""
+"""Tree automaton: scenarios, transitions, good states, witness models."""
 
 from fractions import Fraction
 from itertools import islice
@@ -159,7 +159,7 @@ class TestScenarios:
     def test_scenario_witness_solves_system(self, aut_psi, psi_ids):
         aid = psi_ids["a1"]
         for record in aut_psi.scenario_family(aid):
-            point = aut_psi.scenario_witness(aid, record)
+            point = aut_psi.family_point(aid, record.qsets)
             assert record.system.holds(point)
 
 
@@ -300,40 +300,35 @@ class TestReduction:
             assert drops
 
     def test_documented_states_survive_reduction(self, aut_psi, psi_ids):
-        red = aut_psi.reduce()
+        good = aut_psi.good_states().good
         i = psi_ids
         assert i["a1"] in aut_psi.initial and i["a2"] in aut_psi.initial
-        assert i["a1"] in red.initial and i["a2"] in red.initial
+        assert i["a1"] in aut_psi.good_initial() and i["a2"] in aut_psi.good_initial()
         for name in ("a3", "a4", "a5"):
-            assert i[name] not in red.good
+            assert i[name] not in good
 
     def test_model_bearing_edge_survives(self, aut_psi, psi_ids):
-        red = aut_psi.reduce()
+        good = aut_psi.good_states().good
         i = psi_ids
-        assert (i["a8"], i["a2"]) in set(red.transition_tuples(i["a1"], (1, 2)))
+        tuples = set(aut_psi.transition_tuples(i["a1"], (1, 2), good))
+        assert (i["a8"], i["a2"]) in tuples
 
     def test_reduced_scenarios_keep_transitions(self, aut_psi, psi_ids):
-        red = aut_psi.reduce()
-        records = red.scenario_records(psi_ids["a1"])
+        aid = psi_ids["a1"]
+        good = aut_psi.good_states().good
+        records = [
+            r
+            for r in aut_psi.scenario_family(aid)
+            if aut_psi.has_transition(aid, r.qsets, good)
+        ]
         assert (1, 2) in {r.qsets for r in records}
         assert (1, 2, 3) not in {r.qsets for r in records}
 
     def test_unsatisfiable_formula_loses_initial_states(self, phi1):
-        red = TreeAutomaton(phi1).reduce()
-        assert red.initial == ()
+        aut = TreeAutomaton(phi1)
+        assert aut.good_initial() == ()
+        assert not is_satisfiable(aut)
         assert not is_satisfiable(phi1)
-
-    def test_dump_lists_good_states_and_edges(self, aut_psi):
-        red = aut_psi.reduce()
-        dump = red.dump()
-        ids = {s["id"] for s in dump["states"]}
-        assert ids == set(red.good)
-        for state in dump["states"]:
-            assert state["initial"] == (state["id"] in red.initial)
-            assert state["final"] == (state["id"] in red.finals)
-        for edge in dump["edges"]:
-            assert edge["source"] in ids
-            assert set(edge["children"]) <= ids
 
 
 class TestMaximalFamily:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+from hypothesis import strategies as st
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -27,8 +29,9 @@ from pltlf import (
     product,
     trace_probability,
     vars_of,
+    witness_model,
 )
-from pltlf import automaton
+from pltlf import automaton, weighted
 
 from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
@@ -462,3 +465,65 @@ class TestProduct:
         # the second bound forces a second position, so one-step traces die
         empty = product(TraceNFA.from_trace(parse_trace("b")), wa0)
         assert behaviour(empty) == 0
+
+
+def tree_answers(source, f, traces, prefix):
+    """Every tree query on ``source``, a formula or its compiled automaton;
+    ``f`` names the propositions of the universal language."""
+    model = witness_model(source)
+    wa = weighted.build_weighted(source)
+    value, acc = prefix_extension_query(source, prefix)
+    universal = TraceNFA.universal(sorted(vars_of(f)))
+    best, best_acc = language_probability(source, universal)
+    return (
+        is_satisfiable(source),
+        None if model is None else model.to_dict(),
+        behaviour(wa),
+        enumerate_mlts(mlt_acceptor(wa), 4, 6),
+        [trace_probability(source, trace) for trace in traces],
+        (value, enumerate_mlts(acc, 3, 6)),
+        (best, enumerate_mlts(best_acc, 3, 6)),
+    )
+
+
+class TestCompileOnce:
+    """Every tree query takes the compiled automaton: it is built once, its
+    weighted automaton once, and the answers equal the formula path's."""
+
+    @staticmethod
+    def check(f, traces, prefix):
+        # keep the traces on the formula's propositions, as queries require
+        names = vars_of(f)
+        traces = [tuple(v & names for v in trace) for trace in traces]
+        prefix = tuple(v & names for v in prefix)
+        expected = tree_answers(f, f, traces, prefix)
+        counts = {"automata": 0, "weighted": 0}
+        init, build = TreeAutomaton.__init__, weighted.build_weighted
+
+        def counted_init(self, formula):
+            counts["automata"] += 1
+            init(self, formula)
+
+        def counted_build(source):
+            counts["weighted"] += 1
+            return build(source)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TreeAutomaton, "__init__", counted_init)
+            mp.setattr(weighted, "build_weighted", counted_build)
+            aut = TreeAutomaton(f)
+            got = tree_answers(aut, f, traces, prefix)
+        assert counts == {"automata": 1, "weighted": 1}
+        assert got == expected
+        assert aut.weighted is build_weighted(aut)
+
+    @pytest.mark.parametrize("text", QUERY_FORMULAS)
+    def test_named_formulas(self, text):
+        traces = [parse_trace(t) for t in ("-;a", "a;-;b", "a,b")]
+        self.check(parse_formula(text), traces, parse_trace("-"))
+
+    @settings(max_examples=20)
+    @given(sts.formulas(), st.lists(sts.traces(max_size=3), min_size=4, max_size=4))
+    def test_random_formulas(self, f, drawn):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        self.check(f, drawn[:3], drawn[3])
