@@ -16,7 +16,10 @@ sets: the existence/response set mined from ``data/sample_log.csv``, the
 fixed set ``SHAPES`` and the fixed set ``LADDER``.  The mined set and
 ``LADDER`` are also monitored on a fixed 2 000-event stream with repeated
 lines, blank lines and whitespace variants; the mined set's stream names
-an unknown proposition halfway, so every scenario dies there.  Data paths
+an unknown proposition halfway, so every scenario dies there.  Last come
+``sat``, ``model`` and ``prob`` on the four-bound formula ``FOUR_BOUNDS``
+and ``sat`` and ``model`` on the next chain ``NEXT_CHAIN``, whose automata
+are larger than any above.  Data paths
 are printed relative to the repository root, and the extra sets are
 written to a temporary directory and named relative to it, so the digest
 does not depend on where the checkout lives.
@@ -87,6 +90,10 @@ LADDER = (
     "P<=9/10 : a U c\n"
 )
 
+# 2 048 atoms in 128 classes of 16, and 2 atoms per class
+FOUR_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c] & P<0.7[G d]"
+NEXT_CHAIN = "X X X X X X X X a"
+
 TRACE = "-;a;b"
 PREFIX = "-;a"
 
@@ -154,6 +161,11 @@ def commands():
             yield ("p0-monitor", "ladder.p0"), long_stream(("a", "b", "c"))
         finally:
             os.chdir(ROOT)
+    yield ("sat", FOUR_BOUNDS), ""
+    yield ("model", FOUR_BOUNDS), ""
+    yield ("prob", FOUR_BOUNDS, f"--trace={TRACE}"), ""
+    yield ("sat", NEXT_CHAIN), ""
+    yield ("model", NEXT_CHAIN), ""
 
 
 def run(argv, stdin_text: str):

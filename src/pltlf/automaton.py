@@ -14,19 +14,22 @@ the least fixpoint of "has a transition into only good states" seeded with
 the finals; the sweep index at which an atom joins is its distance to
 acceptance and drives witness extraction.
 
-No decision enumerates families.  Against a set of admissible children, the
-maximal family of an atom holds every profile whose candidate bucket keeps
-an admissible atom, and it alone decides whether the atom has a transition
-into the set, because three facts make every property needed here
-monotone in the family:
+No decision enumerates families; :meth:`TreeAutomaton.scenario_family`
+lists them only to explain the construction.  Against a set of admissible
+children, the maximal family of an atom holds every profile whose candidate
+bucket keeps an admissible atom, and it alone decides whether the atom has
+a transition into the set, because three facts make every property needed
+here monotone in the family:
 
 - feasibility is upward-closed: an extra branch can take zero mass;
 - a larger family only has more positions that can refute the absent next
   members, so a child tuple of a subfamily extends to one of the family;
 - adjoining variables never lowers the supremum of a branch mass.
 
-:meth:`TreeAutomaton.scenario_family` still lists every feasible family;
-it explains the construction and no decision procedure calls it.
+That decision reads only the atom's next mask, which fixes its candidate
+children and what they must refute, and its probability signature, which
+fixes its branch systems; being final reads the same two.  So the atoms
+fall into classes by those two, and each decision is made once per class.
 
 Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
 which keeps its good states, LP results and weighted automaton.
@@ -87,16 +90,11 @@ class TreeAutomaton:
 
         # Probability pairs in closure order of their smaller member; each
         # atom holds exactly one side of every pair.
-        pairs = []
-        seen = set()
-        for i in clo.prob_members:
-            if i in seen:
-                continue
-            j = clo.negation[i]
-            seen.add(i)
-            seen.add(j)
-            pairs.append((i, j, clo.index[clo.members[i].operand]))
-        self._pairs = tuple(pairs)
+        self._pairs = tuple(
+            (i, clo.negation[i], clo.index[clo.members[i].operand])
+            for i in clo.prob_members
+            if i < clo.negation[i]
+        )
 
         n = len(self.atoms)
         self._next_present = [0] * n
@@ -104,6 +102,7 @@ class TreeAutomaton:
         self._parg = [0] * n
         self._prob_sig = [0] * n
         sig_ids = {}
+        classes = {}
         self.final = [False] * n
         for aid, atom in enumerate(self.atoms):
             bits = atom.bits
@@ -118,7 +117,7 @@ class TreeAutomaton:
             parg = 0
             sig = []
             ok_empty = True
-            for pos, (i, j, arg) in enumerate(pairs):
+            for pos, (i, j, arg) in enumerate(self._pairs):
                 if bits >> arg & 1:
                     parg |= 1 << pos
                 present = clo.members[i if bits >> i & 1 else j]
@@ -126,8 +125,12 @@ class TreeAutomaton:
                 if not present.cmp.holds(ZERO, present.bound):
                     ok_empty = False
             self._parg[aid] = parg
-            self._prob_sig[aid] = sig_ids.setdefault(tuple(sig), len(sig_ids))
+            self._prob_sig[aid] = sig = sig_ids.setdefault(tuple(sig), len(sig_ids))
             self.final[aid] = np_mask == 0 and ok_empty
+            classes.setdefault((np_mask, sig), []).append(aid)
+        # classes of atoms with equal next masks and signatures, ordered by
+        # their smallest atom: every parent-side decision reads only these
+        self._classes = tuple(map(tuple, classes.values()))
 
         root = clo.index[self.formula]
         self.initial = tuple(aid for aid, a in enumerate(self.atoms) if a.bits >> root & 1)
@@ -175,29 +178,22 @@ class TreeAutomaton:
         cached = self._family_cache.get(sig)
         if cached is not None:
             return cached
-        width = len(self._pairs)
         records = []
-        if width == 0:
-            records.append(ScenarioRecord((0,), self.build_system(aid, (0,))))
-        else:
-            subsets = range(1 << width)
-            for size in range(1, len(subsets) + 1):
-                for chosen in combinations(subsets, size):
-                    system = self.build_system(aid, chosen)
-                    if solve_feasibility(system).feasible:
-                        records.append(ScenarioRecord(chosen, system))
+        subsets = range(1 << len(self._pairs))
+        for size in range(1, len(subsets) + 1):
+            for chosen in combinations(subsets, size):
+                system = self.build_system(aid, chosen)
+                if solve_feasibility(system).feasible:
+                    records.append(ScenarioRecord(chosen, system))
         result = tuple(records)
         self._family_cache[sig] = result
         return result
 
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
-        the system is infeasible.
-
-        Results are shared across atoms with equal probability signatures.
+        it is infeasible; shared across atoms with equal signatures.
         Without probability pairs the only family is ``(0,)`` and its single
-        branch takes all the mass, so no LP is solved.
-        """
+        branch takes all the mass, so no LP is solved."""
         key = (self._prob_sig[aid], qsets)
         if key not in self._point_cache:
             if self._pairs:
@@ -225,9 +221,7 @@ class TreeAutomaton:
 
         A candidate must contain the argument of every next member of the
         parent; its cover mask records which absent next members it refutes.
-        Both depend only on the parent's next mask, so parents with equal
-        masks share one scan of the atoms.
-        """
+        Parents with equal next masks share one scan of the atoms."""
         req = self._next_present[aid]
         cached = self._cand_cache.get(req)
         if cached is not None:
@@ -244,121 +238,108 @@ class TreeAutomaton:
         self._cand_cache[req] = result
         return result
 
-    def _kept(self, aid: int, qsets, restrict) -> dict:
-        """Candidate lists of the given profiles (every profile when
-        ``qsets`` is None) limited to ``restrict``; profiles left without a
-        candidate are dropped."""
+    def _positions(self, aid: int, qsets, restrict):
+        """Candidate lists per subset position limited to ``restrict``, or
+        None if one is empty."""
         buckets = self._candidates(aid)
-        kept = {}
-        for q in buckets if qsets is None else qsets:
+        positions = []
+        for q in qsets:
             cands = buckets.get(q, ())
             if restrict is not None:
                 cands = tuple(c for c in cands if c[0] in restrict)
-            if cands:
-                kept[q] = cands
-        return kept
-
-    def _positions(self, aid: int, qsets, restrict):
-        """Candidate lists per subset position, or None if one is empty."""
-        kept = self._kept(aid, qsets, restrict)
-        if len(kept) < len(qsets):
-            return None
-        return [kept[q] for q in qsets]
+            if not cands:
+                return None
+            positions.append(cands)
+        return positions
 
     def maximal_family(self, aid: int, restrict) -> tuple:
         """Sorted profiles whose candidate bucket keeps an atom of
         ``restrict``: every family with a child tuple in ``restrict`` is a
         subset of it."""
-        return tuple(sorted(self._kept(aid, None, restrict)))
+        return tuple(sorted(
+            q for q, cands in self._candidates(aid).items()
+            if restrict is None or any(cid in restrict for cid, _ in cands)
+        ))
+
+    def transition_family(self, aid: int, restrict) -> Optional[tuple]:
+        """The maximal family against ``restrict`` if it has a child tuple
+        in ``restrict`` and a feasible system, else None; by the module
+        docstring's monotonicity facts, None iff no feasible family has
+        such a tuple.  Atoms of one class get the same answer."""
+        family = self.maximal_family(aid, restrict)
+        ok = family and self.has_transition(aid, family, restrict)
+        return family if ok and self.family_point(aid, family) is not None else None
 
     def transition_tuples(self, aid: int, qsets, restrict=None) -> Iterator[tuple]:
-        """Child tuples for the scenario, one atom per subset, in order.
-
-        Every absent next member of the parent must be refuted somewhere in
-        the tuple; ``restrict`` limits the candidate atoms (used with the
-        good-state set).
-        """
+        """Child tuples for the scenario, one atom per subset, in the
+        lexicographic order of the candidate lists.  Each refutes every
+        absent next member of the parent, and ``restrict`` limits the
+        candidates; the reach table admits a candidate only if the later
+        positions can finish its cover, so no branch dead-ends."""
         positions = self._positions(aid, qsets, restrict)
         if positions is None:
             return
         obl = self._all_next & ~self._next_present[aid]
-
+        reach = _reach(positions)
+        if obl not in reach[0]:
+            return
         k = len(positions)
-        suffix = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            possible = 0
-            for _, cover in positions[i]:
-                possible |= cover
-            suffix[i] = suffix[i + 1] | possible
-
-        chosen = [0] * k
-
-        def rec(i: int, covered: int) -> Iterator[tuple]:
-            if covered | suffix[i] != obl:
-                return
+        # tried[i]: candidates of position i taken under the current prefix
+        chosen, covered, tried = [0] * k, [0] * (k + 1), [0] * k
+        i = 0
+        while i >= 0:
             if i == k:
                 yield tuple(chosen)
-                return
-            for cid, cover in positions[i]:
-                chosen[i] = cid
-                yield from rec(i + 1, covered | cover)
-
-        yield from rec(0, 0)
+                i -= 1
+                continue
+            cands = positions[i]
+            for j in range(tried[i], len(cands)):
+                cid, cover = cands[j]
+                if any(covered[i] | cover | m == obl for m in reach[i + 1]):
+                    tried[i], chosen[i], covered[i + 1] = j + 1, cid, covered[i] | cover
+                    i += 1
+                    break
+            else:
+                tried[i] = 0
+                i -= 1
 
     def has_transition(self, aid: int, qsets, restrict) -> bool:
-        """Whether a full child tuple exists, without enumerating tuples."""
+        """Whether a full child tuple exists, without enumerating tuples:
+        grows the cover masks one candidate per position reaches, and stops
+        once one refutes every absent next member, since every later
+        position is nonempty."""
         positions = self._positions(aid, qsets, restrict)
-        return positions is not None and self._covers(aid, positions)
-
-    def _covers(self, aid: int, positions) -> bool:
-        """Whether one candidate per position can refute every absent next
-        member of the parent.
-
-        Tracks the set of reachable obligation-cover masks position by
-        position; a tuple exists iff the full obligation mask is reachable.
-        """
+        if positions is None:
+            return False
         obl = self._all_next & ~self._next_present[aid]
-        if obl == 0:
-            return True
         reach = {0}
         for cands in positions:
+            if obl in reach:
+                return True
             covers = {cover for _, cover in cands}
             reach = {m | c for m in reach for c in covers}
-            if obl in reach:
-                # every later position is nonempty, so extension succeeds
-                return True
         return obl in reach
 
     def occupants(self, aid: int, qsets, restrict=None) -> dict:
-        """Atoms that appear at each position of at least one child tuple.
-
-        Same reachable-cover bookkeeping as ``has_transition``, run both
-        forwards and backwards so each candidate only needs a compatible
-        pair of partial covers around it.
-        """
+        """Atoms that appear at each position of at least one child tuple:
+        those whose cover, with one reached before the position and one the
+        reach table offers after it, refutes every absent next member.
+        Each distinct cover is decided once."""
         positions = self._positions(aid, qsets, restrict)
         if positions is None:
             return {}
         obl = self._all_next & ~self._next_present[aid]
-        cover_sets = [frozenset(cover for _, cover in cands) for cands in positions]
-        k = len(positions)
-        forward = [{0}]
-        for covers in cover_sets:
-            forward.append({m | c for m in forward[-1] for c in covers})
-        backward = [{0}] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            backward[i] = {m | c for m in backward[i + 1] for c in cover_sets[i]}
+        reach = _reach(positions)
         result = {}
+        before = {0}
         for i, cands in enumerate(positions):
-            around = {f | b for f in forward[i] for b in backward[i + 1]}
-            fits = tuple(
-                cid
-                for cid, cover in cands
-                if any(u | cover == obl for u in around)
-            )
-            if not fits:
+            covers = {cover for _, cover in cands}
+            around = {f | b for f in before for b in reach[i + 1]}
+            fitting = {c for c in covers if any(u | c == obl for u in around)}
+            if not fitting:
                 return {}
-            result[qsets[i]] = fits
+            result[qsets[i]] = tuple(cid for cid, cover in cands if cover in fitting)
+            before = {f | c for f in before for c in covers}
         return result
 
     def successors(self, aid: int) -> tuple:
@@ -374,36 +355,26 @@ class TreeAutomaton:
 
         Each sweep evaluates against the previous sweep's set, so the sweep
         index of an atom strictly dominates those of some transition's
-        children.  An atom joins when its maximal family against that set
-        is feasible and has a child tuple in it; by the monotonicity facts
-        in the module docstring this holds iff some feasible family does.
+        children.  A class of atoms joins whole when its
+        :meth:`transition_family` against that set is not None, so each
+        sweep decides each class once.
         """
         if self._good is not None:
             return self._good
         good = set(self.final_ids)
-        distance = {aid: 0 for aid in self.final_ids}
+        distance = dict.fromkeys(self.final_ids, 0)
+        pending = [m for m in self._classes if not self.final[m[0]]]
         sweep = 0
         while True:
             snapshot = frozenset(good)
-            added = []
-            for aid in range(len(self.atoms)):
-                if aid in good:
-                    continue
-                kept = self._kept(aid, None, snapshot)
-                if not kept:
-                    continue
-                family = tuple(sorted(kept))
-                if (
-                    self._covers(aid, [kept[q] for q in family])
-                    and self.family_point(aid, family) is not None
-                ):
-                    added.append(aid)
-            if not added:
+            joined = [m for m in pending if self.transition_family(m[0], snapshot) is not None]
+            if not joined:
                 break
             sweep += 1
-            for aid in added:
-                good.add(aid)
-                distance[aid] = sweep
+            for members in joined:
+                good.update(members)
+                distance.update(dict.fromkeys(members, sweep))
+            pending = [m for m in pending if m[0] not in good]
         self._good = GoodStates(frozenset(good), distance, sweep)
         return self._good
 
@@ -424,6 +395,16 @@ class GoodStates:
     good: frozenset
     distance: dict
     sweeps: int
+
+
+def _reach(positions) -> list:
+    """Reach table: entry i holds the cover masks that one candidate per
+    position from i on can make together, and entry k is ``{0}``."""
+    reach = [{0}]
+    for cands in reversed(positions):
+        covers = {cover for _, cover in cands}
+        reach.append({m | c for m in reach[-1] for c in covers})
+    return reach[::-1]
 
 
 def _compiled(source) -> TreeAutomaton:
@@ -470,43 +451,45 @@ def witness_model(source) -> Optional[WitnessModel]:
     such transition; child probabilities come from the scenario's
     deterministic branch-system witness.  Only subsets of the maximal
     family against the earlier atoms can have such a transition, so only
-    those are tried, in the order :meth:`TreeAutomaton.scenario_family`
-    lists them.
+    those are tried.  The descent is a module function, not a closure, so
+    no reference cycle keeps the automaton alive after the call.
     """
     aut = _compiled(source)
     initial = aut.good_initial()
     if not initial:
         return None
     gs = aut.good_states()
-    root = min(initial, key=lambda a: (gs.distance[a], a))
-    width = len(aut._pairs)
     earlier_than = [
         frozenset(a for a in gs.good if gs.distance[a] < d)
         for d in range(gs.sweeps + 1)
     ]
+    root = min(initial, key=lambda a: (gs.distance[a], a))
+    return _witness_subtree(aut, earlier_than, root, None)
 
-    def build(aid: int, probability) -> WitnessModel:
-        atom = aut.atoms[aid]
-        if aut.final[aid]:
-            return WitnessModel(atom.valuation(), probability, ())
-        earlier = earlier_than[gs.distance[aid]]
-        offered = aut.maximal_family(aid, earlier)
-        for size in range(1, len(offered) + 1):
-            for chosen in combinations(offered, size):
-                if not aut.has_transition(aid, chosen, earlier):
-                    continue
-                point = aut.family_point(aid, chosen)
-                if point is None:
-                    continue
-                tup = next(aut.transition_tuples(aid, chosen, earlier))
-                children = tuple(
-                    build(cid, point[_qset_name(q, width)])
-                    for q, cid in zip(chosen, tup)
-                )
-                return WitnessModel(atom.valuation(), probability, children)
-        raise AssertionError(f"good non-final atom {aid} lost its transitions")
 
-    return build(root, None)
+def _witness_subtree(aut, earlier_than, aid: int, probability) -> WitnessModel:
+    """The witness below a good atom; ``earlier_than[d]`` holds the good
+    atoms at distance below d."""
+    atom = aut.atoms[aid]
+    if aut.final[aid]:
+        return WitnessModel(atom.valuation(), probability, ())
+    earlier = earlier_than[aut.good_states().distance[aid]]
+    offered = aut.maximal_family(aid, earlier)
+    width = len(aut._pairs)
+    for size in range(1, len(offered) + 1):
+        for chosen in combinations(offered, size):
+            if not aut.has_transition(aid, chosen, earlier):
+                continue
+            point = aut.family_point(aid, chosen)
+            if point is None:
+                continue
+            tup = next(aut.transition_tuples(aid, chosen, earlier))
+            children = tuple(
+                _witness_subtree(aut, earlier_than, cid, point[_qset_name(q, width)])
+                for q, cid in zip(chosen, tup)
+            )
+            return WitnessModel(atom.valuation(), probability, children)
+    raise AssertionError(f"good non-final atom {aid} lost its transitions")
 
 
 def check_model(model: WitnessModel, f: Formula) -> bool:

@@ -48,6 +48,13 @@ def _rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _positive_int(text: str) -> int:
+    """Argument type for counts and lengths: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _emit(args, command: str, status: str, payload: dict, started: float) -> None:
     envelope = {
         "command": command,
@@ -220,7 +227,10 @@ def _monitor_valuation(raw: str):
 
 def _cmd_mine(args, started) -> int:
     event_log = load_log(args.log)
-    min_support = parse_number(args.min_support)
+    try:
+        min_support = parse_number(args.min_support)
+    except ZeroDivisionError:
+        raise ValueError(f"--min-support: zero denominator in {args.min_support}") from None
     catalog = default_catalog()
     if args.templates:
         wanted = [name.strip() for name in args.templates.split(",") if name.strip()]
@@ -274,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mlt", help="probability of the most likely traces, and the traces")
     p.add_argument("formula")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--count", type=_positive_int, default=5)
+    p.add_argument("--max-len", type=_positive_int, default=8)
     p.set_defaults(run=_cmd_mlt)
 
     p = sub.add_parser("prob", help="highest probability of one trace")
@@ -286,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prefix", help="highest probability of extending a prefix")
     p.add_argument("formula")
     p.add_argument("--prefix", required=True)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--count", type=_positive_int, default=5)
+    p.add_argument("--max-len", type=_positive_int, default=8)
     p.set_defaults(run=_cmd_prefix)
 
     p = sub.add_parser("p0-sat", help="satisfiability of a constraint-set file")

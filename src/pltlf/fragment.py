@@ -189,9 +189,12 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     required = tuple(normalize(f) for f in required)
     aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
     good = aut.good_states().good
-    successors = {
-        aid: tuple(c for c in aut.successors(aid) if c in good) for aid in good
-    }
+    # successors read only the next mask, so each class of atoms shares one
+    successors = {}
+    for members in aut._classes:
+        if members[0] in good:
+            kids = tuple(c for c in aut.successors(members[0]) if c in good)
+            successors.update(dict.fromkeys(members, kids))
     valuations = {}
     shared = {}
     initial = [[] for _ in range(1 << len(formulas))]

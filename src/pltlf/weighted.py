@@ -135,11 +135,12 @@ def build_weighted(source) -> WeightedAutomaton:
     The weight of an edge from ``a`` to ``a'`` is the best mass any
     surviving scenario of ``a`` can give the subset position that ``a'``
     occupies; positions are pinned by which probability arguments hold in
-    ``a'``.  Every surviving scenario is a subset of ``a``'s maximal family
-    against the good set, a child tuple of a subset extends to one of the
-    maximal family, and adjoining variables never lowers a supremum, so one
-    maximisation over the maximal family's system gives each weight.  Each
-    position with positive mass becomes one group over its occupants.
+    ``a'``.  Every surviving scenario is a subset of ``a``'s transition
+    family against the good set, a child tuple of a subset extends to one
+    of that family, and adjoining variables never lowers a supremum, so one
+    maximisation over the family's system gives each weight.  Each
+    position with positive mass becomes one group over its occupants, and
+    every atom of a class shares the class's groups.
     """
     aut = _compiled(source)
     if aut._weighted is not None:
@@ -148,17 +149,17 @@ def build_weighted(source) -> WeightedAutomaton:
     states = tuple(sorted(good))
     groups = {}
     interned = {}
-    for aid in states:
-        family = aut.maximal_family(aid, good)
-        by_position = aut.occupants(aid, family, good)
-        if not by_position or aut.family_point(aid, family) is None:
+    for members in aut._classes:
+        aid = members[0]
+        family = aut.transition_family(aid, good) if aid in good else None
+        if family is None:
             continue
         out = []
-        for qmask, fits in by_position.items():
+        for qmask, fits in aut.occupants(aid, family, good).items():
             mass = aut.family_max(aid, family, qmask)
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
-        groups[aid] = tuple(out)
+        groups.update(dict.fromkeys(members, tuple(out)))
     valuations = {aid: aut.atoms[aid].valuation() for aid in states}
     aut._weighted = WeightedAutomaton(
         states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations

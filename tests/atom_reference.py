@@ -1,0 +1,172 @@
+"""Per-atom reference for the tree engine's per-class decisions.
+
+The engine decides a parent's transitions once per class of atoms with
+equal next masks and probability signatures, and one table of reachable
+cover masks prunes its child-tuple search and decides occupants once per
+distinct cover.  The functions here decide the same things atom by atom
+and candidate by candidate: the good-state sweep and the weighted-edge
+loop visit every atom, child tuples come from a recursive search pruned by
+the union of the later positions' covers, and occupants test every
+candidate against the covers reachable around it.  Tests compare the two
+paths on random formulas.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from pltlf.automaton import GoodStates
+from pltlf.weighted import WeightedAutomaton
+
+
+def obligations(aut, aid: int) -> int:
+    """Mask of the parent's absent next members, which children refute."""
+    return aut._all_next & ~aut._next_present[aid]
+
+
+def kept(aut, aid: int, qsets, restrict) -> dict:
+    """Candidate lists of the given profiles (every profile when ``qsets``
+    is None) limited to ``restrict``; empty profiles are dropped."""
+    buckets = aut._candidates(aid)
+    result = {}
+    for q in buckets if qsets is None else qsets:
+        cands = buckets.get(q, ())
+        if restrict is not None:
+            cands = tuple(c for c in cands if c[0] in restrict)
+        if cands:
+            result[q] = cands
+    return result
+
+
+def positions(aut, aid: int, qsets, restrict):
+    """Candidate lists per subset position, or None if one is empty."""
+    found = kept(aut, aid, qsets, restrict)
+    if len(found) < len(qsets):
+        return None
+    return [found[q] for q in qsets]
+
+
+def covers(obl: int, lists) -> bool:
+    """Whether one candidate per position can refute every obligation."""
+    if obl == 0:
+        return True
+    reach = {0}
+    for cands in lists:
+        cover_set = {cover for _, cover in cands}
+        reach = {m | c for m in reach for c in cover_set}
+        if obl in reach:
+            return True
+    return obl in reach
+
+
+def has_transition(aut, aid: int, qsets, restrict) -> bool:
+    lists = positions(aut, aid, qsets, restrict)
+    return lists is not None and covers(obligations(aut, aid), lists)
+
+
+def transition_tuples(aut, aid: int, qsets, restrict=None) -> Iterator[tuple]:
+    """Recursive search over one candidate per position, pruned when the
+    union of every later candidate's cover cannot finish the cover."""
+    lists = positions(aut, aid, qsets, restrict)
+    if lists is None:
+        return
+    obl = obligations(aut, aid)
+    k = len(lists)
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        possible = 0
+        for _, cover in lists[i]:
+            possible |= cover
+        suffix[i] = suffix[i + 1] | possible
+    chosen = [0] * k
+
+    def rec(i: int, covered: int) -> Iterator[tuple]:
+        if covered | suffix[i] != obl:
+            return
+        if i == k:
+            yield tuple(chosen)
+            return
+        for cid, cover in lists[i]:
+            chosen[i] = cid
+            yield from rec(i + 1, covered | cover)
+
+    yield from rec(0, 0)
+
+
+def occupants(aut, aid: int, qsets, restrict=None) -> dict:
+    """Atoms at each position of some child tuple, each candidate tested
+    against the covers reachable before and after its position."""
+    lists = positions(aut, aid, qsets, restrict)
+    if lists is None:
+        return {}
+    obl = obligations(aut, aid)
+    cover_sets = [frozenset(cover for _, cover in cands) for cands in lists]
+    k = len(lists)
+    forward = [{0}]
+    for cs in cover_sets:
+        forward.append({m | c for m in forward[-1] for c in cs})
+    backward = [{0}] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        backward[i] = {m | c for m in backward[i + 1] for c in cover_sets[i]}
+    result = {}
+    for i, cands in enumerate(lists):
+        around = {f | b for f in forward[i] for b in backward[i + 1]}
+        fits = tuple(cid for cid, cover in cands if any(u | cover == obl for u in around))
+        if not fits:
+            return {}
+        result[qsets[i]] = fits
+    return result
+
+
+def good_states(aut) -> GoodStates:
+    """Sweep every atom not yet good; an atom joins when its maximal
+    family against the previous sweep's set covers and is feasible."""
+    good = set(aut.final_ids)
+    distance = {aid: 0 for aid in aut.final_ids}
+    sweep = 0
+    while True:
+        snapshot = frozenset(good)
+        added = []
+        for aid in range(len(aut.atoms)):
+            if aid in good:
+                continue
+            found = kept(aut, aid, None, snapshot)
+            if not found:
+                continue
+            family = tuple(sorted(found))
+            if (
+                covers(obligations(aut, aid), [found[q] for q in family])
+                and aut.family_point(aid, family) is not None
+            ):
+                added.append(aid)
+        if not added:
+            return GoodStates(frozenset(good), distance, sweep)
+        sweep += 1
+        for aid in added:
+            good.add(aid)
+            distance[aid] = sweep
+
+
+def build_weighted(aut) -> WeightedAutomaton:
+    """Weighted automaton from one maximal family and one occupants call
+    per good atom, child tuples interned in the order they first occur."""
+    good = good_states(aut).good
+    states = tuple(sorted(good))
+    groups = {}
+    interned = {}
+    for aid in states:
+        family = tuple(sorted(kept(aut, aid, None, good)))
+        by_position = occupants(aut, aid, family, good)
+        if not by_position or aut.family_point(aid, family) is None:
+            continue
+        out = []
+        for qmask, fits in by_position.items():
+            mass = aut.family_max(aid, family, qmask)
+            if mass > 0:
+                out.append((mass, interned.setdefault(fits, len(interned))))
+        groups[aid] = tuple(out)
+    initial = tuple(aid for aid in aut.initial if aid in good)
+    valuations = {aid: aut.atoms[aid].valuation() for aid in states}
+    return WeightedAutomaton(
+        states, initial, aut.final_ids, groups, tuple(interned), valuations
+    )

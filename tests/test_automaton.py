@@ -1,11 +1,14 @@
 """Tree automaton: scenarios, transitions, good states, witness models."""
 
+import gc
+import weakref
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
 
+import atom_reference
 import family_reference
 import strategies as sts
 from oracles import bounded_satisfiable, formula_family, recheck_tuple
@@ -20,7 +23,9 @@ from pltlf import (
     negate,
     normalize,
     parse_formula,
+    parse_trace,
     solve_feasibility,
+    trace_probability,
     witness_model,
 )
 
@@ -454,3 +459,171 @@ class TestWitnessModels:
             assert not is_satisfiable(f)
         else:
             assert check_model(model, f)
+
+
+THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
+
+CLASS_FORMULAS = (
+    "P<=0.5[a] & P>=0.6[X b]",
+    "P>=0.5[a] & P>=0.6[!a]",
+    PSI_TEXT,
+    THREE_BOUNDS,
+    "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+    "X X a & F b",
+    "G(a -> X b)",
+    "a U b",
+)
+
+
+def class_of(aut) -> dict:
+    return {aid: k for k, members in enumerate(aut._classes) for aid in members}
+
+
+class TestPerClassDecisions:
+    """Deciding once per class, through one transition test and one reach
+    table, answers exactly what the per-atom, per-candidate path of
+    ``atom_reference`` answers."""
+
+    @pytest.mark.parametrize("text", CLASS_FORMULAS)
+    def test_named_formulas(self, text):
+        self.check(parse_formula(text))
+
+    @settings(max_examples=30)
+    @given(sts.formulas(max_leaves=3))
+    def test_random_formulas(self, f):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        self.check(f)
+
+    @settings(max_examples=30)
+    @given(sts.formulas(max_leaves=4, prob_free=True))
+    def test_random_probability_free_formulas(self, f):
+        assume(len(TreeAutomaton(f).atoms) <= 512)
+        self.check(f)
+
+    @staticmethod
+    def check(f):
+        aut = TreeAutomaton(f)
+        gs = aut.good_states()
+        assert gs == atom_reference.good_states(aut)
+        wa, expected = build_weighted(aut), atom_reference.build_weighted(aut)
+        assert wa.groups == expected.groups
+        assert wa.children == expected.children
+        for aid in range(len(aut.atoms)):
+            for restrict in (None, gs.good):
+                family = aut.maximal_family(aid, restrict)
+                assert family == tuple(sorted(atom_reference.kept(aut, aid, None, restrict)))
+                for qsets in [family, *combinations(family, 1), *islice(combinations(family, 2), 4)]:
+                    TestPerClassDecisions.check_scenario(aut, aid, qsets, restrict)
+
+    @staticmethod
+    def check_scenario(aut, aid, qsets, restrict):
+        assert aut.has_transition(aid, qsets, restrict) == atom_reference.has_transition(
+            aut, aid, qsets, restrict
+        )
+        assert aut.occupants(aid, qsets, restrict) == atom_reference.occupants(
+            aut, aid, qsets, restrict
+        )
+        # equal as sequences; a cap keeps wide scenarios cheap, and a list
+        # shorter than the cap is compared whole
+        new = list(islice(aut.transition_tuples(aid, qsets, restrict), 300))
+        old = list(islice(atom_reference.transition_tuples(aut, aid, qsets, restrict), 300))
+        assert new == old
+
+    def test_empty_scenario_has_the_empty_tuple_iff_nothing_is_owed(self):
+        aut = TreeAutomaton(parse_formula("X X a & F b"))
+        for aid in range(len(aut.atoms)):
+            owed = aut._all_next & ~aut._next_present[aid]
+            assert list(aut.transition_tuples(aid, ())) == ([] if owed else [()])
+            assert list(atom_reference.transition_tuples(aut, aid, ())) == (
+                [] if owed else [()]
+            )
+
+
+class TestClassCounts:
+    @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b"])
+    def test_good_states_decide_each_class_at_most_once_per_sweep(self, text, monkeypatch):
+        aut = TreeAutomaton(parse_formula(text))
+        calls = []
+        decide = aut.transition_family
+
+        def counting(aid, restrict):
+            calls.append((restrict, aid))
+            return decide(aid, restrict)
+
+        monkeypatch.setattr(aut, "transition_family", counting)
+        gs = aut.good_states()
+        classes = class_of(aut)
+        # each sweep tests against a new snapshot, kept alive by ``calls``
+        sweeps = {}
+        for restrict, aid in calls:
+            sweeps.setdefault(id(restrict), []).append(classes[aid])
+        assert 1 <= len(sweeps) <= gs.sweeps + 1
+        for decided in sweeps.values():
+            assert len(decided) == len(set(decided))
+        assert len(calls) <= len(aut._classes) * (gs.sweeps + 1)
+
+    @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b"])
+    def test_weighted_build_reads_occupants_once_per_good_class(self, text, monkeypatch):
+        aut = TreeAutomaton(parse_formula(text))
+        good = aut.good_states().good
+        calls = []
+        occupants = aut.occupants
+
+        def counting(aid, qsets, restrict=None):
+            calls.append(aid)
+            return occupants(aid, qsets, restrict)
+
+        monkeypatch.setattr(aut, "occupants", counting)
+        build_weighted(aut)
+        classes = class_of(aut)
+        decided = [classes[aid] for aid in calls]
+        assert len(decided) == len(set(decided))
+        assert set(decided) == {
+            k
+            for k, members in enumerate(aut._classes)
+            if members[0] in good and aut.transition_family(members[0], good) is not None
+        }
+
+    @pytest.mark.parametrize("text", CLASS_FORMULAS)
+    def test_classes_partition_the_atoms_by_mask_and_signature(self, text):
+        aut = TreeAutomaton(parse_formula(text))
+        assert sorted(a for m in aut._classes for a in m) == list(range(len(aut.atoms)))
+        for members in aut._classes:
+            keys = {(aut._next_present[a], aut._prob_sig[a], aut.final[a]) for a in members}
+            assert len(keys) == 1
+        firsts = [m[0] for m in aut._classes]
+        assert firsts == sorted(firsts)
+
+
+class TestReleasedByReferenceCounting:
+    """A query on a formula compiles an automaton that nothing refers to
+    once the call returns, so it is freed without the cycle collector."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            witness_model,
+            build_weighted,
+            lambda f: trace_probability(f, parse_trace("-;a;b")),
+        ],
+        ids=["witness_model", "build_weighted", "trace_probability"],
+    )
+    @pytest.mark.parametrize("text", ["P<=0.5[a] & P>=0.6[X b]", THREE_BOUNDS])
+    def test_compiled_automaton_is_freed(self, query, text, monkeypatch):
+        refs = []
+        init = TreeAutomaton.__init__
+
+        def recording(self, formula):
+            init(self, formula)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(TreeAutomaton, "__init__", recording)
+        f = parse_formula(text)
+        gc.collect()
+        gc.disable()
+        try:
+            query(f)
+            assert len(refs) == 1
+            assert refs[0]() is None
+        finally:
+            gc.enable()

@@ -334,6 +334,37 @@ class TestErrors:
         assert code == 2
         assert "out of range" in err
 
+    def test_zero_denominator_support_is_an_input_error(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "mine", "--log", str(data_dir / "sample_log.csv"),
+            "--min-support", "1/0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --min-support: zero denominator in 1/0\n"
+
+    @pytest.mark.parametrize("formula", [PHI0, PHI1])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("mlt", "--count", "0"), "--count"),
+            (("mlt", "--max-len", "-1"), "--max-len"),
+            (("prefix", "--prefix=a", "--count", "-3"), "--count"),
+            (("prefix", "--prefix=a", "--max-len", "0"), "--max-len"),
+        ],
+    )
+    def test_nonpositive_bounds_exit_two_before_any_compile(
+        self, capsys, monkeypatch, formula, argv, option
+    ):
+        def never(*args):
+            raise AssertionError("compiled before the arguments were checked")
+
+        monkeypatch.setattr(cli, "parse_formula", never)
+        code, out, err = run(capsys, argv[0], formula, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert f"argument {option}: expected an integer of at least 1" in err
+
     def test_internal_error_exits_two_without_traceback(self, capsys, monkeypatch):
         def broken(formula):
             raise RecursionError("maximum recursion depth exceeded")
@@ -427,8 +458,8 @@ def test_walkthrough_runs():
 # Total that scripts/cli_digest.py prints when every listed command
 # answers byte for byte as pinned; a change to CLI output changes it.
 CLI_DIGEST_TOTAL = (
-    "ed76a8e41766932935e347d73bea2b75524769ee3895e8ad60acd83dd102538b"
-    "  total over 145 commands"
+    "e7b060e038ff96516ca419f68645d8e8011e5956d660133fab60992c0bfc0344"
+    "  total over 150 commands"
 )
 
 
