@@ -7,7 +7,10 @@ total over all of them.  Two checkouts give the same total exactly when
 every command answers byte for byte the same, so comparing the last line
 checks that a change keeps the CLI output:
 
-    PYTHONPATH=src python3 scripts/cli_digest.py | tail -1
+    python3 scripts/cli_digest.py | tail -1
+
+The script puts its own checkout's ``src/`` first on the import path, so
+it digests that checkout's code whatever else is installed.
 
 The commands are ``sat``, ``model``, ``mlt``, ``prob`` and ``prefix`` on
 the formulas below, and ``p0-sat``, ``p0-scenarios`` and ``p0-monitor``
@@ -34,10 +37,12 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from pltlf.cli import main
-from pltlf.mining import default_catalog, load_log, mine_constraints, render_mined
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# this checkout's sources, ahead of any installed pltlf
+sys.path.insert(0, str(ROOT / "src"))
+
+from pltlf.cli import main  # noqa: E402
+from pltlf.mining import default_catalog, load_log, mine_constraints, render_mined  # noqa: E402
 
 FORMULAS = (
     # the README's formulas and the three-bound formula

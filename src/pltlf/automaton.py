@@ -31,6 +31,13 @@ children and what they must refute, and its probability signature, which
 fixes its branch systems; being final reads the same two.  So the atoms
 fall into classes by those two, and each decision is made once per class.
 
+The program asks two questions of a scenario: the first child tuple, which
+decides whether a transition exists and gives the witness its children,
+and the occupants of each child position, which the weighted automaton
+reads.  One backward table of the cover masks the later positions can
+reach answers both: it admits a candidate only if the rest of the tuple
+can finish its cover, so the first tuple is found without backtracking.
+
 Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
 which keeps its good states, LP results and weighted automaton.
 """
@@ -40,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .closure import Atom, ClosureSet, enumerate_atoms
 from .linsolve import LinearSystem, maximize, solve_feasibility
@@ -244,9 +251,7 @@ class TreeAutomaton:
         buckets = self._candidates(aid)
         positions = []
         for q in qsets:
-            cands = buckets.get(q, ())
-            if restrict is not None:
-                cands = tuple(c for c in cands if c[0] in restrict)
+            cands = [c for c in buckets.get(q, ()) if c[0] in restrict]
             if not cands:
                 return None
             positions.append(cands)
@@ -258,7 +263,7 @@ class TreeAutomaton:
         subset of it."""
         return tuple(sorted(
             q for q, cands in self._candidates(aid).items()
-            if restrict is None or any(cid in restrict for cid, _ in cands)
+            if any(cid in restrict for cid, _ in cands)
         ))
 
     def transition_family(self, aid: int, restrict) -> Optional[tuple]:
@@ -267,69 +272,42 @@ class TreeAutomaton:
         docstring's monotonicity facts, None iff no feasible family has
         such a tuple.  Atoms of one class get the same answer."""
         family = self.maximal_family(aid, restrict)
-        ok = family and self.has_transition(aid, family, restrict)
+        ok = family and self.first_tuple(aid, family, restrict) is not None
         return family if ok and self.family_point(aid, family) is not None else None
 
-    def transition_tuples(self, aid: int, qsets, restrict=None) -> Iterator[tuple]:
-        """Child tuples for the scenario, one atom per subset, in the
-        lexicographic order of the candidate lists.  Each refutes every
-        absent next member of the parent, and ``restrict`` limits the
-        candidates; the reach table admits a candidate only if the later
-        positions can finish its cover, so no branch dead-ends."""
+    def first_tuple(self, aid: int, qsets, restrict) -> Optional[tuple]:
+        """The first child tuple of the scenario in the lexicographic order
+        of the candidate lists, or None if it has none.  A child tuple
+        holds one atom of ``restrict`` per subset and together they refute
+        every absent next member of the parent.  The reach table admits a
+        candidate only if the later positions can finish its cover, so the
+        first admitted candidate at each position never dead-ends."""
         positions = self._positions(aid, qsets, restrict)
         if positions is None:
-            return
+            return None
         obl = self._all_next & ~self._next_present[aid]
-        reach = _reach(positions)
+        reach = _reach(positions, obl)
         if obl not in reach[0]:
-            return
-        k = len(positions)
-        # tried[i]: candidates of position i taken under the current prefix
-        chosen, covered, tried = [0] * k, [0] * (k + 1), [0] * k
-        i = 0
-        while i >= 0:
-            if i == k:
-                yield tuple(chosen)
-                i -= 1
-                continue
-            cands = positions[i]
-            for j in range(tried[i], len(cands)):
-                cid, cover = cands[j]
-                if any(covered[i] | cover | m == obl for m in reach[i + 1]):
-                    tried[i], chosen[i], covered[i + 1] = j + 1, cid, covered[i] | cover
-                    i += 1
+            return None
+        chosen, covered = [], 0
+        for cands, later in zip(positions, reach[1:]):
+            for cid, cover in cands:
+                if obl in later or any(covered | cover | m == obl for m in later):
                     break
-            else:
-                tried[i] = 0
-                i -= 1
+            chosen.append(cid)
+            covered |= cover
+        return tuple(chosen)
 
-    def has_transition(self, aid: int, qsets, restrict) -> bool:
-        """Whether a full child tuple exists, without enumerating tuples:
-        grows the cover masks one candidate per position reaches, and stops
-        once one refutes every absent next member, since every later
-        position is nonempty."""
-        positions = self._positions(aid, qsets, restrict)
-        if positions is None:
-            return False
-        obl = self._all_next & ~self._next_present[aid]
-        reach = {0}
-        for cands in positions:
-            if obl in reach:
-                return True
-            covers = {cover for _, cover in cands}
-            reach = {m | c for m in reach for c in covers}
-        return obl in reach
-
-    def occupants(self, aid: int, qsets, restrict=None) -> dict:
-        """Atoms that appear at each position of at least one child tuple:
-        those whose cover, with one reached before the position and one the
-        reach table offers after it, refutes every absent next member.
-        Each distinct cover is decided once."""
+    def occupants(self, aid: int, qsets, restrict) -> dict:
+        """Atoms of ``restrict`` that appear at each position of at least
+        one child tuple: those whose cover, with one reached before the
+        position and one the reach table offers after it, refutes every
+        absent next member.  Each distinct cover is decided once."""
         positions = self._positions(aid, qsets, restrict)
         if positions is None:
             return {}
         obl = self._all_next & ~self._next_present[aid]
-        reach = _reach(positions)
+        reach = _reach(positions, obl)
         result = {}
         before = {0}
         for i, cands in enumerate(positions):
@@ -341,14 +319,6 @@ class TreeAutomaton:
             result[qsets[i]] = tuple(cid for cid, cover in cands if cover in fitting)
             before = {f | c for f in before for c in covers}
         return result
-
-    def successors(self, aid: int) -> tuple:
-        """Children in the probability-free case, where tuples are unary."""
-        if self._pairs:
-            raise ValueError("successors() requires a probability-free closure")
-        obl = self._all_next & ~self._next_present[aid]
-        cands = self._candidates(aid).get(0, ())
-        return tuple(cid for cid, cover in cands if cover == obl)
 
     def good_states(self) -> "GoodStates":
         """Least fixpoint over "some transition reaches only good states".
@@ -397,13 +367,19 @@ class GoodStates:
     sweeps: int
 
 
-def _reach(positions) -> list:
+def _reach(positions, obl: int) -> list:
     """Reach table: entry i holds the cover masks that one candidate per
-    position from i on can make together, and entry k is ``{0}``."""
+    position from i on can make together, and entry k is ``{0}``.  Every
+    cover lies within ``obl``, so once an entry holds ``obl`` every
+    candidate at an earlier position fits, and the earlier entries repeat
+    it instead of growing."""
     reach = [{0}]
     for cands in reversed(positions):
-        covers = {cover for _, cover in cands}
-        reach.append({m | c for m in reach[-1] for c in covers})
+        later = reach[-1]
+        if obl not in later:
+            covers = {cover for _, cover in cands}
+            later = {m | c for m in later for c in covers}
+        reach.append(later)
     return reach[::-1]
 
 
@@ -446,13 +422,15 @@ def witness_model(source) -> Optional[WitnessModel]:
     """A tree interpretation satisfying the formula, or None.
 
     Extraction descends distances to acceptance: at every non-final state
-    pick the first scenario, smallest families first, with a transition
-    whose children all joined the good set strictly earlier, and its first
-    such transition; child probabilities come from the scenario's
-    deterministic branch-system witness.  Only subsets of the maximal
-    family against the earlier atoms can have such a transition, so only
-    those are tried.  The descent is a module function, not a closure, so
-    no reference cycle keeps the automaton alive after the call.
+    pick the first feasible scenario, smallest families first, with a
+    child tuple among the atoms that joined the good set strictly earlier,
+    and take its first such tuple, which :meth:`TreeAutomaton.first_tuple`
+    reads off the reach table without backtracking; child probabilities
+    come from the scenario's deterministic branch-system witness.  Only
+    subsets of the maximal family against the earlier atoms can have such
+    a tuple, so only those are tried.  The descent is a module function,
+    not a closure, so no reference cycle keeps the automaton alive after
+    the call.
     """
     aut = _compiled(source)
     initial = aut.good_initial()
@@ -478,12 +456,12 @@ def _witness_subtree(aut, earlier_than, aid: int, probability) -> WitnessModel:
     width = len(aut._pairs)
     for size in range(1, len(offered) + 1):
         for chosen in combinations(offered, size):
-            if not aut.has_transition(aid, chosen, earlier):
+            tup = aut.first_tuple(aid, chosen, earlier)
+            if tup is None:
                 continue
             point = aut.family_point(aid, chosen)
             if point is None:
                 continue
-            tup = next(aut.transition_tuples(aid, chosen, earlier))
             children = tuple(
                 _witness_subtree(aut, earlier_than, cid, point[_qset_name(q, width)])
                 for q, cid in zip(chosen, tup)

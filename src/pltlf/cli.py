@@ -229,8 +229,8 @@ def _cmd_mine(args, started) -> int:
     event_log = load_log(args.log)
     try:
         min_support = parse_number(args.min_support)
-    except ZeroDivisionError:
-        raise ValueError(f"--min-support: zero denominator in {args.min_support}") from None
+    except ValueError as exc:
+        raise ValueError(f"--min-support: {exc}") from None
     catalog = default_catalog()
     if args.templates:
         wanted = [name.strip() for name in args.templates.split(",") if name.strip()]

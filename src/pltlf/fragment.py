@@ -23,8 +23,7 @@ acceptor state sets, and the best index among them.  A configuration's
 successor on a valuation is computed once, by stepping the acceptors, and
 kept on the table, so every later step on that valuation is one lookup.
 The table keeps one configuration per distinct live set reached and at
-most one successor entry per event stepped; scenario descriptions are
-rendered once per scenario.
+most one successor entry per event stepped.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .syntax import (
     Comparison,
     Formula,
     Not,
-    ParseError,
     Prob,
     Trace,
     conj,
@@ -189,11 +187,12 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     required = tuple(normalize(f) for f in required)
     aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
     good = aut.good_states().good
-    # successors read only the next mask, so each class of atoms shares one
+    # without bounds a child tuple is one atom of profile 0, and successors
+    # read only the next mask, so each class of atoms shares one
     successors = {}
     for members in aut._classes:
         if members[0] in good:
-            kids = tuple(c for c in aut.successors(members[0]) if c in good)
+            kids = aut.occupants(members[0], (0,), good).get(0, ())
             successors.update(dict.fromkeys(members, kids))
     valuations = {}
     shared = {}
@@ -228,15 +227,14 @@ class Configuration:
 class ScenarioTable:
     """One constraint set compiled once: its scenarios, one prefix
     acceptor per scenario, all read off one automaton, and the mass
-    system.  The per-scenario maxima, the monitor's configurations and the
-    scenario descriptions are computed on first use and kept."""
+    system.  The per-scenario maxima and the monitor's configurations are
+    computed on first use and kept."""
 
     formula: Pltlf0Formula
     scenarios: tuple
     acceptors: tuple
     system: LinearSystem
     _configurations: dict = field(default_factory=dict, repr=False)
-    _descriptions: dict = field(default_factory=dict, repr=False)
 
     @property
     def satisfiable(self) -> tuple:
@@ -284,13 +282,6 @@ class ScenarioTable:
 
     def variable(self, index: int) -> str:
         return "x" + self.scenarios[index].label
-
-    def description(self, index: int) -> str:
-        """The scenario's members as text, rendered once."""
-        text = self._descriptions.get(index)
-        if text is None:
-            text = self._descriptions[index] = self.scenarios[index].describe()
-        return text
 
     def configuration(self, entries: tuple) -> Configuration:
         """The monitor configuration with these entries, made once."""
@@ -458,7 +449,7 @@ class MonitorState:
     def describe_best(self) -> str:
         if self.best_index == -1:
             return "none"
-        return self.table.description(self.best_index)
+        return self.table.scenarios[self.best_index].describe()
 
 
 def start_monitor(source) -> MonitorState:
@@ -510,7 +501,7 @@ def parse_pltlf0(text: str) -> Pltlf0Formula:
             bound = parse_number(hit.group(2))
             formula = parse_formula(hit.group(3))
             constraints.append(ProbConstraint(_CMP[hit.group(1)], bound, formula))
-        except (ParseError, ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return Pltlf0Formula(tuple(constraints))
 

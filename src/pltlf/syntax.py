@@ -523,8 +523,12 @@ def _tokenize(text: str) -> list:
 
 
 def parse_number(text: str) -> Fraction:
-    """Exact rational from a decimal or num/den literal."""
-    return Fraction(text)
+    """Exact rational from a decimal or num/den literal; a zero
+    denominator is a ValueError that names the literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text}") from None
 
 
 # Deepest subformula nesting the parser accepts.  Normalisation, the
@@ -648,8 +652,8 @@ class _Parser:
         tok = self.advance()
         try:
             bound = parse_number(tok.text)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {tok.text}", tok.line, tok.col) from None
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
         if not 0 <= bound <= 1:
             raise ParseError(f"probability bound {tok.text} outside [0, 1]", tok.line, tok.col)
         self.expect("[")

@@ -2,13 +2,15 @@
 
 The engine decides a parent's transitions once per class of atoms with
 equal next masks and probability signatures, and one table of reachable
-cover masks prunes its child-tuple search and decides occupants once per
-distinct cover.  The functions here decide the same things atom by atom
-and candidate by candidate: the good-state sweep and the weighted-edge
-loop visit every atom, child tuples come from a recursive search pruned by
-the union of the later positions' covers, and occupants test every
-candidate against the covers reachable around it.  Tests compare the two
-paths on random formulas.
+cover masks gives its first child tuple without backtracking and decides
+occupants once per distinct cover.  The functions here decide the same
+things atom by atom and candidate by candidate: the good-state sweep and
+the weighted-edge loop visit every atom, child tuples come from a
+recursive search pruned by the union of the later positions' covers, and
+occupants test every candidate against the covers reachable around it.
+``restrict=None`` keeps every candidate.  Tests compare the two paths on
+random formulas, and tests of the construction enumerate child tuples
+here, since the engine lists none.
 """
 
 from __future__ import annotations

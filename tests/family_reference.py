@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import atom_reference
 from pltlf.automaton import GoodStates, ScenarioRecord, TreeAutomaton, WitnessModel, _qset_name
 from pltlf.linsolve import maximize, solve_feasibility
 
@@ -45,7 +46,7 @@ def good_states(aut) -> GoodStates:
             for aid in range(len(aut.atoms))
             if aid not in good
             and any(
-                aut.has_transition(aid, record.qsets, snapshot)
+                atom_reference.has_transition(aut, aid, record.qsets, snapshot)
                 for record in aut.scenario_family(aid)
             )
         ]
@@ -66,7 +67,7 @@ def edge_weights(aut, good) -> dict:
     maxima = {}
     for aid in sorted(good):
         for record in aut.scenario_family(aid):
-            if not aut.has_transition(aid, record.qsets, good):
+            if not atom_reference.has_transition(aut, aid, record.qsets, good):
                 continue
             for qmask, fits in aut.occupants(aid, record.qsets, good).items():
                 if (record, qmask) not in maxima:
@@ -96,7 +97,7 @@ def witness_model(aut):
             return WitnessModel(atom.valuation(), probability, ())
         d = gs.distance[aid]
         for record in aut.scenario_family(aid):
-            for tup in aut.transition_tuples(aid, record.qsets, gs.good):
+            for tup in atom_reference.transition_tuples(aut, aid, record.qsets, gs.good):
                 if all(gs.distance[c] < d for c in tup):
                     point = solve_feasibility(record.system).witness
                     children = tuple(

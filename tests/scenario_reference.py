@@ -12,12 +12,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import atom_reference
 from pltlf.automaton import TreeAutomaton
 from pltlf.fragment import scenarios_of
 from pltlf.linsolve import LinearSystem, maximize, solve_feasibility
 from pltlf.syntax import Comparison, conj
 
 ZERO = Fraction(0)
+
+
+def successor_map(aut, good) -> dict:
+    """Each good atom's good children, in candidate order, read off the
+    reference search's unary child tuples (no bounds, so one profile)."""
+    return {
+        aid: tuple(t[0] for t in atom_reference.transition_tuples(aut, aid, (0,), good))
+        for aid in good
+    }
 
 
 class PrefixAcceptor:
@@ -30,9 +40,7 @@ class PrefixAcceptor:
         good = aut.good_states().good
         self.initial = frozenset(a for a in aut.initial if a in good)
         self.satisfiable = bool(self.initial)
-        self._succ = {
-            aid: tuple(c for c in aut.successors(aid) if c in good) for aid in good
-        }
+        self._succ = successor_map(aut, good)
         self._val = {aid: aut.atoms[aid].valuation() for aid in good}
 
     def start(self, valuation: frozenset) -> frozenset:

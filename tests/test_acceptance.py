@@ -49,6 +49,7 @@ from pltlf import (
 )
 from pltlf.mining import constraint_support, load_log, mine_constraints, to_pltlf0
 
+import atom_reference
 from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
 from test_weighted import fixpoint_history, naive_fixpoint
@@ -300,7 +301,7 @@ def test_criterion_11_property_suites(phi0, psi1_flat):
                     if best.attained:
                         ok = ok and system.holds(best.witness)
             checked += 1
-            for tup in aut.transition_tuples(aid, record.qsets):
+            for tup in atom_reference.transition_tuples(aut, aid, record.qsets):
                 ok = ok and recheck_tuple(aut, aid, record.qsets, tup)
     claim(11, "feasibility, suprema and witnesses survive elimination re-check",
           ok and checked > 0)

@@ -343,6 +343,14 @@ class TestErrors:
         assert out == ""
         assert err == "error: --min-support: zero denominator in 1/0\n"
 
+    def test_zero_denominator_bound_in_a_set_file(self, capsys, tmp_path):
+        path = tmp_path / "set.p0"
+        path.write_text("P<=1/0 : F a\n")
+        code, out, err = run(capsys, "p0-sat", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1: zero denominator in 1/0\n"
+
     @pytest.mark.parametrize("formula", [PHI0, PHI1])
     @pytest.mark.parametrize(
         "argv, option",

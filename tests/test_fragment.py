@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from scenario_reference import ReferenceTable
+from conftest import DATA
+from scenario_reference import ReferenceTable, successor_map
 from pltlf import (
     FALSE,
     TRUE,
@@ -27,6 +28,7 @@ from pltlf import (
     TreeAutomaton,
     accepts_prefix,
     build_lphi,
+    conj,
     format_pltlf0,
     format_trace,
     formula_text,
@@ -35,6 +37,7 @@ from pltlf import (
     monitor_step,
     monitor_with_property,
     most_likely_scenario,
+    normalize,
     parse_formula,
     parse_pltlf0,
     parse_trace,
@@ -444,6 +447,18 @@ class TestSharedAutomaton:
     """The table reads every scenario off one automaton and maximises the
     live variables only; ``scenario_reference`` builds one automaton per
     scenario and maximises every variable over the whole system."""
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.p0")), ids=lambda p: p.name)
+    def test_successor_map_matches_reference_search(self, path):
+        # every acceptor shares the map built on the automaton of the
+        # distinct constraint formulas
+        formulas = tuple(c.formula for c in parse_pltlf0(path.read_text()).constraints)
+        acceptors = fragment.scenario_acceptors(formulas)
+        aut = TreeAutomaton(conj(*dict.fromkeys(normalize(f) for f in formulas)))
+        expected = successor_map(aut, aut.good_states().good)
+        assert expected
+        for acceptor in acceptors:
+            assert acceptor._succ == expected
 
     @settings(max_examples=40)
     @example(
