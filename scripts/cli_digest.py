@@ -14,15 +14,17 @@ it digests that checkout's code whatever else is installed.
 
 The commands are ``sat``, ``model``, ``mlt``, ``prob`` and ``prefix`` on
 the formulas below, and ``p0-sat``, ``p0-scenarios`` and ``p0-monitor``
-(a fixed 300-event stream) on every ``data/*.p0`` file and on three more
+(a fixed 300-event stream) on every ``data/*.p0`` file and on four more
 sets: the existence/response set mined from ``data/sample_log.csv``, the
-fixed set ``SHAPES`` and the fixed set ``LADDER``.  The mined set and
+fixed set ``SHAPES``, the fixed set ``LADDER`` and the seven-formula fixed
+set ``SEVEN``, whose shared automaton has 4 096 atoms.  The mined set and
 ``LADDER`` are also monitored on a fixed 2 000-event stream with repeated
 lines, blank lines and whitespace variants; the mined set's stream names
 an unknown proposition halfway, so every scenario dies there.  Last come
 ``sat``, ``model`` and ``prob`` on the four-bound formula ``FOUR_BOUNDS``
 and ``sat`` and ``model`` on the next chain ``NEXT_CHAIN``, whose automata
-are larger than any above.  Data paths
+are larger than any above, and ``sat`` on the longer chain ``LONG_CHAIN``
+(2 048 atoms).  Data paths
 are printed relative to the repository root, and the extra sets are
 written to a temporary directory and named relative to it, so the digest
 does not depend on where the checkout lives.
@@ -95,9 +97,21 @@ LADDER = (
     "P<=9/10 : a U c\n"
 )
 
+# seven formulas over four propositions, bounds of every comparison
+SEVEN = (
+    "P>=1/2 : F a\n"
+    "P<=9/10 : F b\n"
+    "P>1/5 : G(a -> F b)\n"
+    "P<=3/4 : a U b\n"
+    "P>=1/10 : X c\n"
+    "P<4/5 : F(c & X d)\n"
+    "P>=1/4 : G !d\n"
+)
+
 # 2 048 atoms in 128 classes of 16, and 2 atoms per class
 FOUR_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c] & P<0.7[G d]"
 NEXT_CHAIN = "X X X X X X X X a"
+LONG_CHAIN = "X X X X X X X X X X a"
 
 TRACE = "-;a;b"
 PREFIX = "-;a"
@@ -162,6 +176,8 @@ def commands():
                 yield from p0_commands(name)
             pathlib.Path("ladder.p0").write_text(LADDER, encoding="utf-8")
             yield from p0_commands("ladder.p0")
+            pathlib.Path("seven.p0").write_text(SEVEN, encoding="utf-8")
+            yield from p0_commands("seven.p0")
             yield ("p0-monitor", "mined.p0"), long_stream(("a", "b"), death=1000)
             yield ("p0-monitor", "ladder.p0"), long_stream(("a", "b", "c"))
         finally:
@@ -171,6 +187,7 @@ def commands():
     yield ("prob", FOUR_BOUNDS, f"--trace={TRACE}"), ""
     yield ("sat", NEXT_CHAIN), ""
     yield ("model", NEXT_CHAIN), ""
+    yield ("sat", LONG_CHAIN), ""
 
 
 def run(argv, stdin_text: str):

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .closure import Atom, ClosureSet, enumerate_atoms
+from .closure import ClosureSet, enumerate_atoms, transpose
 from .linsolve import LinearSystem, maximize, solve_feasibility
 from .syntax import (
     And,
@@ -92,7 +92,6 @@ class TreeAutomaton:
         clo = self.closure
 
         next_list = clo.next_members
-        self._next_arg = tuple(clo.index[clo.members[i].operand] for i in next_list)
         self._all_next = (1 << len(next_list)) - 1
 
         # Probability pairs in closure order of their smaller member; each
@@ -103,38 +102,28 @@ class TreeAutomaton:
             if i < clo.negation[i]
         )
 
+        # Per-atom masks are rows of the columns they read.  Bit p of an
+        # atom's side mask says it holds the smaller member of pair p, which
+        # fixes its probability signature, so signatures are numbered in
+        # order of the first atom of each side mask and decided once each.
         n = len(self.atoms)
-        self._next_present = [0] * n
-        self._next_args = [0] * n
-        self._parg = [0] * n
-        self._prob_sig = [0] * n
-        sig_ids = {}
+        cols = clo.columns
+        self._next_present = transpose([cols[i] for i in next_list], n)
+        next_args = (clo.index[clo.members[i].operand] for i in next_list)
+        self._next_args = transpose([cols[i] for i in next_args], n)
+        self._parg = transpose([cols[arg] for _, _, arg in self._pairs], n)
+        sides = transpose([cols[i] for i, _, _ in self._pairs], n)
+        some_atom = dict(zip(sides, range(n)))
+        sig_of = {side: k for k, side in enumerate(some_atom)}
+        empty_ok = {
+            side: all(m.cmp.holds(ZERO, m.bound) for m in self.prob_members_of(aid))
+            for side, aid in some_atom.items()
+        }
+        self._prob_sig = [sig_of[side] for side in sides]
+        self.final = [mask == 0 and empty_ok[s] for mask, s in zip(self._next_present, sides)]
         classes = {}
-        self.final = [False] * n
-        for aid, atom in enumerate(self.atoms):
-            bits = atom.bits
-            np_mask = na_mask = 0
-            for pos, i in enumerate(next_list):
-                if bits >> i & 1:
-                    np_mask |= 1 << pos
-                if bits >> self._next_arg[pos] & 1:
-                    na_mask |= 1 << pos
-            self._next_present[aid] = np_mask
-            self._next_args[aid] = na_mask
-            parg = 0
-            sig = []
-            ok_empty = True
-            for pos, (i, j, arg) in enumerate(self._pairs):
-                if bits >> arg & 1:
-                    parg |= 1 << pos
-                present = clo.members[i if bits >> i & 1 else j]
-                sig.append((present.cmp, present.bound))
-                if not present.cmp.holds(ZERO, present.bound):
-                    ok_empty = False
-            self._parg[aid] = parg
-            self._prob_sig[aid] = sig = sig_ids.setdefault(tuple(sig), len(sig_ids))
-            self.final[aid] = np_mask == 0 and ok_empty
-            classes.setdefault((np_mask, sig), []).append(aid)
+        for aid, key in enumerate(zip(self._next_present, self._prob_sig)):
+            classes.setdefault(key, []).append(aid)
         # classes of atoms with equal next masks and signatures, ordered by
         # their smallest atom: every parent-side decision reads only these
         self._classes = tuple(map(tuple, classes.values()))

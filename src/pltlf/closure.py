@@ -7,11 +7,19 @@ picks exactly one member of each negation pair and is locally consistent:
 a conjunction is in iff all its conjuncts are, an until is in iff its right
 argument is or both its left argument and the unfolded next-step obligation
 are, ``true`` is always in.
+
+Atoms are built bit-sliced: each member has one int column whose bit p
+says whether it is in the atom of free-bit pattern p.  A free member's
+column is periodic, and every other column is a few ``&``, ``^`` and ``|``
+of smaller members' columns, so each consistency rule runs once per member,
+not once per atom.  Atoms, and the automaton's per-atom masks, are rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import and_
 from typing import Iterator
 
 from .syntax import (
@@ -68,17 +76,30 @@ class ClosureSet:
 
         # Enumeration plan: each negation pair contributes one free bit or
         # none.  Propositions, next members and the smaller-indexed side of
-        # each probability pair are free; constants are forced and the rest
-        # is derived from smaller members plus the free bits.
-        free, derived = [], []
+        # each probability pair are free.  Every other member's column is a
+        # conjunction of smaller members' columns, maybe negated, and an
+        # until's is joined with its right argument's; operand indices are
+        # resolved here, once.
+        free, plan = [], []
+        index, negation = self.index, self.negation
         for i, g in enumerate(members):
-            rep = min(i, self.negation[i])
-            if isinstance(g, (Prop, Next)) or (isinstance(g, Prob) and i == rep):
+            if isinstance(g, (Prop, Next)) or (isinstance(g, Prob) and i < negation[i]):
                 free.append(i)
-            else:
-                derived.append(i)
+                continue
+            match g:
+                case TrueConst() | FalseConst():
+                    rule = (), isinstance(g, FalseConst), None
+                case Not(_) | Prob():  # the complement of the other side
+                    rule = (negation[i],), True, None
+                case And(ops):
+                    rule = tuple(index[o] for o in ops), False, None
+                case Until(l, r):  # r | (l & X(l U r))
+                    rule = (index[l], index[Next(g)]), False, index[r]
+                case _:
+                    raise AssertionError(f"unexpected derived member {g!r}")
+            plan.append((i, *rule))
         self._free = tuple(free)
-        self._derived = tuple(derived)
+        self._plan = tuple(plan)
 
         self.prob_members = tuple(i for i, g in enumerate(members) if isinstance(g, Prob))
         self.next_members = tuple(i for i, g in enumerate(members) if isinstance(g, Next))
@@ -88,7 +109,7 @@ class ClosureSet:
         return len(self.members)
 
     def __contains__(self, f: Formula) -> bool:
-        return f in self.index
+        return normalize(f) in self.index
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.members)
@@ -105,6 +126,25 @@ class ClosureSet:
     def atom_count(self) -> int:
         return 1 << len(self._free)
 
+    @cached_property
+    def columns(self) -> tuple:
+        """Every member's column over all free patterns, in closure order.
+        Free member j's column repeats 2^j clear bits, then 2^j set bits."""
+        full = (1 << self.atom_count()) - 1
+        free = [full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(len(self._free))]
+        return tuple(self._evaluate(free, full))
+
+    def _evaluate(self, free_columns, full: int) -> list:
+        """Every member's column from the free members' columns, by the
+        enumeration plan; ``full`` has one bit per pattern."""
+        cols = [0] * len(self.members)
+        for i, c in zip(self._free, free_columns):
+            cols[i] = c
+        for i, conjuncts, negated, joined in self._plan:
+            c = reduce(and_, [cols[o] for o in conjuncts], full) ^ (full if negated else 0)
+            cols[i] = c if joined is None else c | cols[joined]
+        return cols
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -114,7 +154,7 @@ class Atom:
     bits: int
 
     def __contains__(self, f: Formula) -> bool:
-        i = self.closure.index.get(f)
+        i = self.closure.index.get(normalize(f))
         if i is None:
             raise KeyError(f"{formula_text(f)} is not a closure member")
         return bool(self.bits >> i & 1)
@@ -140,51 +180,24 @@ class Atom:
         return f"<Atom {{{inner}}}>"
 
 
-def _complete(clo: ClosureSet, vals: list) -> int:
-    """Fill derived members from the free bits; returns the atom bitmask.
-
-    Derived members are processed in increasing closure order, so the
-    children of a conjunction or until are already decided; the unfolded
-    next obligation of an until is a free bit.
-    """
-    members, index = clo.members, clo.index
-    for i in clo._derived:
-        g = members[i]
-        match g:
-            case TrueConst():
-                vals[i] = True
-            case FalseConst():
-                vals[i] = False
-            case Not(x):
-                vals[i] = not vals[index[x]]
-            case And(ops):
-                vals[i] = all(vals[index[o]] for o in ops)
-            case Until(l, r):
-                vals[i] = vals[index[r]] or (vals[index[l]] and vals[index[Next(g)]])
-            case Prob():
-                vals[i] = not vals[clo.negation[i]]
-            case _:
-                raise AssertionError(f"unexpected derived member {g!r}")
-    bits = 0
-    for i, v in enumerate(vals):
-        if v:
-            bits |= 1 << i
-    return bits
+def transpose(columns, count: int) -> list:
+    """Rows of a bit matrix given by its columns: bit j of row p is bit p
+    of ``columns[j]``, for p below ``count``."""
+    if not columns:
+        return [0] * count
+    texts = [format(c, f"0{count}b") for c in reversed(columns)]
+    return [int("".join(bits), 2) for bits in zip(*texts)][::-1]
 
 
 def enumerate_atoms(clo: ClosureSet) -> Iterator[Atom]:
-    """All atoms, lazily, in increasing order of their free-bit pattern."""
-    free = clo._free
-    n = len(clo)
-    for pattern in range(1 << len(free)):
-        vals = [None] * n
-        for j, i in enumerate(free):
-            vals[i] = bool(pattern >> j & 1)
-        yield Atom(clo, _complete(clo, vals))
+    """All atoms, in increasing order of their free-bit pattern: the rows
+    of the closure's columns."""
+    return (Atom(clo, bits) for bits in transpose(clo.columns, clo.atom_count()))
 
 
 def atom_of_members(clo: ClosureSet, members) -> Atom:
-    """Atom containing exactly the given members; checks consistency."""
+    """Atom containing exactly the given members; checks consistency by
+    evaluating the columns of its one free pattern."""
     bits = 0
     for g in members:
         g = normalize(g)
@@ -192,15 +205,9 @@ def atom_of_members(clo: ClosureSet, members) -> Atom:
         if i is None:
             raise ValueError(f"{formula_text(g)} is not a closure member")
         bits |= 1 << i
-    vals = [None] * len(clo)
-    for i in clo._free:
-        vals[i] = bool(bits >> i & 1)
-    rebuilt = _complete(clo, vals)
+    rebuilt = transpose(clo._evaluate([bits >> i & 1 for i in clo._free], 1), 1)[0]
     if rebuilt != bits:
-        missing = [
-            formula_text(clo.members[i])
-            for i in range(len(clo))
-            if (rebuilt >> i & 1) != (bits >> i & 1)
-        ]
+        wrong = rebuilt ^ bits
+        missing = [formula_text(g) for i, g in enumerate(clo.members) if wrong >> i & 1]
         raise ValueError(f"not an atom; inconsistent at: {', '.join(missing)}")
     return Atom(clo, bits)

@@ -31,9 +31,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .automaton import TreeAutomaton
+from .closure import transpose
 from .linsolve import InfeasibleSystemError, LinearSystem, maximize, solve_feasibility
 from .syntax import (
     Comparison,
@@ -161,14 +163,14 @@ class PrefixAcceptor:
         return bool(states)
 
 
-def _holds(closure, bits: int, f: Formula) -> bool:
-    """Truth of a normalised formula on an atom.  A formula that is not a
-    closure member is a conjunction the shared conjunction flattened into
-    its conjuncts, which are members."""
+def _column(closure, f: Formula) -> int:
+    """Column of a normalised formula over the closure's atoms.  A formula
+    that is not a closure member is a conjunction the shared conjunction
+    flattened into its conjuncts, which are members."""
     i = closure.index.get(f)
     if i is not None:
-        return bool(bits >> i & 1)
-    return all(_holds(closure, bits, g) for g in f.operands)
+        return closure.columns[i]
+    return reduce(and_, (_column(closure, g) for g in f.operands))
 
 
 def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
@@ -194,18 +196,20 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
         if members[0] in good:
             kids = aut.occupants(members[0], (0,), good).get(0, ())
             successors.update(dict.fromkeys(members, kids))
+    clo, n = aut.closure, len(aut.atoms)
+    required_hold = transpose(
+        [reduce(and_, (_column(clo, g) for g in required), (1 << n) - 1)], n
+    )
+    # the last formula is the low bit of a scenario index
+    index_of = transpose([_column(clo, f) for f in reversed(formulas)], n)
     valuations = {}
     shared = {}
     initial = [[] for _ in range(1 << len(formulas))]
     for aid in good:
         valuation = aut.atoms[aid].valuation()
         valuations[aid] = shared.setdefault(valuation, valuation)
-        bits = aut.atoms[aid].bits
-        if all(_holds(aut.closure, bits, g) for g in required):
-            index = 0
-            for f in formulas:
-                index = index << 1 | _holds(aut.closure, bits, f)
-            initial[index].append(aid)
+        if required_hold[aid]:
+            initial[index_of[aid]].append(aid)
     return tuple(
         PrefixAcceptor(frozenset(states), successors, valuations) for states in initial
     )

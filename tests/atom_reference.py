@@ -11,14 +11,157 @@ occupants test every candidate against the covers reachable around it.
 ``restrict=None`` keeps every candidate.  Tests compare the two paths on
 random formulas, and tests of the construction enumerate child tuples
 here, since the engine lists none.
+
+The engine also builds atoms and its per-atom masks bit-sliced, one int
+column per closure member over all free patterns.  ``atom_bits`` builds
+each atom on its own, member by member, ``atom_of_members`` checks a member
+set the same way, and ``masks`` reads the automaton's masks, signatures,
+finals, classes and initial atoms off each atom's bits.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 from pltlf.automaton import GoodStates
+from pltlf.closure import Atom
+from pltlf.syntax import (
+    And,
+    FalseConst,
+    Next,
+    Not,
+    Prob,
+    Prop,
+    TrueConst,
+    Until,
+    formula_text,
+    normalize,
+)
 from pltlf.weighted import WeightedAutomaton
+
+
+def free_members(clo) -> list:
+    """Propositions, next members and the smaller side of each
+    probability pair, in closure order: pattern bit j sets the j-th."""
+    return [
+        i
+        for i, g in enumerate(clo.members)
+        if isinstance(g, (Prop, Next)) or (isinstance(g, Prob) and i < clo.negation[i])
+    ]
+
+
+def complete(clo, vals: list) -> int:
+    """Fill the members that are not free, in increasing closure order,
+    from the free values; returns the atom bitmask."""
+    members, index = clo.members, clo.index
+    for i in sorted(set(range(len(members))) - set(free_members(clo))):
+        g = members[i]
+        match g:
+            case TrueConst():
+                vals[i] = True
+            case FalseConst():
+                vals[i] = False
+            case Not(x):
+                vals[i] = not vals[index[x]]
+            case And(ops):
+                vals[i] = all(vals[index[o]] for o in ops)
+            case Until(l, r):
+                vals[i] = vals[index[r]] or (vals[index[l]] and vals[index[Next(g)]])
+            case Prob():
+                vals[i] = not vals[clo.negation[i]]
+            case _:
+                raise AssertionError(f"unexpected derived member {g!r}")
+    bits = 0
+    for i, v in enumerate(vals):
+        if v:
+            bits |= 1 << i
+    return bits
+
+
+def atom_bits(clo) -> list:
+    """Every atom's bitmask, one free-bit pattern at a time."""
+    free = free_members(clo)
+    result = []
+    for pattern in range(1 << len(free)):
+        vals = [None] * len(clo)
+        for j, i in enumerate(free):
+            vals[i] = bool(pattern >> j & 1)
+        result.append(complete(clo, vals))
+    return result
+
+
+def atom_of_members(clo, members) -> Atom:
+    """Atom containing exactly the given members, rebuilt from its free
+    members to check consistency."""
+    bits = 0
+    for g in members:
+        g = normalize(g)
+        i = clo.index.get(g)
+        if i is None:
+            raise ValueError(f"{formula_text(g)} is not a closure member")
+        bits |= 1 << i
+    vals = [None] * len(clo)
+    for i in free_members(clo):
+        vals[i] = bool(bits >> i & 1)
+    rebuilt = complete(clo, vals)
+    if rebuilt != bits:
+        missing = [
+            formula_text(clo.members[i])
+            for i in range(len(clo))
+            if (rebuilt >> i & 1) != (bits >> i & 1)
+        ]
+        raise ValueError(f"not an atom; inconsistent at: {', '.join(missing)}")
+    return Atom(clo, bits)
+
+
+def masks(aut) -> dict:
+    """The automaton's per-atom tables, read off each atom's bits: next
+    and next-argument masks, probability-argument profiles, signatures
+    interned by their (cmp, bound) tuples, finals, classes and initial
+    atoms."""
+    clo = aut.closure
+    next_list = clo.next_members
+    next_arg = [clo.index[clo.members[i].operand] for i in next_list]
+    n = len(aut.atoms)
+    out = {
+        "next_present": [0] * n,
+        "next_args": [0] * n,
+        "parg": [0] * n,
+        "prob_sig": [0] * n,
+        "final": [False] * n,
+    }
+    sig_ids = {}
+    classes = {}
+    for aid, atom in enumerate(aut.atoms):
+        bits = atom.bits
+        np_mask = na_mask = 0
+        for pos, i in enumerate(next_list):
+            if bits >> i & 1:
+                np_mask |= 1 << pos
+            if bits >> next_arg[pos] & 1:
+                na_mask |= 1 << pos
+        parg = 0
+        sig = []
+        ok_empty = True
+        for pos, (i, j, arg) in enumerate(aut._pairs):
+            if bits >> arg & 1:
+                parg |= 1 << pos
+            present = clo.members[i if bits >> i & 1 else j]
+            sig.append((present.cmp, present.bound))
+            if not present.cmp.holds(Fraction(0), present.bound):
+                ok_empty = False
+        sig = sig_ids.setdefault(tuple(sig), len(sig_ids))
+        out["next_present"][aid] = np_mask
+        out["next_args"][aid] = na_mask
+        out["parg"][aid] = parg
+        out["prob_sig"][aid] = sig
+        out["final"][aid] = np_mask == 0 and ok_empty
+        classes.setdefault((np_mask, sig), []).append(aid)
+    out["classes"] = tuple(map(tuple, classes.values()))
+    root = clo.index[aut.formula]
+    out["initial"] = tuple(aid for aid, a in enumerate(aut.atoms) if a.bits >> root & 1)
+    return out
 
 
 def obligations(aut, aid: int) -> int:

@@ -20,6 +20,14 @@ PHI0_TEXT = "P<=0.5[a] & P>=0.6[X b]"
 PHI1_TEXT = "P>=0.5[a] & P>=0.6[!a]"
 PSI_TEXT = "X !b & P<=0.7[a U b] & P<=0.6[X(!a & !b)]"
 
+# closures with hundreds to thousands of atoms: a next chain, four bounds
+# (2 048 atoms) and the conjunction of seven formulas (4 096 atoms)
+LARGER_TEXTS = (
+    "X X X X X X X X a",
+    "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c] & P<0.7[G d]",
+    "F a & F b & G(a -> F b) & a U b & X c & F(c & X d) & G !d",
+)
+
 
 @pytest.fixture(scope="session")
 def phi0():

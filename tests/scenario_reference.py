@@ -5,7 +5,9 @@ distinct constraint formulas and maximises only the live variables.  The
 code here does it the way the construction reads: one good-state automaton
 per sign pattern (and per tested scenario plus property), and every
 variable maximised over the whole relaxed mass system, pinned columns
-included.  Tests compare the two paths on random constraint sets.
+included.  Tests compare the two paths on random constraint sets.  The
+engine also reads each scenario's initial atoms off the closure's columns;
+``initial_sets`` tests every good atom's members one by one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import atom_reference
 from pltlf.automaton import TreeAutomaton
 from pltlf.fragment import scenarios_of
 from pltlf.linsolve import LinearSystem, maximize, solve_feasibility
-from pltlf.syntax import Comparison, conj
+from pltlf.syntax import Comparison, conj, normalize
 
 ZERO = Fraction(0)
 
@@ -28,6 +30,33 @@ def successor_map(aut, good) -> dict:
         aid: tuple(t[0] for t in atom_reference.transition_tuples(aut, aid, (0,), good))
         for aid in good
     }
+
+
+def holds(closure, bits: int, f) -> bool:
+    """Truth of a normalised formula on an atom.  A formula that is not a
+    closure member is a conjunction the shared conjunction flattened into
+    its conjuncts, which are members."""
+    i = closure.index.get(f)
+    if i is not None:
+        return bool(bits >> i & 1)
+    return all(holds(closure, bits, g) for g in f.operands)
+
+
+def initial_sets(formulas: tuple, required: tuple = ()) -> list:
+    """Per sign pattern over ``formulas``, the good atoms of the shared
+    automaton whose truth values spell it and where ``required`` holds."""
+    formulas = tuple(normalize(f) for f in formulas)
+    required = tuple(normalize(f) for f in required)
+    aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
+    initial = [set() for _ in range(1 << len(formulas))]
+    for aid in aut.good_states().good:
+        bits = aut.atoms[aid].bits
+        if all(holds(aut.closure, bits, g) for g in required):
+            index = 0
+            for f in formulas:
+                index = index << 1 | holds(aut.closure, bits, f)
+            initial[index].add(aid)
+    return [frozenset(states) for states in initial]
 
 
 class PrefixAcceptor:

@@ -29,7 +29,7 @@ from pltlf import (
     witness_model,
 )
 
-from conftest import PSI_TEXT
+from conftest import LARGER_TEXTS, PSI_TEXT
 
 
 def everything(aut) -> frozenset:
@@ -542,6 +542,35 @@ class TestPerClassDecisions:
             assert list(atom_reference.transition_tuples(aut, aid, ())) == (
                 [] if owed else [()]
             )
+
+
+class TestMasksFromColumns:
+    """The per-atom tables read off transposed columns equal those read off
+    each atom's bits, with signatures interned in the same order."""
+
+    @given(sts.formulas())
+    def test_random_formulas(self, f):
+        self.check(TreeAutomaton(f))
+
+    @given(sts.formulas(prob_free=True))
+    def test_random_probability_free_formulas(self, f):
+        self.check(TreeAutomaton(f))
+
+    @pytest.mark.parametrize("text", LARGER_TEXTS)
+    def test_larger_closures(self, text):
+        self.check(TreeAutomaton(parse_formula(text)))
+
+    @staticmethod
+    def check(aut):
+        assert {
+            "next_present": aut._next_present,
+            "next_args": aut._next_args,
+            "parg": aut._parg,
+            "prob_sig": aut._prob_sig,
+            "final": aut.final,
+            "classes": aut._classes,
+            "initial": aut.initial,
+        } == atom_reference.masks(aut)
 
 
 class TestClassCounts:

@@ -466,8 +466,8 @@ def test_walkthrough_runs():
 # Total that scripts/cli_digest.py prints when every listed command
 # answers byte for byte as pinned; a change to CLI output changes it.
 CLI_DIGEST_TOTAL = (
-    "e7b060e038ff96516ca419f68645d8e8011e5956d660133fab60992c0bfc0344"
-    "  total over 150 commands"
+    "d44639734962924ab91ceb6a44940546f15b4465d0be5d85a5e34f585ea7774d"
+    "  total over 154 commands"
 )
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from conftest import DATA
-from scenario_reference import ReferenceTable, successor_map
+from scenario_reference import ReferenceTable, initial_sets, successor_map
 from pltlf import (
     FALSE,
     TRUE,
@@ -459,6 +459,19 @@ class TestSharedAutomaton:
         assert expected
         for acceptor in acceptors:
             assert acceptor._succ == expected
+
+    @example(
+        flat("P>=1/2 : F a", "P>=1/2 : F b", "P>=1/2 : G(a -> F b)", "P>=1/2 : a U b",
+             "P>=1/2 : X c", "P>=1/2 : F(c & X d)", "P>=1/2 : G !d"),
+        [parse_formula("F c")],
+    )
+    @given(constraint_sets(), st.lists(sts.formulas(max_leaves=3, prob_free=True), max_size=2))
+    def test_initial_sets_match_per_atom_reference(self, phi, required):
+        # initial atoms come from the closure's columns: a formula's own,
+        # or its conjuncts' when the shared conjunction flattened it away
+        formulas = tuple(c.formula for c in phi.constraints)
+        acceptors = fragment.scenario_acceptors(formulas, tuple(required))
+        assert [a.initial for a in acceptors] == initial_sets(formulas, tuple(required))
 
     @settings(max_examples=40)
     @example(
