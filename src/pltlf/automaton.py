@@ -86,8 +86,8 @@ class TreeAutomaton:
     and good states, scenario LPs and the weighted automaton are kept."""
 
     def __init__(self, formula: Formula):
-        self.formula = normalize(formula)
-        self.closure = ClosureSet(self.formula)
+        self.closure = ClosureSet(formula)
+        self.formula = self.closure.root
         self.atoms = tuple(enumerate_atoms(self.closure))
         clo = self.closure
 

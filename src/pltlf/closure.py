@@ -1,12 +1,13 @@
 """Subformula closure and its atoms.
 
-The closure of a normalized formula contains every subformula, the negation
-of every member (reduced, so no double negations and no negated probability
-bounds), and ``X(l U r)`` for every until member.  An atom is a subset that
-picks exactly one member of each negation pair and is locally consistent:
-a conjunction is in iff all its conjuncts are, an until is in iff its right
-argument is or both its left argument and the unfolded next-step obligation
-are, ``true`` is always in.
+The closure of a normalized formula contains every subformula, as
+``syntax.subformulas`` walks them, ``X(l U r)`` for every until among them,
+and the negation of each of these (reduced, so no double negations and no
+negated probability bounds); negating a member again gives it back.  An
+atom is a subset that picks exactly one member of each negation pair and
+is locally consistent: a conjunction is in iff all its conjuncts are, an
+until is in iff its right argument is or both its left argument and the
+unfolded next-step obligation are, ``true`` is always in.
 
 Atoms are built bit-sliced: each member has one int column whose bit p
 says whether it is in the atom of free-bit pattern p.  A free member's
@@ -36,6 +37,7 @@ from .syntax import (
     formula_text,
     negate,
     normalize,
+    subformulas,
 )
 
 
@@ -48,26 +50,10 @@ class ClosureSet:
 
     def __init__(self, root: Formula):
         root = normalize(root)
-        seen = set()
-
-        def add(g: Formula):
-            if g in seen:
-                return
-            seen.add(g)
-            add(negate(g))
-            match g:
-                case Not(x) | Next(x) | Prob(_, _, x):
-                    add(x)
-                case And(ops):
-                    for o in ops:
-                        add(o)
-                case Until(l, r):
-                    add(l)
-                    add(r)
-                    add(Next(g))
-
-        add(root)
-        members = tuple(sorted(seen, key=lambda g: (formula_size(g), formula_text(g))))
+        subs = set(subformulas(root))
+        subs |= {Next(g) for g in subs if isinstance(g, Until)}
+        subs |= {negate(g) for g in subs}
+        members = tuple(sorted(subs, key=lambda g: (formula_size(g), formula_text(g))))
         self.root = root
         self.members = members
         self.index = {g: i for i, g in enumerate(members)}

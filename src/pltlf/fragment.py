@@ -482,7 +482,6 @@ def to_pltlf(phi: Pltlf0Formula) -> Formula:
     return conj(*(Prob(c.cmp, c.bound, c.formula) for c in phi.constraints))
 
 
-_CMP = {c.value: c for c in Comparison}
 _LINE_RE = re.compile(r"^P\s*(<=|>=|<|>)\s*([0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)\s*:\s*(.+)$")
 
 
@@ -504,7 +503,7 @@ def parse_pltlf0(text: str) -> Pltlf0Formula:
         try:
             bound = parse_number(hit.group(2))
             formula = parse_formula(hit.group(3))
-            constraints.append(ProbConstraint(_CMP[hit.group(1)], bound, formula))
+            constraints.append(ProbConstraint(Comparison(hit.group(1)), bound, formula))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return Pltlf0Formula(tuple(constraints))

@@ -5,6 +5,11 @@ Surface connectives: ``true``, ``false``, propositions, ``!``, ``&``, ``|``,
 ``P<cmp><number>[phi]``.  :func:`normalize` rewrites a surface formula into
 the core fragment (constants, propositions, negation, n-ary conjunction,
 ``X``, ``U``, ``P``) that the closure and automaton constructions expect.
+
+:func:`children` is the one place that knows which subformulas a node has,
+and :func:`subformulas` walks a tree through it without recursion; size,
+depth, propositions, bound occurrence, core-fragment membership and the
+closure are read off that walk, so they accept a tree of any depth.
 """
 
 from __future__ import annotations
@@ -189,33 +194,49 @@ class Prob(Formula):
             raise ValueError(f"probability bound {bound} outside [0, 1]")
 
 
-def formula_size(f: Formula) -> int:
-    """Node count; the comparison and bound of a P node do not add to it."""
+def children(f: Formula) -> tuple:
+    """Immediate subformulas of a node, left to right."""
     match f:
         case TrueConst() | FalseConst() | Prop():
-            return 1
+            return ()
         case Not(x) | Next(x) | Eventually(x) | Always(x) | Prob(_, _, x):
-            return 1 + formula_size(x)
+            return (x,)
         case And(ops) | Or(ops):
-            return 1 + sum(formula_size(o) for o in ops)
+            return ops
         case Implies(l, r) | Until(l, r):
-            return 1 + formula_size(l) + formula_size(r)
+            return (l, r)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of the tree of ``f`` in pre-order, ``f`` first; a node is
+    yielded before its children are read.  Iterative, so any depth walks."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += reversed(children(g))
+
+
+def formula_size(f: Formula) -> int:
+    """Node count; the comparison and bound of a P node do not add to it."""
+    return sum(1 for _ in subformulas(f))
 
 
 # Printer precedence levels, loosest first.
 _P_IMPLIES, _P_OR, _P_AND, _P_UNTIL, _P_UNARY, _P_ATOM = range(1, 7)
 
 
+# Prefix operators: the parser reads and the printer spells them here.
+_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+_SPELLING = {node: op for op, node in _UNARY.items()}
+
 _PRECEDENCE = {
     Implies: _P_IMPLIES,
     Or: _P_OR,
     And: _P_AND,
     Until: _P_UNTIL,
-    Not: _P_UNARY,
-    Next: _P_UNARY,
-    Eventually: _P_UNARY,
-    Always: _P_UNARY,
+    **dict.fromkeys(_SPELLING, _P_UNARY),
 }
 
 
@@ -232,12 +253,12 @@ def _text_pieces(f: Formula) -> list:
             return ["true"]
         case FalseConst():
             return ["false"]
-        case Not(x):
-            return ["!", (x, _P_UNARY)]
-        case Next(x) | Eventually(x) | Always(x):
-            op = {Next: "X", Eventually: "F", Always: "G"}[type(f)]
-            # a parenthesized operand follows the operator directly
-            return [op if _precedence(x) < _P_UNARY else op + " ", (x, _P_UNARY)]
+        case Not(x) | Next(x) | Eventually(x) | Always(x):
+            op = _SPELLING[type(f)]
+            # a letter operator is spaced from an operand not in parentheses
+            if op.isalpha() and _precedence(x) >= _P_UNARY:
+                op += " "
+            return [op, (x, _P_UNARY)]
         case Until(l, r):
             return [(l, _P_UNARY), " U ", (r, _P_UNTIL)]
         case And(ops) | Or(ops):
@@ -294,7 +315,8 @@ def negate(f: Formula) -> Formula:
             return Not(f)
 
 
-def _conjunction(parts: tuple) -> Formula:
+def conj(*parts: Formula) -> Formula:
+    """Flattened conjunction of already-normalized formulas."""
     flat = []
     for p in parts:
         if isinstance(p, And):
@@ -308,36 +330,27 @@ def _conjunction(parts: tuple) -> Formula:
     return And(tuple(flat))
 
 
-def conj(*parts: Formula) -> Formula:
-    """Flattened conjunction of already-normalized formulas."""
-    return _conjunction(parts)
-
-
 # Deepest formula tree, before and after normalisation, that normalize
-# accepts.  Comparing, hashing and the closure recurse up to three and a
-# half frames per level, so at this depth they still leave callers over
-# 100 of the interpreter's default 1000; printing is iterative.  A parsed
-# formula within MAX_NESTING can still go deeper when connectives
-# alternate without parentheses, as in ``a & (b | a & (b | ...))``.
+# accepts.  Hashing, normalising and trace evaluation recurse up to three
+# frames per level, so at this depth they still leave callers over 100 of
+# the interpreter's default 1000; comparing two separately built equal
+# trees takes up to four.  The walks over subformulas and printing are
+# iterative.  A parsed formula within MAX_NESTING can still go deeper when
+# connectives alternate without parentheses, as in
+# ``a & (b | a & (b | ...))``.
 MAX_DEPTH = 250
 
 
 def check_depth(f: Formula) -> None:
     """Raise ValueError when the tree of ``f`` is deeper than
-    :data:`MAX_DEPTH`.  Iterative, so any depth is safe to check."""
-    stack = [(f, 1)]
-    while stack:
-        g, level = stack.pop()
-        if level > MAX_DEPTH:
-            raise ValueError(f"formula tree deeper than {MAX_DEPTH} levels")
-        match g:
-            case Not(x) | Next(x) | Eventually(x) | Always(x) | Prob(_, _, x):
-                stack.append((x, level + 1))
-            case And(ops) | Or(ops):
-                stack.extend((o, level + 1) for o in ops)
-            case Implies(l, r) | Until(l, r):
-                stack.append((l, level + 1))
-                stack.append((r, level + 1))
+    :data:`MAX_DEPTH`.  Walks one level of the tree at a time, so any depth
+    is safe to check; a non-formula node is left for the caller to reject."""
+    level = [f]
+    for _ in range(MAX_DEPTH):
+        level = [x for g in level if isinstance(g, Formula) for x in children(g)]
+        if not level:
+            return
+    raise ValueError(f"formula tree deeper than {MAX_DEPTH} levels")
 
 
 def normalize(f: Formula) -> Formula:
@@ -362,11 +375,11 @@ def _normalize(f: Formula) -> Formula:
         case Not(x):
             return negate(_normalize(x))
         case And(ops):
-            return _conjunction(tuple(_normalize(o) for o in ops))
+            return conj(*(_normalize(o) for o in ops))
         case Or(ops):
-            return negate(_conjunction(tuple(negate(_normalize(o)) for o in ops)))
+            return negate(conj(*(negate(_normalize(o)) for o in ops)))
         case Implies(l, r):
-            return negate(_conjunction((_normalize(l), negate(_normalize(r)))))
+            return negate(conj(_normalize(l), negate(_normalize(r))))
         case Next(x):
             return Next(_normalize(x))
         case Eventually(x):
@@ -380,61 +393,46 @@ def _normalize(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# Node types of the core fragment that normalize produces.
+_CORE = (TrueConst, FalseConst, Prop, Not, And, Next, Until, Prob)
+
+
 def is_normalized(f: Formula) -> bool:
-    match f:
-        case TrueConst() | FalseConst() | Prop():
-            return True
-        case Not(TrueConst()) | Not(FalseConst()) | Not(Not(_)) | Not(Prob()):
+    """Whether ``f`` is in the core fragment that :func:`normalize`
+    produces; False for any other node and for a non-formula."""
+    for g in subformulas(f):
+        if not isinstance(g, _CORE):
             return False
-        case Not(x) | Next(x) | Prob(_, _, x):
-            return is_normalized(x)
-        case And(ops):
-            return all(is_normalized(o) and not isinstance(o, And) for o in ops)
-        case Until(l, r):
-            return is_normalized(l) and is_normalized(r)
-        case _:
+        if isinstance(g, Not) and isinstance(g.operand, (TrueConst, FalseConst, Not, Prob)):
             return False
+        if isinstance(g, And) and any(isinstance(o, And) for o in g.operands):
+            return False
+    return True
 
 
 def vars_of(f: Formula) -> frozenset:
-    match f:
-        case TrueConst() | FalseConst():
-            return frozenset()
-        case Prop(name):
-            return frozenset({name})
-        case Not(x) | Next(x) | Eventually(x) | Always(x) | Prob(_, _, x):
-            return vars_of(x)
-        case And(ops) | Or(ops):
-            return frozenset().union(*(vars_of(o) for o in ops))
-        case Implies(l, r) | Until(l, r):
-            return vars_of(l) | vars_of(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
 
 
 def has_prob(f: Formula) -> bool:
-    match f:
-        case Prob():
-            return True
-        case TrueConst() | FalseConst() | Prop():
-            return False
-        case Not(x) | Next(x) | Eventually(x) | Always(x):
-            return has_prob(x)
-        case And(ops) | Or(ops):
-            return any(has_prob(o) for o in ops)
-        case Implies(l, r) | Until(l, r):
-            return has_prob(l) or has_prob(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(isinstance(g, Prob) for g in subformulas(f))
 
 
 def eval_trace(f: Formula, trace: Trace, pos: int = 0) -> bool:
     """Classical finite-trace truth of a probability-free formula.
 
     Until reduces to its right argument on the last step; X is false there.
+    Raises ValueError when the tree of ``f`` is deeper than :data:`MAX_DEPTH`.
     """
     if not trace:
         raise ValueError("trace must be nonempty")
     if not 0 <= pos < len(trace):
         raise ValueError(f"position {pos} outside trace of length {len(trace)}")
+    check_depth(f)
+    return _eval(f, trace, pos)
+
+
+def _eval(f: Formula, trace: Trace, pos: int) -> bool:
     match f:
         case TrueConst():
             return True
@@ -443,24 +441,24 @@ def eval_trace(f: Formula, trace: Trace, pos: int = 0) -> bool:
         case Prop(name):
             return name in trace[pos]
         case Not(x):
-            return not eval_trace(x, trace, pos)
+            return not _eval(x, trace, pos)
         case And(ops):
-            return all(eval_trace(o, trace, pos) for o in ops)
+            return all(_eval(o, trace, pos) for o in ops)
         case Or(ops):
-            return any(eval_trace(o, trace, pos) for o in ops)
+            return any(_eval(o, trace, pos) for o in ops)
         case Implies(l, r):
-            return not eval_trace(l, trace, pos) or eval_trace(r, trace, pos)
+            return not _eval(l, trace, pos) or _eval(r, trace, pos)
         case Next(x):
-            return pos + 1 < len(trace) and eval_trace(x, trace, pos + 1)
+            return pos + 1 < len(trace) and _eval(x, trace, pos + 1)
         case Eventually(x):
-            return any(eval_trace(x, trace, i) for i in range(pos, len(trace)))
+            return any(_eval(x, trace, i) for i in range(pos, len(trace)))
         case Always(x):
-            return all(eval_trace(x, trace, i) for i in range(pos, len(trace)))
+            return all(_eval(x, trace, i) for i in range(pos, len(trace)))
         case Until(l, r):
             for i in range(pos, len(trace)):
-                if eval_trace(r, trace, i):
+                if _eval(r, trace, i):
                     return True
-                if not eval_trace(l, trace, i):
+                if not _eval(l, trace, i):
                     return False
             return False
         case Prob():
@@ -531,10 +529,10 @@ def parse_number(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text}") from None
 
 
-# Deepest subformula nesting the parser accepts.  Normalisation, the
-# closure and hashing recurse at least once per level, and a
-# bracketed level costs the parser eight frames, so at this depth every
-# shape still leaves callers over 150 of the interpreter's default 1000.
+# Deepest subformula nesting the parser accepts.  Normalisation and
+# hashing recurse at least once per level, and a bracketed level costs the
+# parser eight frames, so at this depth every shape still leaves callers
+# over 150 of the interpreter's default 1000.
 MAX_NESTING = 100
 
 
@@ -607,20 +605,11 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        tok = self.current
-        if tok.text == "!":
-            self.advance()
-            return Not(self.nested(self.unary))
-        if tok.text == "X":
-            self.advance()
-            return Next(self.nested(self.unary))
-        if tok.text == "F":
-            self.advance()
-            return Eventually(self.nested(self.unary))
-        if tok.text == "G":
-            self.advance()
-            return Always(self.nested(self.unary))
-        return self.atom()
+        node = _UNARY.get(self.current.text)
+        if node is None:
+            return self.atom()
+        self.advance()
+        return node(self.nested(self.unary))
 
     def atom(self) -> Formula:
         tok = self.current

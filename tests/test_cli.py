@@ -485,3 +485,21 @@ def test_cli_digest_runs(tmp_path):
     assert lines[-1].endswith(f"total over {len(lines) - 1} commands")
     assert any(line.endswith("p0-monitor data/psi1.p0") for line in lines)
     assert lines[-1] == CLI_DIGEST_TOTAL
+
+
+def test_src_lines_totals_the_modules():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "src_lines.py")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    modules = sorted((root / "src" / "pltlf").glob("*.py"))
+    assert [name for name, _, _ in rows] == [p.name for p in modules]
+    lines = [int(n) for _, n, _ in rows]
+    code = [int(c) for _, _, c in rows]
+    assert lines == [len(p.read_text().splitlines()) for p in modules]
+    assert all(0 < c < n for n, c in zip(lines, code))
+    assert total == ["total", str(sum(lines)), str(sum(code))]

@@ -22,20 +22,33 @@ from pltlf import (
     vars_of,
 )
 from pltlf import ClosureSet, Pltlf0Formula, ProbConstraint, build_lphi, is_satisfiable
+from pltlf import (
+    TraceNFA,
+    language_probability,
+    monitor_with_property,
+    parse_pltlf0,
+    prefix_extension_query,
+    trace_probability,
+)
 from pltlf.syntax import (
     MAX_DEPTH,
     MAX_NESTING,
+    Always,
+    Eventually,
     Implies,
     Or,
     all_valuations,
     check_depth,
+    children,
     formula_size,
     has_prob,
     is_normalized,
     normalize,
+    subformulas,
 )
 
 import strategies as sts
+import syntax_reference as ref
 
 
 def t(text):
@@ -227,3 +240,117 @@ class TestStructure:
 
     def test_next_text(self):
         assert formula_text(Next(Until(Prop("a"), Prop("b")))) == "X(a U b)"
+
+
+class TestWalks:
+    """The iterative walks against the recursive ones they replace."""
+
+    @staticmethod
+    def check_same(f):
+        assert formula_size(f) == ref.formula_size(f)
+        assert vars_of(f) == ref.vars_of(f)
+        assert has_prob(f) == ref.has_prob(f)
+        assert is_normalized(f) == ref.is_normalized(f)
+        assert set(ClosureSet(f).members) == ref.closure_members(f)
+
+    @given(sts.formulas())
+    def test_with_bounds(self, f):
+        self.check_same(f)
+        self.check_same(normalize(f))
+
+    @given(sts.formulas(prob_free=True))
+    def test_without_bounds(self, f):
+        self.check_same(f)
+        self.check_same(normalize(f))
+
+    @given(sts.formulas())
+    def test_subformulas_in_pre_order(self, f):
+        nodes, expected = list(subformulas(f)), ref.subformulas(f)
+        assert len(nodes) == len(expected)
+        assert all(g is h for g, h in zip(nodes, expected))
+
+    def test_is_normalized_rejects_non_core_nodes(self):
+        a, b = Prop("a"), Prop("b")
+        for f in (Or((a, b)), Implies(a, b), Eventually(a), Always(a), Not(Or((a, b)))):
+            assert not is_normalized(f)
+            assert not ref.is_normalized(f)
+        for junk in (5, "a", None, Not(5), And((a, "b"))):
+            assert not is_normalized(junk)
+            assert not ref.is_normalized(junk)
+
+    def test_non_formula_operand_raises_the_same_type_error(self):
+        for f in (Not(5), And((Prop("a"), "b")), Until(Prop("a"), None)):
+            for new, old in (
+                (formula_size, ref.formula_size),
+                (vars_of, ref.vars_of),
+                (has_prob, ref.has_prob),
+            ):
+                with pytest.raises(TypeError) as expected:
+                    old(f)
+                with pytest.raises(TypeError) as got:
+                    new(f)
+                assert str(got.value) == str(expected.value)
+        with pytest.raises(TypeError, match="^not a formula: 5$"):
+            children(5)
+        with pytest.raises(TypeError, match="^not a formula: 5$"):
+            normalize(Not(5))
+
+
+def chain(node, levels, leaf=Prop("a")):
+    f = leaf
+    for _ in range(levels):
+        f = node(f)
+    return f
+
+
+# chains built in code: (node, propositions, normalized, truth of the
+# chain of depth MAX_DEPTH on a two-step trace where a and b always hold)
+CHAINS = {
+    "next": (Next, {"a"}, True, False),
+    "not": (Not, {"a"}, False, False),
+    "always": (Always, {"a"}, False, True),
+    "until": (lambda f: Until(Prop("b"), f), {"a", "b"}, True, True),
+    "and": (lambda f: And((Prop("b"), f)), {"a", "b"}, False, True),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+class TestDeepChains:
+    LEVELS = 3000
+    TOO_DEEP = f"^formula tree deeper than {MAX_DEPTH} levels$"
+
+    def test_walks_answer(self, name):
+        node, names, normalized, _ = CHAINS[name]
+        f = chain(node, self.LEVELS)
+        leaves = 1 if names == {"a"} else self.LEVELS + 1
+        assert formula_size(f) == self.LEVELS + leaves
+        assert vars_of(f) == frozenset(names)
+        assert not has_prob(f)
+        assert has_prob(chain(node, self.LEVELS, Prob(Comparison.LE, Fraction(1, 2), Prop("a"))))
+        assert is_normalized(f) == normalized
+
+    def test_queries_reject_with_value_error(self, name):
+        f = chain(CHAINS[name][0], self.LEVELS)
+        trace = t("a")
+        flat = parse_pltlf0("P>=0.5 : a\n")
+        queries = (
+            lambda: trace_probability(f, trace),
+            lambda: prefix_extension_query(f, trace),
+            lambda: language_probability(f, TraceNFA.from_trace(trace)),
+            lambda: monitor_with_property(flat, f, trace),
+            lambda: build_lphi(Pltlf0Formula((ProbConstraint(Comparison.LE, Fraction(1, 2), f),))),
+        )
+        for query in queries:
+            with pytest.raises(ValueError, match=self.TOO_DEEP):
+                query()
+
+    def test_eval_trace_rejects_with_value_error(self, name):
+        f = chain(CHAINS[name][0], self.LEVELS)
+        with pytest.raises(ValueError, match=self.TOO_DEEP):
+            eval_trace(f, t("a;b"))
+
+    def test_eval_trace_answers_at_the_depth_limit(self, name):
+        node, _, _, truth = CHAINS[name]
+        f = chain(node, MAX_DEPTH - 1)
+        check_depth(f)
+        assert eval_trace(f, t("a,b;a,b")) == truth

@@ -18,6 +18,7 @@ from pltlf import (
     TreeAutomaton,
     behaviour,
     build_weighted,
+    check_model,
     enumerate_mlts,
     eval_trace,
     is_satisfiable,
@@ -527,3 +528,35 @@ class TestCompileOnce:
     def test_random_formulas(self, f, drawn):
         assume(len(TreeAutomaton(f).atoms) <= 256)
         self.check(f, drawn[:3], drawn[3])
+
+
+class TestNestedBounds:
+    """Bounds inside bounds: the parser accepts them and the tree engine
+    decides them.  No independent oracle covers them, since the bounded
+    model search takes at most one bound."""
+
+    @pytest.mark.parametrize("text", ["P<=0.5[P<=0.5[a]]", "P>=0.7[P>=0.7[X a]] & P>0.5[X !a]"])
+    def test_satisfiable_with_checked_witness_and_mlts(self, text):
+        f = parse_formula(text)
+        assert is_satisfiable(f)
+        assert check_model(witness_model(f), f)
+        wa = build_weighted(f)
+        value = behaviour(wa)
+        traces = enumerate_mlts(mlt_acceptor(wa), 4, 8)
+        assert traces
+        for trace in traces:
+            assert trace_probability(f, trace) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P>=0.6[P>=0.6[a]] & P>=0.6[P<0.6[a]]",
+            "P>0.5[P>0.5[a]] & P>0.5[P<=0.5[a]]",
+        ],
+    )
+    def test_outer_masses_of_exclusive_inner_bounds_cannot_both_hold(self, text):
+        # the inner bounds exclude each other, so the outer masses would
+        # have to sum to more than 1
+        f = parse_formula(text)
+        assert not is_satisfiable(f)
+        assert witness_model(f) is None
