@@ -12,6 +12,7 @@ so outputs are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -322,13 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("PLTLF_LOG")
     if level:
         logging.basicConfig(level=level.upper())
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.monotonic()

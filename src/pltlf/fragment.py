@@ -17,6 +17,10 @@ pinned to zero and its column is dropped.  Every query and the monitor
 reuse the table's acceptors and maxima; a query given a
 :class:`Pltlf0Formula` compiles it first.
 
+One rule picks the most likely scenario, :meth:`ScenarioTable.most_likely`:
+the largest positive maximum, the smallest index on ties.  The queries and
+the monitor all ask it.
+
 The monitor is a deterministic automaton over valuations, built lazily on
 the table.  Its states are *configurations*: the live scenarios with their
 acceptor state sets, and the best index among them.  A configuration's
@@ -291,14 +295,17 @@ class ScenarioTable:
         """The monitor configuration with these entries, made once."""
         config = self._configurations.get(entries)
         if config is None:
-            best = ZERO
-            best_index = -1
-            for i, _ in entries:
-                if self.maxima[i] > best:
-                    best = self.maxima[i]
-                    best_index = i
+            best_index = self.most_likely(i for i, _ in entries)
             config = self._configurations[entries] = Configuration(entries, best_index)
         return config
+
+    def most_likely(self, indices) -> int:
+        """The scenario among ``indices`` with the largest positive
+        maximum, the smallest index among tied ones; -1 when none of them
+        has a positive maximum."""
+        maxima = self.maxima
+        best = max(indices, key=lambda i: (maxima[i], -i), default=-1)
+        return best if best >= 0 and maxima[best] > 0 else -1
 
     def successor(self, config: Configuration, valuation: frozenset) -> Configuration:
         """The configuration after ``valuation``: every live scenario's
@@ -371,24 +378,11 @@ def accepts_prefix(scenario: Scenario, trace: Trace) -> bool:
     return scenario_acceptors((), scenario.formulas)[0].accepts(trace)
 
 
-def _best_accepting(table: ScenarioTable, accepts) -> int:
-    """Scan indices in ascending order with a strict-improvement test, so
-    the smallest index among tied maxima wins; ``accepts(i)`` is asked only
-    of scenarios that would improve, never of those with maximum zero."""
-    best = ZERO
-    best_index = -1
-    for i, value in enumerate(table.maxima):
-        if value > best and accepts(i):
-            best = value
-            best_index = i
-    return best_index
-
-
 def most_likely_scenario(source, trace: Trace) -> int:
     """Index of the accepting scenario with the largest maximum, or -1
     when no scenario with positive maximum accepts the prefix."""
     table = scenario_maxima(source)
-    return _best_accepting(table, lambda i: table.acceptors[i].accepts(trace))
+    return table.most_likely(i for i, a in enumerate(table.acceptors) if a.accepts(trace))
 
 
 def monitor_with_property(source, prop: Formula, trace: Trace) -> int:
@@ -399,7 +393,7 @@ def monitor_with_property(source, prop: Formula, trace: Trace) -> int:
     table = scenario_maxima(source)
     formulas = tuple(c.formula for c in table.formula.constraints)
     acceptors = scenario_acceptors(formulas, (prop,))
-    return _best_accepting(table, lambda i: acceptors[i].accepts(trace))
+    return table.most_likely(i for i, a in enumerate(acceptors) if a.accepts(trace))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,11 @@
 """Discover probability-bounded temporal constraints from event logs.
 
 Cases become traces of singleton valuations (one activity per event).
-Frequent activity sets are found Apriori-style, declarative templates are
-instantiated over them in every argument order, and each instance's
-support (fraction of cases satisfying it) becomes an exact probability:
-a constraint with support p is reported as the pair P>=p, P<=p.
+Frequent activity sets are found Apriori-style, up to the largest arity
+in the template catalog, declarative templates are instantiated over them
+in every argument order, and each instance's support (fraction of cases
+satisfying it) becomes an exact probability: a constraint with support p
+is reported as the pair P>=p, P<=p.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable
 
 from .fragment import Pltlf0Formula, ProbConstraint
@@ -180,24 +181,22 @@ def constraint_support(log: EventLog, formula: Formula) -> Fraction:
     return Fraction(hits, len(log.cases))
 
 
-def mine_constraints(
-    log: EventLog, min_support: Fraction, catalog: tuple = None, max_size: int = 2
-) -> list:
+def mine_constraints(log: EventLog, min_support: Fraction, catalog: tuple = None) -> list:
     """Instantiate every template over the frequent sets matching its
-    arity (binary templates in both argument orders), keeping instances
-    whose exact support clears the threshold.  Output is ordered by
-    template name, then argument tuple."""
+    arity, in every argument order, keeping instances whose exact support
+    clears the threshold.  Frequent sets grow only to the largest arity in
+    the catalog.  Output is ordered by template name, then argument tuple."""
     min_support = Fraction(min_support)
     if catalog is None:
         catalog = default_catalog()
-    frequent = frequent_sets(log, min_support, max_size)
+    frequent = frequent_sets(log, min_support, max((t.arity for t in catalog), default=1))
     by_size = {}
     for items in frequent:
         by_size.setdefault(len(items), []).append(items)
     instances = []
     for template in catalog:
         for items in by_size.get(template.arity, ()):
-            for args in sorted(set(_orderings(items))):
+            for args in permutations(sorted(items)):
                 instances.append((template.name, args, template.build(*args)))
     instances.sort(key=lambda inst: (inst[0], inst[1]))
     mined = []
@@ -206,16 +205,6 @@ def mine_constraints(
         if support >= min_support:
             mined.append(MinedConstraint(name, args, formula, support))
     return mined
-
-
-def _orderings(items: frozenset):
-    ordered = sorted(items)
-    if len(ordered) == 1:
-        yield tuple(ordered)
-    else:
-        for i, first in enumerate(ordered):
-            for second in ordered[:i] + ordered[i + 1 :]:
-                yield (first, second)
 
 
 def to_pltlf0(mined: list) -> Pltlf0Formula:
@@ -227,10 +216,8 @@ def to_pltlf0(mined: list) -> Pltlf0Formula:
     return Pltlf0Formula(tuple(constraints))
 
 
-def mine(
-    log: EventLog, min_support: Fraction, catalog: tuple = None, max_size: int = 2
-) -> Pltlf0Formula:
-    return to_pltlf0(mine_constraints(log, min_support, catalog, max_size))
+def mine(log: EventLog, min_support: Fraction, catalog: tuple = None) -> Pltlf0Formula:
+    return to_pltlf0(mine_constraints(log, min_support, catalog))
 
 
 def render_mined(mined: list) -> str:

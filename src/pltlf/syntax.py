@@ -10,6 +10,9 @@ the core fragment (constants, propositions, negation, n-ary conjunction,
 and :func:`subformulas` walks a tree through it without recursion; size,
 depth, propositions, bound occurrence, core-fragment membership and the
 closure are read off that walk, so they accept a tree of any depth.
+How tightly each binary connective binds is written once, in the table
+``_BINARY``: the parser reads its connectives from it, and the printer
+its precedences and separators.
 """
 
 from __future__ import annotations
@@ -90,7 +93,15 @@ class Formula:
         return formula_text(self)
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {formula_text(self)}>"
+        # a node type the library does not know has no text, and the error
+        # that says so names the node through this repr
+        name = type(self).__name__
+        if not isinstance(self, _NODES):
+            return f"<{name}>"
+        try:
+            return f"<{name} {formula_text(self)}>"
+        except TypeError:
+            return f"<{name}>"
 
 
 @dataclass(frozen=True, repr=False)
@@ -223,25 +234,26 @@ def formula_size(f: Formula) -> int:
     return sum(1 for _ in subformulas(f))
 
 
-# Printer precedence levels, loosest first.
-_P_IMPLIES, _P_OR, _P_AND, _P_UNTIL, _P_UNARY, _P_ATOM = range(1, 7)
-
-
 # Prefix operators: the parser reads and the printer spells them here.
 _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 _SPELLING = {node: op for op, node in _UNARY.items()}
 
+# Binary connectives, loosest first: (token, node, right-nested).  A
+# right-nested connective has two operands and groups to the right; the
+# others collect any number into one node.  The parser reads them here,
+# and the printer reads each one's precedence (its place, counted from 1)
+# and separator.  Prefix operators bind tighter than all of them.
+_BINARY = (("->", Implies, True), ("|", Or, False), ("&", And, False), ("U", Until, True))
+_P_UNARY = len(_BINARY) + 1
 _PRECEDENCE = {
-    Implies: _P_IMPLIES,
-    Or: _P_OR,
-    And: _P_AND,
-    Until: _P_UNTIL,
+    **{node: level for level, (_, node, _) in enumerate(_BINARY, 1)},
     **dict.fromkeys(_SPELLING, _P_UNARY),
 }
+_SEPARATOR = {node: f" {token} " for token, node, _ in _BINARY}
 
 
 def _precedence(f: Formula) -> int:
-    return _PRECEDENCE.get(type(f), _P_ATOM)
+    return _PRECEDENCE.get(type(f), _P_UNARY + 1)
 
 
 def _text_pieces(f: Formula) -> list:
@@ -259,16 +271,16 @@ def _text_pieces(f: Formula) -> list:
             if op.isalpha() and _precedence(x) >= _P_UNARY:
                 op += " "
             return [op, (x, _P_UNARY)]
-        case Until(l, r):
-            return [(l, _P_UNARY), " U ", (r, _P_UNTIL)]
+        case Until(l, r) | Implies(l, r):
+            # right-nested: only the left operand must bind tighter
+            level = _PRECEDENCE[type(f)]
+            return [(l, level + 1), _SEPARATOR[type(f)], (r, level)]
         case And(ops) | Or(ops):
-            sep, minimum = (" & ", _P_UNTIL) if isinstance(f, And) else (" | ", _P_AND)
+            level, sep = _PRECEDENCE[type(f)] + 1, _SEPARATOR[type(f)]
             pieces = []
             for o in ops:
-                pieces += [sep, (o, minimum)]
+                pieces += [sep, (o, level)]
             return pieces[1:]
-        case Implies(l, r):
-            return [(l, _P_OR), " -> ", (r, _P_IMPLIES)]
         case Prob(cmp, bound, x):
             return [f"P{cmp.value}{bound}[", (x, 0), "]"]
     raise TypeError(f"not a formula: {f!r}")
@@ -395,6 +407,8 @@ def _normalize(f: Formula) -> Formula:
 
 # Node types of the core fragment that normalize produces.
 _CORE = (TrueConst, FalseConst, Prop, Not, And, Next, Until, Prob)
+# Every node type.
+_NODES = (*_CORE, Or, Implies, Eventually, Always)
 
 
 def is_normalized(f: Formula) -> bool:
@@ -561,48 +575,34 @@ class _Parser:
             self.error(f"expected {text!r}")
         return self.advance()
 
-    def nested(self, parse) -> Formula:
+    def nested(self, parse, *args) -> Formula:
         """Parse a subformula one nesting level down."""
         if self.depth == MAX_NESTING:
             self.error(f"formula nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        f = parse()
+        f = parse(*args)
         self.depth -= 1
         return f
 
     def parse(self) -> Formula:
-        f = self.implies()
+        f = self.binary()
         if self.current.kind != "end":
             self.error("trailing input")
         return f
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.current.kind == "arrow":
+    def binary(self, level: int = 0) -> Formula:
+        """The connective ``_BINARY[level]`` and all that bind tighter: a
+        right-nested one reads its right operand one nesting level down,
+        the others collect their operands into one node."""
+        token, node, right_nested = _BINARY[level]
+        tighter = level + 1 < len(_BINARY)
+        parts = [self.binary(level + 1) if tighter else self.unary()]
+        while self.current.text == token:
             self.advance()
-            return Implies(left, self.nested(self.implies))
-        return left
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.current.text == "|":
-            self.advance()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def conjunction(self) -> Formula:
-        parts = [self.until()]
-        while self.current.text == "&":
-            self.advance()
-            parts.append(self.until())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def until(self) -> Formula:
-        left = self.unary()
-        if self.current.text == "U":
-            self.advance()
-            return Until(left, self.nested(self.until))
-        return left
+            if right_nested:
+                return node(parts[0], self.nested(self.binary, level))
+            parts.append(self.binary(level + 1) if tighter else self.unary())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
 
     def unary(self) -> Formula:
         node = _UNARY.get(self.current.text)
@@ -615,7 +615,7 @@ class _Parser:
         tok = self.current
         if tok.text == "(":
             self.advance()
-            f = self.nested(self.implies)
+            f = self.nested(self.binary)
             self.expect(")")
             return f
         if tok.text == "true":
@@ -646,7 +646,7 @@ class _Parser:
         if not 0 <= bound <= 1:
             raise ParseError(f"probability bound {tok.text} outside [0, 1]", tok.line, tok.col)
         self.expect("[")
-        operand = self.nested(self.implies)
+        operand = self.nested(self.binary)
         self.expect("]")
         return Prob(cmp, bound, operand)
 

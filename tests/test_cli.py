@@ -1,5 +1,6 @@
 """Command-line interface: JSON envelopes, exit codes, protocols, stability."""
 
+import importlib.util
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from pltlf import WitnessModel, check_model, cli, parse_formula
-from pltlf.cli import main
+from pltlf.cli import build_parser, main
 from pltlf.syntax import MAX_DEPTH, MAX_NESTING
 from test_mining import RENDERED
 
@@ -442,6 +443,20 @@ class TestOutputStability:
         assert json.loads(pretty) == json.loads(compact)
 
 
+def test_one_argument_parser_per_process(capsys, monkeypatch):
+    built = []
+
+    def counting_build():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    assert run(capsys, "sat", PHI0)[0] == 0
+    assert run(capsys, "sat", PHI1)[0] == 1
+    assert len(built) == 1
+
+
 def test_module_entry_point(data_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "pltlf", "p0-sat", str(data_dir / "phi1.p0")],
@@ -503,3 +518,31 @@ def test_src_lines_totals_the_modules():
     assert lines == [len(p.read_text().splitlines()) for p in modules]
     assert all(0 < c < n for n, c in zip(lines, code))
     assert total == ["total", str(sum(lines)), str(sum(code))]
+
+
+def test_ab_summary_of_two_runs():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("ab", root / "scripts" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+
+    def output(setup, total, rss, wall, failed, correct):
+        detail = {"workload": "w", "wall_total_s": wall}
+        metrics = {"setup_s": setup, "total_s": total, "peak_rss_mib": rss}
+        result = {
+            "correct": correct,
+            "attempted": 4,
+            "failed": failed,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+        }
+        return f"progress\n{json.dumps(detail)}\n{json.dumps(result)}\n"
+
+    rows = [ab.record(output(0.1, 0.2, 50.0, 0.4, 0, True)),
+            ab.record(output(0.3, 0.6, 52.0, 0.8, 1, False))]
+    assert ab.summary(rows) == [
+        "setup_s           0.2000  [0.1500, 0.2500]",
+        "total_s           0.4000  [0.3000, 0.5000]",
+        "peak_rss_mib     51.0000  [50.5000, 51.5000]",
+        "wall_total_s      0.6000  [0.5000, 0.7000]",
+        "failed ops 1, every run correct: NO",
+    ]

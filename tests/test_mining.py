@@ -5,7 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pltlf import mining
 from pltlf import eval_trace, is_satisfiable0, parse_pltlf0, parse_trace
 from pltlf.mining import (
     Case,
@@ -233,3 +236,68 @@ class TestMine:
             made = random_log(rng)
             phi = mine(made, Fraction(3, 5), catalog=catalog)
             assert is_satisfiable0(phi)
+
+
+def reference_mine_constraints(log, min_support, catalog):
+    """Mining as it was with frequent sets always grown to size 2 and each
+    pair instantiated in both orders."""
+    frequent = frequent_sets(log, min_support, 2)
+    instances = []
+    for t in catalog:
+        for items in frequent:
+            if len(items) == t.arity:
+                ordered = sorted(items)
+                for args in (ordered, ordered[::-1]) if t.arity == 2 else (ordered,):
+                    instances.append((t.name, tuple(args), t.build(*args)))
+    instances.sort(key=lambda inst: (inst[0], inst[1]))
+    return [
+        (name, args, support)
+        for name, args, formula in instances
+        if (support := constraint_support(log, formula)) >= min_support
+    ]
+
+
+def summary(mined):
+    return [(m.template, m.args, m.support) for m in mined]
+
+
+logs = st.lists(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple),
+    min_size=1,
+    max_size=6,
+).map(lambda cases: EventLog(tuple(Case(f"c{i}", acts) for i, acts in enumerate(cases))))
+catalogs = st.lists(st.sampled_from(default_catalog()), unique=True).map(tuple)
+thresholds = st.sampled_from(
+    [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(4, 5), Fraction(1)]
+)
+
+
+class TestFrequentSetSize:
+    """Frequent sets grow to the largest arity in the catalog."""
+
+    def test_unary_catalog_builds_no_activity_pair(self, log, monkeypatch):
+        sizes = []
+
+        def spy(made, items):
+            sizes.append(len(items))
+            return set_support(made, items)
+
+        monkeypatch.setattr(mining, "set_support", spy)
+        catalog = (template("absence"), template("existence"))
+        assert summary(mine_constraints(log, Fraction(4, 5), catalog)) == [
+            ("existence", ("a",), 1),
+            ("existence", ("b",), Fraction(4, 5)),
+        ]
+        # both activities are frequent, so a size-2 bound would test {a, b}
+        assert sizes and set(sizes) == {1}
+
+    def test_sample_log_matches_the_reference(self, log):
+        for threshold in (0, Fraction(4, 5), 1):
+            assert summary(mine_constraints(log, threshold)) == reference_mine_constraints(
+                log, threshold, default_catalog()
+            )
+
+    @given(logs, thresholds, catalogs)
+    def test_random_logs_match_the_reference(self, made, threshold, catalog):
+        expected = reference_mine_constraints(made, threshold, catalog)
+        assert summary(mine_constraints(made, threshold, catalog)) == expected

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from pltlf.syntax import (
     MAX_NESTING,
     Always,
     Eventually,
+    Formula,
     Implies,
     Or,
     all_valuations,
@@ -99,6 +102,79 @@ class TestParsing:
     @given(sts.formulas())
     def test_text_round_trip(self, f):
         assert parse_formula(formula_text(f)) == f
+
+
+def outcome(parse, text):
+    """The tree ``parse`` makes of ``text``, or the text of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestParserReference:
+    """The table-driven parser and printer against one method and one
+    printer case per binary connective."""
+
+    TOKENS = "a b ! X F G U & | -> ( ) P<=0.5[ ] true false P < 0.5 [".split()
+
+    @staticmethod
+    def check_same(text):
+        got = outcome(parse_formula, text)
+        expected = outcome(ref.parse_formula, text)
+        assert type(got) is type(expected) and got == expected
+        if isinstance(got, str):
+            return False
+        assert formula_text(got) == ref.formula_text(got)
+        return True
+
+    @given(sts.formulas())
+    def test_printed_formulas(self, f):
+        for g in (f, normalize(f)):
+            assert formula_text(g) == ref.formula_text(g)
+            assert self.check_same(formula_text(g))
+
+    def test_random_token_strings(self):
+        rng = random.Random(15)
+        parsed = 0
+        for _ in range(100_000):
+            parsed += self.check_same(" ".join(rng.choices(self.TOKENS, k=rng.randint(1, 9))))
+        assert parsed > 2_000
+
+
+def stack_depth() -> int:
+    """Frames on the stack of the caller, the outermost counted as 1."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def parse_from_depth(frames, text):
+    """parse_formula called from a frame ``frames`` deep."""
+    if stack_depth() < frames:
+        return parse_from_depth(frames, text)
+    return parse_formula(text)
+
+
+# the shapes that nest deepest per parser frame, at n nesting levels
+DEEP_SHAPES = {
+    "brackets": lambda n: "(" * n + "a" + ")" * n,
+    "alternating": lambda n: "a & (b | " * n + "c" + ")" * n,
+    "next": lambda n: "X " * n + "a",
+    "until": lambda n: "a U " * n + "a",
+    "implies": lambda n: "a -> " * n + "a",
+    "bounds": lambda n: "P<=0.5[" * n + "a" + "]" * n,
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_nesting_limit_leaves_callers_headroom(shape):
+    text = DEEP_SHAPES[shape](MAX_NESTING)
+    assert parse_from_depth(150, text) == ref.parse_formula(text)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_formula(DEEP_SHAPES[shape](MAX_NESTING + 1))
 
 
 class TestTraces:
@@ -294,6 +370,13 @@ class TestWalks:
             children(5)
         with pytest.raises(TypeError, match="^not a formula: 5$"):
             normalize(Not(5))
+
+    def test_unknown_node_type_is_named(self):
+        assert repr(Formula()) == "<Formula>"
+        assert repr(Not(Formula())) == "<Not>"
+        for call in (lambda: normalize(Formula()), lambda: vars_of(Not(Formula()))):
+            with pytest.raises(TypeError, match="^not a formula: <Formula>$"):
+                call()
 
 
 def chain(node, levels, leaf=Prop("a")):
