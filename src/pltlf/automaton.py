@@ -136,6 +136,11 @@ class TreeAutomaton:
         self._cand_cache = {}
         self._point_cache = {}
         self._max_cache = {}
+        if not self._pairs:
+            # the only family is (0,) and its single branch takes all the
+            # mass, so no LP is solved without probability pairs
+            self._point_cache[0, (0,)] = {_qset_name(0, 0): Fraction(1)}
+            self._max_cache[0, (0,), 0] = Fraction(1)
         self._good = None
         self._weighted = None
 
@@ -187,16 +192,11 @@ class TreeAutomaton:
 
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
-        it is infeasible; shared across atoms with equal signatures.
-        Without probability pairs the only family is ``(0,)`` and its single
-        branch takes all the mass, so no LP is solved."""
+        it is infeasible; shared across atoms with equal signatures."""
         key = (self._prob_sig[aid], qsets)
         if key not in self._point_cache:
-            if self._pairs:
-                point = solve_feasibility(self.build_system(aid, qsets)).witness
-            else:
-                point = {_qset_name(0, 0): Fraction(1)}
-            self._point_cache[key] = point
+            system = self.build_system(aid, qsets)
+            self._point_cache[key] = solve_feasibility(system).witness
         return self._point_cache[key]
 
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:

@@ -34,7 +34,6 @@ from .linsolve import InfeasibleSystemError
 from .mining import default_catalog, load_log, mine_constraints, render_mined
 from .syntax import ParseError, formula_text, format_trace, parse_formula, parse_number, parse_trace
 from .weighted import (
-    behaviour,
     build_weighted,
     enumerate_mlts,
     mlt_acceptor,
@@ -98,9 +97,8 @@ def _cmd_model(args, started) -> int:
 
 def _cmd_mlt(args, started) -> int:
     f = parse_formula(args.formula)
-    wa = build_weighted(f)
-    value = behaviour(wa)
-    acceptor = mlt_acceptor(wa)
+    acceptor = mlt_acceptor(build_weighted(f))
+    value = acceptor.value
     traces = enumerate_mlts(acceptor, args.count, args.max_len) if value > 0 else []
     _emit(args, "mlt", "sat" if value > 0 else "unsat",
           {

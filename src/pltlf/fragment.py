@@ -9,13 +9,15 @@ automaton.
 
 :func:`build_lphi` compiles a constraint set once into a
 :class:`ScenarioTable`: one tree automaton over the conjunction of the
-distinct constraint formulas, one prefix acceptor per scenario read off
-it (whose emptiness gives the scenario's satisfiability flag), and the
-mass system.  The maxima are computed on first use and kept on the table,
-each over the live variables only: an unsatisfiable scenario's variable is
-pinned to zero and its column is dropped.  Every query and the monitor
-reuse the table's acceptors and maxima; a query given a
-:class:`Pltlf0Formula` compiles it first.
+distinct constraint formulas, one prefix acceptor per scenario (whose
+emptiness gives the scenario's satisfiability flag), and the mass system.
+Without bounds the automaton's weighted automaton has every weight equal
+to 1, so it is a plain automaton over traces: every acceptor steps it,
+each from its own initial atoms.  The maxima are computed on first use
+and kept on the table, each over the live variables only: an
+unsatisfiable scenario's variable is pinned to zero and its column is
+dropped.  Every query and the monitor reuse the table's acceptors and
+maxima; a query given a :class:`Pltlf0Formula` compiles it first.
 
 One rule picks the most likely scenario, :meth:`ScenarioTable.most_likely`:
 the largest positive maximum, the smallest index on ties.  The queries and
@@ -54,6 +56,7 @@ from .syntax import (
     parse_formula,
     parse_number,
 )
+from .weighted import WeightedAutomaton
 
 ZERO = Fraction(0)
 
@@ -135,24 +138,21 @@ def scenarios_of(phi: Pltlf0Formula) -> tuple:
 
 
 class PrefixAcceptor:
-    """Subset simulation over the good atoms of a tree automaton,
-    started from a set of them: whether a prefix extends to a trace that
-    one of those atoms accepts.  The successor and valuation maps are
-    shared by every acceptor read off the same automaton."""
+    """Subset simulation over a weighted automaton of a plain formula,
+    whose weights are all 1, started from a set of its states: whether a
+    prefix extends to a trace that one of those states accepts.  Every
+    acceptor read off the same automaton steps the same weighted one."""
 
-    def __init__(self, initial: frozenset, successors: dict, valuations: dict):
+    def __init__(self, initial: frozenset, weighted: WeightedAutomaton):
         self.initial = initial
         self.satisfiable = bool(initial)
-        self._succ = successors
-        self._val = valuations
+        self.weighted = weighted
 
     def start(self, valuation: frozenset) -> frozenset:
-        return frozenset(q for q in self.initial if self._val[q] == valuation)
+        return frozenset(q for q in self.initial if self.weighted.valuations[q] == valuation)
 
     def advance(self, states: frozenset, valuation: frozenset) -> frozenset:
-        return frozenset(
-            c for q in states for c in self._succ[q] if self._val[c] == valuation
-        )
+        return self.weighted.advance(states, valuation)
 
     def accepts(self, trace: Trace) -> bool:
         # every surviving state is good, so reaching one means the prefix
@@ -161,8 +161,6 @@ class PrefixAcceptor:
             return self.satisfiable
         states = self.start(trace[0])
         for valuation in trace[1:]:
-            if not states:
-                return False
             states = self.advance(states, valuation)
         return bool(states)
 
@@ -179,7 +177,7 @@ def _column(closure, f: Formula) -> int:
 
 def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     """One prefix acceptor per sign pattern over ``formulas``, in scenario
-    index order, all read off the good atoms of one tree automaton.
+    index order, all stepping the weighted automaton of one tree automaton.
 
     The automaton is built for the conjunction of the distinct normalised
     formulas and ``required``.  Its closure holds each formula and its
@@ -192,31 +190,18 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     formulas = tuple(normalize(f) for f in formulas)
     required = tuple(normalize(f) for f in required)
     aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
-    good = aut.good_states().good
-    # without bounds a child tuple is one atom of profile 0, and successors
-    # read only the next mask, so each class of atoms shares one
-    successors = {}
-    for members in aut._classes:
-        if members[0] in good:
-            kids = aut.occupants(members[0], (0,), good).get(0, ())
-            successors.update(dict.fromkeys(members, kids))
+    weighted = aut.weighted
     clo, n = aut.closure, len(aut.atoms)
     required_hold = transpose(
         [reduce(and_, (_column(clo, g) for g in required), (1 << n) - 1)], n
     )
     # the last formula is the low bit of a scenario index
     index_of = transpose([_column(clo, f) for f in reversed(formulas)], n)
-    valuations = {}
-    shared = {}
     initial = [[] for _ in range(1 << len(formulas))]
-    for aid in good:
-        valuation = aut.atoms[aid].valuation()
-        valuations[aid] = shared.setdefault(valuation, valuation)
+    for aid in weighted.states:
         if required_hold[aid]:
             initial[index_of[aid]].append(aid)
-    return tuple(
-        PrefixAcceptor(frozenset(states), successors, valuations) for states in initial
-    )
+    return tuple(PrefixAcceptor(frozenset(states), weighted) for states in initial)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,10 @@ automaton whose runs are traces: states are the good atoms and keep their
 valuation, an edge carries the largest mass any branch system lets the
 child subset absorb, and the behaviour (maximum run weight from a good
 initial atom to a final one) is the probability of the most likely trace.
-An unweighted acceptor carved out of the weighted automaton recognizes
-exactly the traces attaining that probability, and products with ordinary
-finite automata answer probability queries for whole trace languages.
+Its tight part, the edges on best runs, is the acceptor of exactly the
+traces attaining that probability, and products with ordinary finite
+automata answer probability queries for whole trace languages.  Without
+bounds every weight is 1, and the flat engine's acceptors step it too.
 Every query takes a formula or a compiled tree automaton, which keeps its
 weighted automaton.
 
@@ -18,7 +19,8 @@ share.  A child's probability arguments pin its position, so the groups of
 a source partition its children.  Weights are positive, so a group's best
 edge leads to its best child: each fixpoint sweep takes one maximum per
 child set and one product per group, and a group is tight exactly when
-its weight times that maximum is the source's value.
+its weight times that maximum is the source's value.  The acceptor keeps
+each tight group over its child tuple cut down to the best children.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .syntax import Trace, all_valuations, format_trace, parse_trace, vars_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_STATE = (str, int)  # the JSON types of a TraceNFA document's states
 
 
 def _valuation_text(valuation: frozenset) -> str:
@@ -81,6 +84,14 @@ class WeightedAutomaton:
             if dst in self.children[k]:
                 return wt
         return ZERO
+
+    def advance(self, states, valuation: frozenset) -> frozenset:
+        """The children of the states' groups that carry the valuation;
+        each child tuple is read once however many states share it."""
+        tuples = {k for q in states for _, k in self.groups[q]}
+        return frozenset(
+            c for k in tuples for c in self.children[k] if self.valuations[c] == valuation
+        )
 
     def behaviour_table(self) -> "BehaviourTable":
         if self._table is None:
@@ -140,7 +151,10 @@ def build_weighted(source) -> WeightedAutomaton:
     of that family, and adjoining variables never lowers a supremum, so one
     maximisation over the family's system gives each weight.  Each
     position with positive mass becomes one group over its occupants, and
-    every atom of a class shares the class's groups.
+    every atom of a class shares the class's groups.  The occupants are
+    empty exactly when the maximal family has no child tuple, so each good
+    class is decided once.  States whose atoms agree on the propositions
+    share one valuation frozenset.
     """
     aut = _compiled(source)
     if aut._weighted is not None:
@@ -151,16 +165,22 @@ def build_weighted(source) -> WeightedAutomaton:
     interned = {}
     for members in aut._classes:
         aid = members[0]
-        family = aut.transition_family(aid, good) if aid in good else None
-        if family is None:
+        if aid not in good:
+            continue
+        family = aut.maximal_family(aid, good)
+        occupants = aut.occupants(aid, family, good)
+        if not occupants or aut.family_point(aid, family) is None:
             continue
         out = []
-        for qmask, fits in aut.occupants(aid, family, good).items():
+        for qmask, fits in occupants.items():
             mass = aut.family_max(aid, family, qmask)
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups.update(dict.fromkeys(members, tuple(out)))
-    valuations = {aid: aut.atoms[aid].valuation() for aid in states}
+    props = sum(1 << i for i in aut.closure.prop_members)
+    some_atom = {aut.atoms[aid].bits & props: aut.atoms[aid] for aid in states}
+    shared = {key: atom.valuation() for key, atom in some_atom.items()}
+    valuations = {aid: shared[aut.atoms[aid].bits & props] for aid in states}
     aut._weighted = WeightedAutomaton(
         states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations
     )
@@ -172,35 +192,21 @@ def behaviour(wa: WeightedAutomaton) -> Fraction:
     return wa.behaviour_table().value
 
 
-class MltAcceptor:
-    """Acceptor of exactly the traces whose probability equals the
-    behaviour of the weighted automaton it was carved from."""
+class MltAcceptor(WeightedAutomaton):
+    """Acceptor of exactly the traces whose probability equals ``value``,
+    the behaviour of the weighted automaton it is the tight part of: its
+    runs are the runs of that automaton that stay on a best run."""
 
-    def __init__(self, states, initial, finals, edges, valuations, value):
-        self.states = tuple(states)
-        self.initial = frozenset(initial)
-        self.finals = frozenset(finals)
-        self.edges = frozenset(edges)
-        self.valuations = dict(valuations)
+    def __init__(self, states, initial, finals, groups, children, valuations, value):
+        super().__init__(states, initial, finals, groups, children, valuations)
         self.value = value
-        succ = {q: [] for q in self.states}
-        for src, dst in self.edges:
-            succ[src].append(dst)
-        self.succ = {q: tuple(sorted(targets, key=str)) for q, targets in succ.items()}
 
     def accepts(self, trace: Trace) -> bool:
         if not trace:
             raise ValueError("traces are nonempty")
-        current = {q for q in self.initial if self.valuations[q] == trace[0]}
+        current = frozenset(q for q in self.initial if self.valuations[q] == trace[0])
         for valuation in trace[1:]:
-            current = {
-                dst
-                for q in current
-                for dst in self.succ[q]
-                if self.valuations[dst] == valuation
-            }
-            if not current:
-                return False
+            current = self.advance(current, valuation)
         return bool(current & self.finals)
 
 
@@ -208,30 +214,34 @@ def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
     """Carve the acceptor of most likely traces out of ``wa``.
 
     Initial states must realize the behaviour, and every edge must be
-    tight: taking it keeps the remaining run weight on track.  When the
-    behaviour is zero nothing is accepted and the acceptor is empty.
+    tight: taking it keeps the remaining run weight on track.  A tight edge
+    leads to a best child of a tight group, so each tight group keeps its
+    weight over its child tuple cut, once per tuple, to the best children.
+    When the behaviour is zero nothing is accepted and the acceptor is empty.
     """
     table = wa.behaviour_table()
     if table.value == 0:
-        return MltAcceptor((), (), (), (), {}, ZERO)
+        return MltAcceptor((), (), (), {}, (), {}, ZERO)
     w = table.values
     states = tuple(q for q in wa.states if w[q] > 0)
-    kept = frozenset(states)
     initial = frozenset(q for q in wa.initial if w[q] == table.value)
-    finals = frozenset(q for q in wa.finals if q in kept)
-    # a tight edge from a kept source leads to a best child of its group,
-    # and that child is kept because its value is w[src] / wt > 0
+    # finals are worth at least 1, and a best child of a tight group from a
+    # kept source is worth w[src] / wt > 0, so both are kept
     best = _best_children(wa, w)
-    edges = frozenset(
-        (src, child)
+    cut = {}
+    groups = {
+        src: tuple(
+            (wt, cut.setdefault(k, len(cut)))
+            for wt, k in wa.groups[src]
+            if wt * best[k] == w[src]
+        )
         for src in states
-        for wt, k in wa.groups[src]
-        if wt * best[k] == w[src]
-        for child in wa.children[k]
-        if w[child] == best[k]
+    }
+    children = tuple(
+        tuple(c for c in wa.children[k] if w[c] == best[k]) for k in cut
     )
     valuations = {q: wa.valuations[q] for q in states}
-    return MltAcceptor(states, initial, finals, edges, valuations, table.value)
+    return MltAcceptor(states, initial, wa.finals, groups, children, valuations, table.value)
 
 
 def _trace_key(trace: Trace) -> tuple:
@@ -259,8 +269,8 @@ def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
             break
         grown = {}
         for trace, reached in level.items():
-            for q in reached:
-                for dst in acc.succ[q]:
+            for k in {k for q in reached for _, k in acc.groups[q]}:
+                for dst in acc.children[k]:
                     grown.setdefault(trace + (acc.valuations[dst],), set()).add(dst)
         level = grown
         length += 1
@@ -342,21 +352,27 @@ class TraceNFA:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceNFA":
-        try:
-            states = data["states"]
-            initial = data["initial"]
-            finals = data["finals"]
-            raw = data["transitions"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"automaton JSON is missing key {exc}") from None
+        """Inverse of :meth:`to_dict`.  States are strings or integers; a
+        malformed document raises ValueError naming the field or entry."""
+        keys = ("states", "initial", "finals", "transitions")
+        fields = [data.get(key) if isinstance(data, dict) else None for key in keys]
+        for key, value in zip(keys, fields):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"automaton JSON needs a list under key {key!r}")
+            if key != "transitions" and not all(isinstance(q, _STATE) for q in value):
+                raise ValueError(f"automaton JSON key {key!r} holds a bad state: {value!r}")
+        states, initial, finals, raw = fields
         transitions = []
         for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            shaped = isinstance(entry, (list, tuple)) and len(entry) == 3
+            if not shaped or not all(map(isinstance, entry, (_STATE, str, _STATE))):
                 raise ValueError(f"bad transition entry: {entry!r}")
-            src, label, dst = entry
-            (valuation,) = parse_trace(label)
-            transitions.append((src, valuation, dst))
-        return cls(tuple(states), initial, finals, transitions)
+            try:
+                (valuation,) = parse_trace(entry[1])
+            except ValueError:
+                raise ValueError(f"transition label is not one valuation: {entry!r}") from None
+            transitions.append((entry[0], valuation, entry[2]))
+        return cls(states, initial, finals, transitions)
 
 
 def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:

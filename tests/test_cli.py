@@ -18,6 +18,8 @@ from test_mining import RENDERED
 PHI0 = "P<=0.5[a] & P>=0.6[X b]"
 PHI1 = "P>=0.5[a] & P>=0.6[!a]"
 THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
+FOUR_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c] & P<0.7[G d]"
+GOLDEN_MLT = pathlib.Path(__file__).resolve().parent / "golden_mlt_four_bounds.json"
 
 
 def run(capsys, *argv):
@@ -67,6 +69,14 @@ class TestEnvelopes:
         payload = json.loads(out)["payload"]
         assert payload["probability"] == "1/2"
         assert payload["extensions"] == ["-;a;a,b", "-;a;b", "-;a;a,b;-"]
+
+    def test_four_bound_mlt_matches_the_golden_payload(self, capsys):
+        # the default listing (--count 5 --max-len 8), byte for byte
+        code, out, _ = run(capsys, "mlt", FOUR_BOUNDS)
+        assert code == 0
+        assert out == GOLDEN_MLT.read_text()
+        traces = json.loads(out)["payload"]["traces"]
+        assert (traces[0], traces[-1]) == ("-;-;a,b,c", "-;b;a,b,c")
 
     def test_unsatisfiable_mlt(self, capsys):
         code, out, _ = run(capsys, "mlt", PHI1)

@@ -450,15 +450,21 @@ class TestSharedAutomaton:
 
     @pytest.mark.parametrize("path", sorted(DATA.glob("*.p0")), ids=lambda p: p.name)
     def test_successor_map_matches_reference_search(self, path):
-        # every acceptor shares the map built on the automaton of the
-        # distinct constraint formulas
+        # every acceptor steps the one weighted automaton of the distinct
+        # constraint formulas, whose weights are all 1; its groups, expanded
+        # in order, are the reference search's successor lists
         formulas = tuple(c.formula for c in parse_pltlf0(path.read_text()).constraints)
         acceptors = fragment.scenario_acceptors(formulas)
         aut = TreeAutomaton(conj(*dict.fromkeys(normalize(f) for f in formulas)))
         expected = successor_map(aut, aut.good_states().good)
         assert expected
         for acceptor in acceptors:
-            assert acceptor._succ == expected
+            wa = acceptor.weighted
+            assert wa is acceptors[0].weighted
+            assert all(wt == 1 for q in wa.states for wt, _ in wa.groups[q])
+            assert {
+                q: tuple(c for _, k in wa.groups[q] for c in wa.children[k]) for q in wa.states
+            } == expected
 
     @example(
         flat("P>=1/2 : F a", "P>=1/2 : F b", "P>=1/2 : G(a -> F b)", "P>=1/2 : a U b",

@@ -1,13 +1,18 @@
 """The traced benchmark run (``bench/run.py --trace 1``) wraps functions
-and methods of ``pltlf`` by name; every name it lists must still exist."""
+and methods of ``pltlf`` by name; every name it lists must still exist,
+and its counters must still read what the wrapped calls return."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -29,3 +34,26 @@ def test_traced_function_exists(modname, attr):
 def test_traced_method_exists(modname, cls_name, method):
     cls = getattr(importlib.import_module(modname), cls_name)
     assert callable(getattr(cls, method, None)), f"{cls_name}.{method}"
+
+
+@pytest.mark.parametrize("workload", ["flat-ladder", "tree-3bound"])
+def test_traced_run_reports_every_layer_metric(workload):
+    # one round of each engine's workload under the tracer; both build
+    # weighted automata, so their counters are read off real results
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True,
+    )
+    (ROOT / "bench" / "out" / f"spans-{workload}-1.json").unlink(missing_ok=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    listed = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {m["name"] for m in listed}
+    for m in listed:
+        metric = result["metrics"][m["name"]]
+        assert metric["unit"] == m["unit"]
+        assert metric["value"] >= 0, m["name"]
+    assert result["metrics"]["weighted.builds"]["value"] > 0
+    assert result["metrics"]["weighted.edges"]["value"] > 0

@@ -129,6 +129,7 @@ class TestMaximalFamilyWeights:
         initial = [a for a in aut.initial if a in gs.good]
         finals = [a for a in aut.final_ids if a in gs.good]
         valuations = {a: aut.atoms[a].valuation() for a in gs.good}
+        assert wa.valuations == valuations
         reference = weighted_reference.WeightedAutomaton(
             gs.good, initial, finals, expected, valuations
         )
@@ -153,9 +154,25 @@ def assert_groups_partition_children(wa):
         assert all(wt > 0 for wt, _ in wa.groups[q])
 
 
+def reference_walks(ref, rng, count):
+    """Traces spelled by random walks along the reference acceptor's edges,
+    from an initial state, of one to six states; many end in a final one."""
+    walks = []
+    for _ in range(count if ref.initial else 0):
+        q = rng.choice(sorted(ref.initial, key=str))
+        trace = [ref.valuations[q]]
+        length = rng.randint(1, 6)
+        while len(trace) < length and ref.succ[q]:
+            q = rng.choice(ref.succ[q])
+            trace.append(ref.valuations[q])
+        walks.append(tuple(trace))
+    return walks
+
+
 def assert_same_answers(wa, dense):
-    """Behaviour table, mlt acceptor and listed traces agree with the dense
-    reference; product searches may list states in another order."""
+    """Behaviour table, mlt acceptor, listed traces and accepted traces
+    agree with the dense reference; product searches may list states in
+    another order."""
     table, expected = wa.behaviour_table(), dense.behaviour_table()
     assert table.values == expected.values
     assert table.sweeps == expected.sweeps
@@ -164,10 +181,21 @@ def assert_same_answers(wa, dense):
     assert set(acc.states) == set(ref.states)
     assert acc.initial == ref.initial
     assert acc.finals == ref.finals
-    assert acc.edges == ref.edges
+    assert frozenset(acc.weights) == ref.edges
+    assert all(wt == dense.weight(src, dst) for (src, dst), wt in acc.weights.items())
     assert acc.value == ref.value
     assert acc.valuations == ref.valuations
-    assert enumerate_mlts(acc, 4, 6) == enumerate_mlts(ref, 4, 6)
+    listed = enumerate_mlts(acc, 4, 6)
+    assert listed == weighted_reference.enumerate_mlts(ref, 4, 6)
+    # listed traces, random walks along the tight edges, and random traces
+    # over the valuations the states carry
+    rng = random.Random(len(ref.edges))
+    alphabet = sorted(set(dense.valuations.values()), key=sorted) or [frozenset()]
+    traces = listed + reference_walks(ref, rng, 30) + [
+        tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(30)
+    ]
+    for trace in traces:
+        assert acc.accepts(trace) == ref.accepts(trace), trace
 
 
 def check_against_dense(f, traces):
@@ -219,6 +247,37 @@ class TestGroupedEdges:
     def test_random_formulas_match_dense_reference(self, f, trace):
         assume(len(TreeAutomaton(f).atoms) <= 256)
         check_against_dense(f, [trace])
+
+
+class TestTightPart:
+    """The mlt acceptor is the tight part of the weighted automaton: a
+    weighted automaton itself, with the same behaviour, whose every group
+    lies on a best run and whose every state reaches a final one."""
+
+    @settings(max_examples=40)
+    @given(sts.formulas())
+    def test_acceptor_is_the_tight_part(self, f):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        wa = build_weighted(f)
+        acc = mlt_acceptor(wa)
+        w = wa.behaviour_table().values
+        assert behaviour(acc) == behaviour(wa)
+        assert acc.behaviour_table().values == {q: w[q] for q in acc.states}
+        for q in acc.states:
+            for wt, k in acc.groups[q]:
+                assert wt == wa.weight(q, acc.children[k][0])
+                assert all(wt * w[c] == w[q] for c in acc.children[k])
+        # every state reaches a final one along the acceptor's edges
+        reaching = set(acc.finals)
+        grown = True
+        while grown:
+            before = len(reaching)
+            reaching.update(
+                q for q in acc.states
+                if any(c in reaching for _, k in acc.groups[q] for c in acc.children[k])
+            )
+            grown = len(reaching) > before
+        assert reaching == set(acc.states)
 
 
 class TestBehaviour:
@@ -439,6 +498,33 @@ class TestTraceNFA:
             TraceNFA.from_dict(
                 {"states": [0], "initial": [0], "finals": [0], "transitions": [[0, "a"]]}
             )
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("initial", 0, "'initial'"),
+            ("finals", "0", "'finals'"),
+            ("transitions", None, "'transitions'"),
+            ("states", [[0], 1], "'states'"),
+            ("initial", [{"q": 0}], "'initial'"),
+            ("transitions", [[0, 5, 1]], "[0, 5, 1]"),
+            ("transitions", [[0, "a;b", 1]], "[0, 'a;b', 1]"),
+            ("transitions", [[0, "a!", 1]], "[0, 'a!', 1]"),
+            ("transitions", [[[0], "a", 1]], "[[0], 'a', 1]"),
+            ("transitions", ["0a1"], "'0a1'"),
+        ],
+    )
+    def test_malformed_fields_raise_value_errors_naming_them(self, field, value, named):
+        data = TraceNFA.extends_prefix(parse_trace("-;a"), ("a", "b")).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError) as caught:
+            TraceNFA.from_dict(data)
+        assert named in str(caught.value)
+
+    @pytest.mark.parametrize("data", [None, [], "states"])
+    def test_non_object_documents_raise_value_errors(self, data):
+        with pytest.raises(ValueError):
+            TraceNFA.from_dict(data)
 
     def test_rejects_undeclared_states(self):
         with pytest.raises(ValueError):

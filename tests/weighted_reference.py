@@ -1,11 +1,13 @@
-"""Dense reference for the weighted automaton.
+"""Dense reference for the weighted automaton and its mlt acceptor.
 
 ``pltlf.weighted`` stores edges in groups, one weight per (source,
-position) over a shared tuple of children.  The classes and functions here
-are the representation it replaced: one ``Fraction`` entry per (source,
-child) edge, a fixpoint that multiplies along every edge, a tight-edge test
-per edge and a product that copies every edge.  Tests feed them the dense
-view ``wa.weights`` and compare the answers.
+position) over a shared tuple of children, and its mlt acceptor is the
+tight part of those groups.  The classes and functions here are the
+representation it replaced: one ``Fraction`` entry per (source, child)
+edge, a fixpoint that multiplies along every edge, a tight-edge test per
+edge, an acceptor holding its edge set and sorted successor lists, an
+enumeration over those lists, and a product that copies every edge.  Tests
+feed them the dense view ``wa.weights`` and compare the answers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional
 
-from pltlf.weighted import BehaviourTable, MltAcceptor
+from pltlf.weighted import BehaviourTable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,6 +76,39 @@ def _fixpoint(wa: WeightedAutomaton) -> BehaviourTable:
     return BehaviourTable(current, sweeps, value)
 
 
+class MltAcceptor:
+    """Acceptor of exactly the traces whose probability equals the
+    behaviour of the weighted automaton it was carved from: one entry per
+    tight edge, and each state's successors sorted by ``str``."""
+
+    def __init__(self, states, initial, finals, edges, valuations, value):
+        self.states = tuple(states)
+        self.initial = frozenset(initial)
+        self.finals = frozenset(finals)
+        self.edges = frozenset(edges)
+        self.valuations = dict(valuations)
+        self.value = value
+        succ = {q: [] for q in self.states}
+        for src, dst in self.edges:
+            succ[src].append(dst)
+        self.succ = {q: tuple(sorted(targets, key=str)) for q, targets in succ.items()}
+
+    def accepts(self, trace) -> bool:
+        if not trace:
+            raise ValueError("traces are nonempty")
+        current = {q for q in self.initial if self.valuations[q] == trace[0]}
+        for valuation in trace[1:]:
+            current = {
+                dst
+                for q in current
+                for dst in self.succ[q]
+                if self.valuations[dst] == valuation
+            }
+            if not current:
+                return False
+        return bool(current & self.finals)
+
+
 def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
     """Carve the acceptor of most likely traces out of ``wa``.
 
@@ -96,6 +131,39 @@ def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
     )
     valuations = {q: wa.valuations[q] for q in states}
     return MltAcceptor(states, initial, finals, edges, valuations, table.value)
+
+
+def _trace_key(trace) -> tuple:
+    return tuple(tuple(sorted(v)) for v in trace)
+
+
+def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
+    """List accepted traces, shortest first and then lexicographically by
+    sorted valuations, growing every accepted prefix along the successor
+    lists one level at a time."""
+    if max_count < 1 or max_len < 1:
+        raise ValueError("max_count and max_len must be at least 1")
+    results = []
+    level = {}
+    for q in acc.initial:
+        level.setdefault((acc.valuations[q],), set()).add(q)
+    length = 1
+    while level and len(results) < max_count:
+        for trace in sorted(level, key=_trace_key):
+            if level[trace] & acc.finals:
+                results.append(trace)
+                if len(results) >= max_count:
+                    break
+        if length >= max_len:
+            break
+        grown = {}
+        for trace, reached in level.items():
+            for q in reached:
+                for dst in acc.succ[q]:
+                    grown.setdefault(trace + (acc.valuations[dst],), set()).add(dst)
+        level = grown
+        length += 1
+    return results[:max_count]
 
 
 def product(nfa, wa: WeightedAutomaton) -> WeightedAutomaton:
