@@ -10,12 +10,14 @@ automaton.
 :func:`build_lphi` compiles a constraint set once into a
 :class:`ScenarioTable`: one tree automaton over the conjunction of the
 distinct constraint formulas, one prefix acceptor per scenario (whose
-emptiness gives the scenario's satisfiability flag), and the mass system.
-Without bounds the automaton's weighted automaton has every weight equal
-to 1, so it is a plain automaton over traces: every acceptor steps it,
-each from its own initial atoms.  The maxima are computed on first use
-and kept on the table, each over the live variables only: an
-unsatisfiable scenario's variable is pinned to zero and its column is
+start set of good atoms gives the scenario's satisfiability flag), and
+the mass system.  Without bounds the automaton's weighted automaton has
+every weight equal to 1, so it is a plain automaton over traces: every
+acceptor steps it, each from its own start set.  It is built the first
+time an acceptor steps, on a nonempty prefix or a monitor step, so
+satisfiability and the maxima never build it.  The maxima are computed
+on first use and kept on the table, each over the live variables only:
+an unsatisfiable scenario's variable is pinned to zero and its column is
 dropped.  Every query and the monitor reuse the table's acceptors and
 maxima; a query given a :class:`Pltlf0Formula` compiles it first.
 
@@ -24,12 +26,13 @@ the largest positive maximum, the smallest index on ties.  The queries and
 the monitor all ask it.
 
 The monitor is a deterministic automaton over valuations, built lazily on
-the table.  Its states are *configurations*: the live scenarios with their
-acceptor state sets, and the best index among them.  A configuration's
+the table.  A :class:`MonitorState` is one of its states: the live
+scenarios with their acceptor state sets, and the best index among them,
+made once per distinct live set and carrying no prefix.  A state's
 successor on a valuation is computed once, by stepping the acceptors, and
-kept on the table, so every later step on that valuation is one lookup.
-The table keeps one configuration per distinct live set reached and at
-most one successor entry per event stepped.
+kept on the state, so every later step on that valuation is one lookup.
+The table keeps one state per distinct live set reached and at most one
+successor entry per event stepped.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .syntax import (
     parse_formula,
     parse_number,
 )
-from .weighted import WeightedAutomaton
 
 ZERO = Fraction(0)
 
@@ -138,31 +140,24 @@ def scenarios_of(phi: Pltlf0Formula) -> tuple:
 
 
 class PrefixAcceptor:
-    """Subset simulation over a weighted automaton of a plain formula,
-    whose weights are all 1, started from a set of its states: whether a
-    prefix extends to a trace that one of those states accepts.  Every
-    acceptor read off the same automaton steps the same weighted one."""
+    """Subset simulation over the weighted automaton of a plain formula's
+    tree automaton, whose weights are all 1, started from a set of its good
+    atoms: whether a prefix extends to a trace that one of those states
+    accepts.  The weighted automaton is read only for a nonempty prefix, so
+    it is built on the first one, and every acceptor read off the same tree
+    automaton steps the same weighted one."""
 
-    def __init__(self, initial: frozenset, weighted: WeightedAutomaton):
+    def __init__(self, initial: frozenset, automaton: TreeAutomaton):
         self.initial = initial
         self.satisfiable = bool(initial)
-        self.weighted = weighted
-
-    def start(self, valuation: frozenset) -> frozenset:
-        return frozenset(q for q in self.initial if self.weighted.valuations[q] == valuation)
-
-    def advance(self, states: frozenset, valuation: frozenset) -> frozenset:
-        return self.weighted.advance(states, valuation)
+        self.automaton = automaton
 
     def accepts(self, trace: Trace) -> bool:
         # every surviving state is good, so reaching one means the prefix
         # extends to an accepted trace; the empty prefix needs only a model
         if not trace:
             return self.satisfiable
-        states = self.start(trace[0])
-        for valuation in trace[1:]:
-            states = self.advance(states, valuation)
-        return bool(states)
+        return bool(self.automaton.weighted.run(self.initial, trace))
 
 
 def _column(closure, f: Formula) -> int:
@@ -177,7 +172,7 @@ def _column(closure, f: Formula) -> int:
 
 def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     """One prefix acceptor per sign pattern over ``formulas``, in scenario
-    index order, all stepping the weighted automaton of one tree automaton.
+    index order, all read off one tree automaton.
 
     The automaton is built for the conjunction of the distinct normalised
     formulas and ``required``.  Its closure holds each formula and its
@@ -190,7 +185,6 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     formulas = tuple(normalize(f) for f in formulas)
     required = tuple(normalize(f) for f in required)
     aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
-    weighted = aut.weighted
     clo, n = aut.closure, len(aut.atoms)
     required_hold = transpose(
         [reduce(and_, (_column(clo, g) for g in required), (1 << n) - 1)], n
@@ -198,36 +192,24 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     # the last formula is the low bit of a scenario index
     index_of = transpose([_column(clo, f) for f in reversed(formulas)], n)
     initial = [[] for _ in range(1 << len(formulas))]
-    for aid in weighted.states:
+    for aid in aut.good_states().good:
         if required_hold[aid]:
             initial[index_of[aid]].append(aid)
-    return tuple(PrefixAcceptor(frozenset(states), weighted) for states in initial)
-
-
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """One state of the determinised monitor: each live scenario index
-    paired with its acceptor's state set (None before the first
-    valuation), the best index among them, and the successor per
-    valuation, filled in on first use."""
-
-    entries: tuple
-    best_index: int
-    successors: dict = field(default_factory=dict, repr=False)
+    return tuple(PrefixAcceptor(frozenset(states), aut) for states in initial)
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioTable:
     """One constraint set compiled once: its scenarios, one prefix
     acceptor per scenario, all read off one automaton, and the mass
-    system.  The per-scenario maxima and the monitor's configurations are
-    computed on first use and kept."""
+    system.  The per-scenario maxima and the monitor's states are computed
+    on first use and kept."""
 
     formula: Pltlf0Formula
     scenarios: tuple
     acceptors: tuple
     system: LinearSystem
-    _configurations: dict = field(default_factory=dict, repr=False)
+    _monitor_states: dict = field(default_factory=dict, repr=False)
 
     @property
     def satisfiable(self) -> tuple:
@@ -276,13 +258,13 @@ class ScenarioTable:
     def variable(self, index: int) -> str:
         return "x" + self.scenarios[index].label
 
-    def configuration(self, entries: tuple) -> Configuration:
-        """The monitor configuration with these entries, made once."""
-        config = self._configurations.get(entries)
-        if config is None:
+    def configuration(self, entries: tuple) -> MonitorState:
+        """The monitor state with these entries, made once."""
+        state = self._monitor_states.get(entries)
+        if state is None:
             best_index = self.most_likely(i for i, _ in entries)
-            config = self._configurations[entries] = Configuration(entries, best_index)
-        return config
+            state = self._monitor_states[entries] = MonitorState(self, entries, best_index)
+        return state
 
     def most_likely(self, indices) -> int:
         """The scenario among ``indices`` with the largest positive
@@ -292,25 +274,22 @@ class ScenarioTable:
         best = max(indices, key=lambda i: (maxima[i], -i), default=-1)
         return best if best >= 0 and maxima[best] > 0 else -1
 
-    def successor(self, config: Configuration, valuation: frozenset) -> Configuration:
-        """The configuration after ``valuation``: every live scenario's
-        acceptor steps once, and the dead ones are dropped.  Computed on
-        the first call for the pair and kept on ``config``."""
-        successor = config.successors.get(valuation)
-        if successor is None:
-            survivors = []
-            for i, states in config.entries:
-                acceptor = self.acceptors[i]
-                states = (
-                    acceptor.start(valuation)
-                    if states is None
-                    else acceptor.advance(states, valuation)
-                )
-                if states:
-                    survivors.append((i, states))
-            successor = config.successors[valuation] = self.configuration(
-                tuple(survivors)
+    def successor(self, state: MonitorState, valuation: frozenset) -> MonitorState:
+        """The monitor state after ``valuation``, kept on ``state``: every
+        live scenario's acceptor steps once, and the dead ones are
+        dropped."""
+        survivors = []
+        for i, states in state.entries:
+            acceptor = self.acceptors[i]
+            weighted = acceptor.automaton.weighted
+            states = (
+                weighted.run(acceptor.initial, (valuation,))
+                if states is None
+                else weighted.advance(states, valuation)
             )
+            if states:
+                survivors.append((i, states))
+        successor = state.successors[valuation] = self.configuration(tuple(survivors))
         return successor
 
     def rows_text(self) -> list:
@@ -383,37 +362,21 @@ def monitor_with_property(source, prop: Formula, trace: Trace) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MonitorState:
-    """One step of scenario monitoring; stepping returns a new state.
+    """One state of a table's determinised monitor, made once per distinct
+    live set.
 
-    The state is a configuration of the table's determinised monitor plus
-    the prefix read so far.  ``entries`` pairs each live scenario index
-    with the current state of the table's acceptor for it (None before the
-    first valuation).  Dead scenarios are dropped and never tested again.
-    A step looks up the configuration's successor on the table, so the
-    acceptors step only the first time a configuration meets a valuation.
-
-    The prefix is the first ``length`` valuations of a list shared with
-    the states stepped from this one.  Stepping the newest state appends to
-    the list; stepping an older one copies its part first, so no state's
-    prefix ever changes and a step costs no copy of the prefix.
+    ``entries`` pairs each live scenario index with the states its
+    acceptor reached (None before the first valuation); dead scenarios are
+    dropped and never tested again.  ``best_index`` is the most likely
+    scenario among them, and ``successors`` keeps the state after each
+    valuation stepped from this one, so the acceptors step only the first
+    time a state meets a valuation.
     """
 
-    table: ScenarioTable
-    configuration: Configuration
-    length: int = 0
-    _valuations: list = field(default_factory=list, repr=False)
-
-    @property
-    def entries(self) -> tuple:
-        return self.configuration.entries
-
-    @property
-    def best_index(self) -> int:
-        return self.configuration.best_index
-
-    @property
-    def prefix(self) -> Trace:
-        return tuple(self._valuations[: self.length])
+    table: ScenarioTable = field(repr=False)
+    entries: tuple
+    best_index: int
+    successors: dict = field(default_factory=dict, repr=False)
 
     @property
     def alive(self) -> tuple:
@@ -442,17 +405,13 @@ def start_monitor(source) -> MonitorState:
     are excluded from the live set up front.
     """
     table = scenario_maxima(source)
-    entries = tuple((i, None) for i, value in enumerate(table.maxima) if value > 0)
-    return MonitorState(table, table.configuration(entries))
+    return table.configuration(
+        tuple((i, None) for i, value in enumerate(table.maxima) if value > 0)
+    )
 
 
 def monitor_step(monitor: MonitorState, valuation: frozenset) -> MonitorState:
-    config = monitor.table.successor(monitor.configuration, valuation)
-    valuations = monitor._valuations
-    if len(valuations) != monitor.length:
-        valuations = valuations[: monitor.length]
-    valuations.append(valuation)
-    return MonitorState(monitor.table, config, monitor.length + 1, valuations)
+    return monitor.successors.get(valuation) or monitor.table.successor(monitor, valuation)
 
 
 def to_pltlf(phi: Pltlf0Formula) -> Formula:

@@ -10,7 +10,9 @@ traces attaining that probability, and products with ordinary finite
 automata answer probability queries for whole trace languages.  Without
 bounds every weight is 1, and the flat engine's acceptors step it too.
 Every query takes a formula or a compiled tree automaton, which keeps its
-weighted automaton.
+weighted automaton.  :meth:`WeightedAutomaton.run` reads a trace from a
+set of states; the acceptor of most likely traces and the flat engine's
+acceptors all read traces through it.
 
 Every child at one position of a source gets that position's weight, so
 edges are stored in groups: one weight per (source, position), pointing at
@@ -92,6 +94,17 @@ class WeightedAutomaton:
         return frozenset(
             c for k in tuples for c in self.children[k] if self.valuations[c] == valuation
         )
+
+    def run(self, start, trace: Trace) -> frozenset:
+        """The states reached by reading a nonempty trace from the set
+        ``start``: the first valuation keeps the start states that carry
+        it, and each later one advances."""
+        if not trace:
+            raise ValueError("traces are nonempty")
+        states = frozenset(q for q in start if self.valuations[q] == trace[0])
+        for valuation in trace[1:]:
+            states = self.advance(states, valuation)
+        return states
 
     def behaviour_table(self) -> "BehaviourTable":
         if self._table is None:
@@ -202,12 +215,7 @@ class MltAcceptor(WeightedAutomaton):
         self.value = value
 
     def accepts(self, trace: Trace) -> bool:
-        if not trace:
-            raise ValueError("traces are nonempty")
-        current = frozenset(q for q in self.initial if self.valuations[q] == trace[0])
-        for valuation in trace[1:]:
-            current = self.advance(current, valuation)
-        return bool(current & self.finals)
+        return bool(self.run(self.initial, trace) & self.finals)
 
 
 def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:

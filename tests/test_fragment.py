@@ -47,7 +47,7 @@ from pltlf import (
     to_pltlf,
     vars_of,
 )
-from pltlf import cli, fragment, linsolve
+from pltlf import cli, fragment, linsolve, weighted
 
 
 @pytest.fixture(scope="module")
@@ -155,12 +155,44 @@ class TestScenarios:
         table = build_lphi(psi1_flat)
         assert len(builds) == 1
         builds.clear()
+        prefix = parse_trace("-;a")
         state = start_monitor(table)
-        state = monitor_step(state, frozenset())
-        state = monitor_step(state, frozenset("a"))
-        assert most_likely_scenario(table, state.prefix) == state.best_index == 2
+        state = monitor_step(state, prefix[0])
+        state = monitor_step(state, prefix[1])
+        assert most_likely_scenario(table, prefix) == state.best_index == 2
         assert builds == []
         assert len(maximized) == sum(table.satisfiable) == 3
+
+    @pytest.mark.parametrize("first_step", ["accepts", "monitor"])
+    def test_weighted_automaton_is_built_on_the_first_step(
+        self, psi1_flat, monkeypatch, first_step
+    ):
+        builds = []
+        original = weighted.build_weighted
+
+        def counting(source):
+            builds.append(source)
+            return original(source)
+
+        monkeypatch.setattr(weighted, "build_weighted", counting)
+        table = build_lphi(psi1_flat)
+        assert is_satisfiable0(psi1_flat)
+        assert is_satisfiable0(table)
+        scenario_maxima(table)
+        most_likely_scenario(table, ())
+        assert builds == []
+        if first_step == "accepts":
+            table.acceptors[1].accepts(parse_trace("-;a"))
+        else:
+            monitor_step(start_monitor(table), frozenset())
+        assert len(builds) == 1
+        monitor_step(monitor_step(start_monitor(table), frozenset("a")), frozenset())
+        for acceptor in table.acceptors:
+            acceptor.accepts(parse_trace("b;a"))
+        assert len(builds) == 1
+        assert {id(a.automaton.weighted) for a in table.acceptors} == {
+            id(builds[0].weighted)
+        }
 
 
 class TestMaxima:
@@ -308,29 +340,33 @@ class TestMostLikely:
 
 class TestMonitor:
     def test_running_narrative(self, psi1_flat):
+        prefix = parse_trace("-;a")
         state = start_monitor(psi1_flat)
         assert state.best_index == 1
         assert state.probability == Fraction(3, 5)
         assert state.alive == (1, 2, 3)
-        state = monitor_step(state, frozenset())
+        state = monitor_step(state, prefix[0])
         assert state.best_index == 1
         assert state.probability == Fraction(3, 5)
-        state = monitor_step(state, frozenset("a"))
+        state = monitor_step(state, prefix[1])
         assert state.best_index == 2
         assert state.probability == Fraction(1, 2)
         assert not state.violated
         assert "F a" in state.describe_best()
-        assert state.prefix == parse_trace("-;a")
+        assert state.best_index == most_likely_scenario(psi1_flat, prefix)
 
-    def test_stepping_one_state_twice_keeps_both_prefixes(self, psi1_flat):
+    def test_stepping_one_state_twice_matches_fresh_monitors(self, psi1_flat):
         state = monitor_step(start_monitor(psi1_flat), frozenset())
-        first = monitor_step(state, frozenset("a"))
-        second = monitor_step(state, frozenset("b"))
-        third = monitor_step(first, frozenset())
-        assert state.prefix == parse_trace("-")
-        assert first.prefix == parse_trace("-;a")
-        assert second.prefix == parse_trace("-;b")
-        assert third.prefix == parse_trace("-;a;-")
+        branches = {
+            "-;a": monitor_step(state, frozenset("a")),
+            "-;b": monitor_step(state, frozenset("b")),
+        }
+        branches["-;a;-"] = monitor_step(branches["-;a"], frozenset())
+        for text, branch in branches.items():
+            fresh = start_monitor(psi1_flat)
+            for valuation in parse_trace(text):
+                fresh = monitor_step(fresh, valuation)
+            assert (branch.alive, branch.best_index) == (fresh.alive, fresh.best_index), text
 
     def test_live_set_only_shrinks(self, psi1_flat):
         rng = random.Random(5)
@@ -355,10 +391,10 @@ class TestMonitor:
         for _ in range(10):
             trace = tuple(rng.choice(vals) for _ in range(rng.randint(1, 4)))
             state = start_monitor(psi1_table)
-            for valuation in trace:
+            for k, valuation in enumerate(trace, start=1):
                 state = monitor_step(state, valuation)
                 assert state.best_index == most_likely_scenario(
-                    psi1_table, state.prefix
+                    psi1_table, trace[:k]
                 )
 
     def test_extra_property_restricts_the_ranking(self, phi1_table):
@@ -459,8 +495,8 @@ class TestSharedAutomaton:
         expected = successor_map(aut, aut.good_states().good)
         assert expected
         for acceptor in acceptors:
-            wa = acceptor.weighted
-            assert wa is acceptors[0].weighted
+            wa = acceptor.automaton.weighted
+            assert wa is acceptors[0].automaton.weighted
             assert all(wt == 1 for q in wa.states for wt, _ in wa.groups[q])
             assert {
                 q: tuple(c for _, k in wa.groups[q] for c in wa.children[k]) for q in wa.states
@@ -536,7 +572,7 @@ LOOSE_BOUNDS = st.sampled_from([
 @st.composite
 def long_streams(draw):
     """A constraint set and a stream of 50 to 200 events drawn from a pool
-    of a few valuations, so that the monitor meets the same configuration
+    of a few valuations, so that the monitor meets the same state
     and valuation many times.  The valuations range over the names the
     formulas mention: ``a`` and ``b``, and ``c`` when one more constraint
     is drawn on it.  Half the sets take loose bounds."""
@@ -558,7 +594,7 @@ def long_streams(draw):
 
 
 class TestDeterminisedMonitor:
-    """The monitor keeps each configuration's successors on the table; the
+    """The monitor keeps each state's successors on the state; the
     records and states must be those decided from scratch on the prefix."""
 
     @settings(max_examples=30)
@@ -586,13 +622,36 @@ class TestDeterminisedMonitor:
         for valuation in tail:
             state = monitor_step(state, valuation)
         prefix = stream[:k] + tail
-        assert state.prefix == prefix
         assert state.alive == tuple(
             i for i, value in enumerate(ref.maxima)
             if value > 0 and ref.acceptors[i].accepts(prefix)
         )
         assert state.best_index == ref.most_likely_scenario(prefix)
-        assert states[-1].prefix == stream
+        assert states[-1].alive == tuple(
+            i for i, value in enumerate(ref.maxima)
+            if value > 0 and ref.acceptors[i].accepts(stream)
+        )
+        assert states[-1].best_index == ref.most_likely_scenario(stream)
+
+    def test_states_are_interned(self, psi1_table):
+        start = start_monitor(psi1_table)
+        assert start is start_monitor(psi1_table)
+        rng = random.Random(7)
+        vals = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+        stream = [rng.choice(vals) for _ in range(12)]
+        states = [start]
+        for valuation in stream:
+            states.append(monitor_step(states[-1], valuation))
+            assert monitor_step(states[-2], valuation) is states[-1]
+        # an older state stepped again reaches what a fresh monitor reaches
+        for k, tail in ((3, parse_trace("a;b")), (8, parse_trace("a,b;-;a"))):
+            state = states[k]
+            for valuation in tail:
+                state = monitor_step(state, valuation)
+            fresh = start_monitor(psi1_table)
+            for valuation in tuple(stream[:k]) + tail:
+                fresh = monitor_step(fresh, valuation)
+            assert state is fresh
 
     def test_each_step_and_description_is_computed_once(self, monkeypatch, tmp_path):
         text = "P<=2/5 : F a\nP<=9/10 : G(a -> F b)\nP>1/10 : X b\nP<=9/10 : a U c\n"
@@ -600,7 +659,7 @@ class TestDeterminisedMonitor:
         names = ("a", "b", "c")
         pool = [frozenset(n for n in names if rng.random() < 0.5) for _ in range(6)]
         stream = [rng.choice(pool) for _ in range(2000)]
-        # the distinct (configuration, valuation) pairs, on a table of its own
+        # the distinct (state, valuation) pairs, on a table of its own
         state = start_monitor(parse_pltlf0(text))
         pairs = set()
         best = set()
@@ -610,14 +669,14 @@ class TestDeterminisedMonitor:
             best.add(state.best_index)
         steps = []
         rendered = []
-        for name in ("start", "advance"):
-            original = getattr(fragment.PrefixAcceptor, name)
+        for name in ("run", "advance"):
+            original = getattr(weighted.WeightedAutomaton, name)
 
             def counting(self, *args, original=original):
                 steps.append(args)
                 return original(self, *args)
 
-            monkeypatch.setattr(fragment.PrefixAcceptor, name, counting)
+            monkeypatch.setattr(weighted.WeightedAutomaton, name, counting)
         original_text = fragment.formula_text
 
         def counting_text(f):
