@@ -8,9 +8,14 @@ For each workload in ``BENCHMARK.json`` and seeds 1 to 10, runs
 one runs first.  For each workload and side it prints the median and
 quartiles of ``setup_s``, ``total_s`` and ``peak_rss_mib``, and of the raw
 ``wall_total_s`` from the detail line, then the failed operations and
-whether every run was correct.  ``total_s`` is scaled by the machine's
-pace; the wall-clock column beside it shows whether a move is the
-program's or the scaling's.
+whether every run was correct, and then in how many of the pairs of runs
+with the same seed the change had the lower ``total_s``.  ``total_s`` is
+scaled by the machine's pace; the wall-clock column beside it shows
+whether a move is the program's or the scaling's.
+
+The last line is one JSON object with every median and quartile printed
+and the pair counts, per workload and side; a change commits it as its
+``BENCH_<pr>.json``.
 """
 
 import json
@@ -48,18 +53,36 @@ def record(stdout: str) -> dict:
     return row
 
 
-def summary(rows: list) -> list:
-    """Median and quartiles of each metric over the runs, then the failed
-    operations and whether every run was correct."""
-    lines = []
+def quartiles(rows: list) -> dict:
+    """Median and quartiles of each metric over the runs, to the four
+    decimals printed."""
+    out = {}
     for metric in METRICS:
         values = [row[metric] for row in rows]
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        lines.append(f"{metric:<13} {median:10.4f}  [{q1:.4f}, {q3:.4f}]")
+        out[metric] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+    return out
+
+
+def summary(rows: list) -> list:
+    """Median and quartiles of each metric over the runs, then the failed
+    operations and whether every run was correct."""
+    lines = [
+        f"{metric:<13} {q['median']:10.4f}  [{q['q1']:.4f}, {q['q3']:.4f}]"
+        for metric, q in quartiles(rows).items()
+    ]
     failed = sum(row["failed"] for row in rows)
     correct = all(row["correct"] for row in rows)
     lines.append(f"failed ops {failed}, every run correct: {'yes' if correct else 'NO'}")
     return lines
+
+
+def comparison(parent: list, change: list) -> dict:
+    """Both sides' medians and quartiles, and in how many pairs of runs
+    with the same seed the change had the lower ``total_s``."""
+    lower = sum(c["total_s"] < p["total_s"] for p, c in zip(parent, change))
+    return {"parent": quartiles(parent), "change": quartiles(change),
+            "change_lower_total_s": lower}
 
 
 def main(argv: list) -> int:
@@ -68,6 +91,7 @@ def main(argv: list) -> int:
         return 2
     sides = [pathlib.Path(path).resolve() for path in argv]
     listed = json.loads((sides[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    trajectory = {}
     for workload in (w["name"] for w in listed["workloads"]):
         rows = ([], [])
         for seed in SEEDS:
@@ -78,7 +102,11 @@ def main(argv: list) -> int:
             print(f"  {label}  {side}")
             for line in summary(side_rows):
                 print(f"    {line}")
+        trajectory[workload] = comparison(*rows)
+        lower = trajectory[workload]["change_lower_total_s"]
+        print(f"  change total_s lower in {lower} of {len(SEEDS)} pairs")
         sys.stdout.flush()
+    print(json.dumps({"seeds": [SEEDS[0], SEEDS[-1]], "workloads": trajectory}))
     return 0
 
 

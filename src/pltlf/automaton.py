@@ -50,7 +50,7 @@ from itertools import combinations
 from typing import Optional
 
 from .closure import ClosureSet, enumerate_atoms, transpose
-from .linsolve import LinearSystem, maximize, solve_feasibility
+from .linsolve import LinearProgram, LinearSystem, solve_feasibility
 from .syntax import (
     And,
     Comparison,
@@ -136,11 +136,6 @@ class TreeAutomaton:
         self._cand_cache = {}
         self._point_cache = {}
         self._max_cache = {}
-        if not self._pairs:
-            # the only family is (0,) and its single branch takes all the
-            # mass, so no LP is solved without probability pairs
-            self._point_cache[0, (0,)] = {_qset_name(0, 0): Fraction(1)}
-            self._max_cache[0, (0,), 0] = Fraction(1)
         self._good = None
         self._weighted = None
 
@@ -192,24 +187,21 @@ class TreeAutomaton:
 
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
-        it is infeasible; shared across atoms with equal signatures."""
+        it is infeasible; kept with the system's phase 1 for family_max."""
         key = (self._prob_sig[aid], qsets)
         if key not in self._point_cache:
-            system = self.build_system(aid, qsets)
-            self._point_cache[key] = solve_feasibility(system).witness
-        return self._point_cache[key]
+            self._point_cache[key] = LinearProgram(self.build_system(aid, qsets))
+        return self._point_cache[key].witness
 
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
         """Largest mass the family's branch system lets the subset
-        ``qmask`` absorb; the family must be feasible and contain it.
-        A nonempty region's closure is its relaxed region, so the supremum
-        is a maximum over the relaxed system.  Results are shared across
-        atoms with equal probability signatures."""
+        ``qmask`` absorb: a phase 2 from the basis ``family_point`` kept,
+        which must have found the family feasible.  Results are shared
+        across atoms with equal probability signatures."""
         key = (self._prob_sig[aid], qsets, qmask)
         if key not in self._max_cache:
-            system = self.build_system(aid, qsets).relaxed()
             name = _qset_name(qmask, len(self._pairs))
-            self._max_cache[key] = maximize(system, name).supremum
+            self._max_cache[key] = self._point_cache[key[:2]].maximum(name)[0]
         return self._max_cache[key]
 
     def _candidates(self, aid: int) -> dict:

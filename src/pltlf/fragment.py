@@ -45,7 +45,7 @@ from operator import and_
 
 from .automaton import TreeAutomaton
 from .closure import transpose
-from .linsolve import InfeasibleSystemError, LinearSystem, maximize, solve_feasibility
+from .linsolve import InfeasibleSystemError, LinearProgram, LinearSystem
 from .syntax import (
     Comparison,
     Formula,
@@ -216,8 +216,8 @@ class ScenarioTable:
         return tuple(a.satisfiable for a in self.acceptors)
 
     @cached_property
-    def live_system(self) -> LinearSystem:
-        """The mass system over the satisfiable scenarios' variables.
+    def live_program(self) -> LinearProgram:
+        """The mass system over the live scenarios' variables, after phase 1.
 
         An unsatisfiable scenario's variable is pinned to zero, so dropping
         its column keeps every point of the system.  A row left without a
@@ -230,28 +230,26 @@ class ScenarioTable:
             coeffs = {self.variable(i): c.coeffs[i] for i in live if c.coeffs[i]}
             if coeffs or not c.rel.holds(ZERO, c.rhs):
                 rows.append((coeffs, c.rel, c.rhs))
-        return LinearSystem.from_rows([self.variable(i) for i in live], rows)
+        return LinearProgram(LinearSystem.from_rows([self.variable(i) for i in live], rows))
 
     @cached_property
     def feasible(self) -> bool:
         """Whether the mass system, strict rows included, has a point."""
-        return solve_feasibility(self.live_system).feasible
+        return self.live_program.witness is not None
 
     @cached_property
     def maxima(self) -> tuple:
         """Each scenario's mass maximised on its own over the shared system.
 
-        The system is feasible, so the closure of its region is the
-        relaxed region, and each supremum is a maximum over that.  Only the
-        live variables are maximised; a pinned one's maximum is zero.
-        Raises InfeasibleSystemError when the constraint set is
-        unsatisfiable.
+        Each supremum is a phase 2 from the basis the feasibility test
+        kept.  Only the live variables are maximised; a pinned one's
+        maximum is zero.  Raises InfeasibleSystemError when the constraint
+        set is unsatisfiable.
         """
         if not self.feasible:
             raise InfeasibleSystemError("system is infeasible")
-        relaxed = self.live_system.relaxed()
         return tuple(
-            maximize(relaxed, self.variable(i)).supremum if sat else ZERO
+            self.live_program.maximum(self.variable(i))[0] if sat else ZERO
             for i, sat in enumerate(self.satisfiable)
         )
 

@@ -3,12 +3,15 @@
 Systems mix non-strict, strict and equality rows over named variables,
 and every variable is nonnegative: the solver gives each one a single
 nonnegative tableau column, whether or not the system spells ``x >= 0``.
-Feasibility with strict rows is decided by adjoining a slack variable
-``eps`` to every strict row and maximizing it (capped at 1): the system is
-feasible iff the optimum is positive, and the maximizing point satisfies the
-strict rows with margin.  :func:`maximize` reports the supremum over the
+A strict system adjoins a slack ``eps``, capped at 1, to every strict row:
+it is feasible iff the largest ``eps`` is positive, and that point satisfies
+the strict rows with margin.  :func:`maximize` reports the supremum over the
 topological closure (strict rows relaxed to non-strict) together with an
-attainment flag checked against the strict rows.
+attainment flag checked against the strict rows.  Phase 1 runs once per
+system: :class:`LinearProgram` keeps the basis that phase 1 and the
+artificial drive-out reach, and each objective is a phase 2 on a copy.  The
+``eps`` tableau gives the relaxed suprema too, as ``eps = 0`` is allowed and
+``eps >= 0`` only tightens strict rows.
 
 The pivoting core is a dense two-phase simplex with Bland's rule, which
 cannot cycle, on a fraction-free integer tableau: each row is held as
@@ -198,15 +201,15 @@ def _reduced_costs(tab, basis, m, objective):
     tab[m] = rc
 
 
-def _solve_standard(rows, rhs, n, objective):
-    """max objective . y  s.t.  rows y = rhs, y >= 0.
+def _phase_one(rows, rhs, n):
+    """Phase 1 of  max . y  s.t.  rows y = rhs, y >= 0,  and the drive-out.
 
     Fraction-free: row i is scaled to integers by the lcm of its
     denominators, its artificial column holds that scale, and every row is
     kept with a positive entry in its basic column and read as its entries
     divided by that entry.  The pivots are the ones the same simplex makes
-    on Fractions.  Returns (status, value, y) with status in
-    optimal/infeasible/unbounded.
+    on Fractions.  Returns the feasible (tableau, basis) without the
+    artificial columns, or None when the rows have no solution.
     """
     m = len(rows)
     tab = []
@@ -225,7 +228,7 @@ def _solve_standard(rows, rhs, n, objective):
     _reduced_costs(tab, basis, m, phase1)
     _optimize(tab, basis, m)
     if any(tab[r][-1] > 0 for r in range(m) if basis[r] >= n):
-        return "infeasible", None, None
+        return None
 
     # Drive leftover zero-value artificials out of the basis; rows that have
     # no real coefficient left are redundant and dropped.
@@ -239,19 +242,20 @@ def _solve_standard(rows, rhs, n, objective):
                 continue
             _pivot(tab, basis, r, col)
         r += 1
-    m = len(tab) - 1
-    for r in range(m + 1):
-        tab[r] = tab[r][:n] + [tab[r][-1]]
+    return [row[:n] + [row[-1]] for row in tab], basis
 
-    full_obj = list(objective) + [ZERO] * (n - len(objective))
-    _reduced_costs(tab, basis, m, full_obj)
+
+def _phase_two(tab, basis, objective):
+    """max objective . y  from a kept (tableau, basis), on a copy."""
+    # a shallow copy is enough: pivots replace rows and never change one
+    tab, basis, m = tab[:], basis[:], len(basis)
+    _reduced_costs(tab, basis, m, objective)
     if not _optimize(tab, basis, m):
         return "unbounded", None, None
-    y = [ZERO] * n
+    y = [ZERO] * len(objective)
     for r in range(m):
-        if basis[r] < n:
-            y[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
-    value = sum((c * v for c, v in zip(full_obj, y)), start=ZERO)
+        y[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
+    value = sum((c * y[j] for j, c in enumerate(objective) if c), start=ZERO)
     return "optimal", value, y
 
 
@@ -264,80 +268,86 @@ def _sign_row(c: LinearConstraint) -> bool:
     return c.rel is Comparison.GE and c.rhs <= 0 and len(nonzero) == 1 and nonzero[0] > 0
 
 
-def _solve(system: LinearSystem, objective: dict, with_eps: bool):
-    """Named-variable front end: one nonnegative column per variable.
+class LinearProgram:
+    """A system after phase 1: ``kept`` is its tableau and feasible basis
+    (None if even the relaxed system is infeasible), ``witness`` the
+    feasibility objective's vertex (None if the system is infeasible).
 
     A row implied by its variable's sign builds no tableau row.  Columns
-    run: variables without such a row, eps, then one column per row in
-    row order, a sign row's variable or an inequality's slack.  Bland's
-    rule thus meets each variable where its sign row's slack would stand,
-    and reaches the vertices, so the witnesses, of the tableau that keeps
-    sign rows.  Returns (status, value, point); point holds eps when
-    requested.
+    run: variables without such a row, eps for a strict system, then one
+    column per row in row order, a sign row's variable or an inequality's
+    slack.  Bland's rule thus meets each variable where its sign row's
+    slack would stand, and reaches the vertices of the tableau that keeps
+    sign rows.
     """
-    names = system.variables
-    specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
-    for c in system.constraints:
-        if _sign_row(c):
-            name = next(v for a, v in zip(c.coeffs, names) if a != 0)
-            if name not in placed:
-                placed.append(name)
-            continue
-        rel, eps_coeff = c.rel, ZERO
-        if rel.strict:
-            if not with_eps:
-                raise AssertionError("strict row reached the relaxed solver")
-            eps_coeff = ONE if rel is Comparison.LT else -ONE
-            rel = rel.relaxed
-        specs.append((c.coeffs, eps_coeff, rel, c.rhs))
-        if rel is not Comparison.EQ:
+
+    def __init__(self, system: LinearSystem):
+        names = self.names = system.variables
+        strict = self.strict = any(c.rel.strict for c in system.constraints)
+        specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
+        for c in system.constraints:
+            if _sign_row(c):
+                name = next(v for a, v in zip(c.coeffs, names) if a != 0)
+                if name not in placed:
+                    placed.append(name)
+                continue
+            rel, eps_coeff = c.rel, ZERO
+            if rel.strict:
+                eps_coeff = ONE if rel is Comparison.LT else -ONE
+                rel = rel.relaxed
+            specs.append((c.coeffs, eps_coeff, rel, c.rhs))
+            if rel is not Comparison.EQ:
+                placed.append(("slack", len(specs) - 1))
+        if strict:
+            specs.append(((ZERO,) * len(names), ONE, Comparison.LE, ONE))
             placed.append(("slack", len(specs) - 1))
-    if with_eps:
-        specs.append(((ZERO,) * len(names), ONE, Comparison.LE, ONE))
-        placed.append(("slack", len(specs) - 1))
 
-    columns = [v for v in names if v not in placed] + [_EPS] * with_eps + placed
-    col = {key: i for i, key in enumerate(columns)}
-    rows = []
-    for k, (coeffs, eps_coeff, rel, _) in enumerate(specs):
-        row = [ZERO] * len(columns)
-        for name, coeff in zip(names, coeffs):
-            row[col[name]] = coeff
-        if with_eps:
-            row[col[_EPS]] = eps_coeff
-        if rel is not Comparison.EQ:
-            row[col["slack", k]] = ONE if rel is Comparison.LE else -ONE
-        rows.append(row)
-    obj = [ZERO] * len(columns)
-    for name, coeff in objective.items():
-        obj[col[name]] = Fraction(coeff)
+        columns = [v for v in names if v not in placed] + [_EPS] * strict + placed
+        col = self.col = {key: i for i, key in enumerate(columns)}
+        rows = []
+        for k, (coeffs, eps_coeff, rel, _) in enumerate(specs):
+            row = [ZERO] * len(columns)
+            for name, coeff in zip(names, coeffs):
+                row[col[name]] = coeff
+            if strict:
+                row[col[_EPS]] = eps_coeff
+            if rel is not Comparison.EQ:
+                row[col["slack", k]] = ONE if rel is Comparison.LE else -ONE
+            rows.append(row)
+        self.kept = _phase_one(rows, [spec[3] for spec in specs], len(columns))
+        self.witness = None
+        if self.kept is not None:
+            value, point = self.maximum(_EPS if strict else None)
+            self.witness = point if value > 0 or not strict else None
 
-    status, value, y = _solve_standard(rows, [spec[3] for spec in specs], len(columns), obj)
-    if status != "optimal":
-        return status, None, None
-    return status, value, {v: y[col[v]] for v in list(names) + [_EPS] * with_eps}
+    def maximum(self, column) -> tuple:
+        """Phase 2 for a column (None: zero objective): its largest value,
+        for a variable its supremum over the closure, and the vertex."""
+        if self.kept is None:
+            raise InfeasibleSystemError("system is infeasible")
+        obj = [ZERO] * len(self.col)
+        if column is not None:
+            obj[self.col[column]] = ONE
+        status, value, y = _phase_two(*self.kept, obj)
+        if status == "unbounded":
+            raise UnboundedObjectiveError(f"variable {column!r} unbounded above")
+        return value, {v: y[self.col[v]] for v in self.names}
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility exactly; the witness satisfies strict rows strictly."""
-    strict = any(c.rel.strict for c in system.constraints)
-    status, value, point = _solve(system, {_EPS: ONE} if strict else {}, with_eps=strict)
-    if status == "infeasible" or (strict and value <= 0):
-        return FeasibilityResult(False)
-    point.pop(_EPS, None)
-    return FeasibilityResult(True, point)
+    witness = LinearProgram(system).witness
+    return FeasibilityResult(witness is not None, witness)
 
 
 def maximize(system: LinearSystem, variable: str) -> Optimum:
     """Supremum of a variable over the system.
 
     The supremum is taken over the closure of the feasible region; whether
-    it is attained is decided against the strict rows.  Without strict rows
-    the witness is the optimal vertex of that solve, deterministic under
-    Bland's rule; with them it is a point of the system with the variable
-    pinned to the supremum, or None when the supremum is not attained.
-    A caller that knows the system is feasible and reads only the supremum
-    can pass ``system.relaxed()``, which solves one LP.
+    it is attained is decided against the strict rows.  Without strict
+    rows the witness is the optimal vertex of that solve, deterministic
+    under Bland's rule; with them it is a point of the system with the
+    variable pinned to the supremum, or None when it is not attained.
 
     Raises :class:`InfeasibleSystemError` when the system itself is
     infeasible and :class:`UnboundedObjectiveError` when the variable grows
@@ -345,15 +355,11 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     """
     if variable not in system.variables:
         raise KeyError(f"unknown variable {variable!r}")
-    strict = any(c.rel.strict for c in system.constraints)
-    if strict and not solve_feasibility(system).feasible:
+    lp = LinearProgram(system)
+    if lp.strict and lp.witness is None:
         raise InfeasibleSystemError("system is infeasible")
-    status, value, point = _solve(system.relaxed(), {variable: ONE}, with_eps=False)
-    if status == "infeasible":
-        raise InfeasibleSystemError("system is infeasible")
-    if status == "unbounded":
-        raise UnboundedObjectiveError(f"variable {variable!r} unbounded above")
-    if not strict:
+    value, point = lp.maximum(variable)
+    if not lp.strict:
         return Optimum(value, True, point)
     res = solve_feasibility(system.with_rows([({variable: 1}, Comparison.EQ, value)]))
     return Optimum(value, res.feasible, res.witness)

@@ -5,11 +5,24 @@ the dense two-phase simplex on ``fractions.Fraction`` that it replaced,
 with the same column layout, Bland's rule and artificial drive-out, so
 tests can check that both kernels make the same pivots and give the same
 answers on the same standard-form rows.
+
+``maximize`` is the named front end that solved every objective with a
+phase 1 of its own: on a system with strict rows it solves three LPs, a
+feasibility test, the maximum over the relaxed system, and the
+feasibility of the system with the variable pinned to that maximum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from pltlf.linsolve import (
+    Comparison,
+    InfeasibleSystemError,
+    Optimum,
+    UnboundedObjectiveError,
+    _sign_row,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -113,3 +126,82 @@ def _solve_standard(rows, rhs, n, objective):
             y[basis[r]] = tab[r][-1]
     value = sum((c * v for c, v in zip(full_obj, y)), start=ZERO)
     return "optimal", value, y
+
+
+EPS = "__eps__"
+
+
+def solve(system, objective: dict, with_eps: bool):
+    """One LP over named nonnegative variables, solved from scratch.
+
+    A row implied by its variable's sign builds no tableau row.  Columns
+    run: variables without such a row, eps, then one column per row in
+    row order, a sign row's variable or an inequality's slack.  Returns
+    (status, value, point); point holds eps when requested.
+    """
+    names = system.variables
+    specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
+    for c in system.constraints:
+        if _sign_row(c):
+            name = next(v for a, v in zip(c.coeffs, names) if a != 0)
+            if name not in placed:
+                placed.append(name)
+            continue
+        rel, eps_coeff = c.rel, ZERO
+        if rel.strict:
+            assert with_eps, "strict row reached the relaxed solver"
+            eps_coeff = ONE if rel is Comparison.LT else -ONE
+            rel = rel.relaxed
+        specs.append((c.coeffs, eps_coeff, rel, c.rhs))
+        if rel is not Comparison.EQ:
+            placed.append(("slack", len(specs) - 1))
+    if with_eps:
+        specs.append(((ZERO,) * len(names), ONE, Comparison.LE, ONE))
+        placed.append(("slack", len(specs) - 1))
+
+    columns = [v for v in names if v not in placed] + [EPS] * with_eps + placed
+    col = {key: i for i, key in enumerate(columns)}
+    rows = []
+    for k, (coeffs, eps_coeff, rel, _) in enumerate(specs):
+        row = [ZERO] * len(columns)
+        for name, coeff in zip(names, coeffs):
+            row[col[name]] = coeff
+        if with_eps:
+            row[col[EPS]] = eps_coeff
+        if rel is not Comparison.EQ:
+            row[col["slack", k]] = ONE if rel is Comparison.LE else -ONE
+        rows.append(row)
+    obj = [ZERO] * len(columns)
+    for name, coeff in objective.items():
+        obj[col[name]] = Fraction(coeff)
+
+    status, value, y = _solve_standard(rows, [spec[3] for spec in specs], len(columns), obj)
+    if status != "optimal":
+        return status, None, None
+    return status, value, {v: y[col[v]] for v in list(names) + [EPS] * with_eps}
+
+
+def feasibility_witness(system):
+    """The feasible point the feasibility LP reaches, or None."""
+    strict = any(c.rel.strict for c in system.constraints)
+    status, value, point = solve(system, {EPS: ONE} if strict else {}, with_eps=strict)
+    if status == "infeasible" or (strict and value <= 0):
+        return None
+    point.pop(EPS, None)
+    return point
+
+
+def maximize(system, variable: str) -> Optimum:
+    """``pltlf.linsolve.maximize`` with one phase 1 per LP."""
+    strict = any(c.rel.strict for c in system.constraints)
+    if strict and feasibility_witness(system) is None:
+        raise InfeasibleSystemError("system is infeasible")
+    status, value, point = solve(system.relaxed(), {variable: ONE}, with_eps=False)
+    if status == "infeasible":
+        raise InfeasibleSystemError("system is infeasible")
+    if status == "unbounded":
+        raise UnboundedObjectiveError(f"variable {variable!r} unbounded above")
+    if not strict:
+        return Optimum(value, True, point)
+    witness = feasibility_witness(system.with_rows([({variable: 1}, Comparison.EQ, value)]))
+    return Optimum(value, witness is not None, witness)

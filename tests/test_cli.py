@@ -556,3 +556,22 @@ def test_ab_summary_of_two_runs():
         "wall_total_s      0.6000  [0.5000, 0.7000]",
         "failed ops 1, every run correct: NO",
     ]
+    # the same seeds on the change side: lower in the first pair only
+    change = [ab.record(output(0.1, 0.1, 50.0, 0.3, 0, True)),
+              ab.record(output(0.3, 0.7, 52.0, 0.9, 0, True))]
+    line = json.dumps(ab.comparison(rows, change))
+    assert json.loads(line) == {
+        "parent": {
+            "setup_s": {"median": 0.2, "q1": 0.15, "q3": 0.25},
+            "total_s": {"median": 0.4, "q1": 0.3, "q3": 0.5},
+            "peak_rss_mib": {"median": 51.0, "q1": 50.5, "q3": 51.5},
+            "wall_total_s": {"median": 0.6, "q1": 0.5, "q3": 0.7},
+        },
+        "change": {
+            "setup_s": {"median": 0.2, "q1": 0.15, "q3": 0.25},
+            "total_s": {"median": 0.4, "q1": 0.25, "q3": 0.55},
+            "peak_rss_mib": {"median": 51.0, "q1": 50.5, "q3": 51.5},
+            "wall_total_s": {"median": 0.6, "q1": 0.45, "q3": 0.75},
+        },
+        "change_lower_total_s": 1,
+    }

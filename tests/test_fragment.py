@@ -60,6 +60,28 @@ def psi1_table(psi1_flat):
     return scenario_maxima(psi1_flat)
 
 
+@pytest.fixture
+def lp_runs(monkeypatch):
+    """What the exact LP solves: the variables of each system that runs
+    phase 1, and each objective maximised from a kept basis as
+    (variables, column), the column None for a feasibility objective
+    without strict rows."""
+    runs = {"phase_one": [], "objectives": []}
+    init, maximum = linsolve.LinearProgram.__init__, linsolve.LinearProgram.maximum
+
+    def counting_init(self, system):
+        runs["phase_one"].append(system.variables)
+        init(self, system)
+
+    def counting_maximum(self, column):
+        runs["objectives"].append((self.names, column))
+        return maximum(self, column)
+
+    monkeypatch.setattr(linsolve.LinearProgram, "__init__", counting_init)
+    monkeypatch.setattr(linsolve.LinearProgram, "maximum", counting_maximum)
+    return runs
+
+
 def flat(*lines):
     return parse_pltlf0("\n".join(lines))
 
@@ -135,7 +157,7 @@ class TestScenarios:
             "x01 + x11 <= 7/10",
         ]
 
-    def test_queries_reuse_the_compiled_table(self, psi1_flat, monkeypatch):
+    def test_queries_reuse_the_compiled_table(self, psi1_flat, monkeypatch, lp_runs):
         builds = []
         original = TreeAutomaton.__init__
 
@@ -143,25 +165,24 @@ class TestScenarios:
             builds.append(args)
             original(self, *args, **kwargs)
 
-        maximized = []
-        original_maximize = linsolve.maximize
-
-        def counting_maximize(system, objective):
-            maximized.append(objective)
-            return original_maximize(system, objective)
-
         monkeypatch.setattr(TreeAutomaton, "__init__", counting)
-        monkeypatch.setattr(fragment, "maximize", counting_maximize)
         table = build_lphi(psi1_flat)
         assert len(builds) == 1
         builds.clear()
+        lp_runs["phase_one"].clear()
         prefix = parse_trace("-;a")
         state = start_monitor(table)
         state = monitor_step(state, prefix[0])
         state = monitor_step(state, prefix[1])
         assert most_likely_scenario(table, prefix) == state.best_index == 2
         assert builds == []
-        assert len(maximized) == sum(table.satisfiable) == 3
+        # one phase 1 for the table, then its feasibility objective (no
+        # strict rows) and one objective per live scenario
+        live = tuple(table.variable(i) for i, sat in enumerate(table.satisfiable) if sat)
+        assert len(live) == 3
+        assert lp_runs["phase_one"] == [live]
+        columns = [column for names, column in lp_runs["objectives"] if names == live]
+        assert columns == [None, *live]
 
     @pytest.mark.parametrize("first_step", ["accepts", "monitor"])
     def test_weighted_automaton_is_built_on_the_first_step(
@@ -221,39 +242,30 @@ class TestMaxima:
         with pytest.raises(InfeasibleSystemError):
             scenario_maxima(phi)
 
-    def test_only_live_scenarios_are_maximised(self, monkeypatch):
+    def test_only_live_scenarios_are_maximised(self, lp_runs):
         # x00 and x11 are pinned to zero: a and !a cannot both hold or fail
-        calls = []
-        original = linsolve.maximize
-
-        def counting(system, objective):
-            calls.append(system.variables)
-            return original(system, objective)
-
-        monkeypatch.setattr(fragment, "maximize", counting)
         table = build_lphi(flat("P<=0.5 : a", "P<=0.5 : !a"))
+        lp_runs["phase_one"].clear()
+        lp_runs["objectives"].clear()
         assert table.satisfiable == (False, True, True, False)
         assert table.maxima == (0, Fraction(1, 2), Fraction(1, 2), 0)
-        assert calls == [("x01", "x10")] * 2
+        live = ("x01", "x10")
+        assert lp_runs["phase_one"] == [live]
+        assert lp_runs["objectives"] == [(live, None), (live, "x01"), (live, "x10")]
 
-    def test_feasibility_is_decided_once(self, monkeypatch):
-        # the maxima run over the relaxed system once the strict system is
-        # known feasible, so one feasibility LP serves the whole table
-        calls = []
-        original = linsolve.solve_feasibility
-
-        def counting(system):
-            calls.append(system)
-            return original(system)
-
-        monkeypatch.setattr(linsolve, "solve_feasibility", counting)
-        monkeypatch.setattr(fragment, "solve_feasibility", counting)
+    def test_feasibility_is_decided_once(self, lp_runs):
+        # the maxima re-optimise the basis that the strict feasibility test
+        # kept, so one phase 1 serves the whole table
         table = build_lphi(flat("P>0.3 : a", "P<0.6 : X b"))
+        lp_runs["phase_one"].clear()
+        lp_runs["objectives"].clear()
         assert table.maxima == (
             Fraction(7, 10), Fraction(3, 5), Fraction(1), Fraction(3, 5),
         )
         assert is_satisfiable0(table)
-        assert len(calls) == 1
+        live = ("x00", "x01", "x10", "x11")
+        assert lp_runs["phase_one"] == [live]
+        assert lp_runs["objectives"] == [(live, linsolve._EPS)] + [(live, v) for v in live]
 
     @settings(max_examples=20)
     @given(

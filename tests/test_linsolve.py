@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pltlf import (
@@ -244,30 +244,64 @@ class TestRendering:
         assert rows[-1] == "x1 + x2 + x12 = 1"
 
 
+CALLERS = ("solve_feasibility", "maximize", "LinearProgram")
+
+
 def standard_forms(system, maxima=True):
-    """The standard-form inputs ``_solve`` hands the kernel when the system
-    is decided and, with ``maxima``, each of its variables maximized."""
-    forms = []
-    solve = linsolve._solve_standard
+    """The standard forms the front end hands the kernel, each with an
+    objective that phase 2 optimizes from the form's kept basis, listed
+    per caller: ``solve_feasibility`` on the system and, with ``maxima``,
+    ``maximize`` of each variable and each variable's maximum on one
+    shared ``LinearProgram``.  A form whose phase 1 fails is listed with
+    the zero objective."""
+    forms = {}
+    kept = {}  # id of a kept tableau -> (form, kept result)
+    phase_one, phase_two = linsolve._phase_one, linsolve._phase_two
 
-    def capture(rows, rhs, n, objective):
-        forms.append(([list(row) for row in rows], list(rhs), n, list(objective)))
-        return solve(rows, rhs, n, objective)
+    def capture_one(rows, rhs, n):
+        form = ([list(row) for row in rows], list(rhs), n)
+        result = phase_one(rows, rhs, n)
+        if result is None:
+            sink.append((*form, [Fraction(0)] * n))
+        else:
+            kept[id(result[0])] = form, result
+        return result
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linsolve, "_solve_standard", capture)
-        solve_feasibility(system)
-        for name in system.variables if maxima else ():
+    def capture_two(tab, basis, objective):
+        sink.append((*kept[id(tab)][0], list(objective)))
+        return phase_two(tab, basis, objective)
+
+    def each_maximum(solve):
+        for name in system.variables:
             try:
-                maximize(system, name)
+                solve(name)
             except (InfeasibleSystemError, UnboundedObjectiveError):
                 pass
+
+    calls = {
+        "solve_feasibility": lambda: solve_feasibility(system),
+        "maximize": lambda: each_maximum(lambda name: maximize(system, name)),
+        "LinearProgram": lambda: each_maximum(linsolve.LinearProgram(system).maximum),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "_phase_one", capture_one)
+        mp.setattr(linsolve, "_phase_two", capture_two)
+        for caller in CALLERS if maxima else CALLERS[:1]:
+            sink = forms[caller] = []
+            calls[caller]()
     return forms
 
 
-def traced(kernel, form):
-    """``kernel._solve_standard`` on a copy of the form, with its final
-    basis and its (row, col) pivots in order."""
+def linsolve_standard(rows, rhs, n, objective):
+    """Phase 1, then phase 2 from the kept basis, as ``pltlf.linsolve``
+    solves one objective of a standard form."""
+    kept = linsolve._phase_one(rows, rhs, n)
+    return ("infeasible", None, None) if kept is None else linsolve._phase_two(*kept, objective)
+
+
+def traced(kernel, solve, form):
+    """``solve`` on a copy of the form with ``kernel``'s pivots traced:
+    its result, final basis and (row, col) pivots in order."""
     pivots, bases = [], []
     pivot, reduced_costs = kernel._pivot, kernel._reduced_costs
 
@@ -283,15 +317,17 @@ def traced(kernel, form):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_pivot", traced_pivot)
         mp.setattr(kernel, "_reduced_costs", traced_reduced_costs)
-        result = kernel._solve_standard([list(row) for row in rows], list(rhs), n, list(objective))
+        result = solve([list(row) for row in rows], list(rhs), n, list(objective))
     return result, list(bases[-1]), pivots
 
 
 def assert_same_kernel(system, maxima=True):
     forms = standard_forms(system, maxima)
-    assert forms
-    for form in forms:
-        assert traced(linsolve, form) == traced(simplex_reference, form)
+    assert all(forms.values()), {caller: len(found) for caller, found in forms.items()}
+    for form in (form for found in forms.values() for form in found):
+        assert traced(linsolve, linsolve_standard, form) == traced(
+            simplex_reference, simplex_reference._solve_standard, form
+        )
 
 
 def branch_systems(text):
@@ -310,8 +346,9 @@ def branch_systems(text):
 
 
 class TestIntegerKernel:
-    """The integer tableau makes the pivots the Fraction simplex makes, and
-    reads out the same status, value, point and basis."""
+    """Phase 1 on the integer tableau, then phase 2 from the kept basis,
+    makes the pivots the Fraction simplex makes on the same form and
+    objective, and reads out the same status, value, point and basis."""
 
     @given(sts.linear_systems(), st.booleans())
     @settings(max_examples=150)
@@ -337,3 +374,69 @@ class TestIntegerKernel:
         # family enumeration solves them
         for system in branch_systems("P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"):
             assert_same_kernel(system, maxima=False)
+
+
+def is_box_row(c):
+    """An ``x <= 2`` row of ``strategies.linear_systems``."""
+    return (
+        c.rel is Comparison.LE
+        and c.rhs == 2
+        and sorted(c.coeffs) == [0] * (len(c.coeffs) - 1) + [1]
+    )
+
+
+class TestSharedPhaseOne:
+    """One phase 1 per system serves the feasibility test and every
+    supremum: each objective is a phase 2 from the kept basis."""
+
+    @given(sts.linear_systems(max_vars=3, max_rows=5), st.booleans())
+    @settings(max_examples=60)
+    def test_suprema_match_relaxed_maximize_and_fourier_motzkin(self, system, open_above):
+        if open_above:
+            system = LinearSystem(
+                system.variables, tuple(c for c in system.constraints if not is_box_row(c))
+            )
+        assume(solve_feasibility(system).feasible)
+        program = linsolve.LinearProgram(system)
+        for name in system.variables:
+            expected = fm_supremum(system, name)
+            if expected == "unbounded":
+                with pytest.raises(UnboundedObjectiveError):
+                    program.maximum(name)
+                with pytest.raises(UnboundedObjectiveError):
+                    maximize(system.relaxed(), name)
+            else:
+                assert program.maximum(name)[0] == expected
+                assert maximize(system.relaxed(), name).supremum == expected
+
+    @given(sts.linear_systems())
+    @settings(max_examples=100)
+    def test_strict_maximize_matches_one_phase_one_per_lp(self, system):
+        assume(any(c.rel.strict for c in system.constraints))
+        for name in system.variables:
+            try:
+                expected = simplex_reference.maximize(system, name)
+            except InfeasibleSystemError:
+                with pytest.raises(InfeasibleSystemError):
+                    maximize(system, name)
+                continue
+            assert maximize(system, name) == expected
+
+    @pytest.mark.parametrize("rows, tableaux", [
+        # strict and feasible: the shared tableau, then the pinned one
+        ([({"x": 1}, Comparison.LT, 1), ({"x": 1, "y": 1}, Comparison.LE, 1)], 2),
+        # no strict row: one tableau
+        ([({"x": 1}, Comparison.LE, 1), ({"x": 1, "y": 1}, Comparison.LE, 1)], 1),
+    ])
+    def test_maximize_builds_one_tableau_per_lp(self, rows, tableaux, monkeypatch):
+        runs = []
+        phase_one = linsolve._phase_one
+
+        def counting(*args):
+            runs.append(args)
+            return phase_one(*args)
+
+        monkeypatch.setattr(linsolve, "_phase_one", counting)
+        opt = maximize(LinearSystem.from_rows(("x", "y"), rows), "x")
+        assert opt.supremum == 1 and opt.attained == (tableaux == 1)
+        assert len(runs) == tableaux

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 import family_reference
 import strategies as sts
 import weighted_reference
-from oracles import formula_family
+from oracles import fm_supremum, formula_family
 from pltlf import (
     TraceNFA,
     TreeAutomaton,
@@ -23,6 +23,7 @@ from pltlf import (
     eval_trace,
     is_satisfiable,
     language_probability,
+    maximize,
     mlt_acceptor,
     parse_formula,
     parse_trace,
@@ -36,6 +37,16 @@ from pltlf import automaton, weighted
 
 from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
+
+THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
+# the formulas of the README quick start, as the tree-queries workload runs them
+QUERY_FORMULAS = (
+    "P<=0.5[a] & P>=0.6[X b]",
+    "X !b & P<=0.7[a U b] & P<=0.6[X(!a & !b)]",
+    "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+    "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+    "P>=0.5[a] & P>=0.6[!a]",
+)
 
 ALL_VALS = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
 
@@ -81,21 +92,45 @@ class TestEdgeWeights:
         for wt in wa_psi.weights.values():
             assert 0 < wt <= 1
 
-    def test_weights_maximise_relaxed_systems(self, monkeypatch):
-        # every family reaching family_max is feasible, so its supremum is
-        # a maximum over the relaxed system and needs no strict row
-        systems = []
-        original = automaton.maximize
+    @pytest.mark.parametrize("text", QUERY_FORMULAS + (THREE_BOUNDS,))
+    def test_weights_maximise_relaxed_systems(self, text):
+        self.check_maxima(parse_formula(text))
 
-        def recording(system, variable):
-            systems.append(system)
-            return original(system, variable)
+    @settings(max_examples=25)
+    @given(sts.formulas())
+    def test_random_weights_maximise_relaxed_systems(self, f):
+        assume(len(TreeAutomaton(f).atoms) <= 256)
+        self.check_maxima(f)
 
-        monkeypatch.setattr(automaton, "maximize", recording)
-        wa = build_weighted(parse_formula("P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"))
-        assert behaviour(wa) == 1
-        assert systems
-        assert not any(c.rel.strict for s in systems for c in s.constraints)
+    @staticmethod
+    def check_maxima(f):
+        # every family reaching family_max is feasible, so phase 2 from the
+        # basis family_point kept reaches the relaxed system's maximum
+        aut = TreeAutomaton(f)
+        build_weighted(aut)
+        aid_of = {sig: aid for aid, sig in enumerate(aut._prob_sig)}
+        for (sig, family, qmask), mass in aut._max_cache.items():
+            system = aut.build_system(aid_of[sig], family)
+            name = automaton._qset_name(qmask, len(aut._pairs))
+            assert mass == maximize(system.relaxed(), name).supremum
+            assert mass == fm_supremum(system, name)
+
+    def test_maxima_build_no_system_of_their_own(self, monkeypatch):
+        # family_max re-optimises the system family_point kept, so every
+        # branch system is built once, by family_point
+        aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
+        builds = []
+        original = TreeAutomaton.build_system
+
+        def counting(self, aid, qsets):
+            builds.append(qsets)
+            return original(self, aid, qsets)
+
+        monkeypatch.setattr(TreeAutomaton, "build_system", counting)
+        assert witness_model(aut) is not None
+        assert behaviour(build_weighted(aut)) == 1
+        assert aut._max_cache
+        assert len(builds) == len(aut._point_cache)
 
 
 class TestMaximalFamilyWeights:
@@ -134,17 +169,6 @@ class TestMaximalFamilyWeights:
             gs.good, initial, finals, expected, valuations
         )
         assert behaviour(wa) == reference.behaviour_table().value
-
-
-THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
-# the formulas of the README quick start, as the tree-queries workload runs them
-QUERY_FORMULAS = (
-    "P<=0.5[a] & P>=0.6[X b]",
-    "X !b & P<=0.7[a U b] & P<=0.6[X(!a & !b)]",
-    "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
-    "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
-    "P>=0.5[a] & P>=0.6[!a]",
-)
 
 
 def assert_groups_partition_children(wa):
