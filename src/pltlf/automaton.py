@@ -11,8 +11,18 @@ member must fail in at least one child.
 An atom is final when it has no next member and all its probability bounds
 accept mass zero; those atoms may label leaves.  Good states are computed as
 the least fixpoint of "has a transition into only good states" seeded with
-the finals; the sweep index at which an atom joins is its distance to
-acceptance and drives witness extraction.
+the finals, by a level-synchronous worklist: a sweep re-decides only the
+parents that gained a good candidate child in the sweep before.  The sweep
+index at which an atom joins is its distance to acceptance and drives
+witness extraction.
+
+Without probability pairs the only family is ``(0,)``: its system puts all
+the mass on one child, which must refute every absent next member itself,
+so the children of a parent are exactly the atoms whose next-argument mask
+equals its next mask.  The automaton keeps its atoms indexed by that mask;
+good states are then backward reachability from the finals, and the good
+states, the weighted automaton's occupants and the witness read the index,
+with no candidate scan and no LP.
 
 No decision enumerates families; :meth:`TreeAutomaton.scenario_family`
 lists them only to explain the construction.  Against a set of admissible
@@ -66,6 +76,7 @@ from .syntax import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _qset_name(qmask: int, width: int) -> str:
@@ -128,6 +139,12 @@ class TreeAutomaton:
         # their smallest atom: every parent-side decision reads only these
         self._classes = tuple(map(tuple, classes.values()))
 
+        # atoms by next-argument mask: without probability pairs a parent's
+        # one child carries exactly the parent's next mask as arguments
+        self._by_args = {}
+        for cid, args in enumerate(self._next_args):
+            self._by_args.setdefault(args, []).append(cid)
+
         root = clo.index[self.formula]
         self.initial = tuple(aid for aid, a in enumerate(self.atoms) if a.bits >> root & 1)
         self.final_ids = tuple(aid for aid in range(n) if self.final[aid])
@@ -188,6 +205,9 @@ class TreeAutomaton:
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
         it is infeasible; kept with the system's phase 1 for family_max."""
+        if not self._pairs:
+            # the one family (0,) puts all the mass on its single branch
+            return {_qset_name(0, 0): ONE} if qsets else None
         key = (self._prob_sig[aid], qsets)
         if key not in self._point_cache:
             self._point_cache[key] = LinearProgram(self.build_system(aid, qsets))
@@ -198,6 +218,8 @@ class TreeAutomaton:
         ``qmask`` absorb: a phase 2 from the basis ``family_point`` kept,
         which must have found the family feasible.  Results are shared
         across atoms with equal probability signatures."""
+        if not self._pairs:
+            return ONE
         key = (self._prob_sig[aid], qsets, qmask)
         if key not in self._max_cache:
             name = _qset_name(qmask, len(self._pairs))
@@ -228,8 +250,14 @@ class TreeAutomaton:
 
     def _positions(self, aid: int, qsets, restrict):
         """Candidate lists per subset position limited to ``restrict``, or
-        None if one is empty."""
-        buckets = self._candidates(aid)
+        None if one is empty.  Without probability pairs the one position's
+        child must refute every absent next member itself, so only the atoms
+        whose next-argument mask is the parent's next mask are listed."""
+        if self._pairs:
+            buckets = self._candidates(aid)
+        else:
+            req = self._next_present[aid]
+            buckets = {0: [(cid, self._all_next & ~req) for cid in self._by_args.get(req, ())]}
         positions = []
         for q in qsets:
             cands = [c for c in buckets.get(q, ()) if c[0] in restrict]
@@ -242,6 +270,15 @@ class TreeAutomaton:
         """Sorted profiles whose candidate bucket keeps an atom of
         ``restrict``: every family with a child tuple in ``restrict`` is a
         subset of it."""
+        if not self._pairs:
+            # one profile; an atom of ``restrict`` that can be the child,
+            # which every good parent has, spares the scan of larger masks
+            req = self._next_present[aid]
+            fits = self._positions(aid, (0,), restrict) is not None or any(
+                not req & ~args and any(cid in restrict for cid in cids)
+                for args, cids in self._by_args.items()
+            )
+            return (0,) if fits else ()
         return tuple(sorted(
             q for q, cands in self._candidates(aid).items()
             if any(cid in restrict for cid, _ in cands)
@@ -302,23 +339,44 @@ class TreeAutomaton:
         return result
 
     def good_states(self) -> "GoodStates":
-        """Least fixpoint over "some transition reaches only good states".
+        """Least fixpoint over "some transition reaches only good states",
+        computed as a level-synchronous worklist seeded with the finals.
 
         Each sweep evaluates against the previous sweep's set, so the sweep
         index of an atom strictly dominates those of some transition's
-        children.  A class of atoms joins whole when its
-        :meth:`transition_family` against that set is not None, so each
-        sweep decides each class once.
+        children.  A class's answer reads the set only through its
+        candidates, so sweep i re-decides just the pending classes with a
+        candidate that joined in sweep i - 1, those whose next mask lies
+        within such an atom's next-argument mask.  A class joins whole when
+        its :meth:`transition_family` against the set is not None, so each
+        sweep decides each class at most once.
+
+        Without probability pairs the one family needs no LP and its one
+        child carries exactly the parent's next mask as arguments, so a
+        class joins as soon as an atom with that next-argument mask has:
+        the good states are backward reachability from the finals, one
+        sweep per breadth-first level, and one set lookup decides a class.
         """
         if self._good is not None:
             return self._good
         good = set(self.final_ids)
         distance = dict.fromkeys(self.final_ids, 0)
         pending = [m for m in self._classes if not self.final[m[0]]]
+        joined = [self.final_ids]
         sweep = 0
         while True:
-            snapshot = frozenset(good)
-            joined = [m for m in pending if self.transition_family(m[0], snapshot) is not None]
+            masks = {self._next_args[a] for members in joined for a in members}
+            if self._pairs:
+                reqs = {self._next_present[m[0]] for m in pending}
+                touched = {r for r in reqs if any(not r & ~args for args in masks)}
+                snapshot = frozenset(good)
+                joined = [
+                    m for m in pending
+                    if self._next_present[m[0]] in touched
+                    and self.transition_family(m[0], snapshot) is not None
+                ]
+            else:
+                joined = [m for m in pending if self._next_present[m[0]] in masks]
             if not joined:
                 break
             sweep += 1

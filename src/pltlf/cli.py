@@ -233,6 +233,8 @@ def _cmd_mine(args, started) -> int:
     catalog = default_catalog()
     if args.templates:
         wanted = [name.strip() for name in args.templates.split(",") if name.strip()]
+        if not wanted:
+            raise ValueError(f"--templates names no template: {args.templates!r}")
         known = {t.name for t in catalog}
         unknown = [name for name in wanted if name not in known]
         if unknown:

@@ -10,7 +10,9 @@ recursive search pruned by the union of the later positions' covers, and
 occupants test every candidate against the covers reachable around it.
 ``restrict=None`` keeps every candidate.  Tests compare the two paths on
 random formulas, and tests of the construction enumerate child tuples
-here, since the engine lists none.
+here, since the engine lists none.  ``witness_model`` descends distances
+by the engine's rule, with child tuples from the recursive search and
+each scenario's point from its own feasibility LP.
 
 The engine also builds atoms and its per-atom masks bit-sliced, one int
 column per closure member over all free patterns.  ``atom_bits`` builds
@@ -22,9 +24,10 @@ finals, classes and initial atoms off each atom's bits.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from itertools import combinations
+from typing import Iterator, Optional
 
-from pltlf.automaton import GoodStates
+from pltlf.automaton import GoodStates, WitnessModel, _qset_name
 from pltlf.closure import Atom
 from pltlf.syntax import (
     And,
@@ -38,6 +41,7 @@ from pltlf.syntax import (
     formula_text,
     normalize,
 )
+from pltlf.linsolve import solve_feasibility
 from pltlf.weighted import WeightedAutomaton
 
 
@@ -315,3 +319,36 @@ def build_weighted(aut) -> WeightedAutomaton:
     return WeightedAutomaton(
         states, initial, aut.final_ids, groups, tuple(interned), valuations
     )
+
+
+def witness_model(aut) -> Optional[WitnessModel]:
+    """At each non-final atom, the first feasible scenario, smallest
+    families first, with a child tuple among the atoms of smaller distance,
+    and its first such tuple; None when no initial atom is good."""
+    gs = good_states(aut)
+    initial = [aid for aid in aut.initial if aid in gs.good]
+    if not initial:
+        return None
+    width = len(aut._pairs)
+
+    def subtree(aid: int, probability) -> WitnessModel:
+        valuation = aut.atoms[aid].valuation()
+        if aut.final[aid]:
+            return WitnessModel(valuation, probability, ())
+        earlier = frozenset(a for a in gs.good if gs.distance[a] < gs.distance[aid])
+        offered = sorted(kept(aut, aid, None, earlier))
+        for size in range(1, len(offered) + 1):
+            for chosen in combinations(offered, size):
+                tup = next(transition_tuples(aut, aid, chosen, earlier), None)
+                if tup is None:
+                    continue
+                point = solve_feasibility(aut.build_system(aid, chosen)).witness
+                if point is None:
+                    continue
+                children = tuple(
+                    subtree(cid, point[_qset_name(q, width)]) for q, cid in zip(chosen, tup)
+                )
+                return WitnessModel(valuation, probability, children)
+        raise AssertionError(f"good non-final atom {aid} has no transition")
+
+    return subtree(min(initial, key=lambda a: (gs.distance[a], a)), None)

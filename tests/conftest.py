@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pltlf import parse_formula, parse_pltlf0
+from pltlf import linsolve, parse_formula, parse_pltlf0
 
 settings.register_profile(
     "ci",
@@ -66,6 +66,28 @@ def psi1_flat():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture
+def lp_runs(monkeypatch):
+    """What the exact LP solves: the variables of each system that runs
+    phase 1, and each objective maximised from a kept basis as
+    (variables, column), the column None for a feasibility objective
+    without strict rows."""
+    runs = {"phase_one": [], "objectives": []}
+    init, maximum = linsolve.LinearProgram.__init__, linsolve.LinearProgram.maximum
+
+    def counting_init(self, system):
+        runs["phase_one"].append(system.variables)
+        init(self, system)
+
+    def counting_maximum(self, column):
+        runs["objectives"].append((self.names, column))
+        return maximum(self, column)
+
+    monkeypatch.setattr(linsolve.LinearProgram, "__init__", counting_init)
+    monkeypatch.setattr(linsolve.LinearProgram, "maximum", counting_maximum)
+    return runs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

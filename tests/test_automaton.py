@@ -7,6 +7,7 @@ from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import atom_reference
 import family_reference
@@ -28,6 +29,8 @@ from pltlf import (
     trace_probability,
     witness_model,
 )
+from pltlf.linsolve import LinearProgram
+from pltlf.syntax import And
 
 from conftest import LARGER_TEXTS, PSI_TEXT
 
@@ -271,21 +274,39 @@ class TestCandidates:
         "text", ["P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]", "X X a & F b", "G(a -> X b)"]
     )
     def test_atoms_are_scanned_once_per_next_mask(self, text, monkeypatch):
-        # candidates depend only on the parent's next mask, and each scan
-        # reads every atom's next-argument mask once
+        # with probability pairs, candidates depend only on the parent's
+        # next mask, and each scan reads every atom's next-argument mask
+        # once; the worklist reads each joining atom's mask once more.
+        # Without pairs, no scan runs at all.
         aut = TreeAutomaton(parse_formula(text))
-        reads = []
+        reads = {True: [], False: []}
+        scanning = [False]
 
         class CountingList(list):
             def __getitem__(self, index):
-                reads.append(index)
+                reads[scanning[0]].append(index)
                 return super().__getitem__(index)
 
+        candidates = aut._candidates
+
+        def counting(aid):
+            scanning[0] = True
+            try:
+                return candidates(aid)
+            finally:
+                scanning[0] = False
+
         monkeypatch.setattr(aut, "_next_args", CountingList(aut._next_args))
+        monkeypatch.setattr(aut, "_candidates", counting)
+        aut.good_states()
         build_weighted(aut)
         masks = {aut._next_present[aid] for aid in range(len(aut.atoms))}
-        assert reads
-        assert len(reads) <= len(masks) * len(aut.atoms)
+        assert len(reads[False]) <= len(aut.atoms)
+        if aut._pairs:
+            assert reads[True]
+            assert len(reads[True]) <= len(masks) * len(aut.atoms)
+        else:
+            assert reads[True] == [] and aut._cand_cache == {}
 
 
 class TestReduction:
@@ -544,6 +565,52 @@ class TestPerClassDecisions:
             )
 
 
+class TestProbabilityFreeReachability:
+    """Without probability pairs the good states are backward reachability
+    over next-argument masks, and the one family needs no LP.  Good states,
+    the weighted automaton and the witness equal the per-atom reference,
+    whose witness solves each scenario's LP."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_next_chains(self, k):
+        self.check(parse_formula("X " * k + "a"))
+
+    @settings(max_examples=100)
+    @given(st.lists(sts.formulas(max_leaves=6, prob_free=True), min_size=2, max_size=4))
+    def test_random_conjunctions(self, parts):
+        f = And(tuple(parts))
+        assume(len(TreeAutomaton(f).atoms) <= 2048)
+        self.check(f)
+
+    @staticmethod
+    def check(f):
+        aut = TreeAutomaton(f)
+        assert aut.good_states() == atom_reference.good_states(aut)
+        wa, expected = build_weighted(aut), atom_reference.build_weighted(aut)
+        assert wa.groups == expected.groups
+        assert wa.children == expected.children
+        found, reference = witness_model(aut), atom_reference.witness_model(aut)
+        assert (found and found.to_dict()) == (reference and reference.to_dict())
+
+    def test_the_one_family_is_answered_as_its_lp_answers(self):
+        aut = TreeAutomaton(parse_formula("X X a & F b"))
+        program = LinearProgram(aut.build_system(0, (0,)))
+        assert aut.family_point(0, (0,)) == program.witness
+        assert aut.family_max(0, (0,), 0) == program.maximum("x{}")[0]
+        assert aut.family_point(0, ()) is None
+        assert not solve_feasibility(aut.build_system(0, ())).feasible
+
+    @pytest.mark.parametrize(
+        "text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0], "F a & G(a -> F b) & X c"]
+    )
+    def test_queries_solve_no_lp(self, text, lp_runs):
+        aut = TreeAutomaton(parse_formula(text))
+        aut.good_states()
+        build_weighted(aut)
+        assert witness_model(aut) is not None
+        assert lp_runs == {"phase_one": [], "objectives": []}
+
+
 class TestMasksFromColumns:
     """The per-atom tables read off transposed columns equal those read off
     each atom's bits, with signatures interned in the same order."""
@@ -586,11 +653,22 @@ class TestClassCounts:
 
         monkeypatch.setattr(aut, "transition_family", counting)
         gs = aut.good_states()
+        if not aut._pairs:
+            # reachability over next-argument masks decides every class
+            assert calls == []
+            return
         classes = class_of(aut)
         # each sweep tests against a new snapshot, kept alive by ``calls``
         sweeps = {}
         for restrict, aid in calls:
             sweeps.setdefault(id(restrict), []).append(classes[aid])
+            # only after a candidate joined in the sweep before, which is
+            # the latest sweep the snapshot holds
+            latest = max(gs.distance[c] for c in restrict)
+            candidates = atom_reference.kept(aut, aid, None, restrict)
+            assert any(
+                gs.distance[cid] == latest for cands in candidates.values() for cid, _ in cands
+            )
         assert 1 <= len(sweeps) <= gs.sweeps + 1
         for decided in sweeps.values():
             assert len(decided) == len(set(decided))

@@ -320,6 +320,16 @@ class TestMine:
         assert code == 2
         assert "unknown templates: frobnicate" in err
 
+    @pytest.mark.parametrize("names", [",", " , ,"])
+    def test_template_list_naming_none(self, capsys, data_dir, names):
+        code, out, err = run(
+            capsys, "mine", "--log", str(data_dir / "sample_log.csv"),
+            "--min-support", "0.8", "--templates", names,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --templates names no template")
+
 
 class TestErrors:
     def test_parse_error(self, capsys):

@@ -60,28 +60,6 @@ def psi1_table(psi1_flat):
     return scenario_maxima(psi1_flat)
 
 
-@pytest.fixture
-def lp_runs(monkeypatch):
-    """What the exact LP solves: the variables of each system that runs
-    phase 1, and each objective maximised from a kept basis as
-    (variables, column), the column None for a feasibility objective
-    without strict rows."""
-    runs = {"phase_one": [], "objectives": []}
-    init, maximum = linsolve.LinearProgram.__init__, linsolve.LinearProgram.maximum
-
-    def counting_init(self, system):
-        runs["phase_one"].append(system.variables)
-        init(self, system)
-
-    def counting_maximum(self, column):
-        runs["objectives"].append((self.names, column))
-        return maximum(self, column)
-
-    monkeypatch.setattr(linsolve.LinearProgram, "__init__", counting_init)
-    monkeypatch.setattr(linsolve.LinearProgram, "maximum", counting_maximum)
-    return runs
-
-
 def flat(*lines):
     return parse_pltlf0("\n".join(lines))
 
@@ -252,6 +230,16 @@ class TestMaxima:
         live = ("x01", "x10")
         assert lp_runs["phase_one"] == [live]
         assert lp_runs["objectives"] == [(live, None), (live, "x01"), (live, "x10")]
+
+    def test_the_automaton_solves_no_lp(self, psi1_flat, lp_runs):
+        # the scenario acceptors' automaton has no probability pairs, so
+        # its good states and its weighted automaton need no LP: the only
+        # one is the table's own mass system
+        table = build_lphi(psi1_flat)
+        assert lp_runs["phase_one"] == []
+        monitor_step(start_monitor(table), parse_trace("a")[0])
+        ran = list(lp_runs["phase_one"])
+        assert ran == [table.live_program.names]
 
     def test_feasibility_is_decided_once(self, lp_runs):
         # the maxima re-optimise the basis that the strict feasibility test
