@@ -131,6 +131,13 @@ class TreeAutomaton:
             for side, aid in some_atom.items()
         }
         self._prob_sig = [sig_of[side] for side in sides]
+        # each signature's bounds as (cmp, numerator, denominator), read once
+        self._sig_bounds = [
+            tuple((m.cmp, m.bound.numerator, m.bound.denominator) for m in self.prob_members_of(aid))
+            for aid in some_atom.values()
+        ]
+        width = len(self._pairs)
+        self._qset_names = [_qset_name(q, width) for q in range(1 << width)]
         self.final = [mask == 0 and empty_ok[s] for mask, s in zip(self._next_present, sides)]
         classes = {}
         for aid, key in enumerate(zip(self._next_present, self._prob_sig)):
@@ -166,20 +173,48 @@ class TreeAutomaton:
             clo.members[i if bits >> i & 1 else j] for (i, j, _) in self._pairs
         )
 
-    def build_system(self, aid: int, qsets) -> LinearSystem:
-        """Branch system for a scenario: probability rows in pair order,
-        nonnegativity for every subset variable, total mass one."""
+    def branch_rows(self, aid: int, qsets) -> tuple:
+        """Branch system of a scenario as integer rows for
+        :meth:`LinearProgram.from_int_rows`, with its variable names.
+
+        The rows are one probability row per member in pair order, whose
+        coefficients are the member's bound denominator on each subset that
+        holds its argument, then each subset's sign row, then total mass
+        one.  A probability row that is itself a sign row, ``P>=0`` over an
+        argument only one subset holds, is handed over as that subset.
+        """
         qsets = tuple(sorted(qsets))
-        width = len(self._pairs)
-        names = tuple(_qset_name(q, width) for q in qsets)
+        names = tuple(self._qset_names[q] for q in qsets)
         rows = []
-        for j, member in enumerate(self.prob_members_of(aid)):
-            coeffs = {names[k]: 1 for k, q in enumerate(qsets) if q >> j & 1}
-            rows.append((coeffs, member.cmp, member.bound))
-        for name in names:
-            rows.append(({name: 1}, Comparison.GE, ZERO))
-        rows.append(({name: 1 for name in names}, Comparison.EQ, Fraction(1)))
-        return LinearSystem.from_rows(names, rows)
+        for j, (cmp, num, den) in enumerate(self._sig_bounds[self._prob_sig[aid]]):
+            holders = [k for k, q in enumerate(qsets) if q >> j & 1]
+            if cmp is Comparison.GE and num <= 0 and len(holders) == 1:
+                rows.append(holders[0])
+                continue
+            coeffs = [0] * len(qsets)
+            for k in holders:
+                coeffs[k] = den
+            rows.append((coeffs, cmp, num, den))
+        rows.extend(range(len(qsets)))
+        rows.append(([1] * len(qsets), Comparison.EQ, 1, 1))
+        return names, rows
+
+    def build_system(self, aid: int, qsets) -> LinearSystem:
+        """Branch system for a scenario, the :meth:`branch_rows` spelled as
+        a :class:`LinearSystem`: probability rows in pair order,
+        nonnegativity for every subset variable, total mass one.  The
+        engine solves the rows themselves; this form is for display and
+        for independent checks."""
+        names, rows = self.branch_rows(aid, qsets)
+        spelled = []
+        for row in rows:
+            if isinstance(row, int):
+                spelled.append(({names[row]: 1}, Comparison.GE, 0))
+            else:
+                coeffs, cmp, rhs, scale = row
+                terms = {name: Fraction(a, scale) for name, a in zip(names, coeffs) if a}
+                spelled.append((terms, cmp, Fraction(rhs, scale)))
+        return LinearSystem.from_rows(names, spelled)
 
     def scenario_family(self, aid: int) -> tuple:
         """All feasible scenarios at the atom, smallest families first.
@@ -204,13 +239,16 @@ class TreeAutomaton:
 
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
-        it is infeasible; kept with the system's phase 1 for family_max."""
+        it is infeasible.  The program is built from :meth:`branch_rows`
+        straight into the integer tableau, with no :class:`LinearSystem`,
+        and kept with its phase 1 for family_max."""
         if not self._pairs:
             # the one family (0,) puts all the mass on its single branch
             return {_qset_name(0, 0): ONE} if qsets else None
         key = (self._prob_sig[aid], qsets)
         if key not in self._point_cache:
-            self._point_cache[key] = LinearProgram(self.build_system(aid, qsets))
+            names, rows = self.branch_rows(aid, qsets)
+            self._point_cache[key] = LinearProgram.from_int_rows(names, rows)
         return self._point_cache[key].witness
 
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
@@ -222,7 +260,7 @@ class TreeAutomaton:
             return ONE
         key = (self._prob_sig[aid], qsets, qmask)
         if key not in self._max_cache:
-            name = _qset_name(qmask, len(self._pairs))
+            name = self._qset_names[qmask]
             self._max_cache[key] = self._point_cache[key[:2]].maximum(name)[0]
         return self._max_cache[key]
 

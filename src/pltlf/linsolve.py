@@ -20,6 +20,14 @@ entries divided by that entry, pivots cross-multiply and divide by the
 row's gcd, and ``Fraction`` values are built only for the answer.  It
 makes exactly the pivots the same simplex makes on ``Fraction`` entries,
 so every status, value and witness is the one that simplex gives.
+
+Rows become integers before the tableau is built, and one builder,
+:meth:`LinearProgram.from_int_rows`, lays every tableau out from integer
+rows, each with its scale, and sign rows named by their variable.
+``LinearProgram(system)`` is the adapter for :class:`LinearSystem`
+callers: it scales each row by the lcm of its denominators and finds the
+sign rows.  The tree engine hands its branch systems to the builder as
+such rows directly.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from typing import Optional
 from .syntax import Comparison
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # Rows and probability bounds share one comparison type.  ``Rel`` stays
@@ -201,26 +208,19 @@ def _reduced_costs(tab, basis, m, objective):
     tab[m] = rc
 
 
-def _phase_one(rows, rhs, n):
+def _phase_one(tab, n):
     """Phase 1 of  max . y  s.t.  rows y = rhs, y >= 0,  and the drive-out.
 
-    Fraction-free: row i is scaled to integers by the lcm of its
-    denominators, its artificial column holds that scale, and every row is
-    kept with a positive entry in its basic column and read as its entries
-    divided by that entry.  The pivots are the ones the same simplex makes
-    on Fractions.  Returns the feasible (tableau, basis) without the
-    artificial columns, or None when the rows have no solution.
+    ``tab`` holds one integer row per constraint: ``n`` real columns, one
+    artificial column per row and a nonnegative rhs.  Row i is basic in
+    its artificial column n + i, which holds the row's positive scale, so
+    it reads as its entries divided by that scale.  Every row is kept with
+    a positive entry in its basic column and read the same way.  The pivots
+    are the ones the same simplex makes on Fractions.  Returns the feasible
+    (tableau, basis) without the artificial columns, or None when the rows
+    have no solution.
     """
-    m = len(rows)
-    tab = []
-    for i in range(m):
-        row = [*rows[i], rhs[i]]
-        scale = lcm(*(v.denominator for v in row))
-        sign = -1 if rhs[i] < 0 else 1
-        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
-        art = [0] * m
-        art[i] = scale
-        tab.append(ints[:n] + art + ints[n:])
+    m = len(tab)
     basis = list(range(n, n + m))
     tab.append([])
 
@@ -273,48 +273,90 @@ class LinearProgram:
     (None if even the relaxed system is infeasible), ``witness`` the
     feasibility objective's vertex (None if the system is infeasible).
 
-    A row implied by its variable's sign builds no tableau row.  Columns
-    run: variables without such a row, eps for a strict system, then one
-    column per row in row order, a sign row's variable or an inequality's
-    slack.  Bland's rule thus meets each variable where its sign row's
-    slack would stand, and reaches the vertices of the tableau that keeps
-    sign rows.
+    ``LinearProgram(system)`` is the adapter for :class:`LinearSystem`
+    callers: it scales each row to integers by the lcm of its denominators
+    and hands a row that its variable's sign implies over as that
+    variable's index.  :meth:`from_int_rows` builds a program from such
+    rows directly.
     """
 
     def __init__(self, system: LinearSystem):
-        names = self.names = system.variables
-        strict = self.strict = any(c.rel.strict for c in system.constraints)
-        specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
+        rows = []
         for c in system.constraints:
             if _sign_row(c):
-                name = next(v for a, v in zip(c.coeffs, names) if a != 0)
-                if name not in placed:
-                    placed.append(name)
+                rows.append(next(k for k, a in enumerate(c.coeffs) if a != 0))
                 continue
-            rel, eps_coeff = c.rel, ZERO
+            scale = lcm(*(a.denominator for a in c.coeffs), c.rhs.denominator)
+            coeffs = [a.numerator * (scale // a.denominator) for a in c.coeffs]
+            rhs = c.rhs.numerator * (scale // c.rhs.denominator)
+            rows.append((coeffs, c.rel, rhs, scale))
+        self._load(system.variables, rows)
+
+    @classmethod
+    def from_int_rows(cls, names, rows) -> "LinearProgram":
+        """The program of integer rows over the named variables.
+
+        A row is ``(coeffs, rel, rhs, scale)``, the constraint
+        ``coeffs . x <rel> rhs`` divided by the positive ``scale``, with
+        integer coefficients and rhs, or the index k of a sign row
+        ``names[k] >= 0``, which builds no tableau row.
+        """
+        program = cls.__new__(cls)
+        program._load(names, rows)
+        return program
+
+    def _load(self, names, rows):
+        """Build the integer tableau and run phase 1.
+
+        Columns run: variables without a sign row, eps for a strict
+        system, then one column per row in row order, a sign row's variable
+        (at its first sign row) or an inequality's slack.  Bland's rule
+        thus meets each variable where its sign row's slack would stand,
+        and reaches the vertices of the tableau that keeps sign rows.  The
+        eps and slack entries of a row are its scale, which its artificial
+        column holds too, and a row with a negative rhs is negated.
+        """
+        self.names = names
+        specs, placed, signed = [], [], set()  # (coeffs, eps coeff, rel, rhs, scale)
+        for row in rows:
+            if isinstance(row, int):
+                if row not in signed:
+                    signed.add(row)
+                    placed.append(names[row])
+                continue
+            coeffs, rel, rhs, scale = row
+            eps_coeff = 0
             if rel.strict:
-                eps_coeff = ONE if rel is Comparison.LT else -ONE
+                eps_coeff = 1 if rel is Comparison.LT else -1
                 rel = rel.relaxed
-            specs.append((c.coeffs, eps_coeff, rel, c.rhs))
+            specs.append((coeffs, eps_coeff, rel, rhs, scale))
             if rel is not Comparison.EQ:
                 placed.append(("slack", len(specs) - 1))
+        strict = self.strict = any(spec[1] for spec in specs)
         if strict:
-            specs.append(((ZERO,) * len(names), ONE, Comparison.LE, ONE))
+            specs.append(((), 1, Comparison.LE, 1, 1))
             placed.append(("slack", len(specs) - 1))
 
-        columns = [v for v in names if v not in placed] + [_EPS] * strict + placed
+        columns = [v for k, v in enumerate(names) if k not in signed] + [_EPS] * strict + placed
         col = self.col = {key: i for i, key in enumerate(columns)}
-        rows = []
-        for k, (coeffs, eps_coeff, rel, _) in enumerate(specs):
-            row = [ZERO] * len(columns)
-            for name, coeff in zip(names, coeffs):
-                row[col[name]] = coeff
-            if strict:
-                row[col[_EPS]] = eps_coeff
+        n, m = len(columns), len(specs)
+        var_cols = [col[v] for v in names]
+        tab = []
+        for i, (coeffs, eps_coeff, rel, rhs, scale) in enumerate(specs):
+            flip = rhs < 0
+            unit = -scale if flip else scale
+            row = [0] * (n + m + 1)
+            for j, a in zip(var_cols, coeffs):
+                if a:
+                    row[j] = -a if flip else a
+            if eps_coeff:
+                row[col[_EPS]] = eps_coeff * unit
             if rel is not Comparison.EQ:
-                row[col["slack", k]] = ONE if rel is Comparison.LE else -ONE
-            rows.append(row)
-        self.kept = _phase_one(rows, [spec[3] for spec in specs], len(columns))
+                row[col["slack", i]] = unit if rel is Comparison.LE else -unit
+            row[n + i] = scale
+            row[-1] = abs(rhs)
+            tab.append(row)
+        self.kept = _phase_one(tab, n)
         self.witness = None
         if self.kept is not None:
             value, point = self.maximum(_EPS if strict else None)
@@ -325,9 +367,9 @@ class LinearProgram:
         for a variable its supremum over the closure, and the vertex."""
         if self.kept is None:
             raise InfeasibleSystemError("system is infeasible")
-        obj = [ZERO] * len(self.col)
+        obj = [0] * len(self.col)
         if column is not None:
-            obj[self.col[column]] = ONE
+            obj[self.col[column]] = 1
         status, value, y = _phase_two(*self.kept, obj)
         if status == "unbounded":
             raise UnboundedObjectiveError(f"variable {column!r} unbounded above")

@@ -70,22 +70,22 @@ def data_dir():
 
 @pytest.fixture
 def lp_runs(monkeypatch):
-    """What the exact LP solves: the variables of each system that runs
-    phase 1, and each objective maximised from a kept basis as
-    (variables, column), the column None for a feasibility objective
-    without strict rows."""
+    """What the exact LP solves: the variables of each program that runs
+    phase 1, whether built from a ``LinearSystem`` or from integer rows,
+    and each objective maximised from a kept basis as (variables, column),
+    the column None for a feasibility objective without strict rows."""
     runs = {"phase_one": [], "objectives": []}
-    init, maximum = linsolve.LinearProgram.__init__, linsolve.LinearProgram.maximum
+    load, maximum = linsolve.LinearProgram._load, linsolve.LinearProgram.maximum
 
-    def counting_init(self, system):
-        runs["phase_one"].append(system.variables)
-        init(self, system)
+    def counting_load(self, names, rows):
+        runs["phase_one"].append(names)
+        load(self, names, rows)
 
     def counting_maximum(self, column):
         runs["objectives"].append((self.names, column))
         return maximum(self, column)
 
-    monkeypatch.setattr(linsolve.LinearProgram, "__init__", counting_init)
+    monkeypatch.setattr(linsolve.LinearProgram, "_load", counting_load)
     monkeypatch.setattr(linsolve.LinearProgram, "maximum", counting_maximum)
     return runs
 

@@ -13,7 +13,25 @@ from fractions import Fraction
 
 import atom_reference
 from pltlf.automaton import GoodStates, ScenarioRecord, TreeAutomaton, WitnessModel, _qset_name
-from pltlf.linsolve import maximize, solve_feasibility
+from pltlf.linsolve import LinearSystem, maximize, solve_feasibility
+from pltlf.syntax import Comparison
+
+
+def branch_system(automaton: TreeAutomaton, aid: int, qsets) -> LinearSystem:
+    """The family's branch system as the construction reads it, spelled
+    from the atom's probability members: one row per member in pair order
+    over the subsets that hold its argument, nonnegativity for every subset
+    variable, total mass one."""
+    qsets = tuple(sorted(qsets))
+    width = len(automaton.prob_members_of(aid))
+    names = tuple(_qset_name(q, width) for q in qsets)
+    rows = []
+    for j, member in enumerate(automaton.prob_members_of(aid)):
+        coeffs = {name: 1 for name, q in zip(names, qsets) if q >> j & 1}
+        rows.append((coeffs, member.cmp, member.bound))
+    rows += [({name: 1}, Comparison.GE, 0) for name in names]
+    rows.append(({name: 1 for name in names}, Comparison.EQ, 1))
+    return LinearSystem.from_rows(names, rows)
 
 
 def scenario_max(

@@ -131,13 +131,12 @@ def _solve_standard(rows, rhs, n, objective):
 EPS = "__eps__"
 
 
-def solve(system, objective: dict, with_eps: bool):
-    """One LP over named nonnegative variables, solved from scratch.
+def standard_form(system, with_eps: bool):
+    """The columns, rows and rhs of the system's standard form.
 
     A row implied by its variable's sign builds no tableau row.  Columns
     run: variables without such a row, eps, then one column per row in
-    row order, a sign row's variable or an inequality's slack.  Returns
-    (status, value, point); point holds eps when requested.
+    row order, a sign row's variable or an inequality's slack.
     """
     names = system.variables
     specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
@@ -171,11 +170,22 @@ def solve(system, objective: dict, with_eps: bool):
         if rel is not Comparison.EQ:
             row[col["slack", k]] = ONE if rel is Comparison.LE else -ONE
         rows.append(row)
+    return columns, rows, [spec[3] for spec in specs]
+
+
+def solve(system, objective: dict, with_eps: bool):
+    """One LP over named nonnegative variables, solved from scratch on its
+    :func:`standard_form`.  Returns (status, value, point); point holds eps
+    when requested.
+    """
+    names = system.variables
+    columns, rows, rhs = standard_form(system, with_eps)
+    col = {key: i for i, key in enumerate(columns)}
     obj = [ZERO] * len(columns)
     for name, coeff in objective.items():
         obj[col[name]] = Fraction(coeff)
 
-    status, value, y = _solve_standard(rows, [spec[3] for spec in specs], len(columns), obj)
+    status, value, y = _solve_standard(rows, rhs, len(columns), obj)
     if status != "optimal":
         return status, None, None
     return status, value, {v: y[col[v]] for v in list(names) + [EPS] * with_eps}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import atom_reference
 import family_reference
+import simplex_reference
 import strategies as sts
 from oracles import bounded_satisfiable, formula_family, recheck_tuple
 from pltlf import (
@@ -563,6 +564,67 @@ class TestPerClassDecisions:
             assert list(atom_reference.transition_tuples(aut, aid, ())) == (
                 [] if owed else [()]
             )
+
+
+class TestBranchPrograms:
+    """The engine builds each branch LP from integer rows; it is the program
+    ``LinearProgram`` builds from the family's ``build_system``, with the
+    same kept tableau and basis, column map, witness and maxima, for every
+    (signature, family) the engine reaches.  The system itself is the one
+    ``family_reference`` spells from the atom's probability members, so a
+    change to the rows' order shows as a different program, and the
+    columns and the witness are those of ``simplex_reference``'s standard
+    form, so a change to the column layout shows too."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P>=0[a] & P<1[b]",
+            "P>0[a] & P<=0[X a]",
+            "P<=0.1234567890123456789012345[a] & P>=0.6[X b]",
+            THREE_BOUNDS,
+            LARGER_TEXTS[1],
+        ],
+    )
+    def test_named_formulas(self, text):
+        self.check(TreeAutomaton(parse_formula(text)))
+
+    @settings(max_examples=40)
+    @given(sts.formulas())
+    def test_random_formulas(self, f):
+        aut = TreeAutomaton(f)
+        assume(aut._pairs and len(aut.atoms) <= 256)
+        self.check(aut)
+
+    def test_every_family_of_a_sign_row_bound(self):
+        # P>=0[a] is a sign row of the one subset that holds a, wherever
+        # the family has exactly one such subset
+        aut = TreeAutomaton(parse_formula("P>=0[a] & P<1[b]"))
+        for aid in range(len(aut.atoms)):
+            for size in range(1, 5):
+                for family in combinations(range(4), size):
+                    aut.family_point(aid, family)
+        self.check(aut)
+
+    @staticmethod
+    def check(aut):
+        aut.good_states()
+        build_weighted(aut)
+        witness_model(aut)
+        assert aut._point_cache
+        aid_of = {sig: aid for aid, sig in enumerate(aut._prob_sig)}
+        for (sig, family), direct in aut._point_cache.items():
+            system = aut.build_system(aid_of[sig], family)
+            assert system == family_reference.branch_system(aut, aid_of[sig], family)
+            spelled = LinearProgram(system)
+            assert (direct.names, direct.col) == (spelled.names, spelled.col)
+            assert list(direct.col) == simplex_reference.standard_form(system, direct.strict)[0]
+            assert direct.kept == spelled.kept
+            assert direct.witness == spelled.witness
+            assert direct.witness == simplex_reference.feasibility_witness(system)
+            if direct.kept is not None:
+                for name in direct.names:
+                    assert direct.maximum(name) == spelled.maximum(name)
 
 
 class TestProbabilityFreeReachability:

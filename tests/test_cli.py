@@ -585,3 +585,31 @@ def test_ab_summary_of_two_runs():
         },
         "change_lower_total_s": 1,
     }
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_trajectory_file(path):
+    # each committed A/B line covers every workload and end-to-end metric
+    # the benchmark declares, for both sides, with a pair count in range
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = json.loads(path.read_text())
+    first, last = bench["seeds"]
+    pairs = last - first + 1
+    assert pairs > 0
+    workloads = bench["workloads"]
+    assert set(workloads) >= {w["name"] for w in spec["workloads"]}
+    for name in (w["name"] for w in spec["workloads"]):
+        entry = workloads[name]
+        for side in ("parent", "change"):
+            for metric in (m["name"] for m in spec["end_to_end"]):
+                q = entry[side][metric]
+                assert q["q1"] <= q["median"] <= q["q3"], (name, side, metric)
+        lower = entry["change_lower_total_s"]
+        assert isinstance(lower, int) and 0 <= lower <= pairs, (name, lower)
+
+
+def test_bench_trajectory_is_committed():
+    assert sorted(ROOT.glob("BENCH_*.json"))

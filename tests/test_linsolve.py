@@ -244,25 +244,28 @@ class TestRendering:
         assert rows[-1] == "x1 + x2 + x12 = 1"
 
 
-CALLERS = ("solve_feasibility", "maximize", "LinearProgram")
+CALLERS = ("solve_feasibility", "maximize", "LinearProgram", "from_int_rows")
 
 
-def standard_forms(system, maxima=True):
-    """The standard forms the front end hands the kernel, each with an
-    objective that phase 2 optimizes from the form's kept basis, listed
+def standard_forms(system, maxima=True, int_rows=None):
+    """The integer tableaux the front end hands the kernel, each with an
+    objective that phase 2 optimizes from the tableau's kept basis, listed
     per caller: ``solve_feasibility`` on the system and, with ``maxima``,
     ``maximize`` of each variable and each variable's maximum on one
-    shared ``LinearProgram``.  A form whose phase 1 fails is listed with
-    the zero objective."""
+    shared ``LinearProgram``.  Given ``int_rows``, the (names, rows) of
+    the same system, ``LinearProgram.from_int_rows`` on them is a caller
+    too, with its feasibility objective and, with ``maxima``, each
+    variable's maximum.  A tableau whose phase 1 fails is listed with the
+    zero objective."""
     forms = {}
     kept = {}  # id of a kept tableau -> (form, kept result)
     phase_one, phase_two = linsolve._phase_one, linsolve._phase_two
 
-    def capture_one(rows, rhs, n):
-        form = ([list(row) for row in rows], list(rhs), n)
-        result = phase_one(rows, rhs, n)
+    def capture_one(tab, n):
+        form = ([list(row) for row in tab], n)
+        result = phase_one(tab, n)
         if result is None:
-            sink.append((*form, [Fraction(0)] * n))
+            sink.append((*form, [0] * n))
         else:
             kept[id(result[0])] = form, result
         return result
@@ -278,25 +281,54 @@ def standard_forms(system, maxima=True):
             except (InfeasibleSystemError, UnboundedObjectiveError):
                 pass
 
+    def from_int_rows():
+        program = linsolve.LinearProgram.from_int_rows(*int_rows)
+        if maxima and program.kept is not None:
+            each_maximum(program.maximum)
+
     calls = {
         "solve_feasibility": lambda: solve_feasibility(system),
         "maximize": lambda: each_maximum(lambda name: maximize(system, name)),
         "LinearProgram": lambda: each_maximum(linsolve.LinearProgram(system).maximum),
+        "from_int_rows": from_int_rows,
     }
+    callers = [
+        caller for caller in CALLERS
+        if (maxima or caller in ("solve_feasibility", "from_int_rows"))
+        and (int_rows or caller != "from_int_rows")
+    ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linsolve, "_phase_one", capture_one)
         mp.setattr(linsolve, "_phase_two", capture_two)
-        for caller in CALLERS if maxima else CALLERS[:1]:
+        for caller in callers:
             sink = forms[caller] = []
             calls[caller]()
     return forms
 
 
-def linsolve_standard(rows, rhs, n, objective):
+def fraction_form(tab, n):
+    """The Fraction standard form (rows, rhs) an integer tableau stands
+    for: row i divided by the positive scale in its artificial column."""
+    rows, rhs = [], []
+    for i, row in enumerate(tab):
+        scale = row[n + i]
+        assert scale > 0 and row[-1] >= 0
+        assert not any(row[n:n + i]) and not any(row[n + i + 1:-1])
+        rows.append([Fraction(v, scale) for v in row[:n]])
+        rhs.append(Fraction(row[-1], scale))
+    return rows, rhs
+
+
+def linsolve_standard(tab, n, objective):
     """Phase 1, then phase 2 from the kept basis, as ``pltlf.linsolve``
-    solves one objective of a standard form."""
-    kept = linsolve._phase_one(rows, rhs, n)
+    solves one objective of an integer tableau."""
+    kept = linsolve._phase_one(tab, n)
     return ("infeasible", None, None) if kept is None else linsolve._phase_two(*kept, objective)
+
+
+def reference_standard(tab, n, objective):
+    """The Fraction simplex on the standard form the tableau stands for."""
+    return simplex_reference._solve_standard(*fraction_form(tab, n), n, objective)
 
 
 def traced(kernel, solve, form):
@@ -313,25 +345,26 @@ def traced(kernel, solve, form):
         bases.append(basis)
         reduced_costs(tab, basis, m, objective)
 
-    rows, rhs, n, objective = form
+    tab, n, objective = form
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_pivot", traced_pivot)
         mp.setattr(kernel, "_reduced_costs", traced_reduced_costs)
-        result = solve([list(row) for row in rows], list(rhs), n, list(objective))
+        result = solve([list(row) for row in tab], n, list(objective))
     return result, list(bases[-1]), pivots
 
 
-def assert_same_kernel(system, maxima=True):
-    forms = standard_forms(system, maxima)
+def assert_same_kernel(system, maxima=True, int_rows=None):
+    forms = standard_forms(system, maxima, int_rows)
     assert all(forms.values()), {caller: len(found) for caller, found in forms.items()}
     for form in (form for found in forms.values() for form in found):
         assert traced(linsolve, linsolve_standard, form) == traced(
-            simplex_reference, simplex_reference._solve_standard, form
+            simplex_reference, reference_standard, form
         )
 
 
 def branch_systems(text):
-    """Every family's branch system, once per probability signature."""
+    """Every family's branch system with its integer rows, once per
+    probability signature."""
     aut = TreeAutomaton(parse_formula(text))
     seen = set()
     for aid in range(len(aut.atoms)):
@@ -342,13 +375,15 @@ def branch_systems(text):
         subsets = range(1 << len(members))
         for size in range(1, len(subsets) + 1):
             for chosen in combinations(subsets, size):
-                yield aut.build_system(aid, chosen)
+                yield aut.build_system(aid, chosen), aut.branch_rows(aid, chosen)
 
 
 class TestIntegerKernel:
     """Phase 1 on the integer tableau, then phase 2 from the kept basis,
-    makes the pivots the Fraction simplex makes on the same form and
-    objective, and reads out the same status, value, point and basis."""
+    makes the pivots the Fraction simplex makes on the standard form the
+    tableau stands for, and reads out the same status, value, point and
+    basis; both front ends, ``LinearProgram(system)`` and the branch
+    systems' integer rows, hand the kernel such tableaux."""
 
     @given(sts.linear_systems(), st.booleans())
     @settings(max_examples=150)
@@ -363,17 +398,18 @@ class TestIntegerKernel:
             PSI_TEXT,
             "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
             "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+            "P>=0[a] & P<1[b]",
         ],
     )
     def test_branch_systems_match_the_fraction_kernel(self, text):
-        for system in branch_systems(text):
-            assert_same_kernel(system)
+        for system, int_rows in branch_systems(text):
+            assert_same_kernel(system, int_rows=int_rows)
 
     def test_three_bound_family_systems_match_the_fraction_kernel(self):
         # 255 families per signature: their feasibility LPs, as the
-        # family enumeration solves them
-        for system in branch_systems("P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"):
-            assert_same_kernel(system, maxima=False)
+        # family enumeration and the engine solve them
+        for system, int_rows in branch_systems("P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"):
+            assert_same_kernel(system, maxima=False, int_rows=int_rows)
 
 
 def is_box_row(c):

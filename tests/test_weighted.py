@@ -33,7 +33,7 @@ from pltlf import (
     vars_of,
     witness_model,
 )
-from pltlf import automaton, weighted
+from pltlf import automaton, linsolve, weighted
 
 from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
@@ -115,22 +115,34 @@ class TestEdgeWeights:
             assert mass == maximize(system.relaxed(), name).supremum
             assert mass == fm_supremum(system, name)
 
-    def test_maxima_build_no_system_of_their_own(self, monkeypatch):
-        # family_max re-optimises the system family_point kept, so every
-        # branch system is built once, by family_point
+    def test_maxima_build_no_system_of_their_own(self, monkeypatch, lp_runs):
+        # family_max re-optimises the program family_point kept, so every
+        # branch program is built once, by family_point, from integer rows;
+        # no query spells a branch system as a LinearSystem
         aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
-        builds = []
-        original = TreeAutomaton.build_system
+        programs, systems = [], []
+        from_int_rows = linsolve.LinearProgram.from_int_rows.__func__
+        build_system = TreeAutomaton.build_system
 
-        def counting(self, aid, qsets):
-            builds.append(qsets)
-            return original(self, aid, qsets)
+        def counting_program(cls, names, rows):
+            programs.append(names)
+            return from_int_rows(cls, names, rows)
 
-        monkeypatch.setattr(TreeAutomaton, "build_system", counting)
+        def counting_system(self, aid, qsets):
+            systems.append(qsets)
+            return build_system(self, aid, qsets)
+
+        monkeypatch.setattr(linsolve.LinearProgram, "from_int_rows", classmethod(counting_program))
+        monkeypatch.setattr(TreeAutomaton, "build_system", counting_system)
         assert witness_model(aut) is not None
         assert behaviour(build_weighted(aut)) == 1
         assert aut._max_cache
-        assert len(builds) == len(aut._point_cache)
+        assert len(programs) == len(aut._point_cache)
+        assert len(lp_runs["phase_one"]) == len(programs)
+        f, trace = parse_formula(THREE_BOUNDS), parse_trace("a;b,c")
+        assert is_satisfiable(f) and trace_probability(f, trace) >= 0
+        assert prefix_extension_query(f, trace)[0] >= 0
+        assert systems == []
 
 
 class TestMaximalFamilyWeights:
