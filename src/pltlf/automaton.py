@@ -261,7 +261,7 @@ class TreeAutomaton:
         key = (self._prob_sig[aid], qsets, qmask)
         if key not in self._max_cache:
             name = self._qset_names[qmask]
-            self._max_cache[key] = self._point_cache[key[:2]].maximum(name)[0]
+            self._max_cache[key] = self._point_cache[key[:2]].maximum(name)
         return self._max_cache[key]
 
     def _candidates(self, aid: int) -> dict:

@@ -249,7 +249,7 @@ class ScenarioTable:
         if not self.feasible:
             raise InfeasibleSystemError("system is infeasible")
         return tuple(
-            self.live_program.maximum(self.variable(i))[0] if sat else ZERO
+            self.live_program.maximum(self.variable(i)) if sat else ZERO
             for i, sat in enumerate(self.satisfiable)
         )
 

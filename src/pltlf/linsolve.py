@@ -246,17 +246,23 @@ def _phase_one(tab, n):
 
 
 def _phase_two(tab, basis, objective):
-    """max objective . y  from a kept (tableau, basis), on a copy."""
+    """max objective . y  from a kept (tableau, basis), on a copy: the
+    optimal (tableau, basis), or None when the objective is unbounded."""
     # a shallow copy is enough: pivots replace rows and never change one
     tab, basis, m = tab[:], basis[:], len(basis)
     _reduced_costs(tab, basis, m, objective)
     if not _optimize(tab, basis, m):
-        return "unbounded", None, None
-    y = [ZERO] * len(objective)
-    for r in range(m):
-        y[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
-    value = sum((c * y[j] for j, c in enumerate(objective) if c), start=ZERO)
-    return "optimal", value, y
+        return None
+    return tab, basis
+
+
+def _vertex(tab, basis, width) -> list:
+    """The basic solution of an optimal (tableau, basis) over ``width``
+    columns: each basic column's rhs over its entry, the rest zero."""
+    y = [ZERO] * width
+    for r, j in enumerate(basis):
+        y[j] = Fraction(tab[r][-1], tab[r][j])
+    return y
 
 
 _EPS = "__eps__"
@@ -359,20 +365,37 @@ class LinearProgram:
         self.kept = _phase_one(tab, n)
         self.witness = None
         if self.kept is not None:
-            value, point = self.maximum(_EPS if strict else None)
+            value, point = self.maximizer(_EPS if strict else None)
             self.witness = point if value > 0 or not strict else None
 
-    def maximum(self, column) -> tuple:
-        """Phase 2 for a column (None: zero objective): its largest value,
-        for a variable its supremum over the closure, and the vertex."""
+    def _optimum(self, column):
+        """Phase 2 for a column (None: zero objective) from the kept basis."""
         if self.kept is None:
             raise InfeasibleSystemError("system is infeasible")
         obj = [0] * len(self.col)
         if column is not None:
             obj[self.col[column]] = 1
-        status, value, y = _phase_two(*self.kept, obj)
-        if status == "unbounded":
+        optimum = _phase_two(*self.kept, obj)
+        if optimum is None:
             raise UnboundedObjectiveError(f"variable {column!r} unbounded above")
+        return optimum
+
+    def maximum(self, column) -> Fraction:
+        """The column's largest value, for a variable its supremum over the
+        closure, read off its basic row; no vertex is built."""
+        tab, basis = self._optimum(column)
+        j = self.col[column]
+        for r, b in enumerate(basis):
+            if b == j:
+                return Fraction(tab[r][-1], tab[r][j])
+        return ZERO
+
+    def maximizer(self, column) -> tuple:
+        """The column's largest value, as :meth:`maximum` gives it, with
+        the optimal vertex over the variables."""
+        tab, basis = self._optimum(column)
+        y = _vertex(tab, basis, len(self.col))
+        value = ZERO if column is None else y[self.col[column]]
         return value, {v: y[self.col[v]] for v in self.names}
 
 
@@ -400,7 +423,7 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     lp = LinearProgram(system)
     if lp.strict and lp.witness is None:
         raise InfeasibleSystemError("system is infeasible")
-    value, point = lp.maximum(variable)
+    value, point = lp.maximizer(variable)
     if not lp.strict:
         return Optimum(value, True, point)
     res = solve_feasibility(system.with_rows([({variable: 1}, Comparison.EQ, value)]))

@@ -18,11 +18,17 @@ Every child at one position of a source gets that position's weight, so
 edges are stored in groups: one weight per (source, position), pointing at
 an interned tuple of children that all sources with the same occupants
 share.  A child's probability arguments pin its position, so the groups of
-a source partition its children.  Weights are positive, so a group's best
-edge leads to its best child: each fixpoint sweep takes one maximum per
-child set and one product per group, and a group is tight exactly when
-its weight times that maximum is the source's value.  The acceptor keeps
-each tight group over its child tuple cut down to the best children.
+a source partition its children.  A state's value depends only on its row,
+whether it is final together with its groups, and many states share one.
+Every weight is a mass in (0, 1], so a run never gains weight by growing:
+the behaviour settles the rows from the highest value down, as Dijkstra's
+algorithm settles distances.  A child tuple's best value is that of the
+first of its rows to settle, and each group is multiplied once, when its
+child tuple settles.  A group is tight exactly when its weight times that
+best value is its row's value; the acceptor keeps each tight group, found
+once per row, over its child tuple cut once to the best children.  Most
+likely traces are listed by a depth-first search over the acceptor's
+subsets, pruned by each subset's distance to a final state.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import inf
 from types import MappingProxyType
 from typing import Optional
 
@@ -107,50 +115,77 @@ class WeightedAutomaton:
         return states
 
     def behaviour_table(self) -> "BehaviourTable":
+        """The table of :func:`_settle`, made on first use.  The settle
+        order needs every group weight in (0, 1]; another raises
+        ValueError."""
         if self._table is None:
-            self._table = _fixpoint(self)
+            self._table = _settle(self)
         return self._table
 
 
 @dataclass(frozen=True)
 class BehaviourTable:
-    """Largest run weight from each state, with the sweep count that the
-    fixpoint iteration needed."""
+    """Largest run weight from each state and from an initial one.
+
+    ``rows`` maps each row key ``(final, groups)`` to the states that
+    share it, in the order of ``states``; ``best[k]`` is the largest value
+    in ``children[k]``."""
 
     values: dict
-    sweeps: int
     value: Fraction
+    rows: dict
+    best: tuple
 
 
-def _best_children(wa: WeightedAutomaton, values: dict) -> list:
-    """Largest value in each child tuple, indexed like ``wa.children``."""
-    return [max(values[c] for c in kids) for kids in wa.children]
-
-
-def _fixpoint(wa: WeightedAutomaton) -> BehaviourTable:
-    # Finals start at one (the empty run); everything else grows
-    # monotonically, one edge per sweep, so simple runs suffice and the
-    # iteration stabilizes within |states| sweeps.  Weights are positive,
-    # so a group's best edge leads to its best child.
-    base = {q: ONE if q in wa.finals else ZERO for q in wa.states}
-    current = dict(base)
-    sweeps = 0
-    while True:
-        best = _best_children(wa, current)
-        updated = {}
-        for q in wa.states:
-            value = base[q]
-            for wt, k in wa.groups[q]:
-                cand = wt * best[k]
-                if cand > value:
-                    value = cand
-            updated[q] = value
-        if updated == current:
-            break
-        current = updated
-        sweeps += 1
-    value = max((current[q] for q in wa.initial), default=ZERO)
-    return BehaviourTable(current, sweeps, value)
+def _settle(wa: WeightedAutomaton) -> BehaviourTable:
+    # Knuth's generalisation of Dijkstra's algorithm over the row keys:
+    # finals settle at one (the empty run), and a weight in (0, 1] never
+    # raises a value, so rows leave the heap in decreasing value and each
+    # child tuple's best value is the first of its rows to leave it.
+    rows, shared = {}, {}  # a groups tuple shared by many states is hashed once
+    for q in wa.states:
+        groups, final = wa.groups[q], q in wa.finals
+        members = shared.get((final, id(groups)))
+        if members is None:
+            members = shared[final, id(groups)] = rows.setdefault((final, groups), [])
+        members.append(q)
+    row_of = {}
+    parents = [[] for _ in wa.children]  # child tuple -> (weight, source row)
+    heap = []
+    for r, ((final, groups), members) in enumerate(rows.items()):
+        row_of.update(dict.fromkeys(members, r))
+        if final:
+            heap.append((-ONE, r))
+        for wt, k in groups:
+            if not 0 < wt <= 1:
+                raise ValueError(f"group weight {wt} of state {members[0]!r} is outside (0, 1]")
+            parents[k].append((wt, r))
+    tuples_of = [[] for _ in rows]  # row -> child tuples holding one of its states
+    for k, kids in enumerate(wa.children):
+        for r in {row_of[c] for c in kids}:
+            tuples_of[r].append(k)
+    heapify(heap)
+    # a settled value is positive, so zero marks a row or tuple still open
+    value = [ZERO] * len(rows)
+    pending = [ZERO] * len(rows)
+    best = [ZERO] * len(wa.children)
+    while heap:
+        neg, r = heappop(heap)
+        if value[r]:
+            continue
+        v = value[r] = -neg
+        for k in tuples_of[r]:
+            if not best[k]:
+                best[k] = v
+                for wt, src in parents[k]:
+                    if not value[src]:
+                        cand = wt * v
+                        if cand > pending[src]:
+                            pending[src] = cand
+                            heappush(heap, (-cand, src))
+    values = {q: value[row_of[q]] for q in wa.states}
+    top = max((values[q] for q in wa.initial), default=ZERO)
+    return BehaviourTable(values, top, rows, tuple(best))
 
 
 def build_weighted(source) -> WeightedAutomaton:
@@ -163,8 +198,10 @@ def build_weighted(source) -> WeightedAutomaton:
     family against the good set, a child tuple of a subset extends to one
     of that family, and adjoining variables never lowers a supremum, so one
     maximisation over the family's system gives each weight.  Each
-    position with positive mass becomes one group over its occupants, and
-    every atom of a class shares the class's groups.  The occupants are
+    position with positive mass becomes one group over its occupants, so
+    every weight lies in (0, 1]: it is positive, and no mass exceeds the 1
+    that the system's masses sum to.  Every atom of a class shares the
+    class's groups.  The occupants are
     empty exactly when the maximal family has no child tuple, so each good
     class is decided once.  States whose atoms agree on the propositions
     share one valuation frozenset.
@@ -223,28 +260,28 @@ def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
 
     Initial states must realize the behaviour, and every edge must be
     tight: taking it keeps the remaining run weight on track.  A tight edge
-    leads to a best child of a tight group, so each tight group keeps its
-    weight over its child tuple cut, once per tuple, to the best children.
-    When the behaviour is zero nothing is accepted and the acceptor is empty.
+    leads to a best child of a tight group, so each row keeps its tight
+    groups, found once per row, over their child tuples cut, once per
+    tuple, to the best children.  When the behaviour is zero nothing is
+    accepted and the acceptor is empty.
     """
     table = wa.behaviour_table()
     if table.value == 0:
         return MltAcceptor((), (), (), {}, (), {}, ZERO)
-    w = table.values
+    w, best = table.values, table.best
     states = tuple(q for q in wa.states if w[q] > 0)
     initial = frozenset(q for q in wa.initial if w[q] == table.value)
     # finals are worth at least 1, and a best child of a tight group from a
     # kept source is worth w[src] / wt > 0, so both are kept
-    best = _best_children(wa, w)
     cut = {}
-    groups = {
-        src: tuple(
-            (wt, cut.setdefault(k, len(cut)))
-            for wt, k in wa.groups[src]
-            if wt * best[k] == w[src]
-        )
-        for src in states
-    }
+    groups = {}
+    for (_, row_groups), members in table.rows.items():
+        value = w[members[0]]
+        if value > 0:
+            tight = tuple(
+                (wt, cut.setdefault(k, len(cut))) for wt, k in row_groups if wt * best[k] == value
+            )
+            groups.update(dict.fromkeys(members, tight))
     children = tuple(
         tuple(c for c in wa.children[k] if w[c] == best[k]) for k in cut
     )
@@ -256,33 +293,93 @@ def _trace_key(trace: Trace) -> tuple:
     return tuple(tuple(sorted(v)) for v in trace)
 
 
+def _distances(acc: WeightedAutomaton) -> dict:
+    """Fewest edges from each state to a final one, infinite when it
+    reaches none, by a backward breadth-first search that reaches each
+    child tuple once, through its first child to be reached."""
+    sources = [[] for _ in acc.children]  # child tuple -> states with a group over it
+    for q in acc.states:
+        for _, k in acc.groups[q]:
+            sources[k].append(q)
+    holding = {}  # state -> child tuples holding it
+    for k, kids in enumerate(acc.children):
+        for c in kids:
+            holding.setdefault(c, []).append(k)
+    dist = dict.fromkeys(acc.states, inf)
+    frontier, reached = list(acc.finals & dist.keys()), set()
+    dist.update(dict.fromkeys(frontier, 0))
+    while frontier:
+        grown = []
+        for c in frontier:
+            for k in holding.get(c, ()):
+                if k not in reached:
+                    reached.add(k)
+                    for q in sources[k]:
+                        if dist[q] == inf:
+                            dist[q] = dist[c] + 1
+                            grown.append(q)
+        frontier = grown
+    return dist
+
+
 def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
     """List accepted traces, shortest first and then lexicographically by
     sorted valuations.  The accepted language may be infinite, so both
-    bounds are required."""
+    bounds are required.
+
+    For each length in turn, a depth-first search walks the determinised
+    acceptor: a node is the set of states a prefix reaches, its successors
+    are listed once per set in ``_trace_key`` order, and a set whose
+    nearest final state lies more letters away than remain is pruned (the
+    min-length pruning of Ackerman and Shallit).  So the traces of one
+    length come out in order, and the search stops at ``max_count``.
+    """
     if max_count < 1 or max_len < 1:
         raise ValueError("max_count and max_len must be at least 1")
+    dist = _distances(acc)
+
+    def split(states) -> list:
+        """(sort key, valuation, states carrying it, their nearest final's
+        distance) per valuation, in ``_trace_key`` order."""
+        by_letter = {}
+        for q in states:
+            by_letter.setdefault(acc.valuations[q], set()).add(q)
+        return sorted(
+            (_trace_key((valuation,)), valuation, frozenset(held), min(map(dist.__getitem__, held)))
+            for valuation, held in by_letter.items()
+        )
+
+    successors = {}
+
+    def after(subset: frozenset) -> list:
+        if subset not in successors:
+            tuples = {k for q in subset for _, k in acc.groups[q]}
+            successors[subset] = split(c for k in tuples for c in acc.children[k])
+        return successors[subset]
+
+    first = split(acc.initial)
     results = []
-    level = {}
-    for q in acc.initial:
-        level.setdefault((acc.valuations[q],), set()).add(q)
-    length = 1
-    while level and len(results) < max_count:
-        for trace in sorted(level, key=_trace_key):
-            if level[trace] & acc.finals:
-                results.append(trace)
-                if len(results) >= max_count:
-                    break
-        if length >= max_len:
-            break
-        grown = {}
-        for trace, reached in level.items():
-            for k in {k for q in reached for _, k in acc.groups[q]}:
-                for dst in acc.children[k]:
-                    grown.setdefault(trace + (acc.valuations[dst],), set()).add(dst)
-        level = grown
-        length += 1
-    return results[:max_count]
+    for length in range(1, max_len + 1):
+        stack, trace = [iter(first)], []
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if trace:
+                    trace.pop()
+                continue
+            _, valuation, subset, reach = step
+            left = length - len(trace) - 1  # letters still to read after this one
+            if reach > left:
+                continue
+            if left == 0:
+                results.append((*trace, valuation))
+                if len(results) == max_count:
+                    return results
+                continue
+            trace.append(valuation)
+            stack.append(iter(after(subset)))
+    return results
 
 
 class TraceNFA:
@@ -389,9 +486,11 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
     A product state is a weighted state together with an NFA state
     reached after reading that state's valuation, so runs of the product
     are exactly the weighted runs whose traces the NFA accepts.  A group
-    of ``b`` read from NFA state ``s`` keeps its weight; its children
-    depend only on the child tuple and ``s``, so they are built, and
-    queued for the search, once per such pair.
+    of ``b`` read from NFA state ``s`` keeps its weight, so every weight
+    still lies in (0, 1]; its children depend only on the child tuple and
+    ``s``, so they are built, and queued for the search, once per such
+    pair, and the states whose ``b`` shares a groups tuple read from the
+    same ``s`` share one groups tuple too.
     """
     seeds = []
     for b in sorted(wa.initial, key=str):
@@ -401,6 +500,7 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
     seen = set()
     queue = deque(seeds)
     groups = {}
+    rows = {}  # (groups tuple of b, s) -> the groups of every such state
     children = []
     interned = {}
     while queue:
@@ -410,6 +510,10 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
         seen.add(state)
         states.append(state)
         b, s = state
+        row = (id(wa.groups[b]), s)
+        if row in rows:
+            groups[state] = rows[row]
+            continue
         out = []
         for wt, k in wa.groups[b]:
             key = (k, s)
@@ -425,7 +529,7 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
                     queue.extend(kids)
             if interned[key] is not None:
                 out.append((wt, interned[key]))
-        groups[state] = tuple(out)
+        groups[state] = rows[row] = tuple(out)
     finals = frozenset(
         (b, s) for b, s in states if b in wa.finals and s in nfa.finals
     )

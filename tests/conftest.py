@@ -73,20 +73,21 @@ def lp_runs(monkeypatch):
     """What the exact LP solves: the variables of each program that runs
     phase 1, whether built from a ``LinearSystem`` or from integer rows,
     and each objective maximised from a kept basis as (variables, column),
-    the column None for a feasibility objective without strict rows."""
+    the column None for a feasibility objective without strict rows; both
+    ``maximum`` and ``maximizer`` run an objective through ``_optimum``."""
     runs = {"phase_one": [], "objectives": []}
-    load, maximum = linsolve.LinearProgram._load, linsolve.LinearProgram.maximum
+    load, optimum = linsolve.LinearProgram._load, linsolve.LinearProgram._optimum
 
     def counting_load(self, names, rows):
         runs["phase_one"].append(names)
         load(self, names, rows)
 
-    def counting_maximum(self, column):
+    def counting_optimum(self, column):
         runs["objectives"].append((self.names, column))
-        return maximum(self, column)
+        return optimum(self, column)
 
     monkeypatch.setattr(linsolve.LinearProgram, "_load", counting_load)
-    monkeypatch.setattr(linsolve.LinearProgram, "maximum", counting_maximum)
+    monkeypatch.setattr(linsolve.LinearProgram, "_optimum", counting_optimum)
     return runs
 
 

@@ -658,7 +658,7 @@ class TestProbabilityFreeReachability:
         aut = TreeAutomaton(parse_formula("X X a & F b"))
         program = LinearProgram(aut.build_system(0, (0,)))
         assert aut.family_point(0, (0,)) == program.witness
-        assert aut.family_max(0, (0,), 0) == program.maximum("x{}")[0]
+        assert aut.family_max(0, (0,), 0) == program.maximum("x{}")
         assert aut.family_point(0, ()) is None
         assert not solve_feasibility(aut.build_system(0, ())).feasible
 

@@ -323,7 +323,13 @@ def linsolve_standard(tab, n, objective):
     """Phase 1, then phase 2 from the kept basis, as ``pltlf.linsolve``
     solves one objective of an integer tableau."""
     kept = linsolve._phase_one(tab, n)
-    return ("infeasible", None, None) if kept is None else linsolve._phase_two(*kept, objective)
+    if kept is None:
+        return "infeasible", None, None
+    optimum = linsolve._phase_two(*kept, objective)
+    if optimum is None:
+        return "unbounded", None, None
+    y = linsolve._vertex(*optimum, len(objective))
+    return "optimal", sum((c * y[j] for j, c in enumerate(objective) if c), start=Fraction(0)), y
 
 
 def reference_standard(tab, n, objective):
@@ -442,7 +448,7 @@ class TestSharedPhaseOne:
                 with pytest.raises(UnboundedObjectiveError):
                     maximize(system.relaxed(), name)
             else:
-                assert program.maximum(name)[0] == expected
+                assert program.maximum(name) == expected
                 assert maximize(system.relaxed(), name).supremum == expected
 
     @given(sts.linear_systems())

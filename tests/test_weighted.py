@@ -187,7 +187,7 @@ def assert_groups_partition_children(wa):
     for q in wa.states:
         reached = [c for _, k in wa.groups[q] for c in wa.children[k]]
         assert len(reached) == len(set(reached)), q
-        assert all(wt > 0 for wt, _ in wa.groups[q])
+        assert all(0 < wt <= 1 for wt, _ in wa.groups[q])
 
 
 def reference_walks(ref, rng, count):
@@ -205,13 +205,17 @@ def reference_walks(ref, rng, count):
     return walks
 
 
+# (count, max_len) pairs: short and long, few and many traces
+LISTING_PAIRS = ((1, 1), (4, 6), (5, 8), (20, 10), (100, 6), (3, 20))
+
+
 def assert_same_answers(wa, dense):
     """Behaviour table, mlt acceptor, listed traces and accepted traces
     agree with the dense reference; product searches may list states in
     another order."""
     table, expected = wa.behaviour_table(), dense.behaviour_table()
     assert table.values == expected.values
-    assert table.sweeps == expected.sweeps
+    assert expected.sweeps <= len(dense.states)
     assert table.value == expected.value
     acc, ref = mlt_acceptor(wa), weighted_reference.mlt_acceptor(dense)
     assert set(acc.states) == set(ref.states)
@@ -221,8 +225,10 @@ def assert_same_answers(wa, dense):
     assert all(wt == dense.weight(src, dst) for (src, dst), wt in acc.weights.items())
     assert acc.value == ref.value
     assert acc.valuations == ref.valuations
+    for count, max_len in LISTING_PAIRS:
+        listed = enumerate_mlts(acc, count, max_len)
+        assert listed == weighted_reference.enumerate_mlts(ref, count, max_len)
     listed = enumerate_mlts(acc, 4, 6)
-    assert listed == weighted_reference.enumerate_mlts(ref, 4, 6)
     # listed traces, random walks along the tight edges, and random traces
     # over the valuations the states carry
     rng = random.Random(len(ref.edges))
@@ -234,12 +240,17 @@ def assert_same_answers(wa, dense):
         assert acc.accepts(trace) == ref.accepts(trace), trace
 
 
+def dense_copy(wa):
+    """The dense reference automaton with the same edges as ``wa``."""
+    return weighted_reference.WeightedAutomaton(
+        wa.states, wa.initial, wa.finals, wa.weights, wa.valuations
+    )
+
+
 def check_against_dense(f, traces):
     wa = build_weighted(f)
     assert_groups_partition_children(wa)
-    dense = weighted_reference.WeightedAutomaton(
-        wa.states, wa.initial, wa.finals, wa.weights, wa.valuations
-    )
+    dense = dense_copy(wa)
     assert_same_answers(wa, dense)
     names = sorted(vars_of(f))
     nfas = [TraceNFA.universal(names)]
@@ -323,12 +334,11 @@ class TestBehaviour:
         assert behaviour(build_weighted(phi1)) == 0
 
     def test_fixpoint_matches_naive_iteration(self, wa_psi, wa0):
+        # the settle has no sweeps; the naive iteration's count is bounded
         for wa in (wa0, wa_psi):
-            table = wa.behaviour_table()
             values, sweeps = naive_fixpoint(wa)
-            assert table.values == values
-            assert table.sweeps == sweeps
-            assert table.sweeps <= len(wa.states)
+            assert wa.behaviour_table().values == values
+            assert sweeps <= len(wa.states)
 
     def test_sweeps_grow_pointwise(self, wa_psi):
         previous = {q: Fraction(0) for q in wa_psi.states}
@@ -344,6 +354,54 @@ class TestBehaviour:
     def test_behaviour_bounded_by_one(self):
         for f in formula_family(40):
             assert 0 <= behaviour(build_weighted(f)) <= 1
+
+
+class TestRowSettle:
+    """The behaviour settles rows, highest value first, which is exact
+    only because every group weight lies in (0, 1]."""
+
+    @pytest.mark.parametrize("wt", [Fraction(0), Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
+    def test_weights_outside_the_unit_interval_are_rejected(self, wt):
+        wa = weighted.WeightedAutomaton(
+            (0, 1, 2), (0,), (2,), {0: ((Fraction(1, 2), 0),), 1: ((wt, 1),)},
+            ((1,), (2,)), dict.fromkeys((0, 1, 2), frozenset()),
+        )
+        with pytest.raises(ValueError, match="outside"):
+            wa.behaviour_table()
+
+    def test_hand_built_rows_settle_in_decreasing_value(self):
+        # states 0 and 1 share a row; the best child of the tuple (2, 3) is
+        # 3, worth 1/2 through the final 4, although 2's own edge weighs 1
+        half, one = Fraction(1, 2), Fraction(1)
+        groups = {0: ((one, 0),), 1: ((one, 0),), 2: ((one, 1),), 3: ((half, 2),), 5: ((one, 1),)}
+        wa = weighted.WeightedAutomaton(
+            range(6), (0, 5), (4,), groups, ((2, 3), (5,), (4,)),
+            dict.fromkeys(range(6), frozenset()),
+        )
+        table = wa.behaviour_table()
+        assert table.values == dict.fromkeys(range(6), 0) | {0: half, 1: half, 3: half, 4: one}
+        assert table.value == half
+        assert table.rows[False, ((one, 0),)] == [0, 1]
+        assert table.values == weighted_reference._fixpoint(dense_copy(wa)).values
+
+
+class TestPrunedListing:
+    """The depth-first listing gives the reference's level-by-level list
+    where the language runs out and where it needs many letters."""
+
+    @pytest.mark.parametrize("text", ["X a & !X X true", "a & !X true", "P<=0.5[a] & !X true"])
+    def test_finite_languages_run_out(self, text):
+        # fewer accepted traces than asked for, all shorter than max_len
+        f = parse_formula(text)
+        check_against_dense(f, [parse_trace("-")])
+        listed = enumerate_mlts(mlt_acceptor(build_weighted(f)), 5, 20)
+        assert 0 < len(listed) < 5
+        assert max(map(len, listed)) <= 2
+
+    def test_deep_next_chain(self):
+        f = parse_formula("X " * 6 + "a")
+        check_against_dense(f, [])
+        assert len(enumerate_mlts(mlt_acceptor(build_weighted(f)), 3, 20)) == 3
 
 
 def naive_fixpoint(wa):

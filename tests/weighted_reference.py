@@ -4,19 +4,19 @@
 position) over a shared tuple of children, and its mlt acceptor is the
 tight part of those groups.  The classes and functions here are the
 representation it replaced: one ``Fraction`` entry per (source, child)
-edge, a fixpoint that multiplies along every edge, a tight-edge test per
-edge, an acceptor holding its edge set and sorted successor lists, an
-enumeration over those lists, and a product that copies every edge.  Tests
-feed them the dense view ``wa.weights`` and compare the answers.
+edge, a fixpoint that multiplies along every edge in sweeps until nothing
+changes (and counts them), a tight-edge test per edge, an acceptor
+holding its edge set and sorted successor lists, an enumeration over
+those lists, and a product that copies every edge.  Tests feed them the
+dense view ``wa.weights`` and compare the answers.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from pltlf.weighted import BehaviourTable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,6 +50,16 @@ class WeightedAutomaton:
         if self._table is None:
             self._table = _fixpoint(self)
         return self._table
+
+
+@dataclass(frozen=True)
+class BehaviourTable:
+    """Largest run weight from each state, with the sweep count that the
+    fixpoint iteration needed."""
+
+    values: dict
+    sweeps: int
+    value: Fraction
 
 
 def _fixpoint(wa: WeightedAutomaton) -> BehaviourTable:
