@@ -76,6 +76,10 @@ FORMULAS = (
     "a U (b & P>=0.5[X a]) & P<=0.7[b]",
     "P>=1/2[a] & P>=1/2[!a & b]",
     "!(P<=0.5[a] & P<=0.5[b])",
+    # nested bounds, and three bounds that cannot all hold
+    "P>0.3[X P<0.5[a]] & P>=0.4[F b]",
+    "P>0.5[P>0.5[a] U b]",
+    "P>=0.5[a] & P>=0.6[!a] & P>0.2[b]",
 )
 
 # a conjunction, both constants, a duplicate formula and a formula next

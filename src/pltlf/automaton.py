@@ -21,8 +21,8 @@ the mass on one child, which must refute every absent next member itself,
 so the children of a parent are exactly the atoms whose next-argument mask
 equals its next mask.  The automaton keeps its atoms indexed by that mask;
 good states are then backward reachability from the finals, and the good
-states, the weighted automaton's occupants and the witness read the index,
-with no candidate scan and no LP.
+states, the weighted automaton's groups and the witness read the index,
+with no LP.
 
 No decision enumerates families; :meth:`TreeAutomaton.scenario_family`
 lists them only to explain the construction.  Against a set of admissible
@@ -38,8 +38,13 @@ here monotone in the family:
 
 That decision reads only the atom's next mask, which fixes its candidate
 children and what they must refute, and its probability signature, which
-fixes its branch systems; being final reads the same two.  So the atoms
-fall into classes by those two, and each decision is made once per class.
+fixes its branch systems; being final reads the same two, so the atoms
+fall into classes by those two.  Its halves read one each: the maximal
+family, its first tuple and its occupants read only the next mask, and
+the family's feasibility only the signature and the family.  So each
+decision is made once per next mask, then once per (signature, family),
+and by upward closure each signature's decided families settle most
+families without a program: see :meth:`TreeAutomaton.family_feasible`.
 
 The program asks two questions of a scenario: the first child tuple, which
 decides whether a transition exists and gives the witness its children,
@@ -159,6 +164,7 @@ class TreeAutomaton:
         self._family_cache = {}
         self._cand_cache = {}
         self._point_cache = {}
+        self._decided = {}  # signature -> (infeasible, feasible) family masks
         self._max_cache = {}
         self._good = None
         self._weighted = None
@@ -237,65 +243,81 @@ class TreeAutomaton:
         self._family_cache[sig] = result
         return result
 
+    def _program(self, aid: int, qsets) -> LinearProgram:
+        """The family's branch program after phase 1, built once per
+        (signature, family) from :meth:`branch_rows` straight into the
+        integer tableau, with no :class:`LinearSystem`.  Its answer joins
+        the signature's decided families."""
+        key = (self._prob_sig[aid], qsets)
+        program = self._point_cache.get(key)
+        if program is None:
+            program = self._point_cache[key] = LinearProgram.from_int_rows(
+                *self.branch_rows(aid, qsets)
+            )
+            decided = self._decided.setdefault(key[0], ([], []))
+            decided[program.feasible].append(sum(1 << q for q in qsets))
+        return program
+
+    def family_feasible(self, aid: int, qsets) -> bool:
+        """Whether the family's branch system is feasible.
+
+        Feasibility is upward-closed in the family, as an extra branch can
+        take zero mass, strict rows included.  So a superset of a family
+        the signature found feasible is feasible, a subset of one it found
+        infeasible is not, and only a family neither rule decides builds
+        its program."""
+        no, yes = self._decided.get(self._prob_sig[aid], ((), ()))
+        mask = sum(1 << q for q in qsets)
+        if any(not f & ~mask for f in yes):
+            return True
+        if any(not mask & ~f for f in no):
+            return False
+        return self._program(aid, qsets).feasible
+
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
-        it is infeasible.  The program is built from :meth:`branch_rows`
-        straight into the integer tableau, with no :class:`LinearSystem`,
-        and kept with its phase 1 for family_max."""
-        if not self._pairs:
-            # the one family (0,) puts all the mass on its single branch
-            return {_qset_name(0, 0): ONE} if qsets else None
-        key = (self._prob_sig[aid], qsets)
-        if key not in self._point_cache:
-            names, rows = self.branch_rows(aid, qsets)
-            self._point_cache[key] = LinearProgram.from_int_rows(names, rows)
-        return self._point_cache[key].witness
+        it is infeasible: the feasibility objective's vertex."""
+        return self._program(aid, qsets).witness
 
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
         """Largest mass the family's branch system lets the subset
-        ``qmask`` absorb: a phase 2 from the basis ``family_point`` kept,
-        which must have found the family feasible.  Results are shared
-        across atoms with equal probability signatures."""
-        if not self._pairs:
-            return ONE
+        ``qmask`` absorb: a phase 2 from the basis the family's program
+        kept, which must be feasible.  Results are shared across atoms
+        with equal probability signatures."""
         key = (self._prob_sig[aid], qsets, qmask)
         if key not in self._max_cache:
             name = self._qset_names[qmask]
-            self._max_cache[key] = self._point_cache[key[:2]].maximum(name)
+            self._max_cache[key] = self._program(aid, qsets).maximum(name)
         return self._max_cache[key]
 
     def _candidates(self, aid: int) -> dict:
-        """Child candidates bucketed by their probability-argument profile.
+        """Child candidates bucketed by their probability-argument profile,
+        profiles in increasing order and each bucket by atom.
 
         A candidate must contain the argument of every next member of the
-        parent; its cover mask records which absent next members it refutes.
-        Parents with equal next masks share one scan of the atoms."""
+        parent; its cover mask records which absent next members it
+        refutes, and so do all atoms of its next-argument mask.  Parents
+        with equal next masks share one walk over those masks."""
         req = self._next_present[aid]
         cached = self._cand_cache.get(req)
         if cached is not None:
             return cached
         obl = self._all_next & ~req
         buckets = {}
-        for cid in range(len(self.atoms)):
-            args = self._next_args[cid]
+        for args, cids in self._by_args.items():
             if req & ~args:
                 continue
             cover = obl & ~args
-            buckets.setdefault(self._parg[cid], []).append((cid, cover))
-        result = {q: tuple(v) for q, v in buckets.items()}
+            for cid in cids:
+                buckets.setdefault(self._parg[cid], []).append((cid, cover))
+        result = {q: tuple(sorted(buckets[q])) for q in sorted(buckets)}
         self._cand_cache[req] = result
         return result
 
     def _positions(self, aid: int, qsets, restrict):
         """Candidate lists per subset position limited to ``restrict``, or
-        None if one is empty.  Without probability pairs the one position's
-        child must refute every absent next member itself, so only the atoms
-        whose next-argument mask is the parent's next mask are listed."""
-        if self._pairs:
-            buckets = self._candidates(aid)
-        else:
-            req = self._next_present[aid]
-            buckets = {0: [(cid, self._all_next & ~req) for cid in self._by_args.get(req, ())]}
+        None if one is empty."""
+        buckets = self._candidates(aid)
         positions = []
         for q in qsets:
             cands = [c for c in buckets.get(q, ()) if c[0] in restrict]
@@ -308,28 +330,10 @@ class TreeAutomaton:
         """Sorted profiles whose candidate bucket keeps an atom of
         ``restrict``: every family with a child tuple in ``restrict`` is a
         subset of it."""
-        if not self._pairs:
-            # one profile; an atom of ``restrict`` that can be the child,
-            # which every good parent has, spares the scan of larger masks
-            req = self._next_present[aid]
-            fits = self._positions(aid, (0,), restrict) is not None or any(
-                not req & ~args and any(cid in restrict for cid in cids)
-                for args, cids in self._by_args.items()
-            )
-            return (0,) if fits else ()
-        return tuple(sorted(
+        return tuple(
             q for q, cands in self._candidates(aid).items()
             if any(cid in restrict for cid, _ in cands)
-        ))
-
-    def transition_family(self, aid: int, restrict) -> Optional[tuple]:
-        """The maximal family against ``restrict`` if it has a child tuple
-        in ``restrict`` and a feasible system, else None; by the module
-        docstring's monotonicity facts, None iff no feasible family has
-        such a tuple.  Atoms of one class get the same answer."""
-        family = self.maximal_family(aid, restrict)
-        ok = family and self.first_tuple(aid, family, restrict) is not None
-        return family if ok and self.family_point(aid, family) is not None else None
+        )
 
     def first_tuple(self, aid: int, qsets, restrict) -> Optional[tuple]:
         """The first child tuple of the scenario in the lexicographic order
@@ -386,8 +390,13 @@ class TreeAutomaton:
         candidates, so sweep i re-decides just the pending classes with a
         candidate that joined in sweep i - 1, those whose next mask lies
         within such an atom's next-argument mask.  A class joins whole when
-        its :meth:`transition_family` against the set is not None, so each
-        sweep decides each class at most once.
+        its maximal family against the set has a child tuple and a feasible
+        system; by the module docstring's monotonicity facts, exactly when
+        some feasible family has a child tuple in the set.  The family and
+        its first tuple read only the next mask, so a sweep finds them once
+        per touched next mask, and then once per (signature, family) asks
+        :meth:`family_feasible`, which the signature's decided families
+        mostly answer without a program.
 
         Without probability pairs the one family needs no LP and its one
         child carries exactly the parent's next mask as arguments, so a
@@ -405,13 +414,20 @@ class TreeAutomaton:
         while True:
             masks = {self._next_args[a] for members in joined for a in members}
             if self._pairs:
-                reqs = {self._next_present[m[0]] for m in pending}
-                touched = {r for r in reqs if any(not r & ~args for args in masks)}
                 snapshot = frozenset(good)
+                some_parent = {}
+                for members in pending:
+                    some_parent.setdefault(self._next_present[members[0]], members[0])
+                families = {}  # touched next mask -> maximal family with a tuple
+                for req, aid in some_parent.items():
+                    if any(not req & ~args for args in masks):
+                        family = self.maximal_family(aid, snapshot)
+                        if family and self.first_tuple(aid, family, snapshot) is not None:
+                            families[req] = family
                 joined = [
                     m for m in pending
-                    if self._next_present[m[0]] in touched
-                    and self.transition_family(m[0], snapshot) is not None
+                    if (family := families.get(self._next_present[m[0]]))
+                    and self.family_feasible(m[0], family)
                 ]
             else:
                 joined = [m for m in pending if self._next_present[m[0]] in masks]
@@ -529,18 +545,22 @@ def _witness_subtree(aut, earlier_than, aid: int, probability) -> WitnessModel:
     if aut.final[aid]:
         return WitnessModel(atom.valuation(), probability, ())
     earlier = earlier_than[aut.good_states().distance[aid]]
+    if not aut._pairs:
+        # the one family (0,): its child carries the next mask as
+        # arguments and takes all the mass
+        child = next(c for c in aut._by_args[aut._next_present[aid]] if c in earlier)
+        return WitnessModel(
+            atom.valuation(), probability, (_witness_subtree(aut, earlier_than, child, ONE),)
+        )
     offered = aut.maximal_family(aid, earlier)
-    width = len(aut._pairs)
     for size in range(1, len(offered) + 1):
         for chosen in combinations(offered, size):
             tup = aut.first_tuple(aid, chosen, earlier)
-            if tup is None:
+            if tup is None or not aut.family_feasible(aid, chosen):
                 continue
             point = aut.family_point(aid, chosen)
-            if point is None:
-                continue
             children = tuple(
-                _witness_subtree(aut, earlier_than, cid, point[_qset_name(q, width)])
+                _witness_subtree(aut, earlier_than, cid, point[aut._qset_names[q]])
                 for q, cid in zip(chosen, tup)
             )
             return WitnessModel(atom.valuation(), probability, children)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterator
 
 from .syntax import (
@@ -33,10 +33,10 @@ from .syntax import (
     Prop,
     TrueConst,
     Until,
-    formula_size,
     formula_text,
     negate,
     normalize,
+    size_and_text,
     subformulas,
 )
 
@@ -52,8 +52,9 @@ class ClosureSet:
         root = normalize(root)
         subs = set(subformulas(root))
         subs |= {Next(g) for g in subs if isinstance(g, Until)}
-        subs |= {negate(g) for g in subs}
-        members = tuple(sorted(subs, key=lambda g: (formula_size(g), formula_text(g))))
+        subs = list(subs | {negate(g) for g in subs})
+        keys = size_and_text(subs)
+        members = tuple(g for _, g in sorted(zip(keys, subs), key=itemgetter(0)))
         self.root = root
         self.members = members
         self.index = {g: i for i, g in enumerate(members)}

@@ -235,7 +235,7 @@ class ScenarioTable:
     @cached_property
     def feasible(self) -> bool:
         """Whether the mass system, strict rows included, has a point."""
-        return self.live_program.witness is not None
+        return self.live_program.feasible
 
     @cached_property
     def maxima(self) -> tuple:

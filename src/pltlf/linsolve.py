@@ -11,7 +11,9 @@ attainment flag checked against the strict rows.  Phase 1 runs once per
 system: :class:`LinearProgram` keeps the basis that phase 1 and the
 artificial drive-out reach, and each objective is a phase 2 on a copy.  The
 ``eps`` tableau gives the relaxed suprema too, as ``eps = 0`` is allowed and
-``eps >= 0`` only tightens strict rows.
+``eps >= 0`` only tightens strict rows.  Feasibility is decided by phase 1,
+and for a strict system by the ``eps`` maximum; the witness vertex is built
+only when it is first read, so a yes/no question builds none.
 
 The pivoting core is a dense two-phase simplex with Bland's rule, which
 cannot cycle, on a fraction-free integer tableau: each row is held as
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
 
@@ -265,6 +268,15 @@ def _vertex(tab, basis, width) -> list:
     return y
 
 
+def _basic_value(tab, basis, j) -> Fraction:
+    """Column j's value at the basic solution: its basic row's rhs over
+    its entry, or zero when it is not basic."""
+    for r, b in enumerate(basis):
+        if b == j:
+            return Fraction(tab[r][-1], tab[r][j])
+    return ZERO
+
+
 _EPS = "__eps__"
 
 
@@ -276,7 +288,8 @@ def _sign_row(c: LinearConstraint) -> bool:
 
 class LinearProgram:
     """A system after phase 1: ``kept`` is its tableau and feasible basis
-    (None if even the relaxed system is infeasible), ``witness`` the
+    (None if even the relaxed system is infeasible), ``feasible`` says
+    whether the system itself has a point, and ``witness`` is the
     feasibility objective's vertex (None if the system is infeasible).
 
     ``LinearProgram(system)`` is the adapter for :class:`LinearSystem`
@@ -362,19 +375,32 @@ class LinearProgram:
             row[n + i] = scale
             row[-1] = abs(rhs)
             tab.append(row)
-        self.kept = _phase_one(tab, n)
-        self.witness = None
-        if self.kept is not None:
-            value, point = self.maximizer(_EPS if strict else None)
-            self.witness = point if value > 0 or not strict else None
+        # The feasibility objective is zero without strict rows, so the
+        # kept basis is its optimum; with them it is the largest eps, which
+        # must be positive.  Its vertex is built when ``witness`` is read.
+        self.kept = self._feasible_basis = _phase_one(tab, n)
+        if strict and self.kept is not None:
+            best = self._optimum(_EPS)
+            self._feasible_basis = best if _basic_value(*best, col[_EPS]) > 0 else None
+        self.feasible = self._feasible_basis is not None
+
+    @cached_property
+    def witness(self) -> Optional[dict]:
+        """The feasibility objective's optimal vertex, None when the system
+        is infeasible; built on first read and kept."""
+        return None if self._feasible_basis is None else self._point(*self._feasible_basis)
+
+    def _point(self, tab, basis) -> dict:
+        """The basic solution of an optimal (tableau, basis), by variable."""
+        y = _vertex(tab, basis, len(self.col))
+        return {v: y[self.col[v]] for v in self.names}
 
     def _optimum(self, column):
-        """Phase 2 for a column (None: zero objective) from the kept basis."""
+        """Phase 2 for a column from the kept basis."""
         if self.kept is None:
             raise InfeasibleSystemError("system is infeasible")
         obj = [0] * len(self.col)
-        if column is not None:
-            obj[self.col[column]] = 1
+        obj[self.col[column]] = 1
         optimum = _phase_two(*self.kept, obj)
         if optimum is None:
             raise UnboundedObjectiveError(f"variable {column!r} unbounded above")
@@ -383,26 +409,13 @@ class LinearProgram:
     def maximum(self, column) -> Fraction:
         """The column's largest value, for a variable its supremum over the
         closure, read off its basic row; no vertex is built."""
-        tab, basis = self._optimum(column)
-        j = self.col[column]
-        for r, b in enumerate(basis):
-            if b == j:
-                return Fraction(tab[r][-1], tab[r][j])
-        return ZERO
-
-    def maximizer(self, column) -> tuple:
-        """The column's largest value, as :meth:`maximum` gives it, with
-        the optimal vertex over the variables."""
-        tab, basis = self._optimum(column)
-        y = _vertex(tab, basis, len(self.col))
-        value = ZERO if column is None else y[self.col[column]]
-        return value, {v: y[self.col[v]] for v in self.names}
+        return _basic_value(*self._optimum(column), self.col[column])
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility exactly; the witness satisfies strict rows strictly."""
-    witness = LinearProgram(system).witness
-    return FeasibilityResult(witness is not None, witness)
+    lp = LinearProgram(system)
+    return FeasibilityResult(lp.feasible, lp.witness)
 
 
 def maximize(system: LinearSystem, variable: str) -> Optimum:
@@ -421,10 +434,11 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     if variable not in system.variables:
         raise KeyError(f"unknown variable {variable!r}")
     lp = LinearProgram(system)
-    if lp.strict and lp.witness is None:
+    if not lp.feasible:
         raise InfeasibleSystemError("system is infeasible")
-    value, point = lp.maximizer(variable)
     if not lp.strict:
-        return Optimum(value, True, point)
+        point = lp._point(*lp._optimum(variable))
+        return Optimum(point[variable], True, point)
+    value = lp.maximum(variable)
     res = solve_feasibility(system.with_rows([({variable: 1}, Comparison.EQ, value)]))
     return Optimum(value, res.feasible, res.witness)

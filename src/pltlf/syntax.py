@@ -75,10 +75,42 @@ _INVERSE = {
 _RELAXED = {Comparison.LT: Comparison.LE, Comparison.GT: Comparison.GE}
 
 
+# Node types are frozen dataclasses with the field hash; their equality is
+# Formula's, so none is generated.
+_node = dataclass(frozen=True, repr=False, eq=False, unsafe_hash=True)
+
+
 class Formula:
-    """Base class for formula nodes.  All nodes are immutable."""
+    """Base class for formula nodes.  All nodes are immutable.  A node
+    type's hash is its dataclass field hash, and equality is structural."""
 
     __slots__ = ()
+    __hash__ = object.__hash__  # defining __eq__ would unset it
+
+    def __eq__(self, other):
+        # over an explicit stack of node pairs, so trees of any depth
+        # compare; a pair of one node twice is equal at once
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            names = _FIELDS.get(a.__class__)
+            if names is None or b.__class__ is not a.__class__:
+                if isinstance(a, Formula) or a != b:
+                    return False
+                continue
+            for name in names:
+                x, y = getattr(a, name), getattr(b, name)
+                if type(x) is tuple and type(y) is tuple:
+                    if len(x) != len(y):
+                        return False
+                    stack += zip(x, y)
+                else:
+                    stack.append((x, y))
+        return True
 
     def __and__(self, other: "Formula") -> "Formula":
         return And((self, other))
@@ -104,12 +136,12 @@ class Formula:
             return f"<{name}>"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class TrueConst(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class FalseConst(Formula):
     pass
 
@@ -127,7 +159,7 @@ def is_proposition_name(name: str) -> bool:
     return bool(_IDENT_RE.match(name)) and name not in KEYWORDS
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Prop(Formula):
     name: str
 
@@ -136,12 +168,12 @@ class Prop(Formula):
             raise ValueError(f"invalid proposition name {self.name!r}")
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class And(Formula):
     operands: tuple
 
@@ -150,7 +182,7 @@ class And(Formula):
             raise ValueError("conjunction needs at least two operands")
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Or(Formula):
     operands: tuple
 
@@ -159,34 +191,34 @@ class Or(Formula):
             raise ValueError("disjunction needs at least two operands")
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Eventually(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Always(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Prob(Formula):
     """Probability bound ``P <cmp> bound [operand]`` on the children of a node."""
 
@@ -308,6 +340,41 @@ def formula_text(f: Formula) -> str:
     return "".join(out)
 
 
+def size_and_text(formulas) -> list:
+    """``(formula_size(g), formula_text(g))`` for each of the formulas,
+    rendering every node once: its text is joined from its
+    :func:`_text_pieces` and its children's texts.  The memo is keyed by
+    ``id`` within the call, as keying it by node would hash every subtree
+    again; the formulas keep each node alive.  Iterative, so any depth
+    works."""
+    memo = {}
+    for top in formulas:
+        stack = [top]
+        while stack:
+            g = stack[-1]
+            if id(g) in memo:
+                stack.pop()
+                continue
+            if type(g) is Prop:
+                memo[id(g)] = (1, g.name)
+                continue
+            pending = [x for x in children(g) if id(x) not in memo]
+            if pending:
+                stack += pending
+                continue
+            size, parts = 1, []
+            for piece in _text_pieces(g):
+                if type(piece) is str:
+                    parts.append(piece)
+                    continue
+                x, minimum = piece
+                count, text = memo[id(x)]
+                size += count
+                parts.append(f"({text})" if _precedence(x) < minimum else text)
+            memo[id(g)] = (size, "".join(parts))
+    return [memo[id(g)] for g in formulas]
+
+
 def negate(f: Formula) -> Formula:
     """Negation of a normalized formula, kept in normal form.
 
@@ -409,6 +476,8 @@ def _normalize(f: Formula) -> Formula:
 _CORE = (TrueConst, FalseConst, Prop, Not, And, Next, Until, Prob)
 # Every node type.
 _NODES = (*_CORE, Or, Implies, Eventually, Always)
+# The fields Formula.__eq__ compares, per node type.
+_FIELDS = {node: node.__match_args__ for node in _NODES}
 
 
 def is_normalized(f: Formula) -> bool:

@@ -194,17 +194,19 @@ def build_weighted(source) -> WeightedAutomaton:
     The weight of an edge from ``a`` to ``a'`` is the best mass any
     surviving scenario of ``a`` can give the subset position that ``a'``
     occupies; positions are pinned by which probability arguments hold in
-    ``a'``.  Every surviving scenario is a subset of ``a``'s transition
+    ``a'``.  Every surviving scenario is a subset of ``a``'s maximal
     family against the good set, a child tuple of a subset extends to one
     of that family, and adjoining variables never lowers a supremum, so one
     maximisation over the family's system gives each weight.  Each
     position with positive mass becomes one group over its occupants, so
     every weight lies in (0, 1]: it is positive, and no mass exceeds the 1
     that the system's masses sum to.  Every atom of a class shares the
-    class's groups.  The occupants are
-    empty exactly when the maximal family has no child tuple, so each good
-    class is decided once.  States whose atoms agree on the propositions
-    share one valuation frozenset.
+    class's groups.  The family and its occupants, empty exactly when the
+    family has no child tuple, are found once per next mask, then the
+    family's feasibility and maxima once per (signature, family).  Without
+    probability pairs a good class's one group is the good atoms whose
+    next-argument mask is its next mask, with weight 1.  States whose
+    atoms agree on the propositions share one valuation frozenset.
     """
     aut = _compiled(source)
     if aut._weighted is not None:
@@ -213,13 +215,24 @@ def build_weighted(source) -> WeightedAutomaton:
     states = tuple(sorted(good))
     groups = {}
     interned = {}
+    by_mask = {}  # next mask -> (maximal family, its occupants)
     for members in aut._classes:
         aid = members[0]
         if aid not in good:
             continue
-        family = aut.maximal_family(aid, good)
-        occupants = aut.occupants(aid, family, good)
-        if not occupants or aut.family_point(aid, family) is None:
+        req = aut._next_present[aid]
+        if not aut._pairs:
+            # one group: the good atoms that carry the next mask, weight 1
+            fits = tuple(cid for cid in aut._by_args.get(req, ()) if cid in good)
+            if fits:
+                k = interned.setdefault(fits, len(interned))
+                groups.update(dict.fromkeys(members, ((ONE, k),)))
+            continue
+        if req not in by_mask:
+            family = aut.maximal_family(aid, good)
+            by_mask[req] = family, aut.occupants(aid, family, good)
+        family, occupants = by_mask[req]
+        if not occupants or not aut.family_feasible(aid, family):
             continue
         out = []
         for qmask, fits in occupants.items():

@@ -72,9 +72,10 @@ def data_dir():
 def lp_runs(monkeypatch):
     """What the exact LP solves: the variables of each program that runs
     phase 1, whether built from a ``LinearSystem`` or from integer rows,
-    and each objective maximised from a kept basis as (variables, column),
-    the column None for a feasibility objective without strict rows; both
-    ``maximum`` and ``maximizer`` run an objective through ``_optimum``."""
+    and each objective maximised from a kept basis as (variables, column):
+    every objective, a strict system's feasibility test for ``eps``
+    included, runs through ``_optimum``.  Without strict rows phase 1 alone
+    decides feasibility."""
     runs = {"phase_one": [], "objectives": []}
     load, optimum = linsolve.LinearProgram._load, linsolve.LinearProgram._optimum
 

@@ -1,6 +1,7 @@
 """Tree automaton: scenarios, transitions, good states, witness models."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 from itertools import combinations, islice
@@ -13,7 +14,7 @@ import atom_reference
 import family_reference
 import simplex_reference
 import strategies as sts
-from oracles import bounded_satisfiable, formula_family, recheck_tuple
+from oracles import bounded_satisfiable, fm_feasible, formula_family, recheck_tuple
 from pltlf import (
     TreeAutomaton,
     WitnessModel,
@@ -274,18 +275,24 @@ class TestCandidates:
     @pytest.mark.parametrize(
         "text", ["P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]", "X X a & F b", "G(a -> X b)"]
     )
-    def test_atoms_are_scanned_once_per_next_mask(self, text, monkeypatch):
+    def test_atoms_are_bucketed_once_per_next_mask(self, text, monkeypatch):
         # with probability pairs, candidates depend only on the parent's
-        # next mask, and each scan reads every atom's next-argument mask
-        # once; the worklist reads each joining atom's mask once more.
-        # Without pairs, no scan runs at all.
+        # next mask: one walk over the next-argument masks per next mask
+        # reads the profile of every atom that can be a child once, and no
+        # atom's next-argument mask; the worklist reads each joining atom's
+        # mask once.  Without pairs, no walk runs at all.
         aut = TreeAutomaton(parse_formula(text))
-        reads = {True: [], False: []}
+        args = list(aut._next_args)
+        reads = {"next_args": {True: [], False: []}, "parg": {True: [], False: []}}
         scanning = [False]
 
         class CountingList(list):
+            def __init__(self, name, items):
+                super().__init__(items)
+                self.name = name
+
             def __getitem__(self, index):
-                reads[scanning[0]].append(index)
+                reads[self.name][scanning[0]].append(index)
                 return super().__getitem__(index)
 
         candidates = aut._candidates
@@ -297,17 +304,22 @@ class TestCandidates:
             finally:
                 scanning[0] = False
 
-        monkeypatch.setattr(aut, "_next_args", CountingList(aut._next_args))
+        monkeypatch.setattr(aut, "_next_args", CountingList("next_args", aut._next_args))
+        monkeypatch.setattr(aut, "_parg", CountingList("parg", aut._parg))
         monkeypatch.setattr(aut, "_candidates", counting)
         aut.good_states()
         build_weighted(aut)
-        masks = {aut._next_present[aid] for aid in range(len(aut.atoms))}
-        assert len(reads[False]) <= len(aut.atoms)
+        assert reads["next_args"][True] == []
+        assert len(reads["next_args"][False]) <= len(aut.atoms)
         if aut._pairs:
-            assert reads[True]
-            assert len(reads[True]) <= len(masks) * len(aut.atoms)
+            assert aut._cand_cache
+            expected = [
+                cid for req in aut._cand_cache for cid in range(len(aut.atoms))
+                if not req & ~args[cid]
+            ]
+            assert sorted(reads["parg"][True]) == sorted(expected)
         else:
-            assert reads[True] == [] and aut._cand_cache == {}
+            assert reads["parg"][True] == [] and aut._cand_cache == {}
 
 
 class TestReduction:
@@ -627,6 +639,70 @@ class TestBranchPrograms:
                     assert direct.maximum(name) == spelled.maximum(name)
 
 
+# the benchmark's two-bound tree-queries formulas
+TREE_QUERY_FORMULAS = (
+    "P<=0.5[a] & P>=0.6[X b]",
+    PSI_TEXT,
+    "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+    "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
+    "P>=0.5[a] & P>=0.6[!a]",
+)
+
+
+class TestUpSetFeasibility:
+    """``family_feasible`` answers a family from the families its signature
+    decided before where feasibility's upward closure settles it, and
+    builds the branch program otherwise; either way the answer is the
+    program's, and the Fourier-Motzkin oracle's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("text", TREE_QUERY_FORMULAS)
+    def test_every_family_in_random_orders(self, text, seed, lp_runs):
+        aut = TreeAutomaton(parse_formula(text))
+        some_atom = {}
+        for aid, sig in enumerate(aut._prob_sig):
+            some_atom.setdefault(sig, aid)
+        subsets = range(1 << len(aut._pairs))
+        questions = [
+            (aid, family)
+            for aid in some_atom.values()
+            for size in range(1, len(subsets) + 1)
+            for family in combinations(subsets, size)
+        ]
+        random.Random(seed).shuffle(questions)
+        answers, decided = [], {}
+        for aid, family in questions:
+            earlier = decided.setdefault(aut._prob_sig[aid], [])
+            # a family the up-set decides builds no tableau; any other does
+            settled = any(
+                set(other) <= set(family) if ok else set(family) <= set(other)
+                for other, ok in earlier
+            )
+            before = len(lp_runs["phase_one"])
+            ok = aut.family_feasible(aid, family)
+            assert len(lp_runs["phase_one"]) == before + (not settled)
+            earlier.append((family, ok))
+            answers.append(ok)
+        assert len(lp_runs["phase_one"]) < len(questions)
+        for (aid, family), ok in zip(questions, answers):
+            assert ok == LinearProgram.from_int_rows(*aut.branch_rows(aid, family)).feasible
+            assert ok == fm_feasible(aut.build_system(aid, family))
+            assert ok == (aut.family_point(aid, family) is not None)
+
+    @settings(max_examples=40)
+    @given(sts.formulas())
+    def test_random_formulas_match_the_per_atom_reference(self, f):
+        aut = TreeAutomaton(f)
+        assume(aut._pairs and len(aut.atoms) <= 256)
+        reference = TreeAutomaton(f)
+        assert aut.good_states() == atom_reference.good_states(reference)
+        wa, expected = build_weighted(aut), atom_reference.build_weighted(reference)
+        assert wa.groups == expected.groups
+        assert wa.children == expected.children
+        found, model = witness_model(aut), atom_reference.witness_model(reference)
+        assert (found and found.to_dict()) == (model and model.to_dict())
+
+
 class TestProbabilityFreeReachability:
     """Without probability pairs the good states are backward reachability
     over next-argument masks, and the one family needs no LP.  Good states,
@@ -702,59 +778,104 @@ class TestMasksFromColumns:
         } == atom_reference.masks(aut)
 
 
+def counting_calls(monkeypatch, aut, names, calls):
+    """Record ``(name, args)`` in ``calls`` for each call of the named
+    methods of ``aut``, in call order."""
+    for name in names:
+        method = getattr(aut, name)
+
+        def counting(*args, _name=name, _method=method):
+            calls.append((_name, args))
+            return _method(*args)
+
+        monkeypatch.setattr(aut, name, counting)
+
+
 class TestClassCounts:
-    @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b"])
-    def test_good_states_decide_each_class_at_most_once_per_sweep(self, text, monkeypatch):
+    @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b", LARGER_TEXTS[1]])
+    def test_good_states_decide_each_next_mask_once_per_sweep(self, text, monkeypatch):
+        # a sweep finds the maximal family and its first tuple once per
+        # touched next mask, then asks family_feasible once per pending
+        # class of a mask whose family has a tuple
         aut = TreeAutomaton(parse_formula(text))
         calls = []
-        decide = aut.transition_family
-
-        def counting(aid, restrict):
-            calls.append((restrict, aid))
-            return decide(aid, restrict)
-
-        monkeypatch.setattr(aut, "transition_family", counting)
+        counting_calls(
+            monkeypatch, aut, ["maximal_family", "first_tuple", "family_feasible"], calls
+        )
         gs = aut.good_states()
         if not aut._pairs:
             # reachability over next-argument masks decides every class
             assert calls == []
             return
         classes = class_of(aut)
-        # each sweep tests against a new snapshot, kept alive by ``calls``
-        sweeps = {}
-        for restrict, aid in calls:
-            sweeps.setdefault(id(restrict), []).append(classes[aid])
-            # only after a candidate joined in the sweep before, which is
-            # the latest sweep the snapshot holds
-            latest = max(gs.distance[c] for c in restrict)
-            candidates = atom_reference.kept(aut, aid, None, restrict)
-            assert any(
-                gs.distance[cid] == latest for cands in candidates.values() for cid, _ in cands
-            )
+        # each sweep tests against a new snapshot, kept alive by ``calls``;
+        # feasibility questions belong to the sweep of the last family
+        sweeps, restrict = {}, None
+        for name, args in calls:
+            if name == "family_feasible":
+                aid, family = args
+                sweep = sweeps[id(restrict)]
+                assert aut._next_present[aid] in sweep["tuples"]
+                assert sweep["tuples"][aut._next_present[aid]] == family
+                sweep["feasible"].append(classes[aid])
+                continue
+            aid, restrict = args[0], args[-1]
+            sweep = sweeps.setdefault(id(restrict), {"families": [], "tuples": {}, "feasible": []})
+            req = aut._next_present[aid]
+            if name == "maximal_family":
+                sweep["families"].append(req)
+                # only after a candidate joined in the sweep before, which
+                # is the latest sweep the snapshot holds
+                latest = max(gs.distance[c] for c in restrict)
+                candidates = atom_reference.kept(aut, aid, None, restrict)
+                assert any(
+                    gs.distance[cid] == latest
+                    for cands in candidates.values() for cid, _ in cands
+                )
+            else:
+                assert sweep["families"][-1] == req
+                sweep["tuples"][req] = args[1]
         assert 1 <= len(sweeps) <= gs.sweeps + 1
-        for decided in sweeps.values():
-            assert len(decided) == len(set(decided))
-        assert len(calls) <= len(aut._classes) * (gs.sweeps + 1)
+        masks = {aut._next_present[aid] for aid in range(len(aut.atoms))}
+        for sweep in sweeps.values():
+            assert len(sweep["families"]) == len(set(sweep["families"]))
+            assert len(sweep["feasible"]) == len(set(sweep["feasible"]))
+        decided = [req for sweep in sweeps.values() for req in sweep["families"]]
+        assert len(decided) <= len(masks) * (gs.sweeps + 1)
 
-    @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b"])
-    def test_weighted_build_reads_occupants_once_per_good_class(self, text, monkeypatch):
+    @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, LARGER_TEXTS[1]])
+    def test_weighted_build_reads_occupants_once_per_good_next_mask(self, text, monkeypatch):
         aut = TreeAutomaton(parse_formula(text))
         good = aut.good_states().good
         calls = []
-        occupants = aut.occupants
-
-        def counting(aid, qsets, restrict):
-            calls.append(aid)
-            return occupants(aid, qsets, restrict)
-
-        monkeypatch.setattr(aut, "occupants", counting)
+        counting_calls(monkeypatch, aut, ["maximal_family", "occupants"], calls)
         build_weighted(aut)
-        classes = class_of(aut)
-        decided = [classes[aid] for aid in calls]
-        assert len(decided) == len(set(decided))
-        # the occupants are what decides a good class there: they are empty
-        # exactly when its maximal family has no child tuple
-        assert set(decided) == {k for k, members in enumerate(aut._classes) if members[0] in good}
+        found = {
+            name: [aut._next_present[args[0]] for n, args in calls if n == name]
+            for name in ("maximal_family", "occupants")
+        }
+        expected = list(dict.fromkeys(
+            aut._next_present[members[0]] for members in aut._classes if members[0] in good
+        ))
+        # the occupants are what decides a good class there, with its
+        # signature's feasibility: they are empty exactly when its maximal
+        # family has no child tuple
+        assert found == {"maximal_family": expected, "occupants": expected}
+
+    @pytest.mark.parametrize("text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0]])
+    def test_pair_free_weighted_build_reads_the_mask_index(self, text, monkeypatch):
+        # a good class's one group is the good atoms that carry its next
+        # mask, read off the index with no occupants and no positions
+        aut = TreeAutomaton(parse_formula(text))
+        expected = atom_reference.build_weighted(aut)
+        calls = []
+        counting_calls(
+            monkeypatch, aut, ["maximal_family", "occupants", "_positions", "family_max"], calls
+        )
+        wa = build_weighted(aut)
+        assert calls == []
+        assert wa.groups == expected.groups
+        assert wa.children == expected.children
 
     @pytest.mark.parametrize("text", CLASS_FORMULAS)
     def test_classes_partition_the_atoms_by_mask_and_signature(self, text):

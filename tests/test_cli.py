@@ -501,8 +501,8 @@ def test_walkthrough_runs():
 # Total that scripts/cli_digest.py prints when every listed command
 # answers byte for byte as pinned; a change to CLI output changes it.
 CLI_DIGEST_TOTAL = (
-    "d44639734962924ab91ceb6a44940546f15b4465d0be5d85a5e34f585ea7774d"
-    "  total over 154 commands"
+    "ff4ce860979dc56393c0ce417dc6b98f0a9a38d6a1081942e5b5cc8d79ba8ea3"
+    "  total over 169 commands"
 )
 
 

@@ -12,7 +12,7 @@ from pltlf import (
     parse_formula,
 )
 from pltlf.closure import atom_of_members
-from pltlf.syntax import And, Prob, formula_text
+from pltlf.syntax import And, Prob, formula_size, formula_text, size_and_text
 
 import atom_reference
 import strategies as sts
@@ -49,6 +49,14 @@ class TestClosure:
         assert ClosureSet(phi0).members == ClosureSet(phi0).members
         texts = [formula_text(g) for g in ClosureSet(phi0).members]
         assert texts == sorted(set(texts), key=texts.index)
+
+    @given(sts.formulas())
+    def test_sort_key_renders_each_member_as_formula_text(self, f):
+        # members are sorted by (node count, text), both read bottom-up
+        members = list(ClosureSet(f).members)
+        expected = [(formula_size(g), formula_text(g)) for g in members]
+        assert size_and_text(members) == expected
+        assert expected == sorted(expected)
 
     def test_membership(self, psi):
         clo = ClosureSet(psi)

@@ -154,13 +154,13 @@ class TestScenarios:
         state = monitor_step(state, prefix[1])
         assert most_likely_scenario(table, prefix) == state.best_index == 2
         assert builds == []
-        # one phase 1 for the table, then its feasibility objective (no
-        # strict rows) and one objective per live scenario
+        # one phase 1 for the table, which decides its feasibility (no
+        # strict rows), then one objective per live scenario
         live = tuple(table.variable(i) for i, sat in enumerate(table.satisfiable) if sat)
         assert len(live) == 3
         assert lp_runs["phase_one"] == [live]
         columns = [column for names, column in lp_runs["objectives"] if names == live]
-        assert columns == [None, *live]
+        assert columns == list(live)
 
     @pytest.mark.parametrize("first_step", ["accepts", "monitor"])
     def test_weighted_automaton_is_built_on_the_first_step(
@@ -229,7 +229,8 @@ class TestMaxima:
         assert table.maxima == (0, Fraction(1, 2), Fraction(1, 2), 0)
         live = ("x01", "x10")
         assert lp_runs["phase_one"] == [live]
-        assert lp_runs["objectives"] == [(live, None), (live, "x01"), (live, "x10")]
+        # phase 1 alone decides a system without strict rows
+        assert lp_runs["objectives"] == [(live, "x01"), (live, "x10")]
 
     def test_the_automaton_solves_no_lp(self, psi1_flat, lp_runs):
         # the scenario acceptors' automaton has no probability pairs, so

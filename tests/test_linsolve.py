@@ -255,10 +255,13 @@ def standard_forms(system, maxima=True, int_rows=None):
     shared ``LinearProgram``.  Given ``int_rows``, the (names, rows) of
     the same system, ``LinearProgram.from_int_rows`` on them is a caller
     too, with its feasibility objective and, with ``maxima``, each
-    variable's maximum.  A tableau whose phase 1 fails is listed with the
-    zero objective."""
+    variable's maximum.  A tableau whose phase 1 fails, or whose kept
+    basis no phase 2 re-optimises (a feasibility test without strict rows
+    reads its witness off that basis), is listed with the zero
+    objective."""
     forms = {}
     kept = {}  # id of a kept tableau -> (form, kept result)
+    idle = {}  # id of a kept tableau no phase 2 has read yet -> form
     phase_one, phase_two = linsolve._phase_one, linsolve._phase_two
 
     def capture_one(tab, n):
@@ -268,9 +271,11 @@ def standard_forms(system, maxima=True, int_rows=None):
             sink.append((*form, [0] * n))
         else:
             kept[id(result[0])] = form, result
+            idle[id(result[0])] = form
         return result
 
     def capture_two(tab, basis, objective):
+        idle.pop(id(tab), None)
         sink.append((*kept[id(tab)][0], list(objective)))
         return phase_two(tab, basis, objective)
 
@@ -303,6 +308,8 @@ def standard_forms(system, maxima=True, int_rows=None):
         for caller in callers:
             sink = forms[caller] = []
             calls[caller]()
+            sink += [(*form, [0] * form[1]) for form in idle.values()]
+            idle.clear()
     return forms
 
 

@@ -437,3 +437,33 @@ class TestDeepChains:
         f = chain(node, MAX_DEPTH - 1)
         check_depth(f)
         assert eval_trace(f, t("a,b;a,b")) == truth
+
+
+class TestDeepEquality:
+    """Equality walks an explicit stack, so separately built deep trees
+    compare from deep in the call stack; hashing is the dataclass hash."""
+
+    LEVELS = 250
+
+    @staticmethod
+    def from_depth(frames, call):
+        return call() if frames == 0 else TestDeepEquality.from_depth(frames - 1, call)
+
+    def test_deep_chains_compare_from_deep_frames(self):
+        leaf = Prop("a")
+        a = chain(lambda f: And((Prop("b"), f)), self.LEVELS, leaf)
+        b = chain(lambda f: And((Prop("b"), f)), self.LEVELS, Prop("a"))
+        c = chain(lambda f: And((Prop("b"), f)), self.LEVELS, Prop("c"))
+        assert a is not b
+        assert self.from_depth(150, lambda: a == b)
+        assert self.from_depth(150, lambda: a != c)
+        assert self.from_depth(150, lambda: not a == c)
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    @given(sts.formulas(), sts.formulas())
+    def test_answers_as_the_field_comparison(self, f, g):
+        # the dataclass comparison: same node type and equal fields
+        assert (f == g) == (type(f) is type(g) and formula_text(f) == formula_text(g))
+        assert (f == f) and not (f != f)
+        assert f != 5 and not f == "a"
