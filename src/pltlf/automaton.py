@@ -42,9 +42,17 @@ fixes its branch systems; being final reads the same two, so the atoms
 fall into classes by those two.  Its halves read one each: the maximal
 family, its first tuple and its occupants read only the next mask, and
 the family's feasibility only the signature and the family.  So each
-decision is made once per next mask, then once per (signature, family),
-and by upward closure each signature's decided families settle most
-families without a program: see :meth:`TreeAutomaton.family_feasible`.
+decision is made once per next mask, then once per (signature, family).
+
+A branch system asks whether some distribution over the family's
+profiles, its child subsets, puts the required mass on every bound's
+argument.  Most are settled by reading the profiles, from masks each
+signature keeps: the point mass of one profile may meet every bound, or
+a bound may fail at the one mass its argument can take, 0 when no
+profile holds it and 1 when every profile does.  A subset's point mass
+meeting every relaxed bound gives it maximum 1, and a one-profile family
+has its point mass as its only point.  Only what none of these settles
+builds a program: see :meth:`TreeAutomaton.family_feasible`.
 
 The program asks two questions of a scenario: the first child tuple, which
 decides whether a transition exists and gives the witness its children,
@@ -131,10 +139,6 @@ class TreeAutomaton:
         sides = transpose([cols[i] for i, _, _ in self._pairs], n)
         some_atom = dict(zip(sides, range(n)))
         sig_of = {side: k for k, side in enumerate(some_atom)}
-        empty_ok = {
-            side: all(m.cmp.holds(ZERO, m.bound) for m in self.prob_members_of(aid))
-            for side, aid in some_atom.items()
-        }
         self._prob_sig = [sig_of[side] for side in sides]
         # each signature's bounds as (cmp, numerator, denominator), read once
         self._sig_bounds = [
@@ -143,7 +147,36 @@ class TreeAutomaton:
         ]
         width = len(self._pairs)
         self._qset_names = [_qset_name(q, width) for q in range(1 << width)]
-        self.final = [mask == 0 and empty_ok[s] for mask, s in zip(self._next_present, sides)]
+
+        # Families and profile sets are masks over profiles: bit q stands
+        # for the child subset q.  holders[j] holds the profiles that hold
+        # pair j's argument.  Per signature, read each bound at mass 0 and
+        # at mass 1: ``_points`` holds the profiles whose point mass meets
+        # every bound as written, ``_relaxed_points`` every relaxed bound,
+        # and a family that misses one of ``_needs`` leaves some bound at
+        # the mass it fails at.
+        everyone = (1 << (1 << width)) - 1
+        holders = [
+            sum(1 << q for q in range(1 << width) if q >> j & 1) for j in range(width)
+        ]
+        self._points, self._relaxed_points, self._needs = [], [], []
+        for bounds in self._sig_bounds:
+            points = relaxed = everyone
+            needs = []
+            for held, (cmp, num, den) in zip(holders, bounds):
+                at0, at1 = cmp.holds(0, num), cmp.holds(den, num)
+                points &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
+                needs += [held] * (not at0) + [everyone & ~held] * (not at1)
+                at0, at1 = cmp.relaxed.holds(0, num), cmp.relaxed.holds(den, num)
+                relaxed &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
+            self._points.append(points)
+            self._relaxed_points.append(relaxed)
+            self._needs.append(needs)
+        # profile 0 holds no argument: its point mass is mass 0 everywhere
+        self.final = [
+            mask == 0 and bool(self._points[s] & 1)
+            for mask, s in zip(self._next_present, self._prob_sig)
+        ]
         classes = {}
         for aid, key in enumerate(zip(self._next_present, self._prob_sig)):
             classes.setdefault(key, []).append(aid)
@@ -164,7 +197,6 @@ class TreeAutomaton:
         self._family_cache = {}
         self._cand_cache = {}
         self._point_cache = {}
-        self._decided = {}  # signature -> (infeasible, feasible) family masks
         self._max_cache = {}
         self._good = None
         self._weighted = None
@@ -246,48 +278,56 @@ class TreeAutomaton:
     def _program(self, aid: int, qsets) -> LinearProgram:
         """The family's branch program after phase 1, built once per
         (signature, family) from :meth:`branch_rows` straight into the
-        integer tableau, with no :class:`LinearSystem`.  Its answer joins
-        the signature's decided families."""
+        integer tableau, with no :class:`LinearSystem`."""
         key = (self._prob_sig[aid], qsets)
         program = self._point_cache.get(key)
         if program is None:
             program = self._point_cache[key] = LinearProgram.from_int_rows(
                 *self.branch_rows(aid, qsets)
             )
-            decided = self._decided.setdefault(key[0], ([], []))
-            decided[program.feasible].append(sum(1 << q for q in qsets))
         return program
 
     def family_feasible(self, aid: int, qsets) -> bool:
         """Whether the family's branch system is feasible.
 
-        Feasibility is upward-closed in the family, as an extra branch can
-        take zero mass, strict rows included.  So a superset of a family
-        the signature found feasible is feasible, a subset of one it found
-        infeasible is not, and only a family neither rule decides builds
-        its program."""
-        no, yes = self._decided.get(self._prob_sig[aid], ((), ()))
+        Two certificates read only the family's profiles.  The system is
+        feasible when the family holds a profile whose point mass meets
+        every bound.  It is infeasible when some bound fails at mass 0 and
+        no profile holds its argument, or fails at mass 1 and every profile
+        does, as that argument's mass is then fixed.  Only a family neither
+        settles builds its program."""
+        sig = self._prob_sig[aid]
         mask = sum(1 << q for q in qsets)
-        if any(not f & ~mask for f in yes):
+        if mask & self._points[sig]:
             return True
-        if any(not mask & ~f for f in no):
+        if any(not mask & need for need in self._needs[sig]):
             return False
         return self._program(aid, qsets).feasible
 
     def family_point(self, aid: int, qsets) -> Optional[dict]:
         """Deterministic point of the family's branch system, or None when
-        it is infeasible: the feasibility objective's vertex."""
+        it is infeasible: the feasibility objective's vertex.  A feasible
+        one-profile family has one point, all the mass on its profile, and
+        builds no program."""
+        if len(qsets) == 1 and self._points[self._prob_sig[aid]] >> qsets[0] & 1:
+            return {self._qset_names[qsets[0]]: ONE}
         return self._program(aid, qsets).witness
 
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
         """Largest mass the family's branch system lets the subset
-        ``qmask`` absorb: a phase 2 from the basis the family's program
-        kept, which must be feasible.  Results are shared across atoms
-        with equal probability signatures."""
-        key = (self._prob_sig[aid], qsets, qmask)
+        ``qmask`` absorb, over the closure of the system, which must be
+        feasible.  It is 1 when the subset's point mass meets every relaxed
+        bound; otherwise it is a phase 2 from the basis the family's
+        program kept.  Results are shared across atoms with equal
+        probability signatures."""
+        sig = self._prob_sig[aid]
+        key = (sig, qsets, qmask)
         if key not in self._max_cache:
-            name = self._qset_names[qmask]
-            self._max_cache[key] = self._program(aid, qsets).maximum(name)
+            if self._relaxed_points[sig] >> qmask & 1:
+                self._max_cache[key] = ONE
+            else:
+                name = self._qset_names[qmask]
+                self._max_cache[key] = self._program(aid, qsets).maximum(name)
         return self._max_cache[key]
 
     def _candidates(self, aid: int) -> dict:
@@ -395,8 +435,8 @@ class TreeAutomaton:
         some feasible family has a child tuple in the set.  The family and
         its first tuple read only the next mask, so a sweep finds them once
         per touched next mask, and then once per (signature, family) asks
-        :meth:`family_feasible`, which the signature's decided families
-        mostly answer without a program.
+        :meth:`family_feasible`, which the family's profiles mostly
+        answer without a program.
 
         Without probability pairs the one family needs no LP and its one
         child carries exactly the parent's next mask as arguments, so a

@@ -9,7 +9,8 @@ by direct structural re-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 
 from pltlf.linsolve import LinearSystem
 from pltlf.syntax import (
@@ -166,144 +167,147 @@ def _subformulas(f: Formula) -> tuple:
     return tuple(seen)
 
 
+@cache
+def _realizable(children: int, bounds: tuple) -> list:
+    """The truth assignments of ``(cmp, bound, holders)`` bounds that
+    child masses realize: one nonnegative mass per child, summing to one,
+    such that each bound made true holds over the children its holders
+    mark and each bound made false fails.  Kept across calls."""
+    names = tuple(f"y{i}" for i in range(children))
+    base = [({y: 1}, Comparison.GE, ZERO) for y in names]
+    base.append((dict.fromkeys(names, 1), Comparison.EQ, ONE))
+    found = []
+    for assignment in product((True, False), repeat=len(bounds)):
+        rows = list(base)
+        for (cmp, bound, holders), t in zip(bounds, assignment):
+            on = {y: 1 for y, held in zip(names, holders) if held}
+            rows.append((on, cmp if t else cmp.inverse, bound))
+        if fm_feasible(LinearSystem.from_rows(names, rows)):
+            found.append(assignment)
+    return found
+
+
 def bounded_satisfiable(f: Formula, depth: int = 3, width: int = 3) -> bool:
     """Existence of a satisfying tree interpretation of bounded shape.
 
     Enumerates, per tree height, the set of subformula profiles realizable
-    at a root.  Probabilities never enter explicitly: with masses free and
-    allowed to be zero, a probability bound's left side can be forced to 0
-    (all mass off the argument), to 1 (all mass on it), or anywhere in
-    [0, 1] when the children are mixed, so only the pattern of argument
-    truth across children matters.  Only the truth of next-arguments,
+    at a root.  At an internal node over a set of distinct child
+    signatures, every truth assignment of the probability subformulas is
+    tried: it is realizable when child masses exist, one nonnegative mass
+    per signature summing to one, that meet each bound made true and the
+    negation of each bound made false, which Fourier-Motzkin elimination
+    decides.  Masses may be zero.  Only the truth of next-arguments,
     until/eventually/always subformulas and probability arguments is
     visible to a parent, so profiles are projected to those bits.
     """
     subs = _subformulas(f)
-    probs = [g for g in subs if isinstance(g, Prob)]
-    if len(probs) > 1:
-        raise ValueError("bounded oracle supports at most one probability operator")
-
+    at = {g: i for i, g in enumerate(subs)}
     relevant = []
     for g in subs:
         match g:
-            case Next(x):
+            case Next(x) | Prob(_, _, x):
                 relevant.append(x)
             case Until() | Eventually() | Always():
                 relevant.append(g)
-            case Prob(_, _, x):
-                relevant.append(x)
-    relevant = tuple(dict.fromkeys(relevant))
+    slot = {g: k for k, g in enumerate(dict.fromkeys(relevant))}
+    probs = [g for g in subs if isinstance(g, Prob)]
+    prob_slots = [slot[g.operand] for g in probs]
+
+    # each subformula as an instruction over the indices of its parts
+    code = []
+    for g in subs:
+        match g:
+            case TrueConst() | FalseConst():
+                code.append(("const", isinstance(g, TrueConst)))
+            case Prop(name):
+                code.append(("prop", name))
+            case Not(x):
+                code.append(("not", at[x]))
+            case And(ops) | Or(ops):
+                code.append((type(g).__name__.lower(), [at[o] for o in ops]))
+            case Implies(l, r):
+                code.append(("implies", at[l], at[r]))
+            case Next(x):
+                code.append(("next", slot[x]))
+            case Until(l, r):
+                code.append(("until", at[l], at[r], slot[g]))
+            case Eventually(x) | Always(x):
+                code.append((type(g).__name__.lower(), at[x], slot[g]))
+            case Prob(cmp, bound, _):
+                code.append(("prob", cmp.holds(ZERO, bound), probs.index(g)))
+    root = at[f]
     valuations = all_valuations(sorted(vars_of(f)))
 
-    def leaf_profile(v: frozenset) -> dict:
-        truth = {}
-        for g in subs:
-            match g:
-                case TrueConst():
-                    t = True
-                case FalseConst():
-                    t = False
-                case Prop(name):
+    def evaluate(v: frozenset, every, some, assignment) -> list:
+        """Truth of every subformula at a node with valuation ``v``.  At a
+        leaf ``every`` is None; otherwise ``every[k]`` and ``some[k]`` say
+        whether all or some children hold relevant bit k, and the
+        probability subformulas are as ``assignment`` fixes them."""
+        truth = []
+        for op in code:
+            match op:
+                case ("const", t):
+                    pass
+                case ("prop", name):
                     t = name in v
-                case Not(x):
+                case ("not", x):
                     t = not truth[x]
-                case And(ops):
-                    t = all(truth[o] for o in ops)
-                case Or(ops):
-                    t = any(truth[o] for o in ops)
-                case Implies(l, r):
-                    t = (not truth[l]) or truth[r]
-                case Next(_):
-                    t = False
-                case Until(_, r):
-                    t = truth[r]
-                case Eventually(x) | Always(x):
-                    t = truth[x]
-                case Prob(cmp, bound, _):
-                    t = cmp.holds(ZERO, bound)
-            truth[g] = t
+                case ("and", xs):
+                    t = all(truth[x] for x in xs)
+                case ("or", xs):
+                    t = any(truth[x] for x in xs)
+                case ("implies", l, r):
+                    t = not truth[l] or truth[r]
+                case ("next", k):
+                    t = every is not None and every[k]
+                case ("until", l, r, k):
+                    t = truth[r] or (every is not None and truth[l] and every[k])
+                case ("eventually", x, k):
+                    t = truth[x] or (every is not None and every[k])
+                case ("always", x, k):
+                    t = truth[x] and (every is None or some[k])
+                case ("prob", at_zero, p):
+                    t = at_zero if every is None else assignment[p]
+            truth.append(t)
         return truth
 
-    def node_profiles(v: frozenset, child_sigs: tuple):
-        """Profiles realizable at an internal node over the given set of
-        distinct child signatures; may branch on a mixed probability."""
-        base = {}
-        branches = [base]
-        for g in subs:
-            for truth in list(branches):
-                match g:
-                    case TrueConst():
-                        t = True
-                    case FalseConst():
-                        t = False
-                    case Prop(name):
-                        t = name in v
-                    case Not(x):
-                        t = not truth[x]
-                    case And(ops):
-                        t = all(truth[o] for o in ops)
-                    case Or(ops):
-                        t = any(truth[o] for o in ops)
-                    case Implies(l, r):
-                        t = (not truth[l]) or truth[r]
-                    case Next(x):
-                        t = all(sig[relevant.index(x)] for sig in child_sigs)
-                    case Until(l, r):
-                        t = truth[r] or (
-                            truth[l]
-                            and all(sig[relevant.index(g)] for sig in child_sigs)
-                        )
-                    case Eventually(x):
-                        t = truth[x] or all(
-                            sig[relevant.index(g)] for sig in child_sigs
-                        )
-                    case Always(x):
-                        t = truth[x] and any(
-                            sig[relevant.index(g)] for sig in child_sigs
-                        )
-                    case Prob(cmp, bound, x):
-                        holds = [sig[relevant.index(x)] for sig in child_sigs]
-                        if all(holds):
-                            t = cmp.holds(ONE, bound)
-                        elif not any(holds):
-                            t = cmp.holds(ZERO, bound)
-                        else:
-                            can_true = any(
-                                cmp.holds(s, bound) for s in (ZERO, bound, ONE)
-                            )
-                            can_false = any(
-                                not cmp.holds(s, bound) for s in (ZERO, bound, ONE)
-                            )
-                            if can_true and can_false:
-                                other = dict(truth)
-                                other[g] = False
-                                branches.append(other)
-                                t = True
-                            else:
-                                t = can_true
-                truth[g] = t
-        return branches
+    def assignments(child_sigs: tuple) -> list:
+        """The truth assignments of the probability subformulas that child
+        masses realize: each bound made true holds, each made false fails."""
+        return _realizable(len(child_sigs), tuple(
+            (g.cmp, g.bound, tuple(sig[k] for sig in child_sigs))
+            for g, k in zip(probs, prob_slots)
+        ))
 
-    def signature(truth: dict) -> tuple:
-        return tuple(truth[g] for g in relevant)
+    visible = [at[g] for g in slot]
 
-    found = False
-    sigs = set()
+    def signature(truth: list) -> tuple:
+        return tuple(truth[i] for i in visible)
+
+    # a level expands only the child sets with a signature found in the
+    # level before: the others gave all their profiles already
+    sigs, expanded = set(), set()
     for v in valuations:
-        profile = leaf_profile(v)
-        found = found or profile[f]
-        sigs.add(signature(profile))
+        truth = evaluate(v, None, None, None)
+        if truth[root]:
+            return True
+        sigs.add(signature(truth))
     for _ in range(depth):
         current = tuple(sorted(sigs))
         for size in range(1, min(width, len(current)) + 1):
             for chosen in combinations(current, size):
-                for v in valuations:
-                    for profile in node_profiles(v, chosen):
-                        found = found or profile[f]
-                        sigs.add(signature(profile))
-        if found:
-            return True
-    return found
+                if expanded.issuperset(chosen):
+                    continue
+                every = tuple(map(all, zip(*chosen)))
+                some = tuple(map(any, zip(*chosen)))
+                for assignment in assignments(chosen):
+                    for v in valuations:
+                        truth = evaluate(v, every, some, assignment)
+                        if truth[root]:
+                            return True
+                        sigs.add(signature(truth))
+        expanded.update(current)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +378,16 @@ _BOUNDS = (
 )
 
 
-def formula_family(minimum: int, closure_cap: int = 12):
+def bounds_in(f: Formula) -> int:
+    """Number of distinct probability subformulas of the formula."""
+    return sum(1 for g in _subformulas(f) if isinstance(g, Prob))
+
+
+def formula_family(minimum: int, closure_cap: int = 12, bounds: int = 1):
     """All formulas over {a, b} of ascending size until at least ``minimum``
     are collected: propositions under negation, next, conjunction, until
-    and a single probability bound."""
+    and at most ``bounds`` probability bounds, which nest when there may
+    be more than one."""
     from pltlf.closure import ClosureSet
     from pltlf.syntax import Comparison
 
@@ -385,13 +395,10 @@ def formula_family(minimum: int, closure_cap: int = 12):
     by_size = {1: list(atoms)}
     family = []
 
-    def probs_in(g: Formula) -> int:
-        return sum(1 for s in _subformulas(g) if isinstance(s, Prob))
-
     size = 1
     while True:
         for g in by_size.get(size, ()):
-            if probs_in(g) <= 1 and len(ClosureSet(g)) <= closure_cap:
+            if bounds_in(g) <= bounds and len(ClosureSet(g)) <= closure_cap:
                 family.append(g)
         if len(family) >= minimum:
             return family
@@ -400,7 +407,7 @@ def formula_family(minimum: int, closure_cap: int = 12):
         for g in by_size.get(size - 1, ()):
             built.append(Not(g))
             built.append(Next(g))
-            if probs_in(g) == 0:
+            if bounds_in(g) < bounds:
                 for cmp, bound in _BOUNDS:
                     built.append(Prob(Comparison(cmp), bound, g))
         for left_size in range(1, size - 1):

@@ -14,7 +14,7 @@ import atom_reference
 import family_reference
 import simplex_reference
 import strategies as sts
-from oracles import bounded_satisfiable, fm_feasible, formula_family, recheck_tuple
+from oracles import bounded_satisfiable, bounds_in, fm_feasible, formula_family, recheck_tuple
 from pltlf import (
     TreeAutomaton,
     WitnessModel,
@@ -435,6 +435,74 @@ class TestSatisfiability:
             assert is_satisfiable(f)
 
 
+def tree_shape(model) -> tuple:
+    """Height and largest number of children of a tree interpretation."""
+    if not model.children:
+        return 0, 0
+    shapes = [tree_shape(c) for c in model.children]
+    return 1 + max(h for h, _ in shapes), max(len(model.children), *(w for _, w in shapes))
+
+
+SINGLE_BOUNDS = [f for f in formula_family(60) if bounds_in(f) == 1]
+
+
+class TestSeveralBounds:
+    """Several and nested bounds against the bounded model search, which
+    decides each node's bounds jointly by Fourier-Motzkin elimination over
+    child masses.  On the fixed families the answers are equal; on random
+    draws the engine's unsat means the search finds no model, a model the
+    search finds means sat, and a witness within the search's shape is
+    found by it."""
+
+    def test_nested_bounds(self):
+        family = [f for f in formula_family(100, bounds=3) if bounds_in(f) >= 2]
+        assert len(family) >= 300
+        for f in family:
+            assert is_satisfiable(f) == bounded_satisfiable(f), str(f)
+
+    def test_two_conjoined_bounds(self):
+        family = [And(pair) for pair in combinations(SINGLE_BOUNDS, 2)]
+        answers = [is_satisfiable(f) for f in family]
+        assert 0 < answers.count(False) < len(family)
+        for f, sat in zip(family, answers):
+            assert sat == bounded_satisfiable(f), str(f)
+
+    def test_three_conjoined_bounds(self):
+        triples = random.Random(0).sample(list(combinations(SINGLE_BOUNDS, 3)), 60)
+        family = [And(triple) for triple in triples]
+        answers = [is_satisfiable(f) for f in family]
+        assert 0 < answers.count(False) < len(family)
+        for f, sat in zip(family, answers):
+            assert sat == bounded_satisfiable(f), str(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]",
+            "P>=0.5[a] & P>=0.6[!a] & P>0.2[b]",
+            "P>0.3[X P<0.5[a]] & P>=0.4[F b]",
+            "P>0.5[P>0.5[a] U b]",
+        ],
+    )
+    def test_named_formulas(self, text):
+        f = parse_formula(text)
+        assert is_satisfiable(f) == bounded_satisfiable(f)
+
+    @settings(max_examples=60)
+    @given(sts.formulas(max_leaves=6))
+    def test_random_formulas(self, f):
+        aut = TreeAutomaton(f)
+        assume(bounds_in(f) >= 2 and len(aut.atoms) <= 256)
+        found = bounded_satisfiable(f)
+        model = witness_model(aut)
+        if model is None:
+            assert not found
+            return
+        height, widest = tree_shape(model)
+        if height <= 3 and widest <= 3:
+            assert found
+
+
 def eval_trace_any(f, length):
     from itertools import product as iproduct
 
@@ -579,10 +647,11 @@ class TestPerClassDecisions:
 
 
 class TestBranchPrograms:
-    """The engine builds each branch LP from integer rows; it is the program
-    ``LinearProgram`` builds from the family's ``build_system``, with the
-    same kept tableau and basis, column map, witness and maxima, for every
-    (signature, family) the engine reaches.  The system itself is the one
+    """Every branch system the engine decides, whether a certificate or a
+    program settles it, has the program ``LinearProgram`` builds from the
+    family's ``build_system``: built from integer rows, it has the same
+    kept tableau and basis, column map, witness and maxima, and its
+    answers are the engine's.  The system itself is the one
     ``family_reference`` spells from the atom's probability members, so a
     change to the rows' order shows as a different program, and the
     columns and the witness are those of ``simplex_reference``'s standard
@@ -612,22 +681,43 @@ class TestBranchPrograms:
         # P>=0[a] is a sign row of the one subset that holds a, wherever
         # the family has exactly one such subset
         aut = TreeAutomaton(parse_formula("P>=0[a] & P<1[b]"))
-        for aid in range(len(aut.atoms)):
-            for size in range(1, 5):
-                for family in combinations(range(4), size):
-                    aut.family_point(aid, family)
-        self.check(aut)
+        self.check(aut, [
+            (aid, family)
+            for aid in range(len(aut.atoms))
+            for size in range(1, 5)
+            for family in combinations(range(4), size)
+        ])
 
     @staticmethod
-    def check(aut):
+    def check(aut, extra=()):
+        """Run the engine's queries, recording each branch question and
+        its answer, then compare every (signature, family) asked, and the
+        (atom, family) pairs of ``extra``, with its programs."""
+        asked = {}
+
+        def recorded(name):
+            method = getattr(aut, name)
+
+            def record(aid, qsets, *rest):
+                answer = method(aid, qsets, *rest)
+                key = aut._prob_sig[aid], tuple(qsets)
+                asked.setdefault(key, (aid, []))[1].append((name, rest, answer))
+                return answer
+
+            return record
+
+        for name in ("family_feasible", "family_point", "family_max"):
+            setattr(aut, name, recorded(name))
         aut.good_states()
         build_weighted(aut)
         witness_model(aut)
-        assert aut._point_cache
-        aid_of = {sig: aid for aid, sig in enumerate(aut._prob_sig)}
-        for (sig, family), direct in aut._point_cache.items():
-            system = aut.build_system(aid_of[sig], family)
-            assert system == family_reference.branch_system(aut, aid_of[sig], family)
+        for aid, family in extra:
+            asked.setdefault((aut._prob_sig[aid], family), (aid, []))
+        assert asked
+        for (sig, family), (aid, answers) in asked.items():
+            direct = LinearProgram.from_int_rows(*aut.branch_rows(aid, family))
+            system = aut.build_system(aid, family)
+            assert system == family_reference.branch_system(aut, aid, family)
             spelled = LinearProgram(system)
             assert (direct.names, direct.col) == (spelled.names, spelled.col)
             assert list(direct.col) == simplex_reference.standard_form(system, direct.strict)[0]
@@ -637,6 +727,13 @@ class TestBranchPrograms:
             if direct.kept is not None:
                 for name in direct.names:
                     assert direct.maximum(name) == spelled.maximum(name)
+            for name, rest, answer in answers:
+                if name == "family_feasible":
+                    assert answer == direct.feasible
+                elif name == "family_point":
+                    assert answer == direct.witness
+                else:
+                    assert answer == direct.maximum(aut._qset_names[rest[0]])
 
 
 # the benchmark's two-bound tree-queries formulas
@@ -647,47 +744,145 @@ TREE_QUERY_FORMULAS = (
     "P<=0.5[F a] & P<=0.6[G(a -> F b)]",
     "P>=0.5[a] & P>=0.6[!a]",
 )
+# with the benchmark's three-bound formulas, satisfiable and not, and the
+# four-bound one
+CERTIFIED_FORMULAS = TREE_QUERY_FORMULAS + (
+    THREE_BOUNDS,
+    "P>=0.5[a] & P>=0.6[!a] & P>0.2[b]",
+    LARGER_TEXTS[1],
+)
 
 
-class TestUpSetFeasibility:
-    """``family_feasible`` answers a family from the families its signature
-    decided before where feasibility's upward closure settles it, and
-    builds the branch program otherwise; either way the answer is the
-    program's, and the Fourier-Motzkin oracle's."""
+def certificate(aut, aid, family):
+    """What the family's profiles alone settle about its branch system,
+    read off the atom's probability members: True when some profile's
+    point mass meets every bound, False when a bound fails at the one mass
+    its argument can take, None otherwise."""
+    bounds = [(m.cmp, m.bound) for m in aut.prob_members_of(aid)]
+    if any(point_meets(bounds, q) for q in family):
+        return True
+    for j, (cmp, bound) in enumerate(bounds):
+        held = [q >> j & 1 for q in family]
+        if not any(held) and not cmp.holds(Fraction(0), bound):
+            return False
+        if all(held) and not cmp.holds(Fraction(1), bound):
+            return False
+    return None
+
+
+def point_meets(bounds, q, relaxed=False) -> bool:
+    """Whether all the mass on profile ``q`` meets every bound, or every
+    relaxed bound."""
+    return all(
+        (cmp.relaxed if relaxed else cmp).holds(Fraction(q >> j & 1), bound)
+        for j, (cmp, bound) in enumerate(bounds)
+    )
+
+
+def some_atom_per_signature(aut) -> dict:
+    some_atom = {}
+    for aid, sig in enumerate(aut._prob_sig):
+        some_atom.setdefault(sig, aid)
+    return some_atom
+
+
+class TestProfileCertificates:
+    """``family_feasible`` settles a family from its profiles where a
+    point mass or a fixed argument mass certifies the answer, and builds
+    the branch program otherwise.  Certified answers are the program's and
+    the Fourier-Motzkin oracle's; so are certified maxima of 1 and the
+    point mass of a one-profile family."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("text", TREE_QUERY_FORMULAS)
     def test_every_family_in_random_orders(self, text, seed, lp_runs):
         aut = TreeAutomaton(parse_formula(text))
-        some_atom = {}
-        for aid, sig in enumerate(aut._prob_sig):
-            some_atom.setdefault(sig, aid)
         subsets = range(1 << len(aut._pairs))
         questions = [
             (aid, family)
-            for aid in some_atom.values()
+            for aid in some_atom_per_signature(aut).values()
             for size in range(1, len(subsets) + 1)
             for family in combinations(subsets, size)
         ]
         random.Random(seed).shuffle(questions)
-        answers, decided = [], {}
+        answers = []
         for aid, family in questions:
-            earlier = decided.setdefault(aut._prob_sig[aid], [])
-            # a family the up-set decides builds no tableau; any other does
-            settled = any(
-                set(other) <= set(family) if ok else set(family) <= set(other)
-                for other, ok in earlier
-            )
+            # a tableau is built exactly when no certificate settles it
             before = len(lp_runs["phase_one"])
             ok = aut.family_feasible(aid, family)
+            settled = certificate(aut, aid, family) is not None
             assert len(lp_runs["phase_one"]) == before + (not settled)
-            earlier.append((family, ok))
             answers.append(ok)
-        assert len(lp_runs["phase_one"]) < len(questions)
+        assert 0 < len(lp_runs["phase_one"]) < len(questions)
         for (aid, family), ok in zip(questions, answers):
             assert ok == LinearProgram.from_int_rows(*aut.branch_rows(aid, family)).feasible
             assert ok == fm_feasible(aut.build_system(aid, family))
             assert ok == (aut.family_point(aid, family) is not None)
+
+    @pytest.mark.parametrize("text", CERTIFIED_FORMULAS + ("P>0[a] & P<1[X b]",))
+    def test_certificates_match_the_programs(self, text):
+        self.check(TreeAutomaton(parse_formula(text)))
+
+    @settings(max_examples=30)
+    @given(sts.formulas())
+    def test_random_certificates_match_the_programs(self, f):
+        aut = TreeAutomaton(f)
+        assume(1 <= len(aut._pairs) <= 3 and len(aut.atoms) <= 256)
+        self.check(aut)
+
+    @staticmethod
+    def check(aut):
+        """Every family of every signature, or for four pairs every family
+        of at most two profiles: each certificate against the program."""
+        width = len(aut._pairs)
+        subsets = range(1 << width)
+        largest = len(subsets) if width <= 3 else 2
+        for aid in some_atom_per_signature(aut).values():
+            bounds = [(m.cmp, m.bound) for m in aut.prob_members_of(aid)]
+            for size in range(1, largest + 1):
+                for family in combinations(subsets, size):
+                    program = LinearProgram.from_int_rows(*aut.branch_rows(aid, family))
+                    ok = aut.family_feasible(aid, family)
+                    assert ok == program.feasible
+                    # the engine builds a program exactly when nothing settles
+                    settled = certificate(aut, aid, family)
+                    built = (aut._prob_sig[aid], family) in aut._point_cache
+                    assert built == (settled is None)
+                    if settled is not None:
+                        assert settled == ok == fm_feasible(aut.build_system(aid, family))
+                    if not ok:
+                        continue
+                    for q in family:
+                        if point_meets(bounds, q, relaxed=True):
+                            name = aut._qset_names[q]
+                            assert aut.family_max(aid, family, q) == 1 == program.maximum(name)
+                    if size == 1:
+                        assert aut.family_point(aid, family) == program.witness
+                    # certified maxima and one-profile points build none
+                    assert ((aut._prob_sig[aid], family) in aut._point_cache) == built
+
+    @pytest.mark.parametrize(
+        "text, good, whole",
+        [
+            ("P<=0.5[a] & P>=0.6[X b]", 0, 4),
+            (PSI_TEXT, 1, 12),
+            ("P<=0.8[F a] & P<=0.7[G(a -> F b)]", 1, 6),
+            ("P<=0.5[F a] & P<=0.6[G(a -> F b)]", 1, 6),
+            ("P>=0.5[a] & P>=0.6[!a]", 1, 4),
+            (THREE_BOUNDS, 0, 14),
+            ("P>=0.5[a] & P>=0.6[!a] & P>0.2[b]", 3, 8),
+            (LARGER_TEXTS[1], 0, 38),
+        ],
+    )
+    def test_programs_built(self, text, good, whole, lp_runs):
+        # tableaux built by the good states, then by the whole compile:
+        # the good states, the weighted automaton and the witness
+        aut = TreeAutomaton(parse_formula(text))
+        aut.good_states()
+        assert len(lp_runs["phase_one"]) == good
+        build_weighted(aut)
+        witness_model(aut)
+        assert len(lp_runs["phase_one"]) == whole
 
     @settings(max_examples=40)
     @given(sts.formulas())
