@@ -49,10 +49,13 @@ profiles, its child subsets, puts the required mass on every bound's
 argument.  Most are settled by reading the profiles, from masks each
 signature keeps: the point mass of one profile may meet every bound, or
 a bound may fail at the one mass its argument can take, 0 when no
-profile holds it and 1 when every profile does.  A subset's point mass
-meeting every relaxed bound gives it maximum 1, and a one-profile family
-has its point mass as its only point.  Only what none of these settles
-builds a program: see :meth:`TreeAutomaton.family_feasible`.
+profile holds it and 1 when every profile does.  A one-profile family
+has its point mass as its only point.  The largest mass of a subset is
+settled the same way: the relaxed bounds cap it, and when the family
+holds a profile whose mixture with the subset at that cap meets every
+relaxed bound, that point proves the cap is the maximum.  Only what none
+of these settles builds a program: see :meth:`TreeAutomaton.family_feasible`
+and :meth:`TreeAutomaton.family_max`.
 
 The program asks two questions of a scenario: the first child tuple, which
 decides whether a transition exists and gives the witness its children,
@@ -152,26 +155,25 @@ class TreeAutomaton:
         # for the child subset q.  holders[j] holds the profiles that hold
         # pair j's argument.  Per signature, read each bound at mass 0 and
         # at mass 1: ``_points`` holds the profiles whose point mass meets
-        # every bound as written, ``_relaxed_points`` every relaxed bound,
-        # and a family that misses one of ``_needs`` leaves some bound at
-        # the mass it fails at.
+        # every bound as written, and a family that misses one of
+        # ``_needs`` leaves some bound at the mass it fails at.  ``_caps``
+        # holds, per profile, its cap and mixers (see :func:`_cap`).
         everyone = (1 << (1 << width)) - 1
         holders = [
             sum(1 << q for q in range(1 << width) if q >> j & 1) for j in range(width)
         ]
-        self._points, self._relaxed_points, self._needs = [], [], []
+        self._points, self._needs, self._caps = [], [], []
         for bounds in self._sig_bounds:
-            points = relaxed = everyone
+            points = everyone
             needs = []
             for held, (cmp, num, den) in zip(holders, bounds):
                 at0, at1 = cmp.holds(0, num), cmp.holds(den, num)
                 points &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
                 needs += [held] * (not at0) + [everyone & ~held] * (not at1)
-                at0, at1 = cmp.relaxed.holds(0, num), cmp.relaxed.holds(den, num)
-                relaxed &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
             self._points.append(points)
-            self._relaxed_points.append(relaxed)
             self._needs.append(needs)
+            relaxed = [(cmp.relaxed, num, den) for cmp, num, den in bounds]
+            self._caps.append([_cap(relaxed, holders, q, everyone) for q in range(1 << width)])
         # profile 0 holds no argument: its point mass is mass 0 everywhere
         self.final = [
             mask == 0 and bool(self._points[s] & 1)
@@ -316,15 +318,17 @@ class TreeAutomaton:
     def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
         """Largest mass the family's branch system lets the subset
         ``qmask`` absorb, over the closure of the system, which must be
-        feasible.  It is 1 when the subset's point mass meets every relaxed
-        bound; otherwise it is a phase 2 from the basis the family's
-        program kept.  Results are shared across atoms with equal
-        probability signatures."""
+        feasible.  The relaxed bounds cap that mass; when the family holds
+        a mixer of the subset, a point of the closure meets the cap, and
+        so the cap is the maximum.  Otherwise it is a phase 2 from the
+        basis the family's program kept.  Results are shared across atoms
+        with equal probability signatures."""
         sig = self._prob_sig[aid]
         key = (sig, qsets, qmask)
         if key not in self._max_cache:
-            if self._relaxed_points[sig] >> qmask & 1:
-                self._max_cache[key] = ONE
+            cap, mixers = self._caps[sig][qmask]
+            if mixers & sum(1 << q for q in qsets):
+                self._max_cache[key] = cap
             else:
                 name = self._qset_names[qmask]
                 self._max_cache[key] = self._program(aid, qsets).maximum(name)
@@ -498,6 +502,38 @@ class GoodStates:
     good: frozenset
     distance: dict
     sweeps: int
+
+
+def _cap(relaxed, holders, q0: int, everyone: int) -> tuple:
+    """The cap on profile ``q0``'s mass and its mixers, from a signature's
+    relaxed bounds as (cmp, numerator, denominator).
+
+    Every point of the relaxed branch system gives ``q0`` at most the cap
+    ``c``: 1, each ``<=`` bound whose argument ``q0`` holds, and one minus
+    each ``>=`` bound whose argument it lacks.  Profile ``p`` is a mixer
+    when the mixture ``c q0 + (1 - c) p`` meets every relaxed bound: it
+    puts mass 0, ``c``, ``1 - c`` or 1 on each argument, and it is a point
+    at which the mass of ``q0`` reaches the cap, so a family holding
+    ``q0`` and a mixer has maximum ``c``.  With ``p = q0`` the mixture is
+    the point mass of ``q0``, a mixer exactly when ``c = 1``.
+    """
+    c = scale = 1  # the cap is c / scale
+    for j, (cmp, num, den) in enumerate(relaxed):
+        if cmp is Comparison.LE and q0 >> j & 1:
+            if num * scale < c * den:
+                c, scale = num, den
+        elif cmp is Comparison.GE and not q0 >> j & 1:
+            if (den - num) * scale < c * den:
+                c, scale = den - num, den
+    mixers = everyone
+    for j, (held, (cmp, num, den)) in enumerate(zip(holders, relaxed)):
+        # the mixture's mass on the argument times ``scale``, q0's share
+        # plus p's when p holds it, compared with num / den
+        own = c if q0 >> j & 1 else 0
+        at0 = cmp.holds(own * den, num * scale)
+        at1 = cmp.holds((own + scale - c) * den, num * scale)
+        mixers &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
+    return Fraction(c, scale), mixers
 
 
 def _reach(positions, obl: int) -> list:

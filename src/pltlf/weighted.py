@@ -196,8 +196,10 @@ def build_weighted(source) -> WeightedAutomaton:
     occupies; positions are pinned by which probability arguments hold in
     ``a'``.  Every surviving scenario is a subset of ``a``'s maximal
     family against the good set, a child tuple of a subset extends to one
-    of that family, and adjoining variables never lowers a supremum, so one
-    maximisation over the family's system gives each weight.  Each
+    of that family, and adjoining variables never lowers a supremum, so the
+    family's maximum gives each weight: the cap the relaxed bounds put on
+    the position's mass when a mixture of two of the family's profiles
+    meets it, and otherwise a phase 2 over the family's system.  Each
     position with positive mass becomes one group over its occupants, so
     every weight lies in (0, 1]: it is positive, and no mass exceeds the 1
     that the system's masses sum to.  Every atom of a class shares the

@@ -12,7 +12,8 @@ occupants test every candidate against the covers reachable around it.
 random formulas, and tests of the construction enumerate child tuples
 here, since the engine lists none.  ``witness_model`` descends distances
 by the engine's rule, with child tuples from the recursive search and
-each scenario's point from its own feasibility LP.
+each scenario's point from its own feasibility LP, and ``build_weighted``
+takes every edge weight from the atom's own branch program.
 
 The engine also builds atoms and its per-atom masks bit-sliced, one int
 column per closure member over all free patterns.  ``atom_bits`` builds
@@ -29,6 +30,7 @@ from typing import Iterator, Optional
 
 from pltlf.automaton import GoodStates, WitnessModel, _qset_name
 from pltlf.closure import Atom
+from pltlf.linsolve import LinearProgram
 from pltlf.syntax import (
     And,
     FalseConst,
@@ -298,7 +300,9 @@ def good_states(aut) -> GoodStates:
 
 def build_weighted(aut) -> WeightedAutomaton:
     """Weighted automaton from one maximal family and one occupants call
-    per good atom, child tuples interned in the order they first occur."""
+    per good atom, child tuples interned in the order they first occur.
+    Each atom's family builds its own branch program, which decides its
+    feasibility and gives every mass by a phase 2."""
     good = good_states(aut).good
     states = tuple(sorted(good))
     groups = {}
@@ -306,11 +310,14 @@ def build_weighted(aut) -> WeightedAutomaton:
     for aid in states:
         family = tuple(sorted(kept(aut, aid, None, good)))
         by_position = occupants(aut, aid, family, good)
-        if not by_position or aut.family_point(aid, family) is None:
+        if not by_position:
+            continue
+        program = LinearProgram.from_int_rows(*aut.branch_rows(aid, family))
+        if not program.feasible:
             continue
         out = []
         for qmask, fits in by_position.items():
-            mass = aut.family_max(aid, family, qmask)
+            mass = program.maximum(aut._qset_names[qmask])
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups[aid] = tuple(out)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import atom_reference
@@ -32,7 +32,7 @@ from pltlf import (
     witness_model,
 )
 from pltlf.linsolve import LinearProgram
-from pltlf.syntax import And
+from pltlf.syntax import And, Comparison
 
 from conftest import LARGER_TEXTS, PSI_TEXT
 
@@ -753,6 +753,18 @@ CERTIFIED_FORMULAS = TREE_QUERY_FORMULAS + (
 )
 
 
+# one maximum that each formula's check must reach: a cap of 0 from an
+# upper bound of 0, caps of 1 from strict bounds at 0 and 1 (their relaxed
+# forms hold at every mass), a cap strictly between, and a phase 2, where
+# the two upper bounds hold subset {1,2} to 1/2, below its cap 7/10
+MAXIMA_REACHED = {
+    "P<=0[a] & P>=0.5[X b]": Fraction(0),
+    "P>0[a] & P<1[X b]": Fraction(1),
+    "P<=0.5[a] & P>=0.6[X b]": Fraction(1, 2),
+    "P<=0.8[F a] & P<=0.7[G(a -> F b)]": None,
+}
+
+
 def certificate(aut, aid, family):
     """What the family's profiles alone settle about its branch system,
     read off the atom's probability members: True when some profile's
@@ -770,13 +782,34 @@ def certificate(aut, aid, family):
     return None
 
 
-def point_meets(bounds, q, relaxed=False) -> bool:
-    """Whether all the mass on profile ``q`` meets every bound, or every
-    relaxed bound."""
-    return all(
-        (cmp.relaxed if relaxed else cmp).holds(Fraction(q >> j & 1), bound)
-        for j, (cmp, bound) in enumerate(bounds)
+def point_meets(bounds, q) -> bool:
+    """Whether all the mass on profile ``q`` meets every bound."""
+    return all(cmp.holds(Fraction(q >> j & 1), bound) for j, (cmp, bound) in enumerate(bounds))
+
+
+def mixture_cap(bounds, family, q0):
+    """The maximum of profile ``q0``'s mass that the family's profiles
+    alone settle, read off the atom's probability members, or None.  The
+    relaxed bounds cap the mass at 1, at each upper bound whose argument
+    ``q0`` holds and at one minus each lower bound whose argument it
+    lacks; the cap is the maximum when, for some profile ``p`` of the
+    family, the mixture of ``q0`` at the cap and ``p`` at the rest meets
+    every relaxed bound."""
+    upper = (Comparison.LE, Comparison.LT)
+    cap = min(
+        [Fraction(1)]
+        + [b for j, (cmp, b) in enumerate(bounds) if cmp in upper and q0 >> j & 1]
+        + [1 - b for j, (cmp, b) in enumerate(bounds) if cmp not in upper and not q0 >> j & 1]
     )
+    for p in family:
+        mixture = {q0: cap}
+        mixture[p] = mixture.get(p, 0) + 1 - cap
+        if all(
+            cmp.relaxed.holds(sum(m for q, m in mixture.items() if q >> j & 1), bound)
+            for j, (cmp, bound) in enumerate(bounds)
+        ):
+            return cap
+    return None
 
 
 def some_atom_per_signature(aut) -> dict:
@@ -789,9 +822,11 @@ def some_atom_per_signature(aut) -> dict:
 class TestProfileCertificates:
     """``family_feasible`` settles a family from its profiles where a
     point mass or a fixed argument mass certifies the answer, and builds
-    the branch program otherwise.  Certified answers are the program's and
-    the Fourier-Motzkin oracle's; so are certified maxima of 1 and the
-    point mass of a one-profile family."""
+    the branch program otherwise; ``family_max`` returns the cap on a
+    subset's mass where a mixture of two profiles meets it, and runs a
+    phase 2 otherwise.  Certified answers are the program's and the
+    Fourier-Motzkin oracle's; so is the point mass of a one-profile
+    family."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("text", TREE_QUERY_FORMULAS)
@@ -819,24 +854,30 @@ class TestProfileCertificates:
             assert ok == fm_feasible(aut.build_system(aid, family))
             assert ok == (aut.family_point(aid, family) is not None)
 
-    @pytest.mark.parametrize("text", CERTIFIED_FORMULAS + ("P>0[a] & P<1[X b]",))
-    def test_certificates_match_the_programs(self, text):
-        self.check(TreeAutomaton(parse_formula(text)))
+    @pytest.mark.parametrize("text", dict.fromkeys(CERTIFIED_FORMULAS + tuple(MAXIMA_REACHED)))
+    def test_certificates_match_the_programs(self, text, lp_runs):
+        reached = self.check(TreeAutomaton(parse_formula(text)), lp_runs["objectives"])
+        if text in MAXIMA_REACHED:
+            assert MAXIMA_REACHED[text] in reached
 
-    @settings(max_examples=30)
-    @given(sts.formulas())
-    def test_random_certificates_match_the_programs(self, f):
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(f=sts.formulas())
+    def test_random_certificates_match_the_programs(self, f, lp_runs):
         aut = TreeAutomaton(f)
         assume(1 <= len(aut._pairs) <= 3 and len(aut.atoms) <= 256)
-        self.check(aut)
+        self.check(aut, lp_runs["objectives"])
 
     @staticmethod
-    def check(aut):
+    def check(aut, objectives) -> set:
         """Every family of every signature, or for four pairs every family
-        of at most two profiles: each certificate against the program."""
+        of at most two profiles: each certificate against the program.
+        ``objectives`` is the list the ``lp_runs`` fixture records phase 2
+        runs in.  Returns the settled maxima, with None for a maximum that
+        ran a phase 2."""
         width = len(aut._pairs)
         subsets = range(1 << width)
         largest = len(subsets) if width <= 3 else 2
+        reached = set()
         for aid in some_atom_per_signature(aut).values():
             bounds = [(m.cmp, m.bound) for m in aut.prob_members_of(aid)]
             for size in range(1, largest + 1):
@@ -846,43 +887,57 @@ class TestProfileCertificates:
                     assert ok == program.feasible
                     # the engine builds a program exactly when nothing settles
                     settled = certificate(aut, aid, family)
-                    built = (aut._prob_sig[aid], family) in aut._point_cache
+                    key = aut._prob_sig[aid], family
+                    built = key in aut._point_cache
                     assert built == (settled is None)
                     if settled is not None:
                         assert settled == ok == fm_feasible(aut.build_system(aid, family))
                     if not ok:
                         continue
                     for q in family:
-                        if point_meets(bounds, q, relaxed=True):
-                            name = aut._qset_names[q]
-                            assert aut.family_max(aid, family, q) == 1 == program.maximum(name)
+                        cap = mixture_cap(bounds, family, q)
+                        before = len(objectives)
+                        found = aut.family_max(aid, family, q)
+                        ran = len(objectives) > before
+                        assert found == program.maximum(aut._qset_names[q])
+                        # a maximum runs a phase 2 exactly when no mixture
+                        # settles it
+                        assert ran == (cap is None)
+                        if cap is not None:
+                            assert found == cap
+                        built |= ran
+                        reached.add(cap)
                     if size == 1:
                         assert aut.family_point(aid, family) == program.witness
-                    # certified maxima and one-profile points build none
-                    assert ((aut._prob_sig[aid], family) in aut._point_cache) == built
+                    # settled maxima and one-profile points build none
+                    assert (key in aut._point_cache) == built
+        return reached
 
     @pytest.mark.parametrize(
-        "text, good, whole",
+        "text, good, whole, objectives",
         [
-            ("P<=0.5[a] & P>=0.6[X b]", 0, 4),
-            (PSI_TEXT, 1, 12),
-            ("P<=0.8[F a] & P<=0.7[G(a -> F b)]", 1, 6),
-            ("P<=0.5[F a] & P<=0.6[G(a -> F b)]", 1, 6),
-            ("P>=0.5[a] & P>=0.6[!a]", 1, 4),
-            (THREE_BOUNDS, 0, 14),
-            ("P>=0.5[a] & P>=0.6[!a] & P>0.2[b]", 3, 8),
-            (LARGER_TEXTS[1], 0, 38),
+            ("P<=0.5[a] & P>=0.6[X b]", 0, 0, 0),
+            (PSI_TEXT, 1, 1, 0),
+            ("P<=0.8[F a] & P<=0.7[G(a -> F b)]", 1, 1, 1),
+            ("P<=0.5[F a] & P<=0.6[G(a -> F b)]", 1, 1, 1),
+            ("P>=0.5[a] & P>=0.6[!a]", 1, 2, 1),
+            (THREE_BOUNDS, 0, 2, 2),
+            ("P>=0.5[a] & P>=0.6[!a] & P>0.2[b]", 3, 4, 4),
+            (LARGER_TEXTS[1], 0, 2, 2),
         ],
     )
-    def test_programs_built(self, text, good, whole, lp_runs):
-        # tableaux built by the good states, then by the whole compile:
-        # the good states, the weighted automaton and the witness
+    def test_programs_built(self, text, good, whole, objectives, lp_runs):
+        # tableaux built by the good states, then tableaux and objectives
+        # of the whole compile: the good states, the weighted automaton and
+        # the witness.  An objective is a phase 2 from a kept basis, an
+        # edge weight's maximum or a strict system's largest slack.
         aut = TreeAutomaton(parse_formula(text))
         aut.good_states()
         assert len(lp_runs["phase_one"]) == good
         build_weighted(aut)
         witness_model(aut)
         assert len(lp_runs["phase_one"]) == whole
+        assert len(lp_runs["objectives"]) == objectives
 
     @settings(max_examples=40)
     @given(sts.formulas())
