@@ -19,17 +19,19 @@ witness extraction.
 Without probability pairs the only family is ``(0,)``: its system puts all
 the mass on one child, which must refute every absent next member itself,
 so the children of a parent are exactly the atoms whose next-argument mask
-equals its next mask.  The automaton keeps its atoms indexed by that mask;
-good states are then backward reachability from the finals, and the good
-states, the weighted automaton's groups and the witness read the index,
-with no LP.
+equals its next mask.  The automaton keeps its atoms indexed by that mask,
+and a parent's one candidate bucket is read off the index.  Good states
+are then backward reachability from the finals, and the good states and
+the weighted automaton's groups read the index with no LP; the witness
+takes the general path, whose one family is feasible at once.
 
 No decision enumerates families; :meth:`TreeAutomaton.scenario_family`
 lists them only to explain the construction.  Against a set of admissible
-children, the maximal family of an atom holds every profile whose candidate
-bucket keeps an admissible atom, and it alone decides whether the atom has
-a transition into the set, because three facts make every property needed
-here monotone in the family:
+children, :meth:`TreeAutomaton.kept` filters an atom's candidates once
+into its kept table, and the table's profiles are the atom's maximal
+family.  That family alone decides whether the atom has a transition into
+the set, because three facts make every property needed here monotone in
+the family:
 
 - feasibility is upward-closed: an extra branch can take zero mass;
 - a larger family only has more positions that can refute the absent next
@@ -39,10 +41,11 @@ here monotone in the family:
 That decision reads only the atom's next mask, which fixes its candidate
 children and what they must refute, and its probability signature, which
 fixes its branch systems; being final reads the same two, so the atoms
-fall into classes by those two.  Its halves read one each: the maximal
-family, its first tuple and its occupants read only the next mask, and
-the family's feasibility only the signature and the family.  So each
-decision is made once per next mask, then once per (signature, family).
+fall into classes by those two.  Its halves read one each: the kept
+table, and the maximal family, first tuple and occupants read off it,
+read only the next mask, and the family's feasibility only the signature
+and the family.  So each decision is made once per next mask, then once
+per (signature, family).
 
 A branch system asks whether some distribution over the family's
 profiles, its child subsets, puts the required mass on every bound's
@@ -60,9 +63,10 @@ and :meth:`TreeAutomaton.family_max`.
 The program asks two questions of a scenario: the first child tuple, which
 decides whether a transition exists and gives the witness its children,
 and the occupants of each child position, which the weighted automaton
-reads.  One backward table of the cover masks the later positions can
-reach answers both: it admits a candidate only if the rest of the tuple
-can finish its cover, so the first tuple is found without backtracking.
+reads.  Both read the kept table's lists, and one backward table of the
+cover masks the later positions can reach answers both: it admits a
+candidate only if the rest of the tuple can finish its cover, so the
+first tuple is found without backtracking.
 
 Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
 which keeps its good states, LP results and weighted automaton.
@@ -341,53 +345,49 @@ class TreeAutomaton:
         A candidate must contain the argument of every next member of the
         parent; its cover mask records which absent next members it
         refutes, and so do all atoms of its next-argument mask.  Parents
-        with equal next masks share one walk over those masks."""
+        with equal next masks share one walk over those masks.  Without
+        probability pairs the one child must refute every absent next
+        member itself, so the one bucket holds the atoms whose
+        next-argument mask is the parent's next mask, read off the index."""
         req = self._next_present[aid]
         cached = self._cand_cache.get(req)
         if cached is not None:
             return cached
         obl = self._all_next & ~req
-        buckets = {}
-        for args, cids in self._by_args.items():
-            if req & ~args:
-                continue
-            cover = obl & ~args
-            for cid in cids:
-                buckets.setdefault(self._parg[cid], []).append((cid, cover))
-        result = {q: tuple(sorted(buckets[q])) for q in sorted(buckets)}
+        if not self._pairs:
+            result = {0: tuple((cid, obl) for cid in self._by_args.get(req, ()))}
+        else:
+            buckets = {}
+            for args, cids in self._by_args.items():
+                if req & ~args:
+                    continue
+                cover = obl & ~args
+                for cid in cids:
+                    buckets.setdefault(self._parg[cid], []).append((cid, cover))
+            result = {q: tuple(sorted(buckets[q])) for q in sorted(buckets)}
         self._cand_cache[req] = result
         return result
 
-    def _positions(self, aid: int, qsets, restrict):
-        """Candidate lists per subset position limited to ``restrict``, or
-        None if one is empty."""
-        buckets = self._candidates(aid)
-        positions = []
-        for q in qsets:
-            cands = [c for c in buckets.get(q, ()) if c[0] in restrict]
-            if not cands:
-                return None
-            positions.append(cands)
-        return positions
+    def kept(self, aid: int, restrict) -> dict:
+        """The kept table: the parent's candidates that lie in
+        ``restrict``, per profile in increasing order, each list in atom
+        order, with only the profiles that keep one.  Its keys are the
+        maximal family against ``restrict``: every family with a child
+        tuple in ``restrict`` is a subset of it."""
+        return {
+            q: inside for q, cands in self._candidates(aid).items()
+            if (inside := tuple(c for c in cands if c[0] in restrict))
+        }
 
-    def maximal_family(self, aid: int, restrict) -> tuple:
-        """Sorted profiles whose candidate bucket keeps an atom of
-        ``restrict``: every family with a child tuple in ``restrict`` is a
-        subset of it."""
-        return tuple(
-            q for q, cands in self._candidates(aid).items()
-            if any(cid in restrict for cid, _ in cands)
-        )
-
-    def first_tuple(self, aid: int, qsets, restrict) -> Optional[tuple]:
+    def first_tuple(self, aid: int, qsets, kept) -> Optional[tuple]:
         """The first child tuple of the scenario in the lexicographic order
-        of the candidate lists, or None if it has none.  A child tuple
-        holds one atom of ``restrict`` per subset and together they refute
+        of the kept table's lists, or None if it has none.  A child tuple
+        holds one kept candidate per subset and together they refute
         every absent next member of the parent.  The reach table admits a
         candidate only if the later positions can finish its cover, so the
         first admitted candidate at each position never dead-ends."""
-        positions = self._positions(aid, qsets, restrict)
-        if positions is None:
+        positions = [kept.get(q, ()) for q in qsets]
+        if not all(positions):
             return None
         obl = self._all_next & ~self._next_present[aid]
         reach = _reach(positions, obl)
@@ -402,13 +402,13 @@ class TreeAutomaton:
             covered |= cover
         return tuple(chosen)
 
-    def occupants(self, aid: int, qsets, restrict) -> dict:
-        """Atoms of ``restrict`` that appear at each position of at least
-        one child tuple: those whose cover, with one reached before the
+    def occupants(self, aid: int, qsets, kept) -> dict:
+        """Kept candidates that appear at each position of at least one
+        child tuple: those whose cover, with one reached before the
         position and one the reach table offers after it, refutes every
         absent next member.  Each distinct cover is decided once."""
-        positions = self._positions(aid, qsets, restrict)
-        if positions is None:
+        positions = [kept.get(q, ()) for q in qsets]
+        if not all(positions):
             return {}
         obl = self._all_next & ~self._next_present[aid]
         reach = _reach(positions, obl)
@@ -434,13 +434,15 @@ class TreeAutomaton:
         candidates, so sweep i re-decides just the pending classes with a
         candidate that joined in sweep i - 1, those whose next mask lies
         within such an atom's next-argument mask.  A class joins whole when
-        its maximal family against the set has a child tuple and a feasible
-        system; by the module docstring's monotonicity facts, exactly when
-        some feasible family has a child tuple in the set.  The family and
-        its first tuple read only the next mask, so a sweep finds them once
-        per touched next mask, and then once per (signature, family) asks
-        :meth:`family_feasible`, which the family's profiles mostly
-        answer without a program.
+        its maximal family, the keys of its kept table against the set, has
+        a child tuple and a feasible system; by the module docstring's
+        monotonicity facts, exactly when some feasible family has a child
+        tuple in the set.  The kept table and its first tuple read only the
+        next mask, so a sweep builds them once per touched next mask, and
+        then once per (signature, family) asks :meth:`family_feasible`,
+        which the family's profiles mostly answer without a program.  The
+        table is built from the set itself, with no copy: the set grows
+        only after the sweep's decisions.
 
         Without probability pairs the one family needs no LP and its one
         child carries exactly the parent's next mask as arguments, so a
@@ -458,16 +460,16 @@ class TreeAutomaton:
         while True:
             masks = {self._next_args[a] for members in joined for a in members}
             if self._pairs:
-                snapshot = frozenset(good)
-                some_parent = {}
+                families = {}  # touched next mask -> maximal family, () without a tuple
                 for members in pending:
-                    some_parent.setdefault(self._next_present[members[0]], members[0])
-                families = {}  # touched next mask -> maximal family with a tuple
-                for req, aid in some_parent.items():
-                    if any(not req & ~args for args in masks):
-                        family = self.maximal_family(aid, snapshot)
-                        if family and self.first_tuple(aid, family, snapshot) is not None:
-                            families[req] = family
+                    aid = members[0]
+                    req = self._next_present[aid]
+                    if req in families or all(req & ~args for args in masks):
+                        continue
+                    kept = self.kept(aid, good)
+                    family = tuple(kept)
+                    has_tuple = self.first_tuple(aid, family, kept) is not None
+                    families[req] = family if has_tuple else ()
                 joined = [
                     m for m in pending
                     if (family := families.get(self._next_present[m[0]]))
@@ -595,11 +597,12 @@ def witness_model(source) -> Optional[WitnessModel]:
     child tuple among the atoms that joined the good set strictly earlier,
     and take its first such tuple, which :meth:`TreeAutomaton.first_tuple`
     reads off the reach table without backtracking; child probabilities
-    come from the scenario's deterministic branch-system witness.  Only
-    subsets of the maximal family against the earlier atoms can have such
-    a tuple, so only those are tried.  The descent is a module function,
-    not a closure, so no reference cycle keeps the automaton alive after
-    the call.
+    come from the scenario's deterministic branch-system witness.  Each
+    node builds its kept table against the earlier atoms once: only
+    subsets of its keys, the maximal family, can have such a tuple, so
+    only those are tried, and each reads its tuple off the same table.
+    The descent is a module function, not a closure, so no reference
+    cycle keeps the automaton alive after the call.
     """
     aut = _compiled(source)
     initial = aut.good_initial()
@@ -620,18 +623,10 @@ def _witness_subtree(aut, earlier_than, aid: int, probability) -> WitnessModel:
     atom = aut.atoms[aid]
     if aut.final[aid]:
         return WitnessModel(atom.valuation(), probability, ())
-    earlier = earlier_than[aut.good_states().distance[aid]]
-    if not aut._pairs:
-        # the one family (0,): its child carries the next mask as
-        # arguments and takes all the mass
-        child = next(c for c in aut._by_args[aut._next_present[aid]] if c in earlier)
-        return WitnessModel(
-            atom.valuation(), probability, (_witness_subtree(aut, earlier_than, child, ONE),)
-        )
-    offered = aut.maximal_family(aid, earlier)
-    for size in range(1, len(offered) + 1):
-        for chosen in combinations(offered, size):
-            tup = aut.first_tuple(aid, chosen, earlier)
+    kept = aut.kept(aid, earlier_than[aut.good_states().distance[aid]])
+    for size in range(1, len(kept) + 1):
+        for chosen in combinations(kept, size):
+            tup = aut.first_tuple(aid, chosen, kept)
             if tup is None or not aut.family_feasible(aid, chosen):
                 continue
             point = aut.family_point(aid, chosen)

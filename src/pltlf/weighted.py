@@ -203,9 +203,11 @@ def build_weighted(source) -> WeightedAutomaton:
     position with positive mass becomes one group over its occupants, so
     every weight lies in (0, 1]: it is positive, and no mass exceeds the 1
     that the system's masses sum to.  Every atom of a class shares the
-    class's groups.  The family and its occupants, empty exactly when the
-    family has no child tuple, are found once per next mask, then the
-    family's feasibility and maxima once per (signature, family).  Without
+    class's groups.  The kept table against the good set is built once
+    per next mask, and the family and its occupants are read off it; the
+    occupants are empty exactly when the family has no child tuple.  The
+    family's feasibility and maxima are found once per (signature,
+    family).  Without
     probability pairs a good class's one group is the good atoms whose
     next-argument mask is its next mask, with weight 1.  States whose
     atoms agree on the propositions share one valuation frozenset.
@@ -231,8 +233,8 @@ def build_weighted(source) -> WeightedAutomaton:
                 groups.update(dict.fromkeys(members, ((ONE, k),)))
             continue
         if req not in by_mask:
-            family = aut.maximal_family(aid, good)
-            by_mask[req] = family, aut.occupants(aid, family, good)
+            kept = aut.kept(aid, good)
+            by_mask[req] = tuple(kept), aut.occupants(aid, tuple(kept), kept)
         family, occupants = by_mask[req]
         if not occupants or not aut.family_feasible(aid, family):
             continue

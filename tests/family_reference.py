@@ -84,10 +84,11 @@ def edge_weights(aut, good) -> dict:
     weights = {}
     maxima = {}
     for aid in sorted(good):
+        kept = aut.kept(aid, good)
         for record in aut.scenario_family(aid):
             if not atom_reference.has_transition(aut, aid, record.qsets, good):
                 continue
-            for qmask, fits in aut.occupants(aid, record.qsets, good).items():
+            for qmask, fits in aut.occupants(aid, record.qsets, kept).items():
                 if (record, qmask) not in maxima:
                     maxima[(record, qmask)] = scenario_max(aut, aid, record, qmask)
                 mass = maxima[(record, qmask)]

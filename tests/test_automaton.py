@@ -196,8 +196,9 @@ class TestTransitions:
         # X(!a & !b) in the source makes a U b unreachable in children
         assert list(atom_reference.transition_tuples(aut_psi, psi_ids["a2"], (1, 2, 3))) == []
         assert list(atom_reference.transition_tuples(aut_psi, psi_ids["a2"], (1, 2))) == []
+        kept = aut_psi.kept(psi_ids["a2"], everything(aut_psi))
         for qsets in ((1, 2, 3), (1, 2)):
-            assert aut_psi.first_tuple(psi_ids["a2"], qsets, everything(aut_psi)) is None
+            assert aut_psi.first_tuple(psi_ids["a2"], qsets, kept) is None
 
     def test_two_child_tuple_present(self, aut_psi, psi_ids):
         i = psi_ids
@@ -208,9 +209,10 @@ class TestTransitions:
     def test_dead_ends_have_no_tuples(self, aut_psi, psi_ids):
         for name in ("a3", "a4", "a5"):
             aid = psi_ids[name]
+            kept = aut_psi.kept(aid, everything(aut_psi))
             for record in aut_psi.scenario_family(aid):
                 assert not atom_reference.has_transition(aut_psi, aid, record.qsets, None)
-                assert aut_psi.first_tuple(aid, record.qsets, everything(aut_psi)) is None
+                assert aut_psi.first_tuple(aid, record.qsets, kept) is None
 
     def test_every_tuple_passes_independent_recheck(self, aut0):
         for aid in range(len(aut0.atoms)):
@@ -247,13 +249,14 @@ class TestTransitions:
                     assert atom_reference.has_transition(aut0, aid, record.qsets, restrict) == (
                         exists is not None
                     )
-                    assert aut0.first_tuple(aid, record.qsets, restrict) == exists
+                    kept = aut0.kept(aid, restrict)
+                    assert aut0.first_tuple(aid, record.qsets, kept) == exists
 
     def test_occupants_match_enumerated_positions(self, aut0):
         for aid in aut0.initial:
             for record in aut0.scenario_family(aid):
                 tuples = list(atom_reference.transition_tuples(aut0, aid, record.qsets))
-                occ = aut0.occupants(aid, record.qsets, everything(aut0))
+                occ = aut0.occupants(aid, record.qsets, aut0.kept(aid, everything(aut0)))
                 if not tuples:
                     assert occ == {}
                     continue
@@ -267,7 +270,7 @@ class TestTransitions:
         aut = TreeAutomaton(parse_formula("a U b"))
         for aid in range(len(aut.atoms)):
             via_tuples = {t[0] for t in atom_reference.transition_tuples(aut, aid, (0,))}
-            occ = aut.occupants(aid, (0,), everything(aut))
+            occ = aut.occupants(aid, (0,), aut.kept(aid, everything(aut)))
             assert set(occ.get(0, ())) == via_tuples
 
 
@@ -321,6 +324,36 @@ class TestCandidates:
         else:
             assert reads["parg"][True] == [] and aut._cand_cache == {}
 
+    @pytest.mark.parametrize("text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0]])
+    def test_pair_free_bucket_is_the_next_mask_index(self, text):
+        self.check_pair_free(TreeAutomaton(parse_formula(text)))
+
+    @settings(max_examples=30)
+    @given(sts.formulas(prob_free=True))
+    def test_random_pair_free_buckets(self, f):
+        aut = TreeAutomaton(f)
+        assume(len(aut.atoms) <= 512)
+        self.check_pair_free(aut)
+
+    @staticmethod
+    def check_pair_free(aut):
+        # without pairs the one child must refute every absent next member
+        # itself: the one bucket is the atoms whose next-argument mask is
+        # the parent's next mask, each covering every obligation, and the
+        # witness's general path over it keeps the per-atom answer
+        tables = atom_reference.masks(aut)
+        present, args = tables["next_present"], tables["next_args"]
+        everyone = (1 << len(aut.closure.next_members)) - 1
+        for aid in range(len(aut.atoms)):
+            obl = everyone & ~present[aid]
+            expected = tuple(
+                (cid, obl) for cid in range(len(aut.atoms)) if args[cid] == present[aid]
+            )
+            assert aut._candidates(aid) == {0: expected}
+        model = witness_model(aut)
+        assert model == atom_reference.witness_model(aut)
+        assert model is None or check_model(model, aut.formula)
+
 
 class TestReduction:
     def test_good_set_is_exactly_the_productive_fixpoint(self, aut_psi):
@@ -359,7 +392,7 @@ class TestReduction:
         i = psi_ids
         tuples = set(atom_reference.transition_tuples(aut_psi, i["a1"], (1, 2), good))
         assert (i["a8"], i["a2"]) in tuples
-        occ = aut_psi.occupants(i["a1"], (1, 2), good)
+        occ = aut_psi.occupants(i["a1"], (1, 2), aut_psi.kept(i["a1"], good))
         assert i["a8"] in occ[1] and i["a2"] in occ[2]
 
     def test_reduced_scenarios_keep_transitions(self, aut_psi, psi_ids):
@@ -622,17 +655,21 @@ class TestPerClassDecisions:
         assert wa.children == expected.children
         for aid in range(len(aut.atoms)):
             for restrict in (everything(aut), gs.good):
-                family = aut.maximal_family(aid, restrict)
-                assert family == tuple(sorted(atom_reference.kept(aut, aid, None, restrict)))
+                # the same profiles, in increasing order, with the same lists
+                kept = aut.kept(aid, restrict)
+                expected = atom_reference.kept(aut, aid, None, restrict)
+                assert list(kept.items()) == list(expected.items())
+                family = tuple(kept)
+                assert family == tuple(sorted(expected))
                 for qsets in [family, *combinations(family, 1), *islice(combinations(family, 2), 4)]:
-                    TestPerClassDecisions.check_scenario(aut, aid, qsets, restrict)
+                    TestPerClassDecisions.check_scenario(aut, aid, qsets, restrict, kept)
 
     @staticmethod
-    def check_scenario(aut, aid, qsets, restrict):
-        first = aut.first_tuple(aid, qsets, restrict)
+    def check_scenario(aut, aid, qsets, restrict, kept):
+        first = aut.first_tuple(aid, qsets, kept)
         assert first == next(atom_reference.transition_tuples(aut, aid, qsets, restrict), None)
         assert (first is not None) == atom_reference.has_transition(aut, aid, qsets, restrict)
-        assert aut.occupants(aid, qsets, restrict) == atom_reference.occupants(
+        assert aut.occupants(aid, qsets, kept) == atom_reference.occupants(
             aut, aid, qsets, restrict
         )
 
@@ -640,7 +677,8 @@ class TestPerClassDecisions:
         aut = TreeAutomaton(parse_formula("X X a & F b"))
         for aid in range(len(aut.atoms)):
             owed = aut._all_next & ~aut._next_present[aid]
-            assert aut.first_tuple(aid, (), everything(aut)) == (None if owed else ())
+            kept = aut.kept(aid, everything(aut))
+            assert aut.first_tuple(aid, (), kept) == (None if owed else ())
             assert list(atom_reference.transition_tuples(aut, aid, ())) == (
                 [] if owed else [()]
             )
@@ -1044,51 +1082,64 @@ def counting_calls(monkeypatch, aut, names, calls):
 class TestClassCounts:
     @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b", LARGER_TEXTS[1]])
     def test_good_states_decide_each_next_mask_once_per_sweep(self, text, monkeypatch):
-        # a sweep finds the maximal family and its first tuple once per
+        # a sweep builds the kept table and reads its first tuple once per
         # touched next mask, then asks family_feasible once per pending
         # class of a mask whose family has a tuple
         aut = TreeAutomaton(parse_formula(text))
         calls = []
-        counting_calls(
-            monkeypatch, aut, ["maximal_family", "first_tuple", "family_feasible"], calls
-        )
+        counting_calls(monkeypatch, aut, ["first_tuple", "family_feasible"], calls)
+        kept = aut.kept
+
+        def copying_kept(aid, restrict):
+            # the sweep passes the good set itself, which grows later
+            calls.append(("kept", (aid, frozenset(restrict))))
+            return kept(aid, restrict)
+
+        monkeypatch.setattr(aut, "kept", copying_kept)
         gs = aut.good_states()
         if not aut._pairs:
             # reachability over next-argument masks decides every class
             assert calls == []
             return
         classes = class_of(aut)
-        # each sweep tests against a new snapshot, kept alive by ``calls``;
-        # feasibility questions belong to the sweep of the last family
-        sweeps, restrict = {}, None
+        # the set grows between sweeps only, so its size names the sweep of
+        # a kept call; the tuple and feasibility calls after it belong there
+        sweeps, sweep = {}, None
         for name, args in calls:
-            if name == "family_feasible":
-                aid, family = args
-                sweep = sweeps[id(restrict)]
-                assert aut._next_present[aid] in sweep["tuples"]
-                assert sweep["tuples"][aut._next_present[aid]] == family
-                sweep["feasible"].append(classes[aid])
-                continue
-            aid, restrict = args[0], args[-1]
-            sweep = sweeps.setdefault(id(restrict), {"families": [], "tuples": {}, "feasible": []})
+            aid = args[0]
             req = aut._next_present[aid]
-            if name == "maximal_family":
+            if name == "kept":
+                restrict = args[1]
+                sweep = sweeps.setdefault(len(restrict), {
+                    "restrict": restrict, "families": [], "firsts": [], "tuples": {},
+                    "feasible": [],
+                })
+                assert sweep["restrict"] == restrict and not sweep["feasible"]
                 sweep["families"].append(req)
                 # only after a candidate joined in the sweep before, which
-                # is the latest sweep the snapshot holds
+                # is the latest sweep the set holds
                 latest = max(gs.distance[c] for c in restrict)
                 candidates = atom_reference.kept(aut, aid, None, restrict)
                 assert any(
                     gs.distance[cid] == latest
                     for cands in candidates.values() for cid, _ in cands
                 )
-            else:
+            elif name == "first_tuple":
+                _, family, table = args
                 assert sweep["families"][-1] == req
-                sweep["tuples"][req] = args[1]
+                assert table == atom_reference.kept(aut, aid, None, sweep["restrict"])
+                assert family == tuple(table)
+                sweep["firsts"].append(req)
+                sweep["tuples"][req] = family
+            else:
+                _, family = args
+                assert req in sweep["tuples"] and sweep["tuples"][req] == family
+                sweep["feasible"].append(classes[aid])
         assert 1 <= len(sweeps) <= gs.sweeps + 1
         masks = {aut._next_present[aid] for aid in range(len(aut.atoms))}
         for sweep in sweeps.values():
             assert len(sweep["families"]) == len(set(sweep["families"]))
+            assert sweep["firsts"] == sweep["families"]
             assert len(sweep["feasible"]) == len(set(sweep["feasible"]))
         decided = [req for sweep in sweeps.values() for req in sweep["families"]]
         assert len(decided) <= len(masks) * (gs.sweeps + 1)
@@ -1098,11 +1149,11 @@ class TestClassCounts:
         aut = TreeAutomaton(parse_formula(text))
         good = aut.good_states().good
         calls = []
-        counting_calls(monkeypatch, aut, ["maximal_family", "occupants"], calls)
+        counting_calls(monkeypatch, aut, ["kept", "occupants"], calls)
         build_weighted(aut)
         found = {
             name: [aut._next_present[args[0]] for n, args in calls if n == name]
-            for name in ("maximal_family", "occupants")
+            for name in ("kept", "occupants")
         }
         expected = list(dict.fromkeys(
             aut._next_present[members[0]] for members in aut._classes if members[0] in good
@@ -1110,22 +1161,40 @@ class TestClassCounts:
         # the occupants are what decides a good class there, with its
         # signature's feasibility: they are empty exactly when its maximal
         # family has no child tuple
-        assert found == {"maximal_family": expected, "occupants": expected}
+        assert found == {"kept": expected, "occupants": expected}
 
     @pytest.mark.parametrize("text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0]])
     def test_pair_free_weighted_build_reads_the_mask_index(self, text, monkeypatch):
         # a good class's one group is the good atoms that carry its next
-        # mask, read off the index with no occupants and no positions
+        # mask, read off the index with no kept table and no occupants
         aut = TreeAutomaton(parse_formula(text))
         expected = atom_reference.build_weighted(aut)
         calls = []
-        counting_calls(
-            monkeypatch, aut, ["maximal_family", "occupants", "_positions", "family_max"], calls
-        )
+        counting_calls(monkeypatch, aut, ["kept", "occupants", "family_max"], calls)
         wa = build_weighted(aut)
         assert calls == []
         assert wa.groups == expected.groups
         assert wa.children == expected.children
+
+    @pytest.mark.parametrize("text", [THREE_BOUNDS, LARGER_TEXTS[1]])
+    def test_witness_builds_one_kept_table_per_expanded_node(self, text, monkeypatch):
+        # every subset the witness tries at a node reads the node's one
+        # table, built against the good atoms of smaller distance
+        aut = TreeAutomaton(parse_formula(text))
+        gs = aut.good_states()
+        calls = []
+        counting_calls(monkeypatch, aut, ["kept"], calls)
+        model = witness_model(aut)
+        expanded, stack = 0, [model]
+        while stack:
+            node = stack.pop()
+            expanded += bool(node.children)
+            stack.extend(node.children)
+        assert expanded > 0
+        assert len(calls) == expanded
+        for _, (aid, restrict) in calls:
+            assert not aut.final[aid]
+            assert restrict == {a for a in gs.good if gs.distance[a] < gs.distance[aid]}
 
     @pytest.mark.parametrize("text", CLASS_FORMULAS)
     def test_classes_partition_the_atoms_by_mask_and_signature(self, text):
