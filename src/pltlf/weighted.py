@@ -207,10 +207,10 @@ def build_weighted(source) -> WeightedAutomaton:
     per next mask, and the family and its occupants are read off it; the
     occupants are empty exactly when the family has no child tuple.  The
     family's feasibility and maxima are found once per (signature,
-    family).  Without
-    probability pairs a good class's one group is the good atoms whose
-    next-argument mask is its next mask, with weight 1.  States whose
-    atoms agree on the propositions share one valuation frozenset.
+    family).  Without probability pairs a good class's one group is the
+    good atoms whose next-argument mask is its next mask, with weight 1,
+    filtered off the index with no kept table.  States whose atoms agree
+    on the propositions share one valuation frozenset.
     """
     aut = _compiled(source)
     if aut._weighted is not None:
@@ -234,7 +234,8 @@ def build_weighted(source) -> WeightedAutomaton:
             continue
         if req not in by_mask:
             kept = aut.kept(aid, good)
-            by_mask[req] = tuple(kept), aut.occupants(aid, tuple(kept), kept)
+            family = tuple(kept)
+            by_mask[req] = family, aut.occupants(aid, family, kept)
         family, occupants = by_mask[req]
         if not occupants or not aut.family_feasible(aid, family):
             continue

@@ -8,8 +8,10 @@ things atom by atom and candidate by candidate: the good-state sweep and
 the weighted-edge loop visit every atom, child tuples come from a
 recursive search pruned by the union of the later positions' covers, and
 occupants test every candidate against the covers reachable around it.
-``restrict=None`` keeps every candidate.  Tests compare the two paths on
-random formulas, and tests of the construction enumerate child tuples
+``restrict=None`` keeps every candidate.  Candidates come from the
+general rule read off each atom's bits, never from the engine's table, so
+the engine's pair-free bucket is checked against that rule too.  Tests
+compare the two paths on random formulas, and tests of the construction enumerate child tuples
 here, since the engine lists none.  ``witness_model`` descends distances
 by the engine's rule, with child tuples from the recursive search and
 each scenario's point from its own feasibility LP, and ``build_weighted``
@@ -24,6 +26,7 @@ finals, classes and initial atoms off each atom's bits.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
@@ -175,10 +178,33 @@ def obligations(aut, aid: int) -> int:
     return aut._all_next & ~aut._next_present[aid]
 
 
+_MASKS = weakref.WeakKeyDictionary()
+
+
+def candidates(aut, aid: int) -> dict:
+    """The parent's candidate children per profile by the general rule,
+    read off each atom's bits: every atom whose next-argument mask contains
+    the parent's next mask, with the absent next members it refutes as its
+    cover, in atom order.  Pair-free parents too get this rule, not the
+    engine's one bucket.  Parents with equal next masks share one list."""
+    if aut not in _MASKS:
+        _MASKS[aut] = masks(aut), {}
+    tables, by_req = _MASKS[aut]
+    req = tables["next_present"][aid]
+    if req not in by_req:
+        obl = (1 << len(aut.closure.next_members)) - 1 & ~req
+        buckets = {}
+        for cid, args in enumerate(tables["next_args"]):
+            if not req & ~args:
+                buckets.setdefault(tables["parg"][cid], []).append((cid, obl & ~args))
+        by_req[req] = {q: tuple(buckets[q]) for q in sorted(buckets)}
+    return by_req[req]
+
+
 def kept(aut, aid: int, qsets, restrict) -> dict:
     """Candidate lists of the given profiles (every profile when ``qsets``
     is None) limited to ``restrict``; empty profiles are dropped."""
-    buckets = aut._candidates(aid)
+    buckets = candidates(aut, aid)
     result = {}
     for q in buckets if qsets is None else qsets:
         cands = buckets.get(q, ())

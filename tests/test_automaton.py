@@ -339,7 +339,8 @@ class TestCandidates:
     def check_pair_free(aut):
         # without pairs the one child must refute every absent next member
         # itself: the one bucket is the atoms whose next-argument mask is
-        # the parent's next mask, each covering every obligation, and the
+        # the parent's next mask, each covering every obligation, which are
+        # the general rule's candidates that cover every obligation; the
         # witness's general path over it keeps the per-atom answer
         tables = atom_reference.masks(aut)
         present, args = tables["next_present"], tables["next_args"]
@@ -350,6 +351,8 @@ class TestCandidates:
                 (cid, obl) for cid in range(len(aut.atoms)) if args[cid] == present[aid]
             )
             assert aut._candidates(aid) == {0: expected}
+            general = full_cover(aut, aid, atom_reference.candidates(aut, aid))
+            assert general.get(0, ()) == expected
         model = witness_model(aut)
         assert model == atom_reference.witness_model(aut)
         assert model is None or check_model(model, aut.formula)
@@ -620,6 +623,16 @@ CLASS_FORMULAS = (
 )
 
 
+def full_cover(aut, aid: int, table: dict) -> dict:
+    """The table's candidates that refute every absent next member of the
+    parent, per profile, dropping the profiles left empty."""
+    obl = atom_reference.obligations(aut, aid)
+    return {
+        q: inside for q, cands in table.items()
+        if (inside := tuple(c for c in cands if c[1] == obl))
+    }
+
+
 def class_of(aut) -> dict:
     return {aid: k for k, members in enumerate(aut._classes) for aid in members}
 
@@ -655,9 +668,14 @@ class TestPerClassDecisions:
         assert wa.children == expected.children
         for aid in range(len(aut.atoms)):
             for restrict in (everything(aut), gs.good):
-                # the same profiles, in increasing order, with the same lists
+                # the same profiles, in increasing order, with the same lists;
+                # without pairs the one child must refute every obligation
+                # itself, so only the reference's candidates that cover all
+                # of them are kept
                 kept = aut.kept(aid, restrict)
                 expected = atom_reference.kept(aut, aid, None, restrict)
+                if not aut._pairs:
+                    expected = full_cover(aut, aid, expected)
                 assert list(kept.items()) == list(expected.items())
                 family = tuple(kept)
                 assert family == tuple(sorted(expected))
