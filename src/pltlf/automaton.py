@@ -68,6 +68,15 @@ cover masks the later positions can reach answers both: it admits a
 candidate only if the rest of the tuple can finish its cover, so the
 first tuple is found without backtracking.
 
+Construction keeps the atoms as int rows over the closure members, never
+as :class:`~pltlf.closure.Atom` objects, and reads every per-atom mask,
+initial membership included, off transposed closure columns.  The
+classes need no per-atom pass: next members and the smaller side of each
+probability pair are free bits of the atom index, so a class is its
+smallest atom combined with every pattern of the other free bits.  The
+cap on a subset's mass is computed when a maximum first asks for it, so
+the queries that read no edge weight compute none.
+
 Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
 which keeps its good states, LP results and weighted automaton.
 """
@@ -76,10 +85,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, compress
 from typing import Optional
 
-from .closure import ClosureSet, enumerate_atoms, transpose
+from .closure import Atom, ClosureSet, transpose
 from .linsolve import LinearProgram, LinearSystem, solve_feasibility
 from .syntax import (
     And,
@@ -97,6 +107,7 @@ from .syntax import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_UPPER = (Comparison.LE, Comparison.LT)
 
 
 def _qset_name(qmask: int, width: int) -> str:
@@ -113,14 +124,17 @@ class ScenarioRecord:
 
 
 class TreeAutomaton:
-    """Compiled automaton of one formula: construction enumerates all atoms,
-    and good states, scenario LPs and the weighted automaton are kept."""
+    """Compiled automaton of one formula: construction lays out all atoms
+    as rows, and good states, scenario LPs and the weighted automaton are
+    kept."""
 
     def __init__(self, formula: Formula):
-        self.closure = ClosureSet(formula)
-        self.formula = self.closure.root
-        self.atoms = tuple(enumerate_atoms(self.closure))
-        clo = self.closure
+        self.closure = clo = ClosureSet(formula)
+        self.formula = clo.root
+        n = clo.atom_count()
+        cols = clo.columns
+        # the atoms, as rows: int bitmasks over the closure members
+        self._rows = transpose(cols, n)
 
         next_list = clo.next_members
         self._all_next = (1 << len(next_list)) - 1
@@ -132,27 +146,26 @@ class TreeAutomaton:
             for i in clo.prob_members
             if i < clo.negation[i]
         )
+        width = len(self._pairs)
 
-        # Per-atom masks are rows of the columns they read.  Bit p of an
-        # atom's side mask says it holds the smaller member of pair p, which
-        # fixes its probability signature, so signatures are numbered in
-        # order of the first atom of each side mask and decided once each.
-        n = len(self.atoms)
-        cols = clo.columns
+        # Per-atom masks are rows of the columns they read: the next mask,
+        # the next-argument mask, the probability-argument profile and the
+        # side mask, whose bit p says the atom holds the smaller member of
+        # pair p.  The side mask is the atom's probability signature:
+        # smaller sides are free members, so every side mask occurs, first
+        # at an atom that grows with it, and signatures in order of their
+        # first atom are the side masks in increasing order.
+        sides = [i for i, _, _ in self._pairs]
         self._next_present = transpose([cols[i] for i in next_list], n)
         next_args = (clo.index[clo.members[i].operand] for i in next_list)
         self._next_args = transpose([cols[i] for i in next_args], n)
         self._parg = transpose([cols[arg] for _, _, arg in self._pairs], n)
-        sides = transpose([cols[i] for i, _, _ in self._pairs], n)
-        some_atom = dict(zip(sides, range(n)))
-        sig_of = {side: k for k, side in enumerate(some_atom)}
-        self._prob_sig = [sig_of[side] for side in sides]
+        self._prob_sig = transpose([cols[i] for i in sides], n)
         # each signature's bounds as (cmp, numerator, denominator), read once
         self._sig_bounds = [
-            tuple((m.cmp, m.bound.numerator, m.bound.denominator) for m in self.prob_members_of(aid))
-            for aid in some_atom.values()
+            tuple((m.cmp, m.bound.numerator, m.bound.denominator) for m in self._sig_members(sig))
+            for sig in range(1 << width)
         ]
-        width = len(self._pairs)
         self._qset_names = [_qset_name(q, width) for q in range(1 << width)]
 
         # Families and profile sets are masks over profiles: bit q stands
@@ -160,13 +173,12 @@ class TreeAutomaton:
         # pair j's argument.  Per signature, read each bound at mass 0 and
         # at mass 1: ``_points`` holds the profiles whose point mass meets
         # every bound as written, and a family that misses one of
-        # ``_needs`` leaves some bound at the mass it fails at.  ``_caps``
-        # holds, per profile, its cap and mixers (see :func:`_cap`).
-        everyone = (1 << (1 << width)) - 1
-        holders = [
+        # ``_needs`` leaves some bound at the mass it fails at.
+        self._everyone = everyone = (1 << (1 << width)) - 1
+        self._holders = holders = [
             sum(1 << q for q in range(1 << width) if q >> j & 1) for j in range(width)
         ]
-        self._points, self._needs, self._caps = [], [], []
+        self._points, self._needs = [], []
         for bounds in self._sig_bounds:
             points = everyone
             needs = []
@@ -176,19 +188,21 @@ class TreeAutomaton:
                 needs += [held] * (not at0) + [everyone & ~held] * (not at1)
             self._points.append(points)
             self._needs.append(needs)
-            relaxed = [(cmp.relaxed, num, den) for cmp, num, den in bounds]
-            self._caps.append([_cap(relaxed, holders, q, everyone) for q in range(1 << width)])
-        # profile 0 holds no argument: its point mass is mass 0 everywhere
-        self.final = [
-            mask == 0 and bool(self._points[s] & 1)
-            for mask, s in zip(self._next_present, self._prob_sig)
-        ]
-        classes = {}
-        for aid, key in enumerate(zip(self._next_present, self._prob_sig)):
-            classes.setdefault(key, []).append(aid)
         # classes of atoms with equal next masks and signatures, ordered by
-        # their smallest atom: every parent-side decision reads only these
-        self._classes = tuple(map(tuple, classes.values()))
+        # their smallest atom: every parent-side decision reads only these.
+        # Next members and smaller sides are free, so a class is its
+        # smallest atom or-ed with each pattern of the other free bits.
+        # Profile 0 holds no argument, so its point mass is mass 0
+        # everywhere: a class is final when it has no next member and that
+        # point meets its bounds.
+        keyed = clo.pattern_mask({*next_list, *sides})
+        others = _submasks(n - 1 ^ keyed)
+        self._classes = tuple(tuple(map(base.__or__, others)) for base in _submasks(keyed))
+        self.final = [False] * n
+        for members in self._classes:
+            if not self._next_present[members[0]] and self._points[self._prob_sig[members[0]]] & 1:
+                for aid in members:
+                    self.final[aid] = True
 
         # atoms by next-argument mask: without probability pairs a parent's
         # one child carries exactly the parent's next mask as arguments
@@ -196,10 +210,11 @@ class TreeAutomaton:
         for cid, args in enumerate(self._next_args):
             self._by_args.setdefault(args, []).append(cid)
 
-        root = clo.index[self.formula]
-        self.initial = tuple(aid for aid, a in enumerate(self.atoms) if a.bits >> root & 1)
-        self.final_ids = tuple(aid for aid in range(n) if self.final[aid])
+        self.initial = tuple(compress(range(n), transpose([cols[clo.index[self.formula]]], n)))
+        self.final_ids = tuple(compress(range(n), self.final))
 
+        self._props = sum(1 << i for i in clo.prop_members)
+        self._valuations = {}
         self._family_cache = {}
         self._cand_cache = {}
         self._point_cache = {}
@@ -208,14 +223,31 @@ class TreeAutomaton:
         self._weighted = None
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self._rows)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """Every atom as an :class:`Atom`, in index order, made on first
+        use from the rows; the engine itself reads only the rows."""
+        return tuple(Atom(self.closure, bits) for bits in self._rows)
+
+    def _sig_members(self, sig: int) -> tuple:
+        """Probability members of the signature, in pair order."""
+        members = self.closure.members
+        return tuple(members[i if sig >> p & 1 else j] for p, (i, j, _) in enumerate(self._pairs))
 
     def prob_members_of(self, aid: int) -> tuple:
         """Probability members of the atom, in pair order."""
-        clo, bits = self.closure, self.atoms[aid].bits
-        return tuple(
-            clo.members[i if bits >> i & 1 else j] for (i, j, _) in self._pairs
-        )
+        return self._sig_members(self._prob_sig[aid])
+
+    def valuation(self, aid: int) -> frozenset:
+        """The propositions the atom holds; atoms that agree on them share
+        one frozenset."""
+        key = self._rows[aid] & self._props
+        found = self._valuations.get(key)
+        if found is None:
+            found = self._valuations[key] = self.closure.valuation(key)
+        return found
 
     def branch_rows(self, aid: int, qsets) -> tuple:
         """Branch system of a scenario as integer rows for
@@ -326,11 +358,12 @@ class TreeAutomaton:
         a mixer of the subset, a point of the closure meets the cap, and
         so the cap is the maximum.  Otherwise it is a phase 2 from the
         basis the family's program kept.  Results are shared across atoms
-        with equal probability signatures."""
+        with equal probability signatures, and the cap and its mixers are
+        computed only when a result is not yet known."""
         sig = self._prob_sig[aid]
         key = (sig, qsets, qmask)
         if key not in self._max_cache:
-            cap, mixers = self._caps[sig][qmask]
+            cap, mixers = _cap(self._sig_bounds[sig], self._holders, qmask, self._everyone)
             if mixers & sum(1 << q for q in qsets):
                 self._max_cache[key] = cap
             else:
@@ -506,9 +539,9 @@ class GoodStates:
     sweeps: int
 
 
-def _cap(relaxed, holders, q0: int, everyone: int) -> tuple:
+def _cap(bounds, holders, q0: int, everyone: int) -> tuple:
     """The cap on profile ``q0``'s mass and its mixers, from a signature's
-    relaxed bounds as (cmp, numerator, denominator).
+    bounds as (cmp, numerator, denominator), read relaxed.
 
     Every point of the relaxed branch system gives ``q0`` at most the cap
     ``c``: 1, each ``<=`` bound whose argument ``q0`` holds, and one minus
@@ -519,23 +552,32 @@ def _cap(relaxed, holders, q0: int, everyone: int) -> tuple:
     ``q0`` and a mixer has maximum ``c``.  With ``p = q0`` the mixture is
     the point mass of ``q0``, a mixer exactly when ``c = 1``.
     """
+    upper = [cmp in _UPPER for cmp, _, _ in bounds]
     c = scale = 1  # the cap is c / scale
-    for j, (cmp, num, den) in enumerate(relaxed):
-        if cmp is Comparison.LE and q0 >> j & 1:
-            if num * scale < c * den:
-                c, scale = num, den
-        elif cmp is Comparison.GE and not q0 >> j & 1:
-            if (den - num) * scale < c * den:
-                c, scale = den - num, den
+    for j, (up, (_, num, den)) in enumerate(zip(upper, bounds)):
+        if up == (q0 >> j & 1):  # an upper bound held, or a lower one lacked
+            room = num if up else den - num
+            if room * scale < c * den:
+                c, scale = room, den
     mixers = everyone
-    for j, (held, (cmp, num, den)) in enumerate(zip(holders, relaxed)):
+    for j, (up, held, (_, num, den)) in enumerate(zip(upper, holders, bounds)):
         # the mixture's mass on the argument times ``scale``, q0's share
-        # plus p's when p holds it, compared with num / den
+        # plus p's when p holds it, against num / den, relaxed
         own = c if q0 >> j & 1 else 0
-        at0 = cmp.holds(own * den, num * scale)
-        at1 = cmp.holds((own + scale - c) * den, num * scale)
+        mass0, mass1, rhs = own * den, (own + scale - c) * den, num * scale
+        at0, at1 = (mass0 <= rhs, mass1 <= rhs) if up else (mass0 >= rhs, mass1 >= rhs)
         mixers &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
     return Fraction(c, scale), mixers
+
+
+def _submasks(mask: int) -> list:
+    """Every submask of ``mask``, in increasing order."""
+    found = [0]
+    while mask:
+        bit = mask & -mask
+        found += [m | bit for m in found]
+        mask ^= bit
+    return found
 
 
 def _reach(positions, obl: int) -> list:
@@ -598,9 +640,10 @@ def witness_model(source) -> Optional[WitnessModel]:
     and take its first such tuple, which :meth:`TreeAutomaton.first_tuple`
     reads off the reach table without backtracking; child probabilities
     come from the scenario's deterministic branch-system witness.  Each
-    node builds its kept table against the earlier atoms once: only
-    subsets of its keys, the maximal family, can have such a tuple, so
-    only those are tried, and each reads its tuple off the same table.
+    node builds its kept table once, against a view that reads the earlier
+    atoms off the distances, so no set of them is built: only subsets of
+    its keys, the maximal family, can have such a tuple, so only those
+    are tried, and each reads its tuple off the same table.
     The descent is a module function, not a closure, so no reference
     cycle keeps the automaton alive after the call.
     """
@@ -608,22 +651,30 @@ def witness_model(source) -> Optional[WitnessModel]:
     initial = aut.good_initial()
     if not initial:
         return None
-    gs = aut.good_states()
-    earlier_than = [
-        frozenset(a for a in gs.good if gs.distance[a] < d)
-        for d in range(gs.sweeps + 1)
-    ]
-    root = min(initial, key=lambda a: (gs.distance[a], a))
-    return _witness_subtree(aut, earlier_than, root, None)
+    distance = aut.good_states().distance
+    root = min(initial, key=lambda a: (distance[a], a))
+    return _witness_subtree(aut, distance, root, None)
 
 
-def _witness_subtree(aut, earlier_than, aid: int, probability) -> WitnessModel:
-    """The witness below a good atom; ``earlier_than[d]`` holds the good
-    atoms at distance below d."""
-    atom = aut.atoms[aid]
+class _Earlier:
+    """The good atoms at distance below ``d``, as a membership view of
+    the distances: a node's kept table reads it once per candidate."""
+
+    __slots__ = ("distance", "d")
+
+    def __init__(self, distance: dict, d: int):
+        self.distance, self.d = distance, d
+
+    def __contains__(self, aid) -> bool:
+        return self.distance.get(aid, self.d) < self.d
+
+
+def _witness_subtree(aut, distance, aid: int, probability) -> WitnessModel:
+    """The witness below a good atom; ``distance`` maps each good atom to
+    its distance to acceptance."""
     if aut.final[aid]:
-        return WitnessModel(atom.valuation(), probability, ())
-    kept = aut.kept(aid, earlier_than[aut.good_states().distance[aid]])
+        return WitnessModel(aut.valuation(aid), probability, ())
+    kept = aut.kept(aid, _Earlier(distance, distance[aid]))
     for size in range(1, len(kept) + 1):
         for chosen in combinations(kept, size):
             tup = aut.first_tuple(aid, chosen, kept)
@@ -631,10 +682,10 @@ def _witness_subtree(aut, earlier_than, aid: int, probability) -> WitnessModel:
                 continue
             point = aut.family_point(aid, chosen)
             children = tuple(
-                _witness_subtree(aut, earlier_than, cid, point[aut._qset_names[q]])
+                _witness_subtree(aut, distance, cid, point[aut._qset_names[q]])
                 for q, cid in zip(chosen, tup)
             )
-            return WitnessModel(atom.valuation(), probability, children)
+            return WitnessModel(aut.valuation(aid), probability, children)
     raise AssertionError(f"good non-final atom {aid} lost its transitions")
 
 

@@ -13,11 +13,16 @@ Atoms are built bit-sliced: each member has one int column whose bit p
 says whether it is in the atom of free-bit pattern p.  A free member's
 column is periodic, and every other column is a few ``&``, ``^`` and ``|``
 of smaller members' columns, so each consistency rule runs once per member,
-not once per atom.  Atoms, and the automaton's per-atom masks, are rows.
+not once per atom.  An atom is a row of the columns, an int bitmask over
+the members, and :func:`transpose` turns columns into rows with no
+per-row Python work.  The tree automaton keeps its atoms, and its per-atom
+masks, as such rows; an :class:`Atom` object wraps a row only where the
+API returns one, in :func:`enumerate_atoms` and :func:`atom_of_members`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, itemgetter
@@ -52,13 +57,18 @@ class ClosureSet:
         root = normalize(root)
         subs = set(subformulas(root))
         subs |= {Next(g) for g in subs if isinstance(g, Until)}
-        subs = list(subs | {negate(g) for g in subs})
+        pairs = [(g, negate(g)) for g in subs]
+        subs = list(subs.union(h for _, h in pairs))
         keys = size_and_text(subs)
         members = tuple(g for _, g in sorted(zip(keys, subs), key=itemgetter(0)))
         self.root = root
         self.members = members
-        self.index = {g: i for i, g in enumerate(members)}
-        self.negation = tuple(self.index[negate(g)] for g in members)
+        self.index = index = {g: i for i, g in enumerate(members)}
+        # negating a member again gives it back, so each pair sets both
+        negation = [0] * len(members)
+        for g, h in pairs:
+            negation[index[g]], negation[index[h]] = index[h], index[g]
+        self.negation = tuple(negation)
         self._hash = hash(members)
 
         # Enumeration plan: each negation pair contributes one free bit or
@@ -113,13 +123,29 @@ class ClosureSet:
     def atom_count(self) -> int:
         return 1 << len(self._free)
 
+    def valuation(self, bits: int) -> frozenset:
+        """Names of the propositions in the atom with bitmask ``bits``."""
+        return frozenset(self.members[i].name for i in self.prop_members if bits >> i & 1)
+
+    def pattern_mask(self, members) -> int:
+        """The bits that the given free members set in a free-bit pattern."""
+        return sum(1 << j for j, i in enumerate(self._free) if i in members)
+
     @cached_property
     def columns(self) -> tuple:
         """Every member's column over all free patterns, in closure order.
-        Free member j's column repeats 2^j clear bits, then 2^j set bits."""
-        full = (1 << self.atom_count()) - 1
-        free = [full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(len(self._free))]
-        return tuple(self._evaluate(free, full))
+        Free member j's column repeats 2^j clear bits, then 2^j set bits:
+        one period, doubled until it fills the patterns."""
+        count = self.atom_count()
+        free = []
+        for j in range(len(self._free)):
+            period = 2 << j
+            c = ((1 << (1 << j)) - 1) << (1 << j)
+            while period < count:
+                c |= c << period
+                period *= 2
+            free.append(c)
+        return tuple(self._evaluate(free, (1 << count) - 1))
 
     def _evaluate(self, free_columns, full: int) -> list:
         """Every member's column from the free members' columns, by the
@@ -150,11 +176,7 @@ class Atom:
         return tuple(g for i, g in enumerate(self.closure.members) if self.bits >> i & 1)
 
     def valuation(self) -> frozenset:
-        return frozenset(
-            self.closure.members[i].name
-            for i in self.closure.prop_members
-            if self.bits >> i & 1
-        )
+        return self.closure.valuation(self.bits)
 
     def prob_members(self) -> tuple:
         """Probability bounds present, in closure order."""
@@ -169,11 +191,28 @@ class Atom:
 
 def transpose(columns, count: int) -> list:
     """Rows of a bit matrix given by its columns: bit j of row p is bit p
-    of ``columns[j]``, for p below ``count``."""
-    if not columns:
-        return [0] * count
-    texts = [format(c, f"0{count}b") for c in reversed(columns)]
-    return [int("".join(bits), 2) for bits in zip(*texts)][::-1]
+    of ``columns[j]``, for p below ``count``.
+
+    A column's binary text, read as one int, has one byte per row whose
+    low bit is that row's bit, so eight columns shifted and joined give one
+    byte per row.  Each such byte fills one byte of its row's 8-byte lane,
+    and one cast turns all lanes into ints; every further 64 columns make
+    one more lane, shifted into the rows.  No step loops over rows in
+    Python but the last merges."""
+    ones = int.from_bytes(b"\x01" * count, "big")
+    rows = [0] * count
+    for start in range(0, len(columns), 64):
+        block = columns[start:start + 64]
+        lanes = bytearray(8 * count)
+        for b in range(0, len(block), 8):
+            packed = 0
+            for k, c in enumerate(block[b:b + 8]):
+                packed |= (int.from_bytes(format(c, f"0{count}b").encode(), "big") & ones) << k
+            at = b // 8 if sys.byteorder == "little" else 7 - b // 8
+            lanes[at::8] = packed.to_bytes(count, "little")
+        lane = memoryview(lanes).cast("Q").tolist()
+        rows = lane if start == 0 else [r | x << start for r, x in zip(rows, lane)]
+    return rows
 
 
 def enumerate_atoms(clo: ClosureSet) -> Iterator[Atom]:

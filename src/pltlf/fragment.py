@@ -185,7 +185,7 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     formulas = tuple(normalize(f) for f in formulas)
     required = tuple(normalize(f) for f in required)
     aut = TreeAutomaton(conj(*dict.fromkeys(formulas + required)))
-    clo, n = aut.closure, len(aut.atoms)
+    clo, n = aut.closure, len(aut)
     required_hold = transpose(
         [reduce(and_, (_column(clo, g) for g in required), (1 << n) - 1)], n
     )

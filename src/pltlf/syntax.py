@@ -21,6 +21,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Union
 
 Valuation = frozenset
@@ -75,21 +76,24 @@ _INVERSE = {
 _RELAXED = {Comparison.LT: Comparison.LE, Comparison.GT: Comparison.GE}
 
 
-# Node types are frozen dataclasses with the field hash; their equality is
-# Formula's, so none is generated.
-_node = dataclass(frozen=True, repr=False, eq=False, unsafe_hash=True)
-
-
 class Formula:
     """Base class for formula nodes.  All nodes are immutable.  A node
-    type's hash is its dataclass field hash, and equality is structural."""
+    stores its structural hash when it is built, and equality is
+    structural."""
 
     __slots__ = ()
     __hash__ = object.__hash__  # defining __eq__ would unset it
 
+    def __post_init__(self):
+        # the hash of the node type and its fields, whose nodes hold their
+        # own already: building a node hashes it once, and no hash walks
+        # a subtree, so a tree of any depth hashes
+        self.__dict__["_hash"] = hash((self.__class__, self._fields(self)))
+
     def __eq__(self, other):
         # over an explicit stack of node pairs, so trees of any depth
-        # compare; a pair of one node twice is equal at once
+        # compare; a pair of one node twice is equal at once, and a pair
+        # with different stored hashes differs at once
         if other.__class__ is not self.__class__:
             return NotImplemented
         stack = [(self, other)]
@@ -102,6 +106,8 @@ class Formula:
                 if isinstance(a, Formula) or a != b:
                     return False
                 continue
+            if a._hash != b._hash:
+                return False
             for name in names:
                 x, y = getattr(a, name), getattr(b, name)
                 if type(x) is tuple and type(y) is tuple:
@@ -136,6 +142,20 @@ class Formula:
             return f"<{name}>"
 
 
+def _stored_hash(node: Formula) -> int:
+    return node._hash
+
+
+def _node(cls):
+    """A node type: a frozen dataclass whose hash is the one it stored
+    when built.  Its equality is Formula's, so none is generated."""
+    cls = dataclass(frozen=True, repr=False, eq=False)(cls)
+    cls.__hash__ = _stored_hash
+    names = cls.__match_args__
+    cls._fields = staticmethod(attrgetter(*names) if names else lambda node: ())
+    return cls
+
+
 @_node
 class TrueConst(Formula):
     pass
@@ -166,6 +186,7 @@ class Prop(Formula):
     def __post_init__(self):
         if not is_proposition_name(self.name):
             raise ValueError(f"invalid proposition name {self.name!r}")
+        super().__post_init__()
 
 
 @_node
@@ -180,6 +201,7 @@ class And(Formula):
     def __post_init__(self):
         if len(self.operands) < 2:
             raise ValueError("conjunction needs at least two operands")
+        super().__post_init__()
 
 
 @_node
@@ -189,6 +211,7 @@ class Or(Formula):
     def __post_init__(self):
         if len(self.operands) < 2:
             raise ValueError("disjunction needs at least two operands")
+        super().__post_init__()
 
 
 @_node
@@ -235,6 +258,7 @@ class Prob(Formula):
             object.__setattr__(self, "bound", bound)
         if not 0 <= bound <= 1:
             raise ValueError(f"probability bound {bound} outside [0, 1]")
+        super().__post_init__()
 
 
 def children(f: Formula) -> tuple:
@@ -351,19 +375,21 @@ def size_and_text(formulas) -> list:
     for top in formulas:
         stack = [top]
         while stack:
-            g = stack[-1]
+            g = stack.pop()
             if id(g) in memo:
-                stack.pop()
                 continue
             if type(g) is Prop:
                 memo[id(g)] = (1, g.name)
                 continue
-            pending = [x for x in children(g) if id(x) not in memo]
+            # a node with children still to render waits under them
+            pieces = _text_pieces(g)
+            pending = [p[0] for p in pieces if type(p) is tuple and id(p[0]) not in memo]
             if pending:
+                stack.append(g)
                 stack += pending
                 continue
             size, parts = 1, []
-            for piece in _text_pieces(g):
+            for piece in pieces:
                 if type(piece) is str:
                     parts.append(piece)
                     continue
@@ -410,12 +436,12 @@ def conj(*parts: Formula) -> Formula:
 
 
 # Deepest formula tree, before and after normalisation, that normalize
-# accepts.  Hashing, normalising and trace evaluation recurse up to three
-# frames per level, so at this depth they still leave callers over 100 of
-# the interpreter's default 1000; comparing two separately built equal
-# trees takes up to four.  The walks over subformulas and printing are
-# iterative.  A parsed formula within MAX_NESTING can still go deeper when
-# connectives alternate without parentheses, as in
+# accepts.  Normalising and trace evaluation recurse up to three frames
+# per level, so at this depth they still leave callers over 100 of the
+# interpreter's default 1000.  Hashing reads stored hashes, and comparing,
+# the walks over subformulas and printing are iterative.  A parsed formula
+# within MAX_NESTING can still go deeper when connectives alternate
+# without parentheses, as in
 # ``a & (b | a & (b | ...))``.
 MAX_DEPTH = 250
 
@@ -612,10 +638,10 @@ def parse_number(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text}") from None
 
 
-# Deepest subformula nesting the parser accepts.  Normalisation and
-# hashing recurse at least once per level, and a bracketed level costs the
-# parser eight frames, so at this depth every shape still leaves callers
-# over 150 of the interpreter's default 1000.
+# Deepest subformula nesting the parser accepts.  Normalisation recurses
+# at least once per level, and a bracketed level costs the parser eight
+# frames, so at this depth every shape still leaves callers over 150 of
+# the interpreter's default 1000.
 MAX_NESTING = 100
 
 

@@ -245,10 +245,7 @@ def build_weighted(source) -> WeightedAutomaton:
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups.update(dict.fromkeys(members, tuple(out)))
-    props = sum(1 << i for i in aut.closure.prop_members)
-    some_atom = {aut.atoms[aid].bits & props: aut.atoms[aid] for aid in states}
-    shared = {key: atom.valuation() for key, atom in some_atom.items()}
-    valuations = {aid: shared[aut.atoms[aid].bits & props] for aid in states}
+    valuations = {aid: aut.valuation(aid) for aid in states}
     aut._weighted = WeightedAutomaton(
         states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations
     )

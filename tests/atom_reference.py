@@ -20,8 +20,9 @@ takes every edge weight from the atom's own branch program.
 The engine also builds atoms and its per-atom masks bit-sliced, one int
 column per closure member over all free patterns.  ``atom_bits`` builds
 each atom on its own, member by member, ``atom_of_members`` checks a member
-set the same way, and ``masks`` reads the automaton's masks, signatures,
-finals, classes and initial atoms off each atom's bits.
+set the same way, and ``masks`` reads the automaton's rows, masks,
+signatures, finals, classes and initial atoms off the bits of the atoms
+that ``closure.enumerate_atoms`` lists, not off the engine's own rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from pltlf.automaton import GoodStates, WitnessModel, _qset_name
-from pltlf.closure import Atom
+from pltlf.closure import Atom, enumerate_atoms
 from pltlf.linsolve import LinearProgram
 from pltlf.syntax import (
     And,
@@ -125,15 +126,17 @@ def atom_of_members(clo, members) -> Atom:
 
 
 def masks(aut) -> dict:
-    """The automaton's per-atom tables, read off each atom's bits: next
-    and next-argument masks, probability-argument profiles, signatures
-    interned by their (cmp, bound) tuples, finals, classes and initial
-    atoms."""
+    """The automaton's per-atom tables, read off the bits of each atom the
+    closure enumerates: the rows themselves, next and next-argument masks,
+    probability-argument profiles, signatures interned by their (cmp,
+    bound) tuples, finals, classes and initial atoms."""
     clo = aut.closure
+    atoms = list(enumerate_atoms(clo))
     next_list = clo.next_members
     next_arg = [clo.index[clo.members[i].operand] for i in next_list]
-    n = len(aut.atoms)
+    n = len(atoms)
     out = {
+        "rows": [atom.bits for atom in atoms],
         "next_present": [0] * n,
         "next_args": [0] * n,
         "parg": [0] * n,
@@ -142,7 +145,7 @@ def masks(aut) -> dict:
     }
     sig_ids = {}
     classes = {}
-    for aid, atom in enumerate(aut.atoms):
+    for aid, atom in enumerate(atoms):
         bits = atom.bits
         np_mask = na_mask = 0
         for pos, i in enumerate(next_list):
@@ -169,7 +172,7 @@ def masks(aut) -> dict:
         classes.setdefault((np_mask, sig), []).append(aid)
     out["classes"] = tuple(map(tuple, classes.values()))
     root = clo.index[aut.formula]
-    out["initial"] = tuple(aid for aid, a in enumerate(aut.atoms) if a.bits >> root & 1)
+    out["initial"] = tuple(aid for aid, a in enumerate(atoms) if a.bits >> root & 1)
     return out
 
 

@@ -31,8 +31,10 @@ from pltlf import (
     trace_probability,
     witness_model,
 )
+import pltlf.automaton as automaton_module
+from pltlf.closure import Atom
 from pltlf.linsolve import LinearProgram
-from pltlf.syntax import And, Comparison
+from pltlf.syntax import And, Comparison, Prob
 
 from conftest import LARGER_TEXTS, PSI_TEXT
 
@@ -1056,12 +1058,28 @@ class TestProbabilityFreeReachability:
 
 
 class TestMasksFromColumns:
-    """The per-atom tables read off transposed columns equal those read off
-    each atom's bits, with signatures interned in the same order."""
+    """The rows and per-atom tables read off transposed columns, and the
+    classes read off the free bits, equal those read off the bits of each
+    atom the closure enumerates, with signatures interned in the same
+    order."""
 
     @given(sts.formulas())
     def test_random_formulas(self, f):
         self.check(TreeAutomaton(f))
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.builds(Prob, sts.comparisons, sts.bounds, sts.formulas(max_leaves=3, prob_free=True)),
+            min_size=2,
+            max_size=4,
+        ),
+        sts.formulas(max_leaves=3, prob_free=True),
+    )
+    def test_two_to_four_bounds(self, bounds, rest):
+        aut = TreeAutomaton(And((*bounds, rest)))
+        assume(2 <= len(aut._pairs) and len(aut) <= 4096)
+        self.check(aut)
 
     @given(sts.formulas(prob_free=True))
     def test_random_probability_free_formulas(self, f):
@@ -1074,6 +1092,7 @@ class TestMasksFromColumns:
     @staticmethod
     def check(aut):
         assert {
+            "rows": aut._rows,
             "next_present": aut._next_present,
             "next_args": aut._next_args,
             "parg": aut._parg,
@@ -1197,7 +1216,8 @@ class TestClassCounts:
     @pytest.mark.parametrize("text", [THREE_BOUNDS, LARGER_TEXTS[1]])
     def test_witness_builds_one_kept_table_per_expanded_node(self, text, monkeypatch):
         # every subset the witness tries at a node reads the node's one
-        # table, built against the good atoms of smaller distance
+        # table, built against a view that holds exactly the good atoms of
+        # smaller distance
         aut = TreeAutomaton(parse_formula(text))
         gs = aut.good_states()
         calls = []
@@ -1212,7 +1232,8 @@ class TestClassCounts:
         assert len(calls) == expanded
         for _, (aid, restrict) in calls:
             assert not aut.final[aid]
-            assert restrict == {a for a in gs.good if gs.distance[a] < gs.distance[aid]}
+            held = {a for a in range(len(aut)) if a in restrict}
+            assert held == {a for a in gs.good if gs.distance[a] < gs.distance[aid]}
 
     @pytest.mark.parametrize("text", CLASS_FORMULAS)
     def test_classes_partition_the_atoms_by_mask_and_signature(self, text):
@@ -1223,6 +1244,63 @@ class TestClassCounts:
             assert len(keys) == 1
         firsts = [m[0] for m in aut._classes]
         assert firsts == sorted(firsts)
+
+
+class TestRowsAndCapsOnDemand:
+    """Construction keeps its atoms as int rows and makes no ``Atom``;
+    only the ``atoms`` view makes them, on first use.  A cap is computed
+    on a maximum's cache miss only, so the queries that read no edge
+    weight compute none, and the weighted build at most one per
+    (signature, family, profile)."""
+
+    BOUNDED = (THREE_BOUNDS, PSI_TEXT, LARGER_TEXTS[1], "P>=0.5[a] & P>=0.6[!a] & P>0.2[b]")
+
+    @pytest.mark.parametrize("text", [*BOUNDED, "X X a & F b", LARGER_TEXTS[0]])
+    def test_construction_and_queries_make_no_atom(self, text, monkeypatch):
+        made = []
+        init = Atom.__init__
+
+        def counting(atom, *args):
+            made.append(args)
+            init(atom, *args)
+
+        monkeypatch.setattr(Atom, "__init__", counting)
+        aut = TreeAutomaton(parse_formula(text))
+        witness_model(aut)
+        build_weighted(aut)
+        assert made == []
+        assert [atom.bits for atom in aut.atoms] == aut._rows
+        assert len(made) == len(aut)
+
+    @pytest.fixture
+    def caps(self, monkeypatch):
+        calls = []
+        cap = automaton_module._cap
+
+        def counting(*args):
+            calls.append(args)
+            return cap(*args)
+
+        monkeypatch.setattr(automaton_module, "_cap", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", BOUNDED)
+    def test_sat_and_witness_compute_no_cap(self, text, caps):
+        aut = TreeAutomaton(parse_formula(text))
+        is_satisfiable(aut)
+        witness_model(aut)
+        assert caps == []
+
+    @pytest.mark.parametrize("text", BOUNDED)
+    def test_weighted_build_computes_a_cap_once_per_maximum(self, text, caps, monkeypatch):
+        aut = TreeAutomaton(parse_formula(text))
+        aut.good_states()
+        calls = []
+        counting_calls(monkeypatch, aut, ["family_max"], calls)
+        build_weighted(aut)
+        asked = {(aut._prob_sig[aid], family, q) for _, (aid, family, q) in calls}
+        assert set(aut._max_cache) == asked
+        assert len(caps) == len(asked)
 
 
 class TestReleasedByReferenceCounting:

@@ -540,6 +540,24 @@ def test_src_lines_totals_the_modules():
     assert total == ["total", str(sum(lines)), str(sum(code))]
 
 
+def test_compile_ladder_smallest_rung():
+    # one JSON line with the atom count and every layer's seconds
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "compile_ladder.py"), "--only", "X^10 a"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    result = json.loads(line)
+    assert list(result) == ["X^10 a"]
+    rung = result["X^10 a"]
+    assert list(rung) == ["atoms", "construct", "good", "weighted", "behaviour", "mlt"]
+    assert rung["atoms"] == 2048
+    assert all(rung[layer] >= 0 for layer in rung)
+
+
 def test_ab_summary_of_two_runs():
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("ab", root / "scripts" / "ab.py")

@@ -427,6 +427,16 @@ class TestDeepChains:
             with pytest.raises(ValueError, match=self.TOO_DEEP):
                 query()
 
+    def test_hashes_and_sets_answer(self, name):
+        # each node stores its hash when built, so no hash walks the chain
+        node = CHAINS[name][0]
+        f, g = chain(node, self.LEVELS), chain(node, self.LEVELS)
+        other = chain(node, self.LEVELS, Prop("c"))
+        assert f is not g
+        assert hash(f) == hash(g)
+        assert {f} == {g} and {f: 1}[g] == 1
+        assert len({f, g, other}) == 2
+
     def test_eval_trace_rejects_with_value_error(self, name):
         f = chain(CHAINS[name][0], self.LEVELS)
         with pytest.raises(ValueError, match=self.TOO_DEEP):
@@ -441,7 +451,8 @@ class TestDeepChains:
 
 class TestDeepEquality:
     """Equality walks an explicit stack, so separately built deep trees
-    compare from deep in the call stack; hashing is the dataclass hash."""
+    compare from deep in the call stack; a node's hash is stored when it
+    is built, from its node type and its fields' hashes."""
 
     LEVELS = 250
 
