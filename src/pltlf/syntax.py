@@ -90,6 +90,11 @@ class Formula:
         # a subtree, so a tree of any depth hashes
         self.__dict__["_hash"] = hash((self.__class__, self._fields(self)))
 
+    def __reduce__(self):
+        # rebuilt by its constructor: a string's hash differs between
+        # processes, so an unpickled node must not keep the hash it stored
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
     def __eq__(self, other):
         # over an explicit stack of node pairs, so trees of any depth
         # compare; a pair of one node twice is equal at once, and a pair

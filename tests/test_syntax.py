@@ -1,4 +1,7 @@
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -447,6 +450,28 @@ class TestDeepChains:
         f = chain(node, MAX_DEPTH - 1)
         check_depth(f)
         assert eval_trace(f, t("a,b;a,b")) == truth
+
+
+def test_unpickled_formula_hashes_as_one_built_here():
+    # a string's hash differs between processes, so a node pickled under
+    # one hash seed hashes as a freshly built equal node under another
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    text = "P<=0.5[a U X b] & !c"
+    start = f"import pickle, sys; from pltlf import parse_formula; f = parse_formula({text!r})"
+    save = f"{start}; sys.stdout.buffer.write(pickle.dumps(f))"
+    load = f"{start}; g = pickle.load(sys.stdin.buffer); print(hash(g) == hash(f), g in {{f}}, g == f)"
+    env = {**os.environ, "PYTHONPATH": path}
+    saved = subprocess.run(
+        [sys.executable, "-c", save], capture_output=True, env={**env, "PYTHONHASHSEED": "1"}
+    )
+    assert saved.returncode == 0, saved.stderr
+    loaded = subprocess.run(
+        [sys.executable, "-c", load], input=saved.stdout, capture_output=True,
+        env={**env, "PYTHONHASHSEED": "2"},
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.split() == [b"True", b"True", b"True"]
 
 
 class TestDeepEquality:
