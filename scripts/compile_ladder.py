@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Library seconds of the tree engine on a ladder of formulas.
+"""Library seconds of the tree and flat engines on a ladder of inputs.
 
     python3 scripts/compile_ladder.py [--only NAME ...] [--repeat N]
 
-The rungs are ``X^k a`` for k = 10, 12 and 14 and the conjunctions of the
-first four and five bounds of ``BOUNDS``.  For each rung it compiles the
+The tree rungs are ``X^k a`` for k = 10, 12 and 14 and the conjunctions of
+the first four and five bounds of ``BOUNDS``.  For each it compiles the
 automaton and times, in CPU seconds, five layers in order: construction,
 good states, ``build_weighted``, the behaviour, and ``mlt_acceptor`` with
-``enumerate_mlts(acc, 5, 20)``.  With ``--repeat N`` each layer reports
-its least time over N fresh compiles.  It prints one JSON line mapping
-each rung's name to its atom count and the five times.
+``enumerate_mlts(acc, 5, 20)``.  The flat rungs are the first 9 and 11
+lines of ``LINES``; for each it times ``build_lphi``, feasibility, the
+maxima and ``rows_text``.  With ``--repeat N`` each layer reports its
+least time over N fresh compiles.  It prints one JSON line mapping each
+rung's name to its sizes (a tree rung's atom count, a flat rung's
+scenarios and live scenarios) and its layers' times.
 """
 
 import argparse
@@ -19,18 +22,20 @@ import time
 from pltlf import (
     TreeAutomaton,
     behaviour,
+    build_lphi,
     build_weighted,
     enumerate_mlts,
     mlt_acceptor,
     parse_formula,
+    parse_pltlf0,
 )
 
 BOUNDS = ("P<=0.5[a]", "P>=0.6[X b]", "P>0.2[F c]", "P<0.7[G d]", "P>=0.3[F e]", "P<=0.4[X X f]")
-RUNGS = {
-    **{f"X^{k} a": "X " * k + "a" for k in (10, 12, 14)},
-    **{f"{w} bounds": " & ".join(BOUNDS[:w]) for w in (4, 5)},
-}
-LAYERS = ("construct", "good", "weighted", "behaviour", "mlt")
+LINES = (
+    "P<=0.7 : F a", "P<=0.8 : F b", "P>=0.3 : G(a -> F b)", "P<=0.6 : a U b",
+    "P>=0.2 : X c", "P<=0.9 : F(c & X d)", "P>=0.1 : G !d", "P<=0.5 : F(a & b)",
+    "P>=0.2 : G(c -> X a)", "P<=0.75 : F d", "P>=0.05 : b U c", "P<=0.95 : G(d -> F a)",
+)
 
 
 def timed(run) -> tuple:
@@ -39,14 +44,33 @@ def timed(run) -> tuple:
     return result, time.process_time() - start
 
 
-def rung(text: str) -> dict:
+def tree_rung(text: str) -> tuple:
     """Atom count and CPU seconds of each layer, on one fresh compile."""
     aut, construct = timed(lambda: TreeAutomaton(parse_formula(text)))
     _, good = timed(aut.good_states)
     wa, weighted = timed(lambda: build_weighted(aut))
     _, value = timed(lambda: behaviour(wa))
     _, mlt = timed(lambda: enumerate_mlts(mlt_acceptor(wa), 5, 20))
-    return {"atoms": len(aut), **dict(zip(LAYERS, (construct, good, weighted, value, mlt)))}
+    layers = ("construct", "good", "weighted", "behaviour", "mlt")
+    return {"atoms": len(aut)}, dict(zip(layers, (construct, good, weighted, value, mlt)))
+
+
+def flat_rung(text: str) -> tuple:
+    """Scenario counts and CPU seconds of each layer, on one fresh compile."""
+    phi = parse_pltlf0(text)
+    table, build = timed(lambda: build_lphi(phi))
+    _, feasible = timed(lambda: table.feasible)
+    _, maxima = timed(lambda: table.maxima)
+    _, rows = timed(table.rows_text)
+    sizes = {"scenarios": len(table.scenarios), "live": sum(table.satisfiable)}
+    return sizes, {"build_lphi": build, "feasible": feasible, "maxima": maxima, "rows_text": rows}
+
+
+RUNGS = {
+    **{f"X^{k} a": (tree_rung, "X " * k + "a") for k in (10, 12, 14)},
+    **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w])) for w in (4, 5)},
+    **{f"flat n={n}": (flat_rung, "\n".join(LINES[:n])) for n in (9, 11)},
+}
 
 
 def main() -> None:
@@ -56,9 +80,11 @@ def main() -> None:
     args = parser.parse_args()
     result = {}
     for name in args.only or RUNGS:
-        runs = [rung(RUNGS[name]) for _ in range(max(1, args.repeat))]
-        least = {layer: round(min(r[layer] for r in runs), 4) for layer in LAYERS}
-        result[name] = {"atoms": runs[0]["atoms"], **least}
+        measure, text = RUNGS[name]
+        runs = [measure(text) for _ in range(max(1, args.repeat))]
+        sizes, times = runs[0]
+        least = {layer: round(min(r[1][layer] for r in runs), 4) for layer in times}
+        result[name] = {**sizes, **least}
     print(json.dumps(result))
 
 

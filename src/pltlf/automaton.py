@@ -49,16 +49,11 @@ per (signature, family).
 
 A branch system asks whether some distribution over the family's
 profiles, its child subsets, puts the required mass on every bound's
-argument.  Most are settled by reading the profiles, from masks each
-signature keeps: the point mass of one profile may meet every bound, or
-a bound may fail at the one mass its argument can take, 0 when no
-profile holds it and 1 when every profile does.  A one-profile family
-has its point mass as its only point.  The largest mass of a subset is
-settled the same way: the relaxed bounds cap it, and when the family
-holds a profile whose mixture with the subset at that cap meets every
-relaxed bound, that point proves the cap is the maximum.  Only what none
-of these settles builds a program: see :meth:`TreeAutomaton.family_feasible`
-and :meth:`TreeAutomaton.family_max`.
+argument.  Each signature keeps one :class:`Branches`, which answers
+feasibility, points and maxima mostly by reading the profiles, and
+builds a program only for what they leave open.  The flat engine's mass
+system is a branch system too, over the scenarios, and asks the same
+class.
 
 The program asks two questions of a scenario: the first child tuple, which
 decides whether a transition exists and gives the witness its children,
@@ -73,9 +68,7 @@ as :class:`~pltlf.closure.Atom` objects, and reads every per-atom mask,
 initial membership included, off transposed closure columns.  The
 classes need no per-atom pass: next members and the smaller side of each
 probability pair are free bits of the atom index, so a class is its
-smallest atom combined with every pattern of the other free bits.  The
-cap on a subset's mass is computed when a maximum first asks for it, so
-the queries that read no edge weight compute none.
+smallest atom combined with every pattern of the other free bits.
 
 Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
 which keeps its good states, LP results and weighted automaton.
@@ -89,7 +82,7 @@ from functools import cached_property
 from itertools import combinations, compress
 from typing import Optional
 
-from .closure import Atom, ClosureSet, transpose
+from .closure import Atom, ClosureSet, free_column, transpose
 from .linsolve import LinearProgram, LinearSystem, solve_feasibility
 from .syntax import (
     And,
@@ -161,33 +154,13 @@ class TreeAutomaton:
         self._next_args = transpose([cols[i] for i in next_args], n)
         self._parg = transpose([cols[arg] for _, _, arg in self._pairs], n)
         self._prob_sig = transpose([cols[i] for i in sides], n)
-        # each signature's bounds as (cmp, numerator, denominator), read once
-        self._sig_bounds = [
-            tuple((m.cmp, m.bound.numerator, m.bound.denominator) for m in self._sig_members(sig))
-            for sig in range(1 << width)
-        ]
-        self._qset_names = [_qset_name(q, width) for q in range(1 << width)]
-
-        # Families and profile sets are masks over profiles: bit q stands
-        # for the child subset q.  holders[j] holds the profiles that hold
-        # pair j's argument.  Per signature, read each bound at mass 0 and
-        # at mass 1: ``_points`` holds the profiles whose point mass meets
-        # every bound as written, and a family that misses one of
-        # ``_needs`` leaves some bound at the mass it fails at.
-        self._everyone = everyone = (1 << (1 << width)) - 1
-        self._holders = holders = [
-            sum(1 << q for q in range(1 << width) if q >> j & 1) for j in range(width)
-        ]
-        self._points, self._needs = [], []
-        for bounds in self._sig_bounds:
-            points = everyone
-            needs = []
-            for held, (cmp, num, den) in zip(holders, bounds):
-                at0, at1 = cmp.holds(0, num), cmp.holds(den, num)
-                points &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
-                needs += [held] * (not at0) + [everyone & ~held] * (not at1)
-            self._points.append(points)
-            self._needs.append(needs)
+        # each signature's branch systems, over the child subsets as
+        # profiles: bound j is its member of pair j
+        names = [_qset_name(q, width) for q in range(1 << width)]
+        self.branches = tuple(
+            Branches(tuple((m.cmp, *m.bound.as_integer_ratio()) for m in members), names)
+            for members in map(self._sig_members, range(1 << width))
+        )
         # classes of atoms with equal next masks and signatures, ordered by
         # their smallest atom: every parent-side decision reads only these.
         # Next members and smaller sides are free, so a class is its
@@ -200,7 +173,8 @@ class TreeAutomaton:
         self._classes = tuple(tuple(map(base.__or__, others)) for base in _submasks(keyed))
         self.final = [False] * n
         for members in self._classes:
-            if not self._next_present[members[0]] and self._points[self._prob_sig[members[0]]] & 1:
+            branches = self.branches[self._prob_sig[members[0]]]
+            if not self._next_present[members[0]] and branches.points & 1:
                 for aid in members:
                     self.final[aid] = True
 
@@ -217,8 +191,6 @@ class TreeAutomaton:
         self._valuations = {}
         self._family_cache = {}
         self._cand_cache = {}
-        self._point_cache = {}
-        self._max_cache = {}
         self._good = None
         self._weighted = None
 
@@ -249,39 +221,13 @@ class TreeAutomaton:
             found = self._valuations[key] = self.closure.valuation(key)
         return found
 
-    def branch_rows(self, aid: int, qsets) -> tuple:
-        """Branch system of a scenario as integer rows for
-        :meth:`LinearProgram.from_int_rows`, with its variable names.
-
-        The rows are one probability row per member in pair order, whose
-        coefficients are the member's bound denominator on each subset that
-        holds its argument, then each subset's sign row, then total mass
-        one.  A probability row that is itself a sign row, ``P>=0`` over an
-        argument only one subset holds, is handed over as that subset.
-        """
-        qsets = tuple(sorted(qsets))
-        names = tuple(self._qset_names[q] for q in qsets)
-        rows = []
-        for j, (cmp, num, den) in enumerate(self._sig_bounds[self._prob_sig[aid]]):
-            holders = [k for k, q in enumerate(qsets) if q >> j & 1]
-            if cmp is Comparison.GE and num <= 0 and len(holders) == 1:
-                rows.append(holders[0])
-                continue
-            coeffs = [0] * len(qsets)
-            for k in holders:
-                coeffs[k] = den
-            rows.append((coeffs, cmp, num, den))
-        rows.extend(range(len(qsets)))
-        rows.append(([1] * len(qsets), Comparison.EQ, 1, 1))
-        return names, rows
-
     def build_system(self, aid: int, qsets) -> LinearSystem:
-        """Branch system for a scenario, the :meth:`branch_rows` spelled as
-        a :class:`LinearSystem`: probability rows in pair order,
-        nonnegativity for every subset variable, total mass one.  The
-        engine solves the rows themselves; this form is for display and
-        for independent checks."""
-        names, rows = self.branch_rows(aid, qsets)
+        """Branch system for a scenario, its signature's
+        :meth:`Branches.rows` spelled as a :class:`LinearSystem`:
+        probability rows in pair order, nonnegativity for every subset
+        variable, total mass one.  The engine solves the rows themselves;
+        this form is for display and for independent checks."""
+        names, rows = self.branches[self._prob_sig[aid]].rows(qsets)
         spelled = []
         for row in rows:
             if isinstance(row, int):
@@ -312,64 +258,6 @@ class TreeAutomaton:
         result = tuple(records)
         self._family_cache[sig] = result
         return result
-
-    def _program(self, aid: int, qsets) -> LinearProgram:
-        """The family's branch program after phase 1, built once per
-        (signature, family) from :meth:`branch_rows` straight into the
-        integer tableau, with no :class:`LinearSystem`."""
-        key = (self._prob_sig[aid], qsets)
-        program = self._point_cache.get(key)
-        if program is None:
-            program = self._point_cache[key] = LinearProgram.from_int_rows(
-                *self.branch_rows(aid, qsets)
-            )
-        return program
-
-    def family_feasible(self, aid: int, qsets) -> bool:
-        """Whether the family's branch system is feasible.
-
-        Two certificates read only the family's profiles.  The system is
-        feasible when the family holds a profile whose point mass meets
-        every bound.  It is infeasible when some bound fails at mass 0 and
-        no profile holds its argument, or fails at mass 1 and every profile
-        does, as that argument's mass is then fixed.  Only a family neither
-        settles builds its program."""
-        sig = self._prob_sig[aid]
-        mask = sum(1 << q for q in qsets)
-        if mask & self._points[sig]:
-            return True
-        if any(not mask & need for need in self._needs[sig]):
-            return False
-        return self._program(aid, qsets).feasible
-
-    def family_point(self, aid: int, qsets) -> Optional[dict]:
-        """Deterministic point of the family's branch system, or None when
-        it is infeasible: the feasibility objective's vertex.  A feasible
-        one-profile family has one point, all the mass on its profile, and
-        builds no program."""
-        if len(qsets) == 1 and self._points[self._prob_sig[aid]] >> qsets[0] & 1:
-            return {self._qset_names[qsets[0]]: ONE}
-        return self._program(aid, qsets).witness
-
-    def family_max(self, aid: int, qsets, qmask: int) -> Fraction:
-        """Largest mass the family's branch system lets the subset
-        ``qmask`` absorb, over the closure of the system, which must be
-        feasible.  The relaxed bounds cap that mass; when the family holds
-        a mixer of the subset, a point of the closure meets the cap, and
-        so the cap is the maximum.  Otherwise it is a phase 2 from the
-        basis the family's program kept.  Results are shared across atoms
-        with equal probability signatures, and the cap and its mixers are
-        computed only when a result is not yet known."""
-        sig = self._prob_sig[aid]
-        key = (sig, qsets, qmask)
-        if key not in self._max_cache:
-            cap, mixers = _cap(self._sig_bounds[sig], self._holders, qmask, self._everyone)
-            if mixers & sum(1 << q for q in qsets):
-                self._max_cache[key] = cap
-            else:
-                name = self._qset_names[qmask]
-                self._max_cache[key] = self._program(aid, qsets).maximum(name)
-        return self._max_cache[key]
 
     def _candidates(self, aid: int) -> dict:
         """Child candidates bucketed by their probability-argument profile,
@@ -472,8 +360,9 @@ class TreeAutomaton:
         monotonicity facts, exactly when some feasible family has a child
         tuple in the set.  The kept table and its first tuple read only the
         next mask, so a sweep builds them once per touched next mask, and
-        then once per (signature, family) asks :meth:`family_feasible`,
-        which the family's profiles mostly answer without a program.  The
+        then once per (signature, family) asks the signature's
+        :meth:`Branches.feasible`, which the family's profiles mostly
+        answer without a program.  The
         table is built from the set itself, with no copy: the set grows
         only after the sweep's decisions.
 
@@ -506,7 +395,7 @@ class TreeAutomaton:
                 joined = [
                     m for m in pending
                     if (family := families.get(self._next_present[m[0]]))
-                    and self.family_feasible(m[0], family)
+                    and self.branches[self._prob_sig[m[0]]].feasible(family)
                 ]
             else:
                 joined = [m for m in pending if self._next_present[m[0]] in masks]
@@ -539,35 +428,132 @@ class GoodStates:
     sweeps: int
 
 
-def _cap(bounds, holders, q0: int, everyone: int) -> tuple:
-    """The cap on profile ``q0``'s mass and its mixers, from a signature's
-    bounds as (cmp, numerator, denominator), read relaxed.
+class Branches:
+    """The branch systems over one list of bounds, and their answers.
 
-    Every point of the relaxed branch system gives ``q0`` at most the cap
-    ``c``: 1, each ``<=`` bound whose argument ``q0`` holds, and one minus
-    each ``>=`` bound whose argument it lacks.  Profile ``p`` is a mixer
-    when the mixture ``c q0 + (1 - c) p`` meets every relaxed bound: it
-    puts mass 0, ``c``, ``1 - c`` or 1 on each argument, and it is a point
-    at which the mass of ``q0`` reaches the cap, so a family holding
-    ``q0`` and a mixer has maximum ``c``.  With ``p = q0`` the mixture is
-    the point mass of ``q0``, a mixer exactly when ``c = 1``.
+    A profile is a bitmask over the bounds, and bound j, given as ``(cmp,
+    numerator, denominator)``, reads the mass of the profiles whose bit j
+    is set.  A family is a tuple of distinct profiles; its system asks for
+    a distribution over them, total mass one, that meets every bound, and
+    ``names[q]`` names profile q's variable.  Profile sets are masks with
+    bit q for profile q, read off each bound at mass 0 and 1: ``points``
+    holds the profiles whose point mass meets every bound, and a family
+    that misses one of ``needs`` leaves a bound at the one mass its
+    argument can take, where it fails.  Caps, programs and maxima are kept.
     """
-    upper = [cmp in _UPPER for cmp, _, _ in bounds]
-    c = scale = 1  # the cap is c / scale
-    for j, (up, (_, num, den)) in enumerate(zip(upper, bounds)):
-        if up == (q0 >> j & 1):  # an upper bound held, or a lower one lacked
-            room = num if up else den - num
-            if room * scale < c * den:
-                c, scale = room, den
-    mixers = everyone
-    for j, (up, held, (_, num, den)) in enumerate(zip(upper, holders, bounds)):
-        # the mixture's mass on the argument times ``scale``, q0's share
-        # plus p's when p holds it, against num / den, relaxed
-        own = c if q0 >> j & 1 else 0
-        mass0, mass1, rhs = own * den, (own + scale - c) * den, num * scale
-        at0, at1 = (mass0 <= rhs, mass1 <= rhs) if up else (mass0 >= rhs, mass1 >= rhs)
-        mixers &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
-    return Fraction(c, scale), mixers
+
+    def __init__(self, bounds: tuple, names):
+        self.bounds, self.names = bounds, names
+        count = 1 << len(bounds)
+        self._everyone = everyone = (1 << count) - 1
+        self._holders = holders = [free_column(j, count) for j in range(len(bounds))]
+        self.points, self.needs = everyone, []
+        for held, (cmp, num, den) in zip(holders, bounds):
+            at0, at1 = cmp.holds(0, num), cmp.holds(den, num)
+            self.points &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
+            self.needs += [held] * (not at0) + [everyone & ~held] * (not at1)
+        self._caps, self._programs, self._maxima = {}, {}, {}
+
+    def rows(self, qsets) -> tuple:
+        """The family's branch system as integer rows for
+        :meth:`LinearProgram.from_int_rows`, with its variable names.
+
+        The rows are one row per bound in order, whose coefficients are
+        the bound's denominator on each profile that holds it, then each
+        profile's sign row, then total mass one.  A bound row that is
+        itself a sign row, ``P>=0`` held by only one profile, is handed
+        over as that profile.
+        """
+        qsets = tuple(sorted(qsets))
+        names = tuple(self.names[q] for q in qsets)
+        rows = []
+        for j, (cmp, num, den) in enumerate(self.bounds):
+            coeffs = [den if q >> j & 1 else 0 for q in qsets]
+            if cmp is Comparison.GE and num <= 0 and len(qsets) - coeffs.count(0) == 1:
+                rows.append(coeffs.index(den))
+            else:
+                rows.append((coeffs, cmp, num, den))
+        rows.extend(range(len(qsets)))
+        rows.append(([1] * len(qsets), Comparison.EQ, 1, 1))
+        return names, rows
+
+    def _program(self, qsets) -> LinearProgram:
+        """The family's program after phase 1, built once per family from
+        :meth:`rows` straight into the integer tableau."""
+        program = self._programs.get(qsets)
+        if program is None:
+            program = self._programs[qsets] = LinearProgram.from_int_rows(*self.rows(qsets))
+        return program
+
+    def feasible(self, qsets) -> bool:
+        """Whether the family's branch system is feasible.
+
+        It is when the family holds a profile whose point mass meets every
+        bound, and it is not when some bound fails at mass 0 and no profile
+        holds it, or fails at mass 1 and every profile does.  Only a family
+        neither settles builds its program."""
+        mask = sum(1 << q for q in qsets)
+        if mask & self.points:
+            return True
+        if any(not mask & need for need in self.needs):
+            return False
+        return self._program(qsets).feasible
+
+    def point(self, qsets) -> Optional[dict]:
+        """Deterministic point of the family's branch system, or None when
+        it is infeasible: the feasibility objective's vertex.  A feasible
+        one-profile family has one point, all the mass on its profile, and
+        builds no program."""
+        if len(qsets) == 1 and self.points >> qsets[0] & 1:
+            return {self.names[qsets[0]]: ONE}
+        return self._program(qsets).witness
+
+    def maximum(self, qsets, q: int) -> Fraction:
+        """Largest mass the family's branch system lets profile ``q``
+        absorb, over the closure of the system, which must be feasible:
+        ``q``'s cap when the family holds a mixer of it, and otherwise a
+        phase 2 from the basis the family's program kept.  A profile's cap
+        is computed once, when a maximum first asks for it."""
+        key = (qsets, q)
+        found = self._maxima.get(key)
+        if found is None:
+            cap, mixers = self._caps.get(q) or self._caps.setdefault(q, self._cap(q))
+            if mixers & sum(1 << p for p in qsets):
+                found = cap
+            else:
+                found = self._program(qsets).maximum(self.names[q])
+            self._maxima[key] = found
+        return found
+
+    def _cap(self, q0: int) -> tuple:
+        """The cap on profile ``q0``'s mass and its mixers, the bounds
+        read relaxed.
+
+        Every point of the relaxed branch system gives ``q0`` at most the
+        cap ``c``: 1, each ``<=`` bound that ``q0`` holds, and one minus
+        each ``>=`` bound that it lacks.  Profile ``p`` is a mixer when the
+        mixture ``c q0 + (1 - c) p`` meets every relaxed bound: it puts
+        mass 0, ``c``, ``1 - c`` or 1 on each bound, and it is a point at
+        which the mass of ``q0`` reaches the cap, so a family holding
+        ``q0`` and a mixer has maximum ``c``.  With ``p = q0`` the mixture
+        is the point mass of ``q0``, a mixer exactly when ``c = 1``.
+        """
+        upper = [cmp in _UPPER for cmp, _, _ in self.bounds]
+        c = scale = 1  # the cap is c / scale
+        for j, (up, (_, num, den)) in enumerate(zip(upper, self.bounds)):
+            if up == (q0 >> j & 1):  # an upper bound held, or a lower one lacked
+                room = num if up else den - num
+                if room * scale < c * den:
+                    c, scale = room, den
+        mixers = everyone = self._everyone
+        for j, (up, held, (_, num, den)) in enumerate(zip(upper, self._holders, self.bounds)):
+            # the mixture's mass on the bound times ``scale``, q0's share
+            # plus p's when p holds it, against num / den, relaxed
+            own = c if q0 >> j & 1 else 0
+            mass0, mass1, rhs = own * den, (own + scale - c) * den, num * scale
+            at0, at1 = (mass0 <= rhs, mass1 <= rhs) if up else (mass0 >= rhs, mass1 >= rhs)
+            mixers &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
+        return Fraction(c, scale), mixers
 
 
 def _submasks(mask: int) -> list:
@@ -675,14 +661,15 @@ def _witness_subtree(aut, distance, aid: int, probability) -> WitnessModel:
     if aut.final[aid]:
         return WitnessModel(aut.valuation(aid), probability, ())
     kept = aut.kept(aid, _Earlier(distance, distance[aid]))
+    branches = aut.branches[aut._prob_sig[aid]]
     for size in range(1, len(kept) + 1):
         for chosen in combinations(kept, size):
             tup = aut.first_tuple(aid, chosen, kept)
-            if tup is None or not aut.family_feasible(aid, chosen):
+            if tup is None or not branches.feasible(chosen):
                 continue
-            point = aut.family_point(aid, chosen)
+            point = branches.point(chosen)
             children = tuple(
-                _witness_subtree(aut, distance, cid, point[aut._qset_names[q]])
+                _witness_subtree(aut, distance, cid, point[branches.names[q]])
                 for q, cid in zip(chosen, tup)
             )
             return WitnessModel(aut.valuation(aid), probability, children)

@@ -133,18 +133,10 @@ class ClosureSet:
 
     @cached_property
     def columns(self) -> tuple:
-        """Every member's column over all free patterns, in closure order.
-        Free member j's column repeats 2^j clear bits, then 2^j set bits:
-        one period, doubled until it fills the patterns."""
+        """Every member's column over all free patterns, in closure order;
+        free member j's column is :func:`free_column` j."""
         count = self.atom_count()
-        free = []
-        for j in range(len(self._free)):
-            period = 2 << j
-            c = ((1 << (1 << j)) - 1) << (1 << j)
-            while period < count:
-                c |= c << period
-                period *= 2
-            free.append(c)
+        free = [free_column(j, count) for j in range(len(self._free))]
         return tuple(self._evaluate(free, (1 << count) - 1))
 
     def _evaluate(self, free_columns, full: int) -> list:
@@ -187,6 +179,18 @@ class Atom:
     def __repr__(self) -> str:
         inner = ", ".join(formula_text(g) for g in self.members())
         return f"<Atom {{{inner}}}>"
+
+
+def free_column(j: int, count: int) -> int:
+    """The patterns below ``count``, a power of two, that set bit j, as a
+    column: 2^j clear bits, then 2^j set bits, one period doubled until it
+    fills the patterns."""
+    period = 2 << j
+    c = ((1 << (1 << j)) - 1) << (1 << j)
+    while period < count:
+        c |= c << period
+        period *= 2
+    return c
 
 
 def transpose(columns, count: int) -> list:

@@ -4,22 +4,24 @@ A constraint set puts one probability bound on each of n probability-free
 formulas.  Semantically, mass is distributed over the 2^n scenarios (sign
 patterns choosing which constraint formulas hold), so satisfiability,
 per-scenario maxima, most-likely-scenario selection, and prefix
-monitoring all reduce to one shared linear system plus one plain
-automaton.
+monitoring all reduce to one shared mass system plus one plain automaton.
 
 :func:`build_lphi` compiles a constraint set once into a
 :class:`ScenarioTable`: one tree automaton over the conjunction of the
-distinct constraint formulas, one prefix acceptor per scenario (whose
-start set of good atoms gives the scenario's satisfiability flag), and
-the mass system.  Without bounds the automaton's weighted automaton has
-every weight equal to 1, so it is a plain automaton over traces: every
-acceptor steps it, each from its own start set.  It is built the first
-time an acceptor steps, on a nonempty prefix or a monitor step, so
-satisfiability and the maxima never build it.  The maxima are computed
-on first use and kept on the table, each over the live variables only:
-an unsatisfiable scenario's variable is pinned to zero and its column is
-dropped.  Every query and the monitor reuse the table's acceptors and
-maxima; a query given a :class:`Pltlf0Formula` compiles it first.
+distinct constraint formulas and one prefix acceptor per scenario, whose
+start set of good atoms gives the scenario's satisfiability flag.
+Without bounds the automaton's weighted automaton has every weight equal
+to 1, so it is a plain automaton over traces: every acceptor steps it,
+each from its own start set.  It is built the first time an acceptor
+steps, on a nonempty prefix or a monitor step, so satisfiability and the
+maxima never build it.  The mass system is a branch system whose
+profiles are the scenarios, decided by the tree engine's
+:class:`~pltlf.automaton.Branches` over the live scenarios only, as an
+unsatisfiable scenario's mass is pinned to zero: profile certificates
+settle most answers, and a program is built only for what they leave.
+Feasibility and the maxima are computed on first use and kept.  Every
+query and the monitor reuse the table's acceptors and maxima; a query
+given a :class:`Pltlf0Formula` compiles it first.
 
 One rule picks the most likely scenario, :meth:`ScenarioTable.most_likely`:
 the largest positive maximum, the smallest index on ties.  The queries and
@@ -43,9 +45,9 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_
 
-from .automaton import TreeAutomaton
+from .automaton import Branches, TreeAutomaton
 from .closure import transpose
-from .linsolve import InfeasibleSystemError, LinearProgram, LinearSystem
+from .linsolve import InfeasibleSystemError
 from .syntax import (
     Comparison,
     Formula,
@@ -200,15 +202,14 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioTable:
-    """One constraint set compiled once: its scenarios, one prefix
-    acceptor per scenario, all read off one automaton, and the mass
-    system.  The per-scenario maxima and the monitor's states are computed
+    """One constraint set compiled once: its scenarios and one prefix
+    acceptor per scenario, all read off one automaton.  The mass system's
+    answers, the per-scenario maxima and the monitor's states are computed
     on first use and kept."""
 
     formula: Pltlf0Formula
     scenarios: tuple
     acceptors: tuple
-    system: LinearSystem
     _monitor_states: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -216,40 +217,38 @@ class ScenarioTable:
         return tuple(a.satisfiable for a in self.acceptors)
 
     @cached_property
-    def live_program(self) -> LinearProgram:
-        """The mass system over the live scenarios' variables, after phase 1.
+    def _branches(self) -> Branches:
+        """The mass system as a branch system over the constraints in
+        reverse order, whose bound j reads bit j of an index: profile i is
+        scenario i."""
+        constraints = reversed(self.formula.constraints)
+        bounds = tuple((c.cmp, *c.bound.as_integer_ratio()) for c in constraints)
+        return Branches(bounds, [self.variable(i) for i in range(len(self.scenarios))])
 
-        An unsatisfiable scenario's variable is pinned to zero, so dropping
-        its column keeps every point of the system.  A row left without a
-        live coefficient reads ``0 <cmp> rhs`` and is dropped when that
-        holds; a failing one stays and keeps the system infeasible.
-        """
-        live = [i for i, sat in enumerate(self.satisfiable) if sat]
-        rows = []
-        for c in self.system.constraints:
-            coeffs = {self.variable(i): c.coeffs[i] for i in live if c.coeffs[i]}
-            if coeffs or not c.rel.holds(ZERO, c.rhs):
-                rows.append((coeffs, c.rel, c.rhs))
-        return LinearProgram(LinearSystem.from_rows([self.variable(i) for i in live], rows))
+    @cached_property
+    def _live(self) -> tuple:
+        """The family of the mass system, its satisfiable scenarios: an
+        unsatisfiable one's mass is pinned to zero."""
+        return tuple(i for i, sat in enumerate(self.satisfiable) if sat)
 
     @cached_property
     def feasible(self) -> bool:
         """Whether the mass system, strict rows included, has a point."""
-        return self.live_program.feasible
+        return self._branches.feasible(self._live)
 
     @cached_property
     def maxima(self) -> tuple:
         """Each scenario's mass maximised on its own over the shared system.
 
-        Each supremum is a phase 2 from the basis the feasibility test
-        kept.  Only the live variables are maximised; a pinned one's
-        maximum is zero.  Raises InfeasibleSystemError when the constraint
-        set is unsatisfiable.
+        A live scenario's supremum is its cap when a mixer settles it, and
+        otherwise a phase 2 from the basis the mass system's program kept;
+        a pinned one's is zero.  Raises InfeasibleSystemError when the
+        constraint set is unsatisfiable.
         """
         if not self.feasible:
             raise InfeasibleSystemError("system is infeasible")
         return tuple(
-            self.live_program.maximum(self.variable(i)) if sat else ZERO
+            self._branches.maximum(self._live, i) if sat else ZERO
             for i, sat in enumerate(self.satisfiable)
         )
 
@@ -291,31 +290,26 @@ class ScenarioTable:
         return successor
 
     def rows_text(self) -> list:
-        return list(self.system.render_rows())
+        """The mass system's rows as text: one row per scenario in index
+        order, pinned to zero when the scenario's conjunction is
+        unsatisfiable and nonnegative otherwise, the total-mass row, then
+        one row per constraint in declaration order summing the scenarios
+        that keep the constraint's formula."""
+        names = [self.variable(i) for i in range(len(self.scenarios))]
+        rows = [f"{name} {'>=' if sat else '='} 0" for name, sat in zip(names, self.satisfiable)]
+        rows.append(f"{' + '.join(names)} = 1")
+        for j, c in enumerate(self.formula.constraints):
+            kept = " + ".join(names[s.index] for s in self.scenarios if s.includes(j))
+            rows.append(f"{kept} {c.cmp.value} {c.bound}")
+        return rows
 
 
 def build_lphi(phi: Pltlf0Formula) -> ScenarioTable:
-    """Compile the constraint set: one automaton, one acceptor per
-    scenario read off it, and the scenario mass system.
-
-    Row order: one row per scenario in index order (pinned to zero when
-    the scenario's conjunction is unsatisfiable, nonnegative otherwise),
-    the total-mass row, then one row per constraint in declaration order
-    summing the scenarios that keep the constraint's formula.
-    """
+    """Compile the constraint set: one automaton and one acceptor per
+    scenario read off it."""
     scenarios = scenarios_of(phi)
     acceptors = scenario_acceptors(tuple(c.formula for c in phi.constraints))
-    names = tuple("x" + s.label for s in scenarios)
-    rows = []
-    for name, acceptor in zip(names, acceptors):
-        cmp = Comparison.GE if acceptor.satisfiable else Comparison.EQ
-        rows.append(({name: 1}, cmp, ZERO))
-    rows.append(({name: 1 for name in names}, Comparison.EQ, Fraction(1)))
-    for j, constraint in enumerate(phi.constraints):
-        coeffs = {names[s.index]: 1 for s in scenarios if s.includes(j)}
-        rows.append((coeffs, constraint.cmp, constraint.bound))
-    system = LinearSystem.from_rows(names, rows)
-    return ScenarioTable(phi, scenarios, acceptors, system)
+    return ScenarioTable(phi, scenarios, acceptors)
 
 
 def _compiled(source) -> ScenarioTable:

@@ -25,11 +25,11 @@ so every status, value and witness is the one that simplex gives.
 
 Rows become integers before the tableau is built, and one builder,
 :meth:`LinearProgram.from_int_rows`, lays every tableau out from integer
-rows, each with its scale, and sign rows named by their variable.
-``LinearProgram(system)`` is the adapter for :class:`LinearSystem`
-callers: it scales each row by the lcm of its denominators and finds the
-sign rows.  The tree engine hands its branch systems to the builder as
-such rows directly.
+rows, each with its scale, and sign rows named by their variable.  Both
+engines hand it their branch systems as such rows, through
+:class:`~pltlf.automaton.Branches`.  ``LinearProgram(system)`` scales a
+:class:`LinearSystem`'s rows by the lcm of their denominators and finds
+its sign rows; it serves :func:`solve_feasibility` and :func:`maximize`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterator, Union
 
 Valuation = frozenset
@@ -479,27 +479,35 @@ def normalize(f: Formula) -> Formula:
 
 
 def _normalize(f: Formula) -> Formula:
+    # a core node that would be rebuilt from the same children as they
+    # are is returned itself
     match f:
         case TrueConst() | FalseConst() | Prop():
             return f
         case Not(x):
-            return negate(_normalize(x))
+            y = _normalize(x)
+            return f if y is x and isinstance(x, (Prop, And, Next, Until)) else negate(y)
         case And(ops):
-            return conj(*(_normalize(o) for o in ops))
+            parts = [_normalize(o) for o in ops]
+            same = all(map(is_, parts, ops)) and not any(isinstance(p, And) for p in parts)
+            return f if same else conj(*parts)
         case Or(ops):
             return negate(conj(*(negate(_normalize(o)) for o in ops)))
         case Implies(l, r):
             return negate(conj(_normalize(l), negate(_normalize(r))))
         case Next(x):
-            return Next(_normalize(x))
+            y = _normalize(x)
+            return f if y is x else Next(y)
         case Eventually(x):
             return Until(TRUE, _normalize(x))
         case Always(x):
             return negate(Until(TRUE, negate(_normalize(x))))
         case Until(l, r):
-            return Until(_normalize(l), _normalize(r))
+            a, b = _normalize(l), _normalize(r)
+            return f if a is l and b is r else Until(a, b)
         case Prob(cmp, bound, x):
-            return Prob(cmp, bound, _normalize(x))
+            y = _normalize(x)
+            return f if y is x else Prob(cmp, bound, y)
     raise TypeError(f"not a formula: {f!r}")
 
 

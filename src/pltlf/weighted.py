@@ -237,11 +237,12 @@ def build_weighted(source) -> WeightedAutomaton:
             family = tuple(kept)
             by_mask[req] = family, aut.occupants(aid, family, kept)
         family, occupants = by_mask[req]
-        if not occupants or not aut.family_feasible(aid, family):
+        branches = aut.branches[aut._prob_sig[aid]]
+        if not occupants or not branches.feasible(family):
             continue
         out = []
         for qmask, fits in occupants.items():
-            mass = aut.family_max(aid, family, qmask)
+            mass = branches.maximum(family, qmask)
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups.update(dict.fromkeys(members, tuple(out)))

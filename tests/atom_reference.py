@@ -316,7 +316,7 @@ def good_states(aut) -> GoodStates:
             family = tuple(sorted(found))
             if (
                 covers(obligations(aut, aid), [found[q] for q in family])
-                and aut.family_point(aid, family) is not None
+                and solve_feasibility(aut.build_system(aid, family)).feasible
             ):
                 added.append(aid)
         if not added:
@@ -341,12 +341,12 @@ def build_weighted(aut) -> WeightedAutomaton:
         by_position = occupants(aut, aid, family, good)
         if not by_position:
             continue
-        program = LinearProgram.from_int_rows(*aut.branch_rows(aid, family))
+        program = LinearProgram.from_int_rows(*aut.branches[aut._prob_sig[aid]].rows(family))
         if not program.feasible:
             continue
         out = []
         for qmask, fits in by_position.items():
-            mass = program.maximum(aut._qset_names[qmask])
+            mass = program.maximum(_qset_name(qmask, len(aut._pairs)))
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups[aid] = tuple(out)

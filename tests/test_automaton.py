@@ -176,7 +176,7 @@ class TestScenarios:
     def test_scenario_witness_solves_system(self, aut_psi, psi_ids):
         aid = psi_ids["a1"]
         for record in aut_psi.scenario_family(aid):
-            point = aut_psi.family_point(aid, record.qsets)
+            point = branches_of(aut_psi, aid).point(record.qsets)
             assert record.system.holds(point)
 
 
@@ -635,8 +635,9 @@ def full_cover(aut, aid: int, table: dict) -> dict:
     }
 
 
-def class_of(aut) -> dict:
-    return {aid: k for k, members in enumerate(aut._classes) for aid in members}
+def branches_of(aut, aid: int):
+    """The branch systems of the atom's probability signature."""
+    return aut.branches[aut._prob_sig[aid]]
 
 
 class TestPerClassDecisions:
@@ -752,20 +753,23 @@ class TestBranchPrograms:
         its answer, then compare every (signature, family) asked, and the
         (atom, family) pairs of ``extra``, with its programs."""
         asked = {}
+        aid_of = some_atom_per_signature(aut)
 
-        def recorded(name):
-            method = getattr(aut, name)
+        def recorded(sig, name):
+            method = getattr(aut.branches[sig], name)
 
-            def record(aid, qsets, *rest):
-                answer = method(aid, qsets, *rest)
-                key = aut._prob_sig[aid], tuple(qsets)
-                asked.setdefault(key, (aid, []))[1].append((name, rest, answer))
+            def record(qsets, *rest):
+                answer = method(qsets, *rest)
+                asked.setdefault((sig, tuple(qsets)), (aid_of[sig], []))[1].append(
+                    (name, rest, answer)
+                )
                 return answer
 
             return record
 
-        for name in ("family_feasible", "family_point", "family_max"):
-            setattr(aut, name, recorded(name))
+        for sig, branches in enumerate(aut.branches):
+            for name in ("feasible", "point", "maximum"):
+                setattr(branches, name, recorded(sig, name))
         aut.good_states()
         build_weighted(aut)
         witness_model(aut)
@@ -773,7 +777,7 @@ class TestBranchPrograms:
             asked.setdefault((aut._prob_sig[aid], family), (aid, []))
         assert asked
         for (sig, family), (aid, answers) in asked.items():
-            direct = LinearProgram.from_int_rows(*aut.branch_rows(aid, family))
+            direct = LinearProgram.from_int_rows(*aut.branches[sig].rows(family))
             system = aut.build_system(aid, family)
             assert system == family_reference.branch_system(aut, aid, family)
             spelled = LinearProgram(system)
@@ -786,12 +790,12 @@ class TestBranchPrograms:
                 for name in direct.names:
                     assert direct.maximum(name) == spelled.maximum(name)
             for name, rest, answer in answers:
-                if name == "family_feasible":
+                if name == "feasible":
                     assert answer == direct.feasible
-                elif name == "family_point":
+                elif name == "point":
                     assert answer == direct.witness
                 else:
-                    assert answer == direct.maximum(aut._qset_names[rest[0]])
+                    assert answer == direct.maximum(aut.branches[sig].names[rest[0]])
 
 
 # the benchmark's two-bound tree-queries formulas
@@ -878,9 +882,9 @@ def some_atom_per_signature(aut) -> dict:
 
 
 class TestProfileCertificates:
-    """``family_feasible`` settles a family from its profiles where a
+    """``Branches.feasible`` settles a family from its profiles where a
     point mass or a fixed argument mass certifies the answer, and builds
-    the branch program otherwise; ``family_max`` returns the cap on a
+    the branch program otherwise; ``Branches.maximum`` returns the cap on a
     subset's mass where a mixture of two profiles meets it, and runs a
     phase 2 otherwise.  Certified answers are the program's and the
     Fourier-Motzkin oracle's; so is the point mass of a one-profile
@@ -902,15 +906,16 @@ class TestProfileCertificates:
         for aid, family in questions:
             # a tableau is built exactly when no certificate settles it
             before = len(lp_runs["phase_one"])
-            ok = aut.family_feasible(aid, family)
+            ok = branches_of(aut, aid).feasible(family)
             settled = certificate(aut, aid, family) is not None
             assert len(lp_runs["phase_one"]) == before + (not settled)
             answers.append(ok)
         assert 0 < len(lp_runs["phase_one"]) < len(questions)
         for (aid, family), ok in zip(questions, answers):
-            assert ok == LinearProgram.from_int_rows(*aut.branch_rows(aid, family)).feasible
+            branches = branches_of(aut, aid)
+            assert ok == LinearProgram.from_int_rows(*branches.rows(family)).feasible
             assert ok == fm_feasible(aut.build_system(aid, family))
-            assert ok == (aut.family_point(aid, family) is not None)
+            assert ok == (branches.point(family) is not None)
 
     @pytest.mark.parametrize("text", dict.fromkeys(CERTIFIED_FORMULAS + tuple(MAXIMA_REACHED)))
     def test_certificates_match_the_programs(self, text, lp_runs):
@@ -938,15 +943,15 @@ class TestProfileCertificates:
         reached = set()
         for aid in some_atom_per_signature(aut).values():
             bounds = [(m.cmp, m.bound) for m in aut.prob_members_of(aid)]
+            branches = branches_of(aut, aid)
             for size in range(1, largest + 1):
                 for family in combinations(subsets, size):
-                    program = LinearProgram.from_int_rows(*aut.branch_rows(aid, family))
-                    ok = aut.family_feasible(aid, family)
+                    program = LinearProgram.from_int_rows(*branches.rows(family))
+                    ok = branches.feasible(family)
                     assert ok == program.feasible
                     # the engine builds a program exactly when nothing settles
                     settled = certificate(aut, aid, family)
-                    key = aut._prob_sig[aid], family
-                    built = key in aut._point_cache
+                    built = family in branches._programs
                     assert built == (settled is None)
                     if settled is not None:
                         assert settled == ok == fm_feasible(aut.build_system(aid, family))
@@ -955,9 +960,9 @@ class TestProfileCertificates:
                     for q in family:
                         cap = mixture_cap(bounds, family, q)
                         before = len(objectives)
-                        found = aut.family_max(aid, family, q)
+                        found = branches.maximum(family, q)
                         ran = len(objectives) > before
-                        assert found == program.maximum(aut._qset_names[q])
+                        assert found == program.maximum(branches.names[q])
                         # a maximum runs a phase 2 exactly when no mixture
                         # settles it
                         assert ran == (cap is None)
@@ -966,9 +971,9 @@ class TestProfileCertificates:
                         built |= ran
                         reached.add(cap)
                     if size == 1:
-                        assert aut.family_point(aid, family) == program.witness
+                        assert branches.point(family) == program.witness
                     # settled maxima and one-profile points build none
-                    assert (key in aut._point_cache) == built
+                    assert (family in branches._programs) == built
         return reached
 
     @pytest.mark.parametrize(
@@ -1041,9 +1046,10 @@ class TestProbabilityFreeReachability:
     def test_the_one_family_is_answered_as_its_lp_answers(self):
         aut = TreeAutomaton(parse_formula("X X a & F b"))
         program = LinearProgram(aut.build_system(0, (0,)))
-        assert aut.family_point(0, (0,)) == program.witness
-        assert aut.family_max(0, (0,), 0) == program.maximum("x{}")
-        assert aut.family_point(0, ()) is None
+        branches = branches_of(aut, 0)
+        assert branches.point((0,)) == program.witness
+        assert branches.maximum((0,), 0) == program.maximum("x{}")
+        assert branches.point(()) is None
         assert not solve_feasibility(aut.build_system(0, ())).feasible
 
     @pytest.mark.parametrize(
@@ -1103,53 +1109,65 @@ class TestMasksFromColumns:
         } == atom_reference.masks(aut)
 
 
-def counting_calls(monkeypatch, aut, names, calls):
+def counting_calls(monkeypatch, obj, names, calls):
     """Record ``(name, args)`` in ``calls`` for each call of the named
-    methods of ``aut``, in call order."""
+    methods of ``obj``, an automaton or its branch systems, in call
+    order."""
     for name in names:
-        method = getattr(aut, name)
+        method = getattr(obj, name)
 
         def counting(*args, _name=name, _method=method):
             calls.append((_name, args))
             return _method(*args)
 
-        monkeypatch.setattr(aut, name, counting)
+        monkeypatch.setattr(obj, name, counting)
 
 
 class TestClassCounts:
     @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b", LARGER_TEXTS[1]])
     def test_good_states_decide_each_next_mask_once_per_sweep(self, text, monkeypatch):
         # a sweep builds the kept table and reads its first tuple once per
-        # touched next mask, then asks family_feasible once per pending
-        # class of a mask whose family has a tuple
+        # touched next mask, then asks its signature's branch systems once
+        # per pending class of a mask whose family has a tuple
         aut = TreeAutomaton(parse_formula(text))
         calls = []
-        counting_calls(monkeypatch, aut, ["first_tuple", "family_feasible"], calls)
-        kept = aut.kept
+        kept, first_tuple = aut.kept, aut.first_tuple
 
         def copying_kept(aid, restrict):
             # the sweep passes the good set itself, which grows later
             calls.append(("kept", (aid, frozenset(restrict))))
             return kept(aid, restrict)
 
+        def answered_first_tuple(aid, family, table):
+            found = first_tuple(aid, family, table)
+            calls.append(("first_tuple", (aid, family, table, found)))
+            return found
+
         monkeypatch.setattr(aut, "kept", copying_kept)
+        monkeypatch.setattr(aut, "first_tuple", answered_first_tuple)
+        for sig, branches in enumerate(aut.branches):
+            feasible = branches.feasible
+
+            def counting(family, _sig=sig, _feasible=feasible):
+                calls.append(("feasible", (_sig, family)))
+                return _feasible(family)
+
+            monkeypatch.setattr(branches, "feasible", counting)
         gs = aut.good_states()
         if not aut._pairs:
             # reachability over next-argument masks decides every class
             assert calls == []
             return
-        classes = class_of(aut)
         # the set grows between sweeps only, so its size names the sweep of
         # a kept call; the tuple and feasibility calls after it belong there
         sweeps, sweep = {}, None
         for name, args in calls:
-            aid = args[0]
-            req = aut._next_present[aid]
             if name == "kept":
-                restrict = args[1]
+                aid, restrict = args
+                req = aut._next_present[aid]
                 sweep = sweeps.setdefault(len(restrict), {
                     "restrict": restrict, "families": [], "firsts": [], "tuples": {},
-                    "feasible": [],
+                    "has_tuple": {}, "feasible": [],
                 })
                 assert sweep["restrict"] == restrict and not sweep["feasible"]
                 sweep["families"].append(req)
@@ -1162,22 +1180,29 @@ class TestClassCounts:
                     for cands in candidates.values() for cid, _ in cands
                 )
             elif name == "first_tuple":
-                _, family, table = args
+                aid, family, table, found = args
+                req = aut._next_present[aid]
                 assert sweep["families"][-1] == req
                 assert table == atom_reference.kept(aut, aid, None, sweep["restrict"])
                 assert family == tuple(table)
                 sweep["firsts"].append(req)
                 sweep["tuples"][req] = family
+                sweep["has_tuple"][req] = found is not None
             else:
-                _, family = args
-                assert req in sweep["tuples"] and sweep["tuples"][req] == family
-                sweep["feasible"].append(classes[aid])
+                sweep["feasible"].append(args)
         assert 1 <= len(sweeps) <= gs.sweeps + 1
         masks = {aut._next_present[aid] for aid in range(len(aut.atoms))}
         for sweep in sweeps.values():
             assert len(sweep["families"]) == len(set(sweep["families"]))
             assert sweep["firsts"] == sweep["families"]
-            assert len(sweep["feasible"]) == len(set(sweep["feasible"]))
+            # each pending class of a mask with a tuple, once, in class
+            # order, with its mask's family
+            assert sweep["feasible"] == [
+                (aut._prob_sig[members[0]], sweep["tuples"][req])
+                for members in aut._classes
+                if members[0] not in sweep["restrict"]
+                and sweep["has_tuple"].get(req := aut._next_present[members[0]])
+            ]
         decided = [req for sweep in sweeps.values() for req in sweep["families"]]
         assert len(decided) <= len(masks) * (gs.sweeps + 1)
 
@@ -1207,7 +1232,9 @@ class TestClassCounts:
         aut = TreeAutomaton(parse_formula(text))
         expected = atom_reference.build_weighted(aut)
         calls = []
-        counting_calls(monkeypatch, aut, ["kept", "occupants", "family_max"], calls)
+        counting_calls(monkeypatch, aut, ["kept", "occupants"], calls)
+        (branches,) = aut.branches
+        counting_calls(monkeypatch, branches, ["feasible", "maximum"], calls)
         wa = build_weighted(aut)
         assert calls == []
         assert wa.groups == expected.groups
@@ -1250,8 +1277,8 @@ class TestRowsAndCapsOnDemand:
     """Construction keeps its atoms as int rows and makes no ``Atom``;
     only the ``atoms`` view makes them, on first use.  A cap is computed
     on a maximum's cache miss only, so the queries that read no edge
-    weight compute none, and the weighted build at most one per
-    (signature, family, profile)."""
+    weight compute none, and it is kept per profile, so the weighted build
+    computes one per (signature, profile) it asks about."""
 
     BOUNDED = (THREE_BOUNDS, PSI_TEXT, LARGER_TEXTS[1], "P>=0.5[a] & P>=0.6[!a] & P>0.2[b]")
 
@@ -1275,13 +1302,13 @@ class TestRowsAndCapsOnDemand:
     @pytest.fixture
     def caps(self, monkeypatch):
         calls = []
-        cap = automaton_module._cap
+        cap = automaton_module.Branches._cap
 
-        def counting(*args):
-            calls.append(args)
-            return cap(*args)
+        def counting(branches, q):
+            calls.append((branches, q))
+            return cap(branches, q)
 
-        monkeypatch.setattr(automaton_module, "_cap", counting)
+        monkeypatch.setattr(automaton_module.Branches, "_cap", counting)
         return calls
 
     @pytest.mark.parametrize("text", BOUNDED)
@@ -1292,15 +1319,23 @@ class TestRowsAndCapsOnDemand:
         assert caps == []
 
     @pytest.mark.parametrize("text", BOUNDED)
-    def test_weighted_build_computes_a_cap_once_per_maximum(self, text, caps, monkeypatch):
+    def test_weighted_build_computes_a_cap_once_per_profile(self, text, caps, monkeypatch):
         aut = TreeAutomaton(parse_formula(text))
         aut.good_states()
-        calls = []
-        counting_calls(monkeypatch, aut, ["family_max"], calls)
+        calls = {}
+        for sig, branches in enumerate(aut.branches):
+            counting_calls(monkeypatch, branches, ["maximum"], calls.setdefault(sig, []))
         build_weighted(aut)
-        asked = {(aut._prob_sig[aid], family, q) for _, (aid, family, q) in calls}
-        assert set(aut._max_cache) == asked
-        assert len(caps) == len(asked)
+        asked = {(sig, family, q) for sig, made in calls.items() for _, (family, q) in made}
+        kept = {
+            (sig, family, q)
+            for sig, branches in enumerate(aut.branches)
+            for family, q in branches._maxima
+        }
+        assert kept == asked
+        computed = [(aut.branches.index(branches), q) for branches, q in caps]
+        assert len(computed) == len(set(computed))
+        assert set(computed) == {(sig, q) for sig, _, q in asked}
 
 
 class TestReleasedByReferenceCounting:

@@ -541,20 +541,26 @@ def test_src_lines_totals_the_modules():
 
 
 def test_compile_ladder_smallest_rung():
-    # one JSON line with the atom count and every layer's seconds
+    # one JSON line with each rung's sizes and every layer's seconds, on
+    # the smallest tree rung and the smallest flat rung
     root = pathlib.Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "compile_ladder.py"), "--only", "X^10 a"],
+        [sys.executable, str(root / "scripts" / "compile_ladder.py"),
+         "--only", "X^10 a", "--only", "flat n=9"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     result = json.loads(line)
-    assert list(result) == ["X^10 a"]
+    assert list(result) == ["X^10 a", "flat n=9"]
     rung = result["X^10 a"]
     assert list(rung) == ["atoms", "construct", "good", "weighted", "behaviour", "mlt"]
     assert rung["atoms"] == 2048
+    assert all(rung[layer] >= 0 for layer in rung)
+    rung = result["flat n=9"]
+    assert list(rung) == ["scenarios", "live", "build_lphi", "feasible", "maxima", "rows_text"]
+    assert (rung["scenarios"], rung["live"]) == (512, 132)
     assert all(rung[layer] >= 0 for layer in rung)
 
 

@@ -10,12 +10,14 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
 from conftest import DATA
+from oracles import fm_feasible, fm_supremum
 from scenario_reference import ReferenceTable, initial_sets, successor_map
+from test_automaton import mixture_cap
 from pltlf import (
     FALSE,
     TRUE,
@@ -155,12 +157,14 @@ class TestScenarios:
         assert most_likely_scenario(table, prefix) == state.best_index == 2
         assert builds == []
         # one phase 1 for the table, which decides its feasibility (no
-        # strict rows), then one objective per live scenario
+        # strict rows and no profile certificate), then one objective: x01
+        # is capped at 3/5 by P<=0.6 : G(a -> F b) and x10 at 1/2 by
+        # P<=0.5 : F a, each settled by a mixture with the other, while
+        # x11's only mixer is the pinned x00, so its 1/10 is a phase 2
         live = tuple(table.variable(i) for i, sat in enumerate(table.satisfiable) if sat)
-        assert len(live) == 3
+        assert live == ("x01", "x10", "x11")
         assert lp_runs["phase_one"] == [live]
-        columns = [column for names, column in lp_runs["objectives"] if names == live]
-        assert columns == list(live)
+        assert lp_runs["objectives"] == [(live, "x11")]
 
     @pytest.mark.parametrize("first_step", ["accepts", "monitor"])
     def test_weighted_automaton_is_built_on_the_first_step(
@@ -228,23 +232,32 @@ class TestMaxima:
         assert table.satisfiable == (False, True, True, False)
         assert table.maxima == (0, Fraction(1, 2), Fraction(1, 2), 0)
         live = ("x01", "x10")
+        # phase 1 alone decides a system without strict rows, as no
+        # profile's point mass meets both bounds; each live scenario is
+        # capped at 1/2 by the bound it keeps, and a mixture with the other
+        # live one meets that cap, so no maximum runs a phase 2
         assert lp_runs["phase_one"] == [live]
-        # phase 1 alone decides a system without strict rows
-        assert lp_runs["objectives"] == [(live, "x01"), (live, "x10")]
+        assert lp_runs["objectives"] == []
 
     def test_the_automaton_solves_no_lp(self, psi1_flat, lp_runs):
         # the scenario acceptors' automaton has no probability pairs, so
         # its good states and its weighted automaton need no LP: the only
-        # one is the table's own mass system
+        # one is the table's own mass system over the live scenarios, whose
+        # maxima run one phase 2, for x11 (the mixers settle x01 at 3/5 and
+        # x10 at 1/2, see test_queries_reuse_the_compiled_table)
         table = build_lphi(psi1_flat)
         assert lp_runs["phase_one"] == []
         monitor_step(start_monitor(table), parse_trace("a")[0])
-        ran = list(lp_runs["phase_one"])
-        assert ran == [table.live_program.names]
+        live = ("x01", "x10", "x11")
+        assert lp_runs["phase_one"] == [live]
+        assert lp_runs["objectives"] == [(live, "x11")]
 
     def test_feasibility_is_decided_once(self, lp_runs):
-        # the maxima re-optimise the basis that the strict feasibility test
-        # kept, so one phase 1 serves the whole table
+        # x10's point mass meets both strict bounds, so feasibility needs no
+        # program, and every maximum is its cap: x00 at 7/10 (one minus
+        # P>0.3 : a, mixed with x10 or x11), x01 at 3/5 (P<0.6 : X b, mixed
+        # with x10), x10 at 1 (its own point mass) and x11 at 3/5 (P<0.6 : X
+        # b, mixed with x00 or x10)
         table = build_lphi(flat("P>0.3 : a", "P<0.6 : X b"))
         lp_runs["phase_one"].clear()
         lp_runs["objectives"].clear()
@@ -252,9 +265,18 @@ class TestMaxima:
             Fraction(7, 10), Fraction(3, 5), Fraction(1), Fraction(3, 5),
         )
         assert is_satisfiable0(table)
-        live = ("x00", "x01", "x10", "x11")
+        assert lp_runs == {"phase_one": [], "objectives": []}
+        # where no certificate settles it, the maxima re-optimise the basis
+        # that the strict feasibility test kept, so one phase 1 serves the
+        # whole table: x01 and x10 are settled as in psi1, and x11 runs a
+        # phase 2 from the basis of the largest eps
+        table = build_lphi(flat("P<0.5 : F a", "P<0.6 : G(a -> F b)"))
+        lp_runs["phase_one"].clear()
+        assert table.maxima == (0, Fraction(3, 5), Fraction(1, 2), Fraction(1, 10))
+        assert is_satisfiable0(table)
+        live = ("x01", "x10", "x11")
         assert lp_runs["phase_one"] == [live]
-        assert lp_runs["objectives"] == [(live, linsolve._EPS)] + [(live, v) for v in live]
+        assert lp_runs["objectives"] == [(live, linsolve._EPS), (live, "x11")]
 
     @settings(max_examples=20)
     @given(
@@ -529,6 +551,16 @@ class TestSharedAutomaton:
         [parse_trace("a;b;a"), parse_trace("b")],
         parse_formula("F a"),
     )
+    # P>=0 : a is held by one live scenario, so its row is that
+    # scenario's sign row; with the two P<=1/2 rows beside it no point
+    # mass meets every bound, so the row reaches a program
+    @example(flat("P>=0 : a"), [parse_trace("a;-")], parse_formula("F a"))
+    @example(
+        flat("P>=0 : a", "P<=1/2 : !a", "P<=1/2 : a"), [parse_trace("-;a")], parse_formula("X a")
+    )
+    @example(flat("P<=0 : a", "P>=0 : F b"), [parse_trace("b;a")], parse_formula("F b"))
+    @example(flat("P>0 : a", "P<1 : X b"), [parse_trace("a;b;-")], parse_formula("a"))
+    @example(flat(), [parse_trace("a")], parse_formula("F a"))
     @given(
         constraint_sets(),
         st.lists(sts.traces(max_size=4), min_size=1, max_size=3),
@@ -559,6 +591,38 @@ class TestSharedAutomaton:
                 ref.monitor_with_property(prop, trace)
             )
         assert monitor_records(phi, traces[-1]) == ref.monitor_records(traces[-1])
+
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(phi=flat("P<=0.5 : F a", "P<=0.6 : G(a -> F b)"))
+    @example(phi=flat("P>0.3 : a", "P<0.6 : X b"))
+    @example(phi=flat("P<=0.5 : a", "P<=0.5 : !a"))
+    @given(phi=constraint_sets())
+    def test_a_settled_maximum_runs_no_phase_2(self, phi, lp_runs):
+        # a live scenario's maximum runs a phase 2 exactly when no live
+        # scenario mixes with it at the cap the relaxed bounds put on its
+        # mass, and a settled maximum is that cap; feasibility and every
+        # maximum are the reference's and, up to three constraints,
+        # Fourier-Motzkin's
+        table, ref = build_lphi(phi), ReferenceTable(phi)
+        small = len(phi) <= 3
+        assert table.feasible == (ref.maxima is not None)
+        assert not small or table.feasible == fm_feasible(ref.system)
+        if not table.feasible:
+            return
+        lp_runs["objectives"].clear()  # a strict system's largest eps
+        maxima = table.maxima
+        assert maxima == ref.maxima
+        if small:
+            assert list(maxima) == [fm_supremum(ref.system, v) for v in ref.system.variables]
+        live = [i for i, sat in enumerate(table.satisfiable) if sat]
+        # a profile's bit j is constraint n - 1 - j, as in a scenario index
+        bounds = [(c.cmp, c.bound) for c in reversed(phi.constraints)]
+        caps = {i: mixture_cap(bounds, live, i) for i in live}
+        ran = [column for _, column in lp_runs["objectives"]]
+        assert ran == [table.variable(i) for i in live if caps[i] is None]
+        for i in live:
+            if caps[i] is not None:
+                assert maxima[i] == caps[i]
 
 
 # bounds that every distribution with some mass on each side meets, so

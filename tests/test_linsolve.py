@@ -388,7 +388,7 @@ def branch_systems(text):
         subsets = range(1 << len(members))
         for size in range(1, len(subsets) + 1):
             for chosen in combinations(subsets, size):
-                yield aut.build_system(aid, chosen), aut.branch_rows(aid, chosen)
+                yield aut.build_system(aid, chosen), aut.branches[aut._prob_sig[aid]].rows(chosen)
 
 
 class TestIntegerKernel:

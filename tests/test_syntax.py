@@ -226,6 +226,18 @@ class TestNormalize:
         assert normalize(g) == g
         assert is_normalized(g)
 
+    @pytest.mark.parametrize("text", ["X !b", "a U b", "P<=0.7[a U b]", "a & X b & !c", "!(a & b)"])
+    def test_a_normal_form_is_returned_itself(self, text):
+        # no node of a normal form is rebuilt, so none hashes itself again
+        g = parse_formula(text)
+        assert is_normalized(g)
+        assert normalize(g) is g
+
+    @given(sts.formulas())
+    def test_normalising_twice_returns_the_first_result(self, f):
+        g = normalize(f)
+        assert normalize(g) is g
+
     @given(sts.formulas(prob_free=True, max_leaves=3))
     def test_preserves_truth(self, f):
         # exhaustive over traces up to length 3 here; length 5 runs in the

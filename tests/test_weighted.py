@@ -104,21 +104,24 @@ class TestEdgeWeights:
 
     @staticmethod
     def check_maxima(f):
-        # every family reaching family_max is feasible, so phase 2 from the
-        # basis family_point kept reaches the relaxed system's maximum
+        # every family reaching Branches.maximum is feasible, so phase 2
+        # from the basis its program kept reaches the relaxed system's
+        # maximum
         aut = TreeAutomaton(f)
         build_weighted(aut)
         aid_of = {sig: aid for aid, sig in enumerate(aut._prob_sig)}
-        for (sig, family, qmask), mass in aut._max_cache.items():
-            system = aut.build_system(aid_of[sig], family)
-            name = automaton._qset_name(qmask, len(aut._pairs))
-            assert mass == maximize(system.relaxed(), name).supremum
-            assert mass == fm_supremum(system, name)
+        for sig, branches in enumerate(aut.branches):
+            for (family, qmask), mass in branches._maxima.items():
+                system = aut.build_system(aid_of[sig], family)
+                name = automaton._qset_name(qmask, len(aut._pairs))
+                assert mass == maximize(system.relaxed(), name).supremum
+                assert mass == fm_supremum(system, name)
 
     def test_maxima_build_no_system_of_their_own(self, monkeypatch, lp_runs):
-        # family_max re-optimises the program family_point kept, so every
-        # branch program is built once, by family_point, from integer rows;
-        # no query spells a branch system as a LinearSystem
+        # Branches.maximum re-optimises the program the family's
+        # feasibility test or point kept, so every branch program is built
+        # once, from integer rows; no query spells a branch system as a
+        # LinearSystem
         aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
         programs, systems = [], []
         from_int_rows = linsolve.LinearProgram.from_int_rows.__func__
@@ -136,8 +139,8 @@ class TestEdgeWeights:
         monkeypatch.setattr(TreeAutomaton, "build_system", counting_system)
         assert witness_model(aut) is not None
         assert behaviour(build_weighted(aut)) == 1
-        assert aut._max_cache
-        assert len(programs) == len(aut._point_cache)
+        assert any(branches._maxima for branches in aut.branches)
+        assert len(programs) == sum(len(branches._programs) for branches in aut.branches)
         assert len(lp_runs["phase_one"]) == len(programs)
         f, trace = parse_formula(THREE_BOUNDS), parse_trace("a;b,c")
         assert is_satisfiable(f) and trace_probability(f, trace) >= 0
