@@ -9,10 +9,13 @@ automaton and times, in CPU seconds, five layers in order: construction,
 good states, ``build_weighted``, the behaviour, and ``mlt_acceptor`` with
 ``enumerate_mlts(acc, 5, 20)``.  The flat rungs are the first 9 and 11
 lines of ``LINES``; for each it times ``build_lphi``, feasibility, the
-maxima and ``rows_text``.  With ``--repeat N`` each layer reports its
-least time over N fresh compiles.  It prints one JSON line mapping each
-rung's name to its sizes (a tree rung's atom count, a flat rung's
-scenarios and live scenarios) and its layers' times.
+maxima and ``rows_text``.  Every rung also counts the LP programs built
+(``LinearProgram`` constructions, each one phase 1) and the phase 2s run
+(``LinearProgram._optimum`` calls) over all its layers.  With
+``--repeat N`` each layer reports its least time over N fresh compiles.
+It prints one JSON line mapping each rung's name to its sizes (a tree
+rung's atom count, a flat rung's scenarios and live scenarios), its LP
+counts and its layers' times.
 """
 
 import argparse
@@ -29,6 +32,7 @@ from pltlf import (
     parse_formula,
     parse_pltlf0,
 )
+from pltlf.linsolve import LinearProgram
 
 BOUNDS = ("P<=0.5[a]", "P>=0.6[X b]", "P>0.2[F c]", "P<0.7[G d]", "P>=0.3[F e]", "P<=0.4[X X f]")
 LINES = (
@@ -66,6 +70,29 @@ def flat_rung(text: str) -> tuple:
     return sizes, {"build_lphi": build, "feasible": feasible, "maxima": maxima, "rows_text": rows}
 
 
+def counted(measure, text) -> tuple:
+    """The rung's sizes and times, its sizes joined by the programs built
+    and the phase 2s run, counted by wrapping the LP's one constructor and
+    its one phase-2 entry while the rung runs."""
+    counts = {"programs": 0, "phase2s": 0}
+    init, optimum = LinearProgram.__init__, LinearProgram._optimum
+
+    def counting_init(self, variables, rows):
+        counts["programs"] += 1
+        init(self, variables, rows)
+
+    def counting_optimum(self, column):
+        counts["phase2s"] += 1
+        return optimum(self, column)
+
+    LinearProgram.__init__, LinearProgram._optimum = counting_init, counting_optimum
+    try:
+        sizes, times = measure(text)
+    finally:
+        LinearProgram.__init__, LinearProgram._optimum = init, optimum
+    return {**sizes, **counts}, times
+
+
 RUNGS = {
     **{f"X^{k} a": (tree_rung, "X " * k + "a") for k in (10, 12, 14)},
     **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w])) for w in (4, 5)},
@@ -81,7 +108,7 @@ def main() -> None:
     result = {}
     for name in args.only or RUNGS:
         measure, text = RUNGS[name]
-        runs = [measure(text) for _ in range(max(1, args.repeat))]
+        runs = [counted(measure, text) for _ in range(max(1, args.repeat))]
         sizes, times = runs[0]
         least = {layer: round(min(r[1][layer] for r in runs), 4) for layer in times}
         result[name] = {**sizes, **least}

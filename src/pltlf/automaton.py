@@ -156,9 +156,8 @@ class TreeAutomaton:
         self._prob_sig = transpose([cols[i] for i in sides], n)
         # each signature's branch systems, over the child subsets as
         # profiles: bound j is its member of pair j
-        names = [_qset_name(q, width) for q in range(1 << width)]
         self.branches = tuple(
-            Branches(tuple((m.cmp, *m.bound.as_integer_ratio()) for m in members), names)
+            Branches(tuple((m.cmp, *m.bound.as_integer_ratio()) for m in members))
             for members in map(self._sig_members, range(1 << width))
         )
         # classes of atoms with equal next masks and signatures, ordered by
@@ -223,11 +222,12 @@ class TreeAutomaton:
 
     def build_system(self, aid: int, qsets) -> LinearSystem:
         """Branch system for a scenario, its signature's
-        :meth:`Branches.rows` spelled as a :class:`LinearSystem`:
-        probability rows in pair order, nonnegativity for every subset
-        variable, total mass one.  The engine solves the rows themselves;
-        this form is for display and for independent checks."""
-        names, rows = self.branches[self._prob_sig[aid]].rows(qsets)
+        :meth:`Branches.rows` spelled as a :class:`LinearSystem` over
+        subset names: probability rows in pair order, nonnegativity for
+        every subset variable, total mass one.  The engine solves the rows
+        themselves; this form is for display and for independent checks."""
+        qsets, rows = self.branches[self._prob_sig[aid]].rows(qsets)
+        names = [_qset_name(q, len(self._pairs)) for q in qsets]
         spelled = []
         for row in rows:
             if isinstance(row, int):
@@ -300,6 +300,19 @@ class TreeAutomaton:
             if (inside := tuple(c for c in cands if c[0] in restrict))
         }
 
+    def _tuple_table(self, aid: int, qsets, kept) -> Optional[tuple]:
+        """What :meth:`first_tuple` and :meth:`occupants` read: the kept
+        list at each position of the scenario, the parent's obligations
+        (its absent next members) and the reach table, or None when the
+        scenario has no child tuple because a position keeps no candidate
+        or all of them together cannot refute every obligation."""
+        positions = [kept.get(q, ()) for q in qsets]
+        if not all(positions):
+            return None
+        obl = self._all_next & ~self._next_present[aid]
+        reach = _reach(positions, obl)
+        return (positions, obl, reach) if obl in reach[0] else None
+
     def first_tuple(self, aid: int, qsets, kept) -> Optional[tuple]:
         """The first child tuple of the scenario in the lexicographic order
         of the kept table's lists, or None if it has none.  A child tuple
@@ -307,13 +320,10 @@ class TreeAutomaton:
         every absent next member of the parent.  The reach table admits a
         candidate only if the later positions can finish its cover, so the
         first admitted candidate at each position never dead-ends."""
-        positions = [kept.get(q, ()) for q in qsets]
-        if not all(positions):
+        table = self._tuple_table(aid, qsets, kept)
+        if table is None:
             return None
-        obl = self._all_next & ~self._next_present[aid]
-        reach = _reach(positions, obl)
-        if obl not in reach[0]:
-            return None
+        positions, obl, reach = table
         chosen, covered = [], 0
         for cands, later in zip(positions, reach[1:]):
             for cid, cover in cands:
@@ -327,20 +337,18 @@ class TreeAutomaton:
         """Kept candidates that appear at each position of at least one
         child tuple: those whose cover, with one reached before the
         position and one the reach table offers after it, refutes every
-        absent next member.  Each distinct cover is decided once."""
-        positions = [kept.get(q, ()) for q in qsets]
-        if not all(positions):
+        absent next member.  Each distinct cover is decided once; as the
+        scenario has a child tuple, every position has an occupant."""
+        table = self._tuple_table(aid, qsets, kept)
+        if table is None:
             return {}
-        obl = self._all_next & ~self._next_present[aid]
-        reach = _reach(positions, obl)
+        positions, obl, reach = table
         result = {}
         before = {0}
         for i, cands in enumerate(positions):
             covers = {cover for _, cover in cands}
             around = {f | b for f in before for b in reach[i + 1]}
             fitting = {c for c in covers if any(u | c == obl for u in around)}
-            if not fitting:
-                return {}
             result[qsets[i]] = tuple(cid for cid, cover in cands if cover in fitting)
             before = {f | c for f in before for c in covers}
         return result
@@ -435,15 +443,16 @@ class Branches:
     numerator, denominator)``, reads the mass of the profiles whose bit j
     is set.  A family is a tuple of distinct profiles; its system asks for
     a distribution over them, total mass one, that meets every bound, and
-    ``names[q]`` names profile q's variable.  Profile sets are masks with
-    bit q for profile q, read off each bound at mass 0 and 1: ``points``
-    holds the profiles whose point mass meets every bound, and a family
-    that misses one of ``needs`` leaves a bound at the one mass its
-    argument can take, where it fails.  Caps, programs and maxima are kept.
+    its program's variables are the profiles themselves.  Profile sets are
+    masks with bit q for profile q, read off each bound at mass 0 and 1:
+    ``points`` holds the profiles whose point mass meets every bound, and
+    a family that misses one of ``needs`` leaves a bound at the one mass
+    its argument can take, where it fails.  Family masks, caps, programs
+    and maxima are kept.
     """
 
-    def __init__(self, bounds: tuple, names):
-        self.bounds, self.names = bounds, names
+    def __init__(self, bounds: tuple):
+        self.bounds = bounds
         count = 1 << len(bounds)
         self._everyone = everyone = (1 << count) - 1
         self._holders = holders = [free_column(j, count) for j in range(len(bounds))]
@@ -452,38 +461,36 @@ class Branches:
             at0, at1 = cmp.holds(0, num), cmp.holds(den, num)
             self.points &= (held if at1 else 0) | (everyone & ~held if at0 else 0)
             self.needs += [held] * (not at0) + [everyone & ~held] * (not at1)
-        self._caps, self._programs, self._maxima = {}, {}, {}
+        self._masks, self._caps, self._programs, self._maxima = {}, {}, {}, {}
 
     def rows(self, qsets) -> tuple:
-        """The family's branch system as integer rows for
-        :meth:`LinearProgram.from_int_rows`, with its variable names.
-
-        The rows are one row per bound in order, whose coefficients are
-        the bound's denominator on each profile that holds it, then each
-        profile's sign row, then total mass one.  A bound row that is
-        itself a sign row, ``P>=0`` held by only one profile, is handed
-        over as that profile.
-        """
+        """The family's branch system as ``(variables, rows)`` for
+        :class:`~pltlf.linsolve.LinearProgram`: the profiles in increasing
+        order, then one row per bound in order, whose coefficients are the
+        bound's denominator on each profile that holds it, each profile's
+        sign row as its index, and total mass one.  A bound row that is
+        itself a sign row, ``P>=0`` held by only one profile, goes in as
+        it is: the program recognises it."""
         qsets = tuple(sorted(qsets))
-        names = tuple(self.names[q] for q in qsets)
-        rows = []
-        for j, (cmp, num, den) in enumerate(self.bounds):
-            coeffs = [den if q >> j & 1 else 0 for q in qsets]
-            if cmp is Comparison.GE and num <= 0 and len(qsets) - coeffs.count(0) == 1:
-                rows.append(coeffs.index(den))
-            else:
-                rows.append((coeffs, cmp, num, den))
+        rows = [
+            ([den if q >> j & 1 else 0 for q in qsets], cmp, num, den)
+            for j, (cmp, num, den) in enumerate(self.bounds)
+        ]
         rows.extend(range(len(qsets)))
         rows.append(([1] * len(qsets), Comparison.EQ, 1, 1))
-        return names, rows
+        return qsets, rows
 
     def _program(self, qsets) -> LinearProgram:
         """The family's program after phase 1, built once per family from
         :meth:`rows` straight into the integer tableau."""
         program = self._programs.get(qsets)
         if program is None:
-            program = self._programs[qsets] = LinearProgram.from_int_rows(*self.rows(qsets))
+            program = self._programs[qsets] = LinearProgram(*self.rows(qsets))
         return program
+
+    def _mask(self, qsets) -> int:
+        """The family's profiles as a mask, built once per family."""
+        return self._masks.get(qsets) or self._masks.setdefault(qsets, sum(1 << q for q in qsets))
 
     def feasible(self, qsets) -> bool:
         """Whether the family's branch system is feasible.
@@ -492,7 +499,7 @@ class Branches:
         bound, and it is not when some bound fails at mass 0 and no profile
         holds it, or fails at mass 1 and every profile does.  Only a family
         neither settles builds its program."""
-        mask = sum(1 << q for q in qsets)
+        mask = self._mask(qsets)
         if mask & self.points:
             return True
         if any(not mask & need for need in self.needs):
@@ -500,12 +507,12 @@ class Branches:
         return self._program(qsets).feasible
 
     def point(self, qsets) -> Optional[dict]:
-        """Deterministic point of the family's branch system, or None when
-        it is infeasible: the feasibility objective's vertex.  A feasible
-        one-profile family has one point, all the mass on its profile, and
-        builds no program."""
+        """Deterministic point of the family's branch system by profile,
+        or None when it is infeasible: the feasibility objective's vertex.
+        A feasible one-profile family has one point, all the mass on its
+        profile, and builds no program."""
         if len(qsets) == 1 and self.points >> qsets[0] & 1:
-            return {self.names[qsets[0]]: ONE}
+            return {qsets[0]: ONE}
         return self._program(qsets).witness
 
     def maximum(self, qsets, q: int) -> Fraction:
@@ -518,10 +525,10 @@ class Branches:
         found = self._maxima.get(key)
         if found is None:
             cap, mixers = self._caps.get(q) or self._caps.setdefault(q, self._cap(q))
-            if mixers & sum(1 << p for p in qsets):
+            if mixers & self._mask(qsets):
                 found = cap
             else:
-                found = self._program(qsets).maximum(self.names[q])
+                found = self._program(qsets).maximum(q)
             self._maxima[key] = found
         return found
 
@@ -669,7 +676,7 @@ def _witness_subtree(aut, distance, aid: int, probability) -> WitnessModel:
                 continue
             point = branches.point(chosen)
             children = tuple(
-                _witness_subtree(aut, distance, cid, point[branches.names[q]])
+                _witness_subtree(aut, distance, cid, point[q])
                 for q, cid in zip(chosen, tup)
             )
             return WitnessModel(aut.valuation(aid), probability, children)

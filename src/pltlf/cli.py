@@ -69,7 +69,7 @@ def _emit(args, command: str, status: str, payload: dict, started: float) -> Non
     print(text)
 
 
-def _load_p0(path: str):
+def _read_p0(path: str):
     with open(path, encoding="utf-8") as handle:
         return parse_pltlf0(handle.read())
 
@@ -141,7 +141,7 @@ def _cmd_prefix(args, started) -> int:
 
 
 def _cmd_p0_sat(args, started) -> int:
-    phi = _load_p0(args.file)
+    phi = _read_p0(args.file)
     sat = is_satisfiable0(phi)
     _emit(args, "p0-sat", "sat" if sat else "unsat",
           {"file": args.file, "constraints": len(phi), "satisfiable": sat}, started)
@@ -149,7 +149,7 @@ def _cmd_p0_sat(args, started) -> int:
 
 
 def _cmd_p0_scenarios(args, started) -> int:
-    phi = _load_p0(args.file)
+    phi = _read_p0(args.file)
     table = build_lphi(phi)
     scenarios = [
         {
@@ -180,7 +180,7 @@ def _cmd_p0_scenarios(args, started) -> int:
 
 
 def _cmd_p0_monitor(args, started) -> int:
-    phi = _load_p0(args.file)
+    phi = _read_p0(args.file)
     try:
         state = start_monitor(phi)
     except InfeasibleSystemError:

@@ -223,7 +223,7 @@ class ScenarioTable:
         scenario i."""
         constraints = reversed(self.formula.constraints)
         bounds = tuple((c.cmp, *c.bound.as_integer_ratio()) for c in constraints)
-        return Branches(bounds, [self.variable(i) for i in range(len(self.scenarios))])
+        return Branches(bounds)
 
     @cached_property
     def _live(self) -> tuple:

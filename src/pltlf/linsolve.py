@@ -23,13 +23,16 @@ row's gcd, and ``Fraction`` values are built only for the answer.  It
 makes exactly the pivots the same simplex makes on ``Fraction`` entries,
 so every status, value and witness is the one that simplex gives.
 
-Rows become integers before the tableau is built, and one builder,
-:meth:`LinearProgram.from_int_rows`, lays every tableau out from integer
-rows, each with its scale, and sign rows named by their variable.  Both
-engines hand it their branch systems as such rows, through
-:class:`~pltlf.automaton.Branches`.  ``LinearProgram(system)`` scales a
-:class:`LinearSystem`'s rows by the lcm of their denominators and finds
-its sign rows; it serves :func:`solve_feasibility` and :func:`maximize`.
+Rows become integers before the tableau is built, and the one
+constructor, ``LinearProgram(variables, rows)``, lays every tableau out
+from integer rows, each with its scale.  It alone recognises a sign row,
+one that a variable's nonnegativity implies, whether spelled as a full
+row or as the variable's index, and builds no tableau row for it.  Both
+engines hand it their branch systems, whose variables are the family's
+profiles, through :class:`~pltlf.automaton.Branches`;
+:func:`solve_feasibility` and :func:`maximize` hand it a
+:class:`LinearSystem`'s variables and rows, each row scaled by the lcm of
+its denominators.
 """
 
 from __future__ import annotations
@@ -280,51 +283,33 @@ def _basic_value(tab, basis, j) -> Fraction:
 _EPS = "__eps__"
 
 
-def _sign_row(c: LinearConstraint) -> bool:
-    """True for ``a x >= b`` with ``a > 0 >= b``, which nonnegativity implies."""
-    nonzero = [a for a in c.coeffs if a != 0]
-    return c.rel is Comparison.GE and c.rhs <= 0 and len(nonzero) == 1 and nonzero[0] > 0
+def _int_rows(system: LinearSystem) -> list:
+    """The system's rows for :class:`LinearProgram`, each scaled to
+    integers by the lcm of its denominators."""
+    rows = []
+    for c in system.constraints:
+        scale = lcm(*(a.denominator for a in c.coeffs), c.rhs.denominator)
+        coeffs = [a.numerator * (scale // a.denominator) for a in c.coeffs]
+        rows.append((coeffs, c.rel, c.rhs.numerator * (scale // c.rhs.denominator), scale))
+    return rows
 
 
 class LinearProgram:
-    """A system after phase 1: ``kept`` is its tableau and feasible basis
-    (None if even the relaxed system is infeasible), ``feasible`` says
-    whether the system itself has a point, and ``witness`` is the
-    feasibility objective's vertex (None if the system is infeasible).
+    """A system of integer rows after phase 1: ``kept`` is its tableau and
+    feasible basis (None if even the relaxed system is infeasible),
+    ``feasible`` says whether the system itself has a point, and
+    ``witness`` is the feasibility objective's vertex by variable (None if
+    the system is infeasible).
 
-    ``LinearProgram(system)`` is the adapter for :class:`LinearSystem`
-    callers: it scales each row to integers by the lcm of its denominators
-    and hands a row that its variable's sign implies over as that
-    variable's index.  :meth:`from_int_rows` builds a program from such
-    rows directly.
+    A row is ``(coeffs, rel, rhs, scale)``, the constraint ``coeffs . x
+    <rel> rhs`` divided by the positive ``scale``, with integer
+    coefficients and rhs, or the index k of the sign row ``variables[k]
+    >= 0``.  A full row that the sign of its one variable implies, ``a x
+    >= b`` with ``a > 0 >= b``, is read as that index; a sign row builds
+    no tableau row.
     """
 
-    def __init__(self, system: LinearSystem):
-        rows = []
-        for c in system.constraints:
-            if _sign_row(c):
-                rows.append(next(k for k, a in enumerate(c.coeffs) if a != 0))
-                continue
-            scale = lcm(*(a.denominator for a in c.coeffs), c.rhs.denominator)
-            coeffs = [a.numerator * (scale // a.denominator) for a in c.coeffs]
-            rhs = c.rhs.numerator * (scale // c.rhs.denominator)
-            rows.append((coeffs, c.rel, rhs, scale))
-        self._load(system.variables, rows)
-
-    @classmethod
-    def from_int_rows(cls, names, rows) -> "LinearProgram":
-        """The program of integer rows over the named variables.
-
-        A row is ``(coeffs, rel, rhs, scale)``, the constraint
-        ``coeffs . x <rel> rhs`` divided by the positive ``scale``, with
-        integer coefficients and rhs, or the index k of a sign row
-        ``names[k] >= 0``, which builds no tableau row.
-        """
-        program = cls.__new__(cls)
-        program._load(names, rows)
-        return program
-
-    def _load(self, names, rows):
+    def __init__(self, variables, rows):
         """Build the integer tableau and run phase 1.
 
         Columns run: variables without a sign row, eps for a strict
@@ -335,13 +320,17 @@ class LinearProgram:
         eps and slack entries of a row are its scale, which its artificial
         column holds too, and a row with a negative rhs is negated.
         """
-        self.names = names
+        self.variables = variables
         specs, placed, signed = [], [], set()  # (coeffs, eps coeff, rel, rhs, scale)
         for row in rows:
+            if not isinstance(row, int) and row[1] is Comparison.GE and row[2] <= 0:
+                held = [k for k, a in enumerate(row[0]) if a]
+                if len(held) == 1 and row[0][held[0]] > 0:
+                    row = held[0]  # the sign row of its one variable
             if isinstance(row, int):
                 if row not in signed:
                     signed.add(row)
-                    placed.append(names[row])
+                    placed.append(variables[row])
                 continue
             coeffs, rel, rhs, scale = row
             eps_coeff = 0
@@ -356,10 +345,11 @@ class LinearProgram:
             specs.append(((), 1, Comparison.LE, 1, 1))
             placed.append(("slack", len(specs) - 1))
 
-        columns = [v for k, v in enumerate(names) if k not in signed] + [_EPS] * strict + placed
+        free = [v for k, v in enumerate(variables) if k not in signed]
+        columns = free + [_EPS] * strict + placed
         col = self.col = {key: i for i, key in enumerate(columns)}
         n, m = len(columns), len(specs)
-        var_cols = [col[v] for v in names]
+        var_cols = [col[v] for v in variables]
         tab = []
         for i, (coeffs, eps_coeff, rel, rhs, scale) in enumerate(specs):
             flip = rhs < 0
@@ -393,7 +383,7 @@ class LinearProgram:
     def _point(self, tab, basis) -> dict:
         """The basic solution of an optimal (tableau, basis), by variable."""
         y = _vertex(tab, basis, len(self.col))
-        return {v: y[self.col[v]] for v in self.names}
+        return {v: y[self.col[v]] for v in self.variables}
 
     def _optimum(self, column):
         """Phase 2 for a column from the kept basis."""
@@ -414,7 +404,7 @@ class LinearProgram:
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility exactly; the witness satisfies strict rows strictly."""
-    lp = LinearProgram(system)
+    lp = LinearProgram(system.variables, _int_rows(system))
     return FeasibilityResult(lp.feasible, lp.witness)
 
 
@@ -433,12 +423,15 @@ def maximize(system: LinearSystem, variable: str) -> Optimum:
     """
     if variable not in system.variables:
         raise KeyError(f"unknown variable {variable!r}")
-    lp = LinearProgram(system)
+    rows = _int_rows(system)
+    lp = LinearProgram(system.variables, rows)
     if not lp.feasible:
         raise InfeasibleSystemError("system is infeasible")
     if not lp.strict:
         point = lp._point(*lp._optimum(variable))
         return Optimum(point[variable], True, point)
     value = lp.maximum(variable)
-    res = solve_feasibility(system.with_rows([({variable: 1}, Comparison.EQ, value)]))
-    return Optimum(value, res.feasible, res.witness)
+    num, den = value.as_integer_ratio()
+    pin = [den if v == variable else 0 for v in system.variables]
+    pinned = LinearProgram(system.variables, rows + [(pin, Comparison.EQ, num, den)])
+    return Optimum(value, pinned.feasible, pinned.witness)

@@ -341,12 +341,12 @@ def build_weighted(aut) -> WeightedAutomaton:
         by_position = occupants(aut, aid, family, good)
         if not by_position:
             continue
-        program = LinearProgram.from_int_rows(*aut.branches[aut._prob_sig[aid]].rows(family))
+        program = LinearProgram(*aut.branches[aut._prob_sig[aid]].rows(family))
         if not program.feasible:
             continue
         out = []
         for qmask, fits in by_position.items():
-            mass = program.maximum(_qset_name(qmask, len(aut._pairs)))
+            mass = program.maximum(qmask)
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups[aid] = tuple(out)

@@ -71,23 +71,24 @@ def data_dir():
 @pytest.fixture
 def lp_runs(monkeypatch):
     """What the exact LP solves: the variables of each program that runs
-    phase 1, whether built from a ``LinearSystem`` or from integer rows,
-    and each objective maximised from a kept basis as (variables, column):
-    every objective, a strict system's feasibility test for ``eps``
-    included, runs through ``_optimum``.  Without strict rows phase 1 alone
-    decides feasibility."""
+    phase 1, as the one constructor ``LinearProgram(variables, rows)``
+    receives them (a branch program's are its family's profiles), and each
+    objective maximised from a kept basis as (variables, column): every
+    objective, a strict system's feasibility test for ``eps`` included,
+    runs through ``_optimum``.  Without strict rows phase 1 alone decides
+    feasibility."""
     runs = {"phase_one": [], "objectives": []}
-    load, optimum = linsolve.LinearProgram._load, linsolve.LinearProgram._optimum
+    init, optimum = linsolve.LinearProgram.__init__, linsolve.LinearProgram._optimum
 
-    def counting_load(self, names, rows):
-        runs["phase_one"].append(names)
-        load(self, names, rows)
+    def counting_init(self, variables, rows):
+        runs["phase_one"].append(variables)
+        init(self, variables, rows)
 
     def counting_optimum(self, column):
-        runs["objectives"].append((self.names, column))
+        runs["objectives"].append((self.variables, column))
         return optimum(self, column)
 
-    monkeypatch.setattr(linsolve.LinearProgram, "_load", counting_load)
+    monkeypatch.setattr(linsolve.LinearProgram, "__init__", counting_init)
     monkeypatch.setattr(linsolve.LinearProgram, "_optimum", counting_optimum)
     return runs
 

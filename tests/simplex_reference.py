@@ -21,7 +21,6 @@ from pltlf.linsolve import (
     InfeasibleSystemError,
     Optimum,
     UnboundedObjectiveError,
-    _sign_row,
 )
 
 ZERO = Fraction(0)
@@ -131,6 +130,12 @@ def _solve_standard(rows, rhs, n, objective):
 EPS = "__eps__"
 
 
+def sign_row(c) -> bool:
+    """True for ``a x >= b`` with ``a > 0 >= b``, which nonnegativity implies."""
+    nonzero = [a for a in c.coeffs if a != 0]
+    return c.rel is Comparison.GE and c.rhs <= 0 and len(nonzero) == 1 and nonzero[0] > 0
+
+
 def standard_form(system, with_eps: bool):
     """The columns, rows and rhs of the system's standard form.
 
@@ -141,7 +146,7 @@ def standard_form(system, with_eps: bool):
     names = system.variables
     specs, placed = [], []  # (coeffs, eps coeff, rel, rhs); column keys
     for c in system.constraints:
-        if _sign_row(c):
+        if sign_row(c):
             name = next(v for a, v in zip(c.coeffs, names) if a != 0)
             if name not in placed:
                 placed.append(name)

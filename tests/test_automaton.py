@@ -33,7 +33,7 @@ from pltlf import (
 )
 import pltlf.automaton as automaton_module
 from pltlf.closure import Atom
-from pltlf.linsolve import LinearProgram
+from pltlf.linsolve import LinearProgram, _int_rows
 from pltlf.syntax import And, Comparison, Prob
 
 from conftest import LARGER_TEXTS, PSI_TEXT
@@ -42,6 +42,23 @@ from conftest import LARGER_TEXTS, PSI_TEXT
 def everything(aut) -> frozenset:
     """Every atom of the automaton, the restriction that excludes none."""
     return frozenset(range(len(aut.atoms)))
+
+
+def named(aut, key):
+    """A branch program's column key as ``build_system`` spells it: a
+    profile as its subset name, eps and slacks as they are."""
+    return automaton_module._qset_name(key, len(aut._pairs)) if isinstance(key, int) else key
+
+
+def by_name(aut, point: dict) -> dict:
+    """A branch point by profile, keyed by ``build_system``'s names."""
+    return {named(aut, q): mass for q, mass in point.items()}
+
+
+def system_program(system) -> LinearProgram:
+    """The program ``solve_feasibility`` and ``maximize`` build for a
+    system."""
+    return LinearProgram(system.variables, _int_rows(system))
 
 
 def atom_id(aut, positives, negated):
@@ -177,7 +194,7 @@ class TestScenarios:
         aid = psi_ids["a1"]
         for record in aut_psi.scenario_family(aid):
             point = branches_of(aut_psi, aid).point(record.qsets)
-            assert record.system.holds(point)
+            assert record.system.holds(by_name(aut_psi, point))
 
 
 class TestTransitions:
@@ -777,25 +794,30 @@ class TestBranchPrograms:
             asked.setdefault((aut._prob_sig[aid], family), (aid, []))
         assert asked
         for (sig, family), (aid, answers) in asked.items():
-            direct = LinearProgram.from_int_rows(*aut.branches[sig].rows(family))
+            direct = LinearProgram(*aut.branches[sig].rows(family))
             system = aut.build_system(aid, family)
             assert system == family_reference.branch_system(aut, aid, family)
-            spelled = LinearProgram(system)
-            assert (direct.names, direct.col) == (spelled.names, spelled.col)
-            assert list(direct.col) == simplex_reference.standard_form(system, direct.strict)[0]
+            spelled = system_program(system)
+            names = [named(aut, q) for q in direct.variables]
+            assert names == list(spelled.variables)
+            assert [(named(aut, key), j) for key, j in direct.col.items()] == list(
+                spelled.col.items()
+            )
+            assert list(spelled.col) == simplex_reference.standard_form(system, direct.strict)[0]
             assert direct.kept == spelled.kept
-            assert direct.witness == spelled.witness
-            assert direct.witness == simplex_reference.feasibility_witness(system)
+            witness = direct.witness and by_name(aut, direct.witness)
+            assert witness == spelled.witness
+            assert witness == simplex_reference.feasibility_witness(system)
             if direct.kept is not None:
-                for name in direct.names:
-                    assert direct.maximum(name) == spelled.maximum(name)
+                for q, name in zip(direct.variables, names):
+                    assert direct.maximum(q) == spelled.maximum(name)
             for name, rest, answer in answers:
                 if name == "feasible":
                     assert answer == direct.feasible
                 elif name == "point":
                     assert answer == direct.witness
                 else:
-                    assert answer == direct.maximum(aut.branches[sig].names[rest[0]])
+                    assert answer == direct.maximum(rest[0])
 
 
 # the benchmark's two-bound tree-queries formulas
@@ -913,7 +935,7 @@ class TestProfileCertificates:
         assert 0 < len(lp_runs["phase_one"]) < len(questions)
         for (aid, family), ok in zip(questions, answers):
             branches = branches_of(aut, aid)
-            assert ok == LinearProgram.from_int_rows(*branches.rows(family)).feasible
+            assert ok == LinearProgram(*branches.rows(family)).feasible
             assert ok == fm_feasible(aut.build_system(aid, family))
             assert ok == (branches.point(family) is not None)
 
@@ -946,7 +968,7 @@ class TestProfileCertificates:
             branches = branches_of(aut, aid)
             for size in range(1, largest + 1):
                 for family in combinations(subsets, size):
-                    program = LinearProgram.from_int_rows(*branches.rows(family))
+                    program = LinearProgram(*branches.rows(family))
                     ok = branches.feasible(family)
                     assert ok == program.feasible
                     # the engine builds a program exactly when nothing settles
@@ -962,7 +984,7 @@ class TestProfileCertificates:
                         before = len(objectives)
                         found = branches.maximum(family, q)
                         ran = len(objectives) > before
-                        assert found == program.maximum(branches.names[q])
+                        assert found == program.maximum(q)
                         # a maximum runs a phase 2 exactly when no mixture
                         # settles it
                         assert ran == (cap is None)
@@ -1045,9 +1067,9 @@ class TestProbabilityFreeReachability:
 
     def test_the_one_family_is_answered_as_its_lp_answers(self):
         aut = TreeAutomaton(parse_formula("X X a & F b"))
-        program = LinearProgram(aut.build_system(0, (0,)))
+        program = system_program(aut.build_system(0, (0,)))
         branches = branches_of(aut, 0)
-        assert branches.point((0,)) == program.witness
+        assert by_name(aut, branches.point((0,))) == program.witness
         assert branches.maximum((0,), 0) == program.maximum("x{}")
         assert branches.point(()) is None
         assert not solve_feasibility(aut.build_system(0, ())).feasible

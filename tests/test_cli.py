@@ -541,8 +541,11 @@ def test_src_lines_totals_the_modules():
 
 
 def test_compile_ladder_smallest_rung():
-    # one JSON line with each rung's sizes and every layer's seconds, on
-    # the smallest tree rung and the smallest flat rung
+    # one JSON line with each rung's sizes, LP counts and every layer's
+    # seconds, on the smallest tree rung and the smallest flat rung: the
+    # pair-free tree rung builds no program, and the flat rung builds its
+    # mass system's one program and runs a phase 2 for each of the 27 live
+    # scenarios no mixer settles
     root = pathlib.Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -555,12 +558,16 @@ def test_compile_ladder_smallest_rung():
     result = json.loads(line)
     assert list(result) == ["X^10 a", "flat n=9"]
     rung = result["X^10 a"]
-    assert list(rung) == ["atoms", "construct", "good", "weighted", "behaviour", "mlt"]
-    assert rung["atoms"] == 2048
+    assert list(rung) == [
+        "atoms", "programs", "phase2s", "construct", "good", "weighted", "behaviour", "mlt",
+    ]
+    assert (rung["atoms"], rung["programs"], rung["phase2s"]) == (2048, 0, 0)
     assert all(rung[layer] >= 0 for layer in rung)
     rung = result["flat n=9"]
-    assert list(rung) == ["scenarios", "live", "build_lphi", "feasible", "maxima", "rows_text"]
-    assert (rung["scenarios"], rung["live"]) == (512, 132)
+    assert list(rung) == [
+        "scenarios", "live", "programs", "phase2s", "build_lphi", "feasible", "maxima", "rows_text",
+    ]
+    assert (rung["scenarios"], rung["live"], rung["programs"], rung["phase2s"]) == (512, 132, 1, 27)
     assert all(rung[layer] >= 0 for layer in rung)
 
 

@@ -160,11 +160,12 @@ class TestScenarios:
         # strict rows and no profile certificate), then one objective: x01
         # is capped at 3/5 by P<=0.6 : G(a -> F b) and x10 at 1/2 by
         # P<=0.5 : F a, each settled by a mixture with the other, while
-        # x11's only mixer is the pinned x00, so its 1/10 is a phase 2
-        live = tuple(table.variable(i) for i, sat in enumerate(table.satisfiable) if sat)
-        assert live == ("x01", "x10", "x11")
+        # x11's only mixer is the pinned x00, so its 1/10 is a phase 2; the
+        # program's variables are the live scenarios' indices
+        live = tuple(i for i, sat in enumerate(table.satisfiable) if sat)
+        assert live == (1, 2, 3)
         assert lp_runs["phase_one"] == [live]
-        assert lp_runs["objectives"] == [(live, "x11")]
+        assert lp_runs["objectives"] == [(live, 3)]
 
     @pytest.mark.parametrize("first_step", ["accepts", "monitor"])
     def test_weighted_automaton_is_built_on_the_first_step(
@@ -231,7 +232,7 @@ class TestMaxima:
         lp_runs["objectives"].clear()
         assert table.satisfiable == (False, True, True, False)
         assert table.maxima == (0, Fraction(1, 2), Fraction(1, 2), 0)
-        live = ("x01", "x10")
+        live = (1, 2)  # x01 and x10
         # phase 1 alone decides a system without strict rows, as no
         # profile's point mass meets both bounds; each live scenario is
         # capped at 1/2 by the bound it keeps, and a mixture with the other
@@ -248,9 +249,9 @@ class TestMaxima:
         table = build_lphi(psi1_flat)
         assert lp_runs["phase_one"] == []
         monitor_step(start_monitor(table), parse_trace("a")[0])
-        live = ("x01", "x10", "x11")
+        live = (1, 2, 3)  # x01, x10 and x11
         assert lp_runs["phase_one"] == [live]
-        assert lp_runs["objectives"] == [(live, "x11")]
+        assert lp_runs["objectives"] == [(live, 3)]
 
     def test_feasibility_is_decided_once(self, lp_runs):
         # x10's point mass meets both strict bounds, so feasibility needs no
@@ -274,9 +275,9 @@ class TestMaxima:
         lp_runs["phase_one"].clear()
         assert table.maxima == (0, Fraction(3, 5), Fraction(1, 2), Fraction(1, 10))
         assert is_satisfiable0(table)
-        live = ("x01", "x10", "x11")
+        live = (1, 2, 3)  # x01, x10 and x11
         assert lp_runs["phase_one"] == [live]
-        assert lp_runs["objectives"] == [(live, linsolve._EPS), (live, "x11")]
+        assert lp_runs["objectives"] == [(live, linsolve._EPS), (live, 3)]
 
     @settings(max_examples=20)
     @given(
@@ -619,7 +620,7 @@ class TestSharedAutomaton:
         bounds = [(c.cmp, c.bound) for c in reversed(phi.constraints)]
         caps = {i: mixture_cap(bounds, live, i) for i in live}
         ran = [column for _, column in lp_runs["objectives"]]
-        assert ran == [table.variable(i) for i in live if caps[i] is None]
+        assert ran == [i for i in live if caps[i] is None]
         for i in live:
             if caps[i] is not None:
                 assert maxima[i] == caps[i]

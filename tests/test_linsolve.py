@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pltlf import (
@@ -244,7 +244,13 @@ class TestRendering:
         assert rows[-1] == "x1 + x2 + x12 = 1"
 
 
-CALLERS = ("solve_feasibility", "maximize", "LinearProgram", "from_int_rows")
+CALLERS = ("solve_feasibility", "maximize", "LinearProgram", "int_rows")
+
+
+def system_program(system) -> linsolve.LinearProgram:
+    """The program ``solve_feasibility`` and ``maximize`` build for a
+    system: its variables and its rows scaled to integers."""
+    return linsolve.LinearProgram(system.variables, linsolve._int_rows(system))
 
 
 def standard_forms(system, maxima=True, int_rows=None):
@@ -252,10 +258,11 @@ def standard_forms(system, maxima=True, int_rows=None):
     objective that phase 2 optimizes from the tableau's kept basis, listed
     per caller: ``solve_feasibility`` on the system and, with ``maxima``,
     ``maximize`` of each variable and each variable's maximum on one
-    shared ``LinearProgram``.  Given ``int_rows``, the (names, rows) of
-    the same system, ``LinearProgram.from_int_rows`` on them is a caller
-    too, with its feasibility objective and, with ``maxima``, each
-    variable's maximum.  A tableau whose phase 1 fails, or whose kept
+    shared program built from the system's rows.  Given ``int_rows``, the
+    (variables, rows) of the same system as a branch system hands them
+    over, the program built from them is a caller too, with its
+    feasibility objective and, with ``maxima``, each variable's maximum.
+    A tableau whose phase 1 fails, or whose kept
     basis no phase 2 re-optimises (a feasibility test without strict rows
     reads its witness off that basis), is listed with the zero
     objective."""
@@ -279,28 +286,28 @@ def standard_forms(system, maxima=True, int_rows=None):
         sink.append((*kept[id(tab)][0], list(objective)))
         return phase_two(tab, basis, objective)
 
-    def each_maximum(solve):
-        for name in system.variables:
+    def each_maximum(solve, variables=system.variables):
+        for name in variables:
             try:
                 solve(name)
             except (InfeasibleSystemError, UnboundedObjectiveError):
                 pass
 
-    def from_int_rows():
-        program = linsolve.LinearProgram.from_int_rows(*int_rows)
+    def branch_program():
+        program = linsolve.LinearProgram(*int_rows)
         if maxima and program.kept is not None:
-            each_maximum(program.maximum)
+            each_maximum(program.maximum, program.variables)
 
     calls = {
         "solve_feasibility": lambda: solve_feasibility(system),
         "maximize": lambda: each_maximum(lambda name: maximize(system, name)),
-        "LinearProgram": lambda: each_maximum(linsolve.LinearProgram(system).maximum),
-        "from_int_rows": from_int_rows,
+        "LinearProgram": lambda: each_maximum(system_program(system).maximum),
+        "int_rows": branch_program,
     }
     callers = [
         caller for caller in CALLERS
-        if (maxima or caller in ("solve_feasibility", "from_int_rows"))
-        and (int_rows or caller != "from_int_rows")
+        if (maxima or caller in ("solve_feasibility", "int_rows"))
+        and (int_rows or caller != "int_rows")
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linsolve, "_phase_one", capture_one)
@@ -395,8 +402,9 @@ class TestIntegerKernel:
     """Phase 1 on the integer tableau, then phase 2 from the kept basis,
     makes the pivots the Fraction simplex makes on the standard form the
     tableau stands for, and reads out the same status, value, point and
-    basis; both front ends, ``LinearProgram(system)`` and the branch
-    systems' integer rows, hand the kernel such tableaux."""
+    basis; the one constructor hands the kernel such tableaux, whether a
+    system's rows reach it through ``solve_feasibility`` and ``maximize``
+    or a branch system's integer rows reach it directly."""
 
     @given(sts.linear_systems(), st.booleans())
     @settings(max_examples=150)
@@ -425,6 +433,40 @@ class TestIntegerKernel:
             assert_same_kernel(system, maxima=False, int_rows=int_rows)
 
 
+def shorthand(system, rows) -> list:
+    """The system's integer rows with each row that its variable's sign
+    implies handed over as that variable's index."""
+    return [
+        next(k for k, a in enumerate(c.coeffs) if a) if simplex_reference.sign_row(c) else row
+        for c, row in zip(system.constraints, rows)
+    ]
+
+
+class TestSignRows:
+    """The constructor alone recognises a row that its one variable's sign
+    implies: given as a full integer row, it builds the program the index
+    shorthand builds, with the same columns in the same order, kept
+    tableau and basis, witness and maxima.  Were such a row built as a
+    tableau row, its slack would take the variable's place among the
+    columns."""
+
+    @given(sts.linear_systems())
+    @settings(max_examples=100)
+    def test_full_sign_rows_build_the_shorthand_program(self, system):
+        full = linsolve._int_rows(system)
+        short = shorthand(system, full)
+        # every drawn system spells x >= 0 for each of its variables
+        assert sum(isinstance(row, int) for row in short) >= len(system.variables)
+        given_full = linsolve.LinearProgram(system.variables, full)
+        given_short = linsolve.LinearProgram(system.variables, short)
+        assert list(given_full.col.items()) == list(given_short.col.items())
+        assert given_full.kept == given_short.kept
+        assert given_full.witness == given_short.witness
+        if given_full.kept is not None:
+            for name in system.variables:
+                assert given_full.maximum(name) == given_short.maximum(name)
+
+
 def is_box_row(c):
     """An ``x <= 2`` row of ``strategies.linear_systems``."""
     return (
@@ -446,7 +488,7 @@ class TestSharedPhaseOne:
                 system.variables, tuple(c for c in system.constraints if not is_box_row(c))
             )
         assume(solve_feasibility(system).feasible)
-        program = linsolve.LinearProgram(system)
+        program = system_program(system)
         for name in system.variables:
             expected = fm_supremum(system, name)
             if expected == "unbounded":
@@ -470,6 +512,41 @@ class TestSharedPhaseOne:
                     maximize(system, name)
                 continue
             assert maximize(system, name) == expected
+
+    @given(system=sts.linear_systems())
+    @example(system=LinearSystem.from_rows(("x", "y"), [
+        ({"x": 1}, Comparison.LT, 1), ({"x": 1, "y": 1}, Comparison.LE, 1),
+    ]))
+    @example(system=LinearSystem.from_rows(("x", "y"), [
+        ({"x": 1}, Comparison.LE, 1), ({"x": 1, "y": 1}, Comparison.LE, 1),
+    ]))
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_maximize_builds_its_programs_from_the_systems_rows(self, system, lp_runs):
+        # one program from the system's rows, and for a feasible strict
+        # system a second, pinned one, which appends one integer row to the
+        # same rows: neither spells a LinearSystem
+        name = system.variables[0]
+        try:
+            expected = simplex_reference.maximize(system, name)
+        except InfeasibleSystemError:
+            expected = None
+
+        def refuse(*args):
+            raise AssertionError("maximize spelled a LinearSystem")
+
+        lp_runs["phase_one"].clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LinearSystem, "from_rows", refuse)
+            mp.setattr(LinearSystem, "with_rows", refuse)
+            if expected is None:
+                with pytest.raises(InfeasibleSystemError):
+                    maximize(system, name)
+            else:
+                opt = maximize(system, name)
+                assert (opt.supremum, opt.attained) == (expected.supremum, expected.attained)
+        strict = any(c.rel.strict for c in system.constraints)
+        programs = 2 if strict and expected is not None else 1
+        assert lp_runs["phase_one"] == [system.variables] * programs
 
     @pytest.mark.parametrize("rows, tableaux", [
         # strict and feasible: the shared tableau, then the pinned one

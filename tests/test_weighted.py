@@ -33,7 +33,7 @@ from pltlf import (
     vars_of,
     witness_model,
 )
-from pltlf import automaton, linsolve, weighted
+from pltlf import automaton, weighted
 
 from family_reference import scenario_max
 from test_automaton import PSI_ATOMS, atom_id
@@ -120,28 +120,25 @@ class TestEdgeWeights:
     def test_maxima_build_no_system_of_their_own(self, monkeypatch, lp_runs):
         # Branches.maximum re-optimises the program the family's
         # feasibility test or point kept, so every branch program is built
-        # once, from integer rows; no query spells a branch system as a
-        # LinearSystem
+        # once, from integer rows over its profiles; no query spells a
+        # branch system as a LinearSystem over names
         aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
-        programs, systems = [], []
-        from_int_rows = linsolve.LinearProgram.from_int_rows.__func__
+        systems = []
         build_system = TreeAutomaton.build_system
-
-        def counting_program(cls, names, rows):
-            programs.append(names)
-            return from_int_rows(cls, names, rows)
 
         def counting_system(self, aid, qsets):
             systems.append(qsets)
             return build_system(self, aid, qsets)
 
-        monkeypatch.setattr(linsolve.LinearProgram, "from_int_rows", classmethod(counting_program))
         monkeypatch.setattr(TreeAutomaton, "build_system", counting_system)
         assert witness_model(aut) is not None
         assert behaviour(build_weighted(aut)) == 1
         assert any(branches._maxima for branches in aut.branches)
-        assert len(programs) == sum(len(branches._programs) for branches in aut.branches)
-        assert len(lp_runs["phase_one"]) == len(programs)
+        programs = lp_runs["phase_one"]
+        assert sorted(programs) == sorted(
+            family for branches in aut.branches for family in branches._programs
+        )
+        assert all(isinstance(q, int) for family in programs for q in family)
         f, trace = parse_formula(THREE_BOUNDS), parse_trace("a;b,c")
         assert is_satisfiable(f) and trace_probability(f, trace) >= 0
         assert prefix_extension_query(f, trace)[0] >= 0
