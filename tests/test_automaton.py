@@ -33,10 +33,11 @@ from pltlf import (
 )
 import pltlf.automaton as automaton_module
 from pltlf.closure import Atom
-from pltlf.linsolve import LinearProgram, _int_rows
+from pltlf.linsolve import LinearProgram
 from pltlf.syntax import And, Comparison, Prob
 
 from conftest import LARGER_TEXTS, PSI_TEXT
+from test_linsolve import system_program
 
 
 def everything(aut) -> frozenset:
@@ -53,12 +54,6 @@ def named(aut, key):
 def by_name(aut, point: dict) -> dict:
     """A branch point by profile, keyed by ``build_system``'s names."""
     return {named(aut, q): mass for q, mass in point.items()}
-
-
-def system_program(system) -> LinearProgram:
-    """The program ``solve_feasibility`` and ``maximize`` build for a
-    system."""
-    return LinearProgram(system.variables, _int_rows(system))
 
 
 def atom_id(aut, positives, negated):
