@@ -72,6 +72,9 @@ smallest atom combined with every pattern of the other free bits.
 
 Every tree query takes a formula or a compiled :class:`TreeAutomaton`,
 which keeps its good states, LP results and weighted automaton.
+:func:`build_weighted` flattens the good part into that weighted
+automaton here, next to the classes, kept tables and branch systems it
+reads; :mod:`pltlf.weighted` holds the automaton class and its queries.
 """
 
 from __future__ import annotations
@@ -425,7 +428,6 @@ class TreeAutomaton:
     @property
     def weighted(self):
         """The weighted trace automaton, built on first use and kept."""
-        from .weighted import build_weighted
         return build_weighted(self) if self._weighted is None else self._weighted
 
 
@@ -596,6 +598,61 @@ def _compiled(source) -> TreeAutomaton:
 
 def is_satisfiable(source) -> bool:
     return bool(_compiled(source).good_initial())
+
+
+def build_weighted(source):
+    """Flatten the good atoms into a weighted trace automaton the automaton keeps.
+
+    The edge from ``a`` to ``a'`` weighs the largest mass that ``a``'s
+    maximal family against the good set lets the position of ``a'``
+    absorb, :meth:`Branches.maximum`; by the monotonicity facts above, no
+    surviving scenario of ``a`` gives it more.  A child's probability
+    arguments pin its position, and each position with positive mass is
+    one group over its occupants, so every weight lies in (0, 1].  The
+    atoms of a class share its groups, and atoms that agree on the
+    propositions share one valuation frozenset.
+    """
+    from .weighted import WeightedAutomaton
+
+    aut = _compiled(source)
+    if aut._weighted is not None:
+        return aut._weighted
+    good = aut.good_states().good
+    states = tuple(sorted(good))
+    groups = {}
+    interned = {}
+    by_mask = {}  # next mask -> (maximal family, its occupants)
+    for members in aut._classes:
+        aid = members[0]
+        if aid not in good:
+            continue
+        req = aut._next_present[aid]
+        if not aut._pairs:
+            # one group: the good atoms that carry the next mask, weight 1
+            fits = tuple(cid for cid in aut._by_args.get(req, ()) if cid in good)
+            if fits:
+                k = interned.setdefault(fits, len(interned))
+                groups.update(dict.fromkeys(members, ((ONE, k),)))
+            continue
+        if req not in by_mask:
+            kept = aut.kept(aid, good)
+            family = tuple(kept)
+            by_mask[req] = family, aut.occupants(aid, family, kept)
+        family, occupants = by_mask[req]
+        branches = aut.branches[aut._prob_sig[aid]]
+        if not occupants or not branches.feasible(family):
+            continue
+        out = []
+        for qmask, fits in occupants.items():
+            mass = branches.maximum(family, qmask)
+            if mass > 0:
+                out.append((mass, interned.setdefault(fits, len(interned))))
+        groups.update(dict.fromkeys(members, tuple(out)))
+    valuations = {aid: aut.valuation(aid) for aid in states}
+    aut._weighted = WeightedAutomaton(
+        states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations
+    )
+    return aut._weighted
 
 
 @dataclass(frozen=True)

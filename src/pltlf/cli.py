@@ -70,7 +70,7 @@ def _emit(args, command: str, status: str, payload: dict, started: float) -> Non
 
 
 def _read_p0(path: str):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_pltlf0(handle.read())
 
 

@@ -29,7 +29,6 @@ from .syntax import (
     Trace,
     Until,
     eval_trace,
-    formula_text,
     is_proposition_name,
 )
 
@@ -64,7 +63,7 @@ def load_log(path) -> EventLog:
     the ``order`` column when present, whose values must be contiguous
     integers within each case.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty log file")
@@ -175,6 +174,12 @@ class MinedConstraint:
     def provenance(self) -> str:
         return f"# support={self.support} template={self.template}({','.join(self.args)})"
 
+    def bounds(self) -> tuple:
+        """The bound pair P>=p, P<=p of support p."""
+        return tuple(
+            ProbConstraint(cmp, self.support, self.formula) for cmp in (Comparison.GE, Comparison.LE)
+        )
+
 
 def constraint_support(log: EventLog, formula: Formula) -> Fraction:
     hits = sum(1 for case in log.cases if eval_trace(formula, case.trace()))
@@ -209,11 +214,7 @@ def mine_constraints(log: EventLog, min_support: Fraction, catalog: tuple = None
 
 def to_pltlf0(mined: list) -> Pltlf0Formula:
     """Each support-p constraint becomes the bound pair P>=p, P<=p."""
-    constraints = []
-    for item in mined:
-        constraints.append(ProbConstraint(Comparison.GE, item.support, item.formula))
-        constraints.append(ProbConstraint(Comparison.LE, item.support, item.formula))
-    return Pltlf0Formula(tuple(constraints))
+    return Pltlf0Formula(tuple(c for item in mined for c in item.bounds()))
 
 
 def mine(log: EventLog, min_support: Fraction, catalog: tuple = None) -> Pltlf0Formula:
@@ -226,6 +227,5 @@ def render_mined(mined: list) -> str:
     lines = []
     for item in mined:
         lines.append(item.provenance())
-        lines.append(f"P>={item.support} : {formula_text(item.formula)}")
-        lines.append(f"P<={item.support} : {formula_text(item.formula)}")
+        lines += (c.text() for c in item.bounds())
     return "".join(line + "\n" for line in lines)

@@ -373,9 +373,9 @@ def size_and_text(formulas) -> list:
     """``(formula_size(g), formula_text(g))`` for each of the formulas,
     rendering every node once: its text is joined from its
     :func:`_text_pieces` and its children's texts.  The memo is keyed by
-    ``id`` within the call, as keying it by node would hash every subtree
-    again; the formulas keep each node alive.  Iterative, so any depth
-    works."""
+    ``id`` within the call, as keying it by node would compare an equal
+    but distinct subtree node by node on every lookup that meets it; the
+    formulas keep each node alive.  Iterative, so any depth works."""
     memo = {}
     for top in formulas:
         stack = [top]

@@ -1,6 +1,7 @@
 """Most likely traces and probability queries over trace languages.
 
-The good part of a tree automaton is flattened into a max-times weighted
+The good part of a tree automaton is flattened, by
+:func:`~pltlf.automaton.build_weighted`, into a max-times weighted
 automaton whose runs are traces: states are the good atoms and keep their
 valuation, an edge carries the largest mass any branch system lets the
 child subset absorb, and the behaviour (maximum run weight from a good
@@ -43,7 +44,7 @@ from math import inf
 from types import MappingProxyType
 from typing import Optional
 
-from .automaton import TreeAutomaton, _compiled
+from .automaton import TreeAutomaton, _compiled, build_weighted
 from .syntax import Trace, all_valuations, format_trace, parse_trace, vars_of
 
 ZERO = Fraction(0)
@@ -186,71 +187,6 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
     values = {q: value[row_of[q]] for q in wa.states}
     top = max((values[q] for q in wa.initial), default=ZERO)
     return BehaviourTable(values, top, rows, tuple(best))
-
-
-def build_weighted(source) -> WeightedAutomaton:
-    """Flatten an automaton's good atoms into a weighted trace automaton it keeps.
-
-    The weight of an edge from ``a`` to ``a'`` is the best mass any
-    surviving scenario of ``a`` can give the subset position that ``a'``
-    occupies; positions are pinned by which probability arguments hold in
-    ``a'``.  Every surviving scenario is a subset of ``a``'s maximal
-    family against the good set, a child tuple of a subset extends to one
-    of that family, and adjoining variables never lowers a supremum, so the
-    family's maximum gives each weight: the cap the relaxed bounds put on
-    the position's mass when a mixture of two of the family's profiles
-    meets it, and otherwise a phase 2 over the family's system.  Each
-    position with positive mass becomes one group over its occupants, so
-    every weight lies in (0, 1]: it is positive, and no mass exceeds the 1
-    that the system's masses sum to.  Every atom of a class shares the
-    class's groups.  The kept table against the good set is built once
-    per next mask, and the family and its occupants are read off it; the
-    occupants are empty exactly when the family has no child tuple.  The
-    family's feasibility and maxima are found once per (signature,
-    family).  Without probability pairs a good class's one group is the
-    good atoms whose next-argument mask is its next mask, with weight 1,
-    filtered off the index with no kept table.  States whose atoms agree
-    on the propositions share one valuation frozenset.
-    """
-    aut = _compiled(source)
-    if aut._weighted is not None:
-        return aut._weighted
-    good = aut.good_states().good
-    states = tuple(sorted(good))
-    groups = {}
-    interned = {}
-    by_mask = {}  # next mask -> (maximal family, its occupants)
-    for members in aut._classes:
-        aid = members[0]
-        if aid not in good:
-            continue
-        req = aut._next_present[aid]
-        if not aut._pairs:
-            # one group: the good atoms that carry the next mask, weight 1
-            fits = tuple(cid for cid in aut._by_args.get(req, ()) if cid in good)
-            if fits:
-                k = interned.setdefault(fits, len(interned))
-                groups.update(dict.fromkeys(members, ((ONE, k),)))
-            continue
-        if req not in by_mask:
-            kept = aut.kept(aid, good)
-            family = tuple(kept)
-            by_mask[req] = family, aut.occupants(aid, family, kept)
-        family, occupants = by_mask[req]
-        branches = aut.branches[aut._prob_sig[aid]]
-        if not occupants or not branches.feasible(family):
-            continue
-        out = []
-        for qmask, fits in occupants.items():
-            mass = branches.maximum(family, qmask)
-            if mass > 0:
-                out.append((mass, interned.setdefault(fits, len(interned))))
-        groups.update(dict.fromkeys(members, tuple(out)))
-    valuations = {aid: aut.valuation(aid) for aid in states}
-    aut._weighted = WeightedAutomaton(
-        states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations
-    )
-    return aut._weighted
 
 
 def behaviour(wa: WeightedAutomaton) -> Fraction:

@@ -169,6 +169,14 @@ class TestScenarioTable:
         assert [s["max"] for s in payload["scenarios"]] == ["7/10", "3/5", "1", "3/5"]
         assert payload["most_likely"] == 2
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # spreadsheet exports start a file with one
+        path = tmp_path / "bom.p0"
+        path.write_text("P>=0.5 : F a\n", encoding="utf-8-sig")
+        code, out, _ = run(capsys, "p0-sat", str(path))
+        assert code == 0
+        assert json.loads(out)["status"] == "sat"
+
     def test_infeasible_set(self, capsys, tmp_path):
         path = tmp_path / "bad.p0"
         path.write_text("P>=0.5 : a\nP>=0.6 : !a\n")
@@ -302,6 +310,13 @@ class TestMine:
         )
         assert code == 0
         assert target.read_text() == RENDERED
+
+    def test_log_with_a_byte_order_mark(self, capsys, data_dir, tmp_path):
+        log = tmp_path / "bom.csv"
+        log.write_text((data_dir / "sample_log.csv").read_text(), encoding="utf-8-sig")
+        code, out, _ = run(capsys, "mine", "--log", str(log), "--min-support", "0.8")
+        assert code == 0
+        assert json.loads(out)["payload"]["p0"] == RENDERED
 
     def test_template_filter(self, capsys, data_dir):
         code, out, _ = run(

@@ -49,7 +49,7 @@ from pltlf import (
     to_pltlf,
     vars_of,
 )
-from pltlf import cli, fragment, linsolve, weighted
+from pltlf import automaton, cli, fragment, linsolve, weighted
 
 
 @pytest.fixture(scope="module")
@@ -172,13 +172,13 @@ class TestScenarios:
         self, psi1_flat, monkeypatch, first_step
     ):
         builds = []
-        original = weighted.build_weighted
+        original = automaton.build_weighted
 
         def counting(source):
             builds.append(source)
             return original(source)
 
-        monkeypatch.setattr(weighted, "build_weighted", counting)
+        monkeypatch.setattr(automaton, "build_weighted", counting)
         table = build_lphi(psi1_flat)
         assert is_satisfiable0(psi1_flat)
         assert is_satisfiable0(table)

@@ -36,11 +36,21 @@ def test_traced_method_exists(modname, cls_name, method):
     assert callable(getattr(cls, method, None)), f"{cls_name}.{method}"
 
 
-@pytest.mark.parametrize("workload", ["flat-ladder", "tree-3bound"])
+def test_weighted_build_is_one_function_in_both_modules():
+    # the tracer replaces every binding of the object it finds under
+    # pltlf.weighted, so TreeAutomaton.weighted, which calls its own
+    # module's binding, is traced only while both are the same function
+    automaton = importlib.import_module("pltlf.automaton")
+    weighted = importlib.import_module("pltlf.weighted")
+    assert weighted.build_weighted is automaton.build_weighted
+
+
+@pytest.mark.parametrize("workload", ["flat-ladder", "tree-3bound", "monitor-stream"])
 def test_traced_run_reports_every_layer_metric(workload):
     # one round of each engine's workload under the tracer; the flat
     # commands of flat-ladder never step an acceptor, so they build no
-    # weighted automaton, and tree-3bound's counters are read off real ones
+    # weighted automaton, tree-3bound's counters are read off real ones,
+    # and the monitor's scenario acceptors share one weighted automaton
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
@@ -60,6 +70,8 @@ def test_traced_run_reports_every_layer_metric(workload):
     if workload == "flat-ladder":
         assert metrics["weighted.builds"] == metrics["weighted.edges"] == 0
         assert metrics["fragment.acceptors"] > 0
+    elif workload == "monitor-stream":
+        assert metrics["weighted.builds"] == 1
     else:
         assert metrics["weighted.builds"] > 0
         assert metrics["weighted.edges"] > 0
