@@ -2,10 +2,12 @@
 """Digest of the command line's output on a fixed list of commands.
 
 Runs every command in-process through ``pltlf.cli.main`` and prints, per
-command, a sha256 over its argv, exit code, stdout and stderr, then one
-total over all of them.  Two checkouts give the same total exactly when
-every command answers byte for byte the same, so comparing the last line
-checks that a change keeps the CLI output:
+command, a sha256 over its argv, exit code, stdout and stderr.  A running
+total over them is printed after the commands that answer and again after
+the malformed files, so the last line is the total over all of them.  Two
+checkouts give the same total exactly when every command answers byte for
+byte the same, so comparing the last line checks that a change keeps the
+CLI output:
 
     python3 scripts/cli_digest.py | tail -1
 
@@ -24,10 +26,12 @@ an unknown proposition halfway, so every scenario dies there.  Last come
 ``sat``, ``model`` and ``prob`` on the four-bound formula ``FOUR_BOUNDS``
 and ``sat`` and ``model`` on the next chain ``NEXT_CHAIN``, whose automata
 are larger than any above, and ``sat`` on the longer chain ``LONG_CHAIN``
-(2 048 atoms).  Data paths
-are printed relative to the repository root, and the extra sets are
-written to a temporary directory and named relative to it, so the digest
-does not depend on where the checkout lives.
+(2 048 atoms).  After the first total, ``p0-sat`` runs on the
+constraint-set files of ``MALFORMED``, which the reader rejects, so their
+error text is pinned too.  Data paths are printed relative to the
+repository root, and the extra sets are written to a temporary directory
+and named relative to it, so the digest does not depend on where the
+checkout lives.
 """
 
 import contextlib
@@ -117,6 +121,18 @@ FOUR_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c] & P<0.7[G d]"
 NEXT_CHAIN = "X X X X X X X X a"
 LONG_CHAIN = "X X X X X X X X X X a"
 
+# one fault per file: a line without its P bound, a zero denominator, a
+# bound outside [0, 1], a non-ASCII digit, a ':' inside the formula and a
+# formula nested deeper than the parser's limit
+MALFORMED = (
+    ("prefix.p0", "P<=0.5 : F a\nQ<=0.5 : F b\n"),
+    ("zero.p0", "P<=1/0 : F a\n"),
+    ("range.p0", "P>=1.5 : F a\n"),
+    ("digit.p0", "P>=\u0660.5 : F a\n"),
+    ("colon.p0", "P<=0.5 : a : b\n"),
+    ("deep.p0", "P<=0.5 : " + "!" * 101 + "a\n"),
+)
+
 TRACE = "-;a;b"
 PREFIX = "-;a"
 
@@ -194,6 +210,17 @@ def commands():
     yield ("sat", LONG_CHAIN), ""
 
 
+def malformed_commands():
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in MALFORMED:
+                pathlib.Path(name).write_text(text, encoding="utf-8")
+                yield ("p0-sat", name), ""
+        finally:
+            os.chdir(ROOT)
+
+
 def run(argv, stdin_text: str):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -218,12 +245,13 @@ def main_digest() -> int:
     os.chdir(ROOT)
     total = hashlib.sha256()
     count = 0
-    for argv, stdin_text in commands():
-        line = digest(argv, *run(argv, stdin_text))
-        total.update(line.encode())
-        count += 1
-        print(f"{line}  {' '.join(argv)}")
-    print(f"{total.hexdigest()}  total over {count} commands")
+    for group in (commands(), malformed_commands()):
+        for argv, stdin_text in group:
+            line = digest(argv, *run(argv, stdin_text))
+            total.update(line.encode())
+            count += 1
+            print(f"{line}  {' '.join(argv)}")
+        print(f"{total.hexdigest()}  total over {count} commands")
     return 0
 
 

@@ -99,6 +99,7 @@ from .syntax import (
     TrueConst,
     Until,
     normalize,
+    parse_number,
 )
 
 ZERO = Fraction(0)
@@ -159,10 +160,7 @@ class TreeAutomaton:
         self._prob_sig = transpose([cols[i] for i in sides], n)
         # each signature's branch systems, over the child subsets as
         # profiles: bound j is its member of pair j
-        self.branches = tuple(
-            Branches(tuple((m.cmp, *m.bound.as_integer_ratio()) for m in members))
-            for members in map(self._sig_members, range(1 << width))
-        )
+        self.branches = tuple(map(Branches, map(self._sig_members, range(1 << width))))
         # classes of atoms with equal next masks and signatures, ordered by
         # their smallest atom: every parent-side decision reads only these.
         # Next members and smaller sides are free, so a class is its
@@ -441,20 +439,22 @@ class GoodStates:
 class Branches:
     """The branch systems over one list of bounds, and their answers.
 
-    A profile is a bitmask over the bounds, and bound j, given as ``(cmp,
-    numerator, denominator)``, reads the mass of the profiles whose bit j
-    is set.  A family is a tuple of distinct profiles; its system asks for
-    a distribution over them, total mass one, that meets every bound, and
-    its program's variables are the profiles themselves.  Profile sets are
-    masks with bit q for profile q, read off each bound at mass 0 and 1:
-    ``points`` holds the profiles whose point mass meets every bound, and
-    a family that misses one of ``needs`` leaves a bound at the one mass
-    its argument can take, where it fails.  Family masks, caps, programs
-    and maxima are kept.
+    A profile is a bitmask over the bounds, and bound j reads the mass of
+    the profiles whose bit j is set.  A bound is any object with a
+    comparison ``cmp`` and an exact ``bound``, such as a :class:`Prob`
+    member or a constraint of a set; ``bounds`` keeps each as a ``(cmp,
+    numerator, denominator)`` triple.  A family is a tuple of distinct
+    profiles; its system asks for a distribution over them, total mass
+    one, that meets every bound, and its program's variables are the
+    profiles themselves.  Profile sets are masks with bit q for profile q,
+    read off each bound at mass 0 and 1: ``points`` holds the profiles
+    whose point mass meets every bound, and a family that misses one of
+    ``needs`` leaves a bound at the one mass its argument can take, where
+    it fails.  Family masks, caps, programs and maxima are kept.
     """
 
     def __init__(self, bounds: tuple):
-        self.bounds = bounds
+        self.bounds = bounds = tuple((b.cmp, *b.bound.as_integer_ratio()) for b in bounds)
         count = 1 << len(bounds)
         self._everyone = everyone = (1 << count) - 1
         self._holders = holders = [free_column(j, count) for j in range(len(bounds))]
@@ -673,12 +673,25 @@ class WitnessModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WitnessModel":
+        """Inverse of :meth:`to_dict`.  A malformed document raises
+        ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"model JSON needs an object, got {data!r}")
+        valuation = data.get("valuation", [])
         prob = data.get("probability")
-        return cls(
-            frozenset(data.get("valuation", ())),
-            None if prob is None else Fraction(prob),
-            tuple(cls.from_dict(c) for c in data.get("children", ())),
-        )
+        children = data.get("children", [])
+        if not isinstance(valuation, list) or not all(isinstance(v, str) for v in valuation):
+            raise ValueError(f"model JSON key 'valuation' needs a list of names: {valuation!r}")
+        if not isinstance(children, list) or not all(isinstance(c, dict) for c in children):
+            raise ValueError(f"model JSON key 'children' needs a list of objects: {children!r}")
+        if prob is not None:
+            if not isinstance(prob, str):
+                raise ValueError(f"model JSON key 'probability' needs a number text: {prob!r}")
+            try:
+                prob = parse_number(prob)
+            except ValueError as exc:
+                raise ValueError(f"model JSON key 'probability': {exc}") from None
+        return cls(frozenset(valuation), prob, tuple(map(cls.from_dict, children)))
 
 
 def witness_model(source) -> Optional[WitnessModel]:

@@ -48,6 +48,12 @@ def _rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _exact(key: str, value: Fraction) -> dict:
+    """The payload fields of a value: its exact "num/den" string under
+    ``key``, then its float under ``key`` + "_approx"."""
+    return {key: _rational(value), f"{key}_approx": float(value)}
+
+
 def _positive_int(text: str) -> int:
     """Argument type for counts and lengths: an integer of at least 1."""
     if not text.strip().isdigit() or int(text) < 1:
@@ -103,8 +109,7 @@ def _cmd_mlt(args, started) -> int:
     _emit(args, "mlt", "sat" if value > 0 else "unsat",
           {
               "formula": formula_text(f),
-              "probability": _rational(value),
-              "probability_approx": float(value),
+              **_exact("probability", value),
               "traces": [format_trace(t) for t in traces],
           }, started)
     return 0 if value > 0 else 1
@@ -118,8 +123,7 @@ def _cmd_prob(args, started) -> int:
           {
               "formula": formula_text(f),
               "trace": format_trace(trace),
-              "probability": _rational(value),
-              "probability_approx": float(value),
+              **_exact("probability", value),
           }, started)
     return 0
 
@@ -133,8 +137,7 @@ def _cmd_prefix(args, started) -> int:
           {
               "formula": formula_text(f),
               "prefix": format_trace(prefix),
-              "probability": _rational(value),
-              "probability_approx": float(value),
+              **_exact("probability", value),
               "extensions": [format_trace(t) for t in extensions],
           }, started)
     return 0
@@ -172,8 +175,7 @@ def _cmd_p0_scenarios(args, started) -> int:
         _emit(args, "p0-scenarios", "unsat", payload, started)
         return 1
     for i, entry in enumerate(scenarios):
-        entry["max"] = _rational(table.maxima[i])
-        entry["max_approx"] = float(table.maxima[i])
+        entry.update(_exact("max", table.maxima[i]))
     payload["most_likely"] = most_likely_scenario(table, ())
     _emit(args, "p0-scenarios", "sat", payload, started)
     return 0
@@ -255,8 +257,7 @@ def _cmd_mine(args, started) -> int:
                       "template": m.template,
                       "args": list(m.args),
                       "formula": formula_text(m.formula),
-                      "support": _rational(m.support),
-                      "support_approx": float(m.support),
+                      **_exact("support", m.support),
                   }
                   for m in mined
               ],

@@ -1,10 +1,14 @@
 """Probability-bounded constraint sets over plain finite-trace formulas.
 
 A constraint set puts one probability bound on each of n probability-free
-formulas.  Semantically, mass is distributed over the 2^n scenarios (sign
-patterns choosing which constraint formulas hold), so satisfiability,
-per-scenario maxima, most-likely-scenario selection, and prefix
-monitoring all reduce to one shared mass system plus one plain automaton.
+formulas.  A constraint's comparison and bound follow the rules of a
+formula's :class:`~pltlf.syntax.Prob` node, which checks them, and each
+line of a ``.p0`` file is read by the formula parser's
+:func:`~pltlf.syntax.parse_constraint`.  Semantically, mass is
+distributed over the 2^n scenarios (sign patterns choosing which
+constraint formulas hold), so satisfiability, per-scenario maxima,
+most-likely-scenario selection, and prefix monitoring all reduce to one
+shared mass system plus one plain automaton.
 
 :func:`build_lphi` compiles a constraint set once into a
 :class:`ScenarioTable`: one tree automaton over the conjunction of the
@@ -39,7 +43,6 @@ successor entry per event stepped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -58,8 +61,7 @@ from .syntax import (
     formula_text,
     has_prob,
     normalize,
-    parse_formula,
-    parse_number,
+    parse_constraint,
 )
 
 ZERO = Fraction(0)
@@ -67,22 +69,20 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class ProbConstraint:
-    """One probability bound on a probability-free formula."""
+    """One probability bound on a probability-free formula.  Its
+    comparison and bound are checked by building the :class:`Prob` node
+    they make, whose exact bound it keeps."""
 
     cmp: Comparison
     bound: Fraction
     formula: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", Fraction(self.bound))
-        if not 0 <= self.bound <= 1:
-            raise ValueError(f"probability bound out of range: {self.bound}")
+        object.__setattr__(self, "bound", Prob(self.cmp, self.bound, self.formula).bound)
         if has_prob(self.formula):
             raise ValueError(
                 f"constraint formulas must be probability-free: {self.formula}"
             )
-        if self.cmp is Comparison.EQ:
-            raise ValueError("a probability bound cannot use '=': it has no inverse")
 
     def text(self) -> str:
         return f"P{self.cmp.value}{self.bound} : {formula_text(self.formula)}"
@@ -130,15 +130,15 @@ class Scenario:
 
 
 def scenarios_of(phi: Pltlf0Formula) -> tuple:
+    """Every sign pattern over the constraints, in index order.  Each
+    constraint's negated and kept formula are made once, and every
+    scenario picks one of the two by its bit."""
     n = len(phi)
-    result = []
-    for index in range(1 << n):
-        members = tuple(
-            c.formula if index >> (n - 1 - j) & 1 else Not(c.formula)
-            for j, c in enumerate(phi.constraints)
-        )
-        result.append(Scenario(index, n, members))
-    return tuple(result)
+    signs = [(Not(c.formula), c.formula) for c in phi.constraints]
+    return tuple(
+        Scenario(index, n, tuple(pair[index >> (n - 1 - j) & 1] for j, pair in enumerate(signs)))
+        for index in range(1 << n)
+    )
 
 
 class PrefixAcceptor:
@@ -221,9 +221,7 @@ class ScenarioTable:
         """The mass system as a branch system over the constraints in
         reverse order, whose bound j reads bit j of an index: profile i is
         scenario i."""
-        constraints = reversed(self.formula.constraints)
-        bounds = tuple((c.cmp, *c.bound.as_integer_ratio()) for c in constraints)
-        return Branches(bounds)
+        return Branches(tuple(reversed(self.formula.constraints)))
 
     @cached_property
     def _live(self) -> tuple:
@@ -412,28 +410,20 @@ def to_pltlf(phi: Pltlf0Formula) -> Formula:
     return conj(*(Prob(c.cmp, c.bound, c.formula) for c in phi.constraints))
 
 
-_LINE_RE = re.compile(r"^P\s*(<=|>=|<|>)\s*([0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)\s*:\s*(.+)$")
-
-
 def parse_pltlf0(text: str) -> Pltlf0Formula:
-    """Parse the one-constraint-per-line format ``P<cmp><number> : <formula>``.
+    """Parse the one-constraint-per-line format ``P<cmp><number> : <formula>``
+    with :func:`~pltlf.syntax.parse_constraint`.
 
-    Blank lines are skipped and ``#`` starts a comment.
+    Blank lines are skipped and ``#`` starts a comment.  An error names
+    its line, then the position in that line.
     """
     constraints = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        hit = _LINE_RE.match(line)
-        if hit is None:
-            raise ValueError(
-                f"line {lineno}: expected 'P<cmp><number> : <formula>', got {line!r}"
-            )
         try:
-            bound = parse_number(hit.group(2))
-            formula = parse_formula(hit.group(3))
-            constraints.append(ProbConstraint(Comparison(hit.group(1)), bound, formula))
+            constraints.append(ProbConstraint(*parse_constraint(line)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return Pltlf0Formula(tuple(constraints))

@@ -13,6 +13,12 @@ closure are read off that walk, so they accept a tree of any depth.
 How tightly each binary connective binds is written once, in the table
 ``_BINARY``: the parser reads its connectives from it, and the printer
 its precedences and separators.
+
+A bound ``P <cmp> <number>`` is read by one parser method, with its
+position and its range check, both inside a formula and at the head of a
+constraint line ``P<cmp><number> : <formula>``, which
+:func:`parse_constraint` reads for the ``.p0`` format.  Numbers are
+written in ASCII digits.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, is_
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 Valuation = frozenset
 Trace = tuple
@@ -603,16 +609,15 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<arrow>->)
       | (?P<cmp><=|>=|<|>)
-      | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+      | (?P<number>[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\]!&|])
+      | (?P<punct>[()\[\]!&|:])
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -620,25 +625,24 @@ class _Token:
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of ``text`` with their line and column, then an "end"
+    token.  Only whitespace holds newlines, so only it moves the line."""
     tokens = []
-    line, col = 1, 1
+    line, start = 1, 0  # the current line and the index it starts at
     i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != i:
+            break
         i = m.end()
-    tokens.append(_Token("end", "", line, col))
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append(_Token(kind, m.group(), line, m.start() - start + 1))
+        elif "\n" in (chunk := m.group()):
+            line += chunk.count("\n")
+            start = m.start() + chunk.rfind("\n") + 1
+    if i < len(text):
+        raise ParseError(f"unexpected character {text[i]!r}", line, i - start + 1)
+    tokens.append(_Token("end", "", line, i - start + 1))
     return tokens
 
 
@@ -660,13 +664,9 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.tokens = iter(_tokenize(text))
+        self.current = next(self.tokens)
         self.depth = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
 
     def error(self, message: str):
         tok = self.current
@@ -675,7 +675,7 @@ class _Parser:
 
     def advance(self) -> _Token:
         tok = self.current
-        self.pos += 1
+        self.current = next(self.tokens)
         return tok
 
     def expect(self, text: str) -> _Token:
@@ -739,7 +739,10 @@ class _Parser:
             return Prop(tok.text)
         self.error("expected a formula")
 
-    def probability(self) -> Formula:
+    def bound(self) -> tuple:
+        """``P <cmp> <number>``, read by formulas and constraint lines
+        alike: the comparison and the exact bound, which must lie in
+        [0, 1]."""
         self.expect("P")
         if self.current.kind != "cmp":
             self.error("expected a comparison after P")
@@ -753,6 +756,10 @@ class _Parser:
             raise ParseError(str(exc), tok.line, tok.col) from None
         if not 0 <= bound <= 1:
             raise ParseError(f"probability bound {tok.text} outside [0, 1]", tok.line, tok.col)
+        return cmp, bound
+
+    def probability(self) -> Formula:
+        cmp, bound = self.bound()
         self.expect("[")
         operand = self.nested(self.binary)
         self.expect("]")
@@ -763,6 +770,17 @@ def parse_formula(text: str) -> Formula:
     """Parse surface syntax.  Raises :class:`ParseError` with a position,
     also for subformulas nested deeper than :data:`MAX_NESTING` levels."""
     return _Parser(text).parse()
+
+
+def parse_constraint(line: str) -> tuple:
+    """Parse one constraint ``P<cmp><number> : <formula>`` to the end of
+    ``line`` into ``(cmp, bound, formula)``.  The bound is read as in a
+    formula's ``P``; a :class:`ParseError` counts its column from the
+    start of ``line``."""
+    parser = _Parser(line)
+    cmp, bound = parser.bound()
+    parser.expect(":")
+    return cmp, bound, parser.parse()
 
 
 def parse_trace(text: str) -> Trace:

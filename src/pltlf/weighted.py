@@ -49,7 +49,12 @@ from .syntax import Trace, all_valuations, format_trace, parse_trace, vars_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_STATE = (str, int)  # the JSON types of a TraceNFA document's states
+
+
+def _is_state(value) -> bool:
+    """Whether a TraceNFA document entry is a state: a string or an
+    integer, and no boolean, which Python counts as an integer."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
 def _valuation_text(valuation: frozenset) -> str:
@@ -416,19 +421,20 @@ class TraceNFA:
         for key, value in zip(keys, fields):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"automaton JSON needs a list under key {key!r}")
-            if key != "transitions" and not all(isinstance(q, _STATE) for q in value):
+            if key != "transitions" and not all(map(_is_state, value)):
                 raise ValueError(f"automaton JSON key {key!r} holds a bad state: {value!r}")
         states, initial, finals, raw = fields
         transitions = []
         for entry in raw:
             shaped = isinstance(entry, (list, tuple)) and len(entry) == 3
-            if not shaped or not all(map(isinstance, entry, (_STATE, str, _STATE))):
+            src, label, dst = entry if shaped else (None, None, None)
+            if not (_is_state(src) and isinstance(label, str) and _is_state(dst)):
                 raise ValueError(f"bad transition entry: {entry!r}")
             try:
-                (valuation,) = parse_trace(entry[1])
+                (valuation,) = parse_trace(label)
             except ValueError:
                 raise ValueError(f"transition label is not one valuation: {entry!r}") from None
-            transitions.append((entry[0], valuation, entry[2]))
+            transitions.append((src, valuation, dst))
         return cls(states, initial, finals, transitions)
 
 

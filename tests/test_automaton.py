@@ -613,6 +613,24 @@ class TestWitnessModels:
         model = witness_model(psi)
         assert WitnessModel.from_dict(model.to_dict()) == model
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("valuation", "ab"),
+            ("valuation", [["a"]]),
+            ("children", {"valuation": []}),
+            ("children", ["a"]),
+            ("probability", [1, 2]),
+            ("probability", True),
+            ("probability", "1/0"),
+        ],
+    )
+    def test_malformed_documents_raise_value_errors_naming_the_field(self, psi, field, value):
+        data = witness_model(psi).to_dict()
+        data["children"][0][field] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            WitnessModel.from_dict(data)
+
     @settings(max_examples=25)
     @given(sts.formulas(max_leaves=3))
     def test_witnesses_on_random_formulas(self, f):

@@ -385,7 +385,7 @@ class TestErrors:
         code, out, err = run(capsys, "p0-sat", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: line 1: zero denominator in 1/0\n"
+        assert err == "error: line 1: 1:4: zero denominator in 1/0\n"
 
     @pytest.mark.parametrize("formula", [PHI0, PHI1])
     @pytest.mark.parametrize(
@@ -437,7 +437,7 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(
-            f"error: line 2: 1:{MAX_NESTING + 2}: formula nested deeper than"
+            f"error: line 2: 1:{MAX_NESTING + 11}: formula nested deeper than"
             f" {MAX_NESTING} levels"
         )
 
@@ -513,11 +513,17 @@ def test_walkthrough_runs():
     assert "mined set satisfiable: True" in proc.stdout
 
 
-# Total that scripts/cli_digest.py prints when every listed command
-# answers byte for byte as pinned; a change to CLI output changes it.
-CLI_DIGEST_TOTAL = (
+# Totals that scripts/cli_digest.py prints when every listed command
+# answers byte for byte as pinned, first over the commands that answer and
+# then over the malformed constraint-set files too; a change to CLI output
+# changes them.
+CLI_DIGEST_ANSWERS = (
     "ff4ce860979dc56393c0ce417dc6b98f0a9a38d6a1081942e5b5cc8d79ba8ea3"
     "  total over 169 commands"
+)
+CLI_DIGEST_TOTAL = (
+    "cde33219b995832a68db596a4ffff175afbc2833fb660939d6738059578f24bd"
+    "  total over 175 commands"
 )
 
 
@@ -532,8 +538,9 @@ def test_cli_digest_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1].endswith(f"total over {len(lines) - 1} commands")
+    assert lines[-1].endswith(f"total over {len(lines) - 2} commands")
     assert any(line.endswith("p0-monitor data/psi1.p0") for line in lines)
+    assert lines[-8] == CLI_DIGEST_ANSWERS
     assert lines[-1] == CLI_DIGEST_TOTAL
 
 

@@ -94,6 +94,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 1"):
             flat("P<=0.5 : F (")
 
+    def test_errors_give_the_position_in_the_line(self):
+        with pytest.raises(ValueError, match="^line 2: 1:1: expected 'P', found 'nonsense'"):
+            flat("P<=0.5 : F a", "nonsense")
+        with pytest.raises(ValueError, match="^line 3: 1:6: probability bound 1.5 outside"):
+            flat("# a comment", "", "  P<=1.5 : F a")
+        with pytest.raises(ValueError, match="^line 1: 1:14: expected a formula"):
+            flat("P<=0.5 : F ( # an open bracket")
+
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             ProbConstraint(Comparison.LE, Fraction(3, 2), parse_formula("a"))
@@ -120,6 +128,18 @@ class TestScenarios:
         assert scenarios[2].formulas == (fa, Not(resp))
         assert scenarios[3].formulas == (fa, resp)
         assert scenarios[2].includes(0) and not scenarios[2].includes(1)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_scenarios_share_each_constraint_s_two_formulas(self, n):
+        phi = flat(*(f"P<=0.5 : F p{j}" for j in range(n)))
+        scenarios = scenarios_of(phi)
+        assert len({id(f) for s in scenarios for f in s.formulas}) == 2 * n
+        assert [s.describe() for s in scenarios] == [
+            ", ".join(
+                f"F p{j}" if s.includes(j) else f"!F p{j}" for j in range(n)
+            )
+            for s in scenarios
+        ]
 
     def test_unsatisfiable_sign_pattern_is_detected(self, phi1_table):
         # nothing refutes F a while satisfying G(a -> F b) vacuously... the

@@ -50,6 +50,7 @@ from pltlf.syntax import (
     has_prob,
     is_normalized,
     normalize,
+    parse_constraint,
     subformulas,
 )
 
@@ -101,6 +102,47 @@ class TestParsing:
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_formula("(a & b")
+
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError) as caught:
+            parse_formula("a & $")
+        assert str(caught.value) == "1:5: unexpected character '$'"
+
+    def test_positions_count_lines_and_columns(self):
+        with pytest.raises(ParseError) as caught:
+            parse_formula("a\n& $")
+        assert str(caught.value) == "2:3: unexpected character '$'"
+        assert (caught.value.line, caught.value.col) == (2, 3)
+
+    def test_zero_denominator_bound(self):
+        with pytest.raises(ParseError) as caught:
+            parse_formula("P>=1/0[a]")
+        assert str(caught.value) == "1:4: zero denominator in 1/0"
+
+    @pytest.mark.parametrize("number", ["\u0660.\u0665", "0.\u0665", "\uff11/2"])
+    def test_bounds_are_written_in_ascii_digits(self, number):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_formula(f"P>={number}[a]")
+        with pytest.raises(ValueError, match="^line 1: 1:[45]: unexpected character"):
+            parse_pltlf0(f"P>={number} : a\n")
+
+
+class TestConstraintLines:
+    def test_bound_and_formula(self):
+        cmp, bound, f = parse_constraint("P <= 1/2 : F a")
+        assert (cmp, bound, f) == (Comparison.LE, Fraction(1, 2), parse_formula("F a"))
+
+    def test_bound_rules_are_the_formula_parser_s(self):
+        with pytest.raises(ParseError, match="^1:4: probability bound 1.5 outside"):
+            parse_constraint("P<=1.5 : a")
+        with pytest.raises(ParseError, match="^1:2: unexpected character '='"):
+            parse_constraint("P=1/2 : a")
+
+    def test_a_colon_in_the_formula_fails_at_its_token(self):
+        with pytest.raises(ParseError, match="^1:12: trailing input, found ':'"):
+            parse_constraint("P<=0.5 : a : b")
+        with pytest.raises(ParseError, match="^1:3: trailing input, found ':'"):
+            parse_formula("a : b")
 
     @given(sts.formulas())
     def test_text_round_trip(self, f):

@@ -615,6 +615,15 @@ class TestTraceNFA:
             TraceNFA.from_dict(data)
         assert named in str(caught.value)
 
+    def test_boolean_states_are_rejected(self):
+        # JSON true is a Python bool, which is an int, and equals state 1
+        data = {"states": [True, 2], "initial": [True], "finals": [2], "transitions": [[1, "a", 2]]}
+        with pytest.raises(ValueError, match="'states'"):
+            TraceNFA.from_dict(data)
+        data = {"states": [1, 2], "initial": [1], "finals": [2], "transitions": [[1, "a", False]]}
+        with pytest.raises(ValueError, match="bad transition entry"):
+            TraceNFA.from_dict(data)
+
     @pytest.mark.parametrize("data", [None, [], "states"])
     def test_non_object_documents_raise_value_errors(self, data):
         with pytest.raises(ValueError):
