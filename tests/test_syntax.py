@@ -103,16 +103,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_formula("(a & b")
 
-    def test_unexpected_character(self):
+    @pytest.mark.parametrize("text, line, col", [("a & $", 1, 5), ("a\n& $", 2, 3)])
+    def test_unexpected_character_is_placed_by_line_and_column(self, text, line, col):
         with pytest.raises(ParseError) as caught:
-            parse_formula("a & $")
-        assert str(caught.value) == "1:5: unexpected character '$'"
-
-    def test_positions_count_lines_and_columns(self):
-        with pytest.raises(ParseError) as caught:
-            parse_formula("a\n& $")
-        assert str(caught.value) == "2:3: unexpected character '$'"
-        assert (caught.value.line, caught.value.col) == (2, 3)
+            parse_formula(text)
+        assert str(caught.value) == f"{line}:{col}: unexpected character '$'"
+        assert (caught.value.line, caught.value.col) == (line, col)
 
     def test_zero_denominator_bound(self):
         with pytest.raises(ParseError) as caught:
@@ -125,6 +121,10 @@ class TestParsing:
             parse_formula(f"P>={number}[a]")
         with pytest.raises(ValueError, match="^line 1: 1:[45]: unexpected character"):
             parse_pltlf0(f"P>={number} : a\n")
+
+    @given(sts.formulas())
+    def test_text_round_trip(self, f):
+        assert parse_formula(formula_text(f)) == f
 
 
 class TestConstraintLines:
@@ -143,10 +143,6 @@ class TestConstraintLines:
             parse_constraint("P<=0.5 : a : b")
         with pytest.raises(ParseError, match="^1:3: trailing input, found ':'"):
             parse_formula("a : b")
-
-    @given(sts.formulas())
-    def test_text_round_trip(self, f):
-        assert parse_formula(formula_text(f)) == f
 
 
 def outcome(parse, text):
