@@ -3,8 +3,8 @@
 
 Runs every command in-process through ``pltlf.cli.main`` and prints, per
 command, a sha256 over its argv, exit code, stdout and stderr.  A running
-total over them is printed after the commands that answer and again after
-the malformed files, so the last line is the total over all of them.  Two
+total over them is printed after the commands that answer, again after
+the malformed files and again after the edge cases, so the last line is the total over all of them.  Two
 checkouts give the same total exactly when every command answers byte for
 byte the same, so comparing the last line checks that a change keeps the
 CLI output:
@@ -28,7 +28,11 @@ and ``sat`` and ``model`` on the next chain ``NEXT_CHAIN``, whose automata
 are larger than any above, and ``sat`` on the longer chain ``LONG_CHAIN``
 (2 048 atoms).  After the first total, ``p0-sat`` runs on the
 constraint-set files of ``MALFORMED``, which the reader rejects, so their
-error text is pinned too.  Data paths are printed relative to the
+error text is pinned too.  After the second total come the ``prob`` and
+``prefix`` edge cases of ``EDGE_QUERIES``: one-letter prefixes, a prefix
+ending in a final state, the walkthrough's long prefix, a prefix and a
+trace of probability 0, an unsatisfiable formula and a two-letter prefix
+on ``FOUR_BOUNDS``.  Data paths are printed relative to the
 repository root, and the extra sets are written to a temporary directory
 and named relative to it, so the digest does not depend on where the
 checkout lives.
@@ -136,6 +140,24 @@ MALFORMED = (
 TRACE = "-;a;b"
 PREFIX = "-;a"
 
+WALKTHROUGH = FORMULAS[1]
+# (command, formula, query) after the malformed files: a one-letter
+# prefix, one whose own end is final, the walkthrough's prefix whose
+# probability is 1, a prefix and trace of probability 0, and an
+# unsatisfiable formula
+EDGE_QUERIES = (
+    ("prefix", FORMULAS[0], "a"),
+    ("prefix", WALKTHROUGH, "a"),
+    ("prefix", "F a", "a"),
+    ("prob", "F a", "a"),
+    ("prefix", WALKTHROUGH, "-;a;a;a,b"),
+    ("prob", WALKTHROUGH, "-;a;a;a,b"),
+    ("prefix", WALKTHROUGH, "-;b"),
+    ("prob", WALKTHROUGH, "-;b"),
+    ("prefix", "P>=0.5[a] & P>=0.6[!a]", "-"),
+    ("prob", "P>=0.5[a] & P>=0.6[!a]", "a"),
+)
+
 
 def stream(events: int = 300) -> str:
     valuations = ("-", "a", "b", "a,b")
@@ -221,6 +243,12 @@ def malformed_commands():
             os.chdir(ROOT)
 
 
+def edge_commands():
+    for command, text, query in EDGE_QUERIES:
+        yield (command, text, f"--{'trace' if command == 'prob' else 'prefix'}={query}"), ""
+    yield ("prefix", FOUR_BOUNDS, "--prefix=a;b", "--count", "3"), ""
+
+
 def run(argv, stdin_text: str):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -245,7 +273,7 @@ def main_digest() -> int:
     os.chdir(ROOT)
     total = hashlib.sha256()
     count = 0
-    for group in (commands(), malformed_commands()):
+    for group in (commands(), malformed_commands(), edge_commands()):
         for argv, stdin_text in group:
             line = digest(argv, *run(argv, stdin_text))
             total.update(line.encode())

@@ -55,8 +55,9 @@ def _exact(key: str, value: Fraction) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    """Argument type for counts and lengths: an integer of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
+    """Argument type for counts and lengths: an integer of at least 1,
+    written in ASCII digits."""
+    if not (text.isascii() and text.strip().isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return int(text)
 

@@ -414,11 +414,12 @@ def parse_pltlf0(text: str) -> Pltlf0Formula:
     """Parse the one-constraint-per-line format ``P<cmp><number> : <formula>``
     with :func:`~pltlf.syntax.parse_constraint`.
 
-    Blank lines are skipped and ``#`` starts a comment.  An error names
-    its line, then the position in that line.
+    Blank lines are skipped and ``#`` starts a comment.  Lines end at a
+    line feed only, and a carriage return before one is white space.  An
+    error names its line, then the position in that line.
     """
     constraints = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

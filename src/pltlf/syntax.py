@@ -647,8 +647,11 @@ def _tokenize(text: str) -> list:
 
 
 def parse_number(text: str) -> Fraction:
-    """Exact rational from a decimal or num/den literal; a zero
-    denominator is a ValueError that names the literal."""
+    """Exact rational from an ASCII decimal or num/den literal; another
+    character or a zero denominator is a ValueError that names the
+    literal."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII character in number {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

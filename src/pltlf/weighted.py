@@ -7,9 +7,11 @@ valuation, an edge carries the largest mass any branch system lets the
 child subset absorb, and the behaviour (maximum run weight from a good
 initial atom to a final one) is the probability of the most likely trace.
 Its tight part, the edges on best runs, is the acceptor of exactly the
-traces attaining that probability, and products with ordinary finite
-automata answer probability queries for whole trace languages.  Without
-bounds every weight is 1, and the flat engine's acceptors step it too.
+traces attaining that probability.  A trace or a prefix is answered by one
+forward max-times pass along it over the compiled automaton, and products
+with ordinary finite automata answer probability queries for whole trace
+languages.  Without bounds every weight is 1, and the flat engine's
+acceptors step it too.
 Every query takes a formula or a compiled tree automaton, which keeps its
 weighted automaton.  :meth:`WeightedAutomaton.run` reads a trace from a
 set of states; the acceptor of most likely traces and the flat engine's
@@ -30,6 +32,15 @@ best value is its row's value; the acceptor keeps each tight group, found
 once per row, over its child tuple cut once to the best children.  Most
 likely traces are listed by a depth-first search over the acceptor's
 subsets, pruned by each subset's distance to a final state.
+
+The forward pass keeps, at each position of a trace, the best run weight
+into each state carrying its valuation; each child tuple takes the best
+value times weight over the sources with a group over it.  A prefix is
+worth the best forward weight times the behaviour table's value at its
+last position.  Its acceptor is a chain of prefix states on tight forward
+edges, found by one backward pass, ending in the mlt acceptor's states
+where that product is the prefix's value: tightness is local, so from
+there the mlt acceptor reads exactly those states' best continuations.
 """
 
 from __future__ import annotations
@@ -83,6 +94,7 @@ class WeightedAutomaton:
         self.children = tuple(children)
         self.valuations = dict(valuations)
         self._table: Optional[BehaviourTable] = None
+        self._acceptor: Optional[MltAcceptor] = None
 
     @cached_property
     def weights(self) -> Mapping:
@@ -213,6 +225,14 @@ class MltAcceptor(WeightedAutomaton):
 
 
 def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
+    """The acceptor of most likely traces of ``wa``, carved on first use
+    and kept, as the behaviour table is."""
+    if wa._acceptor is None:
+        wa._acceptor = _tight_part(wa)
+    return wa._acceptor
+
+
+def _tight_part(wa: WeightedAutomaton) -> MltAcceptor:
     """Carve the acceptor of most likely traces out of ``wa``.
 
     Initial states must realize the behaviour, and every edge must be
@@ -495,8 +515,8 @@ def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
     return WeightedAutomaton(states, frozenset(seeds), finals, groups, children, valuations)
 
 
-def _check_vars(source, valuations) -> frozenset:
-    """Propositions of the source's formula; any other raises ValueError."""
+def _check_vars(source, valuations) -> None:
+    """Reject a query over propositions the source's formula does not use."""
     known = vars_of(source.formula if isinstance(source, TreeAutomaton) else source)
     for valuation in valuations:
         unknown = valuation - known
@@ -505,7 +525,44 @@ def _check_vars(source, valuations) -> frozenset:
                 f"query mentions propositions the formula does not use: "
                 f"{', '.join(sorted(unknown))}"
             )
-    return known
+
+
+def _times(cache: dict, v: Fraction, wt: Fraction) -> Fraction:
+    """``v * wt``, multiplied once per pair of objects in ``cache``; the
+    caller keeps both alive while the cache is in use, so ids stay unique.
+    A pass meets few distinct values, each shared by many states."""
+    key = (id(v), id(wt))
+    x = cache.get(key)
+    if x is None:
+        x = cache[key] = v * wt
+    return x
+
+
+def _keep_max(best: dict, key, x: Fraction) -> None:
+    """Keep ``x`` as ``best[key]`` unless that is already at least as
+    large; the same object is never compared."""
+    y = best.get(key)
+    if y is None or (x is not y and x > y):
+        best[key] = x
+
+
+def _forward(wa: WeightedAutomaton, trace: Trace) -> list:
+    """One dict per position of the trace: the best run weight from an
+    initial state to each state that carries that position's valuation."""
+    layer = {q: ONE for q in wa.initial if wa.valuations[q] == trace[0]}
+    layers = [layer]
+    for valuation in trace[1:]:
+        cache, into = {}, {}  # child tuple -> best value * weight into it
+        for q, v in layer.items():
+            for wt, k in wa.groups[q]:
+                _keep_max(into, k, _times(cache, v, wt))
+        layer = {}
+        for k, x in into.items():
+            for c in wa.children[k]:
+                if wa.valuations[c] == valuation:
+                    _keep_max(layer, c, x)
+        layers.append(layer)
+    return layers
 
 
 def trace_probability(source, trace: Trace) -> Fraction:
@@ -513,7 +570,8 @@ def trace_probability(source, trace: Trace) -> Fraction:
     if not trace:
         raise ValueError("traces are nonempty")
     _check_vars(source, trace)
-    return behaviour(product(TraceNFA.from_trace(trace), _compiled(source).weighted))
+    wa = _compiled(source).weighted
+    return max((v for q, v in _forward(wa, trace)[-1].items() if q in wa.finals), default=ZERO)
 
 
 def language_probability(source, nfa: TraceNFA) -> tuple:
@@ -528,6 +586,45 @@ def prefix_extension_query(source, prefix: Trace) -> tuple:
     of the likeliest such traces."""
     if not prefix:
         raise ValueError("the prefix must be nonempty")
-    known = _check_vars(source, prefix)
-    nfa = TraceNFA.extends_prefix(prefix, sorted(known))
-    return language_probability(source, nfa)
+    _check_vars(source, prefix)
+    wa = _compiled(source).weighted
+    layers = _forward(wa, prefix)
+    w, cache = wa.behaviour_table().values, {}
+    ends = {q: _times(cache, v, w[q]) for q, v in layers[-1].items()}
+    value = max(ends.values(), default=ZERO)
+    if not value:
+        return ZERO, MltAcceptor((), (), (), {}, (), {}, ZERO)
+    best = [q for q, x in ends.items() if x is value or x == value]
+    return value, _prefix_acceptor(wa, mlt_acceptor(wa), layers, best, value)
+
+
+def _prefix_acceptor(wa, acc: MltAcceptor, layers: list, ends: list, value: Fraction) -> MltAcceptor:
+    """The mlt acceptor ``acc`` behind a chain for the prefix: a state
+    ``(i, q)`` for each earlier position ``i`` and state ``q`` with a tight
+    forward edge into the next position's kept states.  The last position
+    keeps ``ends``, which are states of ``acc``."""
+    groups, children, valuations = dict(acc.groups), list(acc.children), dict(acc.valuations)
+    chain = []
+    names = {q: q for q in ends}  # kept state of the next position -> its name
+    for i in range(len(layers) - 2, -1, -1):
+        later, cache, kept = layers[i + 1], {}, {}
+        for q, v in layers[i].items():
+            out = []
+            for wt, k in wa.groups[q]:
+                x = _times(cache, v, wt)
+                tight = tuple(
+                    names[c] for c in wa.children[k]
+                    if c in names and (later[c] is x or later[c] == x)
+                )
+                if tight:
+                    out.append((wt, len(children)))
+                    children.append(tight)
+            if out:
+                kept[q] = name = (i, q)
+                chain.append(name)
+                groups[name] = tuple(out)
+                valuations[name] = wa.valuations[q]
+        names = kept
+    return MltAcceptor(
+        acc.states + tuple(chain), names.values(), acc.finals, groups, children, valuations, value
+    )

@@ -623,6 +623,7 @@ class TestWitnessModels:
             ("probability", [1, 2]),
             ("probability", True),
             ("probability", "1/0"),
+            ("probability", "\u0660.\u0665"),
         ],
     )
     def test_malformed_documents_raise_value_errors_naming_the_field(self, psi, field, value):

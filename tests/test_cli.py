@@ -379,6 +379,15 @@ class TestErrors:
         assert out == ""
         assert err == "error: --min-support: zero denominator in 1/0\n"
 
+    def test_non_ascii_support_is_an_input_error(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "mine", "--log", str(data_dir / "sample_log.csv"),
+            "--min-support", "\u0660.\u0668",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --min-support: non-ASCII character in number '\u0660.\u0668'\n"
+
     def test_zero_denominator_bound_in_a_set_file(self, capsys, tmp_path):
         path = tmp_path / "set.p0"
         path.write_text("P<=1/0 : F a\n")
@@ -395,6 +404,7 @@ class TestErrors:
             (("mlt", "--max-len", "-1"), "--max-len"),
             (("prefix", "--prefix=a", "--count", "-3"), "--count"),
             (("prefix", "--prefix=a", "--max-len", "0"), "--max-len"),
+            (("mlt", "--count", "\u0663"), "--count"),
         ],
     )
     def test_nonpositive_bounds_exit_two_before_any_compile(
@@ -514,16 +524,20 @@ def test_walkthrough_runs():
 
 
 # Totals that scripts/cli_digest.py prints when every listed command
-# answers byte for byte as pinned, first over the commands that answer and
-# then over the malformed constraint-set files too; a change to CLI output
-# changes them.
+# answers byte for byte as pinned: over the commands that answer, then
+# with the malformed constraint-set files, then with the trace and prefix
+# edge cases too; a change to CLI output changes them.
 CLI_DIGEST_ANSWERS = (
     "ff4ce860979dc56393c0ce417dc6b98f0a9a38d6a1081942e5b5cc8d79ba8ea3"
     "  total over 169 commands"
 )
-CLI_DIGEST_TOTAL = (
+CLI_DIGEST_MALFORMED = (
     "cde33219b995832a68db596a4ffff175afbc2833fb660939d6738059578f24bd"
     "  total over 175 commands"
+)
+CLI_DIGEST_TOTAL = (
+    "99bfecad1677e90a9078b6b1904ef6984608dac3cf89cc72aca336a68635c24e"
+    "  total over 186 commands"
 )
 
 
@@ -538,9 +552,10 @@ def test_cli_digest_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1].endswith(f"total over {len(lines) - 2} commands")
+    assert lines[-1].endswith(f"total over {len(lines) - 3} commands")
     assert any(line.endswith("p0-monitor data/psi1.p0") for line in lines)
-    assert lines[-8] == CLI_DIGEST_ANSWERS
+    assert lines[-20] == CLI_DIGEST_ANSWERS
+    assert lines[-13] == CLI_DIGEST_MALFORMED
     assert lines[-1] == CLI_DIGEST_TOTAL
 
 

@@ -102,6 +102,17 @@ class TestParsing:
         with pytest.raises(ValueError, match="^line 1: 1:14: expected a formula"):
             flat("P<=0.5 : F ( # an open bracket")
 
+    def test_lines_end_at_line_feeds_only(self):
+        # a form feed, a vertical tab or a line separator is white space
+        # inside one line, not a line break
+        for sep in ("\x0c", "\x0b", "\u2028"):
+            with pytest.raises(ValueError, match="^line 1: "):
+                parse_pltlf0(f"P<=0.5 : F a{sep}P<=0.5 : {sep}")
+        lf = "# two lines\nP<=0.5 : F a\n\nP>=1/5 : X b\n"
+        assert parse_pltlf0(lf.replace("\n", "\r\n")) == parse_pltlf0(lf)
+        with pytest.raises(ValueError, match="^line 2: "):
+            parse_pltlf0("P<=0.5 : F a\r\nnonsense\r\n")
+
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             ProbConstraint(Comparison.LE, Fraction(3, 2), parse_formula("a"))

@@ -51,6 +51,7 @@ from pltlf.syntax import (
     is_normalized,
     normalize,
     parse_constraint,
+    parse_number,
     subformulas,
 )
 
@@ -121,6 +122,11 @@ class TestParsing:
             parse_formula(f"P>={number}[a]")
         with pytest.raises(ValueError, match="^line 1: 1:[45]: unexpected character"):
             parse_pltlf0(f"P>={number} : a\n")
+
+    @pytest.mark.parametrize("number", ["\u0660.\u0665", "1/\u0662", "\uff11"])
+    def test_numbers_are_written_in_ascii(self, number):
+        with pytest.raises(ValueError, match=f"^non-ASCII character in number {number!r}$"):
+            parse_number(number)
 
     @given(sts.formulas())
     def test_text_round_trip(self, f):

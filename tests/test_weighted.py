@@ -560,6 +560,113 @@ class TestTraceProbability:
             prefix_extension_query(phi0, ())
 
 
+def reference_answers(aut, trace) -> tuple:
+    """The product path's answers for a trace and for it as a prefix:
+    the trace's probability, then the prefix's value and extensions."""
+    names = sorted(vars_of(aut.formula))
+    value, acc = language_probability(aut, TraceNFA.extends_prefix(trace, names))
+    return (
+        behaviour(product(TraceNFA.from_trace(trace), aut.weighted)),
+        value,
+        enumerate_mlts(acc, 3, 6),
+    )
+
+
+def forward_answers(aut, trace) -> tuple:
+    """The same answers from the forward pass over the compiled automaton,
+    whose prefix acceptor must be a tight part: every run from an initial
+    state weighs the prefix's value."""
+    value, acc = prefix_extension_query(aut, trace)
+    assert acc.value == value
+    w = acc.behaviour_table().values
+    assert all(w[q] == value for q in acc.initial)
+    for q in acc.states:
+        for wt, k in acc.groups[q]:
+            assert all(wt * w[c] == w[q] for c in acc.children[k])
+    return trace_probability(aut, trace), value, enumerate_mlts(acc, 3, 6)
+
+
+class TestForwardQueries:
+    """Trace and prefix queries run one forward pass over the compiled
+    automaton and build no product; the product with a trace or prefix
+    acceptor, which answers any trace language, is their reference."""
+
+    @pytest.mark.parametrize("text", QUERY_FORMULAS + (THREE_BOUNDS, "F a", "G(a -> X b)"))
+    def test_named_formulas_match_the_product_path(self, text):
+        aut = TreeAutomaton(parse_formula(text))
+        names = vars_of(aut.formula)
+        for trace in all_traces(3):
+            trace = tuple(v & names for v in trace)
+            assert forward_answers(aut, trace) == reference_answers(aut, trace)
+
+    @settings(max_examples=40)
+    @given(
+        st.one_of(sts.formulas(), sts.formulas(prob_free=True)),
+        st.lists(sts.traces(max_size=4), min_size=1, max_size=3),
+    )
+    def test_random_formulas_match_the_product_path(self, f, traces):
+        aut = TreeAutomaton(f)
+        assume(len(aut.atoms) <= 256)
+        names = vars_of(f)
+        for trace in traces:
+            trace = tuple(v & names for v in trace)
+            assert forward_answers(aut, trace) == reference_answers(aut, trace)
+
+    def test_one_letter_prefix_starts_in_the_mlt_acceptor(self, psi):
+        aut = TreeAutomaton(psi)
+        prefix = parse_trace("a")
+        value, acc = prefix_extension_query(aut, prefix)
+        assert value > 0
+        assert acc.initial <= set(mlt_acceptor(aut.weighted).states)
+        assert forward_answers(aut, prefix) == reference_answers(aut, prefix)
+
+    def test_prefix_ending_in_a_final_state_lists_itself_first(self):
+        aut = TreeAutomaton(parse_formula("F a"))
+        prefix = parse_trace("a")
+        got = forward_answers(aut, prefix)
+        assert got == reference_answers(aut, prefix)
+        assert got[1] == 1 and got[2][0] == prefix
+
+    def test_zero_prefix_has_an_empty_acceptor(self, psi):
+        aut = TreeAutomaton(psi)
+        prefix = parse_trace("-;b")
+        value, acc = prefix_extension_query(aut, prefix)
+        assert value == 0 and acc.states == () and not acc.initial
+        assert forward_answers(aut, prefix) == reference_answers(aut, prefix) == (0, 0, [])
+
+    def test_unsatisfiable_formula(self, phi1):
+        aut = TreeAutomaton(phi1)
+        for text in ("-", "a", "a;-", "-;a"):
+            trace = parse_trace(text)
+            assert forward_answers(aut, trace) == reference_answers(aut, trace) == (0, 0, [])
+
+    def test_queries_build_no_product(self, monkeypatch, psi):
+        aut = TreeAutomaton(psi)
+
+        def never(*args):
+            raise AssertionError("a trace or prefix query built a product")
+
+        monkeypatch.setattr(weighted, "product", never)
+        assert trace_probability(aut, parse_trace("-;a;b")) >= 0
+        assert prefix_extension_query(aut, parse_trace("-;a"))[0] == Fraction(1)
+
+    def test_mlt_then_prefix_settle_and_carve_once(self, monkeypatch, psi):
+        counts = {"_settle": 0, "_tight_part": 0}
+        for name in counts:
+            def counted(wa, _fn=getattr(weighted, name), _name=name):
+                counts[_name] += 1
+                return _fn(wa)
+
+            monkeypatch.setattr(weighted, name, counted)
+        aut = TreeAutomaton(psi)
+        acc = mlt_acceptor(aut.weighted)
+        assert enumerate_mlts(acc, 4, 6)
+        value, extensions = prefix_extension_query(aut, parse_trace("-;a"))
+        assert value > 0 and enumerate_mlts(extensions, 3, 6)
+        assert mlt_acceptor(aut.weighted) is acc
+        assert counts == {"_settle": 1, "_tight_part": 1}
+
+
 class TestTraceNFA:
     def test_single_trace_acceptor(self):
         trace = parse_trace("-;a;a,b")
