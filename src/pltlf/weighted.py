@@ -33,14 +33,11 @@ once per row, over its child tuple cut once to the best children.  Most
 likely traces are listed by a depth-first search over the acceptor's
 subsets, pruned by each subset's distance to a final state.
 
-The forward pass keeps, at each position of a trace, the best run weight
-into each state carrying its valuation; each child tuple takes the best
-value times weight over the sources with a group over it.  A prefix is
-worth the best forward weight times the behaviour table's value at its
-last position.  Its acceptor is a chain of prefix states on tight forward
-edges, found by one backward pass, ending in the mlt acceptor's states
-where that product is the prefix's value: tightness is local, so from
-there the mlt acceptor reads exactly those states' best continuations.
+The forward pass keeps the best run weight into each state at each
+position of a trace.  A prefix is worth the best forward weight times
+the behaviour value at its end; since tightness is local, its acceptor is
+a chain of tight forward edges, found backwards, in front of the mlt
+acceptor's states that attain that worth.
 """
 
 from __future__ import annotations
@@ -528,9 +525,9 @@ def _check_vars(source, valuations) -> None:
 
 
 def _times(cache: dict, v: Fraction, wt: Fraction) -> Fraction:
-    """``v * wt``, multiplied once per pair of objects in ``cache``; the
-    caller keeps both alive while the cache is in use, so ids stay unique.
-    A pass meets few distinct values, each shared by many states."""
+    """``v * wt``, once per pair of objects: a pass meets few values, each
+    shared by many states.  The caller keeps both alive while ``cache``
+    is in use, so their ids stay unique."""
     key = (id(v), id(wt))
     x = cache.get(key)
     if x is None:
