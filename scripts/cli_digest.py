@@ -4,7 +4,8 @@
 Runs every command in-process through ``pltlf.cli.main`` and prints, per
 command, a sha256 over its argv, exit code, stdout and stderr.  A running
 total over them is printed after the commands that answer, again after
-the malformed files and again after the edge cases, so the last line is the total over all of them.  Two
+the malformed files, after the edge cases and after the ``mine``
+commands, so the last line is the total over all of them.  Two
 checkouts give the same total exactly when every command answers byte for
 byte the same, so comparing the last line checks that a change keeps the
 CLI output:
@@ -32,7 +33,10 @@ error text is pinned too.  After the second total come the ``prob`` and
 ``prefix`` edge cases of ``EDGE_QUERIES``: one-letter prefixes, a prefix
 ending in a final state, the walkthrough's long prefix, a prefix and a
 trace of probability 0, an unsatisfiable formula and a two-letter prefix
-on ``FOUR_BOUNDS``.  Data paths are printed relative to the
+on ``FOUR_BOUNDS``.  After the third total, ``mine`` runs on
+``data/sample_log.csv`` with the default catalog and with
+``--templates existence,response``, then on the logs of
+``MALFORMED_LOGS``, which the reader rejects.  Data paths are printed relative to the
 repository root, and the extra sets are written to a temporary directory
 and named relative to it, so the digest does not depend on where the
 checkout lives.
@@ -135,6 +139,13 @@ MALFORMED = (
     ("digit.p0", "P>=\u0660.5 : F a\n"),
     ("colon.p0", "P<=0.5 : a : b\n"),
     ("deep.p0", "P<=0.5 : " + "!" * 101 + "a\n"),
+)
+
+# event logs the reader rejects: a blank line 3 before an empty activity
+# on line 5, and order values in Arabic-Indic digits
+MALFORMED_LOGS = (
+    ("blank.csv", "case_id,activity,order\nc1,a,1\n\nc1,b,2\nc2,,1\n"),
+    ("digits.csv", "case_id,activity,order\nc1,a,\u0661\nc1,b,\u0662\n"),
 )
 
 TRACE = "-;a;b"
@@ -249,6 +260,20 @@ def edge_commands():
     yield ("prefix", FOUR_BOUNDS, "--prefix=a;b", "--count", "3"), ""
 
 
+def mine_commands():
+    log = ("--log", "data/sample_log.csv", "--min-support", "0.8")
+    yield ("mine", *log), ""
+    yield ("mine", *log, "--templates", "existence,response"), ""
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in MALFORMED_LOGS:
+                pathlib.Path(name).write_text(text, encoding="utf-8")
+                yield ("mine", "--log", name, "--min-support", "0.8"), ""
+        finally:
+            os.chdir(ROOT)
+
+
 def run(argv, stdin_text: str):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -273,7 +298,7 @@ def main_digest() -> int:
     os.chdir(ROOT)
     total = hashlib.sha256()
     count = 0
-    for group in (commands(), malformed_commands(), edge_commands()):
+    for group in (commands(), malformed_commands(), edge_commands(), mine_commands()):
         for argv, stdin_text in group:
             line = digest(argv, *run(argv, stdin_text))
             total.update(line.encode())

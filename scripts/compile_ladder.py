@@ -3,8 +3,9 @@
 
     python3 scripts/compile_ladder.py [--only NAME ...] [--repeat N]
 
-The tree rungs are ``X^k a`` for k = 10, 12 and 14 and the conjunctions of
-the first four and five bounds of ``BOUNDS``.  For each it compiles the
+The tree rungs are ``X^k a`` for k = 10, 12 and 14, the same chain with
+one bound, ``X^k a & P>=0.5[b]`` for k = 6, 8 and 10, and the
+conjunctions of the first four and five bounds of ``BOUNDS``.  For each it compiles the
 automaton and times, in CPU seconds, five layers in order: construction,
 good states, ``build_weighted``, the behaviour, and ``mlt_acceptor`` with
 ``enumerate_mlts(acc, 5, 20)``.  The flat rungs are the first 9 and 11
@@ -95,6 +96,7 @@ def counted(measure, text) -> tuple:
 
 RUNGS = {
     **{f"X^{k} a": (tree_rung, "X " * k + "a") for k in (10, 12, 14)},
+    **{f"X^{k} a & P>=0.5[b]": (tree_rung, "X " * k + "a & P>=0.5[b]") for k in (6, 8, 10)},
     **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w])) for w in (4, 5)},
     **{f"flat n={n}": (flat_rung, "\n".join(LINES[:n])) for n in (9, 11)},
 }

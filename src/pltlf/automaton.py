@@ -208,10 +208,6 @@ class TreeAutomaton:
         members = self.closure.members
         return tuple(members[i if sig >> p & 1 else j] for p, (i, j, _) in enumerate(self._pairs))
 
-    def prob_members_of(self, aid: int) -> tuple:
-        """Probability members of the atom, in pair order."""
-        return self._sig_members(self._prob_sig[aid])
-
     def valuation(self, aid: int) -> frozenset:
         """The propositions the atom holds; atoms that agree on them share
         one frozenset."""

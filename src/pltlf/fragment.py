@@ -369,10 +369,6 @@ class MonitorState:
     successors: dict = field(default_factory=dict, repr=False)
 
     @property
-    def alive(self) -> tuple:
-        return tuple(i for i, _ in self.entries)
-
-    @property
     def violated(self) -> bool:
         return self.best_index == -1
 

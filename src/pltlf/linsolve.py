@@ -84,17 +84,6 @@ class LinearSystem:
             constraints.append(LinearConstraint(tuple(dense), rel, Fraction(rhs)))
         return cls(variables, tuple(constraints))
 
-    def with_rows(self, rows) -> "LinearSystem":
-        extra = LinearSystem.from_rows(self.variables, rows)
-        return LinearSystem(self.variables, self.constraints + extra.constraints)
-
-    def relaxed(self) -> "LinearSystem":
-        """Strict rows weakened to their non-strict closure."""
-        return LinearSystem(
-            self.variables,
-            tuple(LinearConstraint(c.coeffs, c.rel.relaxed, c.rhs) for c in self.constraints),
-        )
-
     def holds(self, point: dict) -> bool:
         """Exact membership test for a nonnegative named point."""
         if any(point[name] < 0 for name in self.variables):
@@ -107,24 +96,6 @@ class LinearSystem:
             if not c.rel.holds(lhs, c.rhs):
                 return False
         return True
-
-    def render_rows(self) -> tuple:
-        out = []
-        for c in self.constraints:
-            terms = []
-            for coeff, name in zip(c.coeffs, self.variables):
-                if coeff == 0:
-                    continue
-                if coeff == 1:
-                    text = name
-                elif coeff == -1:
-                    text = f"-{name}"
-                else:
-                    text = f"{coeff} {name}"
-                terms.append(text)
-            lhs = " + ".join(terms) if terms else "0"
-            out.append(f"{lhs} {c.rel.value} {c.rhs}")
-        return tuple(out)
 
 
 @dataclass(frozen=True)

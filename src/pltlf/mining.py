@@ -61,7 +61,8 @@ def load_log(path) -> EventLog:
 
     Cases keep their first-appearance order; events follow file order, or
     the ``order`` column when present, whose values must be contiguous
-    integers within each case.
+    integers, in ASCII digits with an optional ``-``, within each case.
+    An error names the file line on which its record ends.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
@@ -73,7 +74,8 @@ def load_log(path) -> EventLog:
             raise ValueError(f"{path}: missing required columns: {', '.join(sorted(missing))}")
         has_order = "order" in fields
         grouped = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             case_id = (row.get("case_id") or "").strip()
             activity = (row.get("activity") or "").strip()
             if not case_id or not activity:
@@ -83,12 +85,13 @@ def load_log(path) -> EventLog:
                     f"{path}:{lineno}: activity {activity!r} is not a usable proposition name"
                 )
             if has_order:
-                try:
-                    key = int((row.get("order") or "").strip())
-                except ValueError:
+                text = (row.get("order") or "").strip()
+                digits = text.removeprefix("-")
+                if not (digits.isascii() and digits.isdigit()):
                     raise ValueError(
                         f"{path}:{lineno}: order value {row.get('order')!r} is not an integer"
-                    ) from None
+                    )
+                key = int(text)
             else:
                 key = lineno
             grouped.setdefault(case_id, []).append((key, activity))

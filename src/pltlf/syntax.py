@@ -296,11 +296,6 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         stack += reversed(children(g))
 
 
-def formula_size(f: Formula) -> int:
-    """Node count; the comparison and bound of a P node do not add to it."""
-    return sum(1 for _ in subformulas(f))
-
-
 # Prefix operators: the parser reads and the printer spells them here.
 _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 _SPELLING = {node: op for op, node in _UNARY.items()}
@@ -376,8 +371,9 @@ def formula_text(f: Formula) -> str:
 
 
 def size_and_text(formulas) -> list:
-    """``(formula_size(g), formula_text(g))`` for each of the formulas,
-    rendering every node once: its text is joined from its
+    """``(size, formula_text(g))`` for each of the formulas, where the
+    size is the node count (the comparison and bound of a P node do not
+    add to it), rendering every node once: its text is joined from its
     :func:`_text_pieces` and its children's texts.  The memo is keyed by
     ``id`` within the call, as keying it by node would compare an equal
     but distinct subtree node by node on every lookup that meets it; the
@@ -517,25 +513,10 @@ def _normalize(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Node types of the core fragment that normalize produces.
-_CORE = (TrueConst, FalseConst, Prop, Not, And, Next, Until, Prob)
 # Every node type.
-_NODES = (*_CORE, Or, Implies, Eventually, Always)
+_NODES = (TrueConst, FalseConst, Prop, Not, And, Next, Until, Prob, Or, Implies, Eventually, Always)
 # The fields Formula.__eq__ compares, per node type.
 _FIELDS = {node: node.__match_args__ for node in _NODES}
-
-
-def is_normalized(f: Formula) -> bool:
-    """Whether ``f`` is in the core fragment that :func:`normalize`
-    produces; False for any other node and for a non-formula."""
-    for g in subformulas(f):
-        if not isinstance(g, _CORE):
-            return False
-        if isinstance(g, Not) and isinstance(g.operand, (TrueConst, FalseConst, Not, Prob)):
-            return False
-        if isinstance(g, And) and any(isinstance(o, And) for o in g.operands):
-            return False
-    return True
 
 
 def vars_of(f: Formula) -> frozenset:

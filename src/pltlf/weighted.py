@@ -53,20 +53,10 @@ from types import MappingProxyType
 from typing import Optional
 
 from .automaton import TreeAutomaton, _compiled, build_weighted
-from .syntax import Trace, all_valuations, format_trace, parse_trace, vars_of
+from .syntax import Trace, all_valuations, vars_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _is_state(value) -> bool:
-    """Whether a TraceNFA document entry is a state: a string or an
-    integer, and no boolean, which Python counts as an integer."""
-    return isinstance(value, (str, int)) and not isinstance(value, bool)
-
-
-def _valuation_text(valuation: frozenset) -> str:
-    return format_trace((valuation,))
 
 
 class WeightedAutomaton:
@@ -357,7 +347,9 @@ def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
 
 
 class TraceNFA:
-    """Nondeterministic finite automaton over valuations."""
+    """Nondeterministic finite automaton over valuations, built in code by
+    the constructor, :meth:`from_trace` or :meth:`extends_prefix`; it has
+    no JSON form."""
 
     def __init__(self, states, initial, finals, transitions):
         self.states = tuple(states)
@@ -402,12 +394,6 @@ class TraceNFA:
         return cls(states, (0,), (len(trace),), transitions)
 
     @classmethod
-    def universal(cls, variables) -> "TraceNFA":
-        """Acceptor of every trace over the given propositions."""
-        transitions = [(0, v, 0) for v in all_valuations(variables)]
-        return cls((0,), (0,), (0,), transitions)
-
-    @classmethod
     def extends_prefix(cls, prefix: Trace, variables) -> "TraceNFA":
         """Acceptor of the traces that start with ``prefix``."""
         if not prefix:
@@ -417,42 +403,6 @@ class TraceNFA:
         transitions = [(i, prefix[i], i + 1) for i in range(n)]
         transitions += [(n, v, n) for v in all_valuations(variables)]
         return cls(states, (0,), (n,), transitions)
-
-    def to_dict(self) -> dict:
-        return {
-            "states": list(self.states),
-            "initial": [s for s in self.states if s in self.initial],
-            "finals": [s for s in self.states if s in self.finals],
-            "transitions": [
-                [src, _valuation_text(valuation), dst]
-                for src, valuation, dst in self.transitions
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceNFA":
-        """Inverse of :meth:`to_dict`.  States are strings or integers; a
-        malformed document raises ValueError naming the field or entry."""
-        keys = ("states", "initial", "finals", "transitions")
-        fields = [data.get(key) if isinstance(data, dict) else None for key in keys]
-        for key, value in zip(keys, fields):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"automaton JSON needs a list under key {key!r}")
-            if key != "transitions" and not all(map(_is_state, value)):
-                raise ValueError(f"automaton JSON key {key!r} holds a bad state: {value!r}")
-        states, initial, finals, raw = fields
-        transitions = []
-        for entry in raw:
-            shaped = isinstance(entry, (list, tuple)) and len(entry) == 3
-            src, label, dst = entry if shaped else (None, None, None)
-            if not (_is_state(src) and isinstance(label, str) and _is_state(dst)):
-                raise ValueError(f"bad transition entry: {entry!r}")
-            try:
-                (valuation,) = parse_trace(label)
-            except ValueError:
-                raise ValueError(f"transition label is not one valuation: {entry!r}") from None
-            transitions.append((src, valuation, dst))
-        return cls(states, initial, finals, transitions)
 
 
 def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:

@@ -17,16 +17,25 @@ from pltlf.linsolve import LinearSystem, maximize, solve_feasibility
 from pltlf.syntax import Comparison
 
 
+def prob_members(automaton: TreeAutomaton, aid: int) -> tuple:
+    """The atom's probability members in pair order: each pairs a bound
+    with its negation, and pairs follow their first member in closure
+    order."""
+    index, negation = automaton.closure.index, automaton.closure.negation
+    held = automaton.atoms[aid].prob_members()
+    return tuple(sorted(held, key=lambda m: min(index[m], negation[index[m]])))
+
+
 def branch_system(automaton: TreeAutomaton, aid: int, qsets) -> LinearSystem:
     """The family's branch system as the construction reads it, spelled
     from the atom's probability members: one row per member in pair order
     over the subsets that hold its argument, nonnegativity for every subset
     variable, total mass one."""
     qsets = tuple(sorted(qsets))
-    width = len(automaton.prob_members_of(aid))
-    names = tuple(_qset_name(q, width) for q in qsets)
+    members = prob_members(automaton, aid)
+    names = tuple(_qset_name(q, len(members)) for q in qsets)
     rows = []
-    for j, member in enumerate(automaton.prob_members_of(aid)):
+    for j, member in enumerate(members):
         coeffs = {name: 1 for name, q in zip(names, qsets) if q >> j & 1}
         rows.append((coeffs, member.cmp, member.bound))
     rows += [({name: 1}, Comparison.GE, 0) for name in names]
@@ -43,7 +52,7 @@ def scenario_max(
     to the branch system first (the extra branch takes no mass away from
     any probability row, so feasibility is preserved).
     """
-    width = len(automaton.prob_members_of(aid))
+    width = len(automaton._pairs)
     qsets = record.qsets
     if qmask not in qsets:
         qsets = tuple(sorted(qsets + (qmask,)))
@@ -108,7 +117,7 @@ def witness_model(aut):
     initial = [aid for aid in aut.initial if aid in gs.good]
     if not initial:
         return None
-    width = len(aut.prob_members_of(0)) if aut.atoms else 0
+    width = len(aut._pairs)
 
     def build(aid, probability):
         atom = aut.atoms[aid]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
-from pltlf.linsolve import LinearSystem
+from pltlf.linsolve import LinearConstraint, LinearSystem
 from pltlf.syntax import (
     Always,
     And,
@@ -35,6 +35,45 @@ from pltlf.syntax import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# Linear systems rewritten and printed
+
+
+def with_rows(system: LinearSystem, rows) -> LinearSystem:
+    """The system with (coeff dict, rel, rhs) rows appended."""
+    extra = LinearSystem.from_rows(system.variables, rows)
+    return LinearSystem(system.variables, system.constraints + extra.constraints)
+
+
+def relaxed(system: LinearSystem) -> LinearSystem:
+    """Strict rows weakened to their non-strict closure."""
+    return LinearSystem(
+        system.variables,
+        tuple(LinearConstraint(c.coeffs, c.rel.relaxed, c.rhs) for c in system.constraints),
+    )
+
+
+def render_rows(system: LinearSystem) -> tuple:
+    """Each row as text, ``x1 + 2 x2 <= 1/2``, with unit coefficients
+    unwritten and zero terms left out."""
+    out = []
+    for c in system.constraints:
+        terms = []
+        for coeff, name in zip(c.coeffs, system.variables):
+            if coeff == 0:
+                continue
+            if coeff == 1:
+                text = name
+            elif coeff == -1:
+                text = f"-{name}"
+            else:
+                text = f"{coeff} {name}"
+            terms.append(text)
+        lhs = " + ".join(terms) if terms else "0"
+        out.append(f"{lhs} {c.rel.value} {c.rhs}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

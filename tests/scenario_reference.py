@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import atom_reference
+from oracles import relaxed
 from pltlf.automaton import TreeAutomaton
 from pltlf.fragment import scenarios_of
 from pltlf.linsolve import LinearSystem, maximize, solve_feasibility
@@ -112,8 +113,8 @@ class ReferenceTable:
         self.system = LinearSystem.from_rows(names, rows)
         self.maxima = None
         if solve_feasibility(self.system).feasible:
-            relaxed = self.system.relaxed()
-            self.maxima = tuple(maximize(relaxed, name).supremum for name in names)
+            system = relaxed(self.system)
+            self.maxima = tuple(maximize(system, name).supremum for name in names)
 
     def best(self, accepts) -> int:
         """Smallest index among the accepting scenarios with the largest

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from oracles import relaxed, with_rows
 from pltlf.linsolve import (
     Comparison,
     InfeasibleSystemError,
@@ -211,12 +212,12 @@ def maximize(system, variable: str) -> Optimum:
     strict = any(c.rel.strict for c in system.constraints)
     if strict and feasibility_witness(system) is None:
         raise InfeasibleSystemError("system is infeasible")
-    status, value, point = solve(system.relaxed(), {variable: ONE}, with_eps=False)
+    status, value, point = solve(relaxed(system), {variable: ONE}, with_eps=False)
     if status == "infeasible":
         raise InfeasibleSystemError("system is infeasible")
     if status == "unbounded":
         raise UnboundedObjectiveError(f"variable {variable!r} unbounded above")
     if not strict:
         return Optimum(value, True, point)
-    witness = feasibility_witness(system.with_rows([({variable: 1}, Comparison.EQ, value)]))
+    witness = feasibility_witness(with_rows(system, [({variable: 1}, Comparison.EQ, value)]))
     return Optimum(value, witness is not None, witness)

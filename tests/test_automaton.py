@@ -14,7 +14,14 @@ import atom_reference
 import family_reference
 import simplex_reference
 import strategies as sts
-from oracles import bounded_satisfiable, bounds_in, fm_feasible, formula_family, recheck_tuple
+from oracles import (
+    bounded_satisfiable,
+    bounds_in,
+    fm_feasible,
+    formula_family,
+    recheck_tuple,
+    render_rows,
+)
 from pltlf import (
     TreeAutomaton,
     WitnessModel,
@@ -131,9 +138,10 @@ class TestStates:
             assert aut_psi.final[aid] == (not nexts and zero_ok)
 
     def test_prob_members_follow_pair_order(self, aut_psi, psi_ids):
-        members = aut_psi.prob_members_of(psi_ids["a1"])
-        texts = [str(m) for m in members]
-        assert texts == ["P<=7/10[a U b]", "P<=3/5[X(!a & !b)]"]
+        members = family_reference.prob_members(aut_psi, psi_ids["a1"])
+        assert [str(m) for m in members] == ["P<=7/10[a U b]", "P<=3/5[X(!a & !b)]"]
+        branches = aut_psi.branches[aut_psi._prob_sig[psi_ids["a1"]]]
+        assert branches.bounds == ((Comparison.LE, 7, 10), (Comparison.LE, 3, 5))
 
 
 class TestScenarios:
@@ -162,7 +170,7 @@ class TestScenarios:
 
     def test_branch_system_rows(self, aut0):
         aid = aut0.initial[0]
-        rows = aut0.build_system(aid, (1, 2, 3)).render_rows()
+        rows = render_rows(aut0.build_system(aid, (1, 2, 3)))
         assert rows[0] == "x{1} + x{1,2} <= 1/2"
         assert rows[1] == "x{2} + x{1,2} >= 3/5"
         assert rows[-1] == "x{1} + x{2} + x{1,2} = 1"
@@ -868,7 +876,7 @@ def certificate(aut, aid, family):
     read off the atom's probability members: True when some profile's
     point mass meets every bound, False when a bound fails at the one mass
     its argument can take, None otherwise."""
-    bounds = [(m.cmp, m.bound) for m in aut.prob_members_of(aid)]
+    bounds = [(m.cmp, m.bound) for m in family_reference.prob_members(aut, aid)]
     if any(point_meets(bounds, q) for q in family):
         return True
     for j, (cmp, bound) in enumerate(bounds):
@@ -978,7 +986,7 @@ class TestProfileCertificates:
         largest = len(subsets) if width <= 3 else 2
         reached = set()
         for aid in some_atom_per_signature(aut).values():
-            bounds = [(m.cmp, m.bound) for m in aut.prob_members_of(aid)]
+            bounds = [(m.cmp, m.bound) for m in family_reference.prob_members(aut, aid)]
             branches = branches_of(aut, aid)
             for size in range(1, largest + 1):
                 for family in combinations(subsets, size):

@@ -335,6 +335,20 @@ class TestMine:
         assert code == 2
         assert "unknown templates: frobnicate" in err
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("case_id,activity,order\nc1,a,1\n\nc1,b,2\nc2,,1\n", ":5: empty case_id or activity"),
+            ("case_id,activity,order\nc1,a,\u0661\nc1,b,\u0662\n",
+             ":2: order value '\u0661' is not an integer"),
+        ],
+    )
+    def test_malformed_log_exits_2_naming_its_line(self, capsys, tmp_path, text, error):
+        log = tmp_path / "log.csv"
+        log.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "mine", "--log", str(log), "--min-support", "0.8")
+        assert (code, out, err) == (2, "", f"error: {log}{error}\n")
+
     @pytest.mark.parametrize("names", [",", " , ,"])
     def test_template_list_naming_none(self, capsys, data_dir, names):
         code, out, err = run(
@@ -535,9 +549,13 @@ CLI_DIGEST_MALFORMED = (
     "cde33219b995832a68db596a4ffff175afbc2833fb660939d6738059578f24bd"
     "  total over 175 commands"
 )
-CLI_DIGEST_TOTAL = (
+CLI_DIGEST_EDGES = (
     "99bfecad1677e90a9078b6b1904ef6984608dac3cf89cc72aca336a68635c24e"
     "  total over 186 commands"
+)
+CLI_DIGEST_TOTAL = (
+    "b606123e4306135dd5ef0c0828c2b2137d4918c93d32ebc46d1401d2bf813d93"
+    "  total over 190 commands"
 )
 
 
@@ -552,10 +570,11 @@ def test_cli_digest_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1].endswith(f"total over {len(lines) - 3} commands")
+    assert lines[-1].endswith(f"total over {len(lines) - 4} commands")
     assert any(line.endswith("p0-monitor data/psi1.p0") for line in lines)
-    assert lines[-20] == CLI_DIGEST_ANSWERS
-    assert lines[-13] == CLI_DIGEST_MALFORMED
+    assert lines[-25] == CLI_DIGEST_ANSWERS
+    assert lines[-18] == CLI_DIGEST_MALFORMED
+    assert lines[-6] == CLI_DIGEST_EDGES
     assert lines[-1] == CLI_DIGEST_TOTAL
 
 

@@ -12,10 +12,11 @@ from pltlf import (
     parse_formula,
 )
 from pltlf.closure import atom_of_members
-from pltlf.syntax import And, Prob, formula_size, formula_text, size_and_text
+from pltlf.syntax import And, Prob, formula_text, size_and_text
 
 import atom_reference
 import strategies as sts
+import syntax_reference
 from conftest import LARGER_TEXTS
 from oracles import recheck_atom
 
@@ -54,7 +55,7 @@ class TestClosure:
     def test_sort_key_renders_each_member_as_formula_text(self, f):
         # members are sorted by (node count, text), both read bottom-up
         members = list(ClosureSet(f).members)
-        expected = [(formula_size(g), formula_text(g)) for g in members]
+        expected = [(syntax_reference.formula_size(g), formula_text(g)) for g in members]
         assert size_and_text(members) == expected
         assert expected == sorted(expected)
 

@@ -1,6 +1,7 @@
 """Event-log mining: loading, frequent sets, template instantiation, support."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -114,6 +115,32 @@ class TestLoadLog:
             load_log(write_log(tmp_path, "case_id,activity\nx,X\n"))
         with pytest.raises(ValueError, match="empty case_id or activity"):
             load_log(write_log(tmp_path, "case_id,activity\nx,\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # line 3 is blank, and the reader skips it
+            "case_id,activity,order\nc1,a,1\n\nc1,b,2\nc2,,1\n",
+            # the order field of line 2 runs on to line 3
+            'case_id,activity,order\nc1,a,"1\n"\nc1,b,2\nc2,,1\n',
+            # Windows line ends, with the blank line 3
+            "case_id,activity,order\r\nc1,a,1\r\n\r\nc1,b,2\r\nc2,,1\r\n",
+        ],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, text):
+        with pytest.raises(ValueError, match=r"log\.csv:5: empty case_id or activity$"):
+            load_log(write_log(tmp_path, text))
+
+    @pytest.mark.parametrize("order", ["\u0661", "\uff11", "2_0", "+1", "-"])
+    def test_order_takes_only_ascii_digits(self, tmp_path, order):
+        path = write_log(tmp_path, f"case_id,activity,order\nx,a,0\nx,b,{order}\n")
+        message = re.escape(f"log.csv:3: order value '{order}' is not an integer")
+        with pytest.raises(ValueError, match=message):
+            load_log(path)
+
+    def test_order_may_be_negative(self, tmp_path):
+        path = write_log(tmp_path, "case_id,activity,order\nx,b,0\nx,a,-1\n")
+        assert load_log(path).cases == (Case("x", ("a", "b")),)
 
 
 class TestFrequentSets:
