@@ -5,7 +5,7 @@
 
 The tree rungs are ``X^k a`` for k = 10, 12 and 14, the same chain with
 one bound, ``X^k a & P>=0.5[b]`` for k = 6, 8 and 10, and the
-conjunctions of the first four and five bounds of ``BOUNDS``.  For each it compiles the
+conjunctions of the first four, five and six bounds of ``BOUNDS``.  For each it compiles the
 automaton and times, in CPU seconds, five layers in order: construction,
 good states, ``build_weighted``, the behaviour, and ``mlt_acceptor`` with
 ``enumerate_mlts(acc, 5, 20)``.  The flat rungs are the first 9 and 11
@@ -16,11 +16,16 @@ maxima and ``rows_text``.  Every rung also counts the LP programs built
 ``--repeat N`` each layer reports its least time over N fresh compiles.
 It prints one JSON line mapping each rung's name to its sizes (a tree
 rung's atom count, a flat rung's scenarios and live scenarios), its LP
-counts and its layers' times.
+counts, its layers' times and ``peak_mib``, the process's peak resident
+memory once the rung is done.  That peak never falls, so it is the rung's
+own only when the rung runs alone:
+
+    python3 scripts/compile_ladder.py --only "6 bounds"
 """
 
 import argparse
 import json
+import resource
 import time
 
 from pltlf import (
@@ -97,7 +102,7 @@ def counted(measure, text) -> tuple:
 RUNGS = {
     **{f"X^{k} a": (tree_rung, "X " * k + "a") for k in (10, 12, 14)},
     **{f"X^{k} a & P>=0.5[b]": (tree_rung, "X " * k + "a & P>=0.5[b]") for k in (6, 8, 10)},
-    **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w])) for w in (4, 5)},
+    **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w])) for w in (4, 5, 6)},
     **{f"flat n={n}": (flat_rung, "\n".join(LINES[:n])) for n in (9, 11)},
 }
 
@@ -113,7 +118,8 @@ def main() -> None:
         runs = [counted(measure, text) for _ in range(max(1, args.repeat))]
         sizes, times = runs[0]
         least = {layer: round(min(r[1][layer] for r in runs), 4) for layer in times}
-        result[name] = {**sizes, **least}
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        result[name] = {**sizes, **least, "peak_mib": round(peak, 1)}
     print(json.dumps(result))
 
 

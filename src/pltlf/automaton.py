@@ -12,23 +12,31 @@ An atom is final when it has no next member and all its probability bounds
 accept mass zero; those atoms may label leaves.  Good states are computed as
 the least fixpoint of "has a transition into only good states" seeded with
 the finals, by a level-synchronous worklist: a sweep re-decides only the
-parents that gained a good candidate child in the sweep before.  The sweep
-index at which an atom joins is its distance to acceptance and drives
-witness extraction.
+parents whose candidate buckets gained a first good atom in the sweep
+before.  The sweep index at which an atom joins is its distance to
+acceptance and drives witness extraction.
+
+A child's part in a transition reads two of its masks: its next-argument
+mask, which fixes its *cover*, the parent's absent next members it
+refutes, and its probability-argument profile, which fixes its position.
+So the automaton keeps one child index, its atoms by *bucket*, a
+(next-argument mask, profile) pair, each bucket in atom order, and every
+decision reads which buckets hold an admissible atom and each such
+bucket's first one, its representative.
 
 Without probability pairs the only family is ``(0,)``: its system puts all
 the mass on one child, which must refute every absent next member itself,
 so the children of a parent are exactly the atoms whose next-argument mask
-equals its next mask.  The automaton keeps its atoms indexed by that mask,
-and a parent's one candidate bucket is read off the index.  Good states
-are then backward reachability from the finals, and the good states and
-the weighted automaton's groups read the index with no LP; the witness
-takes the general path, whose one family is feasible at once.
+equals its next mask, the one bucket under that mask at profile 0.  Good
+states are then backward reachability from the finals, and the good
+states and the weighted automaton's groups read that bucket with no LP;
+the witness takes the general path, whose one family is feasible at once.
 
 No decision enumerates families; :meth:`TreeAutomaton.scenario_family`
 lists them only to explain the construction.  Against a set of admissible
-children, :meth:`TreeAutomaton.kept` filters an atom's candidates once
-into its kept table, and the table's profiles are the atom's maximal
+children, an atom's kept table holds one entry per bucket that can hold
+its children and has an admissible atom: the representative and the
+bucket's cover, per profile.  The table's profiles are the atom's maximal
 family.  That family alone decides whether the atom has a transition into
 the set, because three facts make every property needed here monotone in
 the family:
@@ -39,13 +47,14 @@ the family:
 - adjoining variables never lowers the supremum of a branch mass.
 
 That decision reads only the atom's next mask, which fixes its candidate
-children and what they must refute, and its probability signature, which
+buckets and what they must refute, and its probability signature, which
 fixes its branch systems; being final reads the same two, so the atoms
 fall into classes by those two.  Its halves read one each: the kept
 table, and the maximal family, first tuple and occupants read off it,
 read only the next mask, and the family's feasibility only the signature
-and the family.  So each decision is made once per next mask, then once
-per (signature, family).
+and the family.  So the kept table is built once per next mask, and
+feasibility is asked once per class whose mask's family has a child
+tuple; each signature's :class:`Branches` keeps its programs per family.
 
 A branch system asks whether some distribution over the family's
 profiles, its child subsets, puts the required mass on every bound's
@@ -60,8 +69,10 @@ decides whether a transition exists and gives the witness its children,
 and the occupants of each child position, which the weighted automaton
 reads.  Both read the kept table's lists, and one backward table of the
 cover masks the later positions can reach answers both: it admits a
-candidate only if the rest of the tuple can finish its cover, so the
-first tuple is found without backtracking.
+bucket only if the rest of the tuple can finish its cover, so the first
+tuple, each position's first admitted representative, is found without
+backtracking, and the occupants are the admissible atoms of the buckets
+that fit, decided once per bucket.
 
 Construction keeps the atoms as int rows over the closure members, never
 as :class:`~pltlf.closure.Atom` objects, and reads every per-atom mask,
@@ -79,10 +90,11 @@ reads; :mod:`pltlf.weighted` holds the automaton class and its queries.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from typing import Optional
 
 from .closure import Atom, ClosureSet, free_column, transpose
@@ -178,11 +190,18 @@ class TreeAutomaton:
                 for aid in members:
                     self.final[aid] = True
 
-        # atoms by next-argument mask: without probability pairs a parent's
-        # one child carries exactly the parent's next mask as arguments
-        self._by_args = {}
-        for cid, args in enumerate(self._next_args):
-            self._by_args.setdefault(args, []).append(cid)
+        # the child index: atoms by bucket, each in atom order.  A bucket
+        # is a next-argument mask and a probability-argument profile, keyed
+        # as ``args << width | profile``: a child's cover reads only the
+        # first and its position only the second.  Without pairs every
+        # profile is 0 and a key is the next-argument mask itself.
+        self._width = width
+        keys = self._next_args
+        if width:
+            keys = [args << width | q for args, q in zip(keys, self._parg)]
+        self._buckets = {}
+        for cid, key in enumerate(keys):
+            self._buckets.setdefault(key, []).append(cid)
 
         self.initial = tuple(compress(range(n), transpose([cols[clo.index[self.formula]]], n)))
         self.final_ids = tuple(compress(range(n), self.final))
@@ -190,7 +209,6 @@ class TreeAutomaton:
         self._props = sum(1 << i for i in clo.prop_members)
         self._valuations = {}
         self._family_cache = {}
-        self._cand_cache = {}
         self._good = None
         self._weighted = None
 
@@ -256,53 +274,68 @@ class TreeAutomaton:
         self._family_cache[sig] = result
         return result
 
-    def _candidates(self, aid: int) -> dict:
-        """Child candidates bucketed by their probability-argument profile,
-        profiles in increasing order and each bucket by atom.
+    def _over(self, req: int, index: dict) -> list:
+        """The bucket keys of ``index`` whose next-argument mask contains
+        ``req``: the buckets that can hold children of a parent with next
+        mask ``req``.  They are read off the smaller side, every key over
+        ``req`` or the index's keys."""
+        width, free = self._width, self._all_next & ~req
+        if 1 << free.bit_count() + width < len(index):
+            return [
+                key for sub in _submasks(free) for q in range(1 << width)
+                if (key := (req | sub) << width | q) in index
+            ]
+        return [key for key in index if not req << width & ~key]
 
-        A candidate must contain the argument of every next member of the
-        parent; its cover mask records which absent next members it
-        refutes, and so do all atoms of its next-argument mask.  Parents
-        with equal next masks share one walk over those masks.  Without
-        probability pairs the one child must refute every absent next
-        member itself, so the one bucket holds the atoms whose
-        next-argument mask is the parent's next mask, read off the index."""
-        req = self._next_present[aid]
-        cached = self._cand_cache.get(req)
-        if cached is not None:
-            return cached
-        obl = self._all_next & ~req
-        if not self._pairs:
-            result = {0: tuple((cid, obl) for cid in self._by_args.get(req, ()))}
-        else:
-            buckets = {}
-            for args, cids in self._by_args.items():
-                if req & ~args:
-                    continue
-                cover = obl & ~args
-                for cid in cids:
-                    buckets.setdefault(self._parg[cid], []).append((cid, cover))
-            result = {q: tuple(sorted(buckets[q])) for q in sorted(buckets)}
-        self._cand_cache[req] = result
-        return result
+    def _table(self, req: int, index: dict, restrict=None) -> dict:
+        """The kept table of the parents with next mask ``req``, read off
+        ``index``, which maps a bucket's key to atoms of the bucket in atom
+        order.  The first of them represents the bucket, or, given
+        ``restrict``, the first of them in ``restrict``.
+
+        Each bucket whose mask contains ``req`` and that has a
+        representative gives one entry ``(representative, cover)``, its
+        cover being the parent's absent next members that its mask
+        refutes.  Entries go per profile, profiles in increasing order and
+        each list by representative.  Within one profile a cover names one
+        bucket, whose mask is ``_all_next ^ cover``.  Without pairs the one
+        child must refute every absent next member itself, so only the
+        bucket under ``req`` is read."""
+        obl, width = self._all_next & ~req, self._width
+        table = {}
+        for key in self._over(req, index) if width else (req,):
+            atoms = index.get(key, ())
+            if restrict is None:
+                rep = atoms[0] if atoms else None
+            else:
+                rep = next(filter(restrict.__contains__, atoms), None)
+            if rep is not None:
+                cover = obl & ~(key >> width)
+                table.setdefault(key & (1 << width) - 1, []).append((rep, cover))
+        return {q: tuple(sorted(table[q])) for q in sorted(table)}
 
     def kept(self, aid: int, restrict) -> dict:
-        """The kept table: the parent's candidates that lie in
-        ``restrict``, per profile in increasing order, each list in atom
-        order, with only the profiles that keep one.  Its keys are the
+        """The kept table against ``restrict``: one entry per bucket that
+        can hold the parent's children and has an atom in ``restrict``,
+        the first such atom as its representative.  Its keys are the
         maximal family against ``restrict``: every family with a child
         tuple in ``restrict`` is a subset of it."""
+        return self._table(self._next_present[aid], self._buckets, restrict)
+
+    def buckets_in(self, restrict) -> dict:
+        """The child index limited to ``restrict``: each bucket's atoms in
+        ``restrict``, in atom order, with the buckets left empty dropped."""
         return {
-            q: inside for q, cands in self._candidates(aid).items()
-            if (inside := tuple(c for c in cands if c[0] in restrict))
+            key: inside for key, atoms in self._buckets.items()
+            if (inside := tuple(filter(restrict.__contains__, atoms)))
         }
 
     def _tuple_table(self, aid: int, qsets, kept) -> Optional[tuple]:
         """What :meth:`first_tuple` and :meth:`occupants` read: the kept
         list at each position of the scenario, the parent's obligations
         (its absent next members) and the reach table, or None when the
-        scenario has no child tuple because a position keeps no candidate
-        or all of them together cannot refute every obligation."""
+        scenario has no child tuple because a position keeps no bucket or
+        all of them together cannot refute every obligation."""
         positions = [kept.get(q, ()) for q in qsets]
         if not all(positions):
             return None
@@ -311,12 +344,13 @@ class TreeAutomaton:
         return (positions, obl, reach) if obl in reach[0] else None
 
     def first_tuple(self, aid: int, qsets, kept) -> Optional[tuple]:
-        """The first child tuple of the scenario in the lexicographic order
-        of the kept table's lists, or None if it has none.  A child tuple
-        holds one kept candidate per subset and together they refute
-        every absent next member of the parent.  The reach table admits a
-        candidate only if the later positions can finish its cover, so the
-        first admitted candidate at each position never dead-ends."""
+        """The first child tuple of the scenario in atom order, position by
+        position, or None if it has none.  A child tuple holds one
+        admissible atom per subset and together they refute every absent
+        next member of the parent.  The reach table admits a bucket only if
+        the later positions can finish its cover, so the first admitted
+        representative at each position never dead-ends, and as the atoms
+        of a bucket share its cover, no smaller atom is admitted."""
         table = self._tuple_table(aid, qsets, kept)
         if table is None:
             return None
@@ -330,24 +364,30 @@ class TreeAutomaton:
             covered |= cover
         return tuple(chosen)
 
-    def occupants(self, aid: int, qsets, kept) -> dict:
-        """Kept candidates that appear at each position of at least one
-        child tuple: those whose cover, with one reached before the
-        position and one the reach table offers after it, refutes every
-        absent next member.  Each distinct cover is decided once; as the
-        scenario has a child tuple, every position has an occupant."""
+    def occupants(self, aid: int, qsets, kept, inside) -> dict:
+        """The admissible atoms at each position of at least one child
+        tuple, in atom order, read off the kept table and ``inside``, the
+        child index limited to the same admissible atoms.  A bucket fits a
+        position when its cover, with one reached before the position and
+        one the reach table offers after it, refutes every absent next
+        member, and then all its atoms in ``inside`` occupy the position.
+        Fit is decided once per bucket, and at once for all of them when
+        either side alone reaches every obligation; as the scenario has a
+        child tuple, every position has an occupant."""
         table = self._tuple_table(aid, qsets, kept)
         if table is None:
             return {}
         positions, obl, reach = table
-        result = {}
-        before = {0}
-        for i, cands in enumerate(positions):
-            covers = {cover for _, cover in cands}
-            around = {f | b for f in before for b in reach[i + 1]}
-            fitting = {c for c in covers if any(u | c == obl for u in around)}
-            result[qsets[i]] = tuple(cid for cid, cover in cands if cover in fitting)
-            before = {f | c for f in before for c in covers}
+        result, before = {}, {0}
+        for q, cands, later in zip(qsets, positions, reach[1:]):
+            covers = fitting = {cover for _, cover in cands}
+            if obl not in before and obl not in later:
+                around = {f | b for f in before for b in later}
+                fitting = {c for c in covers if any(u | c == obl for u in around)}
+            keys = ((self._all_next ^ c) << self._width | q for c in fitting)
+            result[q] = tuple(sorted(chain.from_iterable(map(inside.__getitem__, keys))))
+            if obl not in before:
+                before = {f | c for f in before for c in covers}
         return result
 
     def good_states(self) -> "GoodStates":
@@ -356,20 +396,21 @@ class TreeAutomaton:
 
         Each sweep evaluates against the previous sweep's set, so the sweep
         index of an atom strictly dominates those of some transition's
-        children.  A class's answer reads the set only through its
-        candidates, so sweep i re-decides just the pending classes with a
-        candidate that joined in sweep i - 1, those whose next mask lies
-        within such an atom's next-argument mask.  A class joins whole when
-        its maximal family, the keys of its kept table against the set, has
-        a child tuple and a feasible system; by the module docstring's
-        monotonicity facts, exactly when some feasible family has a child
-        tuple in the set.  The kept table and its first tuple read only the
-        next mask, so a sweep builds them once per touched next mask, and
-        then once per (signature, family) asks the signature's
-        :meth:`Branches.feasible`, which the family's profiles mostly
-        answer without a program.  The
-        table is built from the set itself, with no copy: the set grows
-        only after the sweep's decisions.
+        children.  A class joins whole when its maximal family, the keys of
+        its kept table against the set, has a child tuple and a feasible
+        system; by the module docstring's monotonicity facts, exactly when
+        some feasible family has a child tuple in the set.  Both read only
+        which buckets hold a good atom, so sweep i re-decides just the
+        pending classes whose next mask lies within the mask of a bucket
+        that gained its first good atom in sweep i - 1.  The sweep keeps
+        the good atoms by bucket, in atom order, putting each in place as
+        it joins, so a bucket's first is its smallest good atom and no
+        bucket is ever scanned.  It builds the kept table and its first
+        tuple from those once per touched next mask, then asks each
+        pending class of a mask with a tuple whether its signature's
+        :meth:`Branches.feasible` accepts the family: once per class, not
+        per distinct family, and the family's profiles mostly answer
+        without a program.
 
         Without probability pairs the one family needs no LP and its one
         child carries exactly the parent's next mask as arguments, so a
@@ -383,26 +424,37 @@ class TreeAutomaton:
         distance = dict.fromkeys(self.final_ids, 0)
         pending = [m for m in self._classes if not self.final[m[0]]]
         joined = [self.final_ids]
+        inside = {}  # bucket key -> its good atoms, in atom order
         sweep = 0
         while True:
-            masks = {self._next_args[a] for members in joined for a in members}
             if self._pairs:
-                families = {}  # touched next mask -> maximal family, () without a tuple
+                masks = set()  # next-argument masks of newly good buckets
+                for a in chain.from_iterable(joined):
+                    args = self._next_args[a]
+                    key = args << self._width | self._parg[a]
+                    if key not in inside:
+                        masks.add(args)
+                        inside[key] = [a]
+                    else:
+                        insort(inside[key], a)
+                families = {}  # pending next mask -> maximal family, () if none decides
                 for members in pending:
-                    aid = members[0]
-                    req = self._next_present[aid]
-                    if req in families or all(req & ~args for args in masks):
+                    req = self._next_present[members[0]]
+                    if req in families:
                         continue
-                    kept = self.kept(aid, good)
-                    family = tuple(kept)
-                    has_tuple = self.first_tuple(aid, family, kept) is not None
-                    families[req] = family if has_tuple else ()
+                    families[req] = ()
+                    if any(not req & ~args for args in masks):
+                        kept = self._table(req, inside)
+                        family = tuple(kept)
+                        if self.first_tuple(members[0], family, kept) is not None:
+                            families[req] = family
                 joined = [
                     m for m in pending
                     if (family := families.get(self._next_present[m[0]]))
                     and self.branches[self._prob_sig[m[0]]].feasible(family)
                 ]
             else:
+                masks = {self._next_args[a] for members in joined for a in members}
                 joined = [m for m in pending if self._next_present[m[0]] in masks]
             if not joined:
                 break
@@ -572,10 +624,10 @@ def _submasks(mask: int) -> list:
 
 
 def _reach(positions, obl: int) -> list:
-    """Reach table: entry i holds the cover masks that one candidate per
+    """Reach table: entry i holds the cover masks that one bucket per
     position from i on can make together, and entry k is ``{0}``.  Every
     cover lies within ``obl``, so once an entry holds ``obl`` every
-    candidate at an earlier position fits, and the earlier entries repeat
+    bucket at an earlier position fits, and the earlier entries repeat
     it instead of growing."""
     reach = [{0}]
     for cands in reversed(positions):
@@ -618,6 +670,7 @@ def build_weighted(source):
     groups = {}
     interned = {}
     by_mask = {}  # next mask -> (maximal family, its occupants)
+    inside = aut.buckets_in(good) if aut._pairs else None
     for members in aut._classes:
         aid = members[0]
         if aid not in good:
@@ -625,15 +678,15 @@ def build_weighted(source):
         req = aut._next_present[aid]
         if not aut._pairs:
             # one group: the good atoms that carry the next mask, weight 1
-            fits = tuple(cid for cid in aut._by_args.get(req, ()) if cid in good)
+            fits = tuple(cid for cid in aut._buckets.get(req, ()) if cid in good)
             if fits:
                 k = interned.setdefault(fits, len(interned))
                 groups.update(dict.fromkeys(members, ((ONE, k),)))
             continue
         if req not in by_mask:
-            kept = aut.kept(aid, good)
+            kept = aut._table(req, inside)
             family = tuple(kept)
-            by_mask[req] = family, aut.occupants(aid, family, kept)
+            by_mask[req] = family, aut.occupants(aid, family, kept, inside)
         family, occupants = by_mask[req]
         branches = aut.branches[aut._prob_sig[aid]]
         if not occupants or not branches.feasible(family):
@@ -717,7 +770,8 @@ def witness_model(source) -> Optional[WitnessModel]:
 
 class _Earlier:
     """The good atoms at distance below ``d``, as a membership view of
-    the distances: a node's kept table reads it once per candidate."""
+    the distances: a node's kept table reads it until it finds each
+    bucket's representative."""
 
     __slots__ = ("distance", "d")
 

@@ -92,12 +92,13 @@ def edge_weights(aut, good) -> dict:
     probability signatures, so maxima are cached per family and position."""
     weights = {}
     maxima = {}
+    inside = aut.buckets_in(good)
     for aid in sorted(good):
         kept = aut.kept(aid, good)
         for record in aut.scenario_family(aid):
             if not atom_reference.has_transition(aut, aid, record.qsets, good):
                 continue
-            for qmask, fits in aut.occupants(aid, record.qsets, kept).items():
+            for qmask, fits in aut.occupants(aid, record.qsets, kept, inside).items():
                 if (record, qmask) not in maxima:
                     maxima[(record, qmask)] = scenario_max(aut, aid, record, qmask)
                 mass = maxima[(record, qmask)]

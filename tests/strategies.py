@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from pltlf.closure import ClosureSet
 from pltlf.linsolve import LinearSystem
 from pltlf.syntax import (
     Always,
@@ -52,6 +53,22 @@ def formulas(max_leaves: int = 4, prob_free: bool = False):
         return base
     prob = st.builds(Prob, comparisons, bounds, base)
     return st.recursive(st.one_of(leaves, prob), extend, max_leaves=max_leaves)
+
+
+def several_bounds(min_bounds: int = 3, max_bounds: int = 4, max_atoms: int = 2048):
+    """Conjunctions of ``min_bounds`` to ``max_bounds`` probability bounds
+    over probability-free formulas, so no bound nests, with that many
+    distinct probability pairs and at most ``max_atoms`` atoms."""
+    bound = st.builds(Prob, comparisons, bounds, formulas(max_leaves=3, prob_free=True))
+    conjunctions = st.lists(bound, min_size=min_bounds, max_size=max_bounds).map(
+        lambda parts: And(tuple(parts))
+    )
+
+    def fits(f) -> bool:
+        clo = ClosureSet(f)
+        return len(clo.prob_members) >= 2 * min_bounds and clo.atom_count() <= max_atoms
+
+    return conjunctions.filter(fits)
 
 
 def valuations():

@@ -278,7 +278,8 @@ class TestTransitions:
         for aid in aut0.initial:
             for record in aut0.scenario_family(aid):
                 tuples = list(atom_reference.transition_tuples(aut0, aid, record.qsets))
-                occ = aut0.occupants(aid, record.qsets, aut0.kept(aid, everything(aut0)))
+                kept = aut0.kept(aid, everything(aut0))
+                occ = aut0.occupants(aid, record.qsets, kept, aut0.buckets_in(everything(aut0)))
                 if not tuples:
                     assert occ == {}
                     continue
@@ -292,24 +293,37 @@ class TestTransitions:
         aut = TreeAutomaton(parse_formula("a U b"))
         for aid in range(len(aut.atoms)):
             via_tuples = {t[0] for t in atom_reference.transition_tuples(aut, aid, (0,))}
-            occ = aut.occupants(aid, (0,), aut.kept(aid, everything(aut)))
+            kept = aut.kept(aid, everything(aut))
+            occ = aut.occupants(aid, (0,), kept, aut.buckets_in(everything(aut)))
             assert set(occ.get(0, ())) == via_tuples
 
 
-class TestCandidates:
+class TestBuckets:
     @pytest.mark.parametrize(
-        "text", ["P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]", "X X a & F b", "G(a -> X b)"]
+        "text",
+        [
+            "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]",
+            "P<=0.8[F a] & P<=0.7[G(a -> F b)]",
+            "X X a & F b",
+            "G(a -> X b)",
+        ],
     )
-    def test_atoms_are_bucketed_once_per_next_mask(self, text, monkeypatch):
-        # with probability pairs, candidates depend only on the parent's
-        # next mask: one walk over the next-argument masks per next mask
-        # reads the profile of every atom that can be a child once, and no
-        # atom's next-argument mask; the worklist reads each joining atom's
-        # mask once.  Without pairs, no walk runs at all.
+    def test_atoms_are_bucketed_once_by_mask_and_profile(self, text, monkeypatch):
+        # the one child index holds every atom once, under its
+        # next-argument mask and probability-argument profile, each bucket
+        # in atom order; without pairs a key is the next-argument mask.
+        # Nothing after construction walks the atoms per next mask: the
+        # good states never read the index, so no sweep scans a bucket for
+        # its representative, and they, the weighted automaton and the
+        # witness read each atom's next-argument mask at most once and its
+        # profile exactly once, both as it joins, or never without pairs
         aut = TreeAutomaton(parse_formula(text))
-        args = list(aut._next_args)
-        reads = {"next_args": {True: [], False: []}, "parg": {True: [], False: []}}
-        scanning = [False]
+        tables = atom_reference.masks(aut)
+        expected = {}
+        for cid, (args, q) in enumerate(zip(tables["next_args"], tables["parg"])):
+            expected.setdefault(args << len(aut._pairs) | q, []).append(cid)
+        assert aut._buckets == expected
+        reads = {"next_args": [], "parg": []}
 
         class CountingList(list):
             def __init__(self, name, items):
@@ -317,34 +331,22 @@ class TestCandidates:
                 self.name = name
 
             def __getitem__(self, index):
-                reads[self.name][scanning[0]].append(index)
+                reads[self.name].append(index)
                 return super().__getitem__(index)
-
-        candidates = aut._candidates
-
-        def counting(aid):
-            scanning[0] = True
-            try:
-                return candidates(aid)
-            finally:
-                scanning[0] = False
 
         monkeypatch.setattr(aut, "_next_args", CountingList("next_args", aut._next_args))
         monkeypatch.setattr(aut, "_parg", CountingList("parg", aut._parg))
-        monkeypatch.setattr(aut, "_candidates", counting)
-        aut.good_states()
+        index = aut._buckets
+        aut._buckets = None
+        good = aut.good_states().good
+        aut._buckets = index
         build_weighted(aut)
-        assert reads["next_args"][True] == []
-        assert len(reads["next_args"][False]) <= len(aut.atoms)
+        assert witness_model(aut) is not None
+        assert len(reads["next_args"]) == len(set(reads["next_args"])) <= len(good)
         if aut._pairs:
-            assert aut._cand_cache
-            expected = [
-                cid for req in aut._cand_cache for cid in range(len(aut.atoms))
-                if not req & ~args[cid]
-            ]
-            assert sorted(reads["parg"][True]) == sorted(expected)
+            assert sorted(reads["parg"]) == sorted(good)
         else:
-            assert reads["parg"][True] == [] and aut._cand_cache == {}
+            assert reads["parg"] == []
 
     @pytest.mark.parametrize("text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0]])
     def test_pair_free_bucket_is_the_next_mask_index(self, text):
@@ -362,19 +364,19 @@ class TestCandidates:
         # without pairs the one child must refute every absent next member
         # itself: the one bucket is the atoms whose next-argument mask is
         # the parent's next mask, each covering every obligation, which are
-        # the general rule's candidates that cover every obligation; the
-        # witness's general path over it keeps the per-atom answer
+        # the general rule's candidates that cover every obligation, and
+        # the kept table is its first atom; the witness's general path
+        # over it keeps the per-atom answer
         tables = atom_reference.masks(aut)
         present, args = tables["next_present"], tables["next_args"]
         everyone = (1 << len(aut.closure.next_members)) - 1
         for aid in range(len(aut.atoms)):
             obl = everyone & ~present[aid]
-            expected = tuple(
-                (cid, obl) for cid in range(len(aut.atoms)) if args[cid] == present[aid]
-            )
-            assert aut._candidates(aid) == {0: expected}
+            bucket = [cid for cid in range(len(aut.atoms)) if args[cid] == present[aid]]
+            assert aut._buckets.get(present[aid], []) == bucket
             general = full_cover(aut, aid, atom_reference.candidates(aut, aid))
-            assert general.get(0, ()) == expected
+            assert general.get(0, ()) == tuple((cid, obl) for cid in bucket)
+            assert aut.kept(aid, everything(aut)) == bucket_view(general)
         model = witness_model(aut)
         assert model == atom_reference.witness_model(aut)
         assert model is None or check_model(model, aut.formula)
@@ -417,7 +419,8 @@ class TestReduction:
         i = psi_ids
         tuples = set(atom_reference.transition_tuples(aut_psi, i["a1"], (1, 2), good))
         assert (i["a8"], i["a2"]) in tuples
-        occ = aut_psi.occupants(i["a1"], (1, 2), aut_psi.kept(i["a1"], good))
+        kept = aut_psi.kept(i["a1"], good)
+        occ = aut_psi.occupants(i["a1"], (1, 2), kept, aut_psi.buckets_in(good))
         assert i["a8"] in occ[1] and i["a2"] in occ[2]
 
     def test_reduced_scenarios_keep_transitions(self, aut_psi, psi_ids):
@@ -674,6 +677,20 @@ def full_cover(aut, aid: int, table: dict) -> dict:
     }
 
 
+def bucket_view(table: dict) -> dict:
+    """A per-atom kept table seen per bucket: per profile, the first
+    candidate of each distinct cover, in atom order.  Within one parent
+    and profile a cover names one bucket, so that candidate is the
+    bucket's representative."""
+    view = {}
+    for q, cands in table.items():
+        firsts = {}
+        for cid, cover in cands:
+            firsts.setdefault(cover, cid)
+        view[q] = tuple(sorted((cid, cover) for cover, cid in firsts.items()))
+    return view
+
+
 def branches_of(aut, aid: int):
     """The branch systems of the atom's probability signature."""
     return aut.branches[aut._prob_sig[aid]]
@@ -708,28 +725,35 @@ class TestPerClassDecisions:
         wa, expected = build_weighted(aut), atom_reference.build_weighted(aut)
         assert wa.groups == expected.groups
         assert wa.children == expected.children
-        for aid in range(len(aut.atoms)):
-            for restrict in (everything(aut), gs.good):
-                # the same profiles, in increasing order, with the same lists;
-                # without pairs the one child must refute every obligation
-                # itself, so only the reference's candidates that cover all
-                # of them are kept
+        for restrict in (everything(aut), gs.good):
+            inside = aut.buckets_in(restrict)
+            assert inside == {
+                key: tuple(a for a in atoms if a in restrict)
+                for key, atoms in aut._buckets.items()
+                if any(a in restrict for a in atoms)
+            }
+            for aid in range(len(aut.atoms)):
+                # the same profiles, in increasing order, each with the
+                # reference's first candidate per distinct cover, which is
+                # its bucket's representative; without pairs the one child
+                # must refute every obligation itself, so only the
+                # reference's candidates that cover all of them are kept
                 kept = aut.kept(aid, restrict)
                 expected = atom_reference.kept(aut, aid, None, restrict)
                 if not aut._pairs:
                     expected = full_cover(aut, aid, expected)
-                assert list(kept.items()) == list(expected.items())
+                assert list(kept.items()) == list(bucket_view(expected).items())
                 family = tuple(kept)
                 assert family == tuple(sorted(expected))
                 for qsets in [family, *combinations(family, 1), *islice(combinations(family, 2), 4)]:
-                    TestPerClassDecisions.check_scenario(aut, aid, qsets, restrict, kept)
+                    TestPerClassDecisions.check_scenario(aut, aid, qsets, restrict, kept, inside)
 
     @staticmethod
-    def check_scenario(aut, aid, qsets, restrict, kept):
+    def check_scenario(aut, aid, qsets, restrict, kept, inside):
         first = aut.first_tuple(aid, qsets, kept)
         assert first == next(atom_reference.transition_tuples(aut, aid, qsets, restrict), None)
         assert (first is not None) == atom_reference.has_transition(aut, aid, qsets, restrict)
-        assert aut.occupants(aid, qsets, kept) == atom_reference.occupants(
+        assert aut.occupants(aid, qsets, kept, inside) == atom_reference.occupants(
             aut, aid, qsets, restrict
         )
 
@@ -742,6 +766,27 @@ class TestPerClassDecisions:
             assert list(atom_reference.transition_tuples(aut, aid, ())) == (
                 [] if owed else [()]
             )
+
+
+class TestSeveralBoundsPerAtom:
+    """Conjunctions of three and four bounds, which ``sts.formulas()``
+    rarely draws, decided on buckets: good states with their distances,
+    the weighted automaton's groups and children, and the witness equal
+    the per-atom reference's."""
+
+    @settings(max_examples=12)
+    @given(sts.several_bounds())
+    def test_random_conjunctions(self, f):
+        aut, reference = TreeAutomaton(f), TreeAutomaton(f)
+        gs, expected = aut.good_states(), atom_reference.good_states(reference)
+        assert gs.good == expected.good and gs.distance == expected.distance
+        assert gs == expected
+        wa, weighted = build_weighted(aut), atom_reference.build_weighted(reference)
+        assert wa.groups == weighted.groups
+        assert wa.children == weighted.children
+        found, model = witness_model(aut), atom_reference.witness_model(reference)
+        assert (found and found.to_dict()) == (model and model.to_dict())
+        assert found is None or check_model(found, f)
 
 
 class TestBranchPrograms:
@@ -1170,24 +1215,28 @@ def counting_calls(monkeypatch, obj, names, calls):
 class TestClassCounts:
     @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, "X X a & F b", LARGER_TEXTS[1]])
     def test_good_states_decide_each_next_mask_once_per_sweep(self, text, monkeypatch):
-        # a sweep builds the kept table and reads its first tuple once per
-        # touched next mask, then asks its signature's branch systems once
-        # per pending class of a mask whose family has a tuple
+        # a sweep builds the kept table from its buckets' smallest good
+        # atoms and reads its first tuple once per touched next mask, then
+        # asks its signature's branch systems once per pending class of a
+        # mask whose family has a tuple
         aut = TreeAutomaton(parse_formula(text))
         calls = []
-        kept, first_tuple = aut.kept, aut.first_tuple
+        table, first_tuple = aut._table, aut.first_tuple
 
-        def copying_kept(aid, restrict):
-            # the sweep passes the good set itself, which grows later
-            calls.append(("kept", (aid, frozenset(restrict))))
-            return kept(aid, restrict)
-
-        def answered_first_tuple(aid, family, table):
-            found = first_tuple(aid, family, table)
-            calls.append(("first_tuple", (aid, family, table, found)))
+        def copying_table(req, index, restrict=None):
+            # the sweep passes its index of good atoms by bucket, which
+            # holds the whole good set and grows later
+            assert restrict is None
+            found = table(req, index)
+            calls.append(("table", (req, {key: tuple(atoms) for key, atoms in index.items()}, found)))
             return found
 
-        monkeypatch.setattr(aut, "kept", copying_kept)
+        def answered_first_tuple(aid, family, kept):
+            found = first_tuple(aid, family, kept)
+            calls.append(("first_tuple", (aid, family, kept, found)))
+            return found
+
+        monkeypatch.setattr(aut, "_table", copying_table)
         monkeypatch.setattr(aut, "first_tuple", answered_first_tuple)
         for sig, branches in enumerate(aut.branches):
             feasible = branches.feasible
@@ -1203,32 +1252,40 @@ class TestClassCounts:
             assert calls == []
             return
         # the set grows between sweeps only, so its size names the sweep of
-        # a kept call; the tuple and feasibility calls after it belong there
+        # a table; the tuple and feasibility calls after it belong there
         sweeps, sweep = {}, None
         for name, args in calls:
-            if name == "kept":
-                aid, restrict = args
-                req = aut._next_present[aid]
+            if name == "table":
+                req, index, found = args
+                restrict = frozenset(a for atoms in index.values() for a in atoms)
                 sweep = sweeps.setdefault(len(restrict), {
                     "restrict": restrict, "families": [], "firsts": [], "tuples": {},
                     "has_tuple": {}, "feasible": [],
                 })
                 assert sweep["restrict"] == restrict and not sweep["feasible"]
+                # the index is the good set by bucket, each in atom order
+                assert index == {
+                    key: tuple(a for a in atoms if a in restrict)
+                    for key, atoms in aut._buckets.items()
+                    if any(a in restrict for a in atoms)
+                }
                 sweep["families"].append(req)
-                # only after a candidate joined in the sweep before, which
-                # is the latest sweep the set holds
-                latest = max(gs.distance[c] for c in restrict)
-                candidates = atom_reference.kept(aut, aid, None, restrict)
-                assert any(
-                    gs.distance[cid] == latest
-                    for cands in candidates.values() for cid, _ in cands
-                )
+                sweep["table"] = found
             elif name == "first_tuple":
-                aid, family, table, found = args
+                aid, family, kept, found = args
                 req = aut._next_present[aid]
-                assert sweep["families"][-1] == req
-                assert table == atom_reference.kept(aut, aid, None, sweep["restrict"])
-                assert family == tuple(table)
+                assert sweep["families"][-1] == req and kept is sweep["table"]
+                # the reference's table seen per bucket, against the set
+                candidates = atom_reference.kept(aut, aid, None, sweep["restrict"])
+                assert kept == bucket_view(candidates)
+                assert family == tuple(kept)
+                # only after a bucket over the mask got its first good atom
+                # in the sweep before, which is the latest sweep the set holds
+                latest = max(gs.distance[c] for c in sweep["restrict"])
+                assert any(
+                    min(gs.distance[cid] for cid, c in cands if c == cover) == latest
+                    for cands in candidates.values() for _, cover in cands
+                )
                 sweep["firsts"].append(req)
                 sweep["tuples"][req] = family
                 sweep["has_tuple"][req] = found is not None
@@ -1252,14 +1309,16 @@ class TestClassCounts:
 
     @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, LARGER_TEXTS[1]])
     def test_weighted_build_reads_occupants_once_per_good_next_mask(self, text, monkeypatch):
+        # one kept table, read off the good atoms by bucket, and one
+        # occupants call per good next mask
         aut = TreeAutomaton(parse_formula(text))
         good = aut.good_states().good
         calls = []
-        counting_calls(monkeypatch, aut, ["kept", "occupants"], calls)
+        counting_calls(monkeypatch, aut, ["kept", "_table", "occupants"], calls)
         build_weighted(aut)
         found = {
-            name: [aut._next_present[args[0]] for n, args in calls if n == name]
-            for name in ("kept", "occupants")
+            "_table": [args[0] for n, args in calls if n == "_table"],
+            "occupants": [aut._next_present[args[0]] for n, args in calls if n == "occupants"],
         }
         expected = list(dict.fromkeys(
             aut._next_present[members[0]] for members in aut._classes if members[0] in good
@@ -1267,7 +1326,12 @@ class TestClassCounts:
         # the occupants are what decides a good class there, with its
         # signature's feasibility: they are empty exactly when its maximal
         # family has no child tuple
-        assert found == {"kept": expected, "occupants": expected}
+        assert found == {"_table": expected, "occupants": expected}
+        assert len(calls) == 2 * len(expected)
+        index = aut.buckets_in(good)
+        for n, args in calls:
+            if n == "_table":
+                assert args[1] == index
 
     @pytest.mark.parametrize("text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0]])
     def test_pair_free_weighted_build_reads_the_mask_index(self, text, monkeypatch):
@@ -1276,7 +1340,7 @@ class TestClassCounts:
         aut = TreeAutomaton(parse_formula(text))
         expected = atom_reference.build_weighted(aut)
         calls = []
-        counting_calls(monkeypatch, aut, ["kept", "occupants"], calls)
+        counting_calls(monkeypatch, aut, ["kept", "_table", "occupants"], calls)
         (branches,) = aut.branches
         counting_calls(monkeypatch, branches, ["feasible", "maximum"], calls)
         wa = build_weighted(aut)

@@ -597,8 +597,9 @@ def test_src_lines_totals_the_modules():
 
 
 def test_compile_ladder_smallest_rung():
-    # one JSON line with each rung's sizes, LP counts and every layer's
-    # seconds, on the smallest tree rung and the smallest flat rung: the
+    # one JSON line with each rung's sizes, LP counts, every layer's
+    # seconds and the peak memory so far, on the smallest tree rung and
+    # the smallest flat rung: the
     # pair-free tree rung builds no program, and the flat rung builds its
     # mass system's one program and runs a phase 2 for each of the 27 live
     # scenarios no mixer settles
@@ -616,15 +617,18 @@ def test_compile_ladder_smallest_rung():
     rung = result["X^10 a"]
     assert list(rung) == [
         "atoms", "programs", "phase2s", "construct", "good", "weighted", "behaviour", "mlt",
+        "peak_mib",
     ]
     assert (rung["atoms"], rung["programs"], rung["phase2s"]) == (2048, 0, 0)
     assert all(rung[layer] >= 0 for layer in rung)
     rung = result["flat n=9"]
     assert list(rung) == [
         "scenarios", "live", "programs", "phase2s", "build_lphi", "feasible", "maxima", "rows_text",
+        "peak_mib",
     ]
     assert (rung["scenarios"], rung["live"], rung["programs"], rung["phase2s"]) == (512, 132, 1, 27)
     assert all(rung[layer] >= 0 for layer in rung)
+    assert 0 < result["X^10 a"]["peak_mib"] <= rung["peak_mib"]
 
 
 def test_ab_summary_of_two_runs():
