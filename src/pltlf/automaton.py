@@ -66,13 +66,12 @@ class.
 
 The program asks two questions of a scenario: the first child tuple, which
 decides whether a transition exists and gives the witness its children,
-and the occupants of each child position, which the weighted automaton
-reads.  Both read the kept table's lists, and one backward table of the
-cover masks the later positions can reach answers both: it admits a
-bucket only if the rest of the tuple can finish its cover, so the first
-tuple, each position's first admitted representative, is found without
-backtracking, and the occupants are the admissible atoms of the buckets
-that fit, decided once per bucket.
+and the buckets that occupy each child position, which the weighted
+automaton reads.  Both read the kept table's lists, and one backward
+table of the cover masks the later positions can reach answers both: it
+admits a bucket only if the rest of the tuple can finish its cover, so
+the first tuple, each position's first admitted representative, is found
+without backtracking, and fit is decided once per bucket.
 
 Construction keeps the atoms as int rows over the closure members, never
 as :class:`~pltlf.closure.Atom` objects, and reads every per-atom mask,
@@ -331,7 +330,7 @@ class TreeAutomaton:
         }
 
     def _tuple_table(self, aid: int, qsets, kept) -> Optional[tuple]:
-        """What :meth:`first_tuple` and :meth:`occupants` read: the kept
+        """What :meth:`first_tuple` and :meth:`fitting` read: the kept
         list at each position of the scenario, the parent's obligations
         (its absent next members) and the reach table, or None when the
         scenario has no child tuple because a position keeps no bucket or
@@ -364,16 +363,15 @@ class TreeAutomaton:
             covered |= cover
         return tuple(chosen)
 
-    def occupants(self, aid: int, qsets, kept, inside) -> dict:
-        """The admissible atoms at each position of at least one child
-        tuple, in atom order, read off the kept table and ``inside``, the
-        child index limited to the same admissible atoms.  A bucket fits a
-        position when its cover, with one reached before the position and
-        one the reach table offers after it, refutes every absent next
-        member, and then all its atoms in ``inside`` occupy the position.
-        Fit is decided once per bucket, and at once for all of them when
-        either side alone reaches every obligation; as the scenario has a
-        child tuple, every position has an occupant."""
+    def fitting(self, aid: int, qsets, kept) -> dict:
+        """The keys of the buckets that occupy each position of at least
+        one child tuple, as a frozenset per position, read off the kept
+        table.  A bucket fits a position when its cover, with one reached
+        before the position and one the reach table offers after it,
+        refutes every absent next member.  Fit is decided once per bucket,
+        and at once for all of them when either side alone reaches every
+        obligation; as the scenario has a child tuple, every position has
+        a fitting bucket."""
         table = self._tuple_table(aid, qsets, kept)
         if table is None:
             return {}
@@ -384,8 +382,7 @@ class TreeAutomaton:
             if obl not in before and obl not in later:
                 around = {f | b for f in before for b in later}
                 fitting = {c for c in covers if any(u | c == obl for u in around)}
-            keys = ((self._all_next ^ c) << self._width | q for c in fitting)
-            result[q] = tuple(sorted(chain.from_iterable(map(inside.__getitem__, keys))))
+            result[q] = frozenset((self._all_next ^ c) << self._width | q for c in fitting)
             if obl not in before:
                 before = {f | c for f in before for c in covers}
         return result
@@ -657,8 +654,10 @@ def build_weighted(source):
     surviving scenario of ``a`` gives it more.  A child's probability
     arguments pin its position, and each position with positive mass is
     one group over its occupants, so every weight lies in (0, 1].  The
-    atoms of a class share its groups, and atoms that agree on the
-    propositions share one valuation frozenset.
+    groups depend only on a class's signature and next mask, so the
+    classes that share both share one groups tuple; equal weights are one
+    object, and atoms that agree on the propositions share one valuation
+    frozenset.  Child tuples are numbered in order of first use.
     """
     from .weighted import WeightedAutomaton
 
@@ -666,40 +665,53 @@ def build_weighted(source):
     if aut._weighted is not None:
         return aut._weighted
     good = aut.good_states().good
-    states = tuple(sorted(good))
-    groups = {}
-    interned = {}
-    by_mask = {}  # next mask -> (maximal family, its occupants)
     inside = aut.buckets_in(good) if aut._pairs else None
+    groups, children = {}, []
+    made = [{} for _ in aut.branches]  # per signature: next mask -> its classes' groups
+    by_mask = {}  # next mask -> (maximal family, each position's fitting bucket keys)
+    interned = {}  # the bucket keys a child tuple is read off -> its index
+    weights = {}  # id of a maximum -> (it, the one object of its value, None if zero)
+    canon = {(1, 1): ONE}  # integer ratio -> the one object of that weight
     for members in aut._classes:
         aid = members[0]
         if aid not in good:
             continue
-        req = aut._next_present[aid]
-        if not aut._pairs:
+        sig, req = aut._prob_sig[aid], aut._next_present[aid]
+        out = made[sig].get(req)
+        if out is None and not aut._pairs:
             # one group: the good atoms that carry the next mask, weight 1
-            fits = tuple(cid for cid in aut._buckets.get(req, ()) if cid in good)
+            fits = tuple(filter(good.__contains__, aut._buckets.get(req, ())))
+            out = made[sig][req] = ((ONE, len(children)),) if fits else ()
             if fits:
-                k = interned.setdefault(fits, len(interned))
-                groups.update(dict.fromkeys(members, ((ONE, k),)))
-            continue
-        if req not in by_mask:
-            kept = aut._table(req, inside)
-            family = tuple(kept)
-            by_mask[req] = family, aut.occupants(aid, family, kept, inside)
-        family, occupants = by_mask[req]
-        branches = aut.branches[aut._prob_sig[aid]]
-        if not occupants or not branches.feasible(family):
-            continue
-        out = []
-        for qmask, fits in occupants.items():
-            mass = branches.maximum(family, qmask)
-            if mass > 0:
-                out.append((mass, interned.setdefault(fits, len(interned))))
-        groups.update(dict.fromkeys(members, tuple(out)))
+                children.append(fits)
+        elif out is None:
+            if req not in by_mask:
+                kept = aut._table(req, inside)
+                by_mask[req] = tuple(kept), aut.fitting(aid, tuple(kept), kept)
+            family, slots = by_mask[req]
+            branches = aut.branches[sig]
+            out = []
+            if slots and branches.feasible(family):
+                for qmask, keys in slots.items():
+                    mass = branches.maximum(family, qmask)
+                    if id(mass) not in weights:
+                        num, den = mass.as_integer_ratio()
+                        weights[id(mass)] = mass, canon.setdefault((num, den), mass) if num else None
+                    wt = weights[id(mass)][1]
+                    if wt is None:
+                        continue
+                    if keys not in interned:
+                        interned[keys] = len(children)
+                        atoms = chain.from_iterable(map(inside.__getitem__, keys))
+                        children.append(tuple(sorted(atoms)))
+                    out.append((wt, interned[keys]))
+            out = made[sig][req] = tuple(out)
+        if out:
+            groups.update(dict.fromkeys(members, out))
+    states = tuple(sorted(good))
     valuations = {aid: aut.valuation(aid) for aid in states}
     aut._weighted = WeightedAutomaton(
-        states, aut.good_initial(), aut.final_ids, groups, tuple(interned), valuations
+        states, aut.good_initial(), aut.final_ids, groups, tuple(children), valuations
     )
     return aut._weighted
 

@@ -627,12 +627,18 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+_NUMBER_RE = re.compile(r"[0-9]*\.[0-9]+|[0-9]+(?:/[0-9]+)?")
+
+
 def parse_number(text: str) -> Fraction:
-    """Exact rational from an ASCII decimal or num/den literal; another
-    character or a zero denominator is a ValueError that names the
-    literal."""
+    """Exact rational from an ASCII literal ``digits[.digits]``,
+    ``.digits`` or ``digits/digits``.  Any other text, signs, exponents,
+    underscores and blanks included, or a zero denominator is a ValueError
+    that names the literal."""
     if not text.isascii():
         raise ValueError(f"non-ASCII character in number {text!r}")
+    if not _NUMBER_RE.fullmatch(text):
+        raise ValueError(f"malformed number {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

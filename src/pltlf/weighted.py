@@ -25,13 +25,15 @@ a source partition its children.  A state's value depends only on its row,
 whether it is final together with its groups, and many states share one.
 Every weight is a mass in (0, 1], so a run never gains weight by growing:
 the behaviour settles the rows from the highest value down, as Dijkstra's
-algorithm settles distances.  A child tuple's best value is that of the
-first of its rows to settle, and each group is multiplied once, when its
-child tuple settles.  A group is tight exactly when its weight times that
-best value is its row's value; the acceptor keeps each tight group, found
-once per row, over its child tuple cut once to the best children.  Most
-likely traces are listed by a depth-first search over the acceptor's
-subsets, pruned by each subset's distance to a final state.
+algorithm settles distances, one bucket of rows per distinct value.
+Within a settle each number is one object, so a product of a value and a
+weight is made once and values compare by ``is``.  A child tuple's best
+value is that of the first of its rows to settle.  A group is tight
+exactly when its weight times that best value is its row's value; the
+acceptor keeps each tight group, found once per row, over its child
+tuple cut once to the best children.  Most likely traces are listed by a
+depth-first search over the acceptor's subsets, pruned by each subset's
+distance to a final state.
 
 The forward pass keeps the best run weight into each state at each
 position of a trace.  A prefix is worth the best forward weight times
@@ -43,20 +45,18 @@ acceptor's states that attain that worth.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from itertools import chain
 from math import inf
 from types import MappingProxyType
 from typing import Optional
 
-from .automaton import TreeAutomaton, _compiled, build_weighted
+from .automaton import ONE, ZERO, TreeAutomaton, _compiled, build_weighted
 from .syntax import Trace, all_valuations, vars_of
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class WeightedAutomaton:
@@ -132,65 +132,104 @@ class WeightedAutomaton:
 class BehaviourTable:
     """Largest run weight from each state and from an initial one.
 
-    ``rows`` maps each row key ``(final, groups)`` to the states that
-    share it, in the order of ``states``; ``best[k]`` is the largest value
-    in ``children[k]``."""
+    ``rows`` holds a ``(groups, members)`` pair per row, the states that
+    agree on being final and on their groups, in the order of ``states``;
+    its groups carry canonical weights.  ``best[k]`` is the largest value
+    in ``children[k]``.  Equal values are one object, and an open state's
+    is ``ZERO``; ``times(v, wt)`` is that object for ``v * wt``."""
 
     values: dict
     value: Fraction
-    rows: dict
+    rows: tuple
     best: tuple
+    times: Callable
 
 
 def _settle(wa: WeightedAutomaton) -> BehaviourTable:
-    # Knuth's generalisation of Dijkstra's algorithm over the row keys:
+    # Knuth's generalisation of Dijkstra's algorithm over the rows:
     # finals settle at one (the empty run), and a weight in (0, 1] never
-    # raises a value, so rows leave the heap in decreasing value and each
-    # child tuple's best value is the first of its rows to leave it.
-    rows, shared = {}, {}  # a groups tuple shared by many states is hashed once
+    # raises a value, so values leave the heap in decreasing order and
+    # each child tuple's best value is the first of its rows to settle.
+    # Each number is one object, ``canon``'s for its integer ratio: a
+    # weight object is checked and looked up once, and a product once per
+    # pair of objects, so values compare by ``is``.
+    canon, made, checked = {(1, 1): ONE}, {}, {}
+
+    def times(v: Fraction, wt: Fraction) -> Fraction:
+        if wt is ONE:
+            return v
+        if v is ONE:
+            return wt
+        x = made.get((id(v), id(wt)))
+        if x is None:
+            x = v * wt
+            x = made[id(v), id(wt)] = canon.setdefault(x.as_integer_ratio(), x)
+        return x
+
+    rows, row_of, finals = [], {}, []
+    parents = [[] for _ in wa.children]  # child tuple -> (weight, source row)
+    shared = {}  # (final, id of a groups tuple) -> its row
+    keyed = {}  # final, then each group's weight id and child tuple -> row
     for q in wa.states:
         groups, final = wa.groups[q], q in wa.finals
-        members = shared.get((final, id(groups)))
-        if members is None:
-            members = shared[final, id(groups)] = rows.setdefault((final, groups), [])
-        members.append(q)
-    row_of = {}
-    parents = [[] for _ in wa.children]  # child tuple -> (weight, source row)
-    heap = []
-    for r, ((final, groups), members) in enumerate(rows.items()):
-        row_of.update(dict.fromkeys(members, r))
-        if final:
-            heap.append((-ONE, r))
-        for wt, k in groups:
-            if not 0 < wt <= 1:
-                raise ValueError(f"group weight {wt} of state {members[0]!r} is outside (0, 1]")
-            parents[k].append((wt, r))
+        r = shared.get((final, id(groups)))
+        if r is None:
+            for wt, _ in groups:
+                if id(wt) not in checked:
+                    if not 0 < wt <= 1:
+                        raise ValueError(f"group weight {wt} of state {q!r} is outside (0, 1]")
+                    checked[id(wt)] = canon.setdefault(wt.as_integer_ratio(), wt)
+            canonical = groups  # kept as it is when its weights are canonical
+            if any(checked[id(wt)] is not wt for wt, _ in groups):
+                canonical = tuple((checked[id(wt)], k) for wt, k in groups)
+            key = (final, *chain.from_iterable((id(wt), k) for wt, k in canonical))
+            r = keyed.get(key)
+            if r is None:
+                r = keyed[key] = len(rows)
+                rows.append((canonical, []))
+                if final:
+                    finals.append(r)
+                for wt, k in canonical:
+                    parents[k].append((wt, r))
+            shared[final, id(groups)] = r
+        rows[r][1].append(q)
+        row_of[q] = r
     tuples_of = [[] for _ in rows]  # row -> child tuples holding one of its states
     for k, kids in enumerate(wa.children):
         for r in {row_of[c] for c in kids}:
             tuples_of[r].append(k)
-    heapify(heap)
-    # a settled value is positive, so zero marks a row or tuple still open
+    # a settled value is positive, so ZERO marks a row or tuple still open
     value = [ZERO] * len(rows)
-    pending = [ZERO] * len(rows)
     best = [ZERO] * len(wa.children)
+    # one bucket of rows per open value, and a heap of those values,
+    # negated; a row reached through a weight of one joins the bucket read
+    buckets = {id(ONE): finals}
+    heap = [-ONE] if finals else []
     while heap:
-        neg, r = heappop(heap)
-        if value[r]:
-            continue
-        v = value[r] = -neg
-        for k in tuples_of[r]:
-            if not best[k]:
-                best[k] = v
-                for wt, src in parents[k]:
-                    if not value[src]:
-                        cand = wt * v
-                        if cand > pending[src]:
-                            pending[src] = cand
-                            heappush(heap, (-cand, src))
+        num, den = heappop(heap).as_integer_ratio()
+        v = canon[-num, den]
+        bucket = buckets[id(v)]
+        for r in bucket:  # grows while it is read
+            if value[r] is not ZERO:
+                continue
+            value[r] = v
+            for k in tuples_of[r]:
+                if best[k] is ZERO:
+                    best[k] = v
+                    for wt, src in parents[k]:
+                        if value[src] is not ZERO:
+                            continue
+                        if wt is ONE:
+                            bucket.append(src)
+                            continue
+                        x = times(v, wt)
+                        if id(x) not in buckets:
+                            buckets[id(x)] = []
+                            heappush(heap, -x)
+                        buckets[id(x)].append(src)
     values = {q: value[row_of[q]] for q in wa.states}
-    top = max((values[q] for q in wa.initial), default=ZERO)
-    return BehaviourTable(values, top, rows, tuple(best))
+    top = max({id(v): v for v in map(values.__getitem__, wa.initial)}.values(), default=ZERO)
+    return BehaviourTable(values, top, tuple(rows), tuple(best), times)
 
 
 def behaviour(wa: WeightedAutomaton) -> Fraction:
@@ -230,24 +269,25 @@ def _tight_part(wa: WeightedAutomaton) -> MltAcceptor:
     accepted and the acceptor is empty.
     """
     table = wa.behaviour_table()
-    if table.value == 0:
+    if table.value is ZERO:
         return MltAcceptor((), (), (), {}, (), {}, ZERO)
-    w, best = table.values, table.best
-    states = tuple(q for q in wa.states if w[q] > 0)
-    initial = frozenset(q for q in wa.initial if w[q] == table.value)
+    w, best, times = table.values, table.best, table.times
+    states = tuple(q for q in wa.states if w[q] is not ZERO)
+    initial = frozenset(q for q in wa.initial if w[q] is table.value)
     # finals are worth at least 1, and a best child of a tight group from a
     # kept source is worth w[src] / wt > 0, so both are kept
     cut = {}
     groups = {}
-    for (_, row_groups), members in table.rows.items():
+    for row_groups, members in table.rows:
         value = w[members[0]]
-        if value > 0:
+        if value is not ZERO:
             tight = tuple(
-                (wt, cut.setdefault(k, len(cut))) for wt, k in row_groups if wt * best[k] == value
+                (wt, cut.setdefault(k, len(cut))) for wt, k in row_groups
+                if best[k] is not ZERO and times(best[k], wt) is value
             )
             groups.update(dict.fromkeys(members, tight))
     children = tuple(
-        tuple(c for c in wa.children[k] if w[c] == best[k]) for k in cut
+        tuple(c for c in wa.children[k] if w[c] is best[k]) for k in cut
     )
     valuations = {q: wa.valuations[q] for q in states}
     return MltAcceptor(states, initial, wa.finals, groups, children, valuations, table.value)

@@ -85,6 +85,16 @@ def good_states(aut) -> GoodStates:
             distance[aid] = sweep
 
 
+def occupants(aut, aid: int, qsets, kept, inside) -> dict:
+    """The engine's occupants of each position of the scenario, in atom
+    order: the atoms in ``inside`` of the buckets that
+    ``TreeAutomaton.fitting`` finds at that position."""
+    return {
+        q: tuple(sorted(c for key in keys for c in inside[key]))
+        for q, keys in aut.fitting(aid, qsets, kept).items()
+    }
+
+
 def edge_weights(aut, good) -> dict:
     """Per edge, the best mass over every surviving family that puts the
     child at some position, one ``scenario_max`` per family and position;
@@ -98,7 +108,7 @@ def edge_weights(aut, good) -> dict:
         for record in aut.scenario_family(aid):
             if not atom_reference.has_transition(aut, aid, record.qsets, good):
                 continue
-            for qmask, fits in aut.occupants(aid, record.qsets, kept, inside).items():
+            for qmask, fits in occupants(aut, aid, record.qsets, kept, inside).items():
                 if (record, qmask) not in maxima:
                     maxima[(record, qmask)] = scenario_max(aut, aid, record, qmask)
                 mass = maxima[(record, qmask)]

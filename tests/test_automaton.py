@@ -279,7 +279,8 @@ class TestTransitions:
             for record in aut0.scenario_family(aid):
                 tuples = list(atom_reference.transition_tuples(aut0, aid, record.qsets))
                 kept = aut0.kept(aid, everything(aut0))
-                occ = aut0.occupants(aid, record.qsets, kept, aut0.buckets_in(everything(aut0)))
+                inside = aut0.buckets_in(everything(aut0))
+                occ = family_reference.occupants(aut0, aid, record.qsets, kept, inside)
                 if not tuples:
                     assert occ == {}
                     continue
@@ -294,7 +295,8 @@ class TestTransitions:
         for aid in range(len(aut.atoms)):
             via_tuples = {t[0] for t in atom_reference.transition_tuples(aut, aid, (0,))}
             kept = aut.kept(aid, everything(aut))
-            occ = aut.occupants(aid, (0,), kept, aut.buckets_in(everything(aut)))
+            inside = aut.buckets_in(everything(aut))
+            occ = family_reference.occupants(aut, aid, (0,), kept, inside)
             assert set(occ.get(0, ())) == via_tuples
 
 
@@ -420,7 +422,7 @@ class TestReduction:
         tuples = set(atom_reference.transition_tuples(aut_psi, i["a1"], (1, 2), good))
         assert (i["a8"], i["a2"]) in tuples
         kept = aut_psi.kept(i["a1"], good)
-        occ = aut_psi.occupants(i["a1"], (1, 2), kept, aut_psi.buckets_in(good))
+        occ = family_reference.occupants(aut_psi, i["a1"], (1, 2), kept, aut_psi.buckets_in(good))
         assert i["a8"] in occ[1] and i["a2"] in occ[2]
 
     def test_reduced_scenarios_keep_transitions(self, aut_psi, psi_ids):
@@ -753,7 +755,7 @@ class TestPerClassDecisions:
         first = aut.first_tuple(aid, qsets, kept)
         assert first == next(atom_reference.transition_tuples(aut, aid, qsets, restrict), None)
         assert (first is not None) == atom_reference.has_transition(aut, aid, qsets, restrict)
-        assert aut.occupants(aid, qsets, kept, inside) == atom_reference.occupants(
+        assert family_reference.occupants(aut, aid, qsets, kept, inside) == atom_reference.occupants(
             aut, aid, qsets, restrict
         )
 
@@ -1310,23 +1312,23 @@ class TestClassCounts:
     @pytest.mark.parametrize("text", [THREE_BOUNDS, PSI_TEXT, LARGER_TEXTS[1]])
     def test_weighted_build_reads_occupants_once_per_good_next_mask(self, text, monkeypatch):
         # one kept table, read off the good atoms by bucket, and one
-        # occupants call per good next mask
+        # decision of the fitting buckets per good next mask
         aut = TreeAutomaton(parse_formula(text))
         good = aut.good_states().good
         calls = []
-        counting_calls(monkeypatch, aut, ["kept", "_table", "occupants"], calls)
+        counting_calls(monkeypatch, aut, ["kept", "_table", "fitting"], calls)
         build_weighted(aut)
         found = {
             "_table": [args[0] for n, args in calls if n == "_table"],
-            "occupants": [aut._next_present[args[0]] for n, args in calls if n == "occupants"],
+            "fitting": [aut._next_present[args[0]] for n, args in calls if n == "fitting"],
         }
         expected = list(dict.fromkeys(
             aut._next_present[members[0]] for members in aut._classes if members[0] in good
         ))
-        # the occupants are what decides a good class there, with its
-        # signature's feasibility: they are empty exactly when its maximal
-        # family has no child tuple
-        assert found == {"_table": expected, "occupants": expected}
+        # the fitting buckets are what decides a good class there, with
+        # its signature's feasibility: there are none exactly when its
+        # maximal family has no child tuple
+        assert found == {"_table": expected, "fitting": expected}
         assert len(calls) == 2 * len(expected)
         index = aut.buckets_in(good)
         for n, args in calls:
@@ -1336,11 +1338,11 @@ class TestClassCounts:
     @pytest.mark.parametrize("text", ["X X a & F b", "G(a -> X b)", LARGER_TEXTS[0]])
     def test_pair_free_weighted_build_reads_the_mask_index(self, text, monkeypatch):
         # a good class's one group is the good atoms that carry its next
-        # mask, read off the index with no kept table and no occupants
+        # mask, read off the index with no kept table and no fitting buckets
         aut = TreeAutomaton(parse_formula(text))
         expected = atom_reference.build_weighted(aut)
         calls = []
-        counting_calls(monkeypatch, aut, ["kept", "_table", "occupants"], calls)
+        counting_calls(monkeypatch, aut, ["kept", "_table", "fitting"], calls)
         (branches,) = aut.branches
         counting_calls(monkeypatch, branches, ["feasible", "maximum"], calls)
         wa = build_weighted(aut)

@@ -393,6 +393,15 @@ class TestErrors:
         assert out == ""
         assert err == "error: --min-support: zero denominator in 1/0\n"
 
+    @pytest.mark.parametrize("number", ["1e-1", "0_8", " 0.8", "5.", "-0.5", "1.5/2"])
+    def test_malformed_support_is_an_input_error(self, capsys, data_dir, number):
+        code, out, err = run(
+            capsys, "mine", "--log", str(data_dir / "sample_log.csv"), f"--min-support={number}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --min-support: malformed number {number!r}\n"
+
     def test_non_ascii_support_is_an_input_error(self, capsys, data_dir):
         code, out, err = run(
             capsys, "mine", "--log", str(data_dir / "sample_log.csv"),
@@ -616,8 +625,8 @@ def test_compile_ladder_smallest_rung():
     assert list(result) == ["X^10 a", "flat n=9"]
     rung = result["X^10 a"]
     assert list(rung) == [
-        "atoms", "programs", "phase2s", "construct", "good", "weighted", "behaviour", "mlt",
-        "peak_mib",
+        "atoms", "programs", "phase2s", "construct", "good", "weighted", "behaviour",
+        "mlt_acceptor", "enumerate_mlts", "peak_mib",
     ]
     assert (rung["atoms"], rung["programs"], rung["phase2s"]) == (2048, 0, 0)
     assert all(rung[layer] >= 0 for layer in rung)

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -125,6 +126,24 @@ class TestParsing:
     @pytest.mark.parametrize("number", ["\u0660.\u0665", "1/\u0662", "\uff11"])
     def test_numbers_are_written_in_ascii(self, number):
         with pytest.raises(ValueError, match=f"^non-ASCII character in number {number!r}$"):
+            parse_number(number)
+
+    @pytest.mark.parametrize(
+        "number, value",
+        [("0.8", Fraction(4, 5)), (".5", Fraction(1, 2)), ("4/5", Fraction(4, 5)), ("007", 7)],
+    )
+    def test_numbers_read_the_three_literal_forms(self, number, value):
+        assert parse_number(number) == value
+
+    # text outside the three forms, most of which ``Fraction`` reads:
+    # exponents, underscores, signs, blanks, a bare point, and words
+    @pytest.mark.parametrize(
+        "number",
+        ["1e-1", "1E2", "0_8", "1_0/2", " 0.8", "0.8 ", "1 /2", "\t1", "5.", "+1", "-0.5",
+         "1.5/2", "1/2/3", ".", "/2", "1/", "", "inf", "nan", "0x1"],
+    )
+    def test_numbers_in_any_other_form_are_rejected(self, number):
+        with pytest.raises(ValueError, match=f"^malformed number {re.escape(repr(number))}$"):
             parse_number(number)
 
     @given(sts.formulas())

@@ -387,8 +387,130 @@ class TestRowSettle:
         table = wa.behaviour_table()
         assert table.values == dict.fromkeys(range(6), 0) | {0: half, 1: half, 3: half, 4: one}
         assert table.value == half
-        assert table.rows[False, ((one, 0),)] == [0, 1]
+        assert (((one, 0),), [0, 1]) in table.rows
         assert table.values == weighted_reference._fixpoint(dense_copy(wa)).values
+
+
+    def test_equal_weights_built_apart_settle_as_one_value(self):
+        # 0 -> 1 -> (2, 3) -> 4 over Fraction(1, 2) built twice, and 6 over
+        # the tuple (1, 5), where 5 reaches 4 through a weight of 1/4: equal
+        # values come out as one object however they were multiplied, so
+        # every group is tight and both tuples keep both children
+        h1, h2, quarter, one = Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1)
+        assert h1 is not h2
+        groups = {
+            0: ((h1, 0),), 1: ((h2, 1),), 2: ((h1, 2),), 3: ((h2, 2),), 5: ((quarter, 2),),
+            6: ((one, 3),),
+        }
+        wa = weighted.WeightedAutomaton(
+            range(7), (0, 6), (4,), groups, ((1,), (2, 3), (4,), (1, 5)),
+            dict.fromkeys(range(7), frozenset()),
+        )
+        table = wa.behaviour_table()
+        assert table.values == weighted_reference._fixpoint(dense_copy(wa)).values
+        assert table.values == {
+            0: Fraction(1, 8), 1: quarter, 2: h1, 3: h1, 4: one, 5: quarter, 6: quarter,
+        }
+        assert table.values[2] is table.values[3]
+        assert table.values[1] is table.values[5]
+        assert table.best == (quarter, h1, one, quarter)
+        acc = mlt_acceptor(wa)
+        assert acc.initial == {6}
+        assert acc.groups == groups | {4: ()}
+        assert acc.children == ((1,), (2, 3), (4,), (1, 5))
+        assert enumerate_mlts(acc, 3, 6) == [(frozenset(),) * 3, (frozenset(),) * 4]
+
+    def test_out_of_range_weight_shared_by_two_rows_is_rejected(self):
+        bad = Fraction(3, 2)
+        wa = weighted.WeightedAutomaton(
+            (0, 1, 2), (0,), (2,), {0: ((bad, 0),), 1: ((bad, 1),)},
+            ((1,), (2,)), dict.fromkeys((0, 1, 2), frozenset()),
+        )
+        with pytest.raises(ValueError, match=r"^group weight 3/2 of state 0 is outside \(0, 1\]$"):
+            wa.behaviour_table()
+        with pytest.raises(ValueError, match="outside"):
+            mlt_acceptor(wa)
+
+
+def identical_when_equal(values) -> bool:
+    """Whether equal values among ``values`` are one object."""
+    return len({id(v) for v in values}) == len(set(values))
+
+
+class TestDistinctValues:
+    """The settle and the carve work on distinct values: each number is
+    one object within a settle, a product is made once per pair of them,
+    and the answers are the dense reference's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(sts.several_bounds(2, 3, max_atoms=512), sts.traces(max_size=3))
+    def test_settle_and_carve_match_the_dense_reference(self, f, trace):
+        wa = build_weighted(f)
+        self.check(wa, dense_copy(wa))
+        # most compiled values are 1; a product with a trace or a prefix
+        # forces runs through lighter edges, so its values are products
+        # of several weights
+        for nfa in (TraceNFA.from_trace(trace), TraceNFA.extends_prefix(trace, sorted(vars_of(f)))):
+            self.check(product(nfa, wa), weighted_reference.product(nfa, dense_copy(wa)))
+
+    @staticmethod
+    def check(wa, dense):
+        table, expected = wa.behaviour_table(), weighted_reference._fixpoint(dense)
+        assert table.values == expected.values
+        assert table.value == expected.value
+        assert table.best == tuple(
+            max(expected.values[c] for c in kids) for kids in wa.children
+        )
+        assert identical_when_equal([v for v in table.values.values() if v])
+        acc, ref = mlt_acceptor(wa), weighted_reference.mlt_acceptor(dense)
+        assert set(acc.states) == set(ref.states)
+        assert (acc.initial, acc.finals, acc.value) == (ref.initial, ref.finals, ref.value)
+        assert frozenset(acc.weights) == ref.edges
+        assert acc.valuations == ref.valuations
+        for count, max_len in LISTING_PAIRS:
+            listed = enumerate_mlts(acc, count, max_len)
+            assert listed == weighted_reference.enumerate_mlts(ref, count, max_len)
+
+    @staticmethod
+    def fraction_calls(monkeypatch, run) -> dict:
+        """Calls of ``Fraction`` multiplication, equality and ``<=`` made
+        by ``run()``."""
+        counts = dict.fromkeys(("__mul__", "__eq__", "__le__"), 0)
+        with monkeypatch.context() as patch:
+            for name in counts:
+                def counting(a, b, _name=name, _method=getattr(Fraction, name)):
+                    counts[_name] += 1
+                    return _method(a, b)
+
+                patch.setattr(Fraction, name, counting)
+            run()
+        return counts
+
+    @staticmethod
+    def settle_and_carve(wa):
+        return lambda: mlt_acceptor(wa).value
+
+    def test_three_bounds_multiply_once_per_value_and_weight(self, monkeypatch):
+        wa = build_weighted(parse_formula(THREE_BOUNDS))
+        counts = self.fraction_calls(monkeypatch, self.settle_and_carve(wa))
+        table = wa.behaviour_table()
+        values = {v for v in table.values.values() if v}
+        weights = [wt for groups in wa.groups.values() for wt, _ in groups]
+        assert (len(values), len(set(weights))) == (1, 6)
+        assert counts["__mul__"] <= len(values) * len(set(weights))
+        assert counts["__eq__"] <= len(values) * len(set(weights))
+        # the range check runs once per weight object, and equal weights
+        # of the compiled automaton are one object
+        assert counts["__le__"] == len({id(wt) for wt in weights}) == len(set(weights))
+
+    def test_pair_free_counts_do_not_grow_with_the_automaton(self, monkeypatch):
+        found = []
+        for k in (8, 10):
+            wa = build_weighted(parse_formula("X " * k + "a"))
+            found.append(self.fraction_calls(monkeypatch, self.settle_and_carve(wa)))
+            assert len(mlt_acceptor(wa).states) == len(wa.states)
+        assert found[0] == found[1]
+        assert all(n <= 2 for n in found[0].values())
 
 
 class TestPrunedListing:
