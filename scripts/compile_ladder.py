@@ -6,9 +6,14 @@
 The tree rungs are ``X^k a`` for k = 10, 12 and 14, the same chain with
 one bound, ``X^k a & P>=0.5[b]`` for k = 6, 8 and 10, and the
 conjunctions of the first three, four, five and six bounds of ``BOUNDS``.
-For each it compiles the automaton and times, in CPU seconds, six layers
-in order: construction, good states, ``build_weighted``, the behaviour,
-``mlt_acceptor`` and ``enumerate_mlts(acc, 5, 20)``.  The flat rungs
+For each it compiles the automaton and times, in CPU seconds, eight
+layers in order: construction, good states, ``build_weighted``, the
+behaviour, ``mlt_acceptor`` and ``enumerate_mlts(acc, 5, 20)``, then two
+queries on the compiled and carved automaton.  ``trace`` is one
+``trace_probability`` call, on k empty letters then ``a`` for the
+``X^k a`` rungs and on ``a;b;c`` for the bound rungs.  ``prefix`` is one
+``prefix_extension_query`` on that trace's first two letters, with
+``enumerate_mlts(acc, 3, 20)`` on its acceptor.  The flat rungs
 are the first 9 and 11 lines of ``LINES``; for each it times
 ``build_lphi``, feasibility, the maxima and ``rows_text``.  Every rung
 also counts the LP programs built (``LinearProgram`` constructions, each
@@ -38,6 +43,9 @@ from pltlf import (
     mlt_acceptor,
     parse_formula,
     parse_pltlf0,
+    parse_trace,
+    prefix_extension_query,
+    trace_probability,
 )
 from pltlf.linsolve import LinearProgram
 
@@ -55,7 +63,7 @@ def timed(run) -> tuple:
     return result, time.process_time() - start
 
 
-def tree_rung(text: str) -> tuple:
+def tree_rung(text: str, trace: str) -> tuple:
     """Atom count and CPU seconds of each layer, on one fresh compile."""
     aut, construct = timed(lambda: TreeAutomaton(parse_formula(text)))
     _, good = timed(aut.good_states)
@@ -63,8 +71,14 @@ def tree_rung(text: str) -> tuple:
     _, value = timed(lambda: behaviour(wa))
     acc, carve = timed(lambda: mlt_acceptor(wa))
     _, listing = timed(lambda: enumerate_mlts(acc, 5, 20))
-    layers = ("construct", "good", "weighted", "behaviour", "mlt_acceptor", "enumerate_mlts")
-    times = (construct, good, weighted, value, carve, listing)
+    letters = parse_trace(trace)
+    _, query = timed(lambda: trace_probability(aut, letters))
+    _, prefix = timed(lambda: enumerate_mlts(prefix_extension_query(aut, letters[:2])[1], 3, 20))
+    layers = (
+        "construct", "good", "weighted", "behaviour", "mlt_acceptor", "enumerate_mlts", "trace",
+        "prefix",
+    )
+    times = (construct, good, weighted, value, carve, listing, query, prefix)
     return {"atoms": len(aut)}, dict(zip(layers, times))
 
 
@@ -79,7 +93,7 @@ def flat_rung(text: str) -> tuple:
     return sizes, {"build_lphi": build, "feasible": feasible, "maxima": maxima, "rows_text": rows}
 
 
-def counted(measure, text) -> tuple:
+def counted(measure, *args) -> tuple:
     """The rung's sizes and times, its sizes joined by the programs built
     and the phase 2s run, counted by wrapping the LP's one constructor and
     its one phase-2 entry while the rung runs."""
@@ -96,16 +110,19 @@ def counted(measure, text) -> tuple:
 
     LinearProgram.__init__, LinearProgram._optimum = counting_init, counting_optimum
     try:
-        sizes, times = measure(text)
+        sizes, times = measure(*args)
     finally:
         LinearProgram.__init__, LinearProgram._optimum = init, optimum
     return {**sizes, **counts}, times
 
 
 RUNGS = {
-    **{f"X^{k} a": (tree_rung, "X " * k + "a") for k in (10, 12, 14)},
-    **{f"X^{k} a & P>=0.5[b]": (tree_rung, "X " * k + "a & P>=0.5[b]") for k in (6, 8, 10)},
-    **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w])) for w in (3, 4, 5, 6)},
+    **{f"X^{k} a": (tree_rung, "X " * k + "a", "-;" * k + "a") for k in (10, 12, 14)},
+    **{
+        f"X^{k} a & P>=0.5[b]": (tree_rung, "X " * k + "a & P>=0.5[b]", "-;" * k + "a")
+        for k in (6, 8, 10)
+    },
+    **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w]), "a;b;c") for w in (3, 4, 5, 6)},
     **{f"flat n={n}": (flat_rung, "\n".join(LINES[:n])) for n in (9, 11)},
 }
 
@@ -117,8 +134,7 @@ def main() -> None:
     args = parser.parse_args()
     result = {}
     for name in args.only or RUNGS:
-        measure, text = RUNGS[name]
-        runs = [counted(measure, text) for _ in range(max(1, args.repeat))]
+        runs = [counted(*RUNGS[name]) for _ in range(max(1, args.repeat))]
         sizes, times = runs[0]
         least = {layer: round(min(r[1][layer] for r in runs), 4) for layer in times}
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -90,7 +90,7 @@ reads; :mod:`pltlf.weighted` holds the automaton class and its queries.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress
@@ -321,14 +321,6 @@ class TreeAutomaton:
         tuple in ``restrict`` is a subset of it."""
         return self._table(self._next_present[aid], self._buckets, restrict)
 
-    def buckets_in(self, restrict) -> dict:
-        """The child index limited to ``restrict``: each bucket's atoms in
-        ``restrict``, in atom order, with the buckets left empty dropped."""
-        return {
-            key: inside for key, atoms in self._buckets.items()
-            if (inside := tuple(filter(restrict.__contains__, atoms)))
-        }
-
     def _tuple_table(self, aid: int, qsets, kept) -> Optional[tuple]:
         """What :meth:`first_tuple` and :meth:`fitting` read: the kept
         list at each position of the scenario, the parent's obligations
@@ -460,7 +452,7 @@ class TreeAutomaton:
                 good.update(members)
                 distance.update(dict.fromkeys(members, sweep))
             pending = [m for m in pending if m[0] not in good]
-        self._good = GoodStates(frozenset(good), distance, sweep)
+        self._good = GoodStates(frozenset(good), distance, sweep, inside if self._pairs else None)
         return self._good
 
     def good_initial(self) -> tuple:
@@ -476,9 +468,15 @@ class TreeAutomaton:
 
 @dataclass(frozen=True)
 class GoodStates:
+    """The good atoms, each one's sweep and the sweep count, which are
+    what two results compare.  With probability pairs, ``inside`` is the
+    sweep's index of the good atoms: each bucket's key maps to its good
+    atoms in atom order, and buckets without one are left out."""
+
     good: frozenset
     distance: dict
     sweeps: int
+    inside: Optional[dict] = field(default=None, compare=False)
 
 
 class Branches:
@@ -655,23 +653,22 @@ def build_weighted(source):
     arguments pin its position, and each position with positive mass is
     one group over its occupants, so every weight lies in (0, 1].  The
     groups depend only on a class's signature and next mask, so the
-    classes that share both share one groups tuple; equal weights are one
-    object, and atoms that agree on the propositions share one valuation
-    frozenset.  Child tuples are numbered in order of first use.
+    classes that share both share one groups tuple.  Equal weights are one
+    object of a :class:`~pltlf.weighted.Numbers` table, atoms that agree
+    on the propositions share one valuation frozenset, and child tuples
+    are numbered in order of first use.
     """
-    from .weighted import WeightedAutomaton
+    from .weighted import Numbers, WeightedAutomaton
 
     aut = _compiled(source)
     if aut._weighted is not None:
         return aut._weighted
-    good = aut.good_states().good
-    inside = aut.buckets_in(good) if aut._pairs else None
+    gs = aut.good_states()
+    good, inside, numbers = gs.good, gs.inside, Numbers()
     groups, children = {}, []
     made = [{} for _ in aut.branches]  # per signature: next mask -> its classes' groups
     by_mask = {}  # next mask -> (maximal family, each position's fitting bucket keys)
     interned = {}  # the bucket keys a child tuple is read off -> its index
-    weights = {}  # id of a maximum -> (it, the one object of its value, None if zero)
-    canon = {(1, 1): ONE}  # integer ratio -> the one object of that weight
     for members in aut._classes:
         aid = members[0]
         if aid not in good:
@@ -693,12 +690,8 @@ def build_weighted(source):
             out = []
             if slots and branches.feasible(family):
                 for qmask, keys in slots.items():
-                    mass = branches.maximum(family, qmask)
-                    if id(mass) not in weights:
-                        num, den = mass.as_integer_ratio()
-                        weights[id(mass)] = mass, canon.setdefault((num, den), mass) if num else None
-                    wt = weights[id(mass)][1]
-                    if wt is None:
+                    wt = numbers.one(branches.maximum(family, qmask))
+                    if wt is ZERO:
                         continue
                     if keys not in interned:
                         interned[keys] = len(children)

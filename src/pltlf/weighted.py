@@ -26,26 +26,29 @@ whether it is final together with its groups, and many states share one.
 Every weight is a mass in (0, 1], so a run never gains weight by growing:
 the behaviour settles the rows from the highest value down, as Dijkstra's
 algorithm settles distances, one bucket of rows per distinct value.
-Within a settle each number is one object, so a product of a value and a
-weight is made once and values compare by ``is``.  A child tuple's best
-value is that of the first of its rows to settle.  A group is tight
-exactly when its weight times that best value is its row's value; the
-acceptor keeps each tight group, found once per row, over its child
-tuple cut once to the best children.  Most likely traces are listed by a
-depth-first search over the acceptor's subsets, pruned by each subset's
-distance to a final state.
+Each settle and each trace or prefix query keeps its numbers in one
+:class:`Numbers` table, so equal values are one object, a product of a
+value and a weight is made once and values compare by ``is``.  A child
+tuple's best value is that of the first of its rows to settle.  A group
+is tight exactly when its weight times that best value is its row's
+value; the acceptor keeps each tight group, found once per row, over its
+child tuple cut once to the best children.  Most likely traces are
+listed by a depth-first search over the acceptor's subsets, pruned by
+each subset's distance to a final state.
 
-The forward pass keeps the best run weight into each state at each
-position of a trace.  A prefix is worth the best forward weight times
-the behaviour value at its end; since tightness is local, its acceptor is
-a chain of tight forward edges, found backwards, in front of the mlt
-acceptor's states that attain that worth.
+The forward pass reads a trace letter by letter and keeps the best run
+weight into each state carrying the last letter.  A prefix is worth the
+best forward weight times the behaviour value at its end.  Its letters
+are fixed and tightness is local, so its acceptor is a chain of one state
+per earlier letter, joined by edges of weight 1, in front of the mlt
+acceptor: the chain's last state enters each end state that attains the
+worth, through that state's forward weight.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -128,21 +131,46 @@ class WeightedAutomaton:
         return self._table
 
 
+class Numbers:
+    """Each exact value as one object, so values compare by ``is``.
+
+    ``one(x)`` is the object for ``x``'s integer ratio, ``ZERO`` and
+    ``ONE`` to begin with, and ``times(v, wt)`` the one for ``v * wt``,
+    multiplied once per pair of objects.  The table keeps every object it
+    returns, and the caller keeps the arguments of ``times`` alive while
+    the table is in use, so their ids stay unique."""
+
+    def __init__(self):
+        self._objects = {(0, 1): ZERO, (1, 1): ONE}
+        self._products = {}
+
+    def one(self, x: Fraction) -> Fraction:
+        return self._objects.setdefault(x.as_integer_ratio(), x)
+
+    def times(self, v: Fraction, wt: Fraction) -> Fraction:
+        if wt is ONE:
+            return v
+        x = self._products.get((id(v), id(wt)))
+        if x is None:
+            x = self._products[id(v), id(wt)] = self.one(v * wt)
+        return x
+
+
 @dataclass(frozen=True)
 class BehaviourTable:
     """Largest run weight from each state and from an initial one.
 
     ``rows`` holds a ``(groups, members)`` pair per row, the states that
     agree on being final and on their groups, in the order of ``states``;
-    its groups carry canonical weights.  ``best[k]`` is the largest value
-    in ``children[k]``.  Equal values are one object, and an open state's
-    is ``ZERO``; ``times(v, wt)`` is that object for ``v * wt``."""
+    its groups carry the weights of ``numbers``, the settle's table, which
+    holds every value.  ``best[k]`` is the largest value in
+    ``children[k]``, and an open state's value is ``ZERO``."""
 
     values: dict
     value: Fraction
     rows: tuple
     best: tuple
-    times: Callable
+    numbers: Numbers
 
 
 def _settle(wa: WeightedAutomaton) -> BehaviourTable:
@@ -150,22 +178,9 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
     # finals settle at one (the empty run), and a weight in (0, 1] never
     # raises a value, so values leave the heap in decreasing order and
     # each child tuple's best value is the first of its rows to settle.
-    # Each number is one object, ``canon``'s for its integer ratio: a
-    # weight object is checked and looked up once, and a product once per
-    # pair of objects, so values compare by ``is``.
-    canon, made, checked = {(1, 1): ONE}, {}, {}
-
-    def times(v: Fraction, wt: Fraction) -> Fraction:
-        if wt is ONE:
-            return v
-        if v is ONE:
-            return wt
-        x = made.get((id(v), id(wt)))
-        if x is None:
-            x = v * wt
-            x = made[id(v), id(wt)] = canon.setdefault(x.as_integer_ratio(), x)
-        return x
-
+    # Each number is the object of one table, and each weight object is
+    # range-checked once.
+    numbers, checked = Numbers(), {}  # id of a weight object -> its table's object
     rows, row_of, finals = [], {}, []
     parents = [[] for _ in wa.children]  # child tuple -> (weight, source row)
     shared = {}  # (final, id of a groups tuple) -> its row
@@ -178,7 +193,7 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
                 if id(wt) not in checked:
                     if not 0 < wt <= 1:
                         raise ValueError(f"group weight {wt} of state {q!r} is outside (0, 1]")
-                    checked[id(wt)] = canon.setdefault(wt.as_integer_ratio(), wt)
+                    checked[id(wt)] = numbers.one(wt)
             canonical = groups  # kept as it is when its weights are canonical
             if any(checked[id(wt)] is not wt for wt, _ in groups):
                 canonical = tuple((checked[id(wt)], k) for wt, k in groups)
@@ -206,8 +221,7 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
     buckets = {id(ONE): finals}
     heap = [-ONE] if finals else []
     while heap:
-        num, den = heappop(heap).as_integer_ratio()
-        v = canon[-num, den]
+        v = numbers.one(-heappop(heap))
         bucket = buckets[id(v)]
         for r in bucket:  # grows while it is read
             if value[r] is not ZERO:
@@ -222,14 +236,20 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
                         if wt is ONE:
                             bucket.append(src)
                             continue
-                        x = times(v, wt)
+                        x = numbers.times(v, wt)
                         if id(x) not in buckets:
                             buckets[id(x)] = []
                             heappush(heap, -x)
                         buckets[id(x)].append(src)
     values = {q: value[row_of[q]] for q in wa.states}
-    top = max({id(v): v for v in map(values.__getitem__, wa.initial)}.values(), default=ZERO)
-    return BehaviourTable(values, top, tuple(rows), tuple(best), times)
+    top = _largest(map(values.__getitem__, wa.initial))
+    return BehaviourTable(values, top, tuple(rows), tuple(best), numbers)
+
+
+def _largest(values) -> Fraction:
+    """The largest of ``values``, ``ZERO`` if there are none, comparing
+    each distinct object once."""
+    return max({id(v): v for v in values}.values(), default=ZERO)
 
 
 def behaviour(wa: WeightedAutomaton) -> Fraction:
@@ -271,7 +291,7 @@ def _tight_part(wa: WeightedAutomaton) -> MltAcceptor:
     table = wa.behaviour_table()
     if table.value is ZERO:
         return MltAcceptor((), (), (), {}, (), {}, ZERO)
-    w, best, times = table.values, table.best, table.times
+    w, best, times = table.values, table.best, table.numbers.times
     states = tuple(q for q in wa.states if w[q] is not ZERO)
     initial = frozenset(q for q in wa.initial if w[q] is table.value)
     # finals are worth at least 1, and a best child of a tight group from a
@@ -514,42 +534,30 @@ def _check_vars(source, valuations) -> None:
             )
 
 
-def _times(cache: dict, v: Fraction, wt: Fraction) -> Fraction:
-    """``v * wt``, once per pair of objects: a pass meets few values, each
-    shared by many states.  The caller keeps both alive while ``cache``
-    is in use, so their ids stay unique."""
-    key = (id(v), id(wt))
-    x = cache.get(key)
-    if x is None:
-        x = cache[key] = v * wt
-    return x
-
-
 def _keep_max(best: dict, key, x: Fraction) -> None:
     """Keep ``x`` as ``best[key]`` unless that is already at least as
-    large; the same object is never compared."""
+    large.  Both are objects of one :class:`Numbers` table, so only
+    distinct values are ever compared."""
     y = best.get(key)
     if y is None or (x is not y and x > y):
         best[key] = x
 
 
-def _forward(wa: WeightedAutomaton, trace: Trace) -> list:
-    """One dict per position of the trace: the best run weight from an
-    initial state to each state that carries that position's valuation."""
+def _forward(wa: WeightedAutomaton, trace: Trace, numbers: Numbers) -> dict:
+    """The best run weight from an initial state to each state that
+    carries the trace's last valuation, each an object of ``numbers``."""
     layer = {q: ONE for q in wa.initial if wa.valuations[q] == trace[0]}
-    layers = [layer]
     for valuation in trace[1:]:
-        cache, into = {}, {}  # child tuple -> best value * weight into it
+        into = {}  # child tuple -> best value * weight into it
         for q, v in layer.items():
             for wt, k in wa.groups[q]:
-                _keep_max(into, k, _times(cache, v, wt))
+                _keep_max(into, k, numbers.times(v, wt))
         layer = {}
         for k, x in into.items():
             for c in wa.children[k]:
                 if wa.valuations[c] == valuation:
                     _keep_max(layer, c, x)
-        layers.append(layer)
-    return layers
+    return layer
 
 
 def trace_probability(source, trace: Trace) -> Fraction:
@@ -558,7 +566,7 @@ def trace_probability(source, trace: Trace) -> Fraction:
         raise ValueError("traces are nonempty")
     _check_vars(source, trace)
     wa = _compiled(source).weighted
-    return max((v for q, v in _forward(wa, trace)[-1].items() if q in wa.finals), default=ZERO)
+    return _largest(v for q, v in _forward(wa, trace, Numbers()).items() if q in wa.finals)
 
 
 def language_probability(source, nfa: TraceNFA) -> tuple:
@@ -575,43 +583,33 @@ def prefix_extension_query(source, prefix: Trace) -> tuple:
         raise ValueError("the prefix must be nonempty")
     _check_vars(source, prefix)
     wa = _compiled(source).weighted
-    layers = _forward(wa, prefix)
-    w, cache = wa.behaviour_table().values, {}
-    ends = {q: _times(cache, v, w[q]) for q, v in layers[-1].items()}
-    value = max(ends.values(), default=ZERO)
-    if not value:
+    numbers, w = Numbers(), wa.behaviour_table().values
+    last = _forward(wa, prefix, numbers)
+    worth = {q: numbers.times(x, w[q]) for q, x in last.items()}
+    value = _largest(worth.values())
+    if value is ZERO:
         return ZERO, MltAcceptor((), (), (), {}, (), {}, ZERO)
-    best = [q for q, x in ends.items() if x is value or x == value]
-    return value, _prefix_acceptor(wa, mlt_acceptor(wa), layers, best, value)
+    into = {}  # id of a forward weight -> (it, the end states it enters)
+    for q, x in last.items():
+        if worth[q] is value:
+            into.setdefault(id(x), (x, []))[1].append(q)
+    return value, _prefix_acceptor(mlt_acceptor(wa), prefix, into.values(), value)
 
 
-def _prefix_acceptor(wa, acc: MltAcceptor, layers: list, ends: list, value: Fraction) -> MltAcceptor:
+def _prefix_acceptor(acc: MltAcceptor, prefix: Trace, into, value: Fraction) -> MltAcceptor:
     """The mlt acceptor ``acc`` behind a chain for the prefix: a state
-    ``(i, q)`` for each earlier position ``i`` and state ``q`` with a tight
-    forward edge into the next position's kept states.  The last position
-    keeps ``ends``, which are states of ``acc``."""
-    groups, children, valuations = dict(acc.groups), list(acc.children), dict(acc.valuations)
-    chain = []
-    names = {q: q for q in ends}  # kept state of the next position -> its name
-    for i in range(len(layers) - 2, -1, -1):
-        later, cache, kept = layers[i + 1], {}, {}
-        for q, v in layers[i].items():
-            out = []
-            for wt, k in wa.groups[q]:
-                x = _times(cache, v, wt)
-                tight = tuple(
-                    names[c] for c in wa.children[k]
-                    if c in names and (later[c] is x or later[c] == x)
-                )
-                if tight:
-                    out.append((wt, len(children)))
-                    children.append(tight)
-            if out:
-                kept[q] = name = (i, q)
-                chain.append(name)
-                groups[name] = tuple(out)
-                valuations[name] = wa.valuations[q]
-        names = kept
+    ``("prefix", i)`` for each earlier letter ``i``, joined to the next by
+    an edge of weight 1.  The last enters the end states, states of
+    ``acc``, through ``into``'s ``(forward weight, end states)`` pairs; a
+    one-letter prefix starts in its end states."""
+    links = [("prefix", i) for i in range(len(prefix) - 1)]
+    outs = [((ONE, (dst,)),) for dst in links[1:]] + [tuple((x, tuple(ends)) for x, ends in into)]
+    groups, children = {}, list(acc.children)
+    for src, out in zip(links, outs):
+        groups[src] = tuple((wt, len(children) + j) for j, (wt, _) in enumerate(out))
+        children.extend(kids for _, kids in out)
+    initial = links[:1] or [q for _, ends in into for q in ends]
+    valuations = acc.valuations | dict(zip(links, prefix))
     return MltAcceptor(
-        acc.states + tuple(chain), names.values(), acc.finals, groups, children, valuations, value
+        acc.states + tuple(links), initial, acc.finals, acc.groups | groups, children, valuations, value
     )

@@ -85,6 +85,16 @@ def good_states(aut) -> GoodStates:
             distance[aid] = sweep
 
 
+def buckets_in(aut, restrict) -> dict:
+    """The child index limited to ``restrict``: each bucket's atoms in
+    ``restrict``, in atom order, with the buckets left empty dropped; the
+    form of ``GoodStates.inside`` for the good atoms."""
+    return {
+        key: inside for key, atoms in aut._buckets.items()
+        if (inside := [a for a in atoms if a in restrict])
+    }
+
+
 def occupants(aut, aid: int, qsets, kept, inside) -> dict:
     """The engine's occupants of each position of the scenario, in atom
     order: the atoms in ``inside`` of the buckets that
@@ -102,7 +112,7 @@ def edge_weights(aut, good) -> dict:
     probability signatures, so maxima are cached per family and position."""
     weights = {}
     maxima = {}
-    inside = aut.buckets_in(good)
+    inside = buckets_in(aut, good)
     for aid in sorted(good):
         kept = aut.kept(aid, good)
         for record in aut.scenario_family(aid):

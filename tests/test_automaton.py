@@ -279,7 +279,7 @@ class TestTransitions:
             for record in aut0.scenario_family(aid):
                 tuples = list(atom_reference.transition_tuples(aut0, aid, record.qsets))
                 kept = aut0.kept(aid, everything(aut0))
-                inside = aut0.buckets_in(everything(aut0))
+                inside = family_reference.buckets_in(aut0, everything(aut0))
                 occ = family_reference.occupants(aut0, aid, record.qsets, kept, inside)
                 if not tuples:
                     assert occ == {}
@@ -295,7 +295,7 @@ class TestTransitions:
         for aid in range(len(aut.atoms)):
             via_tuples = {t[0] for t in atom_reference.transition_tuples(aut, aid, (0,))}
             kept = aut.kept(aid, everything(aut))
-            inside = aut.buckets_in(everything(aut))
+            inside = family_reference.buckets_in(aut, everything(aut))
             occ = family_reference.occupants(aut, aid, (0,), kept, inside)
             assert set(occ.get(0, ())) == via_tuples
 
@@ -422,7 +422,8 @@ class TestReduction:
         tuples = set(atom_reference.transition_tuples(aut_psi, i["a1"], (1, 2), good))
         assert (i["a8"], i["a2"]) in tuples
         kept = aut_psi.kept(i["a1"], good)
-        occ = family_reference.occupants(aut_psi, i["a1"], (1, 2), kept, aut_psi.buckets_in(good))
+        inside = family_reference.buckets_in(aut_psi, good)
+        occ = family_reference.occupants(aut_psi, i["a1"], (1, 2), kept, inside)
         assert i["a8"] in occ[1] and i["a2"] in occ[2]
 
     def test_reduced_scenarios_keep_transitions(self, aut_psi, psi_ids):
@@ -727,10 +728,16 @@ class TestPerClassDecisions:
         wa, expected = build_weighted(aut), atom_reference.build_weighted(aut)
         assert wa.groups == expected.groups
         assert wa.children == expected.children
+        assert (gs.inside is None) == (not aut._pairs)
         for restrict in (everything(aut), gs.good):
-            inside = aut.buckets_in(restrict)
+            # the sweep's own index of the good atoms by bucket, or the
+            # reference's for every atom
+            if restrict is gs.good and aut._pairs:
+                inside = gs.inside
+            else:
+                inside = family_reference.buckets_in(aut, restrict)
             assert inside == {
-                key: tuple(a for a in atoms if a in restrict)
+                key: [a for a in atoms if a in restrict]
                 for key, atoms in aut._buckets.items()
                 if any(a in restrict for a in atoms)
             }
@@ -1330,7 +1337,8 @@ class TestClassCounts:
         # maximal family has no child tuple
         assert found == {"_table": expected, "fitting": expected}
         assert len(calls) == 2 * len(expected)
-        index = aut.buckets_in(good)
+        index = family_reference.buckets_in(aut, good)
+        assert aut.good_states().inside == index
         for n, args in calls:
             if n == "_table":
                 assert args[1] == index

@@ -626,7 +626,7 @@ def test_compile_ladder_smallest_rung():
     rung = result["X^10 a"]
     assert list(rung) == [
         "atoms", "programs", "phase2s", "construct", "good", "weighted", "behaviour",
-        "mlt_acceptor", "enumerate_mlts", "peak_mib",
+        "mlt_acceptor", "enumerate_mlts", "trace", "prefix", "peak_mib",
     ]
     assert (rung["atoms"], rung["programs"], rung["phase2s"]) == (2048, 0, 0)
     assert all(rung[layer] >= 0 for layer in rung)

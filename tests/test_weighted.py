@@ -512,6 +512,60 @@ class TestDistinctValues:
         assert found[0] == found[1]
         assert all(n <= 2 for n in found[0].values())
 
+    def test_pair_free_queries_make_no_product_or_equality(self, monkeypatch):
+        # every value of X^k a is 1, and a query's products are interned,
+        # so the forward pass and the prefix acceptor compare by ``is``
+        found = []
+        for k in (8, 10):
+            aut = TreeAutomaton(parse_formula("X " * k + "a"))
+            mlt_acceptor(aut.weighted)
+            prefix, trace = parse_trace("-;a;-"), parse_trace("-;" * k + "a")
+            found.append((
+                self.fraction_calls(monkeypatch, lambda: prefix_extension_query(aut, prefix)),
+                self.fraction_calls(monkeypatch, lambda: trace_probability(aut, trace)),
+            ))
+        assert found[0] == found[1]
+        for counts in found[0]:
+            assert counts["__mul__"] == counts["__eq__"] == 0
+
+    def test_three_bound_queries_multiply_once_per_value_and_weight(self, monkeypatch):
+        aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
+        wa = aut.weighted
+        mlt_acceptor(wa)
+        weights = {wt for groups in wa.groups.values() for wt, _ in groups}
+        for text, run in (("a;b", prefix_extension_query), ("a;b;c", trace_probability)):
+            trace = parse_trace(text)
+            counts = self.fraction_calls(monkeypatch, lambda: run(aut, trace))
+            # the values the pass multiplies: those of its earlier letters,
+            # and the prefix's end values times the behaviour's
+            values = {
+                v for i in range(1, len(trace) + 1)
+                for v in weighted._forward(wa, trace[:i], weighted.Numbers()).values()
+            }
+            assert counts["__eq__"] == 0
+            assert counts["__mul__"] <= len(values) * len(weights)
+
+    def test_numbers_intern_values_and_products(self, monkeypatch):
+        numbers = weighted.Numbers()
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        assert numbers.one(half) is half and numbers.one(Fraction(2, 4)) is half
+        assert numbers.one(Fraction(0)) is weighted.ZERO
+        assert numbers.one(Fraction(3, 3)) is weighted.ONE
+        assert numbers.one(quarter) is quarter
+
+        # equal products built apart come back as one object, each pair of
+        # objects is multiplied once, and a weight of one multiplies nothing
+        other, pairs = Fraction(1, 2), [(half, half), (quarter, half)] * 2
+        made = []
+        counts = self.fraction_calls(
+            monkeypatch,
+            lambda: made.extend(numbers.times(v, wt) for v, wt in [*pairs, (other, weighted.ONE)]),
+        )
+        assert counts["__mul__"] == 2
+        assert made[0] is made[2] is quarter
+        assert made[1] is made[3] == Fraction(1, 8)
+        assert made[4] is other
+
 
 class TestPrunedListing:
     """The depth-first listing gives the reference's level-by-level list
@@ -703,9 +757,12 @@ def reference_answers(aut, trace) -> tuple:
 def forward_answers(aut, trace) -> tuple:
     """The same answers from the forward pass over the compiled automaton,
     whose prefix acceptor must be a tight part: every run from an initial
-    state weighs the prefix's value."""
+    state weighs the prefix's value.  Unless that is zero, the acceptor is
+    the mlt acceptor behind one state per earlier letter."""
     value, acc = prefix_extension_query(aut, trace)
     assert acc.value == value
+    if value:
+        assert len(acc.states) == len(mlt_acceptor(aut.weighted).states) + len(trace) - 1
     w = acc.behaviour_table().values
     assert all(w[q] == value for q in acc.initial)
     for q in acc.states:
@@ -730,7 +787,7 @@ class TestForwardQueries:
     @settings(max_examples=40)
     @given(
         st.one_of(sts.formulas(), sts.formulas(prob_free=True)),
-        st.lists(sts.traces(max_size=4), min_size=1, max_size=3),
+        st.lists(sts.traces(max_size=6), min_size=1, max_size=3),
     )
     def test_random_formulas_match_the_product_path(self, f, traces):
         aut = TreeAutomaton(f)
