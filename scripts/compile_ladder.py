@@ -6,6 +6,8 @@
 The tree rungs are ``X^k a`` for k = 10, 12 and 14, the same chain with
 one bound, ``X^k a & P>=0.5[b]`` for k = 6, 8 and 10, and the
 conjunctions of the first three, four, five and six bounds of ``BOUNDS``.
+The off-ladder rung ``X^12 a & P>=0.5[b]``, whose listing alone takes
+seconds, runs only when ``--only`` names it.
 For each it compiles the automaton and times, in CPU seconds, eight
 layers in order: construction, good states, ``build_weighted``, the
 behaviour, ``mlt_acceptor`` and ``enumerate_mlts(acc, 5, 20)``, then two
@@ -21,7 +23,8 @@ one phase 1) and the phase 2s run (``LinearProgram._optimum`` calls)
 over all its layers.  With
 ``--repeat N`` each layer reports its least time over N fresh compiles.
 It prints one JSON line mapping each rung's name to its sizes (a tree
-rung's atom count, a flat rung's scenarios and live scenarios), its LP
+rung's atom count and the rows of its weighted automaton, a flat rung's
+scenarios and live scenarios), its LP
 counts, its layers' times and ``peak_mib``, the process's peak resident
 memory once the rung is done.  That peak never falls, so it is the rung's
 own only when the rung runs alone:
@@ -79,7 +82,7 @@ def tree_rung(text: str, trace: str) -> tuple:
         "prefix",
     )
     times = (construct, good, weighted, value, carve, listing, query, prefix)
-    return {"atoms": len(aut)}, dict(zip(layers, times))
+    return {"atoms": len(aut), "rows": len(wa.groups)}, dict(zip(layers, times))
 
 
 def flat_rung(text: str) -> tuple:
@@ -125,16 +128,18 @@ RUNGS = {
     **{f"{w} bounds": (tree_rung, " & ".join(BOUNDS[:w]), "a;b;c") for w in (3, 4, 5, 6)},
     **{f"flat n={n}": (flat_rung, "\n".join(LINES[:n])) for n in (9, 11)},
 }
+OFF_LADDER = {"X^12 a & P>=0.5[b]": (tree_rung, "X " * 12 + "a & P>=0.5[b]", "-;" * 12 + "a")}
 
 
 def main() -> None:
+    rungs = {**RUNGS, **OFF_LADDER}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", choices=RUNGS, help="run only this rung")
+    parser.add_argument("--only", action="append", choices=rungs, help="run only this rung")
     parser.add_argument("--repeat", type=int, default=1, help="fresh compiles per rung")
     args = parser.parse_args()
     result = {}
     for name in args.only or RUNGS:
-        runs = [counted(*RUNGS[name]) for _ in range(max(1, args.repeat))]
+        runs = [counted(*rungs[name]) for _ in range(max(1, args.repeat))]
         sizes, times = runs[0]
         least = {layer: round(min(r[1][layer] for r in runs), 4) for layer in times}
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -180,7 +180,8 @@ class TreeAutomaton:
         # everywhere: a class is final when it has no next member and that
         # point meets its bounds.
         keyed = clo.pattern_mask({*next_list, *sides})
-        others = _submasks(n - 1 ^ keyed)
+        self._prop_bits = n - 1 ^ keyed  # the index bits of an atom's propositions
+        others = _submasks(self._prop_bits)
         self._classes = tuple(tuple(map(base.__or__, others)) for base in _submasks(keyed))
         self.final = [False] * n
         for members in self._classes:
@@ -205,8 +206,6 @@ class TreeAutomaton:
         self.initial = tuple(compress(range(n), transpose([cols[clo.index[self.formula]]], n)))
         self.final_ids = tuple(compress(range(n), self.final))
 
-        self._props = sum(1 << i for i in clo.prop_members)
-        self._valuations = {}
         self._family_cache = {}
         self._good = None
         self._weighted = None
@@ -226,13 +225,14 @@ class TreeAutomaton:
         return tuple(members[i if sig >> p & 1 else j] for p, (i, j, _) in enumerate(self._pairs))
 
     def valuation(self, aid: int) -> frozenset:
-        """The propositions the atom holds; atoms that agree on them share
-        one frozenset."""
-        key = self._rows[aid] & self._props
-        found = self._valuations.get(key)
-        if found is None:
-            found = self._valuations[key] = self.closure.valuation(key)
-        return found
+        """The propositions the atom holds, a frozenset of :attr:`letters`."""
+        return self.letters[aid & self._prop_bits]
+
+    @cached_property
+    def letters(self) -> dict:
+        """Each pattern of an atom index's proposition bits, its valuation."""
+        valuation = self.closure.valuation
+        return {bits: valuation(self._rows[bits]) for bits in _submasks(self._prop_bits)}
 
     def build_system(self, aid: int, qsets) -> LinearSystem:
         """Branch system for a scenario, its signature's
@@ -455,6 +455,14 @@ class TreeAutomaton:
         self._good = GoodStates(frozenset(good), distance, sweep, inside if self._pairs else None)
         return self._good
 
+    @cached_property
+    def rows(self) -> tuple:
+        """The good classes in class order, row r of the weighted automaton
+        the r-th.  A class's atoms differ only in their proposition bits:
+        the first holds none, and the others add each pattern in turn."""
+        good = self.good_states().good
+        return tuple(m for m in self._classes if m[0] in good)
+
     def good_initial(self) -> tuple:
         """Good initial atoms; empty iff the formula is unsatisfiable."""
         good = self.good_states().good
@@ -646,17 +654,17 @@ def is_satisfiable(source) -> bool:
 def build_weighted(source):
     """Flatten the good atoms into a weighted trace automaton the automaton keeps.
 
-    The edge from ``a`` to ``a'`` weighs the largest mass that ``a``'s
-    maximal family against the good set lets the position of ``a'``
-    absorb, :meth:`Branches.maximum`; by the monotonicity facts above, no
+    Its states are :attr:`TreeAutomaton.rows`; an atom, which names a
+    state of the dense view, is its row entered by its valuation.  The
+    edge from ``a`` to ``a'`` weighs the largest mass that ``a``'s maximal
+    family against the good set lets the position of ``a'`` absorb,
+    :meth:`Branches.maximum`; by the monotonicity facts above, no
     surviving scenario of ``a`` gives it more.  A child's probability
     arguments pin its position, and each position with positive mass is
-    one group over its occupants, so every weight lies in (0, 1].  The
-    groups depend only on a class's signature and next mask, so the
-    classes that share both share one groups tuple.  Equal weights are one
-    object of a :class:`~pltlf.weighted.Numbers` table, atoms that agree
-    on the propositions share one valuation frozenset, and child tuples
-    are numbered in order of first use.
+    one group over its occupants, so every weight lies in (0, 1].  Child
+    tuples, numbered in order of first use, and the initial atoms are
+    split by letter into rows.  Equal weights are one object of a
+    :class:`~pltlf.weighted.Numbers` table.
     """
     from .weighted import Numbers, WeightedAutomaton
 
@@ -665,46 +673,54 @@ def build_weighted(source):
         return aut._weighted
     gs = aut.good_states()
     good, inside, numbers = gs.good, gs.inside, Numbers()
-    groups, children = {}, []
-    made = [{} for _ in aut.branches]  # per signature: next mask -> its classes' groups
+    # an atom is its row's first atom, which holds no proposition, or-ed
+    # with the proposition bits of its letter
+    props, letters, rows = aut._prop_bits, aut.letters, aut.rows
+    row_of = {members[0]: r for r, members in enumerate(rows)}
+    bits_of = {letter: bits for bits, letter in letters.items()}
+
+    def by_letter(atoms) -> dict:
+        """The rows of ``atoms`` by the letter that enters each."""
+        split = {}
+        for a in atoms:
+            split.setdefault(letters[a & props], []).append(row_of[a & ~props])
+        return {letter: tuple(found) for letter, found in split.items()}
+
+    groups, tuples = [], []
     by_mask = {}  # next mask -> (maximal family, each position's fitting bucket keys)
     interned = {}  # the bucket keys a child tuple is read off -> its index
-    for members in aut._classes:
+    for members in rows:
         aid = members[0]
-        if aid not in good:
-            continue
         sig, req = aut._prob_sig[aid], aut._next_present[aid]
-        out = made[sig].get(req)
-        if out is None and not aut._pairs:
+        out = []
+        if not aut._pairs:
             # one group: the good atoms that carry the next mask, weight 1
             fits = tuple(filter(good.__contains__, aut._buckets.get(req, ())))
-            out = made[sig][req] = ((ONE, len(children)),) if fits else ()
             if fits:
-                children.append(fits)
-        elif out is None:
+                out.append((ONE, len(tuples)))
+                tuples.append(by_letter(fits))
+        else:
             if req not in by_mask:
                 kept = aut._table(req, inside)
                 by_mask[req] = tuple(kept), aut.fitting(aid, tuple(kept), kept)
             family, slots = by_mask[req]
             branches = aut.branches[sig]
-            out = []
             if slots and branches.feasible(family):
                 for qmask, keys in slots.items():
                     wt = numbers.one(branches.maximum(family, qmask))
                     if wt is ZERO:
                         continue
                     if keys not in interned:
-                        interned[keys] = len(children)
+                        interned[keys] = len(tuples)
                         atoms = chain.from_iterable(map(inside.__getitem__, keys))
-                        children.append(tuple(sorted(atoms)))
+                        tuples.append(by_letter(atoms))
                     out.append((wt, interned[keys]))
-            out = made[sig][req] = tuple(out)
-        if out:
-            groups.update(dict.fromkeys(members, out))
-    states = tuple(sorted(good))
-    valuations = {aid: aut.valuation(aid) for aid in states}
+        groups.append(tuple(out))
+    finals = (r for r, members in enumerate(rows) if aut.final[members[0]])
+    # the names hold the rows, not ``aut``, so no reference cycle keeps it
     aut._weighted = WeightedAutomaton(
-        states, aut.good_initial(), aut.final_ids, groups, tuple(children), valuations
+        by_letter(aut.good_initial()), finals, tuple(groups), tuple(tuples),
+        lambda r, letter: rows[r][0] | bits_of[letter],
     )
     return aut._weighted
 

@@ -13,10 +13,10 @@ shared mass system plus one plain automaton.
 :func:`build_lphi` compiles a constraint set once into a
 :class:`ScenarioTable`: one tree automaton over the conjunction of the
 distinct constraint formulas and one prefix acceptor per scenario, whose
-start set of good atoms gives the scenario's satisfiability flag.
+start rows, by first letter, give the scenario's satisfiability flag.
 Without bounds the automaton's weighted automaton has every weight equal
 to 1, so it is a plain automaton over traces: every acceptor steps it,
-each from its own start set.  It is built the first time an acceptor
+each from its own start rows.  It is built the first time an acceptor
 steps, on a nonempty prefix or a monitor step, so satisfiability and the
 maxima never build it.  The mass system is a branch system whose
 profiles are the scenarios, decided by the tree engine's
@@ -33,8 +33,8 @@ the monitor all ask it.
 
 The monitor is a deterministic automaton over valuations, built lazily on
 the table.  A :class:`MonitorState` is one of its states: the live
-scenarios with their acceptor state sets, and the best index among them,
-made once per distinct live set and carrying no prefix.  A state's
+scenarios with the rows their acceptors reached, and the best index among
+them, made once per distinct live set and carrying no prefix.  A state's
 successor on a valuation is computed once, by stepping the acceptors, and
 kept on the state, so every later step on that valuation is one lookup.
 The table keeps one state per distinct live set reached and at most one
@@ -143,19 +143,19 @@ def scenarios_of(phi: Pltlf0Formula) -> tuple:
 
 class PrefixAcceptor:
     """Subset simulation over the weighted automaton of a plain formula's
-    tree automaton, whose weights are all 1, started from a set of its good
-    atoms: whether a prefix extends to a trace that one of those states
-    accepts.  The weighted automaton is read only for a nonempty prefix, so
-    it is built on the first one, and every acceptor read off the same tree
-    automaton steps the same weighted one."""
+    tree automaton, whose weights are all 1, from ``initial``, which maps
+    each first letter to rows of :attr:`TreeAutomaton.rows`: whether a
+    prefix extends to a trace that one of those rows accepts.  The
+    weighted automaton is built on the first nonempty prefix, and every
+    acceptor read off one tree automaton steps the same one."""
 
-    def __init__(self, initial: frozenset, automaton: TreeAutomaton):
+    def __init__(self, initial: dict, automaton: TreeAutomaton):
         self.initial = initial
         self.satisfiable = bool(initial)
         self.automaton = automaton
 
     def accepts(self, trace: Trace) -> bool:
-        # every surviving state is good, so reaching one means the prefix
+        # every surviving row is good, so reaching one means the prefix
         # extends to an accepted trace; the empty prefix needs only a model
         if not trace:
             return self.satisfiable
@@ -181,8 +181,9 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     negation, the conjunction of any sign pattern is a derived member, and
     without probability bounds goodness does not depend on the root, so
     the automaton of every sign pattern has these atoms, good states and
-    successors.  Pattern s starts from the good atoms whose truth values on
-    ``formulas`` spell s and where every ``required`` formula holds.
+    successors.  Pattern s starts from the rows of the good atoms whose
+    truth values on ``formulas`` spell s and where every ``required``
+    formula holds, each entered by the atom's valuation.
     """
     formulas = tuple(normalize(f) for f in formulas)
     required = tuple(normalize(f) for f in required)
@@ -193,11 +194,12 @@ def scenario_acceptors(formulas: tuple, required: tuple = ()) -> tuple:
     )
     # the last formula is the low bit of a scenario index
     index_of = transpose([_column(clo, f) for f in reversed(formulas)], n)
-    initial = [[] for _ in range(1 << len(formulas))]
-    for aid in aut.good_states().good:
-        if required_hold[aid]:
-            initial[index_of[aid]].append(aid)
-    return tuple(PrefixAcceptor(frozenset(states), aut) for states in initial)
+    initial = [{} for _ in range(1 << len(formulas))]
+    for r, members in enumerate(aut.rows):
+        for aid in members:
+            if required_hold[aid]:
+                initial[index_of[aid]].setdefault(aut.valuation(aid), []).append(r)
+    return tuple(PrefixAcceptor(start, aut) for start in initial)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,16 +276,16 @@ class ScenarioTable:
         live scenario's acceptor steps once, and the dead ones are
         dropped."""
         survivors = []
-        for i, states in state.entries:
+        for i, rows in state.entries:
             acceptor = self.acceptors[i]
             weighted = acceptor.automaton.weighted
-            states = (
+            rows = (
                 weighted.run(acceptor.initial, (valuation,))
-                if states is None
-                else weighted.advance(states, valuation)
+                if rows is None
+                else weighted.advance(rows, valuation)
             )
-            if states:
-                survivors.append((i, states))
+            if rows:
+                survivors.append((i, rows))
         successor = state.successors[valuation] = self.configuration(tuple(survivors))
         return successor
 
@@ -355,9 +357,9 @@ class MonitorState:
     """One state of a table's determinised monitor, made once per distinct
     live set.
 
-    ``entries`` pairs each live scenario index with the states its
-    acceptor reached (None before the first valuation); dead scenarios are
-    dropped and never tested again.  ``best_index`` is the most likely
+    ``entries`` pairs each live scenario index with the frozenset of rows
+    its acceptor reached (None before the first valuation); dead scenarios
+    are dropped and never tested again.  ``best_index`` is the most likely
     scenario among them, and ``successors`` keeps the state after each
     valuation stepped from this one, so the acceptors step only the first
     time a state meets a valuation.

@@ -2,54 +2,40 @@
 
 The good part of a tree automaton is flattened, by
 :func:`~pltlf.automaton.build_weighted`, into a max-times weighted
-automaton whose runs are traces: states are the good atoms and keep their
-valuation, an edge carries the largest mass any branch system lets the
-child subset absorb, and the behaviour (maximum run weight from a good
-initial atom to a final one) is the probability of the most likely trace.
-Its tight part, the edges on best runs, is the acceptor of exactly the
-traces attaining that probability.  A trace or a prefix is answered by one
-forward max-times pass along it over the compiled automaton, and products
-with ordinary finite automata answer probability queries for whole trace
-languages.  Without bounds every weight is 1, and the flat engine's
-acceptors step it too.
-Every query takes a formula or a compiled tree automaton, which keeps its
-weighted automaton.  :meth:`WeightedAutomaton.run` reads a trace from a
-set of states; the acceptor of most likely traces and the flat engine's
-acceptors all read traces through it.
+automaton in Mealy form, as in Mohri's "Weighted automata algorithms": its
+states are rows and its letters sit on the edges.  A row is a class of
+good atoms that agree on their edges and on being final and differ only
+in their valuation, the letter read on entering the row.  An edge carries
+the largest mass any branch system lets the child subset absorb, and the
+behaviour (maximum run weight from a row a first letter enters to a final
+one) is the probability of the most likely trace.  Its tight part, the
+edges on best runs, is the acceptor of exactly the traces attaining it.
+A trace or a prefix is answered by one forward max-times pass over the
+compiled automaton, and products with ordinary finite automata answer
+probability queries for whole trace languages.  Without bounds every
+weight is 1, and the flat engine's acceptors step it with
+:meth:`WeightedAutomaton.run`, as the mlt acceptor reads traces.
 
-Every child at one position of a source gets that position's weight, so
-edges are stored in groups: one weight per (source, position), pointing at
-an interned tuple of children that all sources with the same occupants
-share.  A child's probability arguments pin its position, so the groups of
-a source partition its children.  A state's value depends only on its row,
-whether it is final together with its groups, and many states share one.
+Every child at one position of a row gets that position's weight, so
+edges are stored in groups: one weight per (row, position), pointing at an
+interned child tuple, split by letter into the rows the letter enters.
 Every weight is a mass in (0, 1], so a run never gains weight by growing:
-the behaviour settles the rows from the highest value down, as Dijkstra's
-algorithm settles distances, one bucket of rows per distinct value.
-Each settle and each trace or prefix query keeps its numbers in one
-:class:`Numbers` table, so equal values are one object, a product of a
-value and a weight is made once and values compare by ``is``.  A child
-tuple's best value is that of the first of its rows to settle.  A group
-is tight exactly when its weight times that best value is its row's
-value; the acceptor keeps each tight group, found once per row, over its
-child tuple cut once to the best children.  Most likely traces are
-listed by a depth-first search over the acceptor's subsets, pruned by
-each subset's distance to a final state.
-
-The forward pass reads a trace letter by letter and keeps the best run
-weight into each state carrying the last letter.  A prefix is worth the
-best forward weight times the behaviour value at its end.  Its letters
-are fixed and tightness is local, so its acceptor is a chain of one state
-per earlier letter, joined by edges of weight 1, in front of the mlt
-acceptor: the chain's last state enters each end state that attains the
-worth, through that state's forward weight.
+the behaviour settles the rows from the highest value down, by Knuth's
+generalisation of Dijkstra's algorithm, one bucket of rows per distinct
+value.  Each settle and each trace or prefix query keeps its numbers in
+one :class:`Numbers` table, so equal values are one object, a product of
+a value and a weight is made once and values compare by ``is``.  A group
+is tight exactly when its weight times the best value in its child tuple
+is its row's value; the acceptor keeps each tight group over its child
+tuple cut once to the best rows.  Most likely traces are listed by a
+depth-first search over the acceptor's sets of rows, pruned by each row's
+distance to a final one, which the acceptor keeps.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -63,69 +49,74 @@ from .syntax import Trace, all_valuations, vars_of
 
 
 class WeightedAutomaton:
-    """Max-times automaton over traces.
+    """Max-times automaton over traces, in Mealy form: its states are the
+    rows ``0 .. len(groups) - 1``, and letters sit on the edges.
 
-    A run starts in an initial state, follows weighted edges, and ends in
-    a final state; its weight is the product of the edge weights (1 for a
-    single-state run) and the trace it spells is the sequence of state
-    valuations.  Absent edges have weight zero.
+    ``initial`` maps each first letter to the rows it enters.  Reading
+    ``letter``, row ``r`` enters every row of ``children[k][letter]`` with
+    the positive weight of the group ``(weight, k)`` in ``groups[r]``; a
+    child tuple is shared between rows, and no row is entered by one letter
+    from two groups of one row.  A run ends in a row of ``finals``, weighs
+    the product of its edge weights and spells the letters it reads.  The
+    dense view names each (row, letter) pair that the initial map or a
+    child tuple holds as one state, ``name(row, letter)``."""
 
-    Edges are grouped: ``groups[q]`` is a tuple of ``(weight, k)`` pairs,
-    and ``q`` reaches every state of ``children[k]`` with that positive
-    weight.  Child tuples are nonempty and shared between sources, and no
-    state lies in two groups of one source.
-    """
-
-    def __init__(self, states, initial, finals, groups, children, valuations):
-        self.states = tuple(states)
-        self.initial = frozenset(initial)
+    def __init__(self, initial, finals, groups, children, name=lambda r, letter: (r, letter)):
+        self.initial = initial
         self.finals = frozenset(finals)
-        self.groups = {q: tuple(groups.get(q, ())) for q in self.states}
-        self.children = tuple(children)
-        self.valuations = dict(valuations)
+        self.groups = groups
+        self.children = children
+        self.name = name
         self._table: Optional[BehaviourTable] = None
         self._acceptor: Optional[MltAcceptor] = None
 
     @cached_property
+    def pairs(self) -> dict:
+        """The dense view's states, each mapped to its (row, letter)."""
+        held = chain(self.initial.items(), *(kids.items() for kids in self.children))
+        entered = dict.fromkeys((r, letter) for letter, rows in held for r in rows)
+        return {self.name(r, letter): (r, letter) for r, letter in entered}
+
+    @property
+    def states(self) -> tuple:
+        return tuple(self.pairs)
+
+    @cached_property
     def weights(self) -> Mapping:
-        """Read-only dense view, one entry per (source, child) edge; built
-        on first access, and no query reads it."""
+        """Read-only dense view, one entry per (state, child) edge, built
+        on first access; the benchmark's spans count it and the tests'
+        dense reference reads it."""
         return MappingProxyType({
-            (q, child): wt
-            for q in self.states
-            for wt, k in self.groups[q]
-            for child in self.children[k]
+            (q, self.name(c, letter)): wt
+            for q, (r, _) in self.pairs.items()
+            for wt, k in self.groups[r]
+            for letter, rows in self.children[k].items()
+            for c in rows
         })
 
     def weight(self, src, dst) -> Fraction:
-        for wt, k in self.groups.get(src, ()):
-            if dst in self.children[k]:
-                return wt
-        return ZERO
+        """The weight of an edge of the dense view, zero when it is absent."""
+        return self.weights.get((src, dst), ZERO)
 
-    def advance(self, states, valuation: frozenset) -> frozenset:
-        """The children of the states' groups that carry the valuation;
-        each child tuple is read once however many states share it."""
-        tuples = {k for q in states for _, k in self.groups[q]}
-        return frozenset(
-            c for k in tuples for c in self.children[k] if self.valuations[c] == valuation
-        )
+    def advance(self, rows, letter: frozenset) -> frozenset:
+        """The rows that ``letter`` enters from ``rows``; each child tuple
+        is read once however many rows share it."""
+        tuples = {k for r in rows for _, k in self.groups[r]}
+        return frozenset(chain.from_iterable(self.children[k].get(letter, ()) for k in tuples))
 
     def run(self, start, trace: Trace) -> frozenset:
-        """The states reached by reading a nonempty trace from the set
-        ``start``: the first valuation keeps the start states that carry
-        it, and each later one advances."""
+        """The rows reached by reading a nonempty trace, whose first letter
+        enters the rows ``start`` maps it to."""
         if not trace:
             raise ValueError("traces are nonempty")
-        states = frozenset(q for q in start if self.valuations[q] == trace[0])
-        for valuation in trace[1:]:
-            states = self.advance(states, valuation)
-        return states
+        rows = frozenset(start.get(trace[0], ()))
+        for letter in trace[1:]:
+            rows = self.advance(rows, letter)
+        return rows
 
     def behaviour_table(self) -> "BehaviourTable":
-        """The table of :func:`_settle`, made on first use.  The settle
-        order needs every group weight in (0, 1]; another raises
-        ValueError."""
+        """The table of :func:`_settle`, made on first use; its order needs
+        every group weight in (0, 1], and another raises ValueError."""
         if self._table is None:
             self._table = _settle(self)
         return self._table
@@ -158,19 +149,35 @@ class Numbers:
 
 @dataclass(frozen=True)
 class BehaviourTable:
-    """Largest run weight from each state and from an initial one.
+    """Largest run weight from each row and from a first letter.
 
-    ``rows`` holds a ``(groups, members)`` pair per row, the states that
-    agree on being final and on their groups, in the order of ``states``;
-    its groups carry the weights of ``numbers``, the settle's table, which
-    holds every value.  ``best[k]`` is the largest value in
-    ``children[k]``, and an open state's value is ``ZERO``."""
+    ``rows[r]`` is row ``r``'s value, ``ZERO`` when it reaches no final
+    row, and ``best[k]`` the largest value in ``children[k]``; each is an
+    object of ``numbers``, the settle's table.  ``values`` is the dense
+    view, each state's value, built on access."""
 
-    values: dict
-    value: Fraction
     rows: tuple
+    value: Fraction
     best: tuple
     numbers: Numbers
+    automaton: WeightedAutomaton = field(repr=False, compare=False)
+
+    @property
+    def values(self) -> dict:
+        return {q: self.rows[r] for q, (r, _) in self.automaton.pairs.items()}
+
+
+def _inverse(wa: WeightedAutomaton) -> tuple:
+    """Per child tuple, the ``(weight, row)`` of each group over it, and
+    per row, the child tuples that hold it under some letter."""
+    parents, holding = [[] for _ in wa.children], [[] for _ in wa.groups]
+    for r, groups in enumerate(wa.groups):
+        for wt, k in groups:
+            parents[k].append((wt, r))
+    for k, kids in enumerate(wa.children):
+        for r in set(chain.from_iterable(kids.values())):
+            holding[r].append(k)
+    return parents, holding
 
 
 def _settle(wa: WeightedAutomaton) -> BehaviourTable:
@@ -180,44 +187,20 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
     # each child tuple's best value is the first of its rows to settle.
     # Each number is the object of one table, and each weight object is
     # range-checked once.
-    numbers, checked = Numbers(), {}  # id of a weight object -> its table's object
-    rows, row_of, finals = [], {}, []
-    parents = [[] for _ in wa.children]  # child tuple -> (weight, source row)
-    shared = {}  # (final, id of a groups tuple) -> its row
-    keyed = {}  # final, then each group's weight id and child tuple -> row
-    for q in wa.states:
-        groups, final = wa.groups[q], q in wa.finals
-        r = shared.get((final, id(groups)))
-        if r is None:
-            for wt, _ in groups:
-                if id(wt) not in checked:
-                    if not 0 < wt <= 1:
-                        raise ValueError(f"group weight {wt} of state {q!r} is outside (0, 1]")
-                    checked[id(wt)] = numbers.one(wt)
-            canonical = groups  # kept as it is when its weights are canonical
-            if any(checked[id(wt)] is not wt for wt, _ in groups):
-                canonical = tuple((checked[id(wt)], k) for wt, k in groups)
-            key = (final, *chain.from_iterable((id(wt), k) for wt, k in canonical))
-            r = keyed.get(key)
-            if r is None:
-                r = keyed[key] = len(rows)
-                rows.append((canonical, []))
-                if final:
-                    finals.append(r)
-                for wt, k in canonical:
-                    parents[k].append((wt, r))
-            shared[final, id(groups)] = r
-        rows[r][1].append(q)
-        row_of[q] = r
-    tuples_of = [[] for _ in rows]  # row -> child tuples holding one of its states
-    for k, kids in enumerate(wa.children):
-        for r in {row_of[c] for c in kids}:
-            tuples_of[r].append(k)
+    numbers, checked = Numbers(), set()  # ids of the weight objects checked
+    for r, groups in enumerate(wa.groups):
+        for wt, _ in groups:
+            if id(wt) not in checked:
+                if not 0 < wt <= 1:
+                    raise ValueError(f"group weight {wt} of row {r} is outside (0, 1]")
+                checked.add(id(wt))
+    parents, holding = _inverse(wa)
     # a settled value is positive, so ZERO marks a row or tuple still open
-    value = [ZERO] * len(rows)
+    value = [ZERO] * len(wa.groups)
     best = [ZERO] * len(wa.children)
     # one bucket of rows per open value, and a heap of those values,
     # negated; a row reached through a weight of one joins the bucket read
+    finals = sorted(wa.finals)
     buckets = {id(ONE): finals}
     heap = [-ONE] if finals else []
     while heap:
@@ -227,7 +210,7 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
             if value[r] is not ZERO:
                 continue
             value[r] = v
-            for k in tuples_of[r]:
+            for k in holding[r]:
                 if best[k] is ZERO:
                     best[k] = v
                     for wt, src in parents[k]:
@@ -241,9 +224,8 @@ def _settle(wa: WeightedAutomaton) -> BehaviourTable:
                             buckets[id(x)] = []
                             heappush(heap, -x)
                         buckets[id(x)].append(src)
-    values = {q: value[row_of[q]] for q in wa.states}
-    top = _largest(map(values.__getitem__, wa.initial))
-    return BehaviourTable(values, top, tuple(rows), tuple(best), numbers)
+    top = _largest(value[r] for rows in wa.initial.values() for r in rows)
+    return BehaviourTable(tuple(value), top, tuple(best), numbers, wa)
 
 
 def _largest(values) -> Fraction:
@@ -260,14 +242,20 @@ def behaviour(wa: WeightedAutomaton) -> Fraction:
 class MltAcceptor(WeightedAutomaton):
     """Acceptor of exactly the traces whose probability equals ``value``,
     the behaviour of the weighted automaton it is the tight part of: its
-    runs are the runs of that automaton that stay on a best run."""
+    runs are the runs of that automaton that stay on a best run.  It is
+    made from ``value`` and then a weighted automaton's arguments."""
 
-    def __init__(self, states, initial, finals, groups, children, valuations, value):
-        super().__init__(states, initial, finals, groups, children, valuations)
+    def __init__(self, value, *automaton):
+        super().__init__(*automaton)
         self.value = value
 
     def accepts(self, trace: Trace) -> bool:
         return bool(self.run(self.initial, trace) & self.finals)
+
+    @cached_property
+    def distances(self) -> tuple:
+        """Each row's :func:`_distances`, found on first use and kept."""
+        return _distances(self)
 
 
 def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
@@ -279,71 +267,65 @@ def mlt_acceptor(wa: WeightedAutomaton) -> MltAcceptor:
 
 
 def _tight_part(wa: WeightedAutomaton) -> MltAcceptor:
-    """Carve the acceptor of most likely traces out of ``wa``.
+    """Carve the acceptor of most likely traces out of ``wa``, whose row
+    numbers and names it keeps.
 
-    Initial states must realize the behaviour, and every edge must be
-    tight: taking it keeps the remaining run weight on track.  A tight edge
-    leads to a best child of a tight group, so each row keeps its tight
-    groups, found once per row, over their child tuples cut, once per
-    tuple, to the best children.  When the behaviour is zero nothing is
-    accepted and the acceptor is empty.
+    Runs must start in a row that realizes the behaviour, and every edge
+    must be tight: taking it keeps the remaining run weight on track.  A
+    tight edge enters a best row of a tight group, so each row keeps its
+    tight groups over their child tuples cut, once per tuple, to the best
+    rows.  When the behaviour is zero the acceptor is empty.
     """
     table = wa.behaviour_table()
     if table.value is ZERO:
-        return MltAcceptor((), (), (), {}, (), {}, ZERO)
-    w, best, times = table.values, table.best, table.numbers.times
-    states = tuple(q for q in wa.states if w[q] is not ZERO)
-    initial = frozenset(q for q in wa.initial if w[q] is table.value)
-    # finals are worth at least 1, and a best child of a tight group from a
-    # kept source is worth w[src] / wt > 0, so both are kept
-    cut = {}
-    groups = {}
-    for row_groups, members in table.rows:
-        value = w[members[0]]
-        if value is not ZERO:
-            tight = tuple(
-                (wt, cut.setdefault(k, len(cut))) for wt, k in row_groups
-                if best[k] is not ZERO and times(best[k], wt) is value
-            )
-            groups.update(dict.fromkeys(members, tight))
-    children = tuple(
-        tuple(c for c in wa.children[k] if w[c] is best[k]) for k in cut
+        return MltAcceptor(ZERO, {}, (), (), ())
+    values, best, times = table.rows, table.best, table.numbers.times
+    cut = {}  # child tuple of wa -> its number in the acceptor
+    groups = tuple(
+        tuple(
+            (wt, cut.setdefault(k, len(cut))) for wt, k in row_groups
+            if best[k] is not ZERO and times(best[k], wt) is value
+        ) if (value := values[r]) is not ZERO else ()
+        for r, row_groups in enumerate(wa.groups)
     )
-    valuations = {q: wa.valuations[q] for q in states}
-    return MltAcceptor(states, initial, wa.finals, groups, children, valuations, table.value)
+    children = tuple(_worth(wa.children[k], values, best[k]) for k in cut)
+    initial = _worth(wa.initial, values, table.value)
+    return MltAcceptor(table.value, initial, wa.finals, groups, children, wa.name)
+
+
+def _worth(kids: dict, values, v: Fraction) -> dict:
+    """The rows of ``kids`` whose value is ``v``, by the letters entering some."""
+    return {
+        letter: kept for letter, rows in kids.items()
+        if (kept := tuple(r for r in rows if values[r] is v))
+    }
 
 
 def _trace_key(trace: Trace) -> tuple:
     return tuple(tuple(sorted(v)) for v in trace)
 
 
-def _distances(acc: WeightedAutomaton) -> dict:
-    """Fewest edges from each state to a final one, infinite when it
-    reaches none, by a backward breadth-first search that reaches each
-    child tuple once, through its first child to be reached."""
-    sources = [[] for _ in acc.children]  # child tuple -> states with a group over it
-    for q in acc.states:
-        for _, k in acc.groups[q]:
-            sources[k].append(q)
-    holding = {}  # state -> child tuples holding it
-    for k, kids in enumerate(acc.children):
-        for c in kids:
-            holding.setdefault(c, []).append(k)
-    dist = dict.fromkeys(acc.states, inf)
-    frontier, reached = list(acc.finals & dist.keys()), set()
-    dist.update(dict.fromkeys(frontier, 0))
+def _distances(acc: WeightedAutomaton) -> tuple:
+    """Fewest edges from each row to a final one, infinite when it reaches
+    none, by a backward breadth-first search that reaches each child tuple
+    once, through its first row to be reached."""
+    (parents, holding), reached = _inverse(acc), set()
+    dist = [inf] * len(acc.groups)
+    frontier = sorted(acc.finals)
+    for r in frontier:
+        dist[r] = 0
     while frontier:
         grown = []
         for c in frontier:
-            for k in holding.get(c, ()):
+            for k in holding[c]:
                 if k not in reached:
                     reached.add(k)
-                    for q in sources[k]:
-                        if dist[q] == inf:
-                            dist[q] = dist[c] + 1
-                            grown.append(q)
+                    for _, r in parents[k]:
+                        if dist[r] == inf:
+                            dist[r] = dist[c] + 1
+                            grown.append(r)
         frontier = grown
-    return dist
+    return tuple(dist)
 
 
 def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
@@ -352,34 +334,35 @@ def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
     bounds are required.
 
     For each length in turn, a depth-first search walks the determinised
-    acceptor: a node is the set of states a prefix reaches, its successors
+    acceptor: a node is the set of rows a prefix reaches, its successors
     are listed once per set in ``_trace_key`` order, and a set whose
-    nearest final state lies more letters away than remain is pruned (the
-    min-length pruning of Ackerman and Shallit).  So the traces of one
-    length come out in order, and the search stops at ``max_count``.
+    nearest final row lies more letters away than remain is pruned (the
+    min-length pruning of Ackerman and Shallit), by the distances the
+    acceptor keeps.  So the traces of one length come out in order, and
+    the search stops at ``max_count``.
     """
     if max_count < 1 or max_len < 1:
         raise ValueError("max_count and max_len must be at least 1")
-    dist = _distances(acc)
+    dist = acc.distances
 
-    def split(states) -> list:
-        """(sort key, valuation, states carrying it, their nearest final's
-        distance) per valuation, in ``_trace_key`` order."""
-        by_letter = {}
-        for q in states:
-            by_letter.setdefault(acc.valuations[q], set()).add(q)
+    def split(entered: dict) -> list:
+        """(sort key, letter, the rows it enters, their nearest final's
+        distance) per letter, in ``_trace_key`` order."""
         return sorted(
-            (_trace_key((valuation,)), valuation, frozenset(held), min(map(dist.__getitem__, held)))
-            for valuation, held in by_letter.items()
+            (_trace_key((letter,)), letter, frozenset(rows), min(map(dist.__getitem__, rows)))
+            for letter, rows in entered.items()
         )
 
     successors = {}
 
-    def after(subset: frozenset) -> list:
-        if subset not in successors:
-            tuples = {k for q in subset for _, k in acc.groups[q]}
-            successors[subset] = split(c for k in tuples for c in acc.children[k])
-        return successors[subset]
+    def after(rows: frozenset) -> list:
+        if rows not in successors:
+            entered = {}
+            for k in {k for r in rows for _, k in acc.groups[r]}:
+                for letter, kids in acc.children[k].items():
+                    entered.setdefault(letter, set()).update(kids)
+            successors[rows] = split(entered)
+        return successors[rows]
 
     first = split(acc.initial)
     results = []
@@ -392,17 +375,17 @@ def enumerate_mlts(acc: MltAcceptor, max_count: int, max_len: int) -> list:
                 if trace:
                     trace.pop()
                 continue
-            _, valuation, subset, reach = step
+            _, letter, rows, reach = step
             left = length - len(trace) - 1  # letters still to read after this one
             if reach > left:
                 continue
             if left == 0:
-                results.append((*trace, valuation))
+                results.append((*trace, letter))
                 if len(results) == max_count:
                     return results
                 continue
-            trace.append(valuation)
-            stack.append(iter(after(subset)))
+            trace.append(letter)
+            stack.append(iter(after(rows)))
     return results
 
 
@@ -466,60 +449,49 @@ class TraceNFA:
 
 
 def product(nfa: TraceNFA, wa: WeightedAutomaton) -> WeightedAutomaton:
-    """Pair the weighted automaton with an NFA reading its valuations.
+    """Pair the weighted automaton with an NFA reading its letters.
 
-    A product state is a weighted state together with an NFA state
-    reached after reading that state's valuation, so runs of the product
-    are exactly the weighted runs whose traces the NFA accepts.  A group
-    of ``b`` read from NFA state ``s`` keeps its weight, so every weight
-    still lies in (0, 1]; its children depend only on the child tuple and
-    ``s``, so they are built, and queued for the search, once per such
-    pair, and the states whose ``b`` shares a groups tuple read from the
-    same ``s`` share one groups tuple too.
+    A product row, numbered when first entered, is a row of ``wa`` with an
+    NFA state reached by reading the letter that entered it, so runs of
+    the product are exactly the weighted runs whose traces the NFA
+    accepts.  A group of row ``r`` read from NFA state ``s`` keeps its
+    weight, and its child tuple is built once per child tuple and ``s``.
+    A state of the dense view is named by its state of ``wa`` and ``s``.
     """
-    seeds = []
-    for b in sorted(wa.initial, key=str):
-        for s in sorted(nfa.step(nfa.initial, wa.valuations[b]), key=str):
-            seeds.append((b, s))
-    states = []
-    seen = set()
-    queue = deque(seeds)
-    groups = {}
-    rows = {}  # (groups tuple of b, s) -> the groups of every such state
-    children = []
-    interned = {}
-    while queue:
-        state = queue.popleft()
-        if state in seen:
-            continue
-        seen.add(state)
-        states.append(state)
-        b, s = state
-        row = (id(wa.groups[b]), s)
-        if row in rows:
-            groups[state] = rows[row]
-            continue
+    pairs, index = [], {}  # product row -> (row of wa, NFA state), and back
+
+    def enter(kids: dict, sources) -> dict:
+        """The product rows each letter of ``kids`` enters from the NFA
+        states ``sources``."""
+        entered = {}
+        for letter, rows in kids.items():
+            targets = sorted(nfa.step(sources, letter), key=str)
+            for pair in ((r, s) for r in rows for s in targets):
+                if pair not in index:
+                    index[pair] = len(pairs)
+                    pairs.append(pair)
+                entered.setdefault(letter, []).append(index[pair])
+        return {letter: tuple(rows) for letter, rows in entered.items()}
+
+    initial = enter(wa.initial, nfa.initial)
+    groups, children, interned = [], [], {}
+    while len(groups) < len(pairs):
+        r, s = pairs[len(groups)]
         out = []
-        for wt, k in wa.groups[b]:
-            key = (k, s)
-            if key not in interned:
-                kids = tuple(
-                    (b2, s2)
-                    for b2 in wa.children[k]
-                    for s2 in sorted(nfa.step((s,), wa.valuations[b2]), key=str)
-                )
-                interned[key] = len(children) if kids else None
+        for wt, k in wa.groups[r]:
+            if (k, s) not in interned:
+                kids = enter(wa.children[k], (s,))
+                interned[k, s] = len(children) if kids else None
                 if kids:
                     children.append(kids)
-                    queue.extend(kids)
-            if interned[key] is not None:
-                out.append((wt, interned[key]))
-        groups[state] = rows[row] = tuple(out)
-    finals = frozenset(
-        (b, s) for b, s in states if b in wa.finals and s in nfa.finals
+            if interned[k, s] is not None:
+                out.append((wt, interned[k, s]))
+        groups.append(tuple(out))
+    finals = (i for i, (r, s) in enumerate(pairs) if r in wa.finals and s in nfa.finals)
+    return WeightedAutomaton(
+        initial, finals, tuple(groups), tuple(children),
+        lambda i, letter: (wa.name(pairs[i][0], letter), pairs[i][1]),
     )
-    valuations = {(b, s): wa.valuations[b] for b, s in states}
-    return WeightedAutomaton(states, frozenset(seeds), finals, groups, children, valuations)
 
 
 def _check_vars(source, valuations) -> None:
@@ -544,19 +516,18 @@ def _keep_max(best: dict, key, x: Fraction) -> None:
 
 
 def _forward(wa: WeightedAutomaton, trace: Trace, numbers: Numbers) -> dict:
-    """The best run weight from an initial state to each state that
-    carries the trace's last valuation, each an object of ``numbers``."""
-    layer = {q: ONE for q in wa.initial if wa.valuations[q] == trace[0]}
-    for valuation in trace[1:]:
+    """The best run weight reading the trace into each row its last letter
+    enters, each an object of ``numbers``."""
+    layer = dict.fromkeys(wa.initial.get(trace[0], ()), ONE)
+    for letter in trace[1:]:
         into = {}  # child tuple -> best value * weight into it
-        for q, v in layer.items():
-            for wt, k in wa.groups[q]:
+        for r, v in layer.items():
+            for wt, k in wa.groups[r]:
                 _keep_max(into, k, numbers.times(v, wt))
         layer = {}
         for k, x in into.items():
-            for c in wa.children[k]:
-                if wa.valuations[c] == valuation:
-                    _keep_max(layer, c, x)
+            for c in wa.children[k].get(letter, ()):
+                _keep_max(layer, c, x)
     return layer
 
 
@@ -566,7 +537,7 @@ def trace_probability(source, trace: Trace) -> Fraction:
         raise ValueError("traces are nonempty")
     _check_vars(source, trace)
     wa = _compiled(source).weighted
-    return _largest(v for q, v in _forward(wa, trace, Numbers()).items() if q in wa.finals)
+    return _largest(v for r, v in _forward(wa, trace, Numbers()).items() if r in wa.finals)
 
 
 def language_probability(source, nfa: TraceNFA) -> tuple:
@@ -583,33 +554,43 @@ def prefix_extension_query(source, prefix: Trace) -> tuple:
         raise ValueError("the prefix must be nonempty")
     _check_vars(source, prefix)
     wa = _compiled(source).weighted
-    numbers, w = Numbers(), wa.behaviour_table().values
+    numbers, w = Numbers(), wa.behaviour_table().rows
     last = _forward(wa, prefix, numbers)
-    worth = {q: numbers.times(x, w[q]) for q, x in last.items()}
+    worth = {r: numbers.times(x, w[r]) for r, x in last.items()}
     value = _largest(worth.values())
     if value is ZERO:
-        return ZERO, MltAcceptor((), (), (), {}, (), {}, ZERO)
-    into = {}  # id of a forward weight -> (it, the end states it enters)
-    for q, x in last.items():
-        if worth[q] is value:
-            into.setdefault(id(x), (x, []))[1].append(q)
+        return ZERO, MltAcceptor(ZERO, {}, (), (), ())
+    into = {}  # id of a forward weight -> (it, the end rows it enters)
+    for r, x in last.items():
+        if worth[r] is value:
+            into.setdefault(id(x), (x, []))[1].append(r)
     return value, _prefix_acceptor(mlt_acceptor(wa), prefix, into.values(), value)
 
 
 def _prefix_acceptor(acc: MltAcceptor, prefix: Trace, into, value: Fraction) -> MltAcceptor:
-    """The mlt acceptor ``acc`` behind a chain for the prefix: a state
-    ``("prefix", i)`` for each earlier letter ``i``, joined to the next by
-    an edge of weight 1.  The last enters the end states, states of
-    ``acc``, through ``into``'s ``(forward weight, end states)`` pairs; a
-    one-letter prefix starts in its end states."""
-    links = [("prefix", i) for i in range(len(prefix) - 1)]
-    outs = [((ONE, (dst,)),) for dst in links[1:]] + [tuple((x, tuple(ends)) for x, ends in into)]
-    groups, children = {}, list(acc.children)
-    for src, out in zip(links, outs):
-        groups[src] = tuple((wt, len(children) + j) for j, (wt, _) in enumerate(out))
-        children.extend(kids for _, kids in out)
-    initial = links[:1] or [q for _, ends in into for q in ends]
-    valuations = acc.valuations | dict(zip(links, prefix))
-    return MltAcceptor(
-        acc.states + tuple(links), initial, acc.finals, acc.groups | groups, children, valuations, value
+    """The mlt acceptor ``acc`` behind a chain of one row per earlier
+    letter of the prefix, ``("prefix", i)``, each entering the next by the
+    next letter through an edge of weight 1; tightness is local, so every
+    run weighs ``value``.  The last enters the end rows by the last letter,
+    through ``into``'s ``(forward weight, end rows)`` pairs; a one-letter
+    prefix starts in its end rows.  The chain's distances extend the ones
+    ``acc`` keeps."""
+    n, links, last = len(acc.groups), len(prefix) - 1, prefix[-1]
+    ends = [(x, {last: tuple(rows)}) for x, rows in into]
+    if not links:
+        initial, outs = {last: tuple(chain.from_iterable(kids[last] for _, kids in ends))}, []
+    else:
+        initial = {prefix[0]: (n,)}
+        outs = [[(ONE, {prefix[i]: (n + i,)})] for i in range(1, links)] + [ends]
+    groups, children = [], []
+    for out in outs:
+        first = len(acc.children) + len(children)
+        groups.append(tuple((wt, first + j) for j, (wt, _) in enumerate(out)))
+        children += [kids for _, kids in out]
+    reach = 1 + min(acc.distances[r] for _, kids in ends for r in kids[last])
+    prefixed = MltAcceptor(
+        value, initial, acc.finals, acc.groups + tuple(groups), acc.children + tuple(children),
+        lambda r, letter: acc.name(r, letter) if r < n else ("prefix", r - n),
     )
+    prefixed.distances = acc.distances + tuple(reach + links - 1 - i for i in range(links))
+    return prefixed

@@ -15,7 +15,9 @@ compare the two paths on random formulas, and tests of the construction enumerat
 here, since the engine lists none.  ``witness_model`` descends distances
 by the engine's rule, with child tuples from the recursive search and
 each scenario's point from its own feasibility LP, and ``build_weighted``
-takes every edge weight from the atom's own branch program.
+takes every edge weight from the atom's own branch program and gives
+every atom's groups together with the dense form of
+``weighted_reference``.
 
 The engine also builds atoms and its per-atom masks bit-sliced, one int
 column per closure member over all free patterns.  ``atom_bits`` builds
@@ -28,6 +30,7 @@ that ``closure.enumerate_atoms`` lists, not off the engine's own rows.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
@@ -48,7 +51,8 @@ from pltlf.syntax import (
     normalize,
 )
 from pltlf.linsolve import solve_feasibility
-from pltlf.weighted import WeightedAutomaton
+
+import weighted_reference
 
 
 def free_members(clo) -> list:
@@ -327,14 +331,24 @@ def good_states(aut) -> GoodStates:
             distance[aid] = sweep
 
 
-def build_weighted(aut) -> WeightedAutomaton:
+@dataclass(frozen=True)
+class Grouped:
+    """The reference's weighted automaton: every good atom's groups over
+    child tuples of atoms, and its dense form."""
+
+    groups: dict
+    children: tuple
+    dense: weighted_reference.WeightedAutomaton
+
+
+def build_weighted(aut) -> Grouped:
     """Weighted automaton from one maximal family and one occupants call
     per good atom, child tuples interned in the order they first occur.
     Each atom's family builds its own branch program, which decides its
     feasibility and gives every mass by a phase 2."""
     good = good_states(aut).good
     states = tuple(sorted(good))
-    groups = {}
+    groups = dict.fromkeys(states, ())
     interned = {}
     for aid in states:
         family = tuple(sorted(kept(aut, aid, None, good)))
@@ -350,11 +364,13 @@ def build_weighted(aut) -> WeightedAutomaton:
             if mass > 0:
                 out.append((mass, interned.setdefault(fits, len(interned))))
         groups[aid] = tuple(out)
+    children = tuple(interned)
     initial = tuple(aid for aid in aut.initial if aid in good)
+    finals = tuple(aid for aid in aut.final_ids if aid in good)
     valuations = {aid: aut.atoms[aid].valuation() for aid in states}
-    return WeightedAutomaton(
-        states, initial, aut.final_ids, groups, tuple(interned), valuations
-    )
+    weights = {(q, c): wt for q in states for wt, k in groups[q] for c in children[k]}
+    dense = weighted_reference.WeightedAutomaton(states, initial, finals, weights, valuations)
+    return Grouped(groups, children, dense)
 
 
 def witness_model(aut) -> Optional[WitnessModel]:

@@ -14,6 +14,7 @@ import atom_reference
 import family_reference
 import simplex_reference
 import strategies as sts
+import weighted_reference
 from oracles import (
     bounded_satisfiable,
     bounds_in,
@@ -45,6 +46,7 @@ from pltlf.syntax import And, Comparison, Prob
 
 from conftest import LARGER_TEXTS, PSI_TEXT
 from test_linsolve import system_program
+from weighted_reference import dense_key, expand
 
 
 def everything(aut) -> frozenset:
@@ -726,8 +728,8 @@ class TestPerClassDecisions:
         gs = aut.good_states()
         assert gs == atom_reference.good_states(aut)
         wa, expected = build_weighted(aut), atom_reference.build_weighted(aut)
-        assert wa.groups == expected.groups
-        assert wa.children == expected.children
+        assert weighted_reference.grouped(wa) == (expected.groups, expected.children)
+        assert dense_key(expand(wa)) == dense_key(expected.dense)
         assert (gs.inside is None) == (not aut._pairs)
         for restrict in (everything(aut), gs.good):
             # the sweep's own index of the good atoms by bucket, or the
@@ -791,8 +793,8 @@ class TestSeveralBoundsPerAtom:
         assert gs.good == expected.good and gs.distance == expected.distance
         assert gs == expected
         wa, weighted = build_weighted(aut), atom_reference.build_weighted(reference)
-        assert wa.groups == weighted.groups
-        assert wa.children == weighted.children
+        assert weighted_reference.grouped(wa) == (weighted.groups, weighted.children)
+        assert dense_key(expand(wa)) == dense_key(weighted.dense)
         found, model = witness_model(aut), atom_reference.witness_model(reference)
         assert (found and found.to_dict()) == (model and model.to_dict())
         assert found is None or check_model(found, f)
@@ -1108,8 +1110,8 @@ class TestProfileCertificates:
         reference = TreeAutomaton(f)
         assert aut.good_states() == atom_reference.good_states(reference)
         wa, expected = build_weighted(aut), atom_reference.build_weighted(reference)
-        assert wa.groups == expected.groups
-        assert wa.children == expected.children
+        assert weighted_reference.grouped(wa) == (expected.groups, expected.children)
+        assert dense_key(expand(wa)) == dense_key(expected.dense)
         found, model = witness_model(aut), atom_reference.witness_model(reference)
         assert (found and found.to_dict()) == (model and model.to_dict())
 
@@ -1136,8 +1138,8 @@ class TestProbabilityFreeReachability:
         aut = TreeAutomaton(f)
         assert aut.good_states() == atom_reference.good_states(aut)
         wa, expected = build_weighted(aut), atom_reference.build_weighted(aut)
-        assert wa.groups == expected.groups
-        assert wa.children == expected.children
+        assert weighted_reference.grouped(wa) == (expected.groups, expected.children)
+        assert dense_key(expand(wa)) == dense_key(expected.dense)
         found, reference = witness_model(aut), atom_reference.witness_model(aut)
         assert (found and found.to_dict()) == (reference and reference.to_dict())
 
@@ -1355,8 +1357,8 @@ class TestClassCounts:
         counting_calls(monkeypatch, branches, ["feasible", "maximum"], calls)
         wa = build_weighted(aut)
         assert calls == []
-        assert wa.groups == expected.groups
-        assert wa.children == expected.children
+        assert weighted_reference.grouped(wa) == (expected.groups, expected.children)
+        assert dense_key(expand(wa)) == dense_key(expected.dense)
 
     @pytest.mark.parametrize("text", [THREE_BOUNDS, LARGER_TEXTS[1]])
     def test_witness_builds_one_kept_table_per_expanded_node(self, text, monkeypatch):

@@ -625,10 +625,11 @@ def test_compile_ladder_smallest_rung():
     assert list(result) == ["X^10 a", "flat n=9"]
     rung = result["X^10 a"]
     assert list(rung) == [
-        "atoms", "programs", "phase2s", "construct", "good", "weighted", "behaviour",
+        "atoms", "rows", "programs", "phase2s", "construct", "good", "weighted", "behaviour",
         "mlt_acceptor", "enumerate_mlts", "trace", "prefix", "peak_mib",
     ]
-    assert (rung["atoms"], rung["programs"], rung["phase2s"]) == (2048, 0, 0)
+    # one row per next mask, each entered by a and by the empty letter
+    assert (rung["atoms"], rung["rows"], rung["programs"], rung["phase2s"]) == (2048, 1024, 0, 0)
     assert all(rung[layer] >= 0 for layer in rung)
     rung = result["flat n=9"]
     assert list(rung) == [

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+import weighted_reference
 from conftest import DATA
 from oracles import fm_feasible, fm_supremum, render_rows
 from scenario_reference import ReferenceTable, initial_sets, successor_map
@@ -557,9 +558,10 @@ class TestSharedAutomaton:
         for acceptor in acceptors:
             wa = acceptor.automaton.weighted
             assert wa is acceptors[0].automaton.weighted
-            assert all(wt == 1 for q in wa.states for wt, _ in wa.groups[q])
+            groups, children = weighted_reference.grouped(wa)
+            assert all(wt == 1 for out in groups.values() for wt, _ in out)
             assert {
-                q: tuple(c for _, k in wa.groups[q] for c in wa.children[k]) for q in wa.states
+                q: tuple(c for _, k in out for c in children[k]) for q, out in groups.items()
             } == expected
 
     @example(
@@ -573,7 +575,13 @@ class TestSharedAutomaton:
         # or its conjuncts' when the shared conjunction flattened it away
         formulas = tuple(c.formula for c in phi.constraints)
         acceptors = fragment.scenario_acceptors(formulas, tuple(required))
-        assert [a.initial for a in acceptors] == initial_sets(formulas, tuple(required))
+        # each acceptor's first letters enter rows, read as atoms through
+        # the weighted automaton's names
+        name = acceptors[0].automaton.weighted.name
+        assert [
+            frozenset(name(r, letter) for letter, rows in a.initial.items() for r in rows)
+            for a in acceptors
+        ] == initial_sets(formulas, tuple(required))
 
     @settings(max_examples=40)
     @example(

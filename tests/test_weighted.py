@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings
 import family_reference
 import strategies as sts
 import weighted_reference
+from weighted_reference import entered, expand
 from oracles import fm_supremum, formula_family, relaxed
 from pltlf import (
     TraceNFA,
     TreeAutomaton,
     behaviour,
+    build_lphi,
     build_weighted,
     check_model,
     enumerate_mlts,
@@ -25,10 +27,13 @@ from pltlf import (
     language_probability,
     maximize,
     mlt_acceptor,
+    monitor_step,
     parse_formula,
+    parse_pltlf0,
     parse_trace,
     prefix_extension_query,
     product,
+    start_monitor,
     trace_probability,
     vars_of,
     witness_model,
@@ -37,6 +42,7 @@ from pltlf import automaton, weighted
 from pltlf.syntax import all_valuations
 
 from family_reference import scenario_max
+from conftest import DATA, PHI0_TEXT, PHI1_TEXT, PSI_TEXT
 from test_automaton import PSI_ATOMS, atom_id
 
 THREE_BOUNDS = "P<=0.5[a] & P>=0.6[X b] & P>0.2[F c]"
@@ -50,6 +56,7 @@ QUERY_FORMULAS = (
 )
 
 ALL_VALS = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+EMPTY = frozenset()
 
 
 def universal(variables) -> TraceNFA:
@@ -182,7 +189,7 @@ class TestMaximalFamilyWeights:
         initial = [a for a in aut.initial if a in gs.good]
         finals = [a for a in aut.final_ids if a in gs.good]
         valuations = {a: aut.atoms[a].valuation() for a in gs.good}
-        assert wa.valuations == valuations
+        assert expand(wa).valuations == valuations
         reference = weighted_reference.WeightedAutomaton(
             gs.good, initial, finals, expected, valuations
         )
@@ -190,10 +197,12 @@ class TestMaximalFamilyWeights:
 
 
 def assert_groups_partition_children(wa):
-    for q in wa.states:
-        reached = [c for _, k in wa.groups[q] for c in wa.children[k]]
-        assert len(reached) == len(set(reached)), q
-        assert all(0 < wt <= 1 for wt, _ in wa.groups[q])
+    for r, groups in enumerate(wa.groups):
+        reached = [
+            (c, letter) for _, k in groups for letter, rows in wa.children[k].items() for c in rows
+        ]
+        assert len(reached) == len(set(reached)), r
+        assert all(0 < wt <= 1 for wt, _ in groups)
 
 
 def reference_walks(ref, rng, count):
@@ -215,6 +224,19 @@ def reference_walks(ref, rng, count):
 LISTING_PAIRS = ((1, 1), (4, 6), (5, 8), (20, 10), (100, 6), (3, 20))
 
 
+def assert_tight_part(acc, ref, dense):
+    """The mlt acceptor's dense form is the reference acceptor's, cut to
+    the states a run can be in, with the weights of the dense automaton."""
+    got, held = expand(acc), entered(ref)
+    assert set(got.states) == set(held.states)
+    assert got.initial == held.initial
+    assert got.finals == held.finals
+    assert frozenset(got.weights) == held.edges
+    assert all(wt == dense.weight(src, dst) for (src, dst), wt in got.weights.items())
+    assert acc.value == ref.value
+    assert got.valuations == held.valuations
+
+
 def assert_same_answers(wa, dense):
     """Behaviour table, mlt acceptor, listed traces and accepted traces
     agree with the dense reference; product searches may list states in
@@ -224,13 +246,7 @@ def assert_same_answers(wa, dense):
     assert expected.sweeps <= len(dense.states)
     assert table.value == expected.value
     acc, ref = mlt_acceptor(wa), weighted_reference.mlt_acceptor(dense)
-    assert set(acc.states) == set(ref.states)
-    assert acc.initial == ref.initial
-    assert acc.finals == ref.finals
-    assert frozenset(acc.weights) == ref.edges
-    assert all(wt == dense.weight(src, dst) for (src, dst), wt in acc.weights.items())
-    assert acc.value == ref.value
-    assert acc.valuations == ref.valuations
+    assert_tight_part(acc, ref, dense)
     for count, max_len in LISTING_PAIRS:
         listed = enumerate_mlts(acc, count, max_len)
         assert listed == weighted_reference.enumerate_mlts(ref, count, max_len)
@@ -246,17 +262,10 @@ def assert_same_answers(wa, dense):
         assert acc.accepts(trace) == ref.accepts(trace), trace
 
 
-def dense_copy(wa):
-    """The dense reference automaton with the same edges as ``wa``."""
-    return weighted_reference.WeightedAutomaton(
-        wa.states, wa.initial, wa.finals, wa.weights, wa.valuations
-    )
-
-
 def check_against_dense(f, traces):
     wa = build_weighted(f)
     assert_groups_partition_children(wa)
-    dense = dense_copy(wa)
+    dense = expand(wa)
     assert_same_answers(wa, dense)
     names = sorted(vars_of(f))
     nfas = [universal(names)]
@@ -266,10 +275,11 @@ def check_against_dense(f, traces):
         prod = product(nfa, wa)
         reference = weighted_reference.product(nfa, dense)
         assert_groups_partition_children(prod)
-        assert set(prod.states) == set(reference.states)
-        assert prod.initial == reference.initial
-        assert prod.finals == reference.finals
-        assert prod.weights == reference.weights
+        got = expand(prod)
+        assert set(got.states) == set(reference.states)
+        assert got.initial == reference.initial
+        assert got.finals == reference.finals
+        assert got.weights == reference.weights
         assert_same_answers(prod, reference)
 
 
@@ -278,7 +288,9 @@ class TestGroupedEdges:
 
     def test_three_bound_groups(self):
         wa = build_weighted(parse_formula(THREE_BOUNDS))
-        assert sum(len(groups) for groups in wa.groups.values()) == 1280
+        # 24 rows of 8 states each: 192 states, which hold 1280 groups
+        assert (len(wa.groups), len(wa.states)) == (24, 192)
+        assert sum(len(wa.groups[r]) for r, _ in wa.pairs.values()) == 1280
         assert len(wa.children) == 16
         assert len(wa.weights) == 24576
         assert_groups_partition_children(wa)
@@ -316,21 +328,18 @@ class TestTightPart:
         w = wa.behaviour_table().values
         assert behaviour(acc) == behaviour(wa)
         assert acc.behaviour_table().values == {q: w[q] for q in acc.states}
-        for q in acc.states:
-            for wt, k in acc.groups[q]:
-                assert wt == wa.weight(q, acc.children[k][0])
-                assert all(wt * w[c] == w[q] for c in acc.children[k])
+        dense = expand(acc)
+        for (q, c), wt in dense.weights.items():
+            assert wt == wa.weight(q, c)
+            assert wt * w[c] == w[q]
         # every state reaches a final one along the acceptor's edges
-        reaching = set(acc.finals)
+        reaching = set(dense.finals)
         grown = True
         while grown:
             before = len(reaching)
-            reaching.update(
-                q for q in acc.states
-                if any(c in reaching for _, k in acc.groups[q] for c in acc.children[k])
-            )
+            reaching.update(q for q in dense.states if any(c in reaching for c in dense.succ[q]))
             grown = len(reaching) > before
-        assert reaching == set(acc.states)
+        assert reaching == set(dense.states)
 
 
 class TestBehaviour:
@@ -369,26 +378,27 @@ class TestRowSettle:
     @pytest.mark.parametrize("wt", [Fraction(0), Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
     def test_weights_outside_the_unit_interval_are_rejected(self, wt):
         wa = weighted.WeightedAutomaton(
-            (0, 1, 2), (0,), (2,), {0: ((Fraction(1, 2), 0),), 1: ((wt, 1),)},
-            ((1,), (2,)), dict.fromkeys((0, 1, 2), frozenset()),
+            {EMPTY: (0,)}, (2,), (((Fraction(1, 2), 0),), ((wt, 1),), ()),
+            ({EMPTY: (1,)}, {EMPTY: (2,)}),
         )
         with pytest.raises(ValueError, match="outside"):
             wa.behaviour_table()
 
     def test_hand_built_rows_settle_in_decreasing_value(self):
-        # states 0 and 1 share a row; the best child of the tuple (2, 3) is
-        # 3, worth 1/2 through the final 4, although 2's own edge weighs 1
+        # rows 0 and 1 have equal groups; the best row of the tuple (2, 3)
+        # is 3, worth 1/2 through the final 4, although 2's own edge
+        # weighs 1
         half, one = Fraction(1, 2), Fraction(1)
-        groups = {0: ((one, 0),), 1: ((one, 0),), 2: ((one, 1),), 3: ((half, 2),), 5: ((one, 1),)}
+        groups = (((one, 0),), ((one, 0),), ((one, 1),), ((half, 2),), (), ((one, 1),))
         wa = weighted.WeightedAutomaton(
-            range(6), (0, 5), (4,), groups, ((2, 3), (5,), (4,)),
-            dict.fromkeys(range(6), frozenset()),
+            {EMPTY: (0, 5)}, (4,), groups, ({EMPTY: (2, 3)}, {EMPTY: (5,)}, {EMPTY: (4,)}),
         )
         table = wa.behaviour_table()
-        assert table.values == dict.fromkeys(range(6), 0) | {0: half, 1: half, 3: half, 4: one}
+        assert table.rows == (half, half, 0, half, one, 0)
+        assert table.values == {(r, EMPTY): table.rows[r] for r in (0, 5, 2, 3, 4)}
         assert table.value == half
-        assert (((one, 0),), [0, 1]) in table.rows
-        assert table.values == weighted_reference._fixpoint(dense_copy(wa)).values
+        assert table.rows[0] is table.rows[1]
+        assert table.values == weighted_reference._fixpoint(expand(wa)).values
 
 
     def test_equal_weights_built_apart_settle_as_one_value(self):
@@ -398,35 +408,30 @@ class TestRowSettle:
         # every group is tight and both tuples keep both children
         h1, h2, quarter, one = Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1)
         assert h1 is not h2
-        groups = {
-            0: ((h1, 0),), 1: ((h2, 1),), 2: ((h1, 2),), 3: ((h2, 2),), 5: ((quarter, 2),),
-            6: ((one, 3),),
-        }
-        wa = weighted.WeightedAutomaton(
-            range(7), (0, 6), (4,), groups, ((1,), (2, 3), (4,), (1, 5)),
-            dict.fromkeys(range(7), frozenset()),
+        groups = (
+            ((h1, 0),), ((h2, 1),), ((h1, 2),), ((h2, 2),), (), ((quarter, 2),), ((one, 3),),
         )
+        children = ({EMPTY: (1,)}, {EMPTY: (2, 3)}, {EMPTY: (4,)}, {EMPTY: (1, 5)})
+        wa = weighted.WeightedAutomaton({EMPTY: (0, 6)}, (4,), groups, children)
         table = wa.behaviour_table()
-        assert table.values == weighted_reference._fixpoint(dense_copy(wa)).values
-        assert table.values == {
-            0: Fraction(1, 8), 1: quarter, 2: h1, 3: h1, 4: one, 5: quarter, 6: quarter,
-        }
-        assert table.values[2] is table.values[3]
-        assert table.values[1] is table.values[5]
+        assert table.values == weighted_reference._fixpoint(expand(wa)).values
+        assert table.rows == (Fraction(1, 8), quarter, h1, h1, one, quarter, quarter)
+        assert table.values == {(r, EMPTY): v for r, v in enumerate(table.rows)}
+        assert table.rows[2] is table.rows[3]
+        assert table.rows[1] is table.rows[5]
         assert table.best == (quarter, h1, one, quarter)
         acc = mlt_acceptor(wa)
-        assert acc.initial == {6}
-        assert acc.groups == groups | {4: ()}
-        assert acc.children == ((1,), (2, 3), (4,), (1, 5))
+        assert acc.initial == {EMPTY: (6,)}
+        assert acc.groups == groups
+        assert acc.children == children
         assert enumerate_mlts(acc, 3, 6) == [(frozenset(),) * 3, (frozenset(),) * 4]
 
     def test_out_of_range_weight_shared_by_two_rows_is_rejected(self):
         bad = Fraction(3, 2)
         wa = weighted.WeightedAutomaton(
-            (0, 1, 2), (0,), (2,), {0: ((bad, 0),), 1: ((bad, 1),)},
-            ((1,), (2,)), dict.fromkeys((0, 1, 2), frozenset()),
+            {EMPTY: (0,)}, (2,), (((bad, 0),), ((bad, 1),), ()), ({EMPTY: (1,)}, {EMPTY: (2,)}),
         )
-        with pytest.raises(ValueError, match=r"^group weight 3/2 of state 0 is outside \(0, 1\]$"):
+        with pytest.raises(ValueError, match=r"^group weight 3/2 of row 0 is outside \(0, 1\]$"):
             wa.behaviour_table()
         with pytest.raises(ValueError, match="outside"):
             mlt_acceptor(wa)
@@ -446,12 +451,12 @@ class TestDistinctValues:
     @given(sts.several_bounds(2, 3, max_atoms=512), sts.traces(max_size=3))
     def test_settle_and_carve_match_the_dense_reference(self, f, trace):
         wa = build_weighted(f)
-        self.check(wa, dense_copy(wa))
+        self.check(wa, expand(wa))
         # most compiled values are 1; a product with a trace or a prefix
         # forces runs through lighter edges, so its values are products
         # of several weights
         for nfa in (TraceNFA.from_trace(trace), TraceNFA.extends_prefix(trace, sorted(vars_of(f)))):
-            self.check(product(nfa, wa), weighted_reference.product(nfa, dense_copy(wa)))
+            self.check(product(nfa, wa), weighted_reference.product(nfa, expand(wa)))
 
     @staticmethod
     def check(wa, dense):
@@ -459,14 +464,12 @@ class TestDistinctValues:
         assert table.values == expected.values
         assert table.value == expected.value
         assert table.best == tuple(
-            max(expected.values[c] for c in kids) for kids in wa.children
+            max(expected.values[wa.name(c, letter)] for letter, rows in kids.items() for c in rows)
+            for kids in wa.children
         )
         assert identical_when_equal([v for v in table.values.values() if v])
         acc, ref = mlt_acceptor(wa), weighted_reference.mlt_acceptor(dense)
-        assert set(acc.states) == set(ref.states)
-        assert (acc.initial, acc.finals, acc.value) == (ref.initial, ref.finals, ref.value)
-        assert frozenset(acc.weights) == ref.edges
-        assert acc.valuations == ref.valuations
+        assert_tight_part(acc, ref, dense)
         for count, max_len in LISTING_PAIRS:
             listed = enumerate_mlts(acc, count, max_len)
             assert listed == weighted_reference.enumerate_mlts(ref, count, max_len)
@@ -495,7 +498,7 @@ class TestDistinctValues:
         counts = self.fraction_calls(monkeypatch, self.settle_and_carve(wa))
         table = wa.behaviour_table()
         values = {v for v in table.values.values() if v}
-        weights = [wt for groups in wa.groups.values() for wt, _ in groups]
+        weights = [wt for groups in wa.groups for wt, _ in groups]
         assert (len(values), len(set(weights))) == (1, 6)
         assert counts["__mul__"] <= len(values) * len(set(weights))
         assert counts["__eq__"] <= len(values) * len(set(weights))
@@ -532,7 +535,7 @@ class TestDistinctValues:
         aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
         wa = aut.weighted
         mlt_acceptor(wa)
-        weights = {wt for groups in wa.groups.values() for wt, _ in groups}
+        weights = {wt for groups in wa.groups for wt, _ in groups}
         for text, run in (("a;b", prefix_extension_query), ("a;b;c", trace_probability)):
             trace = parse_trace(text)
             counts = self.fraction_calls(monkeypatch, lambda: run(aut, trace))
@@ -587,6 +590,7 @@ class TestPrunedListing:
 
 
 def naive_fixpoint(wa):
+    wa = expand(wa)
     values = {q: Fraction(1 if q in wa.finals else 0) for q in wa.states}
     sweeps = 0
     while True:
@@ -604,6 +608,7 @@ def naive_fixpoint(wa):
 
 
 def fixpoint_history(wa):
+    wa = expand(wa)
     values = {q: Fraction(1 if q in wa.finals else 0) for q in wa.states}
     while True:
         yield values
@@ -758,16 +763,16 @@ def forward_answers(aut, trace) -> tuple:
     """The same answers from the forward pass over the compiled automaton,
     whose prefix acceptor must be a tight part: every run from an initial
     state weighs the prefix's value.  Unless that is zero, the acceptor is
-    the mlt acceptor behind one state per earlier letter."""
+    the mlt acceptor behind one row per earlier letter."""
     value, acc = prefix_extension_query(aut, trace)
     assert acc.value == value
     if value:
-        assert len(acc.states) == len(mlt_acceptor(aut.weighted).states) + len(trace) - 1
-    w = acc.behaviour_table().values
-    assert all(w[q] == value for q in acc.initial)
-    for q in acc.states:
-        for wt, k in acc.groups[q]:
-            assert all(wt * w[c] == w[q] for c in acc.children[k])
+        assert len(acc.groups) == len(mlt_acceptor(aut.weighted).groups) + len(trace) - 1
+    w = acc.behaviour_table().rows
+    assert all(w[r] == value for rows in acc.initial.values() for r in rows)
+    for r, groups in enumerate(acc.groups):
+        for wt, k in groups:
+            assert all(wt * w[c] == w[r] for rows in acc.children[k].values() for c in rows)
     return trace_probability(aut, trace), value, enumerate_mlts(acc, 3, 6)
 
 
@@ -802,7 +807,10 @@ class TestForwardQueries:
         prefix = parse_trace("a")
         value, acc = prefix_extension_query(aut, prefix)
         assert value > 0
-        assert acc.initial <= set(mlt_acceptor(aut.weighted).states)
+        # no chain: the first letter enters rows of the mlt acceptor
+        rows = len(mlt_acceptor(aut.weighted).groups)
+        assert len(acc.groups) == rows
+        assert all(r < rows for entered in acc.initial.values() for r in entered)
         assert forward_answers(aut, prefix) == reference_answers(aut, prefix)
 
     def test_prefix_ending_in_a_final_state_lists_itself_first(self):
@@ -850,6 +858,74 @@ class TestForwardQueries:
         assert value > 0 and enumerate_mlts(extensions, 3, 6)
         assert mlt_acceptor(aut.weighted) is acc
         assert counts == {"_settle": 1, "_tight_part": 1}
+
+
+class TestRowForm:
+    """One state per row, with letters on the edges: every query reads
+    rows, and answers as the dense reference does on :func:`expand`'s
+    state form, one state per (row, letter) pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            sts.several_bounds(2, 3, max_atoms=512),
+            sts.formulas(max_leaves=4, prob_free=True),
+            st.sampled_from((PHI0_TEXT, PHI1_TEXT, PSI_TEXT, THREE_BOUNDS)).map(parse_formula),
+        ),
+        st.lists(sts.traces(max_size=5), min_size=1, max_size=3),
+    )
+    def test_queries_match_the_dense_reference(self, f, drawn):
+        aut = TreeAutomaton(f)
+        assume(len(aut) <= 1024)
+        wa, names = aut.weighted, vars_of(f)
+        dense = expand(wa)
+        table, expected = wa.behaviour_table(), dense.behaviour_table()
+        assert table.values == expected.values and table.value == expected.value
+        acc, ref = mlt_acceptor(wa), weighted_reference.mlt_acceptor(dense)
+        assert enumerate_mlts(acc, 5, 8) == weighted_reference.enumerate_mlts(ref, 5, 8)
+        for trace in [tuple(v & names for v in t) for t in drawn]:
+            assert acc.accepts(trace) == ref.accepts(trace)
+            single = weighted_reference.product(TraceNFA.from_trace(trace), dense)
+            assert trace_probability(aut, trace) == single.behaviour_table().value
+            value, extensions = prefix_extension_query(aut, trace)
+            prefixed = weighted_reference.product(TraceNFA.extends_prefix(trace, sorted(names)), dense)
+            assert value == prefixed.behaviour_table().value
+            reference = weighted_reference.mlt_acceptor(prefixed)
+            assert enumerate_mlts(extensions, 3, 6) == weighted_reference.enumerate_mlts(reference, 3, 6)
+            for other in [tuple(v & names for v in t) for t in drawn]:
+                longer = trace + other
+                assert extensions.accepts(longer) == reference.accepts(longer)
+
+    def test_distances_are_found_once_per_mlt_acceptor(self, monkeypatch):
+        found = []
+        distances = weighted._distances
+        monkeypatch.setattr(weighted, "_distances", lambda acc: found.append(acc) or distances(acc))
+        aut = TreeAutomaton(parse_formula("X X X a & F b"))
+        acc = mlt_acceptor(aut.weighted)
+        assert enumerate_mlts(acc, 3, 8)
+        for text in ("-", "-;b", "-;-;-;a", "b;-;-;a,b", "a"):
+            value, extensions = prefix_extension_query(aut, parse_trace(text))
+            assert value > 0 and enumerate_mlts(extensions, 3, 8)
+        assert enumerate_mlts(acc, 3, 8)
+        assert found == [acc]
+
+    def test_no_query_builds_the_state_view(self):
+        aut = TreeAutomaton(parse_formula(THREE_BOUNDS))
+        wa = aut.weighted
+        acc = mlt_acceptor(wa)
+        assert enumerate_mlts(acc, 4, 6)
+        value, extensions = prefix_extension_query(aut, parse_trace("a;b"))
+        assert value > 0 and enumerate_mlts(extensions, 3, 6)
+        assert trace_probability(aut, parse_trace("a;b;c")) >= 0
+        table = build_lphi(parse_pltlf0((DATA / "psi1.p0").read_text()))
+        state, rng = start_monitor(table), random.Random(5)
+        for _ in range(50):
+            state = monitor_step(state, rng.choice(ALL_VALS))
+        flat = table.acceptors[0].automaton._weighted  # built by the first step
+        assert flat is not None and len(state.entries) > 0
+        for automaton in (wa, acc, extensions, flat):
+            assert not {"pairs", "weights"} & automaton.__dict__.keys()
+        assert len(wa.behaviour_table().rows) == len(wa.groups) == len(aut.rows) == 24
 
 
 class TestTraceNFA:

@@ -1,14 +1,16 @@
 """Dense reference for the weighted automaton and its mlt acceptor.
 
-``pltlf.weighted`` stores edges in groups, one weight per (source,
-position) over a shared tuple of children, and its mlt acceptor is the
-tight part of those groups.  The classes and functions here are the
-representation it replaced: one ``Fraction`` entry per (source, child)
-edge, a fixpoint that multiplies along every edge in sweeps until nothing
-changes (and counts them), a tight-edge test per edge, an acceptor
-holding its edge set and sorted successor lists, an enumeration over
-those lists, and a product that copies every edge.  Tests feed them the
-dense view ``wa.weights`` and compare the answers.
+``pltlf.weighted`` keeps one state per row, with letters on the edges,
+and stores edges in groups, one weight per (row, position) over a shared
+child tuple split by letter; its mlt acceptor is the tight part of those
+groups.  The classes and functions here are the representation it
+replaced: one state per (row, letter) pair, which carries its letter as
+its valuation, one ``Fraction`` entry per (source, child) edge, a
+fixpoint that multiplies along every edge in sweeps until nothing changes
+(and counts them), a tight-edge test per edge, an acceptor holding its
+edge set and sorted successor lists, an enumeration over those lists, and
+a product that copies every edge.  Tests feed them :func:`expand`'s dense
+form of an automaton and compare the answers.
 """
 
 from __future__ import annotations
@@ -208,3 +210,47 @@ def product(nfa, wa: WeightedAutomaton) -> WeightedAutomaton:
     )
     valuations = {(b, s): wa.valuations[b] for b, s in states}
     return WeightedAutomaton(states, frozenset(seeds), finals, weights, valuations)
+
+
+def expand(wa) -> WeightedAutomaton:
+    """The dense state form of a row-form automaton: one state per (row,
+    letter) pair that its initial map or a child tuple holds, named by
+    ``wa.name`` (the atom, for a compiled automaton), carrying the letter
+    and starting or ending a run as its row does."""
+    pairs = wa.pairs
+    initial = [q for q, (r, letter) in pairs.items() if r in wa.initial.get(letter, ())]
+    finals = [q for q, (r, _) in pairs.items() if r in wa.finals]
+    valuations = {q: letter for q, (_, letter) in pairs.items()}
+    return WeightedAutomaton(pairs, initial, finals, wa.weights, valuations)
+
+
+def dense_key(wa: WeightedAutomaton) -> tuple:
+    """What two dense automata agree on when they are the same."""
+    return set(wa.states), wa.initial, wa.finals, wa.weights, wa.valuations
+
+
+def grouped(wa) -> tuple:
+    """The per-state groups that the row form replaced, read through
+    :func:`expand`'s names: each state's groups, and each child tuple as
+    its states in sorted order."""
+    groups = {q: wa.groups[r] for q, (r, _) in wa.pairs.items()}
+    children = tuple(
+        tuple(sorted(wa.name(c, letter) for letter, rows in kids.items() for c in rows))
+        for kids in wa.children
+    )
+    return groups, children
+
+
+def entered(acc: MltAcceptor) -> MltAcceptor:
+    """The acceptor cut to the states a run can be in, the initial ones
+    and those an edge enters, as :func:`expand` lists a row-form
+    acceptor's states."""
+    kept = acc.initial | {dst for _, dst in acc.edges}
+    return MltAcceptor(
+        [q for q in acc.states if q in kept],
+        acc.initial,
+        acc.finals & kept,
+        [(src, dst) for src, dst in acc.edges if src in kept],
+        {q: acc.valuations[q] for q in kept},
+        acc.value,
+    )
