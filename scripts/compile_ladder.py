@@ -17,7 +17,8 @@ queries on the compiled and carved automaton.  ``trace`` is one
 ``prefix_extension_query`` on that trace's first two letters, with
 ``enumerate_mlts(acc, 3, 20)`` on its acceptor.  The flat rungs
 are the first 9 and 11 lines of ``LINES``; for each it times
-``build_lphi``, feasibility, the maxima and ``rows_text``.  Every rung
+``build_lphi``, ``describe`` (every scenario's ``describe()``),
+feasibility, the maxima and ``rows_text``.  Every rung
 also counts the LP programs built (``LinearProgram`` constructions, each
 one phase 1) and the phase 2s run (``LinearProgram._optimum`` calls)
 over all its layers.  With
@@ -89,11 +90,13 @@ def flat_rung(text: str) -> tuple:
     """Scenario counts and CPU seconds of each layer, on one fresh compile."""
     phi = parse_pltlf0(text)
     table, build = timed(lambda: build_lphi(phi))
+    _, describe = timed(lambda: [s.describe() for s in table.scenarios])
     _, feasible = timed(lambda: table.feasible)
     _, maxima = timed(lambda: table.maxima)
     _, rows = timed(table.rows_text)
     sizes = {"scenarios": len(table.scenarios), "live": sum(table.satisfiable)}
-    return sizes, {"build_lphi": build, "feasible": feasible, "maxima": maxima, "rows_text": rows}
+    layers = ("build_lphi", "describe", "feasible", "maxima", "rows_text")
+    return sizes, dict(zip(layers, (build, describe, feasible, maxima, rows)))
 
 
 def counted(measure, *args) -> tuple:

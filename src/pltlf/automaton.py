@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress
-from typing import Optional
+from typing import Iterator, Optional
 
 from .closure import Atom, ClosureSet, free_column, transpose
 from .linsolve import LinearProgram, LinearSystem, solve_feasibility
@@ -273,18 +273,19 @@ class TreeAutomaton:
         self._family_cache[sig] = result
         return result
 
-    def _over(self, req: int, index: dict) -> list:
-        """The bucket keys of ``index`` whose next-argument mask contains
-        ``req``: the buckets that can hold children of a parent with next
-        mask ``req``.  They are read off the smaller side, every key over
-        ``req`` or the index's keys."""
-        width, free = self._width, self._all_next & ~req
+    def _over(self, req: int, index) -> Iterator[int]:
+        """The bucket keys in ``index`` (a dict or set of keys) whose
+        next-argument mask contains ``req``: the buckets that can hold
+        children of a parent with next mask ``req``.  They are read off the
+        smaller side, every key over ``req`` or the index's keys, and
+        lazily, so a caller asking for one reads no further."""
+        width, free, high = self._width, self._all_next & ~req, req << self._width
         if 1 << free.bit_count() + width < len(index):
-            return [
-                key for sub in _submasks(free) for q in range(1 << width)
-                if (key := (req | sub) << width | q) in index
-            ]
-        return [key for key in index if not req << width & ~key]
+            return (
+                key for sub in _submasks(free)
+                for key in range((req | sub) << width, (req | sub) + 1 << width) if key in index
+            )
+        return (key for key in index if key & high == high)
 
     def _table(self, req: int, index: dict, restrict=None) -> dict:
         """The kept table of the parents with next mask ``req``, read off
@@ -417,12 +418,11 @@ class TreeAutomaton:
         sweep = 0
         while True:
             if self._pairs:
-                masks = set()  # next-argument masks of newly good buckets
+                fresh = set()  # keys of the buckets that got their first good atom
                 for a in chain.from_iterable(joined):
-                    args = self._next_args[a]
-                    key = args << self._width | self._parg[a]
+                    key = self._next_args[a] << self._width | self._parg[a]
                     if key not in inside:
-                        masks.add(args)
+                        fresh.add(key)
                         inside[key] = [a]
                     else:
                         insort(inside[key], a)
@@ -432,7 +432,7 @@ class TreeAutomaton:
                     if req in families:
                         continue
                     families[req] = ()
-                    if any(not req & ~args for args in masks):
+                    if next(self._over(req, fresh), None) is not None:
                         kept = self._table(req, inside)
                         family = tuple(kept)
                         if self.first_tuple(members[0], family, kept) is not None:

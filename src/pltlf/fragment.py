@@ -62,6 +62,7 @@ from .syntax import (
     has_prob,
     normalize,
     parse_constraint,
+    size_and_text,
 )
 
 ZERO = Fraction(0)
@@ -110,11 +111,15 @@ class Scenario:
 
     The index is read as a binary string of length n, most significant
     bit first: a 1 at string position j keeps formula j, a 0 negates it.
+    ``spelled`` holds each constraint's (negated, kept) texts, made once
+    per constraint sign and shared by every scenario, so a description
+    joins the texts its bits pick and renders nothing.
     """
 
     index: int
     n: int
     formulas: tuple
+    spelled: tuple = field(compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -124,19 +129,20 @@ class Scenario:
         return bool(self.index >> (self.n - 1 - j) & 1)
 
     def describe(self) -> str:
-        if not self.formulas:
-            return "true"
-        return ", ".join(formula_text(f) for f in self.formulas)
+        return ", ".join(pair[self.includes(j)] for j, pair in enumerate(self.spelled)) or "true"
 
 
 def scenarios_of(phi: Pltlf0Formula) -> tuple:
     """Every sign pattern over the constraints, in index order.  Each
-    constraint's negated and kept formula are made once, and every
-    scenario picks one of the two by its bit."""
+    constraint's negated and kept formula are made and rendered once, and
+    every scenario picks one of the two by its bit."""
     n = len(phi)
     signs = [(Not(c.formula), c.formula) for c in phi.constraints]
+    spelled = tuple(tuple(text for _, text in size_and_text(pair)) for pair in signs)
     return tuple(
-        Scenario(index, n, tuple(pair[index >> (n - 1 - j) & 1] for j, pair in enumerate(signs)))
+        Scenario(
+            index, n, tuple(pair[index >> (n - 1 - j) & 1] for j, pair in enumerate(signs)), spelled
+        )
         for index in range(1 << n)
     )
 

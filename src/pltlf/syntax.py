@@ -12,7 +12,10 @@ depth, propositions, bound occurrence, core-fragment membership and the
 closure are read off that walk, so they accept a tree of any depth.
 How tightly each binary connective binds is written once, in the table
 ``_BINARY``: the parser reads its connectives from it, and the printer
-its precedences and separators.
+its precedences and separators.  The printer is one renderer,
+:func:`size_and_text`, which gives formulas their texts and node counts,
+rendering each node once per call; :func:`formula_text` is its case of
+one formula.
 
 A bound ``P <cmp> <number>`` is read by one parser method, with its
 position and its range check, both inside a formula and at the head of a
@@ -349,51 +352,35 @@ def _text_pieces(f: Formula) -> list:
 
 
 def formula_text(f: Formula) -> str:
-    """Render with minimal parentheses; reparsing yields an equal formula.
-
-    Iterative over an explicit stack of pending pieces, so a formula of
-    any depth renders."""
-    out = []
-    stack = [(f, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        g, minimum = item
-        if type(g) is Prop:
-            out.append(g.name)
-        elif _precedence(g) < minimum:
-            stack += [")", (g, 0), "("]
-        else:
-            stack += reversed(_text_pieces(g))
-    return "".join(out)
+    """Render with minimal parentheses; reparsing yields an equal formula."""
+    return size_and_text([f])[0][1]
 
 
 def size_and_text(formulas) -> list:
-    """``(size, formula_text(g))`` for each of the formulas, where the
-    size is the node count (the comparison and bound of a P node do not
-    add to it), rendering every node once: its text is joined from its
-    :func:`_text_pieces` and its children's texts.  The memo is keyed by
-    ``id`` within the call, as keying it by node would compare an equal
-    but distinct subtree node by node on every lookup that meets it; the
-    formulas keep each node alive.  Iterative, so any depth works."""
+    """``(size, text)`` for each of the formulas: the node count (the
+    comparison and bound of a P node do not add to it) and the text with
+    minimal parentheses.  Every node is rendered once: its
+    :func:`_text_pieces` are read once and joined with its children's
+    texts, so a caller that renders many formulas sharing subtrees renders
+    them in one call.  The memo is keyed by ``id`` within the call, as
+    keying it by node would compare an equal but distinct subtree node by
+    node on every lookup that meets it; the formulas keep each node alive.
+    Iterative, so any depth works."""
     memo = {}
     for top in formulas:
-        stack = [top]
+        stack = [(top, None)]
         while stack:
-            g = stack.pop()
+            g, pieces = stack.pop()
             if id(g) in memo:
                 continue
             if type(g) is Prop:
                 memo[id(g)] = (1, g.name)
                 continue
-            # a node with children still to render waits under them
-            pieces = _text_pieces(g)
-            pending = [p[0] for p in pieces if type(p) is tuple and id(p[0]) not in memo]
-            if pending:
-                stack.append(g)
-                stack += pending
+            if pieces is None:
+                # the node waits, with its pieces, under its children
+                pieces = _text_pieces(g)
+                stack.append((g, pieces))
+                stack += [(p[0], None) for p in pieces if type(p) is tuple]
                 continue
             size, parts = 1, []
             for piece in pieces:

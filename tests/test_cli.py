@@ -633,8 +633,8 @@ def test_compile_ladder_smallest_rung():
     assert all(rung[layer] >= 0 for layer in rung)
     rung = result["flat n=9"]
     assert list(rung) == [
-        "scenarios", "live", "programs", "phase2s", "build_lphi", "feasible", "maxima", "rows_text",
-        "peak_mib",
+        "scenarios", "live", "programs", "phase2s", "build_lphi", "describe", "feasible", "maxima",
+        "rows_text", "peak_mib",
     ]
     assert (rung["scenarios"], rung["live"], rung["programs"], rung["phase2s"]) == (512, 132, 1, 27)
     assert all(rung[layer] >= 0 for layer in rung)

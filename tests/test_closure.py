@@ -55,7 +55,9 @@ class TestClosure:
     def test_sort_key_renders_each_member_as_formula_text(self, f):
         # members are sorted by (node count, text), both read bottom-up
         members = list(ClosureSet(f).members)
-        expected = [(syntax_reference.formula_size(g), formula_text(g)) for g in members]
+        expected = [
+            (syntax_reference.formula_size(g), syntax_reference.formula_text(g)) for g in members
+        ]
         assert size_and_text(members) == expected
         assert expected == sorted(expected)
 

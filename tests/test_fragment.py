@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+import syntax_reference
 import weighted_reference
 from conftest import DATA
 from oracles import fm_feasible, fm_supremum, render_rows
@@ -28,6 +29,7 @@ from pltlf import (
     Not,
     Pltlf0Formula,
     ProbConstraint,
+    Prop,
     TreeAutomaton,
     accepts_prefix,
     build_lphi,
@@ -50,7 +52,7 @@ from pltlf import (
     to_pltlf,
     vars_of,
 )
-from pltlf import automaton, cli, fragment, linsolve, weighted
+from pltlf import automaton, cli, closure, fragment, linsolve, syntax, weighted
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +148,54 @@ class TestScenarios:
         phi = flat(*(f"P<=0.5 : F p{j}" for j in range(n)))
         scenarios = scenarios_of(phi)
         assert len({id(f) for s in scenarios for f in s.formulas}) == 2 * n
+        # every scenario reads one tuple of texts, which equality and repr skip
+        assert len({id(s.spelled) for s in scenarios}) == 1
+        assert scenarios[0] == fragment.Scenario(0, n, scenarios[0].formulas, ())
+        assert "spelled" not in repr(scenarios[0])
         assert [s.describe() for s in scenarios] == [
             ", ".join(
                 f"F p{j}" if s.includes(j) else f"!F p{j}" for j in range(n)
             )
             for s in scenarios
+        ]
+
+    # the first nine lines of scripts/compile_ladder.py's LINES
+    LINES = (
+        "P<=0.7 : F a", "P<=0.8 : F b", "P>=0.3 : G(a -> F b)", "P<=0.6 : a U b",
+        "P>=0.2 : X c", "P<=0.9 : F(c & X d)", "P>=0.1 : G !d", "P<=0.5 : F(a & b)",
+        "P>=0.2 : G(c -> X a)",
+    )
+
+    def test_descriptions_render_each_constraint_sign_once(self, monkeypatch):
+        # compiling renders each constraint's two signed formulas once;
+        # describing every scenario and the monitor's best renders nothing
+        phi = flat(*self.LINES)
+        calls = []
+        text_pieces, sort_key = syntax._text_pieces, closure.size_and_text
+        monkeypatch.setattr(syntax, "_text_pieces", lambda f: calls.append(f) or text_pieces(f))
+
+        def unseen(subs):
+            # the closure orders its members by their texts, which no
+            # description reads
+            before = len(calls)
+            keys = sort_key(subs)
+            del calls[before:]
+            return keys
+
+        monkeypatch.setattr(closure, "size_and_text", unseen)
+        table = build_lphi(phi)
+        texts = [s.describe() for s in table.scenarios]
+        state, best = start_monitor(table), set()
+        rng = random.Random(37)
+        for _ in range(40):
+            state = monitor_step(state, frozenset(n for n in "abcd" if rng.random() < 0.5))
+            best.add(state.describe_best())
+        signed = [f for c in phi.constraints for f in (Not(c.formula), c.formula)]
+        assert 0 < len(calls) <= sum(type(g) is not Prop for f in signed for g in syntax.subformulas(f))
+        assert len(texts) == 512 and len(best) > 1
+        assert texts == [
+            ", ".join(syntax_reference.formula_text(f) for f in s.formulas)
+            for s in table.scenarios
         ]
 
     def test_unsatisfiable_sign_pattern_is_detected(self, phi1_table):
@@ -787,13 +832,13 @@ class TestDeterminisedMonitor:
                 return original(self, *args)
 
             monkeypatch.setattr(weighted.WeightedAutomaton, name, counting)
-        original_text = fragment.formula_text
+        original_describe = fragment.Scenario.describe
 
-        def counting_text(f):
-            rendered.append(f)
-            return original_text(f)
+        def counting_describe(scenario):
+            rendered.append(scenario)
+            return original_describe(scenario)
 
-        monkeypatch.setattr(fragment, "formula_text", counting_text)
+        monkeypatch.setattr(fragment.Scenario, "describe", counting_describe)
         path = tmp_path / "ladder.p0"
         path.write_text(text)
         monkeypatch.setattr(
@@ -805,4 +850,4 @@ class TestDeterminisedMonitor:
         assert out.getvalue().count("\n") == len(stream)
         assert code == (1 if state.violated else 0)
         assert 0 < len(steps) <= sum(len(entries) for entries, _ in pairs)
-        assert len(rendered) <= 4 * len(best - {-1})
+        assert len(rendered) <= len(best - {-1})

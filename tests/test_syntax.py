@@ -487,7 +487,7 @@ class TestDeepChains:
         node, names, _ = CHAINS[name]
         f = chain(node, self.LEVELS)
         leaves = 1 if names == {"a"} else self.LEVELS + 1
-        assert size_and_text([f]) == [(self.LEVELS + leaves, formula_text(f))]
+        assert size_and_text([f]) == [(self.LEVELS + leaves, ref.formula_text(f))]
 
     def test_queries_reject_with_value_error(self, name):
         f = chain(CHAINS[name][0], self.LEVELS)
